@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.runner.cache as cache_module
 from repro.runner import (
     ResultCache,
     cache_key,
@@ -20,6 +21,14 @@ BASE = dict(
     backend="count",
     version="abc123",
 )
+
+#: ``experiment_cache_key("E1", profile, 7, None)`` under the code version
+#: ``"pinned"``, captured when the boolean profile spelling still existed
+#: (``True``/``False`` produced these same keys).
+PINNED_PROFILE_KEYS = {
+    "fast": "a5b2e6a7d8617d141d116916dab911c803e7b98ecf1a70a991aa225103d8c2b8",
+    "full": "b360dfc9088befa32691dee719e03e14f5e6404686fe999e66be71cba7131c6b",
+}
 
 
 def key_with(**overrides) -> str:
@@ -101,6 +110,14 @@ class TestExperimentCacheKey:
         full_key = experiment_cache_key("E1", "full", 7, None)
         assert experiment_cache_key("E1", True, 7, None) == fast_key
         assert experiment_cache_key("E1", False, 7, None) == full_key
+
+    @pytest.mark.parametrize("profile", sorted(PINNED_PROFILE_KEYS))
+    def test_profile_keys_pinned(self, monkeypatch, profile):
+        # Under a fixed code version the key of each built-in profile is
+        # pinned, so existing cache entries stay addressable by name.
+        monkeypatch.setattr(cache_module, "_CODE_VERSION", "pinned")
+        key = experiment_cache_key("E1", profile, 7, None)
+        assert key == PINNED_PROFILE_KEYS[profile]
 
     def test_equivalent_param_spellings_share_a_key(self):
         # n=1e4 (string), n=10000.0 (float) and n=10000 (int) all resolve
