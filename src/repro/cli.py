@@ -87,13 +87,6 @@ def parse_size(spec: str) -> int:
     return int(value * unit)
 
 
-def _profile_of(args) -> str:
-    """The profile named by the ``--profile`` / legacy ``--full`` flags."""
-    if args.profile is not None:
-        return args.profile
-    return "full" if args.full else "fast"
-
-
 def _overrides_of(args, experiment_id: str) -> dict:
     """The ``--set`` overrides validated against one experiment's schema."""
     from repro.params import parse_sets
@@ -106,12 +99,10 @@ def _add_orchestration_arguments(parser, jobs: bool = True) -> None:
     """The runner knobs shared by ``run``, ``run-all``, ``sweep``, and
     ``serve`` (which takes no ``--jobs``: workers decide parallelism)."""
     parser.add_argument(
-        "--full", action="store_true",
-        help="shorthand for --profile full (slower, tighter tolerances)")
-    parser.add_argument(
-        "--profile", default=None, metavar="NAME",
+        "--profile", default="fast", metavar="NAME",
         help=("named parameter profile to resolve ('fast' is the "
-              "default; experiments may declare more)"))
+              "default, 'full' the paper-scale one; experiments may "
+              "declare more)"))
     parser.add_argument(
         "--set", action="append", default=None, metavar="NAME=VALUE",
         help=("override one declared parameter (repeatable), e.g. "
@@ -543,7 +534,7 @@ def _run_plan_and_render(ids, args) -> int:
     """
     from repro.runner import execute, experiments_plan
 
-    profile = _profile_of(args)
+    profile = args.profile
     if getattr(args, "set", None) and len(ids) > 1:
         raise InvalidParameterError(
             "--set applies to a single experiment; run ids one at a time "
@@ -623,7 +614,7 @@ def _build_sweep_plan(args, jobs: int, cache_dir):
     from repro.runner import grid_plan, replicate_plan
 
     spec = get_spec(args.experiment)  # fail fast on unknown ids
-    profile = _profile_of(args)
+    profile = args.profile
     overrides = _overrides_of(args, args.experiment)
 
     if args.grid:

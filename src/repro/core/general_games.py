@@ -36,17 +36,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import AgentBackend, CountBackend, WeightedCountBackend, \
-    check_backend, resolve_backend, matrix_game_model
-from repro.engine.topology import resolve_topology
-from repro.engine.weighted import resolve_weights
+from repro.engine import (
+    build_engine,
+    check_backend,
+    make_law,
+    matrix_game_model,
+    resolve_backend,
+)
 from repro.games.base import MatrixGame
 from repro.games.nash import symmetric_de_gap
-from repro.population.scheduler import (
-    GraphScheduler,
-    RandomScheduler,
-    WeightedScheduler,
-)
 from repro.utils import as_generator, check_positive_int, check_probability
 from repro.utils.errors import InvalidParameterError
 
@@ -122,17 +120,13 @@ class PopulationGameSimulation:
         if eta <= 0:
             raise InvalidParameterError(f"eta must be positive, got {eta!r}")
         self.eta = float(eta)
-        self._weights = weights = resolve_weights(weights, self.n)
-        self._topology = topology = resolve_topology(topology, self.n)
-        if topology is not None and weights is not None:
-            raise InvalidParameterError(
-                "pass either weights= or topology=, not both: the "
-                "weighted graph-restricted law is not defined here")
+        self._rng = as_generator(seed)
+        self._law = law = make_law(self.n, weights, topology,
+                                   seed=self._rng)
         check_backend(backend, allow_auto=True)
         self.backend = backend = resolve_backend(
-            backend, n=self.n, weighted=weights is not None,
-            graph_restricted=topology is not None)
-        self._rng = as_generator(seed)
+            backend, n=self.n, weighted=law.weights is not None,
+            graph_restricted=law.topology is not None)
         n_strategies = self.payoffs.shape[0]
         if initial_strategies is None:
             strategies = self._rng.integers(0, n_strategies, size=self.n)
@@ -151,38 +145,9 @@ class PopulationGameSimulation:
         self._model = matrix_game_model(
             self.payoffs, rule, p_update=self.p_update, eta=self.eta,
             imitation_scale=self._imitation_scale)
-        if backend == "count":
-            self._strategies = None
-            self._scheduler = None
-            if topology is not None:
-                # The engine owns the vertex-transitivity check; an
-                # accepted graph runs its degree-annealed chain.
-                self._engine = CountBackend(
-                    self._model,
-                    np.bincount(strategies, minlength=n_strategies),
-                    scheduler=GraphScheduler(topology, seed=self._rng))
-            elif weights is None:
-                self._engine = CountBackend(
-                    self._model,
-                    np.bincount(strategies, minlength=n_strategies),
-                    seed=self._rng)
-            else:
-                # Weights break exchangeability: run the exact
-                # (weight class × strategy) lift.
-                self._engine = WeightedCountBackend.from_agent_states(
-                    self._model, strategies, weights, seed=self._rng)
-        else:
-            self._strategies = strategies
-            if topology is not None:
-                self._scheduler = GraphScheduler(topology, seed=self._rng)
-            elif weights is None:
-                self._scheduler = RandomScheduler(self.n, seed=self._rng)
-            else:
-                self._scheduler = WeightedScheduler(weights, seed=self._rng)
-            self._engine = AgentBackend(
-                self._model, strategies,
-                scheduler=self._scheduler,
-                copy=False, vectorized=vectorized)
+        self._strategies = strategies if backend == "agent" else None
+        self._engine = build_engine(self._model, law, backend,
+                                    states=strategies, vectorized=vectorized)
         self._counts = self._engine.counts_live
         self.steps_run = 0
 
@@ -223,32 +188,17 @@ class PopulationGameSimulation:
     def step(self) -> None:
         """One scheduled interaction (``backend="agent"``)."""
         strategies = self.strategies
-        rng = self._rng
-        uniform_law = self._weights is None and self._topology is None
-        if uniform_law:
-            i = int(rng.integers(0, self.n))
-            j = int(rng.integers(0, self.n - 1))
-            if j >= i:
-                j += 1
-        else:
-            i, j = self._scheduler.next_pair()
+        i, j = self._law.next_pair()
         observed = None
         if self._model.slots_per_step == 4:
             # The rule reads two independently sampled opponents, drawn
-            # from the scheduler's law.
-            if uniform_law:
-                oi = int(rng.integers(0, self.n - 1))
-                if oi >= i:
-                    oi += 1
-                oj = int(rng.integers(0, self.n - 1))
-                if oj >= j:
-                    oj += 1
-            else:
-                oi = int(self._scheduler.others_block([i])[0])
-                oj = int(self._scheduler.others_block([j])[0])
+            # from the pair law.
+            oi = int(self._law.others_block([i])[0])
+            oj = int(self._law.others_block([j])[0])
             observed = (int(strategies[oi]), int(strategies[oj]))
         new_u, _ = self._model.apply_scalar(int(strategies[i]),
-                                            int(strategies[j]), rng, observed)
+                                            int(strategies[j]), self._rng,
+                                            observed)
         self._switch(i, new_u)
         self.steps_run += 1
 

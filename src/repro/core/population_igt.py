@@ -33,7 +33,6 @@ sequential loop on ``backend="agent"``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +40,13 @@ import numpy as np
 from repro.core.igt import AgentType, GenerosityGrid, IGTRule
 from repro.engine import (
     AgentBackend,
-    CountBackend,
-    WeightedCountBackend,
+    build_engine,
     check_backend,
     igt_action_model,
     igt_model,
+    make_law,
     resolve_backend,
 )
-from repro.engine.topology import resolve_topology
-from repro.engine.weighted import resolve_weights
 from repro.games.repeated import RepeatedGameEngine
 from repro.games.strategies import (
     MemoryOneStrategy,
@@ -58,11 +55,6 @@ from repro.games.strategies import (
     generous_tit_for_tat,
 )
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.population.scheduler import (
-    GraphScheduler,
-    RandomScheduler,
-    WeightedScheduler,
-)
 from repro.utils import as_generator, check_fraction, check_positive_int
 from repro.utils.errors import InvalidParameterError
 
@@ -171,7 +163,7 @@ class IGTSimulation:
     weights:
         Optional per-agent activity weights — the heterogeneous-contact
         extension: the scheduler draws initiator and responder
-        proportionally to weight (:class:`~repro.population.scheduler
+        proportionally to weight (:class:`~repro.engine.sampling
         .WeightedScheduler`'s law) instead of uniformly.  Either a
         length-``n`` positive array aligned with the agent order
         ``[AC block, AD block, GTFT block]``, or a spec string accepted
@@ -211,18 +203,13 @@ class IGTSimulation:
         self.mode = mode
         self.rule = IGTRule(grid, strict=(mode == "strict"))
         self.setting = setting
-        self._weights = weights = resolve_weights(weights, self.n)
-        self._topology = topology = resolve_topology(topology, self.n)
-        if topology is not None and weights is not None:
-            raise InvalidParameterError(
-                "pass either weights= or topology=, not both: the "
-                "weighted graph-restricted law is not defined here "
-                "(an irregular graph's degree-proportional activity is "
-                "already captured by its topology)")
+        self._rng = as_generator(seed)
+        self._law = law = make_law(self.n, weights, topology,
+                                   seed=self._rng)
         check_backend(backend, allow_auto=True)
         self.backend = backend = resolve_backend(
-            backend, n=self.n, mode=mode, weighted=weights is not None,
-            graph_restricted=topology is not None)
+            backend, n=self.n, mode=mode, weighted=law.weights is not None,
+            graph_restricted=law.topology is not None)
         self.observation_noise = check_fraction("observation_noise",
                                                 observation_noise)
         if self.observation_noise > 0 and mode != "strategy":
@@ -231,7 +218,6 @@ class IGTSimulation:
                 "(mode='action' derives its own noise from game play, and "
                 "the strict rule's three-way classification makes a flipped "
                 "binary reading ambiguous)")
-        self._rng = as_generator(seed)
 
         n_ac, n_ad, n_gtft = shares.agent_counts(n)
         self.n_ac, self.n_ad, self.n_gtft = n_ac, n_ad, n_gtft
@@ -303,50 +289,23 @@ class IGTSimulation:
             # Count-level action mode: the exact per-pair classification
             # law replaces Monte-Carlo game play (same distribution).
             self._model = igt_action_model(grid, setting)
-        self._engine = None
-        if backend == "count":
-            self._agent_states = None
-            self._scheduler = None
-            if self._topology is not None:
-                # The engine owns the vertex-transitivity check (and the
-                # loud irregular-graph refusal); a count run on an
-                # accepted graph simulates its degree-annealed chain.
-                self._engine = CountBackend(
-                    self._model, counts_full,
-                    track_pair_counts=self.track_payoffs,
-                    scheduler=GraphScheduler(self._topology,
-                                             seed=self._rng))
-            elif self._weights is None:
-                self._engine = CountBackend(
-                    self._model, counts_full, seed=self._rng,
-                    track_pair_counts=self.track_payoffs)
-            else:
-                # Weights break exchangeability: run the exact
-                # (weight class × state) lift instead of the plain
-                # count chain.
-                states = np.empty(n, dtype=np.int64)
-                states[:n_ac] = k
-                states[n_ac:n_ac + n_ad] = k + 1
-                states[self._gtft_slice] = gtft_start
-                self._engine = WeightedCountBackend.from_agent_states(
-                    self._model, states, self._weights, seed=self._rng,
-                    track_pair_counts=self.track_payoffs)
-            self._counts_full = self._engine.counts_live
-        else:
+        # Per-agent layout [AC block, AD block, GTFT block].  The uniform
+        # and graph count chains run on counts alone: an int64 state
+        # array at n = 10^8 would cost 800 MB.
+        states = None
+        if backend == "agent" or law.weights is not None:
             states = np.empty(n, dtype=np.int64)
             states[:n_ac] = k
             states[n_ac:n_ac + n_ad] = k + 1
             states[self._gtft_slice] = gtft_start
-            self._agent_states = states
-            self._counts_full = counts_full
-            if self._topology is not None:
-                self._scheduler = GraphScheduler(self._topology,
-                                                 seed=self._rng)
-            elif self._weights is None:
-                self._scheduler = RandomScheduler(self.n, seed=self._rng)
-            else:
-                self._scheduler = WeightedScheduler(self._weights,
-                                                    seed=self._rng)
+        self._agent_states = states if backend == "agent" else None
+        self._engine = None
+        self._counts_full = counts_full
+        if backend == "count":
+            self._engine = build_engine(
+                self._model, law, backend, states=states,
+                counts=counts_full, track_pair_counts=self.track_payoffs)
+            self._counts_full = self._engine.counts_live
         self._counts = self._counts_full[:k]
         self.steps_run = 0
 
@@ -364,10 +323,8 @@ class IGTSimulation:
     def _ensure_engine(self) -> AgentBackend:
         """The lazily built agent engine (shares states, counts, and rng)."""
         if self._engine is None:
-            self._engine = AgentBackend(
-                self._model, self._agent_states,
-                scheduler=self._scheduler,
-                copy=False)
+            self._engine = build_engine(self._model, self._law, "agent",
+                                        states=self._agent_states)
             # Adopt the engine's count vector so step() and engine runs
             # mutate the same storage.
             self._counts_full = self._engine.counts_live
@@ -446,12 +403,12 @@ class IGTSimulation:
     def step(self) -> None:
         """Execute a single scheduled interaction (``backend="agent"``).
 
-        The pair is drawn through the simulation's scheduler, so
+        The pair is drawn through the simulation's pair law, so
         weighted populations step with the weighted law (and uniform
         ones bit-for-bit like the pre-scheduler code path).
         """
         self._require_agent_states()
-        i, j = self._scheduler.next_pair()
+        i, j = self._law.next_pair()
         self._interact(i, j)
         self.steps_run += 1
 
@@ -484,8 +441,7 @@ class IGTSimulation:
             self._counts[new] += 1
 
     def run(self, steps: int, observe_every: int | None = None,
-            observe=None,
-            record_every: int | None = None) -> np.ndarray | None:
+            observe=None) -> np.ndarray | None:
         """Run ``steps`` interactions.
 
         With ``observe_every`` set, returns the count-vector trajectory
@@ -494,8 +450,7 @@ class IGTSimulation:
         :class:`~repro.engine.observe.ObserverSink` (or spec string) —
         the sink sees the engine's *full* count vector (generosity
         indices plus AC/AD) and the method returns ``None`` for sinks
-        that retain no in-memory series.  ``record_every`` is the
-        deprecated pre-observer spelling of ``observe_every``.
+        that retain no in-memory series.
 
         Note on randomness: the engine draws scheduler randomness in
         vectorized blocks (and the count backend in birthday batches), so a
@@ -503,12 +458,6 @@ class IGTSimulation:
         generator differently — both sample the same process law, but their
         trajectories under a shared seed are not bitwise identical.
         """
-        if record_every is not None:
-            warnings.warn(
-                "record_every= is deprecated; use observe_every=",
-                DeprecationWarning, stacklevel=2)
-            if observe_every is None:
-                observe_every = record_every
         steps = check_positive_int("steps", steps, minimum=0)
         if self._step_loop_required:
             if observe is not None:
@@ -739,7 +688,8 @@ class IGTSimulation:
             raise InvalidParameterError(
                 "the strict variant has its own embedding; use "
                 "strict_equivalent_ehrenfest()")
-        if self._topology is not None:
+        weights = self._law.weights
+        if self._law.topology is not None:
             raise InvalidParameterError(
                 "the Ehrenfest embedding assumes the complete-graph "
                 "(uniform) scheduler; on an interaction graph each GTFT "
@@ -748,21 +698,20 @@ class IGTSimulation:
                 "Ehrenfest process (the E6 topology variant computes "
                 "that per-vertex quenched theory)")
         m = self.n_gtft
-        if self._weights is not None:
+        if weights is not None:
             if not exact:
                 raise InvalidParameterError(
                     "the idealized (exact=False) embedding assumes the "
                     "uniform scheduler; weighted populations use "
                     "exact=True")
-            gtft_weights = self._weights[self._gtft_slice]
+            gtft_weights = weights[self._gtft_slice]
             if not np.allclose(gtft_weights, gtft_weights[0]):
                 raise InvalidParameterError(
                     "the weighted Ehrenfest embedding needs all GTFT "
                     "agents to share one activity weight; heterogeneous "
                     "GTFT weights mix per-agent biases")
-            total_weight = float(self._weights.sum())
-            ad_weight = float(
-                self._weights[self.n_ac:self.n_ac + self.n_ad].sum())
+            total_weight = float(weights.sum())
+            ad_weight = float(weights[self.n_ac:self.n_ac + self.n_ad].sum())
             if ad_weight == 0 and self.observation_noise == 0:
                 raise InvalidParameterError(
                     "the Ehrenfest embedding needs b > 0, i.e. at least "
@@ -792,7 +741,7 @@ class IGTSimulation:
         eps = self.observation_noise
         up_eff = (1.0 - eps) * up + eps * down
         down_eff = (1.0 - eps) * down + eps * up
-        if self._weights is not None:
+        if weights is not None:
             scale = m * w_gtft / total_weight
         else:
             scale = m / self.n if exact else self.shares.gamma
@@ -813,11 +762,11 @@ class IGTSimulation:
         ``λ_strict = (m−1)/n_ad`` — strictly below the standard rule's bias
         whenever AC agents exist.
         """
-        if self._weights is not None:
+        if self._law.weights is not None:
             raise InvalidParameterError(
                 "the strict embedding is derived for the uniform "
                 "scheduler; weighted populations are not supported here")
-        if self._topology is not None:
+        if self._law.topology is not None:
             raise InvalidParameterError(
                 "the strict embedding is derived for the complete-graph "
                 "scheduler; graph-restricted populations are not "

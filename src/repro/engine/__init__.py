@@ -25,23 +25,23 @@ newline-delimited JSON and online :class:`Reducer` sinks hold summaries —
 both constant-memory regardless of trajectory length, so observed runs
 stream at ``n = 10^9`` without materializing a single row in RAM.
 
-Non-uniform scheduling is first-class: any duck-compatible scheduler
-(``n`` / ``rng`` / ``pair_block``, plus the ``weights`` /
-``others_block`` / ``topology`` capability attributes for non-uniform
-laws) plugs into :class:`AgentBackend`;
-:class:`WeightedCountBackend` (:mod:`repro.engine.weighted`) runs the
-exact ``(weight class × state)`` count chain that replaces the
-exchangeable count vector under a
-:class:`~repro.population.scheduler.WeightedScheduler`; and
-graph-restricted pair laws (:mod:`repro.engine.topology`) run quenched
-on :class:`AgentBackend` and degree-annealed on :class:`CountBackend`
-for vertex-transitive graphs.  Surfaces that cannot honor an advertised
-capability refuse loudly instead of silently downgrading the law.
+Non-uniform scheduling is first-class: each pair law is one class
+(:class:`RandomScheduler`, :class:`WeightedScheduler`,
+:class:`GraphScheduler`) with the ``weights`` / ``topology`` /
+``others_block`` capabilities, and every law plugs into
+:class:`AgentBackend`.  :class:`WeightedCountBackend`
+(:mod:`repro.engine.weighted`) runs the exact ``(weight class × state)``
+count chain that replaces the exchangeable count vector under a
+:class:`WeightedScheduler`, and graph-restricted laws run quenched on
+:class:`AgentBackend` and degree-annealed on :class:`CountBackend` for
+vertex-transitive graphs.  Surfaces that cannot honor a law refuse
+loudly instead of silently downgrading it.
 
-``backend="auto"`` (resolved by :mod:`repro.engine.dispatch` against the
-measured crossovers in ``BENCH_engine.json``) picks between them from
-``(n, mode, observables, weights, topology)``; pass a concrete name to
-pin the engine.
+Facades build engines in :mod:`repro.engine.dispatch`: :func:`make_law`
+parses ``weights=`` / ``topology=`` into one law, ``backend="auto"``
+(resolved against the measured crossovers in ``BENCH_engine.json``)
+picks an engine from ``(n, mode, observables, weights, topology)``, and
+:func:`build_engine` constructs it.
 """
 
 from repro.engine.adapters import (
@@ -59,11 +59,16 @@ from repro.engine.base import (
     check_backend,
 )
 from repro.engine.count import CountBackend
-from repro.engine.dispatch import choose_backend, resolve_backend
+from repro.engine.dispatch import (
+    build_engine,
+    choose_backend,
+    make_law,
+    resolve_backend,
+)
 from repro.engine.sampling import (
     AliasTable,
-    UniformPairSampler,
-    WeightedPairSampler,
+    RandomScheduler,
+    WeightedScheduler,
     ordered_pair_block,
     weighted_pair_block,
 )
@@ -92,7 +97,7 @@ from repro.engine.model import (
     TableModel,
 )
 from repro.engine.topology import (
-    GraphPairSampler,
+    GraphScheduler,
     InteractionGraph,
     complete_graph,
     graph_pair_block,
@@ -131,6 +136,8 @@ __all__ = [
     "check_backend",
     "choose_backend",
     "resolve_backend",
+    "make_law",
+    "build_engine",
     "SimulationEngine",
     "EngineResult",
     "AgentBackend",
@@ -151,14 +158,14 @@ __all__ = [
     "ordered_pair_block",
     "weighted_pair_block",
     "AliasTable",
-    "UniformPairSampler",
-    "WeightedPairSampler",
+    "RandomScheduler",
+    "WeightedScheduler",
     "resolve_weights",
     "weight_classes",
     "weights_from_spec",
     "WEIGHTED_PROXY_MAX_N",
     "InteractionGraph",
-    "GraphPairSampler",
+    "GraphScheduler",
     "complete_graph",
     "ring_graph",
     "grid_graph",

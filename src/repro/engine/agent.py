@@ -3,10 +3,10 @@
 Executes the model's classic semantics: every agent's state is tracked
 individually and the sampled interactions are applied strictly one at a
 time.  Scheduler randomness is drawn in vectorized blocks through
-:meth:`repro.population.scheduler.RandomScheduler.pair_block` (the shared
-shift-trick sampler), exactly like the seed simulator — so for
-deterministic (table / mixture-of-table) models a fixed seed reproduces the
-pre-engine simulator's trajectories bit for bit.
+:meth:`repro.engine.sampling.RandomScheduler.pair_block` (the shift-trick
+sampler), exactly like the seed simulator — so for deterministic (table /
+mixture-of-table) models a fixed seed reproduces the pre-engine
+simulator's trajectories bit for bit.
 
 Three inner loops:
 
@@ -36,13 +36,11 @@ Three inner loops:
   conflicting interactions execute in sampling order) but not bit-identical,
   because model randomness is consumed per round rather than per step.
 
-The scheduler is pluggable: anything exposing ``n`` / ``rng`` /
-``pair_block`` works (e.g. a
-:class:`~repro.population.scheduler.WeightedScheduler` for heterogeneous
-contact processes), and every inner loop draws its pairs through it.  A
-scheduler advertising non-uniform ``weights`` but lacking the
-``others_block`` method is rejected loudly for 4-slot models rather than
-silently pairing weighted interactions with uniformly sampled observers.
+The scheduler is any pair law of :mod:`repro.engine.sampling` /
+:mod:`repro.engine.topology` (e.g. a
+:class:`~repro.engine.sampling.WeightedScheduler` for heterogeneous
+contact processes); every inner loop draws its pairs — and 4-slot models
+their observed agents — through it.
 """
 
 from __future__ import annotations
@@ -51,14 +49,13 @@ import numpy as np
 
 from repro.engine.base import BLOCK_SIZE, EngineResult, SimulationEngine
 from repro.engine.model import InteractionModel
-from repro.engine.sampling import UniformPairSampler, ordered_pair_block
+from repro.engine.sampling import RandomScheduler
 from repro.engine.vectorized import (
     MIN_VECTORIZED_CADENCE,
     MIN_VECTORIZED_N,
     ConflictFreeKernel,
     run_kernel,
 )
-from repro.utils import as_generator
 from repro.utils.errors import InvalidParameterError
 
 #: Above this ratio of population size to step budget, the list-based fast
@@ -79,10 +76,11 @@ class AgentBackend(SimulationEngine):
     seed:
         Seed or generator (ignored when ``scheduler`` is given).
     scheduler:
-        Optional pre-built pair scheduler (e.g. a
-        :class:`~repro.population.scheduler.RandomScheduler`) to share a
-        randomness stream with the caller; anything exposing
-        ``n`` / ``rng`` / ``pair_block`` works.
+        Optional pair law (a
+        :class:`~repro.engine.sampling.RandomScheduler`,
+        :class:`~repro.engine.sampling.WeightedScheduler`, or
+        :class:`~repro.engine.topology.GraphScheduler`) sharing its
+        randomness stream with the caller; uniform by default.
     copy:
         When false, adopt ``initial_states`` in place (it must be a 1-D
         ``int64`` array); the caller then observes state updates directly.
@@ -118,32 +116,12 @@ class AgentBackend(SimulationEngine):
         self._states = states
         self.n = states.size
         if scheduler is None:
-            scheduler = UniformPairSampler(self.n, as_generator(seed))
+            scheduler = RandomScheduler(self.n, seed)
         elif scheduler.n != self.n:
             raise InvalidParameterError(
                 f"scheduler is over n={scheduler.n} agents, "
                 f"population has n={self.n}")
         self.scheduler = scheduler
-        # Observed-agent draws for 4-slot models: route through the
-        # scheduler so weighted schedulers tilt the observers with the
-        # same law as the pair itself.  A scheduler advertising
-        # non-uniform weights without an others_block cannot be honored
-        # — refuse, never silently sample observers uniformly.
-        self._others_block = None
-        if model.slots_per_step == 4:
-            others = getattr(scheduler, "others_block", None)
-            if others is not None:
-                self._others_block = others
-            elif getattr(scheduler, "weights", None) is None:
-                self._others_block = (
-                    lambda first: ordered_pair_block(
-                        scheduler.rng, self.n, len(first), first=first)[1])
-            else:
-                raise InvalidParameterError(
-                    "this model reads extra observed agents, but the "
-                    "weighted scheduler exposes no others_block to draw "
-                    "them from its law; refusing to downgrade the "
-                    "observer draws to the uniform law")
         self._counts = np.bincount(states,
                                    minlength=model.n_states).astype(np.int64)
         # Flat per-component lookup tables for the fast loop, built once
@@ -298,7 +276,7 @@ class AgentBackend(SimulationEngine):
             self._ensure_kernel(), self.scheduler.pair_block,
             self.model.sample_components, self.scheduler.rng, max_steps,
             self.steps_run, stop_when, observe_every, check_stop_every,
-            sink, BLOCK_SIZE, others_block=self._others_block,
+            sink, BLOCK_SIZE, others_block=self.scheduler.others_block,
             states=self._states)
         self.steps_run += executed
         return self._result(converged, sink)
@@ -404,8 +382,8 @@ class AgentBackend(SimulationEngine):
                 # Observed opponents: one *other* agent relative to the
                 # initiator / responder respectively, drawn from the
                 # scheduler's law (shift trick when uniform).
-                obs_i = self._others_block(initiators)
-                obs_j = self._others_block(responders)
+                obs_i = self.scheduler.others_block(initiators)
+                obs_j = self.scheduler.others_block(responders)
             for offset in range(batch):
                 i = initiators[offset]
                 j = responders[offset]

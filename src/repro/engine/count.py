@@ -209,17 +209,17 @@ class CountBackend(SimulationEngine):
         ``True`` forces it (still requires a supported model), ``False``
         forces the birthday path.  Both paths simulate the same law.
     scheduler:
-        Optional pair scheduler to share a randomness stream with the
+        Optional pair law sharing its randomness stream with the
         caller.  The count chain *is* the uniform scheduler's law, so
-        only uniform-law schedulers (``weights is None`` / absent) can
-        be honored — their ``rng`` is adopted; the batched paths never
-        call ``pair_block``, which is exactly distribution-preserving.
-        A scheduler advertising non-uniform ``weights`` breaks the
+        only laws with ``weights is None`` can be honored — their
+        ``rng`` is adopted; the batched paths never call
+        ``pair_block``, which is exactly distribution-preserving.
+        A law with non-uniform ``weights`` breaks the
         exchangeability this backend is built on and is rejected loudly
         (use :class:`~repro.engine.weighted.WeightedCountBackend`, the
         ``(weight class × state)`` lift, instead) — never silently
-        downgraded to the uniform law.  A scheduler advertising a
-        ``topology`` is accepted exactly when the graph is
+        downgraded to the uniform law.  A law with a ``topology`` is
+        accepted exactly when the graph is
         vertex-transitive: every agent is then equivalent, the graph's
         directed-edge law has uniform single-interaction marginals, and
         the count run simulates the graph's *degree-annealed* chain —
@@ -248,13 +248,13 @@ class CountBackend(SimulationEngine):
                 f"population must have at least 2 agents, got n={self.n}")
         self._counts = counts
         if scheduler is not None:
-            if getattr(scheduler, "weights", None) is not None:
+            if scheduler.weights is not None:
                 raise InvalidParameterError(
                     "CountBackend simulates the exchangeable count chain; "
                     "a weighted scheduler breaks exchangeability and "
                     "cannot be honored here — use WeightedCountBackend "
                     "(the weight-class × state lift) or the agent backend")
-            topology = getattr(scheduler, "topology", None)
+            topology = scheduler.topology
             if topology is not None and not topology.vertex_transitive:
                 degrees = topology.degrees
                 raise InvalidParameterError(

@@ -1,7 +1,13 @@
-"""Adaptive backend dispatch: ``backend="auto"``.
+"""Engine construction: pair laws, ``backend="auto"``, and the factory.
 
-Chooses between the per-agent and count-level engines from the workload
-coordinates that actually decide the race:
+Every facade builds its engine through three steps that live here:
+:func:`make_law` parses the ``weights=`` / ``topology=`` knobs into one
+pair law, :func:`resolve_backend` turns the ``backend=`` knob into a
+concrete engine name, and :func:`build_engine` maps the law and that
+name to an engine.
+
+``backend="auto"`` chooses between the per-agent and count-level engines
+from the workload coordinates that actually decide the race:
 
 * **per-agent observables** (agent trajectories, per-agent payoffs)
   force ``"agent"`` — the count backends track no identities;
@@ -30,7 +36,15 @@ from __future__ import annotations
 import json
 import pathlib
 
+import numpy as np
+
+from repro.engine.agent import AgentBackend
 from repro.engine.base import check_backend
+from repro.engine.count import CountBackend
+from repro.engine.sampling import RandomScheduler, WeightedScheduler
+from repro.engine.topology import GraphScheduler, resolve_topology
+from repro.engine.weighted import WeightedCountBackend, resolve_weights
+from repro.utils.errors import InvalidParameterError
 
 #: Fallback crossovers (population size above which ``"count"`` is
 #: chosen) when no benchmark file is readable.  Values match the shipped
@@ -155,6 +169,71 @@ def resolve_backend(backend: str | None, n: int, mode: str = "strategy",
     return check_backend(backend)
 
 
+def make_law(n: int, weights=None, topology=None, seed=None):
+    """The pair law named by the facades' ``weights=`` / ``topology=`` knobs.
+
+    The one parser of both knobs: ``weights`` is a spec string or a
+    per-agent array (:func:`~repro.engine.weighted.resolve_weights`;
+    ``"uniform"`` means none), ``topology`` a spec string, graph, or edge
+    array (:func:`~repro.engine.topology.resolve_topology`;
+    ``"complete"`` means none).  Returns a
+    :class:`~repro.engine.topology.GraphScheduler`,
+    :class:`~repro.engine.sampling.WeightedScheduler`, or
+    :class:`~repro.engine.sampling.RandomScheduler` over ``n`` agents
+    drawing from ``seed``.  Non-uniform weights on a graph are refused:
+    that combined law is not defined here.
+    """
+    weights = resolve_weights(weights, n)
+    graph = resolve_topology(topology, n)
+    if graph is not None and weights is not None:
+        raise InvalidParameterError(
+            "pass either weights= or topology=, not both: the weighted "
+            "graph-restricted law is not defined here (an irregular "
+            "graph's degree-proportional activity is already captured by "
+            "its topology)")
+    if graph is not None:
+        return GraphScheduler(graph, seed)
+    if weights is not None:
+        return WeightedScheduler(weights, seed)
+    return RandomScheduler(n, seed)
+
+
+def build_engine(model, law, backend: str, *, states=None, counts=None,
+                 track_pair_counts: bool = False,
+                 vectorized: bool | None = None):
+    """The engine that runs ``model`` under ``law`` on a concrete backend.
+
+    The one place that maps a pair law and a resolved ``backend`` name
+    to an engine; every engine draws from the law's generator.
+
+    * ``"agent"`` — :class:`~repro.engine.agent.AgentBackend`, adopting
+      the int64 array ``states`` in place and drawing every pair through
+      ``law``.
+    * ``"count"`` under non-uniform ``law.weights`` — the exact
+      ``(weight class × state)`` lift
+      :class:`~repro.engine.weighted.WeightedCountBackend`, built from
+      ``states`` and the law's per-agent weights.
+    * ``"count"`` otherwise — :class:`~repro.engine.count.CountBackend`
+      over ``counts`` (or the histogram of ``states``); it accepts only
+      vertex-transitive graphs.  This path needs no per-agent array, so
+      callers at large ``n`` pass ``counts`` alone.
+
+    ``track_pair_counts`` applies to the count engines and
+    ``vectorized`` to the agent backend's kernel choice.
+    """
+    if check_backend(backend) == "agent":
+        return AgentBackend(model, states, scheduler=law, copy=False,
+                            vectorized=vectorized)
+    if law.weights is not None:
+        return WeightedCountBackend.from_agent_states(
+            model, states, law.weights, seed=law.rng,
+            track_pair_counts=track_pair_counts)
+    if counts is None:
+        counts = np.bincount(states, minlength=model.n_states)
+    return CountBackend(model, counts, scheduler=law,
+                        track_pair_counts=track_pair_counts)
+
+
 def _reset_threshold_cache() -> None:
     """Drop cached threshold reads (test hook)."""
     _THRESHOLD_CACHE.clear()
@@ -166,4 +245,6 @@ __all__ = [
     "load_thresholds",
     "choose_backend",
     "resolve_backend",
+    "make_law",
+    "build_engine",
 ]

@@ -1,48 +1,45 @@
-"""Shared ordered-pair sampling primitives.
+"""Ordered-pair laws: one class per law.
 
-Two pair laws live here, each used identically by the engines and by the
-population-level schedulers:
+The paper's model has one source of randomness: at each step an ordered
+pair of distinct agents is drawn.  Each pair law is one class, used alike
+by the engines, by the facades' scalar ``step()`` loops, and by callers
+that drive a scheduler directly:
 
-* **uniform** — the single home of the "shift trick": drawing the second
-  member of an ordered pair from ``n − 1`` values and bumping ties upward
-  is exactly uniform over the agents distinct from the first.  Both
-  engines and :class:`~repro.population.scheduler.RandomScheduler` route
-  their pair randomness through :func:`ordered_pair_block`, so a fixed
-  seed yields the same interaction schedule everywhere.
-* **activity-weighted** — the initiator is drawn proportionally to a
-  per-agent weight (one uniform per draw through a Walker alias table,
-  O(1) per draw regardless of population size) and the responder
+* :class:`RandomScheduler` — uniform over the ``n(n − 1)`` ordered pairs.
+  Its draws use the "shift trick" (:func:`ordered_pair_block`): drawing
+  the second member from ``n − 1`` values and bumping ties upward is
+  exactly uniform over the agents distinct from the first.
+* :class:`WeightedScheduler` — the initiator is drawn proportionally to a
+  per-agent activity weight (one uniform per draw through a Walker alias
+  table, O(1) per draw regardless of population size) and the responder
   proportionally to weight among the *remaining* agents, by vectorized
-  rejection of clashes.
-  :class:`~repro.population.scheduler.WeightedScheduler` delegates its
-  blocks to :func:`weighted_pair_block`, so the scheduler and the engine
-  sampler share one law — and, under a shared seed, one bitstream.
-  The pre-alias cumulative-sum inversion draw survives as
-  :func:`inversion_draw_block` (with :func:`weight_cdf`): it is the
-  reference law the alias table is chi-square-tested against.
+  rejection of clashes.  The pre-alias cumulative-sum inversion draw
+  survives as :func:`inversion_draw_block` (with :func:`weight_cdf`): it
+  is the reference law the alias table is chi-square-tested against.
+* :class:`~repro.engine.topology.GraphScheduler` (in
+  :mod:`repro.engine.topology`) — uniform over the directed edges of an
+  interaction graph.
 
-A third pair law — uniform over the directed edges of an interaction
-graph — lives in :mod:`repro.engine.topology` and follows the same
-shared-function design (:class:`~repro.engine.topology.GraphPairSampler`
-and :class:`~repro.population.scheduler.GraphScheduler` draw from one
-bitstream).
-
-Engines accept any duck-compatible scheduler exposing ``n`` / ``rng`` /
-``pair_block``; schedulers whose law is *not* uniform must also
-advertise how it deviates so surfaces that cannot honor the law can
-refuse loudly instead of silently falling back to the uniform one: a
-``weights`` attribute (the per-agent activity weights; ``None`` means
-uniform activity), a ``topology`` attribute (the
+**Capability contract.**  Every law defines ``n``, ``rng``,
+``next_pair()``, ``pair_block(size)`` and ``others_block(first)`` (one
+partner per given agent, for 4-slot models that read extra observed
+agents), plus two plain attributes that say how it deviates from the
+uniform law: ``weights`` (the per-agent activity weights; ``None`` means
+uniform activity) and ``topology`` (the
 :class:`~repro.engine.topology.InteractionGraph` bounding the pair
-support; ``None`` means unrestricted), and an ``others_block`` method
-when 4-slot models (which read extra sampled agents) are to be
-supported.
+support; ``None`` means unrestricted).  Engine surfaces that cannot honor
+a law read them to refuse loudly instead of silently falling back to the
+uniform one.  :func:`~repro.engine.dispatch.make_law` builds a law from
+the facades' ``weights=`` / ``topology=`` knobs.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from repro.utils import as_generator, check_positive_int
 from repro.utils.errors import InvalidParameterError
 
 
@@ -220,104 +217,116 @@ class AliasTable:
         return np.where(keep, bucket, self.alias[bucket])
 
 
-def weighted_draw_block(rng, table: AliasTable, size: int) -> np.ndarray:
-    """``size`` independent weight-proportional draws through ``table``.
-
-    One uniform per draw through the shared alias table — kept as the
-    single module-level draw function so every weighted consumer
-    (engine sampler *and* population scheduler) shares the bitstream.
-    """
-    return table.draw_block(rng, size)
-
-
 def weighted_pair_block(rng, table: AliasTable, size: int, first=None):
     """``size`` weighted ordered pairs of distinct agents.
 
     The initiator is weight-proportional; the responder is
     weight-proportional among the remaining agents, realized by redrawing
-    clashes (vectorized rejection) — exactly the law of
-    :meth:`~repro.population.scheduler.WeightedScheduler.next_pair`.
-    ``first`` supplies pre-drawn initiators (the 4-slot "observed other
-    agent" use), in which case only responders are drawn.
+    clashes (vectorized rejection).  ``first`` supplies pre-drawn
+    initiators (the 4-slot "observed other agent" use), in which case
+    only responders are drawn.
     """
     if first is None:
-        first = weighted_draw_block(rng, table, size)
-    second = weighted_draw_block(rng, table, size)
+        first = table.draw_block(rng, size)
+    second = table.draw_block(rng, size)
     clashes = first == second
     while np.any(clashes):
-        second[clashes] = weighted_draw_block(rng, table, int(clashes.sum()))
+        second[clashes] = table.draw_block(rng, int(clashes.sum()))
         clashes = first == second
     return first, second
 
 
-class UniformPairSampler:
-    """Minimal uniform pair scheduler (duck-compatible with the engines).
+class RandomScheduler:
+    """Uniform ordered pairs of distinct agents — the paper's scheduler.
 
-    Provides the ``n`` / ``rng`` / ``pair_block`` / ``others_block``
-    surface the engines need without importing the population package
-    (which would be circular);
-    :class:`~repro.population.scheduler.RandomScheduler` offers the same
-    surface with validation and a scalar API on top.
+    Parameters
+    ----------
+    n:
+        Population size (``n >= 2``).
+    seed:
+        Seed or generator; a generator is shared, not copied.
     """
 
-    #: Uniform law — engines read this to know no weighting is in play.
+    #: Uniform activity.
     weights = None
 
-    #: Unrestricted pair support — no interaction graph is in play.
+    #: Unrestricted pair support.
     topology = None
 
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = int(n)
-        self._rng = rng
+    def __init__(self, n: int, seed=None):
+        self.n = check_positive_int("n", n, minimum=2)
+        self.rng = as_generator(seed)
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
+    def next_pair(self) -> tuple[int, int]:
+        """One ordered pair ``(initiator, responder)`` (shift trick)."""
+        i = int(self.rng.integers(0, self.n))
+        j = int(self.rng.integers(0, self.n - 1))
+        if j >= i:
+            j += 1
+        return i, j
 
-    def pair_block(self, size: int):
+    def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` ordered pairs of distinct agents."""
-        return ordered_pair_block(self._rng, self.n, size)
+        size = check_positive_int("size", size)
+        return ordered_pair_block(self.rng, self.n, size)
 
     def others_block(self, first) -> np.ndarray:
         """One uniform *other* agent per entry of ``first`` (shift trick)."""
-        return ordered_pair_block(self._rng, self.n, len(first),
+        return ordered_pair_block(self.rng, self.n, len(first),
                                   first=first)[1]
 
 
-class WeightedPairSampler:
-    """Activity-weighted pair scheduler (duck-compatible with the engines).
+class WeightedScheduler:
+    """Activity-weighted ordered pairs of distinct agents.
 
-    Each agent carries a positive activity weight; the initiator is drawn
-    proportionally to weight and the responder proportionally to weight
-    among the remaining agents (rejection only on clashes).  With equal
-    weights this is exactly the uniform scheduler's *law* (though not its
-    bitstream — alias draws, not the shift trick).
-    :class:`~repro.population.scheduler.WeightedScheduler` delegates its
-    blocks here, so a shared seed gives scheduler and sampler identical
-    blocks.
+    The paper's model samples pairs uniformly; real contact processes are
+    heterogeneous.  Each agent carries a positive activity weight: the
+    initiator is drawn proportionally to weight and the responder
+    proportionally to weight among the remaining agents (rejection only
+    on clashes).  With equal weights this is exactly
+    :class:`RandomScheduler`'s *law*, though not its bitstream (alias
+    draws, not the shift trick).
+
+    Parameters
+    ----------
+    weights:
+        Per-agent positive, finite activity weights (at least 2 agents).
+        Only their ratios matter; :attr:`weights` keeps them as given
+        (validated, not normalized), which is what the count-level
+        ``(weight class × state)`` lift discretizes.
+    seed:
+        Seed or generator; a generator is shared, not copied.
     """
 
     #: Weighted but unrestricted: any pair remains possible.
     topology = None
 
-    def __init__(self, weights, rng: np.random.Generator):
-        w = check_weights(weights)
-        self.n = w.size
-        self.weights = w / w.sum()
-        self.table = AliasTable(w)
-        self._rng = rng
+    def __init__(self, weights, seed=None):
+        self.weights = check_weights(weights)
+        self.n = self.weights.size
+        self.rng = as_generator(seed)
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
+    @cached_property
+    def table(self) -> AliasTable:
+        """The alias table over :attr:`weights`, built on the first draw
+        (a count-level run reads only :attr:`weights` and never pays for
+        it)."""
+        return AliasTable(self.weights)
 
-    def pair_block(self, size: int):
-        """``size`` weighted ordered pairs of distinct agents."""
-        return weighted_pair_block(self._rng, self.table, size)
+    def next_pair(self) -> tuple[int, int]:
+        """One ordered pair of distinct agents, weight-proportional."""
+        i = int(self.table.draw_block(self.rng, 1)[0])
+        while True:
+            j = int(self.table.draw_block(self.rng, 1)[0])
+            if j != i:
+                return i, j
+
+    def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` weighted ordered pairs (vectorized rejection)."""
+        size = check_positive_int("size", size)
+        return weighted_pair_block(self.rng, self.table, size)
 
     def others_block(self, first) -> np.ndarray:
         """One weighted *other* agent per entry of ``first`` (rejection)."""
-        return weighted_pair_block(self._rng, self.table, len(first),
+        return weighted_pair_block(self.rng, self.table, len(first),
                                    first=np.asarray(first))[1]

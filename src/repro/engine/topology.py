@@ -21,25 +21,23 @@ established for ``weights``:
   the spec itself, so identical specs give identical graphs under any
   simulation seed — exactly the determinism contract of
   :func:`~repro.engine.weighted.weights_from_spec`.
-* :class:`GraphPairSampler` — the engine-facing scheduler: ``pair_block``
-  draws uniform *directed edges* (equivalently: the initiator is drawn
-  proportionally to degree and the responder uniformly among its
-  neighbors), ``others_block`` draws one uniform neighbor per given
-  agent.  :class:`~repro.population.scheduler.GraphScheduler` delegates
-  its blocks to the same module-level functions, so scheduler and
-  sampler share one law and, under a shared seed, one bitstream.
+* :class:`GraphScheduler` — the graph-restricted pair law:
+  ``pair_block`` draws uniform *directed edges* (equivalently: the
+  initiator is drawn proportionally to degree and the responder
+  uniformly among its neighbors), ``others_block`` draws one uniform
+  neighbor per given agent.
 * :func:`topology_from_spec` / :func:`resolve_topology` — the textual
   spellings (``"complete"``, ``"ring[:w]"``, ``"grid[:rows]"``,
   ``"smallworld[:p]"``, ``"powerlaw[:alpha]"``) the experiment parameter
   spaces and the CLI accept; ``"complete"`` resolves to ``None`` (the
   uniform scheduler — no O(n²) edge table is ever materialized for it).
 
-**Capability contract.**  A scheduler whose pair law is graph-restricted
-must expose the graph as a ``topology`` attribute (``None`` means
-unrestricted), alongside the existing ``weights`` / ``others_block``
-capabilities.  The agent backend honors any topology exactly — every
-pair flows through ``pair_block``, so it simulates the *quenched* law on
-the concrete graph.  The count backends track exchangeable state counts:
+**Capability contract.**  Every pair law exposes its graph as the
+``topology`` attribute (``None`` means unrestricted; see
+:mod:`repro.engine.sampling`).  The agent backend honors any topology
+exactly — every pair flows through ``pair_block``, so it simulates the
+*quenched* law on the concrete graph.  The count backends track
+exchangeable state counts:
 they accept vertex-transitive graphs (where the directed-edge law's
 single-interaction marginals coincide with the uniform scheduler's:
 degree-proportional initiators are uniform on a regular graph) and
@@ -64,6 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils import as_generator, check_positive_int
 from repro.utils.errors import InvalidParameterError
 
 #: Root entropy of the spec-derived generators: graph specs must yield
@@ -202,7 +201,7 @@ class InteractionGraph:
         Resampling the graph from its degree ensemble each interaction
         gives initiator and responder marginals proportional to degree,
         i.e. exactly the :class:`~repro.engine.sampling
-        .WeightedPairSampler` law with these weights; feed them to
+        .WeightedScheduler` law with these weights; feed them to
         :class:`~repro.engine.weighted.WeightedCountBackend` for the
         exact mean-field count chain of an irregular graph.
         """
@@ -465,7 +464,7 @@ def resolve_topology(topology, n: int) -> InteractionGraph | None:
 
 
 # ----------------------------------------------------------------------
-# Sampling — one law, one bitstream, shared with GraphScheduler
+# Sampling: the graph-restricted pair law
 # ----------------------------------------------------------------------
 def graph_neighbor_block(rng, graph: InteractionGraph,
                          first) -> np.ndarray:
@@ -479,65 +478,71 @@ def graph_neighbor_block(rng, graph: InteractionGraph,
     return graph.indices[graph.indptr[first] + offsets]
 
 
-def graph_pair_block(rng, graph: InteractionGraph, size: int, first=None):
+def graph_pair_block(rng, graph: InteractionGraph, size: int):
     """``size`` ordered pairs of adjacent agents (uniform directed edges).
 
     One uniform index into the ``2E`` directed-edge table per pair —
     the initiator marginal is degree-proportional and the responder is
     uniform among its neighbors (on a regular graph the initiator is
-    uniform, matching the paper's scheduler marginals).  ``first``
-    supplies pre-drawn initiators (the 4-slot observed-agent use), in
-    which case one uniform neighbor is drawn per entry.
+    uniform, matching the paper's scheduler marginals).
     """
-    if first is None:
-        picks = rng.integers(0, graph.edge_u.size, size=size)
-        return graph.edge_u[picks], graph.edge_v[picks]
-    first = np.asarray(first, dtype=np.int64)
-    return first, graph_neighbor_block(rng, graph, first)
+    picks = rng.integers(0, graph.edge_u.size, size=size)
+    return graph.edge_u[picks], graph.edge_v[picks]
 
 
-class GraphPairSampler:
-    """Graph-restricted pair scheduler (duck-compatible with the engines).
+class GraphScheduler:
+    """Uniform directed edges of an interaction graph — the quenched law.
 
-    Pairs are uniform directed edges of the interaction graph — the
-    quenched law.  With the complete graph this is exactly the
-    :class:`~repro.engine.sampling.UniformPairSampler` *law* (though not
-    its bitstream: edge-index draws, not the shift trick).
-    :class:`~repro.population.scheduler.GraphScheduler` delegates its
-    blocks to the same module-level functions, so a shared seed gives
-    scheduler and sampler identical blocks.
+    The initiator lands on a vertex proportionally to its degree and the
+    responder is a uniform neighbor.  On a regular graph the initiator
+    marginal is uniform, matching the paper's scheduler marginals while
+    restricting the pair support to the edge set; on the complete graph
+    the law is exactly :class:`~repro.engine.sampling.RandomScheduler`'s
+    (though not its bitstream: edge-index draws, not the shift trick).
+
+    Parameters
+    ----------
+    graph:
+        The :class:`InteractionGraph`, advertised as :attr:`topology`.
+        Spec strings and edge arrays resolve through
+        :func:`~repro.engine.dispatch.make_law` (or
+        :func:`resolve_topology`).
+    seed:
+        Seed or generator; a generator is shared, not copied.
     """
 
-    #: The pair marginals are the graph's, not per-agent activity
-    #: weights — the non-uniformity is carried by :attr:`topology`.
+    #: The non-uniformity is structural (the edge set, on
+    #: :attr:`topology`), not per-agent activity weights.
     weights = None
 
-    def __init__(self, graph: InteractionGraph, rng: np.random.Generator):
+    def __init__(self, graph: InteractionGraph, seed=None):
         if not isinstance(graph, InteractionGraph):
             raise InvalidParameterError(
-                "GraphPairSampler needs an InteractionGraph (build one "
-                "with resolve_topology / topology_from_spec)")
+                "GraphScheduler needs an InteractionGraph; resolve spec "
+                "strings and edge arrays with make_law(n, topology=...)")
         self.topology = graph
         self.n = graph.n
-        self._rng = rng
+        self.rng = as_generator(seed)
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
+    def next_pair(self) -> tuple[int, int]:
+        """One ordered pair of adjacent agents (a uniform directed edge)."""
+        graph = self.topology
+        pick = int(self.rng.integers(0, graph.edge_u.size))
+        return int(graph.edge_u[pick]), int(graph.edge_v[pick])
 
-    def pair_block(self, size: int):
+    def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` ordered pairs of adjacent agents."""
-        return graph_pair_block(self._rng, self.topology, size)
+        size = check_positive_int("size", size)
+        return graph_pair_block(self.rng, self.topology, size)
 
     def others_block(self, first) -> np.ndarray:
         """One uniform *neighbor* per entry of ``first``."""
-        return graph_neighbor_block(self._rng, self.topology, first)
+        return graph_neighbor_block(self.rng, self.topology, first)
 
 
 __all__ = [
     "InteractionGraph",
-    "GraphPairSampler",
+    "GraphScheduler",
     "complete_graph",
     "ring_graph",
     "grid_graph",

@@ -44,7 +44,7 @@ generator consumption differs from the scalar loop.
 The sampler is pluggable: the kernel never draws pairs itself, so
 weighted (heterogeneous-activity) pair blocks flow through the exact
 same conflict resolution — this is what makes
-:class:`~repro.population.scheduler.WeightedScheduler` a first-class
+:class:`~repro.engine.sampling.WeightedScheduler` a first-class
 engine citizen.  One-way *stochastic* models that read two extra
 sampled agents per interaction (``slots_per_step == 4``, e.g.
 :class:`~repro.engine.model.ImitationModel`) are vectorizable too: the

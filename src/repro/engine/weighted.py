@@ -16,7 +16,7 @@ chain is recovered by lifting the type space to the product
 * the backend expands the ``(C, S)`` class-state counts into an
   arbitrary fixed per-agent assignment and drives the
   :mod:`repro.engine.vectorized` kernel with a
-  :class:`~repro.engine.sampling.WeightedPairSampler` whose per-agent
+  :class:`~repro.engine.sampling.WeightedScheduler` whose per-agent
   weights repeat each class weight — by within-class exchangeability the
   projection onto ``(class, state)`` counts is *exactly* the lifted
   chain, with no approximation (property-tested against exact chains in
@@ -73,7 +73,7 @@ from repro.engine.model import InteractionModel
 from repro.engine.observe import ObserverSink
 from repro.engine.sampling import (
     AliasTable,
-    WeightedPairSampler,
+    WeightedScheduler,
     check_weights,
 )
 from repro.engine.vectorized import ConflictFreeKernel, run_kernel
@@ -308,7 +308,7 @@ class WeightedCountBackend(SimulationEngine):
 
     Tracks the exact ``(weight class × state)`` count chain of an
     :class:`~repro.engine.model.InteractionModel` under the
-    :class:`~repro.population.scheduler.WeightedScheduler` law, via the
+    :class:`~repro.engine.sampling.WeightedScheduler` law, via the
     product-space array-proxy kernel at small ``n`` and heterogeneous
     birthday-run batching beyond it (see the module docstring).  The
     engine-facing :attr:`counts` are the *inner* model's length-``S``
@@ -401,8 +401,8 @@ class WeightedCountBackend(SimulationEngine):
                 np.arange(self._classes * model.n_states, dtype=np.int64),
                 counts.ravel())
             per_agent_weights = np.repeat(weights, counts.sum(axis=1))
-            self._sampler = WeightedPairSampler(per_agent_weights,
-                                                self._rng)
+            self._sampler = WeightedScheduler(per_agent_weights,
+                                              self._rng)
             self._product_counts = np.bincount(
                 product_states, minlength=self._classes * model.n_states)
             self._kernel = ConflictFreeKernel(

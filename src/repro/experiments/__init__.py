@@ -7,7 +7,7 @@ via::
 
     python -m repro list
     python -m repro run E7
-    python -m repro run all --full
+    python -m repro run all --profile full
 
 or through the pytest-benchmark harness in ``benchmarks/``.
 """

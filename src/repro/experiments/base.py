@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.engine import check_backend
-from repro.params import ParamSpace, ResolvedParams, resolve_profile
+from repro.params import ParamSpace, ResolvedParams
 from repro.utils.errors import InvalidParameterError
 
 #: Wire spellings of the non-finite floats strict JSON cannot carry.
@@ -247,36 +247,25 @@ def experiment_params(experiment_id: str) -> ParamSpace:
 
 def _call_runner(spec: ExperimentSpec, resolved: ResolvedParams,
                  seed, backend: str | None) -> ExperimentReport:
-    """Invoke a runner with the calling convention it declares.
-
-    New-style runners take ``params=``; the shim keeps any old-style
-    ``fast=`` runner (e.g. an external registration) working by mapping
-    the profile back onto the boolean.
-    """
-    parameters = inspect.signature(spec.runner).parameters
-    if "params" in parameters:
-        kwargs = {"params": resolved, "seed": seed}
-    else:
-        kwargs = {"fast": resolved.profile != "full", "seed": seed}
-    if backend is not None and "backend" in parameters:
+    """Invoke a runner with ``params=`` and ``seed=``, plus ``backend=``
+    when one is given and the runner accepts it."""
+    kwargs = {"params": resolved, "seed": seed}
+    if backend is not None and \
+            "backend" in inspect.signature(spec.runner).parameters:
         kwargs["backend"] = backend
     return spec.runner(**kwargs)
 
 
-def run_experiment(experiment_id: str, fast: bool | None = None,
-                   seed=12345, backend: str | None = None,
-                   cache=None, params: dict | None = None,
-                   profile: str | None = None) -> ExperimentReport:
+def run_experiment(experiment_id: str, seed=12345,
+                   backend: str | None = None, cache=None,
+                   params: dict | None = None,
+                   profile: str = "fast") -> ExperimentReport:
     """Run one experiment and return its report.
 
     Parameters
     ----------
     experiment_id:
         The DESIGN.md id, e.g. ``"E7"``.
-    fast:
-        Legacy profile selector: ``True`` (the default) resolves the
-        ``"fast"`` profile, ``False`` the ``"full"`` one.  ``profile``
-        supersedes it.
     seed:
         Random seed forwarded to the runner.
     backend:
@@ -301,7 +290,6 @@ def run_experiment(experiment_id: str, fast: bool | None = None,
         ``"full"``, or any profile the experiment declares).
     """
     spec = get_spec(experiment_id)
-    profile = resolve_profile(fast, profile)
     resolved = spec.resolve(profile, params)
     if backend is not None:
         check_backend(backend, allow_auto=True)

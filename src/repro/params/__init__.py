@@ -26,7 +26,6 @@ from repro.params.spec import (
     Param,
     ParamSpace,
     ResolvedParams,
-    resolve_profile,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "parse_grid",
     "parse_set",
     "parse_sets",
-    "resolve_profile",
 ]

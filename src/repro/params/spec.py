@@ -30,22 +30,6 @@ from repro.utils.errors import InvalidParameterError
 #: The two profiles every space carries, in display order.
 BUILTIN_PROFILES = ("fast", "full")
 
-
-def resolve_profile(
-    fast: bool | None = None, profile: str | None = None
-) -> str:
-    """The profile named by the (``fast``, ``profile``) knob pair.
-
-    ``profile`` wins when given; otherwise the legacy boolean maps to
-    the built-in profiles (``True`` -> ``"fast"``, ``False`` ->
-    ``"full"``), defaulting to ``"fast"``.
-    """
-    if profile is not None:
-        return profile
-    if fast is None:
-        return "fast"
-    return "fast" if fast else "full"
-
 #: Supported value kinds and their native Python types.
 _KINDS = {"int": int, "float": float, "bool": bool, "str": str}
 

@@ -1,47 +1,22 @@
-"""Pairwise interaction schedulers.
+"""Pairwise interaction schedulers (re-exported from the engine layer).
 
 At every time step an *ordered* pair of distinct agents (initiator,
-responder) is sampled — uniformly at random from the ``n(n−1)``
-possibilities by :class:`RandomScheduler` (the standard probabilistic
-scheduler of the population-protocol literature and the source of all
-randomness in the paper's dynamics), proportionally to per-agent
-activity weights by :class:`WeightedScheduler` (the heterogeneous-contact
-robustness extension), or uniformly over the directed edges of an
-interaction graph by :class:`GraphScheduler` (the graph-restricted
-family).  All delegate their vectorized blocks to the shared samplers in
-:mod:`repro.engine.sampling` / :mod:`repro.engine.topology`, so every
-consumer — scalar scheduler API or engine block loop — draws pairs from
-one law and, under a shared seed, one bitstream.
-
-Schedulers advertise their law through three capability attributes the
-engine surfaces read: ``weights`` (``None`` = uniform activity, else the
-normalized per-agent weights), ``others_block`` (one partner per given
-initiator, for 4-slot observed-agent models), and ``topology`` (``None``
-= unrestricted, else the :class:`~repro.engine.topology
-.InteractionGraph` whose edges bound the pair support).  A surface that
-cannot honor an advertised capability refuses loudly rather than
-silently downgrading the law.
+responder) is sampled — uniformly at random by :class:`RandomScheduler`
+(the standard probabilistic scheduler of the population-protocol
+literature and the source of all randomness in the paper's dynamics),
+proportionally to per-agent activity weights by
+:class:`WeightedScheduler`, or uniformly over the directed edges of an
+interaction graph by :class:`GraphScheduler`.  Each law is one class in
+:mod:`repro.engine.sampling` / :mod:`repro.engine.topology`; see
+:mod:`repro.engine.sampling` for their capability contract.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
 from repro.engine.sampling import (
-    AliasTable,
-    check_weights,
+    RandomScheduler,
+    WeightedScheduler,
     ordered_pair_block,
-    weighted_draw_block,
-    weighted_pair_block,
 )
-from repro.engine.topology import (
-    InteractionGraph,
-    graph_neighbor_block,
-    graph_pair_block,
-    resolve_topology,
-)
-from repro.utils import as_generator, check_positive_int
-from repro.utils.errors import InvalidParameterError
+from repro.engine.topology import GraphScheduler
 
 __all__ = [
     "ordered_pair_block",
@@ -49,185 +24,3 @@ __all__ = [
     "WeightedScheduler",
     "GraphScheduler",
 ]
-
-
-class RandomScheduler:
-    """Samples ordered pairs of distinct agents uniformly at random.
-
-    Parameters
-    ----------
-    n:
-        Population size (``n >= 2``).
-    seed:
-        Seed or generator for reproducible schedules.
-    """
-
-    #: Uniform law — engines read this to know no weighting is in play.
-    weights = None
-
-    #: Unrestricted pair support — engines read this to know no
-    #: interaction graph is in play.
-    topology = None
-
-    def __init__(self, n: int, seed=None):
-        self.n = check_positive_int("n", n, minimum=2)
-        self._rng = as_generator(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
-
-    def next_pair(self) -> tuple[int, int]:
-        """One ordered pair ``(initiator, responder)`` with distinct agents."""
-        i = int(self._rng.integers(0, self.n))
-        j = int(self._rng.integers(0, self.n - 1))
-        if j >= i:
-            j += 1
-        return i, j
-
-    def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized batch of ``size`` ordered pairs of distinct agents.
-
-        Delegates to :func:`ordered_pair_block` (the shared shift-trick
-        sampler) so every consumer draws pairs identically.
-        """
-        size = check_positive_int("size", size)
-        return ordered_pair_block(self._rng, self.n, size)
-
-    def others_block(self, first) -> np.ndarray:
-        """One uniform *other* agent per entry of ``first`` (shift trick)."""
-        return ordered_pair_block(self._rng, self.n, len(first),
-                                  first=first)[1]
-
-
-class WeightedScheduler:
-    """Activity-weighted pairwise scheduler (a robustness extension).
-
-    The paper's model samples pairs uniformly; real contact processes are
-    heterogeneous.  Here each agent carries a positive activity weight and
-    the initiator is drawn proportionally to weight; the responder is drawn
-    proportionally to weight among the remaining agents (by rejection, so
-    the pair is always distinct).  With equal weights this reduces exactly
-    to :class:`RandomScheduler`'s law.
-
-    Blocks delegate to
-    :func:`~repro.engine.sampling.weighted_pair_block` — the same sampler
-    :class:`~repro.engine.sampling.WeightedPairSampler` wraps for the
-    engines — so scheduler and engine draws are bit-identical under a
-    shared seed.  The normalized weights are exposed as :attr:`weights`;
-    engine surfaces that cannot honor a non-uniform law (the exchangeable
-    count chain) read it to refuse loudly rather than silently downgrade.
-    """
-
-    #: Weighted but unrestricted: any pair remains possible.
-    topology = None
-
-    def __init__(self, weights, seed=None):
-        w = check_weights(weights)
-        self.n = w.size
-        self._weights = w / w.sum()
-        self._table = AliasTable(w)
-        self._rng = as_generator(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator."""
-        return self._rng
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The normalized per-agent activity weights (copy)."""
-        return self._weights.copy()
-
-    def next_pair(self) -> tuple[int, int]:
-        """One ordered pair of distinct agents, weight-proportional."""
-        i = int(weighted_draw_block(self._rng, self._table, 1)[0])
-        while True:
-            j = int(weighted_draw_block(self._rng, self._table, 1)[0])
-            if j != i:
-                return i, j
-
-    def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Batch of ``size`` weighted ordered pairs (vectorized rejection)."""
-        size = check_positive_int("size", size)
-        return weighted_pair_block(self._rng, self._table, size)
-
-    def others_block(self, first) -> np.ndarray:
-        """One weighted *other* agent per entry of ``first`` (rejection)."""
-        return weighted_pair_block(self._rng, self._table, len(first),
-                                   first=np.asarray(first))[1]
-
-
-class GraphScheduler:
-    """Graph-restricted pairwise scheduler (the topology family).
-
-    Pairs are sampled uniformly from the *directed edges* of an
-    interaction graph: the initiator lands on a vertex proportionally to
-    its degree and the responder is a uniform neighbor.  On a regular
-    graph the initiator marginal is uniform, matching the paper's
-    scheduler marginals while restricting the pair support to the edge
-    set; on the complete graph the law is exactly
-    :class:`RandomScheduler`'s.
-
-    Blocks delegate to :func:`~repro.engine.topology.graph_pair_block` —
-    the same sampler :class:`~repro.engine.topology.GraphPairSampler`
-    wraps for the engines — so scheduler and engine draws are
-    bit-identical under a shared seed.  The graph is advertised as
-    :attr:`topology`; surfaces that cannot honor a restricted pair
-    support (the exchangeable count chain, unless the graph is
-    vertex-transitive) read it to refuse loudly.
-
-    Parameters
-    ----------
-    topology:
-        An :class:`~repro.engine.topology.InteractionGraph`, a spec
-        string (``"ring"``, ``"grid:8"``, ``"smallworld:0.1"``, ...; see
-        :func:`~repro.engine.topology.topology_from_spec`), or an
-        ``(E, 2)`` edge array.  ``n`` is required for non-graph inputs.
-    n:
-        Population size; required when ``topology`` is not already an
-        :class:`~repro.engine.topology.InteractionGraph`.
-    seed:
-        Seed or generator for reproducible schedules.
-    """
-
-    #: The pair law's non-uniformity is structural (the edge set), not
-    #: per-agent activity weights.
-    weights = None
-
-    def __init__(self, topology, n: int | None = None, seed=None):
-        if not isinstance(topology, InteractionGraph):
-            if n is None:
-                raise InvalidParameterError(
-                    "GraphScheduler needs n= to resolve a non-graph "
-                    "topology argument")
-            topology = resolve_topology(topology, n)
-            if topology is None:
-                raise InvalidParameterError(
-                    "the 'complete' spec resolves to the uniform "
-                    "scheduler; use RandomScheduler for it")
-        self.topology = topology
-        self.n = topology.n
-        self._rng = as_generator(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (shared with the simulation)."""
-        return self._rng
-
-    def next_pair(self) -> tuple[int, int]:
-        """One ordered pair of adjacent agents (a uniform directed edge)."""
-        graph = self.topology
-        pick = int(self._rng.integers(0, graph.edge_u.size))
-        return int(graph.edge_u[pick]), int(graph.edge_v[pick])
-
-    def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Batch of ``size`` ordered pairs of adjacent agents."""
-        size = check_positive_int("size", size)
-        return graph_pair_block(self._rng, self.topology, size)
-
-    def others_block(self, first) -> np.ndarray:
-        """One uniform *neighbor* per entry of ``first``."""
-        return graph_neighbor_block(self._rng, self.topology,
-                                    np.asarray(first))

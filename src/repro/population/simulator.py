@@ -22,12 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import AgentBackend, CountBackend, protocol_model
-from repro.engine.topology import resolve_topology
+from repro.engine import build_engine, make_law, protocol_model
 from repro.population.protocol import PopulationProtocol
-from repro.population.scheduler import GraphScheduler
-from repro.utils import as_generator
-from repro.utils.errors import InvalidParameterError
 
 
 @dataclass
@@ -66,49 +62,32 @@ class Simulator:
     initial_states:
         Length-``n`` integer array of initial agent states.
     seed:
-        Seed or generator (ignored when ``scheduler`` is given).
+        Seed or generator.
     vectorized:
         Forwarded to :class:`~repro.engine.agent.AgentBackend`: ``None``
         (default) picks the chunked NumPy kernel adaptively, ``False``
         pins the sequential loop, ``True`` forces the kernel.  Both paths
         produce bit-for-bit identical trajectories.
-    scheduler:
-        Optional pair scheduler — e.g. a
-        :class:`~repro.population.scheduler.WeightedScheduler` for
-        heterogeneous contact processes; the engine draws every pair
-        through it (the uniform default is
-        :class:`~repro.population.scheduler.RandomScheduler`'s law).
-        Mutually exclusive with ``topology``.
     topology:
         Optional interaction graph restricting which pairs may meet —
         a spec string (``"ring"``, ``"grid:8"``, ``"smallworld:0.1"``,
         ``"powerlaw:1.5"``; ``"complete"`` means unrestricted), an
         :class:`~repro.engine.topology.InteractionGraph`, or an
-        ``(E, 2)`` edge array.  Builds a
-        :class:`~repro.population.scheduler.GraphScheduler`, so the run
-        simulates the quenched process on the concrete graph.
+        ``(E, 2)`` edge array.  The run then draws pairs through a
+        :class:`~repro.engine.topology.GraphScheduler` and simulates the
+        quenched process on the concrete graph.
     """
 
     def __init__(self, protocol: PopulationProtocol, initial_states, seed=None,
-                 vectorized: bool | None = None, scheduler=None,
-                 topology=None):
+                 vectorized: bool | None = None, topology=None):
         self.protocol = protocol
-        initial_states = np.asarray(initial_states, dtype=np.int64)
-        graph = resolve_topology(topology, initial_states.size)
-        if graph is not None:
-            if scheduler is not None:
-                raise InvalidParameterError(
-                    "pass either scheduler= or topology=, not both — a "
-                    "topology builds its own GraphScheduler")
-            scheduler = GraphScheduler(graph, seed=as_generator(seed))
-        self._backend = AgentBackend(protocol_model(protocol), initial_states,
-                                     seed=as_generator(seed),
-                                     vectorized=vectorized,
-                                     scheduler=scheduler)
+        states = np.array(initial_states, dtype=np.int64)
+        law = make_law(states.size, topology=topology, seed=seed)
+        self._backend = build_engine(protocol_model(protocol), law, "agent",
+                                     states=states, vectorized=vectorized)
         self.states = self._backend.states_live
         self.n = self._backend.n
         self._counts = self._backend.counts_live
-        self._scheduler = self._backend.scheduler
         self._output_map = None
 
     @property
@@ -194,8 +173,10 @@ def simulate_protocol_counts(protocol: PopulationProtocol, initial_counts,
     predicate once per interaction.  Pass ``1`` explicitly when the stop
     step must be exact to the interaction.
     """
-    backend = CountBackend(protocol_model(protocol), initial_counts,
-                           seed=seed)
+    counts = np.asarray(initial_counts, dtype=np.int64)
+    backend = build_engine(protocol_model(protocol),
+                           make_law(int(counts.sum()), seed=seed), "count",
+                           counts=counts)
     if check_stop_every is None:
         check_stop_every = max(1, int(backend.n ** 0.5))
     return backend.run(max_steps, stop_when=stop_when,

@@ -101,7 +101,7 @@ def cache_key(
 
 def experiment_cache_key(
     experiment_id: str,
-    fast,
+    profile: str,
     seed,
     backend: str | None,
     params: dict | None = None,
@@ -110,9 +110,8 @@ def experiment_cache_key(
 
     The single key-construction path shared by ``run_experiment(cache=)``
     and the plan executor — entries written by either are served to both.
-    ``fast`` names the profile: a string (``"fast"``/``"full"``/custom)
-    or, as a compat shim for the pre-ParamSpace call shape, the legacy
-    boolean (``True`` -> ``"fast"``, ``False`` -> ``"full"``).
+    ``profile`` names the parameter profile (``"fast"``, ``"full"``, or
+    any profile the experiment declares).
 
     The key digests the *resolved* canonical parameter payload — profile
     plus every coerced value — so equivalent override spellings
@@ -126,12 +125,7 @@ def experiment_cache_key(
     import inspect
 
     from repro.experiments.base import get_spec
-    from repro.params import resolve_profile
 
-    if isinstance(fast, bool) or fast is None:
-        profile = resolve_profile(fast)
-    else:
-        profile = str(fast)
     spec = get_spec(experiment_id)
     if backend is not None:
         if "backend" not in inspect.signature(spec.runner).parameters:

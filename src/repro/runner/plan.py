@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.engine import check_backend
-from repro.params import resolve_profile
 from repro.runner.seeds import task_seed
 from repro.utils import check_positive_int
 from repro.utils.errors import InvalidParameterError
@@ -90,11 +89,6 @@ class RunTask:
         if self.backend is not None:
             check_backend(self.backend, allow_auto=True)
         object.__setattr__(self, "params", _canonical_overrides(self.params))
-
-    @property
-    def fast(self) -> bool:
-        """Legacy view: whether the task resolves a non-``full`` profile."""
-        return self.profile != "full"
 
     def params_dict(self) -> dict:
         """The override pairs as a plain dict."""
@@ -328,11 +322,10 @@ def replicate_plan(
     experiment_id: str,
     replicates: int,
     base_seed: int = 12345,
-    fast: bool | None = None,
     backends=(None,),
     jobs: int = 1,
     cache_dir: str | None = None,
-    profile: str | None = None,
+    profile: str = "fast",
     params=None,
 ) -> RunPlan:
     """A replicates × backends grid over one experiment.
@@ -341,10 +334,9 @@ def replicate_plan(
     backend, so backends are compared on identical seed streams; the grid
     is laid out backend-major, replicate-minor.  ``profile`` and
     ``params`` select / override the experiment's declared parameters on
-    every task (``fast`` is the legacy profile selector).
+    every task.
     """
     check_positive_int("replicates", replicates)
-    profile = resolve_profile(fast, profile)
     overrides = _canonical_overrides(params)
     tasks = []
     for backend in backends:
@@ -364,16 +356,14 @@ def replicate_plan(
 
 def experiments_plan(
     experiment_ids,
-    fast: bool | None = None,
     seed: int = 12345,
     backend: str | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    profile: str | None = None,
+    profile: str = "fast",
     params=None,
 ) -> RunPlan:
     """One task per experiment id, all with the same seed and backend."""
-    profile = resolve_profile(fast, profile)
     overrides = _canonical_overrides(params)
     tasks = tuple(
         RunTask(
@@ -398,8 +388,7 @@ def grid_plan(
     backend: str | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    profile: str | None = None,
-    fast: bool | None = None,
+    profile: str = "fast",
 ) -> RunPlan:
     """One task per point of the cartesian product of ``grid`` axes.
 
@@ -412,7 +401,6 @@ def grid_plan(
     beneath every point.  Each task is labeled with its point
     (``"n=10000,seed=3"``) so grid records are self-describing.
     """
-    profile = resolve_profile(fast, profile)
     base = dict(_canonical_overrides(base_params))
     axes = [(str(name), list(values)) for name, values in dict(grid).items()]
     if not axes:

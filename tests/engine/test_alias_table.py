@@ -13,21 +13,14 @@ O(1) instead of O(log n) per draw).  Three guarantees are pinned here:
   :func:`~repro.engine.sampling.inversion_draw_block` draws from the same
   weights both clear a chi-square test against the exact law;
 * **the stream contract** — a block of ``size`` draws consumes exactly
-  ``size`` uniforms, and every weighted consumer (engine sampler and
-  population scheduler) routes through one shared table code path, so a
-  shared seed yields one bitstream everywhere.
+  ``size`` uniforms, so surrounding draws stay aligned.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import AliasTable, WeightedPairSampler
-from repro.engine.sampling import (
-    inversion_draw_block,
-    weight_cdf,
-    weighted_draw_block,
-)
-from repro.population.scheduler import WeightedScheduler
+from repro.engine import AliasTable
+from repro.engine.sampling import inversion_draw_block, weight_cdf
 from repro.utils import InvalidParameterError
 
 # 99.9% chi-square critical values, keyed by degrees of freedom.
@@ -146,18 +139,3 @@ class TestStreamContract:
         rng_b.random(777)
         np.testing.assert_array_equal(rng_a.integers(0, 1 << 62, size=8),
                                       rng_b.integers(0, 1 << 62, size=8))
-
-    def test_sampler_and_scheduler_share_bitstream(self):
-        """Regression: the engine sampler and the population scheduler
-        must keep routing through one table code path — identical draws
-        under a shared seed, not merely the same law."""
-        weights = [1.0, 3.0, 0.5, 2.0, 4.0]
-        sampler = WeightedPairSampler(weights, np.random.default_rng(9))
-        scheduler = WeightedScheduler(weights, seed=9)
-        np.testing.assert_array_equal(
-            weighted_draw_block(sampler.rng, sampler.table, 4096),
-            weighted_draw_block(scheduler.rng, scheduler._table, 4096))
-        si, sj = sampler.pair_block(2048)
-        ti, tj = scheduler.pair_block(2048)
-        np.testing.assert_array_equal(si, ti)
-        np.testing.assert_array_equal(sj, tj)

@@ -1,16 +1,14 @@
-"""Graph topologies: laws, degeneracies, shared bitstreams, refusals.
+"""Graph topologies: laws, degeneracies, refusals.
 
 The graph family's counterpart of ``test_weighted_sampling.py``, pinning
-the satellite guarantees of the topology promotion:
+the guarantees of the graph-restricted pair law:
 
-* on the **complete graph**, :class:`~repro.engine.GraphPairSampler` is
-  law-identical to :class:`~repro.engine.UniformPairSampler` (chi-square
+* on the **complete graph**, :class:`~repro.engine.GraphScheduler` is
+  law-identical to :class:`~repro.engine.RandomScheduler` (chi-square
   on ordered-pair frequencies at the 99.9% quantile);
 * on a sparse graph the pair law is uniform over the ``2E`` directed
   edges (initiator marginal proportional to degree);
-* ``GraphScheduler`` and ``GraphPairSampler`` share one law *and* one
-  bitstream under a shared seed (both route through
-  :func:`repro.engine.topology.graph_pair_block`);
+* spec strings resolve through :func:`~repro.engine.make_law`;
 * degeneracies behave: ring with ``n = 2`` (a single edge) and ``n = 3``
   (the triangle ``K_3``), deterministic spec-keyed construction;
 * every unsupported configuration refuses loudly: self-loops,
@@ -24,12 +22,13 @@ import pytest
 from repro.engine import (
     AgentBackend,
     CountBackend,
-    GraphPairSampler,
+    GraphScheduler,
     InteractionGraph,
+    RandomScheduler,
     TableModel,
-    UniformPairSampler,
     complete_graph,
     grid_graph,
+    make_law,
     powerlaw_graph,
     resolve_topology,
     ring_graph,
@@ -37,7 +36,6 @@ from repro.engine import (
     topology_from_spec,
 )
 from repro.engine.dispatch import choose_backend
-from repro.population.scheduler import GraphScheduler, RandomScheduler
 from repro.utils import InvalidParameterError
 
 #: chi-square 99.9% quantiles by degrees of freedom (no scipy at runtime).
@@ -100,7 +98,7 @@ class TestDegeneracies:
     def test_ring_n2_is_single_edge(self):
         graph = ring_graph(2)
         assert graph.m == 1
-        sampler = GraphPairSampler(graph, np.random.default_rng(0))
+        sampler = GraphScheduler(graph, seed=0)
         initiators, responders = sampler.pair_block(64)
         assert np.array_equal(np.sort(np.stack([initiators, responders]),
                                       axis=0)[0], np.zeros(64))
@@ -140,8 +138,7 @@ class TestGraphPairLaw:
     def test_complete_graph_matches_uniform_sampler_law(self):
         """The headline degeneracy: K_n sampling is the paper's law."""
         n, draws = 4, 60_000
-        sampler = GraphPairSampler(complete_graph(n),
-                                   np.random.default_rng(2024))
+        sampler = GraphScheduler(complete_graph(n), seed=2024)
         initiators, responders = sampler.pair_block(draws)
         uniform_law = np.full((n, n), 1.0 / (n * (n - 1)))
         np.fill_diagonal(uniform_law, 0.0)
@@ -151,7 +148,7 @@ class TestGraphPairLaw:
     def test_uniform_sampler_clears_same_bar(self):
         """The reference itself passes — the test has power, not bias."""
         n, draws = 4, 60_000
-        sampler = UniformPairSampler(n, np.random.default_rng(2024))
+        sampler = RandomScheduler(n, seed=2024)
         initiators, responders = sampler.pair_block(draws)
         uniform_law = np.full((n, n), 1.0 / (n * (n - 1)))
         np.fill_diagonal(uniform_law, 0.0)
@@ -160,7 +157,7 @@ class TestGraphPairLaw:
 
     def test_ring_law_uniform_over_directed_edges(self):
         graph = ring_graph(5)
-        sampler = GraphPairSampler(graph, np.random.default_rng(11))
+        sampler = GraphScheduler(graph, seed=11)
         initiators, responders = sampler.pair_block(50_000)
         statistic = pair_chi_square(initiators, responders,
                                     graph_pair_law(graph))
@@ -169,7 +166,7 @@ class TestGraphPairLaw:
     def test_irregular_initiator_marginal_proportional_to_degree(self):
         graph = InteractionGraph(4, [[0, 1], [0, 2], [0, 3], [1, 2]],
                                  name="star-plus")
-        sampler = GraphPairSampler(graph, np.random.default_rng(3))
+        sampler = GraphScheduler(graph, seed=3)
         initiators, _ = sampler.pair_block(80_000)
         observed = np.bincount(initiators, minlength=4)
         expected = graph.degrees / graph.degrees.sum() * 80_000
@@ -178,7 +175,7 @@ class TestGraphPairLaw:
 
     def test_others_block_draws_neighbors(self):
         graph = grid_graph(36)
-        sampler = GraphPairSampler(graph, np.random.default_rng(8))
+        sampler = GraphScheduler(graph, seed=8)
         first = np.arange(36).repeat(50)
         others = sampler.others_block(first)
         assert (others != first).all()
@@ -188,24 +185,6 @@ class TestGraphPairLaw:
 
 
 class TestSharedBitstream:
-    def test_scheduler_and_sampler_blocks_identical(self):
-        graph = small_world_graph(50, p=0.1)
-        scheduler = GraphScheduler(graph, seed=42)
-        sampler = GraphPairSampler(graph, np.random.default_rng(42))
-        si, sj = scheduler.pair_block(5000)
-        pi, pj = sampler.pair_block(5000)
-        assert np.array_equal(si, pi)
-        assert np.array_equal(sj, pj)
-
-    def test_others_blocks_identical(self):
-        graph = ring_graph(20, half_width=2)
-        scheduler = GraphScheduler(graph, seed=9)
-        sampler = GraphPairSampler(graph, np.random.default_rng(9))
-        first = np.arange(20).repeat(100)
-        a = scheduler.others_block(first)
-        b = sampler.others_block(first)
-        assert np.array_equal(a, b)
-
     def test_scalar_next_pair_is_an_edge(self):
         graph = powerlaw_graph(64)
         scheduler = GraphScheduler(graph, seed=5)
@@ -222,12 +201,17 @@ class TestCapabilityContract:
         assert RandomScheduler(10, seed=0).topology is None
 
     def test_graph_spec_strings_build_schedulers(self):
-        scheduler = GraphScheduler("grid", n=36, seed=0)
+        scheduler = make_law(36, topology="grid", seed=0)
+        assert isinstance(scheduler, GraphScheduler)
         assert scheduler.topology.name.startswith("grid")
 
     def test_complete_spec_refused_by_graph_scheduler(self):
-        with pytest.raises(InvalidParameterError, match="RandomScheduler"):
-            GraphScheduler("complete", n=100, seed=0)
+        # "complete" is the uniform law, never a materialized K_n; spec
+        # strings go through make_law, not the GraphScheduler itself.
+        assert isinstance(make_law(100, topology="complete"),
+                          RandomScheduler)
+        with pytest.raises(InvalidParameterError, match="make_law"):
+            GraphScheduler("complete", seed=0)
 
     def test_count_backend_accepts_vertex_transitive(self):
         model = TableModel(np.array([[[0, 0], [0, 0]],

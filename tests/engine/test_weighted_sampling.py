@@ -1,13 +1,13 @@
-"""Weighted pair sampling: laws, shared bitstreams, and loud refusals.
+"""Weighted pair sampling: laws and loud refusals.
 
-Covers the satellite guarantees of the weighted-scheduler promotion:
+Covers the guarantees of the weighted pair law:
 
-* ``WeightedPairSampler`` and ``WeightedScheduler`` share one law *and*
-  one bitstream under a shared seed (both route through
-  :func:`repro.engine.sampling.weighted_pair_block`);
-* with equal weights the pair law is exactly
-  :class:`~repro.population.scheduler.RandomScheduler`'s (chi-square on
-  ordered-pair frequencies);
+* :class:`~repro.engine.RandomScheduler` draws observers with the shift
+  trick, and :class:`~repro.engine.WeightedScheduler`'s observers are
+  never the agent they are drawn for;
+* with equal weights the weighted pair law is exactly
+  :class:`~repro.engine.RandomScheduler`'s (chi-square on ordered-pair
+  frequencies);
 * engines never *silently* downgrade a weighted scheduler: the agent
   backend draws every pair (and every observed agent) through it, and
   the exchangeable count backend refuses it outright.
@@ -20,11 +20,10 @@ from repro.engine import (
     AgentBackend,
     CountBackend,
     ImitationModel,
+    RandomScheduler,
     TableModel,
-    UniformPairSampler,
-    WeightedPairSampler,
+    WeightedScheduler,
 )
-from repro.population.scheduler import RandomScheduler, WeightedScheduler
 from repro.utils import InvalidParameterError
 
 #: chi-square 99.9% quantiles by degrees of freedom (no scipy at runtime).
@@ -59,27 +58,8 @@ def weighted_pair_law(weights) -> np.ndarray:
 
 
 class TestSharedBitstream:
-    def test_scheduler_and_sampler_blocks_identical(self):
-        weights = [1.0, 3.0, 0.5, 2.0, 4.0]
-        scheduler = WeightedScheduler(weights, seed=42)
-        sampler = WeightedPairSampler(weights, np.random.default_rng(42))
-        si, sj = scheduler.pair_block(5000)
-        pi, pj = sampler.pair_block(5000)
-        assert np.array_equal(si, pi)
-        assert np.array_equal(sj, pj)
-
-    def test_others_blocks_identical(self):
-        weights = [1.0, 3.0, 0.5, 2.0]
-        scheduler = WeightedScheduler(weights, seed=9)
-        sampler = WeightedPairSampler(weights, np.random.default_rng(9))
-        first = np.array([0, 1, 2, 3] * 250)
-        a = scheduler.others_block(first)
-        b = sampler.others_block(first)
-        assert np.array_equal(a, b)
-        assert (a != first).all()
-
     def test_uniform_others_block_matches_shift_trick(self):
-        sampler = UniformPairSampler(7, np.random.default_rng(3))
+        sampler = RandomScheduler(7, seed=3)
         reference_rng = np.random.default_rng(3)
         first = np.arange(7).repeat(100)
         drawn = sampler.others_block(first)
@@ -93,8 +73,7 @@ class TestEqualWeightsLaw:
     def test_equal_weights_reproduce_uniform_pair_law(self):
         """Chi-square of equal-weight pair frequencies vs the uniform law."""
         n, draws = 4, 60_000
-        sampler = WeightedPairSampler(np.ones(n),
-                                      np.random.default_rng(2024))
+        sampler = WeightedScheduler(np.ones(n), seed=2024)
         initiators, responders = sampler.pair_block(draws)
         statistic = pair_chi_square(initiators, responders,
                                     uniform_pair_law(n))
@@ -112,11 +91,16 @@ class TestEqualWeightsLaw:
 
     def test_weighted_law_matches_rejection_formula(self):
         weights = [1.0, 1.0, 8.0, 2.0, 4.0]
-        sampler = WeightedPairSampler(weights, np.random.default_rng(5))
+        sampler = WeightedScheduler(weights, seed=5)
         initiators, responders = sampler.pair_block(80_000)
         statistic = pair_chi_square(initiators, responders,
                                     weighted_pair_law(weights))
         assert statistic < _CHI2_999[5 * 4 - 1], statistic
+
+    def test_weighted_others_block_excludes_first(self):
+        scheduler = WeightedScheduler([1.0, 3.0, 0.5, 2.0], seed=9)
+        first = np.array([0, 1, 2, 3] * 250)
+        assert (scheduler.others_block(first) != first).all()
 
 
 class TestNoSilentDowngrade:
@@ -208,24 +192,3 @@ class TestNoSilentDowngrade:
         with pytest.raises(InvalidParameterError, match="n="):
             CountBackend(TableModel(table), np.array([2, 2]),
                          scheduler=RandomScheduler(9, seed=0))
-
-    def test_four_slot_weighted_scheduler_without_others_refused(self):
-        """A weighted duck scheduler lacking others_block cannot serve
-        models that read observed agents — loud error, no uniform
-        fallback."""
-
-        class MinimalWeighted:
-            n = 4
-            weights = np.full(4, 0.25)
-
-            def __init__(self):
-                self.rng = np.random.default_rng(0)
-
-            def pair_block(self, size):
-                return (self.rng.integers(0, 4, size),
-                        self.rng.integers(0, 4, size))
-
-        model = ImitationModel(np.array([[1.0, 0.0], [2.0, 1.0]]))
-        with pytest.raises(InvalidParameterError, match="others_block"):
-            AgentBackend(model, np.array([0, 1, 0, 1]),
-                         scheduler=MinimalWeighted())

@@ -184,7 +184,7 @@ class TestDeterministicExperiments:
     @pytest.mark.parametrize("experiment_id", ["E1", "E2", "E4", "E8",
                                                "E12", "E13", "E16"])
     def test_runs_and_passes(self, experiment_id):
-        report = run_experiment(experiment_id, fast=True)
+        report = run_experiment(experiment_id, profile="fast")
         assert report.experiment_id == experiment_id
         assert report.rows
         assert report.all_checks_pass, report.render()

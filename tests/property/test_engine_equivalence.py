@@ -74,7 +74,7 @@ def reference_simulator_run(protocol, initial_states, seed, max_steps,
     return states, counts, observations
 
 
-def reference_igt_run(n, shares, grid, seed, steps, record_every=None,
+def reference_igt_run(n, shares, grid, seed, steps, observe_every=None,
                       strict=False):
     """The seed ``IGTSimulation`` fast path (strategy/strict, no payoffs)."""
     rng = np.random.default_rng(seed)
@@ -87,7 +87,7 @@ def reference_igt_run(n, shares, grid, seed, steps, record_every=None,
     indices[n_ac + n_ad:] = rng.integers(0, grid.k, size=n_gtft)
     counts = np.bincount(indices[n_ac + n_ad:],
                          minlength=grid.k).astype(np.int64)
-    recorded = [counts.copy()] if record_every is not None else None
+    recorded = [counts.copy()] if observe_every is not None else None
     k = grid.k
     block = 65536
     done = 0
@@ -112,8 +112,8 @@ def reference_igt_run(n, shares, grid, seed, steps, record_every=None,
                     indices[i] = new
                     counts[old] -= 1
                     counts[new] += 1
-            if record_every is not None \
-                    and (done + offset + 1) % record_every == 0:
+            if observe_every is not None \
+                    and (done + offset + 1) % observe_every == 0:
                 recorded.append(counts.copy())
         done += batch
     return indices[n_ac + n_ad:], counts, recorded
@@ -153,11 +153,11 @@ class TestAgentBackendBitCompat:
         shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
         grid = GenerosityGrid(k=5, g_max=0.6)
         ref_gtft, ref_counts, ref_recorded = reference_igt_run(
-            150, shares, grid, seed, 20_000, record_every=4999,
+            150, shares, grid, seed, 20_000, observe_every=4999,
             strict=strict)
         sim = IGTSimulation(n=150, shares=shares, grid=grid, seed=seed,
                             mode="strict" if strict else "strategy")
-        recorded = sim.run(20_000, record_every=4999)
+        recorded = sim.run(20_000, observe_every=4999)
         assert np.array_equal(sim.gtft_indices(), ref_gtft)
         assert np.array_equal(sim.counts, ref_counts)
         assert np.array_equal(recorded, np.stack(ref_recorded))

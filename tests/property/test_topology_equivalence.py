@@ -25,9 +25,14 @@ import pytest
 from repro.core.generosity import average_stationary_generosity
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.engine import AgentBackend, CountBackend, TableModel, ring_graph
+from repro.engine import (
+    AgentBackend,
+    CountBackend,
+    GraphScheduler,
+    TableModel,
+    ring_graph,
+)
 from repro.population.protocols import RumorSpreadingProtocol
-from repro.population.scheduler import GraphScheduler
 from repro.population.simulator import Simulator
 from repro.utils import InvalidParameterError
 
@@ -118,15 +123,6 @@ class TestFacadeGuards:
                             seed=0, topology="ring")
         with pytest.raises(InvalidParameterError, match="complete-graph"):
             sim.equivalent_ehrenfest()
-
-    def test_simulator_scheduler_and_topology_exclusive(self):
-        protocol = RumorSpreadingProtocol()
-        states = np.zeros(50, dtype=np.int64)
-        states[0] = 1
-        with pytest.raises(InvalidParameterError, match="not both"):
-            Simulator(protocol, states, seed=1,
-                      scheduler=GraphScheduler(ring_graph(50), seed=1),
-                      topology="ring")
 
     def test_simulator_runs_on_topology(self):
         protocol = RumorSpreadingProtocol()

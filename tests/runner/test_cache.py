@@ -89,27 +89,21 @@ class TestExperimentCacheKey:
     def test_backend_ignored_by_backendless_runners(self):
         # E1 is exact computation: its runner has no backend parameter,
         # so the knob must not split the cache into duplicate entries.
-        with_backend = experiment_cache_key("E1", True, 7, "count")
-        without = experiment_cache_key("E1", True, 7, None)
+        with_backend = experiment_cache_key("E1", "fast", 7, "count")
+        without = experiment_cache_key("E1", "fast", 7, None)
         assert with_backend == without
 
     def test_backend_distinguishes_backend_aware_runners(self):
         # E4 simulates populations and accepts backend=.
-        count_key = experiment_cache_key("E4", True, 7, "count")
-        agent_key = experiment_cache_key("E4", True, 7, "agent")
-        default_key = experiment_cache_key("E4", True, 7, None)
+        count_key = experiment_cache_key("E4", "fast", 7, "count")
+        agent_key = experiment_cache_key("E4", "fast", 7, "agent")
+        default_key = experiment_cache_key("E4", "fast", 7, None)
         assert len({count_key, agent_key, default_key}) == 3
 
     def test_seed_and_fast_still_split(self):
-        base = experiment_cache_key("E1", True, 7, None)
-        assert experiment_cache_key("E1", False, 7, None) != base
-        assert experiment_cache_key("E1", True, 8, None) != base
-
-    def test_bool_shim_matches_profile_names(self):
-        fast_key = experiment_cache_key("E1", "fast", 7, None)
-        full_key = experiment_cache_key("E1", "full", 7, None)
-        assert experiment_cache_key("E1", True, 7, None) == fast_key
-        assert experiment_cache_key("E1", False, 7, None) == full_key
+        base = experiment_cache_key("E1", "fast", 7, None)
+        assert experiment_cache_key("E1", "full", 7, None) != base
+        assert experiment_cache_key("E1", "fast", 8, None) != base
 
     @pytest.mark.parametrize("profile", sorted(PINNED_PROFILE_KEYS))
     def test_profile_keys_pinned(self, monkeypatch, profile):

@@ -13,7 +13,7 @@ from repro.utils import InvalidParameterError
 def failing_experiment():
     """Temporarily register an experiment whose single check fails."""
 
-    def runner(fast=True, seed=None):
+    def runner(params=None, seed=None):
         return ExperimentReport(
             experiment_id="E99X",
             title="always fails",
