@@ -23,11 +23,12 @@ per-interaction loops:
   agent backend's kernel fed weighted pair blocks (alias-table draws),
   and the ``WeightedCountBackend`` product-space count chain (the
   array-proxy kernel up to ``WEIGHTED_PROXY_MAX_N``, heterogeneous
-  birthday batching beyond); their crossover feeds
-  ``auto_thresholds["weighted_crossover_n"]``.  This workload runs on
-  its own size grid — the shared sizes plus ``n = 10^6`` in every mode
-  — so CI gates the weighted path at the proxy ceiling and full runs
-  record the ``n = 10^7`` birthday-territory claim.
+  birthday batching beyond); their crossover is checked against
+  ``WEIGHTED_CROSSOVER_N`` in :mod:`repro.engine.dispatch`.  This
+  workload runs on its own size grid — the shared sizes plus
+  ``n = 10^6`` in every mode — so CI gates the weighted path at the
+  proxy ceiling and full runs record the ``n = 10^7`` birthday-territory
+  claim.
 * ``igt-topology`` — the graph-restricted extension: the same k-IGT
   dynamics on a circulant ring (half-width 2), pairs drawn uniformly
   from the directed edges.  Cases: the agent backend's kernel fed
@@ -49,11 +50,14 @@ per-interaction loops:
   distribution-identical), whose ``speedup_vs_agent_seq`` is the
   generic-model vectorization claim.
 
-The file also records host metadata (python/numpy versions, CPU count)
-and the ``auto_thresholds`` section the ``backend="auto"`` dispatcher
-reads (log-interpolated agent/count crossovers), and every run appends
-its full payload to the append-only ``BENCH_history.jsonl`` so the perf
-trajectory across PRs stays machine-readable.
+The file also records host metadata (python/numpy versions, CPU count),
+and every run appends its full payload to the append-only
+``BENCH_history.jsonl`` so the perf trajectory across PRs stays
+machine-readable.  The log-interpolated agent/count crossovers are only
+*proposed*: ``backend="auto"`` resolves against constants in
+:mod:`repro.engine.dispatch`, and when a measured crossover differs from
+its constant the run prints the edit to make there.  Nothing this script
+writes is read by the library.
 
 Run with::
 
@@ -98,8 +102,10 @@ from repro.engine import (  # noqa: E402
     igt_action_model,
     igt_model,
     protocol_model,
+    resolve_backend,
     weights_from_spec,
 )
+from repro.engine import dispatch  # noqa: E402
 from repro.engine.topology import ring_graph  # noqa: E402
 from repro.population.scheduler import (  # noqa: E402
     GraphScheduler,
@@ -618,30 +624,34 @@ def main(argv=None) -> None:
           f"{max_rss_mb:>9.1f} MB  (ceiling {STREAM_RSS_CEILING_MB} MB, "
           f"{probe['records']} checkpoints)")
 
-    thresholds = {
-        "strategy_crossover_n": crossover_n(strategy_points),
-        "action_crossover_n": crossover_n(action_points)
-        if action_points else 1000,
-        "weighted_crossover_n": crossover_n(weighted_points),
-    }
-    # The dispatcher's pick per size, annotated for the record (the
-    # timing is the resolved case's — dispatch itself is a dict lookup).
+    # What ``auto`` really picks per size, annotated for the record (the
+    # timing is the resolved case's — dispatch itself is a comparison).
     for n, agent_ips, count_ips in strategy_points:
-        resolved = ("count" if n >= thresholds["strategy_crossover_n"]
-                    else "agent")
+        resolved = resolve_backend("auto", n)
         ips = igt_case_throughput[n][resolved]
         record("igt", "auto", n, steps, steps / ips, resolved=resolved)
+    # The crossovers are source constants; a measurement only proposes
+    # an edit of them.
+    measured = {
+        "STRATEGY_CROSSOVER_N": strategy_points,
+        "ACTION_CROSSOVER_N": action_points,
+        "WEIGHTED_CROSSOVER_N": weighted_points,
+    }
+    for name, points in measured.items():
+        coded = getattr(dispatch, name)
+        crossover = crossover_n(points) if points else coded
+        if crossover != coded:
+            print(f"proposed edit: repro.engine.dispatch.{name} = "
+                  f"{crossover} (code has {coded})")
 
     payload = {
         "interactions_per_case": steps,
         "mode": "smoke" if args.smoke else "full",
         "timestamp": round(time.time(), 2),
         "host": host_metadata(),
-        "auto_thresholds": thresholds,
         "cases": results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"auto thresholds: {thresholds}")
     print(f"wrote {args.output}")
     if args.output.resolve() == OUTPUT:
         with HISTORY.open("a") as history:

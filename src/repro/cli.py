@@ -201,8 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["agent", "count", "auto"], default=None,
         help=("simulation engine for population experiments: per-agent "
               "('agent'), exact count-level ('count'), or 'auto' to "
-              "dispatch on the measured crossover in BENCH_engine.json; "
-              "experiments that do not simulate populations ignore it"))
+              "pick by population size against the measured crossovers "
+              "pinned in repro.engine.dispatch; experiments that do not "
+              "simulate populations ignore it"))
 
     runall_parser = subparsers.add_parser(
         "run-all",
@@ -359,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["agent", "count", "auto"], default="agent",
         help=("simulation engine: 'agent' tracks every agent, 'count' "
               "simulates the exact count chain (much faster at large n), "
-              "'auto' dispatches on the measured crossover"))
+              "'auto' picks by population size against the measured "
+              "crossovers pinned in repro.engine.dispatch"))
     sim_parser.add_argument(
         "--observe-every", type=int, default=None, metavar="N",
         help=("observation cadence: snapshot the strategy counts every "

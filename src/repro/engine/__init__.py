@@ -38,10 +38,10 @@ vertex-transitive graphs.  Surfaces that cannot honor a law refuse
 loudly instead of silently downgrading it.
 
 Facades build engines in :mod:`repro.engine.dispatch`: :func:`make_law`
-parses ``weights=`` / ``topology=`` into one law, ``backend="auto"``
-(resolved against the measured crossovers in ``BENCH_engine.json``)
-picks an engine from ``(n, mode, observables, weights, topology)``, and
-:func:`build_engine` constructs it.
+parses ``weights=`` / ``topology=`` into one law, :func:`resolve_backend`
+turns ``backend="auto"`` into an engine name from
+``(n, mode, weights, topology)`` and crossover constants measured by
+``benchmarks/bench_engine.py``, and :func:`build_engine` constructs it.
 """
 
 from repro.engine.adapters import (
@@ -61,7 +61,6 @@ from repro.engine.base import (
 from repro.engine.count import CountBackend
 from repro.engine.dispatch import (
     build_engine,
-    choose_backend,
     make_law,
     resolve_backend,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "BACKENDS",
     "BACKEND_CHOICES",
     "check_backend",
-    "choose_backend",
     "resolve_backend",
     "make_law",
     "build_engine",

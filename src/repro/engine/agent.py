@@ -164,7 +164,7 @@ class AgentBackend(SimulationEngine):
         scheduler generator's bitstream position, and — for stochastic
         kernels only — the conflict peel stamps (deterministic kernels
         are peel-independent; see
-        :meth:`~repro.engine.vectorized.ConflictFreeKernel.stamp_state`).
+        :meth:`~repro.engine.vectorized.ConflictFreeKernel.encode_stamps`).
         """
         from repro.engine.snapshot import (
             SnapshotState,
@@ -172,8 +172,6 @@ class AgentBackend(SimulationEngine):
             rng_state,
         )
 
-        stamps = (self._kernel.stamp_state()
-                  if self._kernel is not None else None)
         payload = {
             "n": int(self.n),
             "n_states": int(self.model.n_states),
@@ -181,11 +179,8 @@ class AgentBackend(SimulationEngine):
             "states": encode_array(self._states),
             "counts": encode_array(self._counts),
             "rng": rng_state(self.scheduler.rng),
-            "kernel": None if stamps is None else {
-                "stamp": stamps["stamp"],
-                "pos_i": encode_array(stamps["pos_i"]),
-                "pos_r": encode_array(stamps["pos_r"]),
-            },
+            "kernel": (None if self._kernel is None
+                       else self._kernel.encode_stamps()),
         }
         return SnapshotState(kind="agent", payload=payload)
 
@@ -210,11 +205,7 @@ class AgentBackend(SimulationEngine):
         restore_rng(self.scheduler.rng, payload["rng"])
         stamps = payload.get("kernel")
         if stamps is not None:
-            self._ensure_kernel().restore_stamps({
-                "stamp": stamps["stamp"],
-                "pos_i": decode_array(stamps["pos_i"]),
-                "pos_r": decode_array(stamps["pos_r"]),
-            })
+            self._ensure_kernel().restore_stamps(stamps)
 
     def _result(self, converged, sink) -> EngineResult:
         sink.flush()

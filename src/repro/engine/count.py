@@ -369,18 +369,7 @@ class CountBackend(SimulationEngine):
             "rng": rng_state(self._rng),
         }
         if self._kernel is not None:
-            kernel = self._kernel
-            stamps = kernel.stamp_state()
-            payload["proxy_state"] = {
-                "states": encode_array(kernel.states),
-                "pair_counts": (None if kernel.pair_counts is None
-                                else encode_array(kernel.pair_counts)),
-                "kernel": None if stamps is None else {
-                    "stamp": stamps["stamp"],
-                    "pos_i": encode_array(stamps["pos_i"]),
-                    "pos_r": encode_array(stamps["pos_r"]),
-                },
-            }
+            payload["proxy_state"] = self._kernel.encode_proxy_state()
         elif self._pair_counts is not None:
             payload["pair_counts"] = encode_array(self._pair_counts)
         return SnapshotState(kind="count", payload=payload)
@@ -406,18 +395,7 @@ class CountBackend(SimulationEngine):
         self.steps_run = int(payload["steps_run"])
         restore_rng(self._rng, payload["rng"])
         if self._kernel is not None:
-            proxy = payload["proxy_state"]
-            self._kernel.states[:] = decode_array(proxy["states"])
-            if self._kernel.pair_counts is not None:
-                self._kernel.pair_counts[:] = decode_array(
-                    proxy["pair_counts"])
-            stamps = proxy.get("kernel")
-            if stamps is not None:
-                self._kernel.restore_stamps({
-                    "stamp": stamps["stamp"],
-                    "pos_i": decode_array(stamps["pos_i"]),
-                    "pos_r": decode_array(stamps["pos_r"]),
-                })
+            self._kernel.restore_proxy_state(payload["proxy_state"])
         elif self._pair_counts is not None:
             self._pair_counts[:] = decode_array(payload["pair_counts"])
 

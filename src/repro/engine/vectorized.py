@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.snapshot import decode_array, encode_array
 from repro.utils.errors import InvalidParameterError
 
 #: Remaining-conflict head below which the scalar loop finishes a chunk.
@@ -403,8 +404,8 @@ class ConflictFreeKernel:
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
-    def stamp_state(self) -> dict | None:
-        """Peel-stamp state for snapshots, when it influences the future.
+    def encode_stamps(self) -> dict | None:
+        """Encoded peel stamps for snapshots, when they influence the future.
 
         For *stochastic* models the peel's round grouping determines how
         many vectorized ``model.apply`` draws each chunk consumes, and
@@ -419,15 +420,37 @@ class ConflictFreeKernel:
         if not self._stochastic:
             return None
         return {"stamp": int(self._stamp),
-                "pos_i": self._pos_i, "pos_r": self._pos_r}
+                "pos_i": encode_array(self._pos_i),
+                "pos_r": encode_array(self._pos_r)}
 
-    def restore_stamps(self, state: dict | None) -> None:
-        """Adopt captured peel stamps (inverse of :meth:`stamp_state`)."""
-        if state is None:
+    def restore_stamps(self, encoded: dict | None) -> None:
+        """Adopt peel stamps from :meth:`encode_stamps`, in place."""
+        if encoded is None:
             return
-        self._stamp = int(state["stamp"])
-        self._pos_i[:] = state["pos_i"]
-        self._pos_r[:] = state["pos_r"]
+        self._stamp = int(encoded["stamp"])
+        self._pos_i[:] = decode_array(encoded["pos_i"])
+        self._pos_r[:] = decode_array(encoded["pos_r"])
+
+    def encode_proxy_state(self) -> dict:
+        """The ``proxy_state`` snapshot block of a count engine's kernel.
+
+        A count engine running this kernel owns the per-agent state
+        arrangement (identical index draws must hit identical states),
+        the pair-count accumulator when tracked, and the peel stamps.
+        """
+        return {
+            "states": encode_array(self.states),
+            "pair_counts": (None if self.pair_counts is None
+                            else encode_array(self.pair_counts)),
+            "kernel": self.encode_stamps(),
+        }
+
+    def restore_proxy_state(self, block: dict) -> None:
+        """Adopt a block from :meth:`encode_proxy_state`, in place."""
+        self.states[:] = decode_array(block["states"])
+        if self.pair_counts is not None:
+            self.pair_counts[:] = decode_array(block["pair_counts"])
+        self.restore_stamps(block.get("kernel"))
 
     def sync_counts(self) -> None:
         """Recompute the count vector from the state array, in place."""

@@ -587,11 +587,28 @@ class _FabricHandler(BaseHTTPRequestHandler):
             return
         self._send(404, {"error": f"unknown path {self.path!r}"})
 
+    def _content_length(self) -> int | None:
+        """The request body's length, or ``None`` after refusing it.
+
+        A non-integer or negative ``Content-Length`` is answered with 400
+        before any body is read (``rfile.read(-1)`` would block until the
+        client hangs up), and the connection is closed: where the body
+        ends is unknown.
+        """
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if header.isascii() and header.isdigit():
+            return int(header)
+        self.close_connection = True
+        self._send(400, {"error": f"invalid Content-Length {header!r}"})
+        return None
+
     def do_POST(self):  # noqa: N802 - stdlib naming
         if not self._authorized():
             return
+        length = self._content_length()
+        if length is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
             message = decode(self.rfile.read(length)) if length else {}
             self._send(200, self._dispatch(message))
         except UnknownLeaseError as error:

@@ -1,15 +1,17 @@
 """Unit tests for the ``backend="auto"`` dispatcher."""
 
-import json
+import contextlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.engine import check_backend, choose_backend, resolve_backend
-from repro.engine.dispatch import (
-    DEFAULT_THRESHOLDS,
-    _reset_threshold_cache,
-    load_thresholds,
-)
+import repro
+from repro.engine import check_backend, resolve_backend
 from repro.utils import InvalidParameterError
 
 
@@ -29,33 +31,23 @@ class TestCheckBackend:
 
 
 class TestChooseBackend:
-    def test_crossover_decides(self):
-        thresholds = {"strategy_crossover_n": 1000,
-                      "action_crossover_n": 50}
-        assert choose_backend(999, thresholds=thresholds) == "agent"
-        assert choose_backend(1000, thresholds=thresholds) == "count"
-        assert choose_backend(60, mode="action",
-                              thresholds=thresholds) == "count"
-        assert choose_backend(40, mode="action",
-                              thresholds=thresholds) == "agent"
+    """What ``resolve_backend`` picks for ``"auto"`` (and ``None``): the
+    agent backend below each measured crossover, count from it on."""
 
-    def test_per_agent_observables_force_agent(self):
-        thresholds = {"strategy_crossover_n": 10}
-        assert choose_backend(10 ** 9, needs_per_agent=True,
-                              thresholds=thresholds) == "agent"
+    def test_crossover_decides(self):
+        assert resolve_backend("auto", n=999) == "agent"
+        assert resolve_backend("auto", n=1000) == "count"
+        assert resolve_backend("auto", n=999, mode="action") == "agent"
+        assert resolve_backend("auto", n=1000, mode="action") == "count"
 
     def test_weighted_crossover_decides(self):
-        thresholds = {"strategy_crossover_n": 10,
-                      "weighted_crossover_n": 5000}
-        assert choose_backend(100, weighted=True,
-                              thresholds=thresholds) == "agent"
-        assert choose_backend(5000, weighted=True,
-                              thresholds=thresholds) == "count"
+        assert resolve_backend("auto", n=2635, weighted=True) == "agent"
+        assert resolve_backend("auto", n=2636, weighted=True) == "count"
         # Without the weighted flag the strategy crossover rules.
-        assert choose_backend(100, thresholds=thresholds) == "count"
-        assert choose_backend(10 ** 9, weighted=True,
-                              needs_per_agent=True,
-                              thresholds=thresholds) == "agent"
+        assert resolve_backend("auto", n=2635) == "count"
+        # A graph forces the agent backend before any crossover.
+        assert resolve_backend("auto", n=10 ** 9, weighted=True,
+                               graph_restricted=True) == "agent"
 
     def test_resolve_passthrough_and_auto(self):
         assert resolve_backend("agent", n=10 ** 9) == "agent"
@@ -67,65 +59,47 @@ class TestChooseBackend:
             resolve_backend("gpu", n=10)
 
 
-class TestThresholdFile:
-    def test_missing_file_falls_back_to_defaults(self, tmp_path):
-        _reset_threshold_cache()
-        thresholds = load_thresholds(tmp_path / "absent.json")
-        assert thresholds == DEFAULT_THRESHOLDS
+#: Resolves ``auto`` for a weighted n=2000 IGT population and runs it.
+#: Prints where ``repro`` was imported from, then the resolved engine,
+#: the source fingerprint, and the final counts.
+PROBE = """
+import repro
+from repro.core.igt import GenerosityGrid
+from repro.core.population_igt import IGTSimulation, PopulationShares
+from repro.runner.cache import code_version
 
-    def test_recorded_thresholds_override(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(
-            {"auto_thresholds": {"strategy_crossover_n": 123,
-                                 "unknown_key": 7}}))
-        _reset_threshold_cache()
-        thresholds = load_thresholds(path)
-        assert thresholds["strategy_crossover_n"] == 123
-        assert thresholds["action_crossover_n"] == \
-            DEFAULT_THRESHOLDS["action_crossover_n"]
-        assert "unknown_key" not in thresholds
+sim = IGTSimulation(
+    n=2000, shares=PopulationShares(alpha=0.3, beta=0.2, gamma=0.5),
+    grid=GenerosityGrid(k=4, g_max=0.6), seed=3, weights="powerlaw",
+    backend="auto")
+sim.run(20_000)
+print(repro.__file__)
+print(sim.backend, code_version(), *sim.counts)
+"""
 
-    def test_malformed_values_ignored(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(
-            {"auto_thresholds": {"strategy_crossover_n": -4,
-                                 "action_crossover_n": "soon"}}))
-        _reset_threshold_cache()
-        assert load_thresholds(path) == DEFAULT_THRESHOLDS
 
-    def test_cache_serves_repeat_reads(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(
-            {"auto_thresholds": {"strategy_crossover_n": 77}}))
-        _reset_threshold_cache()
-        first = load_thresholds(path)
-        path.unlink()
-        assert load_thresholds(path) == first
-        _reset_threshold_cache()
+class TestAutoIsSourceDetermined:
+    def test_package_copy_without_bench_file_agrees(self, tmp_path):
+        """``auto`` is a function of the source alone.
 
-    def test_rewritten_file_invalidates_cache(self, tmp_path):
-        """Regression: a regenerated BENCH_engine.json (same process,
-        e.g. bench_engine.py --output) must not be served stale."""
-        import os
-
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(
-            {"auto_thresholds": {"strategy_crossover_n": 111}}))
-        _reset_threshold_cache()
-        assert load_thresholds(path)["strategy_crossover_n"] == 111
-        path.write_text(json.dumps(
-            {"auto_thresholds": {"strategy_crossover_n": 222}}))
-        # Force a visible mtime change even on coarse filesystems.
-        stat = path.stat()
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10_000_000))
-        assert load_thresholds(path)["strategy_crossover_n"] == 222
-        _reset_threshold_cache()
-
-    def test_file_appearing_after_miss_is_picked_up(self, tmp_path):
-        path = tmp_path / "bench.json"
-        _reset_threshold_cache()
-        assert load_thresholds(path) == DEFAULT_THRESHOLDS
-        path.write_text(json.dumps(
-            {"auto_thresholds": {"weighted_crossover_n": 4321}}))
-        assert load_thresholds(path)["weighted_crossover_n"] == 4321
-        _reset_threshold_cache()
+        A bare copy of the package (an installed wheel, a fabric
+        worker's tree) shares the checkout's ``code_version`` and so
+        every cache key; it must resolve the same engine and run the
+        same trajectory.
+        """
+        site = tmp_path / "site"
+        shutil.copytree(Path(repro.__file__).resolve().parent,
+                        site / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        copy = subprocess.run(
+            [sys.executable, "-c", PROBE],
+            env=dict(os.environ, PYTHONPATH=str(site)), cwd=tmp_path,
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.splitlines()
+        checkout = io.StringIO()
+        with contextlib.redirect_stdout(checkout):
+            exec(PROBE, {})
+        checkout = checkout.getvalue().splitlines()
+        assert copy[0].startswith(str(site))
+        assert checkout[0] == repro.__file__
+        assert copy[1] == checkout[1]

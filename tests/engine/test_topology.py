@@ -35,7 +35,7 @@ from repro.engine import (
     small_world_graph,
     topology_from_spec,
 )
-from repro.engine.dispatch import choose_backend
+from repro.engine.dispatch import resolve_backend
 from repro.utils import InvalidParameterError
 
 #: chi-square 99.9% quantiles by degrees of freedom (no scipy at runtime).
@@ -247,7 +247,7 @@ class TestCapabilityContract:
         assert backend.counts.sum() == 20
 
     def test_auto_dispatch_forces_agent_under_topology(self):
-        assert choose_backend(n=10_000_000,
-                              graph_restricted=True) == "agent"
-        assert choose_backend(n=10_000_000, graph_restricted=False) \
-            == "count"
+        assert resolve_backend("auto", n=10_000_000,
+                               graph_restricted=True) == "agent"
+        assert resolve_backend("auto", n=10_000_000,
+                               graph_restricted=False) == "count"

@@ -9,6 +9,7 @@ resubmission, and the worker exit-code discipline under fault injection.
 ``scripts/run_fabric_smoke.py``.)
 """
 
+import socket
 import threading
 import time
 
@@ -252,7 +253,33 @@ class TestWorkerExitCodes:
         assert worker.run_forever() == EXIT_RESULT_LOST
 
 
+def raw_post(server, content_length: str) -> bytes:
+    """POST with a hand-written ``Content-Length`` header and no body.
+
+    Returns everything the server sends until it closes the connection;
+    a server that never answers or never closes raises ``TimeoutError``.
+    """
+    request = (
+        "POST /status HTTP/1.1\r\n"
+        "Host: localhost\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection((server.host, server.port), timeout=3.0) as sock:
+        sock.sendall(request.encode("ascii"))
+        received = b""
+        while chunk := sock.recv(4096):
+            received += chunk
+    return received
+
+
 class TestHttpSurface:
+    @pytest.mark.parametrize("length", ["-1", "abc", "1_0", "+5"])
+    def test_invalid_content_length_is_refused(self, server, length):
+        reply = raw_post(server, length)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"invalid Content-Length" in reply
+        assert fabric_status(server.url)["tasks"] == 0
+
     def test_status_get_and_post_agree(self, server):
         posted = fabric_status(server.url)
         assert posted["tasks"] == 0

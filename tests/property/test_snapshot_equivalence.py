@@ -13,6 +13,7 @@ ladder under torn writes, and the :mod:`repro.testing.faults` crash
 harness via real subprocess deaths.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -192,6 +193,53 @@ class TestBackendEquivalence:
         counts, weights = self.weighted_counts(n_states=2)
         assert_resumes_identically(lambda: WeightedCountBackend(
             logit_model(), counts, weights, seed=33, vectorized=False))
+
+
+# ----------------------------------------------------------------------
+# Byte pins of the stochastic-kernel snapshot encoding
+# ----------------------------------------------------------------------
+def stochastic_kernel_engine(kind):
+    if kind == "agent":
+        return AgentBackend(logit_model(), initial_states(1500, 2), seed=14,
+                            vectorized=True)
+    if kind == "count":
+        return CountBackend(logit_model(), initial_counts(4000, 2), seed=22,
+                            vectorized=True, track_pair_counts=True)
+    counts = np.array([initial_counts(900, 2, seed=3),
+                       initial_counts(2100, 2, seed=4)])
+    return WeightedCountBackend(logit_model(), counts, np.array([1.0, 3.5]),
+                                seed=31)
+
+
+class TestSnapshotBytePins:
+    """``snapshot().to_bytes()`` of a stochastic kernel, byte for byte.
+
+    Covers the peel stamps on all three engines and the count engines'
+    ``proxy_state`` block (states, pair counts when tracked, stamps).
+    Digests were captured before the engines shared one encoder, so any
+    change to the on-disk/wire snapshot format moves one.
+    """
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("agent",
+         "b26b4d52ffcd19466ba71bb0479f9f58d4fd826e493b3e3cfc5fab34d39dca03"),
+        ("count",
+         "0afa44f7d1020dfb531c4c5e269a5e6fa057245c54ad9f717b6d54dca00bf83f"),
+        ("weighted",
+         "79133d8c82104d064faadf09bfe29c16758b05497ae59154969f32d5d68d4de0"),
+    ])
+    def test_snapshot_bytes_pinned(self, kind, digest):
+        engine = stochastic_kernel_engine(kind)
+        run_plan(engine, PRE_PLAN)
+        snapshot = engine.snapshot()
+        block = snapshot.payload.get("proxy_state", snapshot.payload)
+        assert block["kernel"] is not None  # the peel stamps are captured
+        data = snapshot.to_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        # Decoding into a fresh engine and encoding again is lossless.
+        resumed = stochastic_kernel_engine(kind)
+        resumed.restore(SnapshotState.from_bytes(data))
+        assert resumed.snapshot().to_bytes() == data
 
 
 # ----------------------------------------------------------------------
