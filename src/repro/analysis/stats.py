@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.utils import as_generator, check_positive_int
 from repro.utils.errors import InvalidParameterError
@@ -14,6 +13,8 @@ def mean_confidence_interval(samples, confidence: float = 0.95) -> tuple[float, 
 
     Degenerates to ``(x, x, x)`` for a single sample.
     """
+    from scipy import stats as scipy_stats
+
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise InvalidParameterError("need at least one sample")
@@ -52,6 +53,8 @@ def chi_square_goodness_of_fit(observed_counts, expected_probs,
     single tail bin (the standard validity fix); with fewer than two
     post-pooling bins the test degenerates to ``(0.0, 1.0)``.
     """
+    from scipy import stats as scipy_stats
+
     observed = np.asarray(observed_counts, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
     if observed.shape != probs.shape:

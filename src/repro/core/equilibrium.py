@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
@@ -189,6 +188,8 @@ def continuous_de_gap(mu, grid: GenerosityGrid, setting: RDSetting,
     survives because the grid is ``ĝ/(k−1)``-dense and ``f`` is Lipschitz
     in ``g``.
     """
+    from scipy.optimize import minimize_scalar
+
     mu = check_probability_vector("mu", mu)
     payoffs = grid_payoffs_vs_mixture(mu, grid, setting, shares)
     expected = float(mu @ payoffs)

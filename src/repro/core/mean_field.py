@@ -17,7 +17,6 @@ approximation is involved for the *mean*; fluctuations around it are
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
@@ -81,6 +80,8 @@ def mean_trajectory_ode(k: int, a: float, b: float, x0, taus) -> np.ndarray:
     ``x0`` is a fraction vector (sums to 1); ``taus`` are rescaled times
     (``τ = interactions / m``).  Returns shape ``(len(taus), k)``.
     """
+    from scipy.linalg import expm
+
     x0 = np.asarray(x0, dtype=float)
     if x0.size != k:
         raise InvalidParameterError(f"x0 must have length k={k}")

@@ -60,6 +60,14 @@ from repro.utils.errors import InvalidParameterError
 
 _MODES = ("strategy", "action", "strict")
 
+#: Uniform GTFT start indices are drawn this many at a time, so the
+#: count backend's setup stays O(k) in memory at any ``n``.  Below a
+#: range of 2^32, numpy's bounded ``integers`` takes 32-bit values from
+#: the bit generator, which keeps the spare half of each 64-bit output
+#: in its own state: chunked draws return the values, and leave the
+#: generator state, of one draw of all ``n_gtft`` indices.
+_START_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class PopulationShares:
@@ -233,18 +241,36 @@ class IGTSimulation:
             self.types = types
 
         k = grid.k
-        gtft_start = np.zeros(n_gtft, dtype=np.int64)
+        # Per-agent layout [AC block, AD block, GTFT block].  The uniform
+        # and graph count chains run on counts alone: an int64 state
+        # array at n = 10^8 would cost 800 MB.
+        states = None
+        if backend == "agent" or law.weights is not None:
+            states = np.empty(n, dtype=np.int64)
+            states[:n_ac] = k
+            states[n_ac:n_ac + n_ad] = k + 1
+        gtft_states = None if states is None else states[self._gtft_slice]
+        gtft_counts = np.zeros(k, dtype=np.int64)
+        # The starts are the generator's first draws; the engine draws
+        # after them, so moving this draw changes every seeded trajectory.
         if isinstance(initial_indices, str):
             if initial_indices != "uniform":
                 raise InvalidParameterError(
                     f"unknown initial_indices spec {initial_indices!r}")
-            gtft_start = self._rng.integers(0, k, size=n_gtft)
+            for lo in range(0, n_gtft, _START_CHUNK):
+                chunk = self._rng.integers(
+                    0, k, size=min(_START_CHUNK, n_gtft - lo))
+                gtft_counts += np.bincount(chunk, minlength=k)
+                if gtft_states is not None:
+                    gtft_states[lo:lo + chunk.size] = chunk
         elif np.isscalar(initial_indices):
             start = int(initial_indices)
             if not 0 <= start < k:
                 raise InvalidParameterError(
                     f"initial index must lie in 0..{k - 1}, got {start}")
-            gtft_start[:] = start
+            gtft_counts[start] = n_gtft
+            if gtft_states is not None:
+                gtft_states[:] = start
         else:
             explicit = np.asarray(initial_indices, dtype=np.int64)
             if explicit.size != n_gtft:
@@ -254,12 +280,14 @@ class IGTSimulation:
             if explicit.min() < 0 or explicit.max() >= k:
                 raise InvalidParameterError(
                     f"initial indices must lie in 0..{k - 1}")
-            gtft_start = explicit
+            gtft_counts += np.bincount(explicit, minlength=k)
+            if gtft_states is not None:
+                gtft_states[:] = explicit
 
         # Engine view: states 0..k-1 are GTFT grid indices, k is AC, k+1
         # is AD (see repro.engine.adapters.igt_model).
         counts_full = np.zeros(k + 2, dtype=np.int64)
-        counts_full[:k] = np.bincount(gtft_start, minlength=k)
+        counts_full[:k] = gtft_counts
         counts_full[k] = n_ac
         counts_full[k + 1] = n_ad
 
@@ -289,15 +317,6 @@ class IGTSimulation:
             # Count-level action mode: the exact per-pair classification
             # law replaces Monte-Carlo game play (same distribution).
             self._model = igt_action_model(grid, setting)
-        # Per-agent layout [AC block, AD block, GTFT block].  The uniform
-        # and graph count chains run on counts alone: an int64 state
-        # array at n = 10^8 would cost 800 MB.
-        states = None
-        if backend == "agent" or law.weights is not None:
-            states = np.empty(n, dtype=np.int64)
-            states[:n_ac] = k
-            states[n_ac:n_ac + n_ad] = k + 1
-            states[self._gtft_slice] = gtft_start
         self._agent_states = states if backend == "agent" else None
         self._engine = None
         self._counts_full = counts_full

@@ -9,7 +9,6 @@ concrete instance small enough to hold in memory.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.markov.distributions import total_variation
 from repro.utils import as_generator, check_positive_int
@@ -17,6 +16,8 @@ from repro.utils.errors import ConvergenceError, InvalidParameterError
 
 
 def _to_dense(matrix) -> np.ndarray:
+    import scipy.sparse as sp
+
     if sp.issparse(matrix):
         return matrix.toarray()
     return np.asarray(matrix, dtype=float)
@@ -37,6 +38,8 @@ class FiniteMarkovChain:
     """
 
     def __init__(self, transition_matrix, state_labels=None, validate: bool = True):
+        import scipy.sparse as sp
+
         if sp.issparse(transition_matrix):
             self._P = sp.csr_matrix(transition_matrix, dtype=float)
         else:
@@ -71,6 +74,8 @@ class FiniteMarkovChain:
         return _to_dense(self._P)
 
     def _check_stochastic(self, atol: float = 1e-9) -> None:
+        import scipy.sparse as sp
+
         if sp.issparse(self._P):
             row_sums = np.asarray(self._P.sum(axis=1)).ravel()
             min_entry = self._P.data.min() if self._P.nnz else 0.0
@@ -144,6 +149,8 @@ class FiniteMarkovChain:
         This is the reversibility criterion the paper uses to verify its
         stationary-distribution Ansatz (Appendix A.3).
         """
+        import scipy.sparse as sp
+
         pi = np.asarray(pi, dtype=float)
         if sp.issparse(self._P):
             coo = self._P.tocoo()
@@ -181,5 +188,7 @@ class FiniteMarkovChain:
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        import scipy.sparse as sp
+
         kind = "sparse" if sp.issparse(self._P) else "dense"
         return f"FiniteMarkovChain(n_states={self._n}, {kind})"

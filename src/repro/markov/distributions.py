@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.markov.state_space import CompositionSpace
 from repro.utils import check_positive_int, check_probability_vector
@@ -20,6 +19,8 @@ from repro.utils.errors import InvalidParameterError
 
 def log_multinomial_coefficient(x) -> float:
     """Return ``log( m! / (x_1! ... x_k!) )`` for the count vector ``x``."""
+    from scipy.special import gammaln
+
     arr = np.asarray(x, dtype=float)
     m = arr.sum()
     return float(gammaln(m + 1.0) - gammaln(arr + 1.0).sum())
@@ -66,6 +67,8 @@ def multinomial_pmf_over_space(space: CompositionSpace, p) -> np.ndarray:
     Returns a vector aligned with the space's enumeration order; its entries
     sum to 1 up to floating-point error.
     """
+    from scipy.special import gammaln
+
     probs = check_probability_vector("p", p)
     if probs.size != space.k:
         raise InvalidParameterError(

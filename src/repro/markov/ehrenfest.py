@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.markov.chain import FiniteMarkovChain
 from repro.markov.distributions import multinomial_pmf_over_space
@@ -175,6 +174,8 @@ class EhrenfestProcess:
         ``O(k)`` non-null moves per state) or a dense array when
         ``sparse=False``.
         """
+        import scipy.sparse as sp
+
         if space is None:
             space = self.space()
         self._check_space(space)

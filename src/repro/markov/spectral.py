@@ -10,8 +10,6 @@ computation on small Ehrenfest instances.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.markov.chain import FiniteMarkovChain
 from repro.utils.errors import InvalidParameterError
@@ -23,6 +21,9 @@ def _eigenvalues_reversible(chain: FiniteMarkovChain, pi: np.ndarray) -> np.ndar
     For reversible ``P``, ``D^{1/2} P D^{-1/2}`` (with ``D = diag(pi)``) is
     symmetric and shares its spectrum with ``P``.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     pi = np.asarray(pi, dtype=float)
     if np.any(pi <= 0):
         raise InvalidParameterError(

@@ -1,8 +1,15 @@
 """Tests for the agent-level IGT simulation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core import population_igt
 from repro.core.equilibrium import RDSetting
 from repro.core.igt import AgentType, GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
@@ -96,6 +103,63 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             IGTSimulation(n=100, shares=shares, grid=grid, seed=0,
                           mode="action")
+
+
+#: Builds a count-backend facade at n = 10^8 and prints its VmHWM in kB.
+COUNT_FACADE_PROBE = """
+from repro.core.igt import GenerosityGrid
+from repro.core.population_igt import IGTSimulation, PopulationShares
+
+IGTSimulation(n=10**8, shares=PopulationShares(alpha=0.3, beta=0.2, gamma=0.5),
+              grid=GenerosityGrid(k=6, g_max=0.6), seed=0, backend="count")
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
+"""
+
+
+class TestChunkedUniformStarts:
+    """Uniform GTFT starts are drawn ``_START_CHUNK`` at a time; the
+    chunks must reproduce one draw of all ``n_gtft`` indices exactly."""
+
+    @pytest.mark.parametrize("backend, weights", [
+        ("agent", None), ("count", None), ("count", "powerlaw")])
+    @pytest.mark.parametrize("chunk", [1, 997, 4096])
+    def test_chunks_equal_one_draw(self, monkeypatch, shares, backend,
+                                   weights, chunk):
+        grid = GenerosityGrid(k=5, g_max=0.6)
+        reference_rng = np.random.default_rng(11)
+        reference = reference_rng.integers(0, grid.k, size=3000)
+        whole = IGTSimulation(n=6000, shares=shares, grid=grid, seed=11,
+                              backend=backend, weights=weights)
+        monkeypatch.setattr(population_igt, "_START_CHUNK", chunk)
+        chunked = IGTSimulation(n=6000, shares=shares, grid=grid, seed=11,
+                                backend=backend, weights=weights)
+        assert chunked.n_gtft == reference.size
+        for sim in (whole, chunked):
+            assert np.array_equal(sim.counts,
+                                  np.bincount(reference, minlength=grid.k))
+            assert (sim._rng.bit_generator.state
+                    == reference_rng.bit_generator.state)
+            if backend == "agent":
+                assert np.array_equal(sim.gtft_indices(), reference)
+        # The weighted count engine keeps the per-agent starts in its
+        # (class x state) counts: equal trajectories confirm them.
+        whole.run(5000)
+        chunked.run(5000)
+        assert np.array_equal(whole.counts, chunked.counts)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="VmHWM is read from /proc/self/status")
+    def test_count_backend_setup_is_not_o_n(self, tmp_path):
+        """n = 10^8 once needed ~480 MB for its start draws alone."""
+        result = subprocess.run(
+            [sys.executable, "-c", COUNT_FACADE_PROBE],
+            env=dict(os.environ, PYTHONPATH=str(
+                Path(repro.__file__).resolve().parents[1])),
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            check=True)
+        assert int(result.stdout.split()[-1]) < 200 * 1024
 
 
 class TestDynamics:
