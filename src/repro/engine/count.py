@@ -1,4 +1,4 @@
-"""Exact count-level simulation backend.
+"""Exact count-level simulation backend: the one count-chain driver.
 
 Under the uniform scheduler the state-count vector is itself a Markov chain
 (the paper's Section 2.2.1 embedding: transition probabilities depend on
@@ -48,6 +48,9 @@ the batch remainder (exact: the next batch re-samples the discarded future
 from the process law, which is Markov in the counts).  Observed or
 stop-checked runs therefore keep near-unobserved throughput even at
 ``check_stop_every=1``, which previously forced one-interaction batches.
+Before every predicate call — on both paths — :attr:`counts_live` is
+refreshed to the counts the predicate is handed, so predicates reading
+engine state instead of their argument see current values.
 
 The proxy fast path (small and medium ``n``)
 --------------------------------------------
@@ -76,6 +79,25 @@ on early stops).  Facades turn that matrix into payoff observables —
 ``IGTSimulation`` multiplies it against the exact expected-payoff table,
 which is how payoff and tournament experiments run count-level at large
 ``n`` without per-agent arrays.
+
+One driver, pluggable laws
+--------------------------
+
+:class:`CountBackend` holds the only count-chain driver: construction
+checks and the proxy/birthday choice, ``run`` (kernel path and birthday
+loop), checkpoint materialization, snapshots, and pair-count accounting.
+It runs on a *chain array* that the proxy kernel adopts and the birthday
+path mutates, and keeps a separate length-``S`` live view
+(:attr:`counts_live`, which facades alias) refreshed from
+:meth:`CountBackend._project` of the chain before every stop predicate
+and at the end of every ``run``.  Here the chain is the state-count
+vector and the projection the identity.
+:class:`~repro.engine.weighted.WeightedCountBackend` subclasses it with
+the ``(weight class × state)`` chain and keeps only its law: the
+projection (a sum over classes), proxy eligibility and kernel, pair
+draws, the birthday window draw, clean run and collision resolver, and
+three class constants (snapshot ``kind``, the chain's payload key, the
+default proxy ceiling).
 """
 
 from __future__ import annotations
@@ -86,6 +108,7 @@ import numpy as np
 
 from repro.engine.base import BLOCK_SIZE, EngineResult, SimulationEngine
 from repro.engine.model import InteractionModel
+from repro.engine.observe import ObserverSink
 from repro.engine.sampling import ordered_pair_block
 from repro.engine.vectorized import ConflictFreeKernel, run_kernel
 from repro.utils import as_generator
@@ -186,6 +209,23 @@ def _cadence_offsets(done, every, limit) -> range:
     return range(first, limit + 1, every)
 
 
+class _ProjectingSink(ObserverSink):
+    """Project chain counts to live state counts on the way into the
+    user's sink, preserving stream order.
+
+    The proxy kernel observes its chain array; users observe state
+    counts.  Projecting per emit (instead of post-hoc) keeps streaming
+    and reducing sinks constant-memory on a lifted proxy path.
+    """
+
+    def __init__(self, inner: ObserverSink, project) -> None:
+        self._inner = inner
+        self._project = project
+
+    def emit(self, step, counts, states=None) -> None:
+        self._inner.emit(step, self._project(counts))
+
+
 class CountBackend(SimulationEngine):
     """Count-level engine for an :class:`InteractionModel`.
 
@@ -205,9 +245,10 @@ class CountBackend(SimulationEngine):
         accounting; see the module docstring).
     vectorized:
         Proxy-path selection: ``None`` (default) uses the array-proxy
-        kernel for supported models up to :data:`PROXY_MAX_N` agents,
-        ``True`` forces it (still requires a supported model), ``False``
-        forces the birthday path.  Both paths simulate the same law.
+        kernel for supported models (pairwise, with component tables or
+        a one-way law) up to :data:`PROXY_MAX_N` agents, ``True`` forces
+        it (still requires a supported model), ``False`` forces the
+        birthday path.  Both paths simulate the same law.
     scheduler:
         Optional pair law sharing its randomness stream with the
         caller.  The count chain *is* the uniform scheduler's law, so
@@ -231,22 +272,42 @@ class CountBackend(SimulationEngine):
         :meth:`~repro.engine.topology.InteractionGraph.degree_weights`.
     """
 
+    #: Snapshot ``kind``, payload key of the chain array, and default
+    #: proxy ceiling — the constants a lifted law overrides.
+    _KIND = "count"
+    _CHAIN_KEY = "counts"
+    _PROXY_MAX_N = PROXY_MAX_N
+
+    #: The uniform proxy runs pairwise models only, so it never draws
+    #: observed agents.
+    _others_block = None
+
     def __init__(self, model: InteractionModel, initial_counts, seed=None,
                  track_pair_counts: bool = False,
                  vectorized: bool | None = None, scheduler=None):
-        self.model = model
         counts = np.asarray(initial_counts, dtype=np.int64).copy()
         if counts.ndim != 1 or counts.size != model.n_states:
             raise InvalidParameterError(
                 f"initial_counts must be a 1-D vector of length "
                 f"{model.n_states}, got shape {counts.shape}")
-        if counts.min() < 0:
+        self._setup(model, counts, seed, track_pair_counts, vectorized,
+                    scheduler)
+
+    def _setup(self, model, chain, seed, track_pair_counts, vectorized,
+               scheduler=None) -> None:
+        """Construction shared by both count engines.
+
+        Validates the population held in ``chain``, adopts a uniform
+        ``scheduler``'s generator, picks the proxy or the birthday path,
+        and allocates the live view.
+        """
+        self.model = model
+        if chain.min() < 0:
             raise InvalidParameterError("counts must be non-negative")
-        self.n = int(counts.sum())
+        self.n = int(chain.sum())
         if self.n < 2:
             raise InvalidParameterError(
                 f"population must have at least 2 agents, got n={self.n}")
-        self._counts = counts
         if scheduler is not None:
             if scheduler.weights is not None:
                 raise InvalidParameterError(
@@ -281,41 +342,24 @@ class CountBackend(SimulationEngine):
                 "models observing extra agents need n >= 4 for an "
                 "all-distinct interaction to exist")
         self._track_pairs = bool(track_pair_counts)
-        proxy_ok = self._spp == 2 and (model.component_tables is not None
-                                       or model.one_way)
+        proxy_ok = self._proxy_ok()
         if vectorized is True and not proxy_ok:
             raise InvalidParameterError(
-                "the proxy fast path needs a pairwise model with component "
-                "tables or a one-way law")
+                f"the proxy fast path of {type(self).__name__} does not "
+                f"support this model (see its vectorized= parameter)")
         if vectorized is None:
-            vectorized = proxy_ok and self.n <= PROXY_MAX_N
+            vectorized = proxy_ok and self.n <= self._PROXY_MAX_N
+        self._chain = chain
         self._kernel = None
         self._pair_counts = None
         if vectorized:
-            # Fixed (arbitrary) state assignment; exchangeability makes
-            # uniform pair sampling over it the exact count chain.  Inert
-            # states are placed in a contiguous tail so the kernel's
-            # inert filter is a single index comparison.
-            state_ids = np.arange(model.n_states, dtype=np.int64)
-            inert = model.inert_states
-            bound = None
-            if inert is not None and not self._track_pairs:
-                inert = np.asarray(inert, dtype=bool)
-                order = np.concatenate((state_ids[~inert],
-                                        state_ids[inert]))
-                bound = int(counts[~inert].sum())
-            else:
-                order = state_ids
-            states = np.repeat(order, counts[order])
-            self._kernel = ConflictFreeKernel(
-                model, states, self._counts, allow_stochastic=True,
-                track_pairs=self._track_pairs, inert_index_bound=bound)
+            self._kernel = self._proxy_kernel()
         else:
-            self._cdf = _collision_cdf(self.n, self._spp)
+            self._init_birthday()
             if self._track_pairs:
                 self._pair_counts = np.zeros(model.n_states ** 2,
                                              dtype=np.int64)
-        self._state_ids = np.arange(model.n_states)
+        self._counts = self._project(chain).copy()
         self.steps_run = 0
 
     @property
@@ -328,17 +372,25 @@ class CountBackend(SimulationEngine):
         """Executed interactions per ordered state pair, shape ``(S, S)``.
 
         Entry ``[u, v]`` counts interactions whose initiator was in state
-        ``u`` and responder in state ``v`` *at execution time*.  Requires
-        ``track_pair_counts=True``.
+        ``u`` and responder in state ``v`` *at execution time*; a lifted
+        kernel's chain-pair matrix is contracted over its class axes.
+        Requires ``track_pair_counts=True``.
         """
         if not self._track_pairs:
             raise InvalidParameterError(
                 "pair counts were not tracked; construct the backend with "
                 "track_pair_counts=True")
-        if self._kernel is not None:
-            return self._kernel.pair_count_matrix()
         s = self.model.n_states
+        if self._kernel is not None:
+            matrix = self._kernel.pair_count_matrix()
+            c = matrix.shape[0] // s
+            return matrix.reshape(c, s, c, s).sum(axis=(0, 2))
         return self._pair_counts.reshape(s, s).copy()
+
+    def _refresh(self, chain) -> np.ndarray:
+        """Write the projection of ``chain`` into the live counts."""
+        self._counts[:] = self._project(chain)
+        return self._counts
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the crash-safety contract; see engine.snapshot)
@@ -346,13 +398,13 @@ class CountBackend(SimulationEngine):
     def snapshot(self) -> "SnapshotState":
         """Exact mutable state between runs, for :meth:`restore`.
 
-        The birthday path's mutable surface is the count vector, the
-        step cursor, the generator position, and (when tracked) the
-        pair-count accumulator — the collision CDF and state-id table
-        are construction constants.  The proxy path additionally owns
-        the internal per-agent state arrangement (identical index draws
-        must hit identical states) and, for stochastic models, the
-        kernel's peel stamps.
+        The birthday path's mutable surface is the chain array, the
+        live counts, the step cursor, the generator position, and (when
+        tracked) the pair-count accumulator — everything
+        :meth:`_init_birthday` builds is a construction constant.  The
+        proxy path additionally owns the internal per-agent state
+        arrangement (identical index draws must hit identical states)
+        and, for stochastic models, the kernel's peel stamps.
         """
         from repro.engine.snapshot import (
             SnapshotState,
@@ -361,10 +413,11 @@ class CountBackend(SimulationEngine):
         )
 
         payload = {
-            "n": int(self.n),
-            "n_states": int(self.model.n_states),
+            **self._structure(),
             "proxy": self._kernel is not None,
             "steps_run": int(self.steps_run),
+            # In the uniform engine the chain key *is* "counts".
+            self._CHAIN_KEY: encode_array(self._chain),
             "counts": encode_array(self._counts),
             "rng": rng_state(self._rng),
         }
@@ -372,14 +425,14 @@ class CountBackend(SimulationEngine):
             payload["proxy_state"] = self._kernel.encode_proxy_state()
         elif self._pair_counts is not None:
             payload["pair_counts"] = encode_array(self._pair_counts)
-        return SnapshotState(kind="count", payload=payload)
+        return SnapshotState(kind=self._KIND, payload=payload)
 
     def restore(self, snapshot: "SnapshotState") -> None:
         """Adopt a snapshot taken by an identically constructed engine.
 
         All arrays are written *in place* — facades alias
-        :attr:`counts_live` and the proxy kernel adopts both the count
-        vector and its internal state array, so nothing may be
+        :attr:`counts_live` and the proxy kernel adopts both the chain
+        array and its internal state array, so nothing may be
         reallocated.
         """
         from repro.engine.snapshot import (
@@ -388,9 +441,9 @@ class CountBackend(SimulationEngine):
             restore_rng,
         )
 
-        payload = check_snapshot(snapshot, "count", n=self.n,
-                                 n_states=self.model.n_states,
+        payload = check_snapshot(snapshot, self._KIND, **self._structure(),
                                  proxy=self._kernel is not None)
+        self._chain[:] = decode_array(payload[self._CHAIN_KEY])
         self._counts[:] = decode_array(payload["counts"])
         self.steps_run = int(payload["steps_run"])
         restore_rng(self._rng, payload["rng"])
@@ -407,14 +460,17 @@ class CountBackend(SimulationEngine):
                                       check_stop_every, observe)
         done = 0
         converged = stopped
-        if not stopped and self._kernel is not None:
+        if not stopped and self._kernel is not None and max_steps > 0:
+            fresh_stop = None
+            if stop_when is not None:
+                def fresh_stop(chain):
+                    return stop_when(self._refresh(chain))
             done, converged = run_kernel(
-                self._kernel,
-                lambda size: ordered_pair_block(self._rng, self.n, size),
-                self.model.sample_components, self._rng, max_steps,
-                self.steps_run, stop_when, observe_every, check_stop_every,
-                sink, BLOCK_SIZE)
-            self.steps_run += done
+                self._kernel, self._pair_block,
+                self._kernel.model.sample_components, self._rng, max_steps,
+                self.steps_run, fresh_stop, observe_every, check_stop_every,
+                _ProjectingSink(sink, self._project), BLOCK_SIZE,
+                others_block=self._others_block)
         elif not stopped:
             while done < max_steps:
                 executed, converged = self._advance(
@@ -423,13 +479,14 @@ class CountBackend(SimulationEngine):
                 done += executed
                 if converged:
                     break
-            self.steps_run += done
+        self.steps_run += done
+        self._refresh(self._chain)
         sink.flush()
         return EngineResult(counts=self._counts.copy(), steps=self.steps_run,
                             converged=converged, observations=sink.records)
 
     # ------------------------------------------------------------------
-    # Birthday-run batching
+    # Birthday-run batching: the law-independent driver
     # ------------------------------------------------------------------
     def _advance(self, budget: int, done: int, stop_when, observe_every,
                  check_stop_every, sink) -> tuple[int, bool]:
@@ -439,93 +496,153 @@ class CountBackend(SimulationEngine):
         already executed; observation snapshots and stop checks whose
         run-relative cadence points fall inside the batch are materialized
         from the batch's recorded per-slot states without splitting it.
-        Returns ``(executed, converged)``; on an early stop the counts are
+        Returns ``(executed, converged)``; on an early stop the chain is
         rewound to the firing checkpoint and the sampled remainder of the
         batch is discarded.
         """
-        cdf = self._cdf
-        horizon = len(cdf) - 1
-        # One uniform block covers the collision-time draw plus the
-        # collision interaction's repeat/fresh decisions (independent
-        # uniforms; the unused tail is simply discarded).
-        uniforms = self._rng.random(1 + self._spp)
-        first_collision = int(cdf.searchsorted(uniforms[0], side="right")) - 1
-        clean_cap = min(budget, horizon)
-        collides = first_collision < clean_cap
-        # Clean-run length, and batch length including the collision
-        # interaction when it lands inside the window.
-        t = first_collision if collides else clean_cap
+        t, collides, window = self._draw_batch(budget)
         executed = t + 1 if collides else t
         obs_at = _cadence_offsets(done, observe_every, executed)
         stop_at = (_cadence_offsets(done, check_stop_every, executed)
                    if stop_when is not None else range(0))
         if obs_at or stop_at:
-            return self._run_with_checkpoints(t, collides, uniforms, done,
+            return self._run_with_checkpoints(t, collides, window, done,
                                               stop_when, obs_at, stop_at,
                                               sink)
         if not collides:
-            # No collision inside the window we may process: the leading
-            # clean_cap interactions are all-distinct — run them and stop
-            # (the collision time beyond the window is re-sampled next
-            # call, which is exact: only the event {T >= clean_cap}, of
-            # probability survival[clean_cap], was consumed).
-            self._run_clean(t, want_state=False)
+            # No collision inside the window we may process: its
+            # interactions are all-distinct — run them and stop (the
+            # collision time beyond the window is re-sampled next call,
+            # which is exact: only the event {first collision >= window}
+            # was consumed, and the chain is Markov in its counts).
+            self._run_clean(t, window, want_state=False)
             return executed, False
-        slots, updated, pool = self._run_clean(t, want_state=True)
-        self._run_collision(t, slots, updated, pool, uniforms)
+        slots, updated, pool = self._run_clean(t, window, want_state=True)
+        self._run_collision(t, window, slots, updated, pool)
         return executed, False
 
-    def _run_with_checkpoints(self, t, collides, uniforms, done, stop_when,
+    def _run_with_checkpoints(self, t, collides, window, done, stop_when,
                               obs_at, stop_at, sink):
         """Run one batch whose window contains observation/stop checkpoints.
 
-        The clean run's per-slot pre/post states (``slots``/``updated``)
-        give the exact count vector at every interior step as a prefix sum,
-        so the batch is *not* split at the checkpoints — the splitting is
-        what made ``check_stop_every=1`` collapse to one-interaction
-        batches before.  Interior snapshots are segment sums between
-        consecutive checkpoints; a firing stop predicate rewinds the live
-        counts to its checkpoint and discards the batch remainder (the
-        chain is Markov in the counts, so re-sampling the future from the
-        current state is exact).
+        The clean run's per-slot pre/post chain states (``slots``/
+        ``updated``) give the exact chain at every interior step as a
+        prefix sum, so the batch is *not* split at the checkpoints — the
+        splitting is what made ``check_stop_every=1`` collapse to
+        one-interaction batches before.  Interior snapshots are segment
+        sums between consecutive checkpoints, projected to state counts;
+        the live counts are refreshed before every predicate call, and a
+        firing predicate rewinds the chain (and pair counts) to its
+        checkpoint and discards the batch remainder (the chain is Markov
+        in its counts, so re-sampling the future from the current state
+        is exact).
         """
         spp = self._spp
         s = self.model.n_states
         base = self.steps_run + done
-        before = self._counts.copy()
-        slots, updated, pool = self._run_clean(t, want_state=True)
+        current = self._chain.copy()
+        slots, updated, pool = self._run_clean(t, window, want_state=True)
         executed = t + 1 if collides else t
-        current = before
         prev = 0
         for offset in sorted(set(obs_at) | set(stop_at)):
             if offset > t:
                 break
             current += np.bincount(updated[prev * spp:offset * spp],
-                                   minlength=s)
+                                   minlength=current.size)
             current -= np.bincount(slots[prev * spp:offset * spp],
-                                   minlength=s)
+                                   minlength=current.size)
             prev = offset
             if offset in obs_at:
-                sink.emit(base + offset, current)
-            if offset in stop_at and stop_when(current):
-                self._counts[:] = current
+                sink.emit(base + offset, self._project(current))
+            if offset in stop_at and stop_when(self._refresh(current)):
+                self._chain[:] = current
                 if self._pair_counts is not None and offset < t:
                     # The batch remainder is discarded; rewind its
                     # already-accumulated pair counts too.
+                    discarded_u = slots[offset * spp::spp] % s
+                    discarded_v = slots[offset * spp + 1::spp] % s
                     self._pair_counts -= np.bincount(
-                        slots[offset * spp::spp] * s
-                        + slots[offset * spp + 1::spp],
-                        minlength=s * s)
+                        discarded_u * s + discarded_v, minlength=s * s)
                 return offset, True
         if collides:
-            self._run_collision(t, slots, updated, pool, uniforms)
+            self._run_collision(t, window, slots, updated, pool)
             if executed in obs_at:
-                sink.emit(base + executed, self._counts)
-            if executed in stop_at and stop_when(self._counts):
+                sink.emit(base + executed, self._project(self._chain))
+            if executed in stop_at and stop_when(self._refresh(self._chain)):
                 return executed, True
         return executed, False
 
-    def _run_clean(self, t: int, want_state: bool):
+    # ------------------------------------------------------------------
+    # The uniform law: what a lift overrides
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _project(chain) -> np.ndarray:
+        """State counts of a chain array (the identity: the uniform chain
+        *is* the state-count vector)."""
+        return chain
+
+    def _structure(self) -> dict:
+        """Construction invariants a snapshot records and restore checks."""
+        return {"n": int(self.n), "n_states": int(self.model.n_states)}
+
+    def _proxy_ok(self) -> bool:
+        """Whether the proxy kernel accepts the model."""
+        model = self.model
+        return self._spp == 2 and (model.component_tables is not None
+                                   or model.one_way)
+
+    def _proxy_kernel(self) -> ConflictFreeKernel:
+        """The kernel over a fixed per-agent expansion of the chain."""
+        # Fixed (arbitrary) state assignment; exchangeability makes
+        # uniform pair sampling over it the exact count chain.  Inert
+        # states are placed in a contiguous tail so the kernel's inert
+        # filter is a single index comparison.
+        model = self.model
+        counts = self._chain
+        state_ids = np.arange(model.n_states, dtype=np.int64)
+        inert = model.inert_states
+        bound = None
+        if inert is not None and not self._track_pairs:
+            inert = np.asarray(inert, dtype=bool)
+            order = np.concatenate((state_ids[~inert], state_ids[inert]))
+            bound = int(counts[~inert].sum())
+        else:
+            order = state_ids
+        states = np.repeat(order, counts[order])
+        return ConflictFreeKernel(
+            model, states, counts, allow_stochastic=True,
+            track_pairs=self._track_pairs, inert_index_bound=bound)
+
+    def _pair_block(self, size: int):
+        """One proxy block of uniform ordered agent pairs."""
+        return ordered_pair_block(self._rng, self.n, size)
+
+    def _init_birthday(self) -> None:
+        """Construction constants of the birthday path."""
+        self._cdf = _collision_cdf(self.n, self._spp)
+        self._state_ids = np.arange(self.model.n_states)
+
+    def _draw_batch(self, budget: int):
+        """Draw one batch window: ``(t, collides, window)``.
+
+        ``t`` is the clean-run length and ``collides`` whether the
+        collision interaction ends the batch inside ``budget``;
+        ``window`` carries what :meth:`_run_clean` and
+        :meth:`_run_collision` consume — here one uniform block covering
+        the collision-time draw plus the collision interaction's
+        repeat/fresh decisions (independent uniforms; the unused tail is
+        simply discarded).
+        """
+        cdf = self._cdf
+        horizon = len(cdf) - 1
+        uniforms = self._rng.random(1 + self._spp)
+        first_collision = int(cdf.searchsorted(uniforms[0], side="right")) - 1
+        clean_cap = min(budget, horizon)
+        collides = first_collision < clean_cap
+        t = first_collision if collides else clean_cap
+        return t, collides, uniforms
+
+    def _run_clean(self, t: int, window, want_state: bool):
         """Execute ``t`` interactions among all-distinct agents, vectorized.
 
         With ``want_state`` true, returns ``(slots, updated, pool)``:
@@ -536,11 +653,11 @@ class CountBackend(SimulationEngine):
         if t == 0:
             if want_state:
                 empty = np.empty(0, dtype=np.int64)
-                return empty, empty, self._counts.copy()
+                return empty, empty, self._chain.copy()
             return None
         spp = self._spp
         n_slots = t * spp
-        counts_before = self._counts
+        counts_before = self._chain
         sampled = sample_without_replacement(self._rng, counts_before,
                                              n_slots)
         slots = np.repeat(self._state_ids, sampled)
@@ -569,9 +686,9 @@ class CountBackend(SimulationEngine):
             updated = slots.copy()
             updated[0::spp] = new_u
             updated[1::spp] = new_v
-            self._counts += delta
+            self._chain += delta
             return slots, updated, pool
-        self._counts += delta
+        self._chain += delta
         return None
 
     def _rest_all_fresh(self, position: int, distinct: int) -> float:
@@ -583,7 +700,8 @@ class CountBackend(SimulationEngine):
             distinct += 1
         return probability
 
-    def _run_collision(self, t: int, slots, updated, pool, uniforms) -> None:
+    def _run_collision(self, t: int, uniforms, slots, updated,
+                       pool) -> None:
         """Resolve the interaction that ends a clean run, exactly.
 
         ``slots``/``updated`` are the clean run's per-slot pre/post states
@@ -657,7 +775,7 @@ class CountBackend(SimulationEngine):
         if self._pair_counts is not None:
             self._pair_counts[u * self.model.n_states + v] += 1
         new_u, new_v = self.model.apply_scalar(u, v, rng, observed)
-        counts = self._counts
+        counts = self._chain
         counts[u] -= 1
         counts[v] -= 1
         counts[new_u] += 1

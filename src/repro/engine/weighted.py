@@ -6,55 +6,47 @@ in the same state but with different weights are *not* interchangeable,
 so the plain count vector loses the Markov property.  Exchangeability
 survives, however, *within* each set of equally weighted agents — so the
 chain is recovered by lifting the type space to the product
-``(weight class × state)``:
+``(weight class × state)``: agents are grouped into discrete **weight
+classes** (agents sharing an activity weight), fixed for the whole run,
+and the **product model** runs the inner interaction law on the state
+component and carries the class component through unchanged
+(:class:`ProductStateModel`).
 
-* agents are grouped into discrete **weight classes** (agents sharing an
-  activity weight), fixed for the whole run;
-* the **product model** runs the inner interaction law on the state
-  component and carries the class component through unchanged
-  (:class:`ProductStateModel`);
-* the backend expands the ``(C, S)`` class-state counts into an
-  arbitrary fixed per-agent assignment and drives the
-  :mod:`repro.engine.vectorized` kernel with a
+:class:`WeightedCountBackend` is that lift.  It subclasses
+:class:`~repro.engine.count.CountBackend` and runs its driver — ``run``,
+checkpoint materialization, stop-predicate freshness, snapshots and
+pair-count accounting — on the length-``C·S`` product counts (class
+major), projecting them to the inner length-``S`` state counts that stop
+predicates, observers and :attr:`~WeightedCountBackend.counts` see;
+:attr:`~WeightedCountBackend.class_state_counts` exposes the ``(C, S)``
+view.  What the lift changes is its law:
+
+* the **array-proxy kernel** expands the product counts into a fixed
+  per-agent assignment and draws pairs from a
   :class:`~repro.engine.sampling.WeightedScheduler` whose per-agent
   weights repeat each class weight — by within-class exchangeability the
   projection onto ``(class, state)`` counts is *exactly* the lifted
-  chain, with no approximation (property-tested against exact chains in
-  ``tests/engine/test_weighted_engine.py``).
+  chain.  It is the default up to :data:`WEIGHTED_PROXY_MAX_N` agents, a
+  *measured* crossover higher than the uniform path's, and unlike the
+  uniform proxy it also runs 4-slot one-way models;
+* **birthday-run batching** becomes the *heterogeneous* birthday
+  problem: the first-collision law depends on which weight classes the
+  draws land in, so no count-only CDF can be precomputed — instead each
+  batch samples the per-slot weight-class sequence first (classes are
+  iid ``m_c·w_c/W`` categorical draws, partner-clash corrected by an
+  exact per-class rejection), then the per-slot *freshness* factors
+  ``(m_c − seen_c)/(m_c − δ)`` given that sequence, whose running
+  product is the exact survival function of the first collision.  One
+  uniform inverted through that product yields the collision slot; the
+  all-distinct prefix executes in one vectorized shot per class, and the
+  collision interaction is resolved agent-exactly at class granularity.
+  This gives ``O(√n_eff)``-batched, ``O(C·S)``-memory weighted runs
+  beyond ``WEIGHTED_PROXY_MAX_N`` (``n_eff = W²/Σᵢwᵢ²`` is the
+  heterogeneity-corrected collision scale).
 
-Both of :class:`~repro.engine.count.CountBackend`'s execution
-strategies extend to the product type space:
-
-* the **array-proxy kernel** expands the counts into a fixed per-agent
-  assignment (``O(n)`` internal memory) and is the default up to
-  :data:`WEIGHTED_PROXY_MAX_N` agents — a *measured* crossover, higher
-  than the uniform path's :data:`~repro.engine.count.PROXY_MAX_N`
-  because weighted batches must sample a per-slot class sequence the
-  uniform birthday path never needs, which shifts the proxy/birthday
-  break-even point upward (see ``BENCH_engine.json``);
-* **birthday-run batching** extends to the *heterogeneous* birthday
-  problem: the first-collision law under weighted sampling depends on
-  which weight classes the draws land in, so no count-only CDF can be
-  precomputed — instead each batch samples the per-slot weight-class
-  sequence first (classes are iid ``m_c·w_c/W`` categorical draws,
-  partner-clash corrected by an exact per-class rejection), then the
-  per-slot *freshness* factors ``(m_c − seen_c)/(m_c − δ)`` given that
-  sequence, whose running product is the exact survival function of the
-  first collision.  One uniform inverted through that product yields
-  the collision slot; the all-distinct prefix executes in one
-  vectorized shot per class (``multivariate_hypergeometric`` + shuffle,
-  exactly as the uniform path), and the collision interaction is
-  resolved agent-exactly at class granularity.  This restores
-  ``O(√n_eff)``-batched, ``O(k)``-memory weighted runs beyond
-  ``WEIGHTED_PROXY_MAX_N`` (``n_eff = W²/Σᵢwᵢ²`` is the
-  heterogeneity-corrected collision scale), distribution-identical to
-  the proxy kernel and the enumerated weighted chains
-  (property-tested).
-
-Facade-facing counts are the *inner* model's: :attr:`WeightedCountBackend
-.counts` has length ``S`` (stop predicates and observations see the same
-shape as every other engine), while :attr:`~WeightedCountBackend
-.class_state_counts` exposes the full ``(C, S)`` product view.
+Both paths are distribution-identical to each other and to enumerated
+weighted chains (property-tested in ``tests/engine/test_weighted_engine.py``
+and ``tests/property/test_weighted_birthday.py``).
 
 :func:`weights_from_spec` parses the user-facing weight spellings
 (``"uniform"``, ``"powerlaw[:alpha]"``, ``"twoclass[:ratio]"``) that the
@@ -67,17 +59,14 @@ import math
 
 import numpy as np
 
-from repro.engine.base import BLOCK_SIZE, EngineResult, SimulationEngine
-from repro.engine.count import _cadence_offsets, sample_without_replacement
+from repro.engine.count import CountBackend, sample_without_replacement
 from repro.engine.model import InteractionModel
-from repro.engine.observe import ObserverSink
 from repro.engine.sampling import (
     AliasTable,
     WeightedScheduler,
     check_weights,
 )
-from repro.engine.vectorized import ConflictFreeKernel, run_kernel
-from repro.utils import as_generator
+from repro.engine.vectorized import ConflictFreeKernel
 from repro.utils.errors import InvalidParameterError
 
 #: Hard cap on distinct weight classes: the product space is ``C × S``
@@ -286,34 +275,17 @@ class ProductStateModel(InteractionModel):
         return (u - u % s + new_u, v - v % s + new_v)
 
 
-class _ProjectingSink(ObserverSink):
-    """Project product ``(class x state)`` counts to inner counts on the
-    way into the user's sink, preserving stream order.
-
-    The proxy kernel observes product counts; users observe inner state
-    counts.  Projecting per emit (instead of post-hoc) keeps streaming
-    and reducing sinks constant-memory on the weighted proxy path.
-    """
-
-    def __init__(self, inner: ObserverSink, project) -> None:
-        self._inner = inner
-        self._project = project
-
-    def emit(self, step, counts, states=None) -> None:
-        self._inner.emit(step, self._project(counts))
-
-
-class WeightedCountBackend(SimulationEngine):
+class WeightedCountBackend(CountBackend):
     """Count-level engine for activity-weighted populations.
 
     Tracks the exact ``(weight class × state)`` count chain of an
     :class:`~repro.engine.model.InteractionModel` under the
-    :class:`~repro.engine.sampling.WeightedScheduler` law, via the
-    product-space array-proxy kernel at small ``n`` and heterogeneous
-    birthday-run batching beyond it (see the module docstring).  The
-    engine-facing :attr:`counts` are the *inner* model's length-``S``
-    state counts — stop predicates and observations see the familiar
-    shape — with the full product view on :attr:`class_state_counts`.
+    :class:`~repro.engine.sampling.WeightedScheduler` law through
+    :class:`~repro.engine.count.CountBackend`'s driver: the product-space
+    array-proxy kernel at small ``n`` and heterogeneous birthday-run
+    batching beyond it (see the module docstring).  The engine-facing
+    :attr:`counts` are the *inner* model's length-``S`` state counts,
+    with the full product view on :attr:`class_state_counts`.
 
     Parameters
     ----------
@@ -333,23 +305,23 @@ class WeightedCountBackend(SimulationEngine):
         Seed or generator.
     track_pair_counts:
         Accumulate executed interactions per ordered *inner*-state pair
-        into :attr:`pair_counts` (count-level payoff accounting, the
-        projection of the product-pair counts).
+        into :attr:`pair_counts` (the projection of the product-pair
+        counts).
     vectorized:
-        Proxy-path selection, mirroring
-        :class:`~repro.engine.count.CountBackend`: ``None`` (default)
-        uses the array-proxy kernel for supported models up to
-        :data:`WEIGHTED_PROXY_MAX_N` agents (the measured weighted
-        crossover), ``True`` forces it (still requires a supported
-        model), ``False`` forces the birthday path.  Both paths
-        simulate the same law.
+        Proxy-path selection as in
+        :class:`~repro.engine.count.CountBackend`, with the default
+        ceiling :data:`WEIGHTED_PROXY_MAX_N` (the measured weighted
+        crossover).
     """
+
+    _KIND = "weighted"
+    _CHAIN_KEY = "product_counts"
+    _PROXY_MAX_N = WEIGHTED_PROXY_MAX_N
 
     def __init__(self, model: InteractionModel, initial_counts,
                  class_weights, seed=None,
                  track_pair_counts: bool = False,
                  vectorized: bool | None = None):
-        self.model = model
         weights = np.asarray(class_weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
             raise InvalidParameterError(
@@ -363,90 +335,11 @@ class WeightedCountBackend(SimulationEngine):
             raise InvalidParameterError(
                 f"initial_counts must have shape (C, S) = "
                 f"({weights.size}, {model.n_states}), got {counts.shape}")
-        if counts.min() < 0:
-            raise InvalidParameterError("counts must be non-negative")
-        self.n = int(counts.sum())
-        if self.n < 2:
-            raise InvalidParameterError(
-                f"population must have at least 2 agents, got n={self.n}")
-        self._spp = model.slots_per_step
-        if self._spp == 4 and self.n < 4:
-            raise InvalidParameterError(
-                "models observing extra agents need n >= 4 for an "
-                "all-distinct interaction to exist")
         self._class_weights = weights
         self._classes = weights.size
-        self._product = ProductStateModel(model, self._classes)
-        self._rng = as_generator(seed)
-        self._track_pairs = bool(track_pair_counts)
-        if self._spp == 4:
-            proxy_ok = model.one_way and model.component_tables is None
-        else:
-            proxy_ok = (model.component_tables is not None
-                        or model.one_way)
-        if vectorized is True and not proxy_ok:
-            raise InvalidParameterError(
-                "the proxy fast path needs a model the vectorized kernel "
-                "accepts (component tables or a one-way law)")
-        if vectorized is None:
-            vectorized = proxy_ok and self.n <= WEIGHTED_PROXY_MAX_N
-        self._kernel = None
-        self._sampler = None
-        self._pair_counts = None
-        if vectorized:
-            # Fixed per-agent expansion: within-class exchangeability
-            # makes weighted pair sampling over any fixed assignment
-            # project to exactly the (class × state) count chain.
-            product_states = np.repeat(
-                np.arange(self._classes * model.n_states, dtype=np.int64),
-                counts.ravel())
-            per_agent_weights = np.repeat(weights, counts.sum(axis=1))
-            self._sampler = WeightedScheduler(per_agent_weights,
-                                              self._rng)
-            self._product_counts = np.bincount(
-                product_states, minlength=self._classes * model.n_states)
-            self._kernel = ConflictFreeKernel(
-                self._product, product_states, self._product_counts,
-                allow_stochastic=model.component_tables is None,
-                track_pairs=self._track_pairs)
-        else:
-            # Birthday path: O(C·S) state only — no per-agent arrays.
-            self._product_counts = counts.ravel()
-            self._init_birthday(counts)
-            if self._track_pairs:
-                self._pair_counts = np.zeros(model.n_states ** 2,
-                                             dtype=np.int64)
-        self._counts = counts.sum(axis=0)
-        self.steps_run = 0
-
-    def _init_birthday(self, counts) -> None:
-        """Precompute the fixed per-run structures of the birthday path.
-
-        Class membership never changes, so the per-class member counts
-        ``m_c``, the class-draw alias table (classes weighted by their
-        total activity ``m_c·w_c``), and the heterogeneity-corrected
-        collision scale ``n_eff = W²/Σᵢwᵢ²`` are all run constants.
-        """
-        m = counts.sum(axis=1)
-        self._members = m
-        occupied = np.flatnonzero(m > 0)
-        self._occupied = occupied
-        mass = m[occupied] * self._class_weights[occupied]
-        self._class_alias = AliasTable(mass)
-        total = float(mass.sum())
-        self._n_eff = total ** 2 / float(
-            (m[occupied] * self._class_weights[occupied] ** 2).sum())
-        # Window length (in interactions): collisions arrive on the
-        # √n_eff slot scale, so a ~2.5·√n_eff-slot window collides
-        # inside with probability ≈ 95%; the occasional fully-clean
-        # window is executed whole (exact — only the event
-        # {T ≥ window} was consumed), so nothing is wasted.
-        slots = int(2.5 * math.sqrt(self._n_eff)) + 8 * self._spp
-        self._window = max(1, slots // self._spp)
-        # Partner slot offsets: responder ≠ initiator, observed_i ≠
-        # initiator, observed_j ≠ responder (count.py's exclusions).
-        self._partner_offset = ((None, 1, 2, 2) if self._spp == 4
-                                else (None, 1))
+        self._members = counts.sum(axis=1)
+        self._setup(model, counts.ravel(), seed, track_pair_counts,
+                    vectorized)
 
     @classmethod
     def from_agent_states(cls, model: InteractionModel, states, weights,
@@ -470,11 +363,6 @@ class WeightedCountBackend(SimulationEngine):
         return cls(model, class_counts, class_weights, **kwargs)
 
     @property
-    def rng(self) -> np.random.Generator:
-        """The backend's generator."""
-        return self._rng
-
-    @property
     def class_weights(self) -> np.ndarray:
         """Per-class activity weights (copy)."""
         return self._class_weights.copy()
@@ -482,139 +370,73 @@ class WeightedCountBackend(SimulationEngine):
     @property
     def class_state_counts(self) -> np.ndarray:
         """Current ``(C, S)`` weight-class × state counts (copy)."""
-        return self._product_counts.reshape(self._classes, -1).copy()
+        return self._chain.reshape(self._classes, -1).copy()
 
-    @property
-    def pair_counts(self) -> np.ndarray:
-        """Executed interactions per ordered *inner*-state pair, ``(S, S)``.
-
-        On the proxy path, the product-pair accumulator contracted over
-        both class axes; the birthday path accumulates inner pairs
-        directly.  Requires ``track_pair_counts=True``.
-        """
-        if not self._track_pairs:
-            raise InvalidParameterError(
-                "pair counts were not tracked; construct the backend with "
-                "track_pair_counts=True")
-        c, s = self._classes, self.model.n_states
-        if self._kernel is not None:
-            product = self._kernel.pair_count_matrix().reshape(c, s, c, s)
-            return product.sum(axis=(0, 2))
-        return self._pair_counts.reshape(s, s).copy()
-
-    def _project(self, product_counts) -> np.ndarray:
+    # ------------------------------------------------------------------
+    # The lifted law (the hooks of CountBackend's driver)
+    # ------------------------------------------------------------------
+    def _project(self, chain) -> np.ndarray:
         """Inner-state counts of a product count vector."""
-        return product_counts.reshape(self._classes, -1).sum(axis=0)
+        return chain.reshape(self._classes, -1).sum(axis=0)
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (the crash-safety contract; see engine.snapshot)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "SnapshotState":
-        """Exact mutable state between runs, for :meth:`restore`.
+    def _structure(self) -> dict:
+        return {**super()._structure(), "n_classes": int(self._classes)}
 
-        The birthday-path structures from :meth:`_init_birthday`
-        (member counts, class alias table, window length) are run
-        constants — class membership never changes — so the mutable
-        surface is the product counts, the projected inner counts, the
-        step cursor, the generator position, the pair-count accumulator
-        when tracked, and on the proxy path the internal per-agent
-        product-state arrangement plus stochastic peel stamps.
+    def _proxy_ok(self) -> bool:
+        model = self.model
+        if self._spp == 4:
+            return model.one_way and model.component_tables is None
+        return model.component_tables is not None or model.one_way
+
+    def _proxy_kernel(self) -> ConflictFreeKernel:
+        """The product-space kernel and the weighted sampler driving it."""
+        # Fixed per-agent expansion: within-class exchangeability makes
+        # weighted pair sampling over any fixed assignment project to
+        # exactly the (class × state) count chain.
+        model = self.model
+        product_states = np.repeat(
+            np.arange(self._chain.size, dtype=np.int64), self._chain)
+        self._sampler = WeightedScheduler(
+            np.repeat(self._class_weights, self._members), self._rng)
+        return ConflictFreeKernel(
+            ProductStateModel(model, self._classes), product_states,
+            self._chain, allow_stochastic=model.component_tables is None,
+            track_pairs=self._track_pairs)
+
+    def _pair_block(self, size: int):
+        return self._sampler.pair_block(size)
+
+    def _others_block(self, first):
+        return self._sampler.others_block(first)
+
+    def _init_birthday(self) -> None:
+        """Precompute the fixed per-run structures of the birthday path.
+
+        Class membership never changes, so the per-class member counts
+        ``m_c``, the class-draw alias table (classes weighted by their
+        total activity ``m_c·w_c``), and the heterogeneity-corrected
+        collision scale ``n_eff = W²/Σᵢwᵢ²`` are all run constants.
         """
-        from repro.engine.snapshot import (
-            SnapshotState,
-            encode_array,
-            rng_state,
-        )
+        m = self._members
+        occupied = np.flatnonzero(m > 0)
+        self._occupied = occupied
+        mass = m[occupied] * self._class_weights[occupied]
+        self._class_alias = AliasTable(mass)
+        total = float(mass.sum())
+        self._n_eff = total ** 2 / float(
+            (m[occupied] * self._class_weights[occupied] ** 2).sum())
+        # Window length (in interactions): collisions arrive on the
+        # √n_eff slot scale, so a ~2.5·√n_eff-slot window collides
+        # inside with probability ≈ 95%; the occasional fully-clean
+        # window is executed whole (exact — only the event
+        # {T ≥ window} was consumed), so nothing is wasted.
+        slots = int(2.5 * math.sqrt(self._n_eff)) + 8 * self._spp
+        self._window = max(1, slots // self._spp)
+        # Partner slot offsets: responder ≠ initiator, observed_i ≠
+        # initiator, observed_j ≠ responder (count.py's exclusions).
+        self._partner_offset = ((None, 1, 2, 2) if self._spp == 4
+                                else (None, 1))
 
-        payload = {
-            "n": int(self.n),
-            "n_states": int(self.model.n_states),
-            "n_classes": int(self._classes),
-            "proxy": self._kernel is not None,
-            "steps_run": int(self.steps_run),
-            "product_counts": encode_array(self._product_counts),
-            "counts": encode_array(self._counts),
-            "rng": rng_state(self._rng),
-        }
-        if self._kernel is not None:
-            payload["proxy_state"] = self._kernel.encode_proxy_state()
-        elif self._pair_counts is not None:
-            payload["pair_counts"] = encode_array(self._pair_counts)
-        return SnapshotState(kind="weighted", payload=payload)
-
-    def restore(self, snapshot: "SnapshotState") -> None:
-        """Adopt a snapshot taken by an identically constructed engine.
-
-        All arrays are written *in place* — the proxy kernel adopts the
-        product-count vector, and facades alias the projected inner
-        counts through :attr:`counts_live`.
-        """
-        from repro.engine.snapshot import (
-            check_snapshot,
-            decode_array,
-            restore_rng,
-        )
-
-        payload = check_snapshot(snapshot, "weighted", n=self.n,
-                                 n_states=self.model.n_states,
-                                 n_classes=self._classes,
-                                 proxy=self._kernel is not None)
-        self._product_counts[:] = decode_array(payload["product_counts"])
-        self._counts[:] = decode_array(payload["counts"])
-        self.steps_run = int(payload["steps_run"])
-        restore_rng(self._rng, payload["rng"])
-        if self._kernel is not None:
-            self._kernel.restore_proxy_state(payload["proxy_state"])
-        elif self._pair_counts is not None:
-            self._pair_counts[:] = decode_array(payload["pair_counts"])
-
-    def run(self, max_steps: int, stop_when=None,
-            observe_every: int | None = None,
-            check_stop_every: int = 1, observe=None) -> EngineResult:
-        (max_steps, observe_every, check_stop_every, sink,
-         stopped) = self._prepare_run(max_steps, stop_when, observe_every,
-                                      check_stop_every, observe)
-        done = 0
-        converged = stopped
-        if not stopped and self._kernel is not None and max_steps > 0:
-            wrapped = None
-            if stop_when is not None:
-                def wrapped(product):
-                    # Refresh the live inner counts before the predicate
-                    # runs, so predicates reading backend state (instead
-                    # of their argument) see current values — the same
-                    # guarantee the other engines give.
-                    self._counts[:] = self._project(product)
-                    return stop_when(self._counts)
-            # The kernel runs on product (class x state) counts; project
-            # each observation to inner state counts as it streams, so
-            # constant-memory sinks never see (or retain) product series.
-            done, converged = run_kernel(
-                self._kernel, self._sampler.pair_block,
-                self._product.sample_components, self._rng, max_steps,
-                self.steps_run, wrapped, observe_every, check_stop_every,
-                _ProjectingSink(sink, self._project), BLOCK_SIZE,
-                others_block=self._sampler.others_block)
-            self.steps_run += done
-            self._counts[:] = self._project(self._product_counts)
-        elif not stopped:
-            while done < max_steps:
-                executed, converged = self._advance(
-                    max_steps - done, done, stop_when, observe_every,
-                    check_stop_every, sink)
-                done += executed
-                if converged:
-                    break
-            self.steps_run += done
-            self._counts[:] = self._project(self._product_counts)
-        sink.flush()
-        return EngineResult(counts=self._counts.copy(),
-                            steps=self.steps_run, converged=converged,
-                            observations=sink.records)
-
-    # ------------------------------------------------------------------
-    # Heterogeneous birthday-run batching
-    # ------------------------------------------------------------------
     def _draw_window(self, interactions: int):
         """Sample one batch window's class sequence and collision slot.
 
@@ -684,113 +506,40 @@ class WeightedCountBackend(SimulationEngine):
         tau = int(np.count_nonzero(survival > rng.random()))
         return cls, tau
 
-    def _advance(self, budget: int, done: int, stop_when, observe_every,
-                 check_stop_every, sink) -> tuple[int, bool]:
-        """Execute one heterogeneous birthday batch of 1..``budget`` steps.
-
-        The uniform-path contract of :meth:`CountBackend._advance` holds
-        verbatim: checkpoints inside the batch are materialized from the
-        recorded per-slot product states without splitting it, and a
-        collision-free window executes whole (exact — only the event
-        {first collision ≥ window} was consumed, and the chain is Markov
-        in the product counts).
-        """
+    def _draw_batch(self, budget: int):
+        """One heterogeneous window: ``(t, collides, (cls, tau))``."""
         interactions = min(budget, self._window)
         cls, tau = self._draw_window(interactions)
         collides = tau < interactions * self._spp
         t = tau // self._spp if collides else interactions
-        executed = t + 1 if collides else t
-        obs_at = _cadence_offsets(done, observe_every, executed)
-        stop_at = (_cadence_offsets(done, check_stop_every, executed)
-                   if stop_when is not None else range(0))
-        if obs_at or stop_at:
-            return self._run_with_checkpoints(t, cls, tau, collides, done,
-                                              stop_when, obs_at, stop_at,
-                                              sink)
-        if not collides:
-            self._run_clean(t, cls, want_state=False)
-            return executed, False
-        pids, updated, pool = self._run_clean(t, cls, want_state=True)
-        self._run_collision(t, cls, tau, pids, updated, pool)
-        return executed, False
+        return t, collides, (cls, tau)
 
-    def _run_with_checkpoints(self, t, cls, tau, collides, done, stop_when,
-                              obs_at, stop_at, sink):
-        """Batch execution with interior observation / stop checkpoints.
-
-        Mirrors :meth:`CountBackend._run_with_checkpoints` on product
-        states: interior count vectors are segment sums over the
-        recorded per-slot pre/post product ids, projected to inner
-        counts for the observer and the predicate; an early stop rewinds
-        the product counts (and pair counts) to the firing checkpoint.
-        """
-        spp = self._spp
-        p = self._classes * self.model.n_states
-        s = self.model.n_states
-        base = self.steps_run + done
-        before = self._product_counts.copy()
-        pids, updated, pool = self._run_clean(t, cls, want_state=True)
-        executed = t + 1 if collides else t
-        current = before
-        prev = 0
-        for offset in sorted(set(obs_at) | set(stop_at)):
-            if offset > t:
-                break
-            current += np.bincount(updated[prev * spp:offset * spp],
-                                   minlength=p)
-            current -= np.bincount(pids[prev * spp:offset * spp],
-                                   minlength=p)
-            prev = offset
-            inner = self._project(current)
-            if offset in obs_at:
-                sink.emit(base + offset, inner)
-            if offset in stop_at:
-                # Refresh the live inner counts before the predicate
-                # runs (the same guarantee the proxy path gives).
-                self._counts[:] = inner
-            if offset in stop_at and stop_when(inner):
-                self._product_counts[:] = current
-                if self._pair_counts is not None and offset < t:
-                    discarded_u = pids[offset * spp::spp] % s
-                    discarded_v = pids[offset * spp + 1::spp] % s
-                    self._pair_counts -= np.bincount(
-                        discarded_u * s + discarded_v, minlength=s * s)
-                return offset, True
-        if collides:
-            self._run_collision(t, cls, tau, pids, updated, pool)
-            if executed in obs_at:
-                sink.emit(base + executed,
-                          self._project(self._product_counts))
-            if executed in stop_at:
-                self._counts[:] = self._project(self._product_counts)
-                if stop_when(self._counts):
-                    return executed, True
-        return executed, False
-
-    def _run_clean(self, t: int, cls, want_state: bool):
+    def _run_clean(self, t: int, window, want_state: bool):
         """Execute ``t`` all-distinct interactions, vectorized per class.
 
-        The prefix slots hold distinct agents whose classes are given by
-        ``cls``; within each class the agents are exchangeable, so their
-        states are a without-replacement sample from that class's state
-        counts (``multivariate_hypergeometric`` + shuffle), exactly as
+        The prefix slots hold distinct agents whose classes are the
+        window's class sequence; within each class the agents are
+        exchangeable, so their states are a without-replacement sample
+        from that class's state counts
+        (``multivariate_hypergeometric`` + shuffle), exactly as
         the uniform path samples from the global counts.  With
         ``want_state`` returns ``(pids, updated, pool)``: per-slot
         pre/post product ids and the untouched remainder's product
         counts — the collision-resolution inputs.
         """
+        cls = window[0]
         s = self.model.n_states
         p = self._classes * s
         if t == 0:
             if want_state:
                 empty = np.empty(0, dtype=np.int64)
-                return empty, empty, self._product_counts.copy()
+                return empty, empty, self._chain.copy()
             return None
         spp = self._spp
         n_slots = t * spp
         rng = self._rng
         prefix_cls = cls[:n_slots]
-        counts2 = self._product_counts.reshape(self._classes, s)
+        counts2 = self._chain.reshape(self._classes, s)
         slots = np.empty(n_slots, dtype=np.int64)
         state_ids = np.arange(s)
         present = np.flatnonzero(np.bincount(prefix_cls,
@@ -819,13 +568,13 @@ class WeightedCountBackend(SimulationEngine):
         sampled = np.bincount(pids, minlength=p)
         delta = np.bincount(updated, minlength=p) - sampled
         if want_state:
-            pool = self._product_counts - sampled
-            self._product_counts += delta
+            pool = self._chain - sampled
+            self._chain += delta
             return pids, updated, pool
-        self._product_counts += delta
+        self._chain += delta
         return None
 
-    def _run_collision(self, t: int, cls, tau, pids, updated, pool) -> None:
+    def _run_collision(self, t: int, window, pids, updated, pool) -> None:
         """Resolve the interaction that ends a clean run, exactly.
 
         Slot ``tau`` repeats an already-touched agent; its interaction's
@@ -837,6 +586,7 @@ class WeightedCountBackend(SimulationEngine):
         post-state, same-interaction members their pre-state.  Fresh
         slots draw their state from the untouched remainder ``pool``.
         """
+        cls, tau = window
         rng = self._rng
         spp = self._spp
         s = self.model.n_states
@@ -920,7 +670,7 @@ class WeightedCountBackend(SimulationEngine):
         if self._pair_counts is not None:
             self._pair_counts[u * s + v] += 1
         new_u, new_v = self.model.apply_scalar(u, v, rng, observed)
-        counts = self._product_counts
+        counts = self._chain
         counts[slot_cls[0] * s + u] -= 1
         counts[slot_cls[1] * s + v] -= 1
         counts[slot_cls[0] * s + new_u] += 1

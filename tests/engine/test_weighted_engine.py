@@ -176,6 +176,36 @@ class TestEqualWeightsIdentity:
         assert backend.counts[1] >= 30
         assert result.steps < 100_000
 
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["proxy", "birthday"])
+    def test_counts_live_equals_predicate_argument(self, weighted,
+                                                   vectorized):
+        """On every count path, each predicate call's argument equals
+        ``counts_live`` at the moment of the call — also at checkpoints
+        inside a birthday batch, whose end state is already computed."""
+        model = TableModel(epidemic_table())
+        for seed in range(5):
+            if weighted:
+                backend = WeightedCountBackend(
+                    model, np.array([[30, 1], [29, 0]]),
+                    np.array([1.0, 2.0]), seed=seed, vectorized=vectorized)
+            else:
+                backend = CountBackend(model, np.array([59, 1]), seed=seed,
+                                       vectorized=vectorized)
+            calls = []
+
+            def record(counts):
+                calls.append((np.array(counts),
+                              backend.counts_live.copy()))
+                return False
+
+            backend.run(3000, stop_when=record, check_stop_every=7)
+            assert len(calls) == 429
+            for argument, live in calls:
+                np.testing.assert_array_equal(argument, live)
+
     def test_single_class_matches_count_backend_law(self):
         """C = 1 weighted backend vs the plain count backend: identical
         final-count distributions on a short chain."""

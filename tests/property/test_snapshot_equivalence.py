@@ -198,13 +198,22 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 # Byte pins of the stochastic-kernel snapshot encoding
 # ----------------------------------------------------------------------
-def stochastic_kernel_engine(kind):
+def pinned_engine(kind):
     if kind == "agent":
         return AgentBackend(logit_model(), initial_states(1500, 2), seed=14,
                             vectorized=True)
     if kind == "count":
         return CountBackend(logit_model(), initial_counts(4000, 2), seed=22,
                             vectorized=True, track_pair_counts=True)
+    if kind == "count-birthday":
+        return CountBackend(det_model(), initial_counts(2500, 5), seed=25,
+                            vectorized=False, track_pair_counts=True)
+    if kind == "weighted-birthday":
+        counts = np.array([initial_counts(900, 5, seed=3),
+                           initial_counts(2100, 5, seed=4)])
+        return WeightedCountBackend(det_model(), counts,
+                                    np.array([1.0, 3.5]), seed=32,
+                                    vectorized=False, track_pair_counts=True)
     counts = np.array([initial_counts(900, 2, seed=3),
                        initial_counts(2100, 2, seed=4)])
     return WeightedCountBackend(logit_model(), counts, np.array([1.0, 3.5]),
@@ -212,12 +221,15 @@ def stochastic_kernel_engine(kind):
 
 
 class TestSnapshotBytePins:
-    """``snapshot().to_bytes()`` of a stochastic kernel, byte for byte.
+    """``snapshot().to_bytes()`` of every count-chain path, byte for byte.
 
-    Covers the peel stamps on all three engines and the count engines'
-    ``proxy_state`` block (states, pair counts when tracked, stamps).
-    Digests were captured before the engines shared one encoder, so any
-    change to the on-disk/wire snapshot format moves one.
+    The proxy cases run stochastic kernels, so they cover the peel
+    stamps on all three engines and the count engines' ``proxy_state``
+    block (states, pair counts when tracked, stamps).  The birthday
+    cases cover both count engines' batched payloads with a tracked
+    pair-count accumulator.  Digests were captured before the engines
+    shared one encoder (proxy) and one count-chain driver (birthday),
+    so any change to the on-disk/wire snapshot format moves one.
     """
 
     @pytest.mark.parametrize("kind, digest", [
@@ -227,17 +239,22 @@ class TestSnapshotBytePins:
          "0afa44f7d1020dfb531c4c5e269a5e6fa057245c54ad9f717b6d54dca00bf83f"),
         ("weighted",
          "79133d8c82104d064faadf09bfe29c16758b05497ae59154969f32d5d68d4de0"),
+        ("count-birthday",
+         "060c0906de3241e02f64daa985065e94a461dcbbe5805d57667aabcc73351413"),
+        ("weighted-birthday",
+         "19abe0e6a957519e317011941822e08cc4444939c0d6a7a7eb77d50f386025e8"),
     ])
     def test_snapshot_bytes_pinned(self, kind, digest):
-        engine = stochastic_kernel_engine(kind)
+        engine = pinned_engine(kind)
         run_plan(engine, PRE_PLAN)
         snapshot = engine.snapshot()
-        block = snapshot.payload.get("proxy_state", snapshot.payload)
-        assert block["kernel"] is not None  # the peel stamps are captured
+        if not kind.endswith("birthday"):
+            block = snapshot.payload.get("proxy_state", snapshot.payload)
+            assert block["kernel"] is not None  # peel stamps are captured
         data = snapshot.to_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         # Decoding into a fresh engine and encoding again is lossless.
-        resumed = stochastic_kernel_engine(kind)
+        resumed = pinned_engine(kind)
         resumed.restore(SnapshotState.from_bytes(data))
         assert resumed.snapshot().to_bytes() == data
 
