@@ -160,24 +160,20 @@ class AgentBackend(SimulationEngine):
     def snapshot(self) -> "SnapshotState":
         """Exact mutable state between runs, for :meth:`restore`.
 
-        Captures the per-agent states, counts, step cursor, the
-        scheduler generator's bitstream position, and — for stochastic
-        kernels only — the conflict peel stamps (deterministic kernels
-        are peel-independent; see
+        Captures copies of the per-agent states and counts, the step
+        cursor, the scheduler generator's bitstream position, and — for
+        stochastic kernels only — the conflict peel stamps
+        (deterministic kernels are peel-independent; see
         :meth:`~repro.engine.vectorized.ConflictFreeKernel.encode_stamps`).
         """
-        from repro.engine.snapshot import (
-            SnapshotState,
-            encode_array,
-            rng_state,
-        )
+        from repro.engine.snapshot import SnapshotState, rng_state
 
         payload = {
             "n": int(self.n),
             "n_states": int(self.model.n_states),
             "steps_run": int(self.steps_run),
-            "states": encode_array(self._states),
-            "counts": encode_array(self._counts),
+            "states": self._states.copy(),
+            "counts": self._counts.copy(),
             "rng": rng_state(self.scheduler.rng),
             "kernel": (None if self._kernel is None
                        else self._kernel.encode_stamps()),
@@ -187,25 +183,33 @@ class AgentBackend(SimulationEngine):
     def restore(self, snapshot: "SnapshotState") -> None:
         """Adopt a snapshot taken by an identically constructed engine.
 
-        Arrays are written *in place* (facades and the kernel alias
-        them); after this call any sequence of ``run`` calls is
-        byte-identical to the snapshotting engine continuing.
+        Every array is checked (shapes, state range, counts equal to the
+        states' histogram) before any is written; they are then written
+        *in place* (facades and the kernel alias them).  After this call
+        any sequence of ``run`` calls is byte-identical to the
+        snapshotting engine continuing.
         """
         from repro.engine.snapshot import (
+            _check_population,
+            _snapshot_array,
             check_snapshot,
-            decode_array,
             restore_rng,
         )
 
         payload = check_snapshot(snapshot, "agent", n=self.n,
                                  n_states=self.model.n_states)
-        self._states[:] = decode_array(payload["states"])
-        self._counts[:] = decode_array(payload["counts"])
-        self.steps_run = int(payload["steps_run"])
-        restore_rng(self.scheduler.rng, payload["rng"])
+        states = _snapshot_array(payload, "states", self._states)
+        counts = _snapshot_array(payload, "counts", self._counts)
+        _check_population(counts, self.n, states)
         stamps = payload.get("kernel")
         if stamps is not None:
-            self._ensure_kernel().restore_stamps(stamps)
+            self._ensure_kernel()._check_stamps(stamps)
+        restore_rng(self.scheduler.rng, payload["rng"])
+        self._states[:] = states
+        self._counts[:] = counts
+        self.steps_run = int(payload["steps_run"])
+        if stamps is not None:
+            self._kernel.restore_stamps(stamps)
 
     def _result(self, converged, sink) -> EngineResult:
         sink.flush()

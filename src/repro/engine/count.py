@@ -404,53 +404,68 @@ class CountBackend(SimulationEngine):
         :meth:`_init_birthday` builds is a construction constant.  The
         proxy path additionally owns the internal per-agent state
         arrangement (identical index draws must hit identical states)
-        and, for stochastic models, the kernel's peel stamps.
+        and, for stochastic models, the kernel's peel stamps.  Arrays
+        are captured as copies.
         """
-        from repro.engine.snapshot import (
-            SnapshotState,
-            encode_array,
-            rng_state,
-        )
+        from repro.engine.snapshot import SnapshotState, rng_state
 
         payload = {
             **self._structure(),
             "proxy": self._kernel is not None,
             "steps_run": int(self.steps_run),
             # In the uniform engine the chain key *is* "counts".
-            self._CHAIN_KEY: encode_array(self._chain),
-            "counts": encode_array(self._counts),
+            self._CHAIN_KEY: self._chain.copy(),
+            "counts": self._counts.copy(),
             "rng": rng_state(self._rng),
         }
         if self._kernel is not None:
             payload["proxy_state"] = self._kernel.encode_proxy_state()
         elif self._pair_counts is not None:
-            payload["pair_counts"] = encode_array(self._pair_counts)
+            payload["pair_counts"] = self._pair_counts.copy()
         return SnapshotState(kind=self._KIND, payload=payload)
 
     def restore(self, snapshot: "SnapshotState") -> None:
         """Adopt a snapshot taken by an identically constructed engine.
 
-        All arrays are written *in place* — facades alias
-        :attr:`counts_live` and the proxy kernel adopts both the chain
-        array and its internal state array, so nothing may be
-        reallocated.
+        Every array is checked first — shapes, a non-negative chain
+        summing to ``n``, proxy states in range and histogramming to the
+        chain, counts projecting from the chain — so a refused snapshot
+        writes nothing.  All arrays are then written *in place* —
+        facades alias :attr:`counts_live` and the proxy kernel adopts
+        both the chain array and its internal state array, so nothing
+        may be reallocated.
         """
         from repro.engine.snapshot import (
+            SnapshotError,
+            _check_population,
+            _snapshot_array,
             check_snapshot,
-            decode_array,
             restore_rng,
         )
 
         payload = check_snapshot(snapshot, self._KIND, **self._structure(),
                                  proxy=self._kernel is not None)
-        self._chain[:] = decode_array(payload[self._CHAIN_KEY])
-        self._counts[:] = decode_array(payload["counts"])
-        self.steps_run = int(payload["steps_run"])
+        chain = _snapshot_array(payload, self._CHAIN_KEY, self._chain)
+        counts = _snapshot_array(payload, "counts", self._counts)
+        pair_counts = None
+        if self._kernel is not None:
+            self._kernel._check_proxy_state(payload.get("proxy_state"),
+                                           chain)
+        else:
+            _check_population(chain, self.n)
+            if self._pair_counts is not None:
+                pair_counts = _snapshot_array(payload, "pair_counts",
+                                             self._pair_counts)
+        if not np.array_equal(counts, self._project(chain)):
+            raise SnapshotError("snapshot counts disagree with its chain")
         restore_rng(self._rng, payload["rng"])
+        self._chain[:] = chain
+        self._counts[:] = counts
+        self.steps_run = int(payload["steps_run"])
         if self._kernel is not None:
             self._kernel.restore_proxy_state(payload["proxy_state"])
-        elif self._pair_counts is not None:
-            self._pair_counts[:] = decode_array(payload["pair_counts"])
+        elif pair_counts is not None:
+            self._pair_counts[:] = pair_counts
 
     def run(self, max_steps: int, stop_when=None,
             observe_every: int | None = None,

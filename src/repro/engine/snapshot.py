@@ -4,12 +4,14 @@ Long simulations die — machines reboot, workers are preempted, sweeps
 are killed mid-task.  This module is the substrate that makes such
 deaths recoverable *without* changing a single byte of the trajectory:
 
-* :class:`SnapshotState` — a versioned, strict-JSON-serializable capture
-  of everything a backend mutates between ``run()`` calls: the exact
-  count (and, where applicable, per-agent state) arrays, the RNG
+* :class:`SnapshotState` — a versioned capture of everything a backend
+  mutates between ``run()`` calls: the exact count (and, where
+  applicable, per-agent state) arrays as owned ndarray copies, the RNG
   bitstream position (``bit_generator.state``), the interaction-count
   cursor, and the conflict-resolution kernel's peel stamps when (and
-  only when) they influence future randomness consumption.
+  only when) they influence future randomness consumption.  Its byte
+  form (format v2, below) is what lands on disk and, base64-encoded,
+  on the fabric wire.
 * :class:`SnapshotStore` — an on-disk store with atomic
   temp-file + ``os.replace`` writes, a per-document SHA-256 checksum,
   and a two-generation fallback ladder (``latest`` → ``previous`` →
@@ -27,6 +29,27 @@ deaths recoverable *without* changing a single byte of the trajectory:
   what makes an uninterrupted run and a crashed-and-resumed run
   byte-identical at the same seed.
 
+The byte format (v2)
+--------------------
+
+``magic | sha256 | header length | header | frames``: an 8-byte magic
+prefix (a v1 document is JSON and starts with ``{``, the magic never
+does), the SHA-256 of everything after it, the header's byte length as
+a little-endian ``uint64``, a JSON header (sorted keys, compact
+separators) holding the kind, the version and the payload with every
+ndarray replaced by a frame reference (its dtype, stored dtype, shape
+and offset), then the arrays' raw little-endian frames in the order the
+sorted header lists them.  Python ints in the header stay exact
+(PCG64's 128-bit words, cursors up to 2**62).
+
+An integer array whose minimum is non-negative is stored in the
+smallest of ``uint8``/``uint16``/``uint32`` that holds its maximum
+(``uint8`` for every state array of the paper's workloads) and widened
+back to its own dtype on load; every other array is stored as it is.
+Narrowing depends only on values, so ``to_bytes(from_bytes(b)) == b``
+on every host.  Version 1 documents (checksummed JSON with base64
+arrays) are still read, never written.
+
 The bit-for-bit contract
 ------------------------
 
@@ -34,7 +57,10 @@ The bit-for-bit contract
 result into a *freshly constructed* engine with identical constructor
 arguments, then issuing any sequence of ``run()`` calls, produces
 trajectories, observations, and generator states byte-identical to the
-original engine continuing through the same calls.  The property suite
+original engine continuing through the same calls.  Restore checks
+every array it adopts (shapes, state ranges, counts against states)
+before writing any of them, so a refused snapshot leaves the engine
+untouched.  The property suite
 (``tests/property/test_snapshot_equivalence.py``) pins this down for
 all three backends, including weighted and graph-topology schedulers
 and kernel-proxy paths.
@@ -48,6 +74,7 @@ import contextvars
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,13 +84,23 @@ import numpy as np
 from repro.engine.observe import ObserverSink, as_sink
 from repro.utils.errors import InvalidParameterError, ReproError
 
-#: Bump when the snapshot payload layout changes incompatibly; restore
-#: refuses other versions loudly instead of misinterpreting bytes.
-SNAPSHOT_VERSION = 1
+#: The snapshot byte format written by :meth:`SnapshotState.to_bytes`;
+#: :meth:`SnapshotState.from_bytes` also reads version 1 and refuses
+#: every other version loudly instead of misinterpreting bytes.
+SNAPSHOT_VERSION = 2
 
 #: Default number of stop-check periods per resumable segment (the
 #: snapshot cadence of :func:`run_resumable`).
 SEGMENT_CHECKS = 8
+
+#: Leading bytes of a v2 document.
+_MAGIC = b"\x89RSNAP2\n"
+
+#: The header length field (little-endian uint64).
+_LENGTH = struct.Struct("<Q")
+
+#: Storage dtypes a non-negative integer array narrows to, narrowest first.
+_NARROW = tuple(np.dtype(name) for name in ("<u1", "<u2", "<u4"))
 
 
 class SnapshotError(ReproError, RuntimeError):
@@ -71,10 +108,10 @@ class SnapshotError(ReproError, RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Strict-JSON codecs (arrays, RNG state, numpy scalars)
+# Array codecs: v2 frames, and the v1 base64 encoding
 # ----------------------------------------------------------------------
 def encode_array(array: np.ndarray) -> dict:
-    """Lossless strict-JSON encoding of an ndarray (dtype/shape/base64)."""
+    """The v1 encoding of an ndarray (dtype/shape/base64 in JSON)."""
     array = np.ascontiguousarray(array)
     return {
         "__ndarray__": base64.b64encode(array.tobytes()).decode("ascii"),
@@ -93,46 +130,125 @@ def decode_array(document: dict) -> np.ndarray:
         raise SnapshotError(f"malformed array payload: {error}") from error
 
 
-def jsonable(value):
-    """Recursively convert numpy scalars/arrays into strict-JSON values.
+def _stored_dtype(array: np.ndarray) -> np.dtype:
+    """The little-endian dtype ``array`` is stored in (see the module doc)."""
+    if array.dtype.kind in "iu" and array.size and array.min() >= 0:
+        high = int(array.max())
+        for stored in _NARROW:
+            if high <= np.iinfo(stored).max:
+                return stored
+    return array.dtype.newbyteorder("<")
 
-    Integers pass through as exact Python ints (arbitrary precision —
-    the interaction-count cursor and PCG64's 128-bit state words must
-    never round-trip through floats).
+
+def _pack(value, frames: list):
+    """``value`` as strict-JSON header data; arrays go to ``frames``.
+
+    Each array becomes a frame reference: its byte offset into the
+    frames (``__frame__``), dtype, stored dtype and shape.  Dicts are
+    walked in sorted-key order — the order the sorted header lists them
+    in — so frame offsets are canonical.  Integers stay exact Python
+    ints.
     """
     if isinstance(value, np.ndarray):
-        return encode_array(value)
-    if isinstance(value, (np.integer,)):
+        stored = _stored_dtype(value)
+        offset = sum(frame.nbytes for frame in frames)
+        frames.append(np.ascontiguousarray(value, dtype=stored))
+        return {"__frame__": offset, "dtype": str(value.dtype),
+                "stored": stored.name,
+                "shape": [int(size) for size in value.shape]}
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, (np.bool_,)):
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, dict):
-        return {str(key): jsonable(item) for key, item in value.items()}
+        items = sorted((str(key), item) for key, item in value.items())
+        return {key: _pack(item, frames) for key, item in items}
     if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
+        return [_pack(item, frames) for item in value]
+    return value
+
+
+def _frame_array(reference: dict, frames: memoryview) -> np.ndarray:
+    """The owned array a :func:`_pack` frame reference points at."""
+    stored = np.dtype(reference["stored"]).newbyteorder("<")
+    shape = tuple(reference["shape"])
+    raw = np.frombuffer(frames, dtype=stored,
+                        count=int(np.prod(shape, dtype=np.int64)),
+                        offset=reference["__frame__"])
+    return raw.reshape(shape).astype(reference["dtype"])
+
+
+def _decoded(value, marker: str, decode):
+    """``value`` with every dict holding ``marker`` replaced by ``decode``
+    of it (the v2 frame references, or the v1 base64 arrays)."""
+    if isinstance(value, dict):
+        if marker in value:
+            return decode(value)
+        return {key: _decoded(item, marker, decode)
+                for key, item in value.items()}
+    if isinstance(value, list):
+        return [_decoded(item, marker, decode) for item in value]
     return value
 
 
 def rng_state(rng: np.random.Generator) -> dict:
-    """The generator's exact bitstream position, strict-JSON encodable."""
-    return jsonable(rng.bit_generator.state)
+    """The generator's exact bitstream position (``bit_generator.state``)."""
+    return rng.bit_generator.state
 
 
 def restore_rng(rng: np.random.Generator, state: dict) -> None:
     """Rewind ``rng`` to a captured bitstream position, in place."""
     name = type(rng.bit_generator).__name__
-    if state.get("bit_generator") != name:
+    found = state.get("bit_generator") if isinstance(state, dict) else None
+    if found != name:
         raise SnapshotError(
-            f"snapshot holds {state.get('bit_generator')!r} generator "
-            f"state, engine uses {name!r}")
-    decoded = {
-        key: decode_array(item)
-        if isinstance(item, dict) and "__ndarray__" in item else item
-        for key, item in state.items()
-    }
-    rng.bit_generator.state = decoded
+            f"snapshot holds {found!r} generator state, engine uses "
+            f"{name!r}")
+    try:
+        rng.bit_generator.state = state
+    except (KeyError, TypeError, ValueError) as error:
+        raise SnapshotError(
+            f"malformed generator state: {error}") from error
+
+
+def _snapshot_array(block, name: str, like: np.ndarray) -> np.ndarray:
+    """``block[name]``, refused unless it matches the engine's ``like``.
+
+    Restore fetches every array it adopts through this (same dtype, same
+    shape) and checks them all before writing any in place.
+    """
+    found = block.get(name) if isinstance(block, dict) else None
+    if not isinstance(found, np.ndarray) or found.dtype != like.dtype \
+            or found.shape != like.shape:
+        described = (f"{found.dtype}{list(found.shape)}"
+                     if isinstance(found, np.ndarray)
+                     else type(found).__name__)
+        raise SnapshotError(
+            f"snapshot array {name!r} is {described}, the restoring "
+            f"engine's is {like.dtype}{list(like.shape)}")
+    return found
+
+
+def _check_population(chain: np.ndarray, n: int,
+                     states: np.ndarray | None = None) -> None:
+    """Refuse counts that cannot describe ``n`` agents (in ``states``).
+
+    ``chain`` must be non-negative and sum to ``n``; ``states``, when
+    given, must lie in ``[0, len(chain))`` and histogram to ``chain``.
+    """
+    if chain.min() < 0 or int(chain.sum()) != n:
+        raise SnapshotError(
+            f"snapshot counts must be non-negative and sum to n={n}")
+    if states is None:
+        return
+    if states.min() < 0 or states.max() >= chain.size:
+        raise SnapshotError(
+            f"snapshot states must lie in 0..{chain.size - 1}")
+    if not np.array_equal(np.bincount(states, minlength=chain.size),
+                          chain):
+        raise SnapshotError("snapshot counts disagree with its states")
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +264,8 @@ class SnapshotState:
         The producing backend family (``"agent"`` / ``"count"`` /
         ``"weighted"``); restore refuses a mismatched kind loudly.
     payload:
-        Strict-JSON dict of the captured state (arrays via
-        :func:`encode_array`, RNG via :func:`rng_state`).
+        The captured state: JSON scalars, lists and dicts plus owned
+        ndarray copies (the RNG via :func:`rng_state`, as it is).
     version:
         Snapshot format version (:data:`SNAPSHOT_VERSION`).
     """
@@ -164,18 +280,51 @@ class SnapshotState:
         return int(self.payload["steps_run"])
 
     def to_bytes(self) -> bytes:
-        """Canonical checksummed JSON document (the on-disk/wire format)."""
-        body = json.dumps(
-            {"version": self.version, "kind": self.kind,
-             "payload": self.payload},
-            sort_keys=True, separators=(",", ":"))
-        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        return json.dumps({"checksum": checksum, "body": body}).encode(
-            "utf-8")
+        """The canonical v2 document (the on-disk format; see module doc)."""
+        frames: list = []
+        header = json.dumps(
+            _pack({"version": self.version, "kind": self.kind,
+                   "payload": self.payload}, frames),
+            sort_keys=True, separators=(",", ":")).encode("utf-8")
+        parts = [_LENGTH.pack(len(header)), header,
+                 *(frame.data for frame in frames)]
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        return b"".join([_MAGIC, digest.digest(), *parts])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SnapshotState":
-        """Decode and verify a document; torn/corrupt input raises."""
+        """Decode and verify a v2 or v1 document; torn/corrupt input raises."""
+        if data[:1] == b"{":
+            return cls._from_v1(data)
+        if data[:len(_MAGIC)] != _MAGIC:
+            raise SnapshotError("not a snapshot document (bad magic prefix)")
+        view = memoryview(data)
+        start = len(_MAGIC) + hashlib.sha256().digest_size
+        if hashlib.sha256(view[start:]).digest() != data[len(_MAGIC):start]:
+            raise SnapshotError(
+                "snapshot checksum mismatch (torn or corrupted write)")
+        try:
+            (length,) = _LENGTH.unpack_from(view, start)
+            start += _LENGTH.size
+            document = json.loads(bytes(view[start:start + length]))
+            if document.get("version") != SNAPSHOT_VERSION:
+                raise SnapshotError(
+                    f"snapshot version {document.get('version')!r} is not "
+                    f"supported (expected {SNAPSHOT_VERSION})")
+            frames = view[start + length:]
+            payload = _decoded(document["payload"], "__frame__",
+                               lambda ref: _frame_array(ref, frames))
+            return cls(kind=document["kind"], payload=payload)
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
+                AttributeError, KeyError, TypeError, ValueError) as error:
+            raise SnapshotError(
+                f"malformed snapshot document: {error}") from error
+
+    @classmethod
+    def _from_v1(cls, data: bytes) -> "SnapshotState":
+        """Read a version-1 document (checksummed JSON, base64 arrays)."""
         try:
             outer = json.loads(data.decode("utf-8"))
             checksum = outer["checksum"]
@@ -189,32 +338,30 @@ class SnapshotState:
             raise SnapshotError(
                 "snapshot checksum mismatch (torn or corrupted write)")
         document = json.loads(body)
-        if document.get("version") != SNAPSHOT_VERSION:
+        if document.get("version") != 1:
             raise SnapshotError(
                 f"snapshot version {document.get('version')!r} is not "
                 f"supported (expected {SNAPSHOT_VERSION})")
-        return cls(kind=document["kind"], payload=document["payload"],
-                   version=document["version"])
+        return cls(kind=document["kind"],
+                   payload=_decoded(document["payload"], "__ndarray__",
+                                    decode_array))
 
-    def to_wire(self) -> dict:
-        """Strict-JSON dict for HTTP transport (fabric ``/snapshot``)."""
-        return {"version": self.version, "kind": self.kind,
-                "payload": self.payload}
+    def to_wire(self) -> str:
+        """Base64 of :meth:`to_bytes`: the fabric ``/snapshot`` wire form."""
+        return base64.b64encode(self.to_bytes()).decode("ascii")
 
     @classmethod
-    def from_wire(cls, document: dict) -> "SnapshotState":
+    def from_wire(cls, wire: str) -> "SnapshotState":
+        """Inverse of :meth:`to_wire`; a malformed wire string raises."""
+        if not isinstance(wire, str):
+            raise SnapshotError(
+                f"wire snapshots are base64 strings, got "
+                f"{type(wire).__name__}")
         try:
-            version = document["version"]
-            kind = document["kind"]
-            payload = document["payload"]
-        except (KeyError, TypeError) as error:
-            raise SnapshotError(
-                f"malformed wire snapshot: {error}") from error
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot version {version!r} is not supported "
-                f"(expected {SNAPSHOT_VERSION})")
-        return cls(kind=kind, payload=payload, version=version)
+            data = base64.b64decode(wire, validate=True)
+        except ValueError as error:
+            raise SnapshotError(f"malformed wire snapshot: {error}") from error
+        return cls.from_bytes(data)
 
 
 def check_snapshot(snapshot: SnapshotState, kind: str, **expected) -> dict:

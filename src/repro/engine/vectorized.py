@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.snapshot import decode_array, encode_array
+from repro.engine.snapshot import _check_population, _snapshot_array
 from repro.utils.errors import InvalidParameterError
 
 #: Remaining-conflict head below which the scalar loop finishes a chunk.
@@ -405,7 +405,7 @@ class ConflictFreeKernel:
     # Snapshot support
     # ------------------------------------------------------------------
     def encode_stamps(self) -> dict | None:
-        """Encoded peel stamps for snapshots, when they influence the future.
+        """Copies of the peel stamps for snapshots, when they matter.
 
         For *stochastic* models the peel's round grouping determines how
         many vectorized ``model.apply`` draws each chunk consumes, and
@@ -419,17 +419,23 @@ class ConflictFreeKernel:
         """
         if not self._stochastic:
             return None
-        return {"stamp": int(self._stamp),
-                "pos_i": encode_array(self._pos_i),
-                "pos_r": encode_array(self._pos_r)}
+        return {"stamp": int(self._stamp), "pos_i": self._pos_i.copy(),
+                "pos_r": self._pos_r.copy()}
 
-    def restore_stamps(self, encoded: dict | None) -> None:
-        """Adopt peel stamps from :meth:`encode_stamps`, in place."""
-        if encoded is None:
+    def _check_stamps(self, block: dict | None) -> None:
+        """Refuse a :meth:`encode_stamps` block that does not fit."""
+        if block is None:
             return
-        self._stamp = int(encoded["stamp"])
-        self._pos_i[:] = decode_array(encoded["pos_i"])
-        self._pos_r[:] = decode_array(encoded["pos_r"])
+        _snapshot_array(block, "pos_i", self._pos_i)
+        _snapshot_array(block, "pos_r", self._pos_r)
+
+    def restore_stamps(self, block: dict | None) -> None:
+        """Adopt a block checked by :meth:`_check_stamps`, in place."""
+        if block is None:
+            return
+        self._stamp = int(block["stamp"])
+        self._pos_i[:] = block["pos_i"]
+        self._pos_r[:] = block["pos_r"]
 
     def encode_proxy_state(self) -> dict:
         """The ``proxy_state`` snapshot block of a count engine's kernel.
@@ -439,17 +445,29 @@ class ConflictFreeKernel:
         the pair-count accumulator when tracked, and the peel stamps.
         """
         return {
-            "states": encode_array(self.states),
+            "states": self.states.copy(),
             "pair_counts": (None if self.pair_counts is None
-                            else encode_array(self.pair_counts)),
+                            else self.pair_counts.copy()),
             "kernel": self.encode_stamps(),
         }
 
-    def restore_proxy_state(self, block: dict) -> None:
-        """Adopt a block from :meth:`encode_proxy_state`, in place."""
-        self.states[:] = decode_array(block["states"])
+    def _check_proxy_state(self, block: dict, chain: np.ndarray) -> None:
+        """Refuse a :meth:`encode_proxy_state` block that does not fit.
+
+        Its states must also agree with ``chain``, the snapshot's counts
+        the kernel adopts alongside them.
+        """
+        states = _snapshot_array(block, "states", self.states)
+        _check_population(chain, self.n, states)
         if self.pair_counts is not None:
-            self.pair_counts[:] = decode_array(block["pair_counts"])
+            _snapshot_array(block, "pair_counts", self.pair_counts)
+        self._check_stamps(block.get("kernel"))
+
+    def restore_proxy_state(self, block: dict) -> None:
+        """Adopt a block checked by :meth:`_check_proxy_state`, in place."""
+        self.states[:] = block["states"]
+        if self.pair_counts is not None:
+            self.pair_counts[:] = block["pair_counts"]
         self.restore_stamps(block.get("kernel"))
 
     def sync_counts(self) -> None:

@@ -47,6 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine.snapshot import SnapshotError, SnapshotState, SnapshotStore
 from repro.fabric.protocol import (
+    MAX_BODY_BYTES,
     STATUS_UNAUTHORIZED,
     STATUS_UNKNOWN_LEASE,
     TOKEN_HEADER,
@@ -293,14 +294,15 @@ class Coordinator:
             self._checkpoint()
             return {"accepted": True, "stored": True, "duplicate": False}
 
-    def store_snapshot(self, lease_id: str, worker: str, wire: dict) -> dict:
+    def store_snapshot(self, lease_id: str, worker: str, wire: str) -> dict:
         """Persist a worker's mid-task checkpoint for its leased key.
 
         Snapshots are accepted only from the *active* holder of the
         lease (an expired/completed lease answers ``{"ok": False}`` on
         the idempotent path — the worker learns its fate at ``/result``
-        time); a never-issued lease id is a 409.  The snapshot lands in
-        the coordinator's on-disk :class:`SnapshotStore`, so it
+        time); a never-issued lease id is a 409.  ``wire`` is the base64
+        of the v2 document, verified before it is stored.  The snapshot
+        lands in the coordinator's on-disk :class:`SnapshotStore`, so it
         survives coordinator restarts and is handed to whichever worker
         next leases the key.
         """
@@ -592,14 +594,19 @@ class _FabricHandler(BaseHTTPRequestHandler):
 
         A non-integer or negative ``Content-Length`` is answered with 400
         before any body is read (``rfile.read(-1)`` would block until the
-        client hangs up), and the connection is closed: where the body
-        ends is unknown.
+        client hangs up), and one over :data:`MAX_BODY_BYTES` with 413
+        (reading it would buffer the whole body).  Either way the
+        connection is closed: the unread body is still on it.
         """
         header = (self.headers.get("Content-Length") or "0").strip()
-        if header.isascii() and header.isdigit():
+        if not (header.isascii() and header.isdigit()):
+            code, error = 400, f"invalid Content-Length {header!r}"
+        elif int(header) > MAX_BODY_BYTES:
+            code, error = 413, f"body exceeds the {MAX_BODY_BYTES}-byte limit"
+        else:
             return int(header)
         self.close_connection = True
-        self._send(400, {"error": f"invalid Content-Length {header!r}"})
+        self._send(code, {"error": error})
         return None
 
     def do_POST(self):  # noqa: N802 - stdlib naming
@@ -638,8 +645,8 @@ class _FabricHandler(BaseHTTPRequestHandler):
             )
         if self.path == "/snapshot":
             wire = message.get("snapshot")
-            if not isinstance(wire, dict):
-                raise ProtocolError("/snapshot needs a 'snapshot' object")
+            if not isinstance(wire, str):
+                raise ProtocolError("/snapshot needs a 'snapshot' string")
             return coordinator.store_snapshot(
                 str(message.get("lease_id", "")),
                 str(message.get("worker", "?")),

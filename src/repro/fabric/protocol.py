@@ -48,6 +48,12 @@ TOKEN_HEADER = "X-Repro-Token"
 #: Ceiling on a single retry backoff sleep (seconds).
 MAX_BACKOFF = 5.0
 
+#: Largest request body the coordinator reads (bytes); a larger declared
+#: ``Content-Length`` is refused with 413 before the body is read.  It
+#: holds a base64 v2 agent checkpoint up to n ≈ 5·10^7 (an E4
+#: checkpoint at n = 10^6 is 1.33 MB).
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 class ProtocolError(InvalidParameterError):
     """A malformed or rejected fabric message (not retryable).

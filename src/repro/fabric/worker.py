@@ -33,9 +33,11 @@ from repro.engine.snapshot import (
     use_snapshot_channel,
 )
 from repro.fabric.protocol import (
+    MAX_BODY_BYTES,
     FabricUnavailable,
     ProtocolError,
     call_with_retries,
+    encode,
     http_call,
     task_from_wire,
 )
@@ -100,12 +102,14 @@ class HttpSnapshotChannel(SnapshotChannel):
     ``load`` serves the snapshot the coordinator attached to the lease
     (progress from a previous — possibly dead — worker); ``save`` posts
     each new checkpoint to ``/snapshot`` best-effort (a transport
-    hiccup loses one checkpoint generation, never the task); ``clear``
-    is a no-op — the coordinator retires a key's snapshots itself when
-    its ``/result`` lands.
+    hiccup loses one checkpoint generation, never the task) and skips,
+    with one log line, a checkpoint whose request body would exceed
+    :data:`~repro.fabric.protocol.MAX_BODY_BYTES` (the coordinator
+    would refuse it unread); ``clear`` is a no-op — the coordinator
+    retires a key's snapshots itself when its ``/result`` lands.
     """
 
-    def __init__(self, worker: "Worker", lease_id: str, initial: dict | None):
+    def __init__(self, worker: "Worker", lease_id: str, initial: str | None):
         self.worker = worker
         self.lease_id = lease_id
         self.initial = initial
@@ -116,17 +120,25 @@ class HttpSnapshotChannel(SnapshotChannel):
         return SnapshotState.from_wire(self.initial)
 
     def save(self, snapshot: SnapshotState) -> None:
-        try:
-            self.worker._call(
-                "/snapshot",
-                {
-                    "lease_id": self.lease_id,
-                    "worker": self.worker.worker_id,
-                    "snapshot": snapshot.to_wire(),
-                },
+        wire = snapshot.to_wire()
+        message = {
+            "lease_id": self.lease_id,
+            "worker": self.worker.worker_id,
+            "snapshot": wire,
+        }
+        # Base64 needs no JSON escaping: the body is the envelope plus
+        # the wire string, byte for byte.
+        size = len(encode({**message, "snapshot": ""})) + len(wire)
+        if size > MAX_BODY_BYTES:
+            self.worker.log(
+                f"[{self.worker.worker_id}] checkpoint skipped: its "
+                f"{size}-byte body exceeds the {MAX_BODY_BYTES}-byte limit"
             )
-        except FabricUnavailable:
-            pass  # best-effort: the previous generation still stands
+        else:
+            try:
+                self.worker._call("/snapshot", message)
+            except FabricUnavailable:
+                pass  # best-effort: the previous generation still stands
         crash_point("snapshot.post-save")
 
     def clear(self) -> None:

@@ -140,7 +140,8 @@ class TestSnapshotEndpoint:
         )
         release = http_call(server.url, "/lease", {"worker": "w2"})["lease"]
         assert release["key"] == key
-        assert release["snapshot"]["payload"] == {"steps_run": 7}
+        relayed = SnapshotState.from_wire(release["snapshot"])
+        assert relayed.payload == {"steps_run": 7}
 
     def test_unknown_lease_is_409(self, server):
         wire = SnapshotState(kind="count", payload={"steps_run": 1}).to_wire()
@@ -209,6 +210,38 @@ class TestSnapshotEndpoint:
             },
         )
         assert server.coordinator.snapshots.load(key) is None
+
+
+class TestSnapshotBodyCap:
+    def test_oversized_checkpoint_is_skipped(self, server, monkeypatch):
+        # E4 at n=5e4 checkpoints three times; with the cap below a
+        # checkpoint's body every save is skipped on the worker side,
+        # and the task still completes and stores its result.
+        monkeypatch.setattr("repro.fabric.worker.MAX_BODY_BYTES", 1000)
+        stored = []
+        original = server.coordinator.store_snapshot
+        monkeypatch.setattr(
+            server.coordinator,
+            "store_snapshot",
+            lambda *args: stored.append(args) or original(*args),
+        )
+        task = RunTask(experiment_id="E4", seed=1, params={"n": 50_000})
+        http_call(server.url, "/submit", {"tasks": [task_to_wire(task)]})
+        lines = []
+        worker = Worker(
+            server.url,
+            max_tasks=1,
+            poll=0.05,
+            retries=2,
+            backoff=0.05,
+            log=lines.append,
+        )
+        assert worker.run_forever() == EXIT_DRAINED
+        skipped = [line for line in lines if "checkpoint skipped" in line]
+        assert len(skipped) == 3
+        assert stored == []
+        status = http_call(server.url, "/status", {})
+        assert status["done"] == 1 and status["executed"] == 1
 
 
 class TestWorkerContinuation:

@@ -25,7 +25,7 @@ from repro.fabric import (
     remote_execute,
     task_to_wire,
 )
-from repro.fabric.protocol import http_call
+from repro.fabric.protocol import MAX_BODY_BYTES, http_call
 from repro.fabric.worker import (
     EXIT_DRAINED,
     EXIT_LEASE_REJECTED,
@@ -278,6 +278,16 @@ class TestHttpSurface:
         reply = raw_post(server, length)
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"invalid Content-Length" in reply
+        assert fabric_status(server.url)["tasks"] == 0
+
+    def test_oversized_body_is_refused_unread(self, server):
+        # Declared over the cap and never sent: the coordinator answers
+        # 413 and closes at once instead of waiting to buffer the body.
+        started = time.monotonic()
+        reply = raw_post(server, str(MAX_BODY_BYTES + 1))
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"exceeds" in reply
+        assert time.monotonic() - started < 2.0
         assert fabric_status(server.url)["tasks"] == 0
 
     def test_status_get_and_post_agree(self, server):

@@ -14,6 +14,7 @@ harness via real subprocess deaths.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -98,6 +99,12 @@ def assert_resumes_identically(factory, pre_plan=None, post_plan=None):
     snapshot = SnapshotState.from_bytes(original.snapshot().to_bytes())
     resumed = factory()
     resumed.restore(snapshot)
+    assert_continues_identically(original, resumed, post_plan)
+
+
+def assert_continues_identically(original, resumed, post_plan=None):
+    """Both engines run ``post_plan`` to identical results and generators."""
+    post_plan = POST_PLAN if post_plan is None else post_plan
     assert resumed.steps_run == original.steps_run
     for steps, kwargs in post_plan:
         left = original.run(steps, **kwargs)
@@ -220,6 +227,27 @@ def pinned_engine(kind):
                                 seed=31)
 
 
+def v1_bytes(snapshot: SnapshotState) -> bytes:
+    """``snapshot`` as a version-1 document: checksummed JSON, base64 arrays.
+
+    The v1 writer, kept to produce load fixtures: arrays through
+    :func:`encode_array`, then the v1 envelope.
+    """
+
+    def encoded(value):
+        if isinstance(value, np.ndarray):
+            return encode_array(value)
+        if isinstance(value, dict):
+            return {key: encoded(item) for key, item in value.items()}
+        return value
+
+    body = json.dumps({"version": 1, "kind": snapshot.kind,
+                       "payload": encoded(snapshot.payload)},
+                      sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return json.dumps({"checksum": checksum, "body": body}).encode("utf-8")
+
+
 class TestSnapshotBytePins:
     """``snapshot().to_bytes()`` of every count-chain path, byte for byte.
 
@@ -227,9 +255,11 @@ class TestSnapshotBytePins:
     stamps on all three engines and the count engines' ``proxy_state``
     block (states, pair counts when tracked, stamps).  The birthday
     cases cover both count engines' batched payloads with a tracked
-    pair-count accumulator.  Digests were captured before the engines
-    shared one encoder (proxy) and one count-chain driver (birthday),
-    so any change to the on-disk/wire snapshot format moves one.
+    pair-count accumulator.  The v1 digests were captured before the
+    engines shared one encoder (proxy) and one count-chain driver
+    (birthday) and now pin the version-1 load fixtures; the v2 digests
+    pin the format written today, so any change to the on-disk/wire
+    snapshot format moves one.
     """
 
     @pytest.mark.parametrize("kind, digest", [
@@ -245,18 +275,45 @@ class TestSnapshotBytePins:
          "19abe0e6a957519e317011941822e08cc4444939c0d6a7a7eb77d50f386025e8"),
     ])
     def test_snapshot_bytes_pinned(self, kind, digest):
+        # The v1 fixture: the v1 writer reproduces the pinned bytes, and
+        # a fresh engine loads them, re-captures the v2 bytes of the
+        # original, and continues identically.
         engine = pinned_engine(kind)
         run_plan(engine, PRE_PLAN)
         snapshot = engine.snapshot()
         if not kind.endswith("birthday"):
             block = snapshot.payload.get("proxy_state", snapshot.payload)
             assert block["kernel"] is not None  # peel stamps are captured
-        data = snapshot.to_bytes()
+        data = v1_bytes(snapshot)
         assert hashlib.sha256(data).hexdigest() == digest
-        # Decoding into a fresh engine and encoding again is lossless.
+        resumed = pinned_engine(kind)
+        resumed.restore(SnapshotState.from_bytes(data))
+        assert resumed.snapshot().to_bytes() == snapshot.to_bytes()
+        assert_continues_identically(engine, resumed)
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("agent",
+         "f7f6fabe21b3f64215123895840ef2bd126e9ae4816c5cef135c6af02789420a"),
+        ("count",
+         "3e5942cd4151272ee46912c7351edc1500fd5b3b41b3b9116d84a5f53bb8a1a3"),
+        ("weighted",
+         "60a4bcabfa8401729b59a97a03e3e9a5149c0d25010f57845a1035cc0e69c233"),
+        ("count-birthday",
+         "e4983a34f7e4a85014103d586ed0c5f5dce291a78c957ddcd7843991647a7903"),
+        ("weighted-birthday",
+         "4f9a72222d9b48efb378e7df8ea735a3d69842aae85c9ead96e92368a3e255d6"),
+    ])
+    def test_v2_bytes_pinned(self, kind, digest):
+        engine = pinned_engine(kind)
+        run_plan(engine, PRE_PLAN)
+        data = engine.snapshot().to_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        # Decoding into a fresh engine and encoding again is lossless,
+        # and so is decoding and re-encoding the document itself.
         resumed = pinned_engine(kind)
         resumed.restore(SnapshotState.from_bytes(data))
         assert resumed.snapshot().to_bytes() == data
+        assert SnapshotState.from_bytes(data).to_bytes() == data
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +402,10 @@ class TestValidation:
                 SnapshotState.from_bytes(torn)
 
     def test_checksum_mismatch_detected(self):
-        data = SnapshotState(kind="count", payload={"steps_run": 9})
-        corrupted = data.to_bytes().replace(b'steps_run\\":9',
-                                            b'steps_run\\":8')
-        assert corrupted != data.to_bytes()  # the flip really landed
+        # A version-1 fixture: its checksum still guards its JSON body.
+        data = v1_bytes(SnapshotState(kind="count", payload={"steps_run": 9}))
+        corrupted = data.replace(b'steps_run\\":9', b'steps_run\\":8')
+        assert corrupted != data  # the flip really landed
         with pytest.raises(SnapshotError, match="checksum"):
             SnapshotState.from_bytes(corrupted)
 
@@ -379,6 +436,203 @@ class TestValidation:
                                  payload={"steps_run": 3, "word": huge})
         assert SnapshotState.from_bytes(
             snapshot.to_bytes()).payload["word"] == huge
+
+
+# ----------------------------------------------------------------------
+# Format v2: narrowed frames, canonical bytes, corruption
+# ----------------------------------------------------------------------
+MAGIC_AND_DIGEST = 8 + 32  # magic prefix, then the sha256 of the rest
+
+
+def v2_layout(data: bytes) -> tuple[dict, bytes]:
+    """A v2 document's parsed header and its frame bytes."""
+    start = MAGIC_AND_DIGEST + 8
+    length = int.from_bytes(data[MAGIC_AND_DIGEST:start], "little")
+    return json.loads(data[start:start + length]), data[start + length:]
+
+
+NARROWING = [
+    (np.zeros(4, dtype=np.int64), "uint8"),
+    (np.array([3, 255], dtype=np.int64), "uint8"),
+    (np.array([3, 256], dtype=np.int64), "uint16"),
+    (np.array([65535, 0], dtype=np.int64), "uint16"),
+    (np.array([65536], dtype=np.int64), "uint32"),
+    (np.array([2 ** 32 - 1, 7], dtype=np.int64), "uint32"),
+    (np.array([2 ** 32], dtype=np.int64), "int64"),
+    (np.array([4, -1, 9], dtype=np.int64), "int64"),
+    (np.array([], dtype=np.int64), "int64"),
+    (np.arange(12, dtype=np.int64).reshape(3, 4), "uint8"),
+    (np.array([0.5, -2.0, 1e300]), "float64"),
+    (np.array([True, False, True]), "bool"),
+]
+
+
+class TestFormatV2:
+    @pytest.mark.parametrize("array, stored", NARROWING,
+                             ids=[f"{a.dtype}{list(a.shape)}-{stored}"
+                                  for a, stored in NARROWING])
+    def test_narrowing_round_trips_exactly(self, array, stored):
+        data = SnapshotState(kind="count",
+                             payload={"steps_run": 1, "a": array}).to_bytes()
+        header, frames = v2_layout(data)
+        frame = header["payload"]["a"]
+        assert frame["dtype"] == str(array.dtype)
+        assert frame["stored"] == stored
+        # The stored width is the smallest that holds the values.
+        assert len(frames) == np.dtype(stored).itemsize * array.size
+        back = SnapshotState.from_bytes(data).payload["a"]
+        assert back.dtype == array.dtype and back.shape == array.shape
+        np.testing.assert_array_equal(back, array)
+        assert back.flags.writeable and back.flags.owndata
+        assert SnapshotState.from_bytes(data).to_bytes() == data
+
+    def test_nested_arrays_and_exact_ints_survive(self):
+        payload = {"steps_run": 2 ** 62, "word": (1 << 127) + 5,
+                   "block": {"b": np.arange(3), "a": np.array([-4])},
+                   "items": [np.array([2.5]), None, "x"]}
+        back = SnapshotState.from_bytes(
+            SnapshotState(kind="agent", payload=payload).to_bytes())
+        assert back.payload["steps_run"] == 2 ** 62
+        assert back.payload["word"] == (1 << 127) + 5
+        np.testing.assert_array_equal(back.payload["block"]["b"],
+                                      np.arange(3))
+        np.testing.assert_array_equal(back.payload["block"]["a"], [-4])
+        np.testing.assert_array_equal(back.payload["items"][0], [2.5])
+        assert back.payload["items"][1:] == [None, "x"]
+
+    def test_wire_is_the_base64_of_the_bytes(self):
+        snapshot = SnapshotState(kind="count", payload={
+            "steps_run": 3, "counts": np.array([5, 0, 2])})
+        wire = snapshot.to_wire()
+        assert isinstance(wire, str)
+        back = SnapshotState.from_wire(wire)
+        assert back.to_bytes() == snapshot.to_bytes()
+        for bad in ({"bogus": True}, "not base64!", wire[:-4] + "AAAA"):
+            with pytest.raises(SnapshotError):
+                SnapshotState.from_wire(bad)
+
+    def corrupted(self):
+        """A v2 document and each corruption of it that must be refused."""
+        data = SnapshotState(kind="count", payload={
+            "steps_run": 9, "states": np.arange(1000) % 7}).to_bytes()
+        header_end = len(data) - 1000  # one uint8 frame of 1000 values
+
+        def flipped(at, mask=0x01):
+            broken = bytearray(data)
+            broken[at] ^= mask
+            return bytes(broken)
+
+        return data, {
+            "header": flipped((MAGIC_AND_DIGEST + header_end) // 2),
+            "frame": flipped(header_end + 500),
+            "truncated": data[:header_end + 400],
+            "magic": flipped(0),
+        }
+
+    @pytest.mark.parametrize("damage", ["header", "frame", "truncated",
+                                        "magic"])
+    def test_corruption_is_refused(self, damage, tmp_path):
+        data, broken = self.corrupted()
+        with pytest.raises(SnapshotError):
+            SnapshotState.from_bytes(broken[damage])
+        # The store falls back to the previous generation.
+        store = SnapshotStore(tmp_path)
+        store.save("task", store_snapshot(1))
+        store.save("task", SnapshotState.from_bytes(data))
+        (tmp_path / "task.snap").write_bytes(broken[damage])
+        assert store.load("task").steps_run == 1
+
+
+# ----------------------------------------------------------------------
+# Restore checks what it adopts, before writing anything
+# ----------------------------------------------------------------------
+CHECKED_ENGINES = {
+    "agent": lambda: AgentBackend(det_model(), initial_states(400, 5),
+                                  seed=3),
+    "count-proxy": lambda: CountBackend(det_model(),
+                                        initial_counts(400, 5), seed=3),
+    "count-birthday": lambda: CountBackend(
+        det_model(), initial_counts(400, 5), seed=3, vectorized=False),
+    "weighted": lambda: WeightedCountBackend(
+        det_model(), np.array([initial_counts(150, 5, seed=3),
+                               initial_counts(250, 5, seed=4)]),
+        np.array([1.0, 3.5]), seed=3),
+    "weighted-birthday": lambda: WeightedCountBackend(
+        det_model(), np.array([initial_counts(150, 5, seed=3),
+                               initial_counts(250, 5, seed=4)]),
+        np.array([1.0, 3.5]), seed=3, vectorized=False),
+}
+
+
+def agent_states(payload):
+    """The snapshot's per-agent state array (``None`` on birthday paths)."""
+    return payload.get("proxy_state", payload).get("states")
+
+
+def chain_of(payload):
+    """The array the engine's counts derive from."""
+    return payload.get("product_counts", payload["counts"])
+
+
+def state_out_of_range(payload):
+    states = agent_states(payload)
+    if states is not None:
+        states[0] = 99
+    else:  # no per-agent states: a negative count instead
+        chain = chain_of(payload)
+        chain[0], chain[1] = -1, chain[1] + chain[0] + 1
+
+
+def wrong_length(payload):
+    payload["counts"] = np.append(payload["counts"], 0)
+
+
+def counts_disagree(payload):
+    chain = chain_of(payload)
+    if agent_states(payload) is not None:
+        chain[0] += 1  # still sums to n: only the states disagree
+        chain[1] -= 1
+    else:
+        chain[0] += 1  # no states to disagree with: the sum is off
+
+
+class TestRestoreChecks:
+    @pytest.mark.parametrize("engine", sorted(CHECKED_ENGINES))
+    @pytest.mark.parametrize("damage", [state_out_of_range, wrong_length,
+                                        counts_disagree],
+                             ids=lambda damage: damage.__name__)
+    def test_inconsistent_snapshot_is_refused_untouched(self, engine,
+                                                        damage):
+        factory = CHECKED_ENGINES[engine]
+        source = factory()
+        source.run(700)
+        snapshot = source.snapshot()
+        damage(snapshot.payload)
+        target = factory()
+        target.run(300)
+        before = target.snapshot().to_bytes()
+        with pytest.raises(SnapshotError):
+            target.restore(snapshot)
+        assert target.snapshot().to_bytes() == before
+        # The undamaged snapshot still restores.
+        target.restore(source.snapshot())
+        assert target.snapshot().to_bytes() == source.snapshot().to_bytes()
+
+    @pytest.mark.parametrize("engine", ["weighted", "weighted-birthday"])
+    def test_counts_must_project_from_the_chain(self, engine):
+        # The lift's state counts are a projection of its (class x
+        # state) chain; counts that sum to n but disagree are refused.
+        factory = CHECKED_ENGINES[engine]
+        source = factory()
+        source.run(700)
+        snapshot = source.snapshot()
+        snapshot.payload["counts"][0] += 1
+        snapshot.payload["counts"][1] -= 1
+        target = factory()
+        before = target.snapshot().to_bytes()
+        with pytest.raises(SnapshotError, match="chain"):
+            target.restore(snapshot)
+        assert target.snapshot().to_bytes() == before
 
 
 # ----------------------------------------------------------------------
