@@ -128,7 +128,15 @@ class PopulationGameSimulation:
             backend, n=self.n, weighted=law.weights is not None,
             graph_restricted=law.topology is not None)
         n_strategies = self.payoffs.shape[0]
-        if initial_strategies is None:
+        counts = None
+        if initial_strategies is None and backend == "count" \
+                and law.weights is None:
+            # The uniform and graph count chains need counts alone: the
+            # histogram of n uniform strategies is one multinomial draw.
+            strategies = None
+            counts = self._rng.multinomial(
+                self.n, np.full(n_strategies, 1.0 / n_strategies))
+        elif initial_strategies is None:
             strategies = self._rng.integers(0, n_strategies, size=self.n)
         else:
             strategies = np.asarray(initial_strategies, dtype=np.int64).copy()
@@ -147,7 +155,8 @@ class PopulationGameSimulation:
             imitation_scale=self._imitation_scale)
         self._strategies = strategies if backend == "agent" else None
         self._engine = build_engine(self._model, law, backend,
-                                    states=strategies, vectorized=vectorized)
+                                    states=strategies, counts=counts,
+                                    vectorized=vectorized)
         self._counts = self._engine.counts_live
         self.steps_run = 0
 

@@ -60,12 +60,12 @@ from repro.utils.errors import InvalidParameterError
 
 _MODES = ("strategy", "action", "strict")
 
-#: Uniform GTFT start indices are drawn this many at a time, so the
-#: count backend's setup stays O(k) in memory at any ``n``.  Below a
-#: range of 2^32, numpy's bounded ``integers`` takes 32-bit values from
-#: the bit generator, which keeps the spare half of each 64-bit output
-#: in its own state: chunked draws return the values, and leave the
-#: generator state, of one draw of all ``n_gtft`` indices.
+#: Per-agent uniform GTFT start indices (agent and weighted paths) are
+#: drawn this many at a time.  Below a range of 2^32, numpy's bounded
+#: ``integers`` takes 32-bit values from the bit generator, which keeps
+#: the spare half of each 64-bit output in its own state: chunked draws
+#: return the values, and leave the generator state, of one draw of all
+#: ``n_gtft`` indices.
 _START_CHUNK = 1 << 20
 
 
@@ -257,11 +257,16 @@ class IGTSimulation:
             if initial_indices != "uniform":
                 raise InvalidParameterError(
                     f"unknown initial_indices spec {initial_indices!r}")
-            for lo in range(0, n_gtft, _START_CHUNK):
-                chunk = self._rng.integers(
-                    0, k, size=min(_START_CHUNK, n_gtft - lo))
-                gtft_counts += np.bincount(chunk, minlength=k)
-                if gtft_states is not None:
+            if gtft_states is None:
+                # Counts alone: the histogram of n_gtft uniform indices
+                # is one multinomial draw, O(k) at any n.
+                gtft_counts = self._rng.multinomial(n_gtft,
+                                                    np.full(k, 1.0 / k))
+            else:
+                for lo in range(0, n_gtft, _START_CHUNK):
+                    chunk = self._rng.integers(
+                        0, k, size=min(_START_CHUNK, n_gtft - lo))
+                    gtft_counts += np.bincount(chunk, minlength=k)
                     gtft_states[lo:lo + chunk.size] = chunk
         elif np.isscalar(initial_indices):
             start = int(initial_indices)
@@ -357,6 +362,12 @@ class IGTSimulation:
     def counts(self) -> np.ndarray:
         """Current count vector ``z`` over the ``k`` generosity indices."""
         return self._counts.copy()
+
+    @property
+    def counts_live(self) -> np.ndarray:
+        """The live engine count vector over ``{g_1..g_k, AC, AD}`` (all
+        ``n`` agents; an alias — do not resize or write it)."""
+        return self._counts_full
 
     def empirical_mu(self) -> np.ndarray:
         """Empirical distribution ``µ_t = z_t / m`` over the grid."""

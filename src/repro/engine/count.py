@@ -19,18 +19,37 @@ The backend therefore repeats:
 1. Draw the number ``T`` of leading interactions whose participants are all
    distinct — one uniform plus a ``searchsorted`` into a precomputed
    collision-time CDF (cached per ``(n, slots_per_step)``).
-2. Process those ``T`` interactions *in one vectorized shot*: the
-   participants are distinct, hence their states are a without-replacement
-   sample from the count vector (``multivariate_hypergeometric`` + one
-   shuffle), the model outcome is applied per type-pair, and the count
-   vector is updated by four ``bincount`` deltas.  Because the agents are
-   distinct, the interactions commute and the resulting counts equal those
-   of sequential execution.
+2. Process those ``T`` interactions in one shot.  Their participants are
+   distinct, hence a without-replacement sample from the count vector,
+   and the interactions commute, so the counts move by the sample's
+   outcome in any order.  For models with component tables the batch is
+   composition arithmetic (below); other models (stochastic laws and
+   4-slot rules) draw the sample's composition, expand it into per-slot
+   states, shuffle them, and apply the model per slot.
 3. Resolve the single *collision* interaction that ends the run exactly:
-   its repeated participants' current states are read off the run's
-   recorded outcomes, fresh participants are drawn from the untouched
-   remainder, with the repeat/fresh pattern sampled from its exact
-   conditional law.  Then all bookkeeping is merged and a new run starts.
+   its repeat/fresh slot pattern is drawn from its exact conditional law
+   given that at least one slot repeats; a repeated participant's state
+   is drawn from the histogram of the touched agents' current states
+   (with the one agent it must differ from removed), a fresh one's from
+   the untouched remainder.  Then a new run starts.
+
+For models with component tables, step 2 never materializes slots.
+The batch's effect depends only on how many interactions fall in each
+*cell* — ``(component, initiator state, responder class)``, where a
+class groups the responder states whose outcome columns agree in every
+table of a one-way model (k-IGT has two, AD and non-AD; two-way tables
+and tracked pair counts use one class per state) — and the cell counts
+are drawn directly:
+
+* one multivariate hypergeometric draw gives the ``2T`` participants'
+  composition, and one more the initiators' share of it (the rest are
+  the responders);
+* a uniform matching pairs initiators with responders: each responder
+  class beyond the first picks its initiators by one multivariate
+  hypergeometric split of the initiators still unpaired;
+* one multinomial per (initiator state, responder class) pair splits
+  it over the mixture components;
+* each cell's table outcome, times its count, moves the counts.
 
 Every draw above is from the true process law — no approximation is made —
 so trajectories are distribution-identical to the agent backend (property
@@ -38,16 +57,21 @@ tests check this against the exact chains in :mod:`repro.markov`).  The
 expected run length is ``Θ(√n)`` interactions, which is also the speedup
 scale over per-interaction simulation.
 
-Observation / stop-check boundaries do **not** split batches: a clean run
-records every participant's pre- and post-interaction state, so the exact
-count vector at any interior step is a prefix sum over those slots.
+Observation / stop-check boundaries do **not** split batches.  The
+driver hands the law the checkpoint offsets inside a clean run and gets
+back one count delta per segment between them: a composition batch
+splits its cells over the segments by successive multivariate
+hypergeometric draws (the run's interactions are exchangeable, so each
+segment's cells are a without-replacement sample of the batch's) — or,
+when a batch holds at least as many checkpoints as occupied cells, by
+one random order of its cell labels — and a per-slot batch sums its
+slots' pre- and post-states per segment.
 Snapshots for ``observe_every`` and predicate evaluations for
-``check_stop_every`` are materialized from those prefix sums mid-batch,
-and an early stop rewinds the counts to the firing checkpoint and discards
-the batch remainder (exact: the next batch re-samples the discarded future
-from the process law, which is Markov in the counts).  Observed or
-stop-checked runs therefore keep near-unobserved throughput even at
-``check_stop_every=1``, which previously forced one-interaction batches.
+``check_stop_every`` are taken between segments, and an early stop
+leaves the remaining segments unapplied (exact: the next batch
+re-samples the discarded future from the process law, which is Markov
+in the counts).  Observed or stop-checked runs therefore keep
+near-unobserved throughput even at ``check_stop_every=1``.
 Before every predicate call — on both paths — :attr:`counts_live` is
 refreshed to the counts the predicate is handed, so predicates reading
 engine state instead of their argument see current values.
@@ -74,11 +98,11 @@ Per-type-pair accounting (count-level ``mode="action"``)
 --------------------------------------------------------
 
 With ``track_pair_counts=True`` both paths accumulate the ``(S, S)``
-matrix of executed interactions per ordered state pair (rewound exactly
-on early stops).  Facades turn that matrix into payoff observables —
-``IGTSimulation`` multiplies it against the exact expected-payoff table,
-which is how payoff and tournament experiments run count-level at large
-``n`` without per-agent arrays.
+matrix of executed interactions per ordered state pair (an early stop
+counts only the segments it executed).  Facades turn that matrix into
+payoff observables — ``IGTSimulation`` multiplies it against the exact
+expected-payoff table, which is how payoff and tournament experiments
+run count-level at large ``n`` without per-agent arrays.
 
 One driver, pluggable laws
 --------------------------
@@ -95,9 +119,10 @@ vector and the projection the identity.
 :class:`~repro.engine.weighted.WeightedCountBackend` subclasses it with
 the ``(weight class × state)`` chain and keeps only its law: the
 projection (a sum over classes), proxy eligibility and kernel, pair
-draws, the birthday window draw, clean run and collision resolver, and
-three class constants (snapshot ``kind``, the chain's payload key, the
-default proxy ceiling).
+draws, the birthday window draw, the clean run (which returns its
+per-segment deltas for the driver to apply) and the collision resolver,
+and three class constants (snapshot ``kind``, the chain's payload key,
+the default proxy ceiling).
 """
 
 from __future__ import annotations
@@ -146,6 +171,8 @@ def sample_without_replacement(rng, counts, n_slots: int) -> np.ndarray:
     indices throughout, so the arithmetic is exact up to ``2^63 - 1``
     agents; expected rejection overhead is ``O(n_slots^2 / total)``
     redraws — negligible in the birthday regime ``n_slots = O(√n)``.
+    Duplicates are dropped by a sort and a neighbour comparison, which
+    returns exactly what ``np.unique`` would at a fraction of its cost.
     """
     total = int(counts.sum())
     if total < _MARGINALS_MAX_TOTAL:
@@ -158,10 +185,137 @@ def sample_without_replacement(rng, counts, n_slots: int) -> np.ndarray:
     need = int(n_slots)
     while need:
         draw = rng.integers(0, total, size=need, dtype=np.int64)
-        chosen = np.unique(np.concatenate((chosen, draw)))
+        merged = np.sort(np.concatenate((chosen, draw)))
+        first = np.empty(merged.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        chosen = merged[first]
         need = int(n_slots) - chosen.size
     return np.bincount(bounds.searchsorted(chosen, side="right"),
                        minlength=len(counts))
+
+
+def _slot_segments(before, after, keys, cuts, spp: int, total,
+                   pair_bins: int) -> list:
+    """Per-segment ``(chain delta, pair delta)`` of a per-slot batch.
+
+    ``before``/``after`` are the batch's per-slot pre/post chain states,
+    ``total`` its whole chain delta, and ``keys`` its per-interaction
+    ordered-pair indices (``None`` when pair counts are not tracked);
+    segments end at the interaction offsets ``cuts`` and at the batch's
+    end, whose delta is what the earlier segments leave of ``total``.
+    """
+    segments = []
+    lo = 0
+    for hi in cuts:
+        delta = np.bincount(after[lo * spp:hi * spp], minlength=total.size)
+        delta -= np.bincount(before[lo * spp:hi * spp], minlength=total.size)
+        total = total - delta
+        pairs = (None if keys is None
+                 else np.bincount(keys[lo:hi], minlength=pair_bins))
+        segments.append((delta, pairs))
+        lo = hi
+    pairs = None if keys is None else np.bincount(keys[lo:],
+                                                  minlength=pair_bins)
+    segments.append((total, pairs))
+    return segments
+
+
+class _CellLaw:
+    """A table model's clean run as cell arithmetic (module docstring).
+
+    A cell is ``(component, initiator state, responder class)``, flattened
+    component-major; :attr:`delta` holds each cell's count change per
+    interaction, and :attr:`pair` its ordered-pair index when every
+    state is its own class.
+    """
+
+    def __init__(self, tables, probs, by_class: bool):
+        tables = np.stack(tables)
+        components, s = tables.shape[:2]
+        class_of = np.arange(s)
+        if by_class:
+            # A one-way model's responder matters only through its
+            # initiator-outcome column, so states with equal columns in
+            # every table share a class.
+            seen: dict[bytes, int] = {}
+            for v in range(s):
+                class_of[v] = seen.setdefault(tables[:, :, v, 0].tobytes(),
+                                              len(seen))
+        classes = int(class_of.max()) + 1
+        self.members = np.zeros((s, classes), dtype=np.int64)
+        self.members[np.arange(s), class_of] = 1
+        self.probs = None if components == 1 else np.asarray(probs, float)
+        comp, u, j = np.meshgrid(np.arange(components), np.arange(s),
+                                 np.arange(classes), indexing="ij")
+        comp, u, j = comp.ravel(), u.ravel(), j.ravel()
+        v = self.members.argmax(axis=0)[j]  # each class's first state
+        cells = np.arange(comp.size)
+        self.delta = np.zeros((comp.size, s), dtype=np.int64)
+        np.add.at(self.delta, (cells, u), -1)
+        np.add.at(self.delta, (cells, tables[comp, u, v, 0]), 1)
+        np.add.at(self.delta, (cells, v), -1)
+        np.add.at(self.delta, (cells, tables[comp, u, v, 1]), 1)
+        self.pair = u * s + v
+        self.states = s
+
+    def draw(self, rng, sampled, t: int) -> np.ndarray:
+        """Cell counts of ``t`` interactions among the agents ``sampled``."""
+        initiators = rng.multivariate_hypergeometric(sampled, t)
+        responders = (sampled - initiators) @ self.members
+        unpaired = initiators
+        paired = np.empty((self.states, responders.size), dtype=np.int64)
+        for j in range(1, responders.size):
+            column = (rng.multivariate_hypergeometric(unpaired, responders[j])
+                      if responders[j] else 0)
+            paired[:, j] = column
+            unpaired = unpaired - column
+        paired[:, 0] = unpaired
+        if self.probs is None:
+            return paired.ravel()
+        return rng.multinomial(paired.ravel(), self.probs).T.ravel()
+
+    def split(self, rng, cells, cuts) -> tuple:
+        """The batch's cells per segment between the offsets ``cuts``.
+
+        Returns ``(used, parts)``: row ``i`` of ``parts`` counts segment
+        ``i``'s interactions over the cells ``used``.  The batch's
+        interactions are in uniformly random order, so each segment's
+        cells are a multivariate hypergeometric split of the cells the
+        earlier segments left — one draw per cut.  With at least as
+        many cuts as occupied cells, one random order of the batch's
+        cell labels (one per interaction) is cheaper than that many
+        draws, and is the same law.
+        """
+        if not cuts:
+            return slice(None), cells[None, :]
+        used = np.flatnonzero(cells)
+        left = cells[used]
+        if len(cuts) < used.size:
+            parts = np.empty((len(cuts) + 1, used.size), dtype=np.int64)
+            for row, (lo, hi) in enumerate(zip([0, *cuts], cuts)):
+                parts[row] = rng.multivariate_hypergeometric(left, hi - lo)
+                left = left - parts[row]
+            parts[-1] = left
+            return used, parts
+        sizes = np.diff([0, *cuts, int(left.sum())])
+        order = rng.permutation(np.repeat(np.arange(used.size), left))
+        segment = np.repeat(np.arange(sizes.size), sizes)
+        parts = np.bincount(segment * used.size + order,
+                            minlength=sizes.size * used.size)
+        return used, parts.reshape(sizes.size, used.size)
+
+    def segments(self, rng, cells, cuts, track_pairs: bool) -> list:
+        """``(count delta, pair delta)`` of each segment between ``cuts``."""
+        used, parts = self.split(rng, cells, cuts)
+        deltas = parts @ self.delta[used]
+        if not track_pairs:
+            return [(delta, None) for delta in deltas]
+        bins = self.states ** 2
+        keys = np.arange(len(parts))[:, None] * bins + self.pair[used]
+        pairs = np.bincount(keys.ravel(), weights=parts.ravel(),
+                            minlength=len(parts) * bins)
+        return list(zip(deltas, pairs.astype(np.int64).reshape(-1, bins)))
 
 
 def _collision_cdf(n: int, slots_per_step: int) -> np.ndarray:
@@ -508,84 +662,50 @@ class CountBackend(SimulationEngine):
         """Execute one birthday-run batch of between 1 and ``budget`` steps.
 
         ``done`` is the number of interactions the enclosing ``run`` call
-        already executed; observation snapshots and stop checks whose
-        run-relative cadence points fall inside the batch are materialized
-        from the batch's recorded per-slot states without splitting it.
-        Returns ``(executed, converged)``; on an early stop the chain is
-        rewound to the firing checkpoint and the sampled remainder of the
-        batch is discarded.
+        already executed.  Observation snapshots and stop checks whose
+        run-relative cadence points fall inside the batch do not split
+        it: the law returns the clean run's count delta per segment
+        between those checkpoints, and the driver applies the segments
+        in order, observing and checking between them.  Returns
+        ``(executed, converged)``; on an early stop the segments after
+        the firing checkpoint (and the collision) are never applied.
         """
         t, collides, window = self._draw_batch(budget)
         executed = t + 1 if collides else t
         obs_at = _cadence_offsets(done, observe_every, executed)
         stop_at = (_cadence_offsets(done, check_stop_every, executed)
                    if stop_when is not None else range(0))
-        if obs_at or stop_at:
-            return self._run_with_checkpoints(t, collides, window, done,
-                                              stop_when, obs_at, stop_at,
-                                              sink)
-        if not collides:
-            # No collision inside the window we may process: its
-            # interactions are all-distinct — run them and stop (the
-            # collision time beyond the window is re-sampled next call,
-            # which is exact: only the event {first collision >= window}
-            # was consumed, and the chain is Markov in its counts).
-            self._run_clean(t, window, want_state=False)
-            return executed, False
-        slots, updated, pool = self._run_clean(t, window, want_state=True)
-        self._run_collision(t, window, slots, updated, pool)
-        return executed, False
-
-    def _run_with_checkpoints(self, t, collides, window, done, stop_when,
-                              obs_at, stop_at, sink):
-        """Run one batch whose window contains observation/stop checkpoints.
-
-        The clean run's per-slot pre/post chain states (``slots``/
-        ``updated``) give the exact chain at every interior step as a
-        prefix sum, so the batch is *not* split at the checkpoints — the
-        splitting is what made ``check_stop_every=1`` collapse to
-        one-interaction batches before.  Interior snapshots are segment
-        sums between consecutive checkpoints, projected to state counts;
-        the live counts are refreshed before every predicate call, and a
-        firing predicate rewinds the chain (and pair counts) to its
-        checkpoint and discards the batch remainder (the chain is Markov
-        in its counts, so re-sampling the future from the current state
-        is exact).
-        """
-        spp = self._spp
-        s = self.model.n_states
+        cuts = (sorted({*obs_at, *stop_at} - {t + 1})
+                if obs_at or stop_at else [])
+        segments, resolve = self._run_clean(t, window, cuts)
         base = self.steps_run + done
-        current = self._chain.copy()
-        slots, updated, pool = self._run_clean(t, window, want_state=True)
-        executed = t + 1 if collides else t
-        prev = 0
-        for offset in sorted(set(obs_at) | set(stop_at)):
-            if offset > t:
-                break
-            current += np.bincount(updated[prev * spp:offset * spp],
-                                   minlength=current.size)
-            current -= np.bincount(slots[prev * spp:offset * spp],
-                                   minlength=current.size)
-            prev = offset
-            if offset in obs_at:
-                sink.emit(base + offset, self._project(current))
-            if offset in stop_at and stop_when(self._refresh(current)):
-                self._chain[:] = current
-                if self._pair_counts is not None and offset < t:
-                    # The batch remainder is discarded; rewind its
-                    # already-accumulated pair counts too.
-                    discarded_u = slots[offset * spp::spp] % s
-                    discarded_v = slots[offset * spp + 1::spp] % s
-                    self._pair_counts -= np.bincount(
-                        discarded_u * s + discarded_v, minlength=s * s)
+        for offset, (delta, pairs) in zip([*cuts, None], segments):
+            self._chain += delta
+            if pairs is not None:
+                self._pair_counts += pairs
+            if offset is not None and self._checkpoint(
+                    base, offset, obs_at, stop_at, stop_when, sink):
                 return offset, True
+        # Without a collision inside the budget only the event {first
+        # collision > t} was consumed; the next batch re-samples it, which
+        # is exact because the chain is Markov in its counts.
         if collides:
-            self._run_collision(t, window, slots, updated, pool)
-            if executed in obs_at:
-                sink.emit(base + executed, self._project(self._chain))
-            if executed in stop_at and stop_when(self._refresh(self._chain)):
+            self._run_collision(t, window, *resolve)
+            if self._checkpoint(base, executed, obs_at, stop_at, stop_when,
+                                sink):
                 return executed, True
         return executed, False
+
+    def _checkpoint(self, base, offset, obs_at, stop_at, stop_when,
+                    sink) -> bool:
+        """Observe and stop-check at batch ``offset``; True when stopping.
+
+        The live counts are refreshed before the predicate runs.
+        """
+        if offset in obs_at:
+            sink.emit(base + offset, self._project(self._chain))
+        return offset in stop_at and bool(
+            stop_when(self._refresh(self._chain)))
 
     # ------------------------------------------------------------------
     # The uniform law: what a lift overrides
@@ -633,9 +753,21 @@ class CountBackend(SimulationEngine):
         return ordered_pair_block(self._rng, self.n, size)
 
     def _init_birthday(self) -> None:
-        """Construction constants of the birthday path."""
+        """Construction constants of the birthday path.
+
+        Pairwise models with component tables (and their probabilities)
+        get their cell structure; every other model runs per-slot
+        batches.
+        """
+        model = self.model
         self._cdf = _collision_cdf(self.n, self._spp)
-        self._state_ids = np.arange(self.model.n_states)
+        self._state_ids = np.arange(model.n_states)
+        self._cells = None
+        tables = model.component_tables
+        if self._spp == 2 and tables is not None and (
+                len(tables) == 1 or model.component_probs is not None):
+            self._cells = _CellLaw(tables, model.component_probs,
+                                   model.one_way and not self._track_pairs)
 
     def _draw_batch(self, budget: int):
         """Draw one batch window: ``(t, collides, window)``.
@@ -657,24 +789,37 @@ class CountBackend(SimulationEngine):
         t = first_collision if collides else clean_cap
         return t, collides, uniforms
 
-    def _run_clean(self, t: int, window, want_state: bool):
-        """Execute ``t`` interactions among all-distinct agents, vectorized.
+    def _run_clean(self, t: int, window, cuts):
+        """Draw ``t`` interactions among all-distinct agents.
 
-        With ``want_state`` true, returns ``(slots, updated, pool)``:
-        the flat per-slot sampled states, the per-slot post-interaction
-        states, and the count vector of the untouched remainder — the
-        inputs the collision resolution needs.
+        Returns ``(segments, resolve)``: the ``(count delta, pair delta)``
+        of each segment of the run split at the interaction offsets
+        ``cuts`` (pair deltas are ``None`` unless tracked), for the
+        driver to apply, and the arguments of :meth:`_run_collision` —
+        the touched agents' post-run state histogram and the untouched
+        remainder's counts.
         """
+        chain = self._chain
         if t == 0:
-            if want_state:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty, self._chain.copy()
-            return None
+            return [], (np.zeros_like(chain), chain.copy())
+        rng = self._rng
+        sampled = sample_without_replacement(rng, chain, t * self._spp)
+        if self._cells is not None:
+            cells = self._cells.draw(rng, sampled, t)
+            segments = self._cells.segments(rng, cells, cuts,
+                                            self._pair_counts is not None)
+            touched = sampled + cells @ self._cells.delta
+        else:
+            segments, touched = self._run_slots(sampled, cuts)
+        return segments, (touched, chain - sampled)
+
+    def _run_slots(self, sampled, cuts):
+        """Per-slot batch: shuffle the sample into slots, apply the model.
+
+        Returns the segments and the touched agents' post-run histogram.
+        """
         spp = self._spp
-        n_slots = t * spp
-        counts_before = self._chain
-        sampled = sample_without_replacement(self._rng, counts_before,
-                                             n_slots)
+        s = self.model.n_states
         slots = np.repeat(self._state_ids, sampled)
         self._rng.shuffle(slots)
         initiators = slots[0::spp]
@@ -684,27 +829,14 @@ class CountBackend(SimulationEngine):
             observed = (slots[2::spp], slots[3::spp])
         new_u, new_v = self.model.apply(initiators, responders, self._rng,
                                         observed)
-        s = self.model.n_states
-        if self._pair_counts is not None:
-            self._pair_counts += np.bincount(initiators * s + responders,
-                                             minlength=s * s)
-        # All sampled slots leave, all post-interaction states (updates for
-        # the pair, unchanged states for observed agents) re-enter — one
-        # fused bincount against the already-known sample composition.
-        if spp == 4:
-            entered = np.concatenate([new_u, new_v, observed[0], observed[1]])
-        else:
-            entered = np.concatenate([new_u, new_v])
-        delta = np.bincount(entered, minlength=s) - sampled
-        if want_state:
-            pool = counts_before - sampled
-            updated = slots.copy()
-            updated[0::spp] = new_u
-            updated[1::spp] = new_v
-            self._chain += delta
-            return slots, updated, pool
-        self._chain += delta
-        return None
+        updated = slots.copy()
+        updated[0::spp] = new_u
+        updated[1::spp] = new_v
+        keys = (initiators * s + responders
+                if self._pair_counts is not None else None)
+        touched = np.bincount(updated, minlength=s)
+        return (_slot_segments(slots, updated, keys, cuts, spp,
+                               touched - sampled, s * s), touched)
 
     def _rest_all_fresh(self, position: int, distinct: int) -> float:
         """P(slots ``position..spp-1`` all hit unseen agents | ``distinct``)."""
@@ -715,35 +847,32 @@ class CountBackend(SimulationEngine):
             distinct += 1
         return probability
 
-    def _run_collision(self, t: int, uniforms, slots, updated,
-                       pool) -> None:
+    def _run_collision(self, t: int, uniforms, touched, pool) -> None:
         """Resolve the interaction that ends a clean run, exactly.
 
-        ``slots``/``updated`` are the clean run's per-slot pre/post states
-        (each slot is a distinct agent); ``pool`` counts the untouched
-        agents; ``uniforms[1:]`` are pre-drawn repeat/fresh decision
-        variables.  The interaction's slot pattern (which of its
-        participants repeat an already-touched agent) is drawn from its
-        exact conditional law given that at least one repeats; repeated
-        participants read their recorded current state, fresh ones are
-        drawn from ``pool``.
+        ``touched`` is the histogram of the clean run's agents' current
+        states, ``pool`` counts the untouched agents, and ``uniforms[1:]``
+        are pre-drawn repeat/fresh decision variables.  The interaction's
+        slot pattern (which of its participants repeat an already-touched
+        agent) is drawn from its exact conditional law given that at
+        least one repeats.  A repeated participant is a uniform touched
+        agent other than the one it must differ from (the shift-trick
+        exclusion), so its state is drawn from ``touched`` minus that
+        agent's state; a fresh one is drawn from ``pool`` and joins the
+        touched agents.  Only states matter to the count chain, so agent
+        identities are never tracked.
         """
         rng = self._rng
         n = self.n
         spp = self._spp
-        prefix_slots = t * spp
+        touched = touched.tolist()
         pool = pool.tolist()
-        pool_total = n - prefix_slots
-        # Tokens identify distinct agents: 0..prefix_slots-1 are the clean
-        # run's slots; larger tokens are agents first seen in this very
-        # interaction (their pre-interaction state in fresh_states).
-        fresh_states: list[int] = []
+        distinct = t * spp
+        pool_total = n - distinct
         slot_states = [0] * spp
-        slot_tokens = [0] * spp
-        # Each slot's "distinct from" constraint: position of the slot
-        # whose agent it may not equal (the shift-trick exclusions).
+        # Each slot's "distinct from" constraint: the slot whose agent it
+        # may not be.
         exclusions = (None, 0, 0, 1) if spp == 4 else (None, 0)
-        distinct = prefix_slots
         need_repeat = True
         for position in range(spp):
             denominator = n if position == 0 else n - 1
@@ -758,18 +887,13 @@ class CountBackend(SimulationEngine):
             if is_repeat:
                 need_repeat = False
                 excluded = exclusions[position]
-                if excluded is not None:
-                    barred = slot_tokens[excluded]
-                    token = int(rng.integers(distinct - 1))
-                    if token >= barred:
-                        token += 1
-                else:
-                    token = int(rng.integers(distinct))
-                slot_tokens[position] = token
-                if token < prefix_slots:
-                    slot_states[position] = int(updated[token])
-                else:
-                    slot_states[position] = fresh_states[token - prefix_slots]
+                barred = -1 if excluded is None else slot_states[excluded]
+                pick = int(rng.integers(distinct - (barred >= 0)))
+                state = 0
+                acc = touched[0] - (barred == 0)
+                while acc <= pick:
+                    state += 1
+                    acc += touched[state] - (barred == state)
             else:
                 pick = int(rng.integers(pool_total))
                 state = 0
@@ -779,10 +903,9 @@ class CountBackend(SimulationEngine):
                     acc += pool[state]
                 pool[state] -= 1
                 pool_total -= 1
-                slot_tokens[position] = distinct
-                fresh_states.append(state)
-                slot_states[position] = state
+                touched[state] += 1
                 distinct += 1
+            slot_states[position] = state
         u, v = slot_states[0], slot_states[1]
         observed = None
         if spp == 4:

@@ -125,6 +125,16 @@ class InteractionModel(ABC):
         """Component indices for ``size`` interactions (``None`` if ``C=1``)."""
         return None
 
+    @property
+    def component_probs(self):
+        """Probabilities with which :meth:`sample_components` draws each
+        table, iid per interaction (``None`` when ``C = 1`` or generic).
+
+        The count backend splits an interaction batch over the components
+        by one multinomial draw with these probabilities.
+        """
+        return None
+
     @abstractmethod
     def apply(self, initiators, responders, rng, observed=None):
         """Vectorized outcome of a batch of interactions.
@@ -273,6 +283,10 @@ class MixtureTableModel(InteractionModel):
     @property
     def probs(self) -> np.ndarray:
         """Component probabilities (copy)."""
+        return self._probs.copy()
+
+    @property
+    def component_probs(self):
         return self._probs.copy()
 
     def sample_components(self, rng, size: int):

@@ -82,7 +82,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.observe import ObserverSink, as_sink
-from repro.utils.errors import InvalidParameterError, ReproError
+from repro.utils.errors import (
+    InvalidParameterError,
+    InvariantError,
+    ReproError,
+)
 
 #: The snapshot byte format written by :meth:`SnapshotState.to_bytes`;
 #: :meth:`SnapshotState.from_bytes` also reads version 1 and refuses
@@ -622,21 +626,32 @@ class _SegmentStreamSink(ObserverSink):
         return self._inner.records
 
 
+def _check_boundary(simulation) -> None:
+    """Refuse live counts that cannot describe the simulation's agents."""
+    counts = simulation.counts_live
+    if counts.min() < 0 or int(counts.sum()) != simulation.n:
+        raise InvariantError(
+            f"segment boundary at step {int(simulation.steps_run)}: live "
+            f"counts {counts.tolist()} are not non-negative counts of "
+            f"n={simulation.n} agents")
+
+
 def run_resumable(simulation, max_steps: int, stop_when, *,
                   check_stop_every: int, segment_steps: int | None = None,
                   channel: SnapshotChannel | None = None,
                   observe_every: int | None = None, observe=None) -> bool:
     """Drive ``simulation.run_until`` in deterministic resumable segments.
 
-    The simulation must expose ``steps_run``, ``run_until(max_steps,
-    stop_when, check_stop_every=...)``, ``snapshot()`` and
-    ``restore()`` (both engines and the :class:`~repro.core
-    .population_igt.IGTSimulation` facade qualify).  Execution is split
-    into segments of ``segment_steps`` interactions (default
-    :data:`SEGMENT_CHECKS` stop-check periods); after every completed
-    segment the current snapshot is saved to ``channel`` (or the
-    ambient channel).  On entry, an existing channel snapshot is
-    restored and the already-executed segments are skipped.
+    The simulation must expose ``n``, ``counts_live``, ``steps_run``,
+    ``run_until(max_steps, stop_when, check_stop_every=...)``,
+    ``snapshot()`` and ``restore()`` (the
+    :class:`~repro.core.population_igt.IGTSimulation` facade
+    qualifies).  Execution is split into segments of ``segment_steps``
+    interactions (default :data:`SEGMENT_CHECKS` stop-check periods);
+    after every completed segment the current snapshot is saved to
+    ``channel`` (or the ambient channel).  On entry, an existing
+    channel snapshot is restored and the already-executed segments are
+    skipped.
 
     Segmentation is applied whether or not a channel is bound — the
     segment boundaries are part of the execution law, so an
@@ -654,6 +669,11 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     streamed file is byte-identical to an uninterrupted run's.
     Segments are rounded up to a multiple of the observation cadence to
     keep boundaries on the cadence grid.
+
+    Every segment boundary checks, in O(S), that the simulation's live
+    counts (``counts_live``) are non-negative and sum to its ``n``, and
+    raises :class:`~repro.utils.errors.InvariantError` naming the step
+    otherwise — before a corrupt state can be checkpointed.
     """
     if channel is None:
         channel = current_channel()
@@ -686,6 +706,7 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
             converged = simulation.run_until(
                 budget, stop_when, check_stop_every=check_stop_every,
                 observe_every=observe_every, observe=stream)
+        _check_boundary(simulation)
         if (channel is not None and not converged
                 and simulation.steps_run < target):
             snap = simulation.snapshot()

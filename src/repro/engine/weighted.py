@@ -59,7 +59,11 @@ import math
 
 import numpy as np
 
-from repro.engine.count import CountBackend, sample_without_replacement
+from repro.engine.count import (
+    CountBackend,
+    _slot_segments,
+    sample_without_replacement,
+)
 from repro.engine.model import InteractionModel
 from repro.engine.sampling import (
     AliasTable,
@@ -514,27 +518,26 @@ class WeightedCountBackend(CountBackend):
         t = tau // self._spp if collides else interactions
         return t, collides, (cls, tau)
 
-    def _run_clean(self, t: int, window, want_state: bool):
-        """Execute ``t`` all-distinct interactions, vectorized per class.
+    def _run_clean(self, t: int, window, cuts):
+        """Draw ``t`` all-distinct interactions, vectorized per class.
 
         The prefix slots hold distinct agents whose classes are the
         window's class sequence; within each class the agents are
         exchangeable, so their states are a without-replacement sample
         from that class's state counts
         (``multivariate_hypergeometric`` + shuffle), exactly as
-        the uniform path samples from the global counts.  With
-        ``want_state`` returns ``(pids, updated, pool)``: per-slot
-        pre/post product ids and the untouched remainder's product
-        counts — the collision-resolution inputs.
+        the uniform path samples from the global counts.  Returns the
+        per-segment ``(count delta, pair delta)`` list of the run split
+        at ``cuts`` and the collision-resolution inputs ``(pids,
+        updated, pool)``: per-slot pre/post product ids and the
+        untouched remainder's product counts.
         """
         cls = window[0]
         s = self.model.n_states
         p = self._classes * s
         if t == 0:
-            if want_state:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty, self._chain.copy()
-            return None
+            empty = np.empty(0, dtype=np.int64)
+            return [], (empty, empty, self._chain.copy())
         spp = self._spp
         n_slots = t * spp
         rng = self._rng
@@ -558,21 +561,16 @@ class WeightedCountBackend(CountBackend):
             observed = (slots[2::spp], slots[3::spp])
         new_u, new_v = self.model.apply(initiators, responders, rng,
                                         observed)
-        if self._pair_counts is not None:
-            self._pair_counts += np.bincount(initiators * s + responders,
-                                             minlength=s * s)
+        keys = (initiators * s + responders
+                if self._pair_counts is not None else None)
         pids = prefix_cls * s + slots
         updated = pids.copy()
         updated[0::spp] = prefix_cls[0::spp] * s + new_u
         updated[1::spp] = prefix_cls[1::spp] * s + new_v
         sampled = np.bincount(pids, minlength=p)
         delta = np.bincount(updated, minlength=p) - sampled
-        if want_state:
-            pool = self._chain - sampled
-            self._chain += delta
-            return pids, updated, pool
-        self._chain += delta
-        return None
+        return (_slot_segments(pids, updated, keys, cuts, spp, delta, s * s),
+                (pids, updated, self._chain - sampled))
 
     def _run_collision(self, t: int, window, pids, updated, pool) -> None:
         """Resolve the interaction that ends a clean run, exactly.

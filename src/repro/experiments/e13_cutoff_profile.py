@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.analysis.tables import sparkline
 from repro.engine import resolve_backend, run_resumable, series_sink
 from repro.engine.snapshot import SnapshotState, scoped_channel
@@ -49,8 +51,9 @@ PARAMS = ParamSpace(
 class _CoalescencePair:
     """Two opposite-corner chains advancing in lockstep probe blocks.
 
-    A duck simulation for :func:`run_resumable` (``steps_run`` /
-    ``run_until`` / ``snapshot`` / ``restore``): each segment advances
+    A duck simulation for :func:`run_resumable` (``n`` /
+    ``counts_live`` / ``steps_run`` / ``run_until`` / ``snapshot`` /
+    ``restore``): each segment advances
     both chains by the same budget at the probe cadence and scans the
     fresh rows for the first gap within ``delta``.  Both chains draw
     from one shared generator, so a snapshot captures the same
@@ -79,6 +82,16 @@ class _CoalescencePair:
     @property
     def steps_run(self) -> int:
         return int(self.top.steps_run)
+
+    @property
+    def n(self) -> int:
+        return self.top.n + self.bottom.n
+
+    @property
+    def counts_live(self) -> np.ndarray:
+        """Both chains' live count vectors, side by side."""
+        return np.concatenate((self.top.counts_live,
+                               self.bottom.counts_live))
 
     def run_until(self, max_steps, stop_when, check_stop_every=1) -> bool:
         top_rows = self.top.run(max_steps, observe_every=self.chunk)[1:]

@@ -36,7 +36,10 @@ _CODE_VERSION: str | None = None
 #: deployments).  Epoch 2: the weighted samplers moved from cumulative-sum
 #: inversion to a Walker alias table — the law is unchanged but every
 #: weighted bitstream (and thus every weighted trajectory) differs.
-CODE_EPOCH = 2
+#: Epoch 3: uniform count chains draw their start as one multinomial and
+#: run table models' birthday batches as cell compositions — same law,
+#: new uniform-count bitstreams.
+CODE_EPOCH = 3
 
 
 def code_version() -> str:

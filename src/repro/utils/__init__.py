@@ -9,6 +9,7 @@ from repro.utils.errors import (
     ConvergenceError,
     InvalidDistributionError,
     InvalidParameterError,
+    InvariantError,
     ReproError,
 )
 from repro.utils.rng import as_generator, spawn_generators
@@ -26,6 +27,7 @@ __all__ = [
     "InvalidParameterError",
     "InvalidDistributionError",
     "ConvergenceError",
+    "InvariantError",
     "as_generator",
     "spawn_generators",
     "check_fraction",

@@ -20,3 +20,10 @@ class InvalidDistributionError(ReproError, ValueError):
 
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative computation failed to converge within its budget."""
+
+
+class InvariantError(ReproError, RuntimeError):
+    """A simulation's state broke an invariant its law guarantees.
+
+    For example, live counts that no longer describe ``n`` agents.
+    """

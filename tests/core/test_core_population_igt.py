@@ -1,16 +1,21 @@
 """Tests for the agent-level IGT simulation."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.analysis.stats import chi_square_goodness_of_fit
 from repro.core import population_igt
 from repro.core.equilibrium import RDSetting
+from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.igt import AgentType, GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.utils import InvalidParameterError
@@ -118,12 +123,58 @@ with open("/proc/self/status") as status:
 """
 
 
+def multinomial_law(draws: int, cells: int) -> dict:
+    """Exact law of ``bincount`` of ``draws`` iid uniform indices in
+    ``range(cells)``: every composition with its multinomial probability."""
+    law = {}
+    for composition in itertools.product(range(draws + 1), repeat=cells):
+        if sum(composition) == draws:
+            ways = math.factorial(draws)
+            for part in composition:
+                ways //= math.factorial(part)
+            law[composition] = ways / cells ** draws
+    return law
+
+
+def start_law_p_value(starts, law: dict) -> float:
+    """Chi-square p-value of observed start count vectors against ``law``."""
+    keys = sorted(law)
+    observed = Counter(tuple(int(c) for c in start) for start in starts)
+    assert set(observed) <= set(keys), "a start outside the law's support"
+    _, p_value = chi_square_goodness_of_fit(
+        [observed[key] for key in keys], [law[key] for key in keys])
+    return p_value
+
+
+class TestCountStartLaw:
+    """The uniform and vertex-transitive count paths draw their start as
+    one multinomial over the states, O(k) at any ``n``; its law must be
+    that of the per-agent paths' histogram of uniform draws."""
+
+    @pytest.mark.parametrize("topology", [None, "ring"])
+    def test_igt_start_matches_bincount_of_uniforms(self, grid, topology):
+        shares = PopulationShares(alpha=0.25, beta=0.25, gamma=0.5)
+        starts = [IGTSimulation(n=12, shares=shares, grid=grid, seed=seed,
+                                backend="count", topology=topology).counts
+                  for seed in range(2000)]
+        assert start_law_p_value(starts, multinomial_law(6, grid.k)) > 1e-3
+
+    @pytest.mark.parametrize("topology", [None, "ring"])
+    def test_game_start_matches_bincount_of_uniforms(self, topology):
+        starts = [PopulationGameSimulation(
+            hawk_dove_game(2.0, 4.0), 10, rule="best_response", seed=seed,
+            backend="count", topology=topology).counts
+            for seed in range(2000)]
+        assert start_law_p_value(starts, multinomial_law(10, 2)) > 1e-3
+
+
 class TestChunkedUniformStarts:
-    """Uniform GTFT starts are drawn ``_START_CHUNK`` at a time; the
-    chunks must reproduce one draw of all ``n_gtft`` indices exactly."""
+    """Per-agent uniform GTFT starts (agent and weighted paths) are drawn
+    ``_START_CHUNK`` at a time; the chunks must reproduce one draw of all
+    ``n_gtft`` indices exactly."""
 
     @pytest.mark.parametrize("backend, weights", [
-        ("agent", None), ("count", None), ("count", "powerlaw")])
+        ("agent", None), ("count", "powerlaw")])
     @pytest.mark.parametrize("chunk", [1, 997, 4096])
     def test_chunks_equal_one_draw(self, monkeypatch, shares, backend,
                                    weights, chunk):

@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.engine import CountBackend, WeightedCountBackend, igt_model
-from repro.engine.count import _collision_cdf
+from repro.engine.count import (
+    _MARGINALS_MAX_TOTAL,
+    _collision_cdf,
+    sample_without_replacement,
+)
 from repro.engine.snapshot import SnapshotState
 
 HUGE_N = 10**9
@@ -68,6 +72,41 @@ class TestHugePopulation:
         reference = engine.run(20_000)
         assert np.array_equal(twin.counts, reference.counts)
         assert int(twin.counts.sum()) == HUGE_N
+
+
+def unique_fallback(rng, counts, n_slots):
+    """The distinct-index fallback as first written, deduplicating with
+    ``np.unique`` — the reference the sort-based version must equal."""
+    total = int(counts.sum())
+    bounds = np.cumsum(counts)
+    chosen = np.empty(0, dtype=np.int64)
+    need = int(n_slots)
+    while need:
+        draw = rng.integers(0, total, size=need, dtype=np.int64)
+        chosen = np.unique(np.concatenate((chosen, draw)))
+        need = int(n_slots) - chosen.size
+    return np.bincount(bounds.searchsorted(chosen, side="right"),
+                       minlength=len(counts))
+
+
+class TestDistinctIndexFallback:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("n_slots", [1, 2, 17, 1000, 37_000])
+    @pytest.mark.parametrize("total", [HUGE_N, 4 * HUGE_N])
+    def test_matches_unique_formulation(self, seed, n_slots, total):
+        # At 37 000 slots of 10^9 agents about half the windows hit a
+        # duplicate, so the redraw loop runs too.
+        counts = huge_counts()
+        counts[0] += total - HUGE_N
+        assert int(counts.sum()) >= _MARGINALS_MAX_TOTAL
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        for _ in range(3):  # consecutive draws share one generator
+            drawn = sample_without_replacement(rng, counts, n_slots)
+            expected = unique_fallback(reference_rng, counts, n_slots)
+            np.testing.assert_array_equal(drawn, expected)
+            assert int(drawn.sum()) == n_slots
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestHugeCursor:

@@ -16,7 +16,22 @@ sizes exercise the two birthday-path samplers:
 :func:`~repro.engine.count.sample_without_replacement` delegates to
 numpy's hypergeometric sampler at ``n = 10^7`` and takes the exact
 distinct-index fallback at ``n = 10^9``.
+
+Means cannot see a sampler that gets the fluctuations wrong, so the
+replicate covariances are held to the exact second moments too.  Only
+the initiator moves, at rates linear in ``z``, so with ``L = A/m`` and
+``D(μ) = Σ_j μ_j (a·u_j u_jᵀ + b·d_j d_jᵀ)/m`` (``u_j``, ``d_j`` the
+up/down moves out of index ``j``) the centered second moments close:
+
+    Cov_{t+1} = Cov_t + L Cov_t + Cov_t Lᵀ + D(μ_t) − (Lμ_t)(Lμ_t)ᵀ.
+
+``(Lμ_t)(Lμ_t)ᵀ = L M_t Lᵀ`` with ``M_{t+1} = P M_t Pᵀ``
+(``P = I + L``), so ``(Cov, M, μ)`` evolves linearly and ``T`` steps are one matrix
+power (repeated squaring).  ``E[zzᵀ] − μμᵀ`` is never formed: at
+``n = 10^9`` its float64 cancellation wipes out the variance.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -34,16 +49,98 @@ CASES = [
     (10**9, 50_000, 40, True),
 ]
 
+#: ``(n, interactions, replicates, distinct-index fallback)`` of the
+#: covariance cases, each a few seconds.  Short runs buy replicates: the
+#: standard error of a sample variance is ``sqrt(2/R)`` of it, whatever
+#: the horizon.
+COV_CASES = [
+    (10**7, 20_000, 1500, False),
+    (10**9, 20_000, 1000, True),
+]
 
-def exact_mean(n: int, steps: int) -> np.ndarray:
-    """``(I + A/m)^steps z0`` for all GTFT agents starting at index 0."""
-    m, n_ad = n // 2, n // 4
+
+def start_counts(n: int, with_ac: bool) -> np.ndarray:
+    """A quarter of the agents AD, a quarter AC (or none), and every
+    GTFT agent at generosity index 0.
+
+    Without AC agents three quarters of the initiators are GTFT at one
+    index, which is where a wrong pairing law moves the variance most.
+    """
+    counts = np.zeros(K + 2, dtype=np.int64)
+    counts[K] = n // 4 if with_ac else 0
+    counts[K + 1] = n // 4
+    counts[0] = n - counts[K:].sum()
+    return counts
+
+
+def rates(counts) -> tuple[int, float, float]:
+    """``(m, a, b)``: GTFT agents and their exact up/down rates."""
+    n, m, n_ad = int(counts.sum()), int(counts[:K].sum()), int(counts[K + 1])
     a = (m / n) * (n - 1 - n_ad) / (n - 1)
     b = (m / n) * n_ad / (n - 1)
+    return m, a, b
+
+
+def exact_mean(counts, steps: int) -> np.ndarray:
+    """``(I + A/m)^steps z0`` from the start ``counts``."""
+    m, a, b = rates(counts)
     step = np.eye(K) + drift_generator(K, a, b) / m
-    z0 = np.zeros(K)
-    z0[0] = m
-    return np.linalg.matrix_power(step, steps) @ z0
+    return np.linalg.matrix_power(step, steps) @ counts[:K]
+
+
+def exact_moments(counts, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(E[z_T], Cov(z_T))`` by doubling the linear recursion on
+    ``(Cov, μμᵀ, μ)`` (see the module docstring)."""
+    m, a, b = rates(counts)
+    eye = np.eye(K)
+    move = drift_generator(K, a, b) / m
+    step = eye + move
+    noise = np.zeros((K * K, K))  # column j: vec of D's j-th term
+    for j in range(K):
+        term = np.zeros((K, K))
+        if j < K - 1:
+            up = eye[j + 1] - eye[j]
+            term += a * np.outer(up, up)
+        if j > 0:
+            down = eye[j - 1] - eye[j]
+            term += b * np.outer(down, down)
+        noise[:, j] = term.ravel() / m
+    s = K * K
+    system = np.zeros((2 * s + K, 2 * s + K))
+    system[:s, :s] = np.eye(s) + np.kron(move, eye) + np.kron(eye, move)
+    system[:s, s:2 * s] = -np.kron(move, move)
+    system[:s, 2 * s:] = noise
+    system[s:2 * s, s:2 * s] = np.kron(step, step)
+    system[2 * s:, 2 * s:] = step
+    z0 = counts[:K].astype(float)
+    state = np.concatenate((np.zeros(s), np.outer(z0, z0).ravel(), z0))
+    state = np.linalg.matrix_power(system, steps) @ state
+    return state[2 * s:], state[:s].reshape(K, K)
+
+
+def replicate_finals(counts, steps: int, replicates: int,
+                     seed: int) -> np.ndarray:
+    """Final generosity counts of independent birthday-path replicates."""
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    finals = np.empty((replicates, K))
+    for row, child in enumerate(children):
+        engine = CountBackend(igt_model(K), counts, seed=child)
+        assert engine._kernel is None  # birthday path, not the proxy
+        result = engine.run(steps)
+        assert int(result.counts.sum()) == int(counts.sum())
+        np.testing.assert_array_equal(result.counts[K:], counts[K:])
+        finals[row] = result.counts[:K]
+    return finals
+
+
+def poisson_tails(total: int, mean: float) -> tuple[float, float]:
+    """``(P(X <= total), P(X >= total))`` for ``X ~ Poisson(mean)``."""
+    term = math.exp(-mean)
+    below = 0.0
+    for x in range(total):
+        below += term
+        term *= mean / (x + 1)
+    return below + term, 1.0 - below
 
 
 @pytest.mark.parametrize("n, steps, replicates, fallback", CASES,
@@ -52,22 +149,11 @@ def test_replicate_mean_matches_exact_recursion(n, steps, replicates,
                                                 fallback):
     assert n > PROXY_MAX_N
     assert (n >= _MARGINALS_MAX_TOTAL) == fallback
-    counts = np.zeros(K + 2, dtype=np.int64)
-    counts[0] = n // 2      # every GTFT agent at generosity index 0
-    counts[K] = n // 4      # AC
-    counts[K + 1] = n // 4  # AD
-    children = np.random.SeedSequence(20240519).spawn(replicates)
-    finals = np.empty((replicates, K))
-    for row, child in enumerate(children):
-        engine = CountBackend(igt_model(K), counts, seed=child)
-        assert engine._kernel is None  # birthday path, not the proxy
-        result = engine.run(steps)
-        assert int(result.counts.sum()) == n
-        np.testing.assert_array_equal(result.counts[K:], counts[K:])
-        finals[row] = result.counts[:K]
+    counts = start_counts(n, with_ac=True)
+    finals = replicate_finals(counts, steps, replicates, 20240519)
     mean = finals.mean(axis=0)
     se = finals.std(axis=0, ddof=1) / np.sqrt(replicates)
-    exact = exact_mean(n, steps)
+    exact = exact_mean(counts, steps)
     varying = se > 0
     assert varying[:2].all()
     np.testing.assert_array_less(np.abs(mean - exact)[varying],
@@ -75,3 +161,34 @@ def test_replicate_mean_matches_exact_recursion(n, steps, replicates,
     # A coordinate no replicate ever reached must be one the mean flow
     # barely reaches either.
     assert np.all(exact[~varying] < 1.0)
+
+
+@pytest.mark.parametrize("n, steps, replicates, fallback", COV_CASES,
+                         ids=["hypergeometric-1e7", "distinct-index-1e9"])
+def test_replicate_covariance_matches_exact_recursion(n, steps, replicates,
+                                                      fallback):
+    assert (n >= _MARGINALS_MAX_TOTAL) == fallback
+    counts = start_counts(n, with_ac=False)
+    finals = replicate_finals(counts, steps, replicates, 20261017)
+    mean, cov = exact_moments(counts, steps)
+    np.testing.assert_allclose(mean, exact_mean(counts, steps), rtol=1e-9)
+    # Coordinates the flow fills (exact mean >= 1): every sample
+    # (co)variance within 5 normal-theory standard errors,
+    # Var(S_ij) = (C_ii C_jj + C_ij^2) / (R - 1).
+    dense = np.flatnonzero(mean >= 1.0)
+    assert dense.size >= 2
+    exact = cov[np.ix_(dense, dense)]
+    sample = np.cov(finals[:, dense], rowvar=False)
+    variance = np.diag(exact)
+    se = np.sqrt((np.outer(variance, variance) + exact ** 2)
+                 / (replicates - 1))
+    z = (sample - exact) / se
+    assert np.all(np.abs(z) < 5), f"covariance z-scores\n{z.round(2)}"
+    # Sparse coordinates (exact mean < 1) are rare-event counts: their
+    # replicate total must be a plausible Poisson(R * mean) draw, which
+    # a CLT band cannot judge.
+    for j in np.flatnonzero(mean < 1.0):
+        total = int(finals[:, j].sum())
+        low, high = poisson_tails(total, replicates * mean[j])
+        assert min(low, high) > 1e-6, \
+            f"index {j}: total {total} vs Poisson({replicates * mean[j]:.3g})"

@@ -46,7 +46,7 @@ from repro.engine.snapshot import (
 )
 from repro.testing import FaultSpec, crash_point, reset_faults
 from repro.testing.faults import CRASH_EXIT_CODE, FAULTS_ENV
-from repro.utils.errors import InvalidParameterError
+from repro.utils.errors import InvalidParameterError, InvariantError
 
 PAYOFFS = np.array([[3.0, 0.0], [5.0, 1.0]])  # prisoner's dilemma
 
@@ -259,7 +259,9 @@ class TestSnapshotBytePins:
     engines shared one encoder (proxy) and one count-chain driver
     (birthday) and now pin the version-1 load fixtures; the v2 digests
     pin the format written today, so any change to the on-disk/wire
-    snapshot format moves one.
+    snapshot format moves one.  Both ``count-birthday`` digests were
+    re-captured when table models' birthday batches became cell
+    compositions (a new bitstream, not a new format).
     """
 
     @pytest.mark.parametrize("kind, digest", [
@@ -270,7 +272,7 @@ class TestSnapshotBytePins:
         ("weighted",
          "79133d8c82104d064faadf09bfe29c16758b05497ae59154969f32d5d68d4de0"),
         ("count-birthday",
-         "060c0906de3241e02f64daa985065e94a461dcbbe5805d57667aabcc73351413"),
+         "e0463dd04390d4ad2a26b93abd512d567d4abf03c9c46389039ba7b730d8bd3e"),
         ("weighted-birthday",
          "19abe0e6a957519e317011941822e08cc4444939c0d6a7a7eb77d50f386025e8"),
     ])
@@ -299,7 +301,7 @@ class TestSnapshotBytePins:
         ("weighted",
          "60a4bcabfa8401729b59a97a03e3e9a5149c0d25010f57845a1035cc0e69c233"),
         ("count-birthday",
-         "e4983a34f7e4a85014103d586ed0c5f5dce291a78c957ddcd7843991647a7903"),
+         "f371572936fb162a9d4c4fd3bd03e54ee3cc502641992cd9bc4b32ae8fb60ff9"),
         ("weighted-birthday",
          "4f9a72222d9b48efb378e7df8ea735a3d69842aae85c9ead96e92368a3e255d6"),
     ])
@@ -753,6 +755,32 @@ class TestRunResumable:
         run_resumable(right, 5000, lambda z: False, check_stop_every=77)
         np.testing.assert_array_equal(left.counts, right.counts)
         assert left.steps_run == right.steps_run == 5000
+
+    @pytest.mark.parametrize("backend, n", [("agent", 600), ("count", 600),
+                                            ("count", 2_000_000)],
+                             ids=["agent", "count-proxy", "count-birthday"])
+    def test_corrupted_engine_is_refused_at_next_boundary(self, backend, n):
+        sim = igt_sim(backend=backend, n=n)
+
+        class Corrupting(RecordingChannel):
+            """Adds one agent from nowhere after the first checkpoint."""
+
+            def save(self, snapshot):
+                super().save(snapshot)
+                if len(self.snapshots) == 1:
+                    engine = sim._engine
+                    chain = (engine.counts_live if backend == "agent"
+                             else engine._chain)
+                    chain[0] += 1
+
+        channel = Corrupting()
+        # Segments are 8 checks of 100 steps: saved at 800, refused at
+        # the next boundary, before the corrupt state is checkpointed.
+        with pytest.raises(InvariantError, match=r"at step 1600: .* n=" +
+                           str(n)):
+            run_resumable(sim, 6000, lambda z: False, check_stop_every=100,
+                          channel=channel)
+        assert len(channel.snapshots) == 1
 
 
 # ----------------------------------------------------------------------

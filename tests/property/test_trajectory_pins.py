@@ -7,7 +7,10 @@ facades' engine construction were consolidated into one class per law
 and one engine factory, so any change to how a facade draws pairs,
 builds its engine, or hands the law's arrays to the count lift moves a
 digest.  A case that must change on purpose (a new bitstream) needs a
-``CODE_EPOCH`` bump in the result cache too.
+``CODE_EPOCH`` bump in the result cache too.  The five uniform-count
+digests were re-captured (epoch 3) when the count start became one
+multinomial draw and table models' birthday batches became cell
+compositions.
 """
 
 import hashlib
@@ -128,19 +131,19 @@ PINNED = {
     "game-ring-agent": "ba1ba3404f9e99fa",
     "game-ring-step": "7e922d7d1ef94654",
     "game-uniform-agent": "c87d86073a6f8d1f",
-    "game-uniform-count": "ac1ef90e397718ee",
+    "game-uniform-count": "f4f238a6fd6ae650",
     "game-uniform-step": "66b1d8576ff3aaa2",
     "igt-powerlaw-action-step": "01c8f491590d96e1",
     "igt-powerlaw-agent": "cf1272bd440b85bc",
     "igt-powerlaw-count": "de45c04de3d375ac",
     "igt-ring-action-step": "a9c150d72a055c64",
     "igt-ring-agent": "c15addce9b4bb629",
-    "igt-ring-count": "756d04771c2b02ee",
+    "igt-ring-count": "f579cde16d1a0912",
     "igt-uniform-action-step": "5d879b0f3978e655",
     "igt-uniform-agent": "6db001b736e7c680",
-    "igt-uniform-count": "756d04771c2b02ee",
-    "igt-uniform-count-birthday": "3fe8e99e270e0643",
-    "protocol-counts-birthday": "a1d0f0ba3a03ad66",
+    "igt-uniform-count": "f579cde16d1a0912",
+    "igt-uniform-count-birthday": "5fe2cde7b36e944d",
+    "protocol-counts-birthday": "b7c5fc987aa25f82",
     "protocol-counts-proxy": "21d496e6330e2e77",
     "simulator-ring": "6f591db0dfe14496",
     "simulator-uniform": "c4ddecbc4d42bd56",
