@@ -6,7 +6,8 @@ resulting distributional equilibrium tightens as epsilon = O(1/k)
 (Theorem 2.9).  This script regenerates that trade-off with a measured
 convergence column from the paper's own coordinate coupling, and contrasts
 the effective regime with a regime that passes the paper's literal
-conditions but stalls (see DESIGN.md section 5).
+conditions but stalls (see the reproduction note in the docstring of
+repro.core.regimes.payoff_increase_margin).
 
 Run with:  python examples/equilibrium_tradeoffs.py
 """
@@ -52,8 +53,8 @@ def main():
     print(format_table(["k", "Psi", "Psi * k"], rows))
     print()
     print("Here the best response is zero generosity and Psi stalls at a")
-    print("constant - the reproduction finding documented in DESIGN.md "
-          "section 5.")
+    print("constant - the reproduction finding documented in the note of")
+    print("repro.core.regimes.payoff_increase_margin.")
 
 
 if __name__ == "__main__":

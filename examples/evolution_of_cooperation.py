@@ -107,44 +107,10 @@ def act_three_payoffs():
           "repeated donation game)")
 
 
-def act_four_evolution():
-    print("=" * 70)
-    print("Act 4 - can cooperation *evolve*? (Moran process on repeated-game"
-          " payoffs)")
-    print("=" * 70)
-    from repro.games.base import MatrixGame
-    from repro.games.expected_payoff import expected_payoff_pair
-    from repro.games.moran import MoranProcess
-    from repro.games.strategies import always_defect
-
-    game = DonationGame(b=4.0, c=1.0)
-    gtft = generous_tit_for_tat(0.1, 1.0)
-    ad = always_defect()
-    n = 40
-    rows = []
-    for delta in (0.0, 0.3, 0.6, 0.9):
-        u_gg, _ = expected_payoff_pair(gtft, gtft, game, delta)
-        u_ga, u_ag = expected_payoff_pair(gtft, ad, game, delta)
-        u_aa, _ = expected_payoff_pair(ad, ad, game, delta)
-        # Strategy 0 = AD invading GTFT residents.
-        matrix = MatrixGame([[u_aa, u_ag], [u_ga, u_gg]])
-        process = MoranProcess(matrix, n=n, selection_intensity=0.05)
-        rho = process.fixation_probability(1)
-        rows.append([f"{delta:.1f}", f"{rho:.5f}", f"{1 / n:.5f}",
-                     "AD invades" if rho > 1 / n else "GTFT resists"])
-    print(format_table(
-        ["delta", "fixation prob of one AD mutant", "neutral 1/n",
-         "verdict"], rows))
-    print("(longer games flip the selection gradient: once delta exceeds "
-          "c/b, reciprocity is evolutionarily protected - the reason the "
-          "paper's update rule points toward generosity at all)")
-
-
 def main():
     act_one_noise()
     act_two_tuning()
     act_three_payoffs()
-    act_four_evolution()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Mean-field flow and empirical convergence of the k-IGT dynamics.
+"""Mean-field flow of the k-IGT dynamics against agent-level simulation.
 
 Shows the three levels of description agreeing on one instance:
 
@@ -6,23 +6,17 @@ Shows the three levels of description agreeing on one instance:
 2. the *exact mean recursion* E[z_{t+1}] = (I + A/m) E[z_t] (possible
    because the count-chain rates are linear — eq. 5),
 3. the *continuous mean-field flow* dx/dtau = A x with the Theorem 2.4
-   weights as its fixed point,
-
-then measures the empirical distance-to-stationarity curve with the
-replica machinery and places its crossing against the paper's two-sided
-mixing bounds (Theorem 2.7).
+   weights as its fixed point.
 
 Run with:  python examples/mean_field_and_convergence.py
 """
 
 import numpy as np
 
-from repro.analysis.tables import format_table, sparkline
-from repro.core.convergence import igt_convergence_curve
+from repro.analysis.tables import format_table
 from repro.core.igt import GenerosityGrid
 from repro.core.mean_field import igt_mean_field, mean_field_stationary
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.core.theory import igt_mixing_lower_bound, igt_mixing_upper_bound
 from repro.utils import spawn_generators
 
 
@@ -65,26 +59,6 @@ def main():
         ["t (interactions)", "mean-field E[z_t]",
          f"agent-level mean ({replicas} replicas)"], rows,
         title="Level 1 vs level 2 vs level 3: the linear mean flow"))
-    print()
-
-    lower = igt_mixing_lower_bound(grid.k, shares, n)
-    upper = igt_mixing_upper_bound(grid.k, shares, n)
-    times = np.unique(np.geomspace(max(lower / 2, 1), 2 * upper,
-                                   10).astype(int))
-    curve = igt_convergence_curve(n, shares, grid, times,
-                                  replicas=replicas, seed=1)
-    print("Empirical distance to stationarity (worst coordinate marginal "
-          "TV):")
-    rows = [[int(t), f"{d:.3f}"] for t, d in zip(curve.times,
-                                                 curve.distances)]
-    print(format_table(["t", "distance"], rows))
-    print(f"profile: {sparkline(curve.distances)}")
-    crossing = curve.crossing_time(0.25)
-    print(f"first crossing below 1/4: t ~ {crossing}")
-    print(f"paper bounds (Theorem 2.7): lower {lower:.0f} (diameter), "
-          f"upper {upper:.0f} (coupling)")
-    print("(the empirical marginal crossing is lower-bound flavored - "
-          "projections contract TV - and indeed lands inside the bracket)")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.markov",
     "repro.games",
     "repro.population",
-    "repro.population.protocols",
     "repro.analysis",
     "repro.experiments",
     "repro.params",

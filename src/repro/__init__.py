@@ -11,17 +11,22 @@ Protocol Model* (PODC 2024, arXiv:2307.07297), built as a reusable library:
   backends execute it — per-agent (:class:`~repro.engine.AgentBackend`) or
   exact count-level (:class:`~repro.engine.CountBackend`, practical to
   ``n = 10^7`` and beyond).
-* :mod:`repro.markov` — ``(k, a, b, m)``-Ehrenfest processes and the full
-  Markov-chain toolkit (exact stationary analysis, mixing, couplings,
-  random walks, spectral gaps, cutoff profiles).
-* :mod:`repro.games` — repeated donation games, memory-one strategies, exact
-  expected payoffs, and classical equilibrium utilities.
-* :mod:`repro.population` — the population-protocol model with the classic
-  protocols (majority, leader election, rumor, averaging) as substrate.
-* :mod:`repro.analysis` — sweeps, statistics, and table rendering used by
-  the experiment/benchmark harness.
-* :mod:`repro.experiments` — one module per paper artifact (E1–E14)
+* :mod:`repro.markov` — ``(k, a, b, m)``-Ehrenfest processes and the exact
+  Markov-chain analysis the paper's bounds rest on (stationary laws,
+  mixing times, couplings, random walks, cutoff profiles).
+* :mod:`repro.games` — repeated donation games, memory-one and
+  zero-determinant strategies, exact expected payoffs, tournaments, and
+  Nash/distributional-equilibrium utilities.
+* :mod:`repro.population` — the population-protocol model: the protocol
+  abstraction, the pair laws, and the :class:`~repro.population.Simulator`
+  facade.
+* :mod:`repro.analysis` — statistics and table rendering for the
+  experiment reports.
+* :mod:`repro.experiments` — one module per paper artifact (E1–E16)
   regenerating every theorem/figure as a theory-vs-measured table.
+* :mod:`repro.params`, :mod:`repro.runner`, :mod:`repro.fabric` — typed
+  experiment parameters, the parallel run orchestrator with its result
+  cache, and the distributed sweep fabric.
 
 Quickstart::
 

@@ -1,40 +1,25 @@
-"""Experiment/statistics utilities: sweeps, fits, tables, convergence."""
+"""Statistics and table rendering for the experiment reports.
 
-from repro.analysis.autocorrelation import (
-    autocorrelation,
-    effective_sample_size,
-    integrated_autocorrelation_time,
-    thinned_indices,
-)
+Power-law fits, confidence intervals and goodness-of-fit tests for
+theory-vs-measured checks, and the plain-text tables and sparklines the
+reports and the CLI render.  Parameter grids run through
+:mod:`repro.runner` (:func:`~repro.runner.grid_plan` +
+:func:`~repro.runner.execute`).
+"""
+
 from repro.analysis.stats import (
     bootstrap_confidence_interval,
     chi_square_goodness_of_fit,
     fit_power_law,
     mean_confidence_interval,
 )
-from repro.analysis.sweep import SweepResult, grid_sweep, parameter_sweep
 from repro.analysis.tables import format_table, sparkline
-from repro.analysis.timeseries import (
-    first_time_below,
-    relative_change,
-    running_mean,
-)
 
 __all__ = [
-    "autocorrelation",
-    "integrated_autocorrelation_time",
-    "effective_sample_size",
-    "thinned_indices",
     "mean_confidence_interval",
     "bootstrap_confidence_interval",
     "chi_square_goodness_of_fit",
     "fit_power_law",
-    "parameter_sweep",
-    "grid_sweep",
-    "SweepResult",
     "format_table",
     "sparkline",
-    "running_mean",
-    "first_time_below",
-    "relative_change",
 ]

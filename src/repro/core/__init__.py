@@ -22,16 +22,6 @@
   symmetric matrix games (the paper's "other classes of games" direction).
 """
 
-from repro.core.continuous_equilibrium import (
-    SymmetricEquilibrium,
-    stationary_mean_equilibrium_gap,
-    symmetric_equilibrium,
-    symmetric_gradient,
-)
-from repro.core.convergence import (
-    igt_convergence_curve,
-    igt_empirical_mixing_estimate,
-)
 from repro.core.equilibrium import (
     RDSetting,
     de_gap,
@@ -45,11 +35,6 @@ from repro.core.generosity import (
     average_stationary_generosity,
     generosity_closed_form,
     generosity_lower_bound,
-)
-from repro.core.grids import (
-    NonUniformGenerosityGrid,
-    geometric_grid,
-    grid_design_table,
 )
 from repro.core.igt import AgentType, GenerosityGrid, IGTRule
 from repro.core.mean_field import (
@@ -119,13 +104,4 @@ __all__ = [
     "mean_trajectory_ode",
     "mean_field_stationary",
     "igt_mean_field",
-    "SymmetricEquilibrium",
-    "symmetric_equilibrium",
-    "symmetric_gradient",
-    "stationary_mean_equilibrium_gap",
-    "igt_convergence_curve",
-    "igt_empirical_mixing_estimate",
-    "NonUniformGenerosityGrid",
-    "geometric_grid",
-    "grid_design_table",
 ]

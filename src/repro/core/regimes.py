@@ -137,7 +137,7 @@ def payoff_increase_margin(setting: RDSetting, shares: PopulationShares,
     Theorem 2.9 condition yet have a *decreasing* ``F`` (best response at
     ``g = 0``) and a DE gap bounded away from zero — Experiment E7 exhibits
     one.  Under the effective condition here the theorem's conclusion is
-    clean; see DESIGN.md §5.
+    clean.
     """
     if shares.beta < 0:
         raise InvalidParameterError("beta must be non-negative")

@@ -1,9 +1,9 @@
-"""Experiment harness: one module per paper artifact (E1–E14).
+"""Experiment harness: one module per paper artifact (E1–E16).
 
 Every theorem, proposition, and figure in the paper has an experiment that
-regenerates it as a theory-vs-measured table (see DESIGN.md §4 for the full
-index).  Each module registers a runner with the shared registry; run them
-via::
+regenerates it as a theory-vs-measured table (``repro list`` prints the
+full index).  Each module registers a runner with the shared registry; run
+them via::
 
     python -m repro list
     python -m repro run E7

@@ -62,7 +62,7 @@ class ExperimentReport:
     Attributes
     ----------
     experiment_id:
-        The DESIGN.md id, e.g. ``"E7"``.
+        The registry id, e.g. ``"E7"``.
     title:
         Human-readable name.
     claim:
@@ -265,7 +265,7 @@ def run_experiment(experiment_id: str, seed=12345,
     Parameters
     ----------
     experiment_id:
-        The DESIGN.md id, e.g. ``"E7"``.
+        The registry id, e.g. ``"E7"``.
     seed:
         Random seed forwarded to the runner.
     backend:

@@ -8,7 +8,8 @@ a sweep of ``k`` in two regimes:
   conclusion;
 * the **literal-only regime** (passes all printed Theorem 2.9 conditions but
   has a decreasing deviation payoff): ``Ψ`` stalls at a constant — the
-  reproduction discrepancy documented in DESIGN.md §5.
+  discrepancy documented in the reproduction note of
+  :func:`~repro.core.regimes.payoff_increase_margin`.
 
 Also validates the exact gap against an *empirical* gap measured from
 agent-level simulation for selected ``k``.

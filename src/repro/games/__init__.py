@@ -11,13 +11,6 @@ that ground the distributional-equilibrium concept (Definition 1.1).
 """
 
 from repro.games.base import Action, GAME_STATES, MatrixGame
-from repro.games.best_response import (
-    BestResponse,
-    best_memory_one_deviation,
-    best_memory_one_response,
-    deterministic_memory_one_strategies,
-    memory_one_de_gap,
-)
 from repro.games.closed_forms import (
     expected_payoff_closed_form,
     payoff_gtft_vs_ac,
@@ -41,16 +34,6 @@ from repro.games.nash import (
     is_epsilon_nash,
     pure_nash_equilibria,
     symmetric_de_gap,
-)
-from repro.games.cooperation import (
-    discounted_cooperation_rates,
-    limit_cooperation_rates,
-    mutual_cooperation_index,
-)
-from repro.games.moran import (
-    MoranProcess,
-    interior_equilibrium,
-    one_third_rule_prediction,
 )
 from repro.games.repeated import GameRecord, RepeatedGameEngine, monte_carlo_payoff
 from repro.games.tournament import Tournament, TournamentResult
@@ -78,11 +61,6 @@ __all__ = [
     "Action",
     "GAME_STATES",
     "MatrixGame",
-    "BestResponse",
-    "best_memory_one_response",
-    "best_memory_one_deviation",
-    "deterministic_memory_one_strategies",
-    "memory_one_de_gap",
     "DonationGame",
     "PrisonersDilemma",
     "MemoryOneStrategy",
@@ -116,12 +94,6 @@ __all__ = [
     "is_epsilon_distributional_equilibrium",
     "Tournament",
     "TournamentResult",
-    "MoranProcess",
-    "interior_equilibrium",
-    "one_third_rule_prediction",
-    "discounted_cooperation_rates",
-    "limit_cooperation_rates",
-    "mutual_cooperation_index",
     "zd_strategy",
     "extortionate_zd",
     "generous_zd",

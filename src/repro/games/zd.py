@@ -53,7 +53,9 @@ def max_feasible_phi(game, baseline: float, slope: float) -> float:
     tilde = zd_tilde_vector(game, baseline, slope)
     best = np.inf
     for i in range(4):
-        value = tilde[i]
+        # A Python float, so that a bound from a subnormal entry overflows
+        # silently to inf (no bound) instead of warning as a numpy scalar.
+        value = float(tilde[i])
         offset = _PD_OFFSET[i]
         if offset == 1.0:
             # Need 0 <= 1 + phi*value <= 1  ->  -1/phi <= value <= 0.

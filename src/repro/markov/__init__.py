@@ -1,20 +1,15 @@
 """Markov-chain substrate.
 
-Everything the paper's analysis rests on: the simplex-of-counts state space
-``Delta_k^m``, generic finite Markov chains with exact stationary/mixing
-analysis, the ``(k, a, b, m)``-Ehrenfest process (Definition 2.3), the
-coordinate coupling used in the mixing-time upper bound (Appendix A.4.1),
-biased random walks with closed-form absorption times (Proposition A.7),
-spectral utilities, and cutoff-profile tooling (Remark 2.6).
+The chains the paper's analysis rests on, enumerated exactly: the
+simplex-of-counts state space ``Delta_k^m``, generic finite Markov chains
+with exact stationary and mixing analysis, the ``(k, a, b, m)``-Ehrenfest
+process (Definition 2.3), the coordinate coupling of the mixing-time upper
+bound (Appendix A.4.1), biased random walks with closed-form absorption
+times (Proposition A.7), and cutoff profiles (Remark 2.6).  The
+experiments and the engines' exactness tests compare against them.
 """
 
-from repro.markov.birth_death import BirthDeathChain, ehrenfest_projection_chain
 from repro.markov.chain import FiniteMarkovChain
-from repro.markov.conductance import (
-    bottleneck_ratio,
-    mixing_lower_bound_from_cut,
-    sweep_conductance,
-)
 from repro.markov.coupling import CoordinateCoupling, coupling_time_samples
 from repro.markov.cutoff import CutoffProfile, cutoff_profile
 from repro.markov.distributions import (
@@ -26,16 +21,6 @@ from repro.markov.distributions import (
     total_variation,
 )
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.markov.hitting import (
-    corner_hitting_time,
-    expected_hitting_times,
-    expected_return_time,
-)
-from repro.markov.lumping import (
-    is_strongly_lumpable,
-    lump_chain,
-    lumped_stationary,
-)
 from repro.markov.mixing import (
     distance_to_stationarity_curve,
     empirical_state_tv,
@@ -50,28 +35,16 @@ from repro.markov.random_walks import (
     simulate_absorption_time,
     symmetric_interval_win_probability,
 )
-from repro.markov.spectral import relaxation_time, spectral_gap
 from repro.markov.state_space import CompositionSpace, compositions, num_compositions
 
 __all__ = [
     "FiniteMarkovChain",
-    "BirthDeathChain",
-    "ehrenfest_projection_chain",
-    "is_strongly_lumpable",
-    "lump_chain",
-    "lumped_stationary",
-    "bottleneck_ratio",
-    "mixing_lower_bound_from_cut",
-    "sweep_conductance",
     "CompositionSpace",
     "compositions",
     "num_compositions",
     "EhrenfestProcess",
     "CoordinateCoupling",
     "coupling_time_samples",
-    "expected_hitting_times",
-    "expected_return_time",
-    "corner_hitting_time",
     "multinomial_pmf",
     "multinomial_pmf_over_space",
     "multinomial_mean",
@@ -88,8 +61,6 @@ __all__ = [
     "symmetric_interval_win_probability",
     "gamblers_ruin_win_probability",
     "simulate_absorption_time",
-    "spectral_gap",
-    "relaxation_time",
     "CutoffProfile",
     "cutoff_profile",
 ]

@@ -127,7 +127,7 @@ def parse_grid(specs, space: ParamSpace) -> dict[str, list]:
     """``--grid`` axis specs parsed into ``name -> [values]``.
 
     Axis order follows the input order (it determines grid-point order
-    in :func:`repro.analysis.sweep.grid_sweep`); duplicate axes are
+    in :func:`repro.runner.grid_plan`); duplicate axes are
     rejected rather than silently merged.
     """
     grid: dict[str, list] = {}

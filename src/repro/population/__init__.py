@@ -6,22 +6,17 @@ pair (initiator, responder) uniformly at random and both agents update their
 states through a common transition function.  The paper's k-IGT dynamics is a
 one-way protocol in this model (only the initiator updates — footnote 3).
 
-Alongside the generic machinery this package ships the classic protocols the
-paper cites as context — approximate/exact majority, leader election, rumor
-spreading, and averaging — which double as substrate validation and as
-examples of the time/space trade-off tradition the paper extends.
+This package holds the protocol abstraction
+(:class:`PopulationProtocol`, :class:`TransitionFunctionProtocol` for a
+protocol given as a plain function), the pair laws re-exported from
+:mod:`repro.engine`, and :class:`Simulator`, the protocol facade over the
+engine backends.
 """
 
-from repro.population.metrics import (
-    CountTracker,
-    StateCountObserver,
-    convergence_step,
-)
 from repro.population.protocol import (
     PopulationProtocol,
     TransitionFunctionProtocol,
 )
-from repro.population.scaling import ScalingStudy, measure_convergence_scaling
 from repro.population.scheduler import RandomScheduler, WeightedScheduler
 from repro.population.simulator import SimulationResult, Simulator
 
@@ -32,9 +27,4 @@ __all__ = [
     "WeightedScheduler",
     "Simulator",
     "SimulationResult",
-    "StateCountObserver",
-    "CountTracker",
-    "convergence_step",
-    "ScalingStudy",
-    "measure_convergence_scaling",
 ]

@@ -1,7 +1,7 @@
 """Run orchestration: parallel replicates, sweeps, and result caching.
 
 The runner fans experiment replicates and parameter grids out across
-worker processes with three guarantees:
+worker processes with two guarantees:
 
 * **determinism** — a plan's report depends only on the plan: per-task
   seeds are spawned from ``(base_seed, task index)``
@@ -11,10 +11,7 @@ worker processes with three guarantees:
 * **incrementality** — results are cached on disk keyed by
   ``(experiment, params, seed, backend, code-version)``
   (:mod:`repro.runner.cache`); re-running a plan recomputes only what the
-  key says could have changed;
-* **order-preserving fan-out** — :func:`parallel_map` exposes the same
-  process pool for generic grid work
-  (:func:`repro.analysis.sweep.parameter_sweep` builds on it).
+  key says could have changed.
 
 Typical use::
 
@@ -39,7 +36,6 @@ from repro.runner.executor import (
     LocalPool,
     TaskPool,
     execute,
-    parallel_map,
     run_task,
     task_outcome,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "strip_provenance",
     "task_record",
     "execute",
-    "parallel_map",
     "run_task",
     "replicate_plan",
     "experiments_plan",

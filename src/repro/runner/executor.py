@@ -14,10 +14,6 @@ library in each worker, so execution never depends on inherited parent
 state) and :class:`repro.fabric.RemotePool` (leases the tasks to a
 ``repro serve`` coordinator).  :func:`execute` does not special-case
 either: the fabric is just another pool.
-
-:func:`parallel_map` exposes the same process pool for generic
-order-preserving fan-out; :func:`repro.analysis.sweep.parameter_sweep`
-uses it for grid points.
 """
 
 from __future__ import annotations
@@ -346,21 +342,3 @@ def execute(
                 f"{len(pending)} task(s)"
             )
     return RunReport(results=results)
-
-
-def parallel_map(fn, items, jobs: int = 1) -> list:
-    """Order-preserving ``[fn(item) for item in items]``, possibly pooled.
-
-    With ``jobs > 1`` the calls run on a ``spawn`` process pool, so ``fn``
-    and the items must be picklable (module-level functions and plain data
-    qualify; closures do not).  Results are returned in input order either
-    way — parallelism never reorders records.
-    """
-    check_positive_int("jobs", jobs)
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    context = get_context("spawn")
-    workers = min(jobs, len(items))
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, items))

@@ -1,4 +1,4 @@
-"""Tests for the analysis utilities (stats, sweep, tables, timeseries)."""
+"""Tests for the analysis utilities (stats, tables)."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,7 @@ from repro.analysis.stats import (
     fit_power_law,
     mean_confidence_interval,
 )
-from repro.analysis.sweep import parameter_sweep
 from repro.analysis.tables import format_records, format_table, sparkline
-from repro.analysis.timeseries import (
-    first_time_below,
-    relative_change,
-    running_mean,
-)
 from repro.utils import InvalidParameterError
 
 
@@ -112,37 +106,6 @@ class TestPowerLawFit:
             fit_power_law([1], [1])
 
 
-class TestParameterSweep:
-    def test_cartesian_product(self):
-        result = parameter_sweep(lambda a, b: {"sum": a + b},
-                                 a=[1, 2], b=[10, 20])
-        assert len(result.records) == 4
-        assert result.column("sum") == [11, 21, 12, 22]
-
-    def test_where_filter(self):
-        result = parameter_sweep(lambda a, b: {"sum": a + b},
-                                 a=[1, 2], b=[10, 20])
-        assert len(result.where(a=1)) == 2
-        assert result.where(a=2, b=20)[0]["sum"] == 22
-
-    def test_missing_column_raises(self):
-        result = parameter_sweep(lambda a: {"out": a}, a=[1])
-        with pytest.raises(InvalidParameterError):
-            result.column("nope")
-
-    def test_non_dict_return_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            parameter_sweep(lambda a: a, a=[1])
-
-    def test_key_collision_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            parameter_sweep(lambda a: {"a": a}, a=[1])
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            parameter_sweep(lambda: {})
-
-
 class TestTables:
     def test_format_table_basic(self):
         text = format_table(["x", "y"], [[1, 2.5], [10, 0.001]])
@@ -180,39 +143,3 @@ class TestTables:
 
     def test_sparkline_empty(self):
         assert sparkline([]) == ""
-
-
-class TestTimeseries:
-    def test_running_mean(self):
-        out = running_mean([1, 2, 3, 4], 2)
-        assert np.allclose(out, [1.5, 2.5, 3.5])
-
-    def test_running_mean_window_too_large(self):
-        with pytest.raises(InvalidParameterError):
-            running_mean([1, 2], 3)
-
-    def test_first_time_below(self):
-        assert first_time_below([0.9, 0.5, 0.2, 0.1], 0.25) == 2
-
-    def test_first_time_below_never(self):
-        assert first_time_below([0.9, 0.8], 0.1) is None
-
-    def test_first_time_below_with_axis(self):
-        axis = np.array([0, 10, 20, 30])
-        assert first_time_below([0.9, 0.5, 0.2, 0.1], 0.25, axis=axis) == 20
-
-    def test_axis_length_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            first_time_below([0.9, 0.5], 0.25, axis=[0])
-
-    def test_relative_change_settled(self):
-        series = [5.0] * 20
-        assert relative_change(series, 5) == pytest.approx(0.0)
-
-    def test_relative_change_trending(self):
-        series = list(range(20))
-        assert relative_change(series, 5) > 0.1
-
-    def test_relative_change_needs_two_windows(self):
-        with pytest.raises(InvalidParameterError):
-            relative_change([1.0, 2.0], 2)

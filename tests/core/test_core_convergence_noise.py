@@ -1,19 +1,13 @@
-"""Tests for empirical convergence measurement and observation noise."""
+"""Tests for observation noise and the ``simulate`` command."""
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.convergence import (
-    ConvergenceCurve,
-    igt_convergence_curve,
-    igt_empirical_mixing_estimate,
-)
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.core.stationary import noisy_igt_lambda
-from repro.core.theory import igt_mixing_upper_bound
-from repro.utils import ConvergenceError, InvalidParameterError
+from repro.utils import InvalidParameterError
 
 
 @pytest.fixture
@@ -97,48 +91,6 @@ class TestObservationNoiseSimulation:
                             observation_noise=0.1)
         process = sim.equivalent_ehrenfest(exact=False)
         assert process.lam == pytest.approx(0.9 / 0.1)
-
-
-class TestConvergenceCurve:
-    def test_curve_decreases_to_threshold(self, shares, grid):
-        # The estimator's noise floor is ~sqrt(bins/replicas); with m=40
-        # (41 bins) we need a few hundred replicas to see distances < 0.15.
-        upper = igt_mixing_upper_bound(3, shares, 80)
-        times = [10, int(0.2 * upper), int(2 * upper)]
-        curve = igt_convergence_curve(80, shares, grid, times, replicas=150,
-                                      seed=1)
-        assert curve.distances[0] > curve.distances[-1]
-        assert curve.distances[0] > 0.8  # worst-case start is far away
-        assert curve.distances[-1] < 0.15
-
-    def test_crossing_time_within_paper_bounds(self, shares, grid):
-        n = 60
-        estimate = igt_empirical_mixing_estimate(
-            n, shares, grid, threshold=0.3, replicas=80, points=6, seed=2)
-        assert estimate <= 2 * igt_mixing_upper_bound(3, shares, n)
-        # Empirical marginal crossing can undershoot the full-state t_mix
-        # but not the trivial floor.
-        assert estimate >= 1
-
-    def test_crossing_never_reached_raises(self):
-        curve = ConvergenceCurve(times=np.array([1, 2]),
-                                 distances=np.array([0.9, 0.8]), replicas=10)
-        with pytest.raises(ConvergenceError):
-            curve.crossing_time(0.25)
-
-    def test_validation(self, shares, grid):
-        with pytest.raises(InvalidParameterError):
-            igt_convergence_curve(80, shares, grid, [], replicas=5)
-
-    def test_mixing_grows_with_k(self, shares):
-        """Empirical crossing times increase with k (Theorem 2.7 shape)."""
-        n = 60
-        estimates = []
-        for k in (2, 5):
-            grid = GenerosityGrid(k=k, g_max=0.6)
-            estimates.append(igt_empirical_mixing_estimate(
-                n, shares, grid, replicas=30, points=6, seed=4))
-        assert estimates[0] < estimates[1]
 
 
 class TestCliSimulate:

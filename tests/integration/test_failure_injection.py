@@ -15,7 +15,7 @@ from repro.games.donation import DonationGame
 from repro.games.repeated import RepeatedGameEngine
 from repro.games.strategies import MemoryOneStrategy, always_defect
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.population.protocols.leader import LeaderElectionProtocol
+from repro.population.protocol import TransitionFunctionProtocol
 from repro.population.simulator import Simulator
 from repro.utils import ReproError
 
@@ -60,9 +60,12 @@ class TestHostileInputs:
 class TestMinimalPopulations:
     def test_two_agent_simulation(self):
         """The absolute minimum population still runs correctly."""
-        protocol = LeaderElectionProtocol()
-        sim = Simulator(protocol, protocol.initial_states(2), seed=0)
-        result = sim.run(1000, stop_when=protocol.has_unique_leader)
+        # Fratricide leader election: when two leaders (0) meet, the
+        # responder becomes a follower (1).
+        protocol = TransitionFunctionProtocol(
+            2, lambda u, v: (u, 1) if u == v == 0 else (u, v))
+        sim = Simulator(protocol, np.zeros(2, dtype=np.int64), seed=0)
+        result = sim.run(1000, stop_when=lambda counts: counts[0] == 1)
         assert result.converged
         assert result.counts[0] == 1
 

@@ -1,93 +1,7 @@
-"""Cross-substrate integration tests: bridges between the library's parts.
+"""Reports rendering end to end: a registered experiment's report as
+markdown, with table cells escaped."""
 
-These exercise combinations the paper's narrative implies but no single
-module owns: repeated-game payoffs feeding evolutionary dynamics, Ehrenfest
-machinery validating agent simulations, and reports rendering end to end.
-"""
-
-import numpy as np
-
-from repro.core.igt import GenerosityGrid
-from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.experiments import run_experiment
-from repro.games.base import MatrixGame
-from repro.games.donation import DonationGame
-from repro.games.expected_payoff import expected_payoff_pair
-from repro.games.moran import MoranProcess
-from repro.games.strategies import always_defect, generous_tit_for_tat
-from repro.markov.hitting import corner_hitting_time
-
-
-class TestRepeatedGameMoranBridge:
-    """Moran competition between GTFT and AD with *repeated-game* payoffs.
-
-    The evolution-of-cooperation story: one-shot donation games favor
-    defection, but with enough continuation probability the repeated-game
-    payoff matrix flips the selection gradient toward reciprocity.
-    """
-
-    @staticmethod
-    def _repeated_matrix(delta: float) -> MatrixGame:
-        game = DonationGame(4.0, 1.0)
-        gtft = generous_tit_for_tat(0.1, 1.0)
-        ad = always_defect()
-        u_gg, _ = expected_payoff_pair(gtft, gtft, game, delta)
-        u_ga, u_ag = expected_payoff_pair(gtft, ad, game, delta)
-        u_aa, _ = expected_payoff_pair(ad, ad, game, delta)
-        # Strategy 0 = GTFT, strategy 1 = AD.
-        return MatrixGame(np.array([[u_gg, u_ga], [u_ag, u_aa]]))
-
-    def test_one_shot_defection_wins(self):
-        matrix = self._repeated_matrix(delta=0.0)
-        process = MoranProcess(matrix, n=30, selection_intensity=0.05)
-        # A single GTFT invader among ADs is disfavored.
-        assert not process.is_favored_by_selection(1)
-
-    def test_high_delta_flips_selection_for_resident_gtft(self):
-        """With delta = 0.9, AD cannot invade a GTFT resident population."""
-        matrix = self._repeated_matrix(delta=0.9)
-        # Mirror: strategy 0 = AD invading GTFT residents.
-        mirrored = MatrixGame(matrix.row_payoffs[::-1, ::-1].copy())
-        ad_invades = MoranProcess(mirrored, n=30, selection_intensity=0.05)
-        assert not ad_invades.is_favored_by_selection(1)
-
-    def test_delta_threshold_is_monotone(self):
-        """AD's invasion fixation probability decreases with delta."""
-        probs = []
-        for delta in (0.0, 0.5, 0.9):
-            matrix = self._repeated_matrix(delta)
-            mirrored = MatrixGame(matrix.row_payoffs[::-1, ::-1].copy())
-            process = MoranProcess(mirrored, n=24, selection_intensity=0.05)
-            probs.append(process.fixation_probability(1))
-        assert probs[0] > probs[1] > probs[2]
-
-
-class TestEhrenfestAgentBridge:
-    def test_corner_hitting_dominates_observed_first_arrival(self, rng):
-        """The exact corner-to-corner hitting time from the embedded chain
-        is consistent with agent-level first arrivals (same order)."""
-        shares = PopulationShares(alpha=0.4, beta=0.1, gamma=0.5)
-        grid = GenerosityGrid(k=3, g_max=0.6)
-        n = 40
-        sim = IGTSimulation(n=n, shares=shares, grid=grid, seed=rng,
-                            initial_indices=0)
-        process = sim.equivalent_ehrenfest(exact=True)
-        theory = corner_hitting_time(process, "up")
-        m = sim.n_gtft
-        arrivals = []
-        for _ in range(12):
-            sim = IGTSimulation(n=n, shares=shares, grid=grid, seed=rng,
-                                initial_indices=0)
-            steps = 0
-            budget = int(60 * theory)
-            chunk = max(int(theory / 50), 1)
-            while sim.counts[-1] < m and steps < budget:
-                sim.run(chunk)
-                steps += chunk
-            arrivals.append(steps)
-        observed = np.mean(arrivals)
-        # Same order of magnitude (chunked observation only adds bias up).
-        assert 0.3 * theory < observed < 5 * theory
 
 
 class TestReportRendering:

@@ -1,52 +1,9 @@
-"""Tests for spectral diagnostics and cutoff profiling."""
+"""Tests for cutoff profiling."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.markov.chain import FiniteMarkovChain
 from repro.markov.cutoff import cutoff_profile
 from repro.markov.ehrenfest import EhrenfestProcess, classic_two_urn_process
-from repro.markov.mixing import exact_mixing_time
-from repro.markov.spectral import relaxation_time, spectral_gap
-from repro.utils import InvalidParameterError
-
-
-class TestSpectralGap:
-    def test_two_state_known_gap(self):
-        # Eigenvalues 1 and 1 - p - q.
-        chain = FiniteMarkovChain(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        assert spectral_gap(chain) == pytest.approx(0.5)
-
-    def test_uniform_chain_gap_one(self):
-        chain = FiniteMarkovChain(np.full((4, 4), 0.25))
-        assert spectral_gap(chain) == pytest.approx(1.0)
-
-    def test_ehrenfest_gap_positive(self):
-        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=6)
-        chain = process.exact_chain()
-        gap = spectral_gap(chain, process.stationary_distribution())
-        assert 0 < gap < 1
-
-    def test_relaxation_time_inverse(self):
-        chain = FiniteMarkovChain(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        assert relaxation_time(chain) == pytest.approx(2.0)
-
-    def test_relaxation_bounds_mixing(self):
-        """(t_rel - 1) log 2 <= t_mix <= t_rel log(4/pi_min) (reversible)."""
-        process = EhrenfestProcess(k=2, a=0.4, b=0.3, m=10)
-        chain = process.exact_chain()
-        pi = process.stationary_distribution()
-        t_rel = relaxation_time(chain, pi)
-        tmix = exact_mixing_time(chain, pi=pi, t_max=50_000)
-        assert (t_rel - 1) * math.log(2) <= tmix + 1
-        assert tmix <= t_rel * math.log(4.0 / pi.min()) + 1
-
-    def test_unsupported_stationary_raises(self):
-        chain = FiniteMarkovChain(np.eye(2))
-        with pytest.raises(InvalidParameterError):
-            spectral_gap(chain, np.array([1.0, 0.0]))
 
 
 class TestCutoffProfile:

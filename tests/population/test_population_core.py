@@ -3,11 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.population.metrics import (
-    CountTracker,
-    StateCountObserver,
-    convergence_step,
-)
 from repro.population.protocol import (
     TransitionFunctionProtocol,
 )
@@ -162,50 +157,3 @@ class TestSimulator:
     def test_outputs(self, one_way_protocol, rng):
         sim = Simulator(one_way_protocol, np.array([0, 1, 2]), seed=rng)
         assert sim.outputs() == [0, 1, 2]
-
-
-class TestMetrics:
-    def test_observer_from_observations(self):
-        observations = [(0, np.array([3, 0])), (10, np.array([1, 2]))]
-        observer = StateCountObserver.from_observations(observations)
-        assert observer.steps.tolist() == [0, 10]
-        assert observer.counts.shape == (2, 2)
-
-    def test_observer_empty_raises(self):
-        with pytest.raises(InvalidParameterError):
-            StateCountObserver.from_observations([])
-
-    def test_fractions(self):
-        observer = StateCountObserver(steps=np.array([0]),
-                                      counts=np.array([[1, 3]]))
-        assert np.allclose(observer.fractions(), [[0.25, 0.75]])
-
-    def test_trajectory_of(self):
-        observer = StateCountObserver(steps=np.array([0, 1]),
-                                      counts=np.array([[1, 3], [2, 2]]))
-        assert observer.trajectory_of(0).tolist() == [1, 2]
-
-    def test_convergence_step(self):
-        observer = StateCountObserver(
-            steps=np.array([0, 5, 10]),
-            counts=np.array([[4, 0], [2, 2], [0, 4]]))
-        step = convergence_step(observer, lambda c: c[0] == 0)
-        assert step == 10
-
-    def test_convergence_step_never(self):
-        observer = StateCountObserver(steps=np.array([0]),
-                                      counts=np.array([[4, 0]]))
-        assert convergence_step(observer, lambda c: c[0] == 99) is None
-
-    def test_count_tracker_mean_variance(self):
-        tracker = CountTracker()
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            tracker.update(value)
-        assert tracker.mean == pytest.approx(2.5)
-        assert tracker.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-        assert tracker.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-
-    def test_count_tracker_single_value(self):
-        tracker = CountTracker()
-        tracker.update(5.0)
-        assert tracker.variance == 0.0

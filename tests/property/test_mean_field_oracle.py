@@ -17,6 +17,18 @@ sizes exercise the two birthday-path samplers:
 numpy's hypergeometric sampler at ``n = 10^7`` and takes the exact
 distinct-index fallback at ``n = 10^9``.
 
+The weighted lift (:class:`~repro.engine.WeightedCountBackend`) keeps the
+drift linear per weight class: a class-``c`` GTFT agent initiates with
+probability ``w_c/W`` and meets an AD responder with probability
+``W_AD/(W − w_c)``, so
+
+    E[z_{c,t+1}] = (I + drift_generator(k, up_c, down_c)) E[z_{c,t}],
+
+with ``up_c = (w_c/W)(W − w_c − W_AD)/(W − w_c)`` and
+``down_c = (w_c/W)·W_AD/(W − w_c)``.  Past
+:data:`~repro.engine.WEIGHTED_PROXY_MAX_N` its replicates run the
+heterogeneous birthday sampler.
+
 Means cannot see a sampler that gets the fluctuations wrong, so the
 replicate covariances are held to the exact second moments too.  Only
 the initiator moves, at rates linear in ``z``, so with ``L = A/m`` and
@@ -37,7 +49,12 @@ import numpy as np
 import pytest
 
 from repro.core.mean_field import drift_generator
-from repro.engine import CountBackend, igt_model
+from repro.engine import (
+    WEIGHTED_PROXY_MAX_N,
+    CountBackend,
+    WeightedCountBackend,
+    igt_model,
+)
 from repro.engine.count import _MARGINALS_MAX_TOTAL, PROXY_MAX_N
 
 K = 4
@@ -57,6 +74,10 @@ COV_CASES = [
     (10**7, 20_000, 1500, False),
     (10**9, 20_000, 1000, True),
 ]
+
+#: ``(n, class weights, interactions, replicates)`` of the weighted-lift
+#: case, a few seconds.
+WEIGHTED_CASE = (2 * 10**7, (1.0, 4.0), 200_000, 40)
 
 
 def start_counts(n: int, with_ac: bool) -> np.ndarray:
@@ -133,6 +154,36 @@ def replicate_finals(counts, steps: int, replicates: int,
     return finals
 
 
+def weighted_start_counts(n: int) -> np.ndarray:
+    """``(class, state)`` counts: half the agents in the light class, half
+    in the heavy one, every AD agent heavy, every GTFT agent at index 0.
+
+    At weights ``(1, 4)`` a responder is AD with probability
+    ``W_AD/W = 0.4`` although only ``n_AD/n = 0.25`` of the agents are, so
+    a responder law that ignores the weights moves the means by far more
+    than the band.
+    """
+    counts = np.zeros((2, K + 2), dtype=np.int64)
+    counts[0, 0] = n // 2
+    counts[1, K + 1] = n // 4
+    counts[1, 0] = n // 2 - n // 4
+    return counts
+
+
+def weighted_exact_mean(counts, weights, steps: int) -> np.ndarray:
+    """Per class, ``(I + drift_generator(k, up_c, down_c))^steps z_c``."""
+    weights = np.asarray(weights)
+    total = float(counts.sum(axis=1) @ weights)
+    w_ad = float(counts[:, K + 1] @ weights)
+    means = np.empty((weights.size, K))
+    for c, w in enumerate(weights):
+        up = (w / total) * (total - w - w_ad) / (total - w)
+        down = (w / total) * w_ad / (total - w)
+        step = np.eye(K) + drift_generator(K, up, down)
+        means[c] = np.linalg.matrix_power(step, steps) @ counts[c, :K]
+    return means
+
+
 def poisson_tails(total: int, mean: float) -> tuple[float, float]:
     """``(P(X <= total), P(X >= total))`` for ``X ~ Poisson(mean)``."""
     term = math.exp(-mean)
@@ -161,6 +212,40 @@ def test_replicate_mean_matches_exact_recursion(n, steps, replicates,
     # A coordinate no replicate ever reached must be one the mean flow
     # barely reaches either.
     assert np.all(exact[~varying] < 1.0)
+
+
+def test_weighted_replicate_mean_matches_exact_recursion():
+    n, weights, steps, replicates = WEIGHTED_CASE
+    assert n > WEIGHTED_PROXY_MAX_N
+    counts = weighted_start_counts(n)
+    children = np.random.SeedSequence(20261018).spawn(replicates)
+    finals = np.empty((replicates, 2, K))
+    for row, child in enumerate(children):
+        engine = WeightedCountBackend(igt_model(K), counts, weights,
+                                      seed=child)
+        assert engine._kernel is None  # heterogeneous birthday path
+        engine.run(steps)
+        lifted = engine.class_state_counts
+        np.testing.assert_array_equal(lifted.sum(axis=1),
+                                      counts.sum(axis=1))
+        np.testing.assert_array_equal(lifted[:, K:], counts[:, K:])
+        finals[row] = lifted[:, :K]
+    finals = finals.reshape(replicates, -1)
+    exact = weighted_exact_mean(counts, weights, steps).ravel()
+    # Coordinates the flow fills: the CLT band of the replicate mean.
+    dense = exact >= 1.0
+    assert dense.sum() >= 4
+    mean = finals[:, dense].mean(axis=0)
+    se = finals[:, dense].std(axis=0, ddof=1) / np.sqrt(replicates)
+    np.testing.assert_array_less(np.abs(mean - exact[dense]), 5 * se)
+    # Sparse coordinates (both classes' top level): a plausible Poisson
+    # replicate total.
+    for j in np.flatnonzero(~dense):
+        total = int(finals[:, j].sum())
+        low, high = poisson_tails(total, replicates * exact[j])
+        assert min(low, high) > 1e-6, \
+            f"coordinate {j}: total {total} vs " \
+            f"Poisson({replicates * exact[j]:.3g})"
 
 
 @pytest.mark.parametrize("n, steps, replicates, fallback", COV_CASES,

@@ -32,7 +32,7 @@ from repro.engine import (
     TableModel,
     ring_graph,
 )
-from repro.population.protocols import RumorSpreadingProtocol
+from repro.population.protocol import TransitionFunctionProtocol
 from repro.population.simulator import Simulator
 from repro.utils import InvalidParameterError
 
@@ -125,7 +125,9 @@ class TestFacadeGuards:
             sim.equivalent_ehrenfest()
 
     def test_simulator_runs_on_topology(self):
-        protocol = RumorSpreadingProtocol()
+        # One-way rumor: a susceptible initiator (0) that meets an
+        # informed responder (1) becomes informed.
+        protocol = TransitionFunctionProtocol(2, lambda u, v: (max(u, v), v))
         states = np.zeros(60, dtype=np.int64)
         states[0] = 1
         sim = Simulator(protocol, states, seed=1, topology="ring:2")

@@ -1,6 +1,8 @@
 """Cache keys (and their invalidation) plus the on-disk result store."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
@@ -10,7 +12,6 @@ from repro.runner import (
     cache_key,
     code_version,
     experiment_cache_key,
-    parallel_map,
 )
 from repro.utils import InvalidParameterError
 
@@ -215,11 +216,9 @@ class TestConcurrentWriters:
         # scenario.  The store must stay readable throughout and end in
         # a complete final state with no temp-file debris.
         key = key_with()
-        writers = parallel_map(
-            hammer_one_key,
-            [(str(tmp_path), key, writer) for writer in range(4)],
-            jobs=4,
-        )
+        args = [(str(tmp_path), key, writer) for writer in range(4)]
+        with ProcessPoolExecutor(4, mp_context=get_context("spawn")) as pool:
+            writers = list(pool.map(hammer_one_key, args))
         assert sorted(writers) == [0, 1, 2, 3]
         assert list(tmp_path.rglob("*.tmp")) == []
         final = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())

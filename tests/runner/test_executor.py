@@ -1,4 +1,4 @@
-"""Plan execution: ordering, caching, round-tripping, and fan-out."""
+"""Plan construction and execution: ordering, caching, round-tripping."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.runner import (
     TaskResult,
     execute,
     experiments_plan,
-    parallel_map,
+    grid_plan,
     replicate_plan,
     run_task,
     strip_provenance,
@@ -20,11 +20,6 @@ from repro.runner import (
     task_seed,
 )
 from repro.utils import InvalidParameterError
-
-
-def square(value: int) -> int:
-    # Module-level so process pools can pickle it.
-    return value * value
 
 
 class TestPlanConstruction:
@@ -61,6 +56,10 @@ class TestPlanConstruction:
     def test_non_task_rejected(self):
         with pytest.raises(InvalidParameterError, match="RunTask"):
             RunPlan(tasks=("E1",))
+
+    def test_empty_grid_axis_rejected(self):
+        with pytest.raises(InvalidParameterError, match="no values"):
+            grid_plan("E1", {"k": []})
 
 
 class TestExecute:
@@ -218,19 +217,3 @@ class TestRecordsAndProvenance:
         headers, rows = report.summary_table()
         assert headers[-1] == "source"
         assert rows[0][-1] == "executed@w9"
-
-
-class TestParallelMap:
-    def test_inline_order(self):
-        assert parallel_map(square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_pooled_order(self):
-        values = list(range(12))
-        assert parallel_map(square, values, jobs=3) == [v * v for v in values]
-
-    def test_empty(self):
-        assert parallel_map(square, [], jobs=4) == []
-
-    def test_bad_jobs(self):
-        with pytest.raises(InvalidParameterError, match="jobs"):
-            parallel_map(square, [1], jobs=0)

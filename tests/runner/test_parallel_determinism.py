@@ -1,38 +1,14 @@
 """Parallel-vs-serial equivalence: identical seeds => identical records.
 
-The orchestration contract the ISSUE pins down: fanning work out across
-worker processes must never change the records — ``jobs=1`` and
-``jobs=4`` produce byte-identical results for runner plans (on both
-engine backends) and for ``parameter_sweep`` grids.
+The orchestration contract: fanning work out across worker processes
+must never change the records — ``jobs=1`` and ``jobs=4`` produce
+byte-identical results for runner plans (on both engine backends) and
+for ``grid_plan`` grids.
 """
 
 import json
 
-import numpy as np
-
-from repro.analysis.sweep import parameter_sweep
-from repro.core.igt import GenerosityGrid
-from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.runner import execute, replicate_plan
-
-
-def measure_point(n: int, seed: int, backend: str) -> dict:
-    # Module-level so the sweep's process pool can pickle it.
-    shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
-    grid = GenerosityGrid(k=3, g_max=0.6)
-    sim = IGTSimulation(
-        n=n,
-        shares=shares,
-        grid=grid,
-        seed=seed,
-        initial_indices=0,
-        backend=backend,
-    )
-    sim.run(2000)
-    return {
-        "mean_generosity": sim.average_generosity(),
-        "final_counts": [int(c) for c in sim.counts],
-    }
 
 
 def canonical(records) -> str:
@@ -54,38 +30,6 @@ class TestRunnerJobsEquivalence:
             assert len(report.results) == 4
             payloads[jobs] = [r.report.to_dict() for r in report.results]
         assert canonical(payloads[1]) == canonical(payloads[4])
-
-
-class TestSweepJobsEquivalence:
-    def test_grid_identical_across_jobs(self):
-        results = {}
-        for jobs in (1, 4):
-            sweep = parameter_sweep(
-                measure_point,
-                jobs=jobs,
-                n=[60, 90],
-                seed=[3, 4],
-                backend=["count", "agent"],
-            )
-            assert len(sweep.records) == 8
-            results[jobs] = sweep.records
-        assert canonical(results[1]) == canonical(results[4])
-
-    def test_backends_share_the_seed_grid(self):
-        # Both backends are swept over identical (n, seed) points, so the
-        # record layout is comparable point-for-point across backends.
-        sweep = parameter_sweep(
-            measure_point,
-            n=[60],
-            seed=[3, 4],
-            backend=["count", "agent"],
-        )
-        count_rows = sweep.where(backend="count")
-        agent_rows = sweep.where(backend="agent")
-        assert [r["seed"] for r in count_rows] == [r["seed"] for r in agent_rows]
-        for row in sweep.records:
-            assert sum(row["final_counts"]) == 30  # GTFT head count at n=60
-            assert np.isfinite(row["mean_generosity"])
 
 
 class TestSeedAxisJobsEquivalence:
