@@ -1,122 +1,79 @@
-"""Tests for continuous symmetric-equilibrium analysis."""
+"""Symmetric equilibria located through the continuous DE gap.
+
+If every GTFT agent plays ``g`` (``µ`` a point mass), ``g`` is a
+symmetric equilibrium when no deviation in ``[0, ĝ]`` pays more, i.e.
+when ``continuous_de_gap`` vanishes there.  Scanning a fine grid locates
+it: at ``ĝ`` in the canonical Theorem 2.9 setting, and inside the
+interval, well below the stationary mean, in the literal-only setting
+that E7 exhibits.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.continuous_equilibrium import (
-    stationary_mean_equilibrium_gap,
-    symmetric_equilibrium,
-    symmetric_gradient,
+from repro.core.equilibrium import (
+    RDSetting,
+    continuous_de_gap,
+    expected_payoff_vs_mixture,
 )
-from repro.core.equilibrium import RDSetting
+from repro.core.generosity import average_stationary_generosity
+from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
 from repro.core.regimes import (
     default_theorem_2_9_setting,
     literal_only_theorem_2_9_setting,
 )
-from repro.utils import InvalidParameterError
 
 
-class TestGradient:
-    def test_decomposition(self):
-        setting = RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5)
-        shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
-        from repro.games.closed_forms import payoff_derivative_in_g
+def point_mass_gaps(setting, shares, g_max, k=41):
+    grid = GenerosityGrid(k=k, g_max=g_max)
+    gaps = np.array([continuous_de_gap(np.eye(k)[i], grid, setting, shares)
+                     for i in range(k)])
+    return grid, gaps
 
-        g = 0.3
-        expected = (shares.gamma * payoff_derivative_in_g(g, g, 4, 1, 0.7, 0.5)
-                    - 0.2 * 1 * 0.7 / 0.3)
-        assert symmetric_gradient(g, setting, shares) == \
-            pytest.approx(expected)
 
-    def test_strictly_decreasing_in_g(self):
-        setting, shares, g_max = default_theorem_2_9_setting()
-        values = [symmetric_gradient(float(g), setting, shares)
-                  for g in np.linspace(0, 0.95, 12)]
-        assert all(values[i] > values[i + 1] for i in range(11))
-
-    def test_validates_range(self):
-        setting, shares, _ = default_theorem_2_9_setting()
-        with pytest.raises(InvalidParameterError):
-            symmetric_gradient(1.5, setting, shares)
+def symmetric_equilibrium(setting, shares, g_max) -> float:
+    grid, gaps = point_mass_gaps(setting, shares, g_max)
+    return float(grid.values[int(np.argmin(gaps))])
 
 
 class TestSymmetricEquilibrium:
     def test_effective_regime_corner_high(self):
         """The canonical Theorem 2.9 setting has g* = g_max."""
         setting, shares, g_max = default_theorem_2_9_setting()
-        eq = symmetric_equilibrium(setting, shares, g_max)
-        assert eq.kind == "corner_high"
-        assert eq.generosity == g_max
-        assert eq.gradient >= 0
+        _, gaps = point_mass_gaps(setting, shares, g_max)
+        assert gaps[-1] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(gaps[:-1] > 0)
 
     def test_literal_regime_interior_below_stationary_mean(self):
-        """The literal-only setting has an *interior* g* (~0.44) strictly
+        """The literal-only setting has an interior g* (~0.44) strictly
         below where the stationary mass concentrates (~0.585) — the
         geometric root cause of the stalled DE gap."""
-        from repro.core.generosity import average_stationary_generosity
-
         setting, shares, g_max = literal_only_theorem_2_9_setting()
-        eq = symmetric_equilibrium(setting, shares, g_max)
-        assert eq.kind == "interior"
-        assert 0.4 < eq.generosity < 0.5
+        grid, gaps = point_mass_gaps(setting, shares, g_max)
+        g_star = float(grid.values[int(np.argmin(gaps))])
+        assert 0.4 < g_star < 0.5
+        assert gaps.min() < 1e-3
+        assert gaps[-1] > 0.1
         mean = average_stationary_generosity(32, shares.beta, g_max)
-        assert mean > eq.generosity + 0.1
+        assert mean > g_star + 0.1
 
-    def test_interior_equilibrium_found(self):
-        """With a large enough g_max the gradient crosses zero inside."""
-        setting, shares, _ = default_theorem_2_9_setting()
-        phi_at_099 = symmetric_gradient(0.99, setting, shares)
-        if phi_at_099 >= 0:
-            pytest.skip("no interior crossing for these parameters")
-        eq = symmetric_equilibrium(setting, shares, 0.99)
-        assert eq.kind == "interior"
-        assert 0.0 < eq.generosity < 0.99
-        assert abs(eq.gradient) < 1e-8
-
-    def test_interior_is_gradient_root(self):
-        setting, shares, _ = default_theorem_2_9_setting()
-        eq = symmetric_equilibrium(setting, shares, 0.999)
-        if eq.kind != "interior":
-            pytest.skip("no interior equilibrium here")
-        assert symmetric_gradient(eq.generosity, setting, shares) == \
-            pytest.approx(0.0, abs=1e-8)
+    def test_payoff_falls_toward_g_max_in_literal_regime(self):
+        """Against a population at ĝ, backing off from ĝ pays."""
+        setting, shares, g_max = literal_only_theorem_2_9_setting()
+        grid = GenerosityGrid(k=4, g_max=g_max)
+        at_top = np.eye(4)[-1]
+        payoffs = [expected_payoff_vs_mixture(g, at_top, grid, setting,
+                                              shares)
+                   for g in (g_max - 0.1, g_max - 0.05, g_max)]
+        assert payoffs[0] > payoffs[1] > payoffs[2]
 
     def test_equilibrium_monotone_in_beta(self):
         """More defectors -> (weakly) less equilibrium generosity."""
         setting = RDSetting(b=20.0, c=1.0, delta=0.8, s1=0.5)
-        values = []
-        for beta in (0.02, 0.1, 0.25, 0.4):
-            shares = PopulationShares(alpha=0.2, beta=beta,
-                                      gamma=0.8 - beta)
-            eq = symmetric_equilibrium(setting, shares, 0.99)
-            values.append(eq.generosity)
-        assert all(values[i] >= values[i + 1] - 1e-12 for i in range(3))
-
-    def test_rejects_zero_g_max(self):
-        setting, shares, _ = default_theorem_2_9_setting()
-        with pytest.raises(InvalidParameterError):
-            symmetric_equilibrium(setting, shares, 0.0)
-
-
-class TestStationaryMeanGap:
-    def test_gap_decays_in_k_effective_regime(self):
-        """|eg(k) - g*| = O(1/k) in the corner-high regime."""
-        setting, shares, g_max = default_theorem_2_9_setting()
-        gaps = [stationary_mean_equilibrium_gap(k, setting, shares, g_max)
-                for k in (2, 4, 8, 16, 32)]
-        assert all(gaps[i] > gaps[i + 1] for i in range(4))
-        products = [g * k for g, k in zip(gaps, (2, 4, 8, 16, 32))]
-        assert max(products) < 2 * g_max
-
-    def test_gap_stalls_in_literal_regime(self):
-        """With an interior g* ~ 0.44 but stationary mass near g_max = 0.6,
-        the distance |eg(k) - g*| converges to a positive constant
-        (~0.585 - 0.44 ~ 0.15) instead of zero — the geometric picture
-        behind the stalled Psi."""
-        setting, shares, g_max = literal_only_theorem_2_9_setting()
-        gaps = [stationary_mean_equilibrium_gap(k, setting, shares, g_max)
-                for k in (8, 16, 32, 64)]
-        assert all(gap > 0.1 for gap in gaps)
-        # Converging to a constant: successive changes shrink.
-        assert abs(gaps[-1] - gaps[-2]) < abs(gaps[1] - gaps[0]) + 1e-12
+        values = [symmetric_equilibrium(
+            setting, PopulationShares(alpha=0.2, beta=beta,
+                                      gamma=0.8 - beta), 0.99)
+                  for beta in (0.02, 0.1, 0.25, 0.4)]
+        assert values == sorted(values, reverse=True)
+        assert values[0] > values[-1]

@@ -1,4 +1,5 @@
-"""Tests for observation noise and the ``simulate`` command."""
+"""Tests for convergence to stationarity, observation noise and the
+``simulate`` command."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from repro.cli import main
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.core.stationary import noisy_igt_lambda
-from repro.utils import InvalidParameterError
+from repro.core.theory import igt_mixing_lower_bound, igt_mixing_upper_bound
+from repro.markov.distributions import binomial_pmf, total_variation
+from repro.markov.mixing import exact_mixing_time
+from repro.utils import InvalidParameterError, spawn_generators
 
 
 @pytest.fixture
@@ -18,6 +22,75 @@ def shares():
 @pytest.fixture
 def grid():
     return GenerosityGrid(k=3, g_max=0.6)
+
+
+def convergence_curve(n, shares, grid, times, replicas, seed, backend):
+    """Max-coordinate TV between the replicas' count laws and the exact
+    stationary binomial marginals, at each checkpoint, from the worst
+    start (every GTFT agent at ``g_1``)."""
+    probe = IGTSimulation(n=n, shares=shares, grid=grid, seed=0,
+                          initial_indices=0)
+    m = probe.n_gtft
+    weights = probe.equivalent_ehrenfest(exact=True).stationary_weights()
+    marginals = [[binomial_pmf(i, m, w) for i in range(m + 1)]
+                 for w in weights]
+    snapshots = np.empty((replicas, len(times), grid.k), dtype=np.int64)
+    for r, child in enumerate(spawn_generators(seed, replicas)):
+        sim = IGTSimulation(n=n, shares=shares, grid=grid, seed=child,
+                            initial_indices=0, backend=backend)
+        previous = 0
+        for i, t in enumerate(times):
+            sim.run(int(t) - previous)
+            snapshots[r, i] = sim.counts
+            previous = int(t)
+    return np.array([
+        max(total_variation(np.bincount(snapshots[:, i, j], minlength=m + 1)
+                            / replicas, marginals[j])
+            for j in range(grid.k))
+        for i in range(len(times))])
+
+
+class TestConvergenceCurve:
+    @pytest.mark.parametrize("backend", ["agent", "count"])
+    def test_curve_decreases_to_threshold(self, shares, grid, backend):
+        n = 40
+        high = 2.0 * igt_mixing_upper_bound(grid.k, shares, n)
+        times = np.unique(np.geomspace(1, high, 6).astype(np.int64))
+        curve = convergence_curve(n, shares, grid, times, replicas=150,
+                                  seed=5, backend=backend)
+        assert curve[0] > 0.9
+        assert curve[-1] < 0.25
+        assert curve[-1] < curve[len(curve) // 2] < curve[0]
+
+    def test_crossing_time_within_paper_bounds(self, shares, grid):
+        n = 40
+        low = igt_mixing_lower_bound(grid.k, shares, n)
+        high = 2.0 * igt_mixing_upper_bound(grid.k, shares, n)
+        times = np.unique(np.geomspace(low / 4, high, 10).astype(np.int64))
+        curve = convergence_curve(n, shares, grid, times, replicas=150,
+                                  seed=9, backend="count")
+        crossing = int(times[np.nonzero(curve <= 0.25)[0][0]])
+        assert low / 4 < crossing <= high
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_exact_embedding_mixes_between_bounds(self, shares, k):
+        n = 20
+        sim = IGTSimulation(n=n, shares=shares,
+                            grid=GenerosityGrid(k=k, g_max=0.6), seed=0)
+        chain = sim.equivalent_ehrenfest(exact=True).exact_chain()
+        t_mix = exact_mixing_time(chain)
+        assert igt_mixing_lower_bound(k, shares, n) <= t_mix
+        assert t_mix <= igt_mixing_upper_bound(k, shares, n)
+
+    def test_mixing_grows_with_k(self, shares):
+        n = 20
+        times = [
+            exact_mixing_time(IGTSimulation(
+                n=n, shares=shares, grid=GenerosityGrid(k=k, g_max=0.6),
+                seed=0).equivalent_ehrenfest(exact=True).exact_chain())
+            for k in (2, 3, 4)]
+        assert times == sorted(times)
+        assert times[-1] > times[0]
 
 
 class TestNoisyLambda:

@@ -1,129 +1,90 @@
-"""Tests for conductance-based mixing lower bounds."""
+"""Exact mixing times against the bottleneck-ratio lower bound.
+
+For any set ``S`` with ``π(S) <= 1/2`` the bottleneck ratio
+``Φ(S) = Q(S, Sᶜ)/π(S)`` gives ``t_mix >= 1/(4Φ(S))`` (Levin–Peres
+Thm 7.4).  ``exact_mixing_time`` and ``stationary_distribution`` must
+respect it on chains with and without a genuine bottleneck.
+"""
 
 import numpy as np
 import pytest
 
 from repro.markov.chain import FiniteMarkovChain
-from repro.markov.conductance import (
-    bottleneck_ratio,
-    ehrenfest_conductance_bound,
-    ehrenfest_level_cut,
-    mixing_lower_bound_from_cut,
-    sweep_conductance,
-)
 from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.mixing import exact_mixing_time
-from repro.utils import InvalidParameterError
 
 
-@pytest.fixture
-def two_state():
-    return FiniteMarkovChain(np.array([[0.9, 0.1], [0.1, 0.9]]))
+def barbell(eps: float) -> FiniteMarkovChain:
+    """Two well-connected pairs joined by a weak link of weight ``eps``."""
+    return FiniteMarkovChain(np.array([
+        [0.5 - eps, 0.5, eps, 0.0],
+        [0.5, 0.5, 0.0, 0.0],
+        [eps, 0.0, 0.5 - eps, 0.5],
+        [0.0, 0.0, 0.5, 0.5],
+    ]))
 
 
-class TestBottleneckRatio:
-    def test_two_state_exact(self, two_state):
-        # pi = (1/2, 1/2); Q({0}, {1}) = 0.5 * 0.1; Phi = 0.1.
-        assert bottleneck_ratio(two_state, [0]) == pytest.approx(0.1)
-
-    def test_rejects_heavy_subset(self, two_state):
-        with pytest.raises(InvalidParameterError):
-            bottleneck_ratio(two_state, [0, 1])
-
-    def test_rejects_empty(self, two_state):
-        with pytest.raises(InvalidParameterError):
-            bottleneck_ratio(two_state, [])
-
-    def test_rejects_out_of_range(self, two_state):
-        with pytest.raises(InvalidParameterError):
-            bottleneck_ratio(two_state, [5])
-
-    def test_lower_bound_valid_two_state(self, two_state):
-        bound = mixing_lower_bound_from_cut(two_state, [0])
-        tmix = exact_mixing_time(two_state, t_max=1000)
-        assert tmix >= bound - 1  # integer rounding slack
+def bottleneck_ratio(chain: FiniteMarkovChain, subset, pi) -> float:
+    inside = np.zeros(chain.n_states, dtype=bool)
+    inside[list(subset)] = True
+    P = chain.dense()
+    flow = float(pi[inside] @ P[np.ix_(inside, ~inside)].sum(axis=1))
+    return flow / float(pi[inside].sum())
 
 
-class TestSweep:
-    def test_finds_two_state_cut(self, two_state):
-        ratio, subset = sweep_conductance(two_state)
-        assert ratio == pytest.approx(0.1)
-        assert len(subset) == 1
-
-    def test_barbell_bottleneck_detected(self):
-        """Two well-connected pairs joined by a weak link: the sweep finds
-        the weak link."""
-        eps = 0.01
-        P = np.array([
-            [0.5 - eps, 0.5, eps, 0.0],
-            [0.5, 0.5, 0.0, 0.0],
-            [eps, 0.0, 0.5 - eps, 0.5],
-            [0.0, 0.0, 0.5, 0.5],
-        ])
-        chain = FiniteMarkovChain(P)
-        ratio, subset = sweep_conductance(chain)
-        assert ratio < 0.02
-        assert sorted(subset) in ([0, 1], [2, 3])
-
-    def test_rejects_bad_ordering(self, two_state):
-        with pytest.raises(InvalidParameterError):
-            sweep_conductance(two_state, ordering=[0, 0])
+def ehrenfest_level_cut(process: EhrenfestProcess, level: int) -> list:
+    """States whose top urn holds at most ``level`` balls."""
+    return [i for i, state in enumerate(process.space())
+            if state[-1] <= level]
 
 
-class TestEhrenfestConductance:
-    def test_level_cut_contents(self):
-        process = EhrenfestProcess(k=2, a=0.3, b=0.3, m=4)
-        cut = ehrenfest_level_cut(process, 1)
-        space = process.space()
-        assert all(space.state(i)[-1] <= 1 for i in cut)
-        assert len(cut) == 2  # top urn holds 0 or 1 of 4 balls
+def best_level_cut(process: EhrenfestProcess, pi) -> list:
+    cuts = [ehrenfest_level_cut(process, level) for level in range(process.m)]
+    cuts = [cut for cut in cuts if pi[cut].sum() <= 0.5]
+    chain = process.exact_chain()
+    return min(cuts, key=lambda cut: bottleneck_ratio(chain, cut, pi))
 
-    def test_level_validation(self):
-        process = EhrenfestProcess(k=2, a=0.3, b=0.3, m=4)
-        with pytest.raises(InvalidParameterError):
-            ehrenfest_level_cut(process, 4)
 
-    @pytest.mark.parametrize("k,a,b,m", [
-        (2, 0.5, 0.5, 10), (2, 0.4, 0.2, 10), (3, 0.3, 0.2, 6),
-    ])
-    def test_bound_is_valid(self, k, a, b, m):
-        """The conductance bound never exceeds the exact mixing time."""
+class TestBottleneckBound:
+    def test_two_state_ratio(self):
+        chain = FiniteMarkovChain(np.array([[0.9, 0.1], [0.1, 0.9]]))
+        pi = chain.stationary_distribution()
+        assert bottleneck_ratio(chain, [0], pi) == pytest.approx(0.1)
+        assert exact_mixing_time(chain) >= 1 / (4 * 0.1) - 1
+
+    @pytest.mark.parametrize("eps", [0.01, 0.001])
+    def test_barbell_bound_valid(self, eps):
+        chain = barbell(eps)
+        pi = chain.stationary_distribution()
+        ratio = bottleneck_ratio(chain, [0, 1], pi)
+        assert ratio == pytest.approx(eps / 2)
+        assert exact_mixing_time(chain) >= 1 / (4 * ratio) - 1
+
+    def test_barbell_bound_dominates_diameter(self):
+        """On a genuine bottleneck the cut bound beats diameter/2 = 1.5."""
+        chain = barbell(0.001)
+        pi = chain.stationary_distribution()
+        bound = 1 / (4 * bottleneck_ratio(chain, [0, 1], pi))
+        assert bound > 1.5
+        assert exact_mixing_time(chain) > 100
+
+    @pytest.mark.parametrize("k, a, b, m", [(2, 0.5, 0.5, 10),
+                                            (2, 0.4, 0.2, 10),
+                                            (3, 0.3, 0.2, 6)])
+    def test_ehrenfest_level_cut_bound_valid(self, k, a, b, m):
         process = EhrenfestProcess(k=k, a=a, b=b, m=m)
-        bound = ehrenfest_conductance_bound(process)
-        chain = process.exact_chain()
-        tmix = exact_mixing_time(chain,
-                                 pi=process.stationary_distribution(),
-                                 t_max=200_000)
-        assert tmix >= bound - 1
+        pi = process.stationary_distribution()
+        cut = best_level_cut(process, pi)
+        bound = 1 / (4 * bottleneck_ratio(process.exact_chain(), cut, pi))
+        t_mix = exact_mixing_time(process.exact_chain(), pi=pi,
+                                  t_max=200_000)
+        assert t_mix >= bound - 1
 
-    def test_bound_grows_with_m_for_classic_urn(self):
-        small = ehrenfest_conductance_bound(
-            EhrenfestProcess(k=2, a=0.5, b=0.5, m=10))
-        large = ehrenfest_conductance_bound(
-            EhrenfestProcess(k=2, a=0.5, b=0.5, m=30))
-        assert large > small
-
-    def test_weaker_than_diameter_for_ehrenfest(self):
-        """Honest comparison: Ehrenfest processes have no bottleneck (the
-        binomial bulk is well connected), so the conductance bound is valid
-        but *weaker* than the paper's diameter bound — the diameter
-        argument is the right tool for this family."""
+    def test_ehrenfest_has_no_bottleneck(self):
+        """The binomial bulk is well connected, so the cut bound is valid
+        but weaker than the paper's diameter bound km/2."""
         process = EhrenfestProcess(k=2, a=0.5, b=0.5, m=30)
-        conductance = ehrenfest_conductance_bound(process)
-        diameter = process.mixing_time_lower_bound()
-        assert 0 < conductance < diameter
-
-    def test_dominates_diameter_on_barbell(self):
-        """...whereas on a genuine bottleneck the ordering flips: the
-        barbell's conductance bound exceeds its diameter/2 = 1.5."""
-        eps = 0.001
-        P = np.array([
-            [0.5 - eps, 0.5, eps, 0.0],
-            [0.5, 0.5, 0.0, 0.0],
-            [eps, 0.0, 0.5 - eps, 0.5],
-            [0.0, 0.0, 0.5, 0.5],
-        ])
-        chain = FiniteMarkovChain(P)
-        ratio, subset = sweep_conductance(chain)
-        bound = mixing_lower_bound_from_cut(chain, subset)
-        assert bound > 1.5  # diameter of the 4-state graph is 3
+        pi = process.stationary_distribution()
+        cut = best_level_cut(process, pi)
+        bound = 1 / (4 * bottleneck_ratio(process.exact_chain(), cut, pi))
+        assert 0 < bound < process.mixing_time_lower_bound()

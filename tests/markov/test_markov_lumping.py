@@ -1,129 +1,93 @@
-"""Tests for strong lumpability and chain projection."""
+"""Projections of the exact Ehrenfest kernel.
+
+For ``k = 2`` the count chain *is* the birth-death chain of eq. (11);
+for ``k = 3`` projecting onto one urn's load is not strongly lumpable
+(moves out of urn 1 depend on urn 2's load), which is why Appendix A.2
+works with the full embedding.  Mirroring the urns swaps the roles of
+``a`` and ``b``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.markov.chain import FiniteMarkovChain
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.markov.lumping import (
-    block_transition_probabilities,
-    is_strongly_lumpable,
-    lump_chain,
-    lumped_stationary,
-)
-from repro.utils import InvalidParameterError
 
 
-@pytest.fixture
-def symmetric_chain():
-    """Random walk on a 4-cycle with laziness — lumpable by opposite pairs."""
-    P = np.array([
-        [0.5, 0.25, 0.0, 0.25],
-        [0.25, 0.5, 0.25, 0.0],
-        [0.0, 0.25, 0.5, 0.25],
-        [0.25, 0.0, 0.25, 0.5],
-    ])
-    return FiniteMarkovChain(P)
+def coordinate_blocks(space, coordinate: int) -> list:
+    blocks: dict = {}
+    for i, state in enumerate(space):
+        blocks.setdefault(state[coordinate], []).append(i)
+    return [blocks[value] for value in sorted(blocks)]
 
 
-class TestPartitionValidation:
-    def test_rejects_incomplete_partition(self, symmetric_chain):
-        with pytest.raises(InvalidParameterError):
-            is_strongly_lumpable(symmetric_chain, [[0, 1]])
-
-    def test_rejects_overlapping_blocks(self, symmetric_chain):
-        with pytest.raises(InvalidParameterError):
-            is_strongly_lumpable(symmetric_chain, [[0, 1], [1, 2, 3]])
-
-    def test_rejects_empty_block(self, symmetric_chain):
-        with pytest.raises(InvalidParameterError):
-            is_strongly_lumpable(symmetric_chain, [[0, 1, 2, 3], []])
-
-    def test_rejects_out_of_range(self, symmetric_chain):
-        with pytest.raises(InvalidParameterError):
-            is_strongly_lumpable(symmetric_chain, [[0, 1], [2, 5]])
+def block_probabilities(P: np.ndarray, partition) -> np.ndarray:
+    return np.stack([P[:, block].sum(axis=1) for block in partition], axis=1)
 
 
-class TestLumpability:
-    def test_trivial_partitions_lumpable(self, symmetric_chain):
-        singletons = [[i] for i in range(4)]
-        assert is_strongly_lumpable(symmetric_chain, singletons)
-        assert is_strongly_lumpable(symmetric_chain, [[0, 1, 2, 3]])
-
-    def test_opposite_pairs_lumpable(self, symmetric_chain):
-        assert is_strongly_lumpable(symmetric_chain, [[0, 2], [1, 3]])
-
-    def test_adjacent_pairs_lumpable_on_cycle(self, symmetric_chain):
-        # {0,1} vs {2,3}: from 0 -> block2 prob 0.25; from 1 -> 0.25. OK.
-        assert is_strongly_lumpable(symmetric_chain, [[0, 1], [2, 3]])
-
-    def test_non_lumpable_detected(self):
-        P = np.array([
-            [0.0, 1.0, 0.0],
-            [0.5, 0.0, 0.5],
-            [0.0, 0.2, 0.8],
-        ])
-        chain = FiniteMarkovChain(P)
-        # Block {0, 2}: from 0 the chain enters {1} w.p. 1, from 2 w.p. 0.2.
-        assert not is_strongly_lumpable(chain, [[0, 2], [1]])
-
-    def test_block_probabilities_shape(self, symmetric_chain):
-        rows = block_transition_probabilities(symmetric_chain,
-                                              [[0, 2], [1, 3]])
-        assert rows.shape == (4, 2)
-        assert np.allclose(rows.sum(axis=1), 1.0)
+def is_strongly_lumpable(P: np.ndarray, partition) -> bool:
+    rows = block_probabilities(P, partition)
+    return all(np.allclose(rows[block], rows[block[0]], atol=1e-12)
+               for block in partition)
 
 
-class TestLumpedChain:
-    def test_lumped_kernel(self, symmetric_chain):
-        lumped = lump_chain(symmetric_chain, [[0, 2], [1, 3]])
-        assert lumped.n_states == 2
-        assert np.allclose(lumped.dense(), [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_lump_rejects_non_lumpable(self):
-        P = np.array([
-            [0.0, 1.0, 0.0],
-            [0.5, 0.0, 0.5],
-            [0.0, 0.2, 0.8],
-        ])
-        with pytest.raises(InvalidParameterError):
-            lump_chain(FiniteMarkovChain(P), [[0, 2], [1]])
-
-    def test_lumped_stationary_consistency(self, symmetric_chain):
-        """Aggregated stationary == stationary of the lumped chain."""
-        partition = [[0, 2], [1, 3]]
-        aggregated = lumped_stationary(symmetric_chain, partition)
-        lumped = lump_chain(symmetric_chain, partition)
-        assert np.allclose(aggregated, lumped.stationary_distribution(),
-                           atol=1e-10)
-
-    def test_ehrenfest_k3_coordinate_projection_not_lumpable(self):
-        """Projecting the k=3 Ehrenfest chain onto its first coordinate is
-        NOT strongly lumpable (moves out of urn 1 depend on urn 2's load),
-        which is why the paper uses the full planar embedding in A.2."""
-        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=3)
-        space = process.space()
-        chain = process.exact_chain(space)
-        blocks: dict[int, list[int]] = {}
-        for i, state in enumerate(space):
-            blocks.setdefault(state[0], []).append(i)
-        partition = [blocks[v] for v in sorted(blocks)]
-        assert not is_strongly_lumpable(chain, partition)
-
-    def test_ehrenfest_k2_projection_lumpable_and_matches_eq_11(self):
-        """For k=2 the coordinate projection IS (trivially) lumpable and the
-        lumped kernel equals the paper's eq. 11 birth-death chain."""
-        from repro.markov.birth_death import ehrenfest_projection_chain
-
-        m, a, b = 4, 0.4, 0.2
+class TestCoordinateProjection:
+    @pytest.mark.parametrize("m, a, b", [(6, 0.4, 0.2), (4, 0.1, 0.7),
+                                         (5, 0.3, 0.3)])
+    def test_k2_kernel_is_eq_11_birth_death(self, m, a, b):
+        """Urn 1 gains a ball w.p. b·x₂/m and loses one w.p. a·x₁/m."""
         process = EhrenfestProcess(k=2, a=a, b=b, m=m)
         space = process.space()
-        chain = process.exact_chain(space)
-        blocks: dict[int, list[int]] = {}
-        for i, state in enumerate(space):
-            blocks.setdefault(state[0], []).append(i)
-        partition = [blocks[v] for v in sorted(blocks)]
-        assert is_strongly_lumpable(chain, partition)
-        lumped = lump_chain(chain, partition)
-        reference = ehrenfest_projection_chain(m, a, b).transition_matrix()
-        assert np.allclose(lumped.dense(), reference)
+        P = process.transition_matrix(space, sparse=False)
+        for x1 in range(m + 1):
+            row = space.index((x1, m - x1))
+            up = b * (m - x1) / m
+            down = a * x1 / m
+            if x1 < m:
+                assert P[row, space.index((x1 + 1, m - x1 - 1))] == \
+                    pytest.approx(up)
+            if x1 > 0:
+                assert P[row, space.index((x1 - 1, m - x1 + 1))] == \
+                    pytest.approx(down)
+            assert P[row, row] == pytest.approx(1.0 - up - down)
+
+    def test_k2_projection_lumpable(self):
+        process = EhrenfestProcess(k=2, a=0.4, b=0.2, m=4)
+        space = process.space()
+        P = process.transition_matrix(space, sparse=False)
+        assert is_strongly_lumpable(P, coordinate_blocks(space, 0))
+
+    def test_k3_coordinate_projection_not_lumpable(self):
+        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=3)
+        space = process.space()
+        P = process.transition_matrix(space, sparse=False)
+        assert not is_strongly_lumpable(P, coordinate_blocks(space, 0))
+
+    def test_lumped_stationary_consistency(self):
+        """For k = 2 the lumped kernel's stationary law is the coordinate
+        marginal of the full stationary law."""
+        process = EhrenfestProcess(k=2, a=0.35, b=0.15, m=5)
+        space = process.space()
+        P = process.transition_matrix(space, sparse=False)
+        partition = coordinate_blocks(space, 0)
+        rows = block_probabilities(P, partition)
+        lumped = np.stack([rows[block[0]] for block in partition])
+        eigenvalues, eigenvectors = np.linalg.eig(lumped.T)
+        pi_lumped = np.real(eigenvectors[:, np.argmax(np.real(eigenvalues))])
+        pi_lumped /= pi_lumped.sum()
+        pi_full = process.stationary_distribution(space)
+        marginal = [pi_full[block].sum() for block in partition]
+        assert np.allclose(pi_lumped, marginal, atol=1e-12)
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("k, m", [(2, 4), (3, 3), (4, 2)])
+    def test_reversing_urns_swaps_a_and_b(self, k, m):
+        forward = EhrenfestProcess(k=k, a=0.35, b=0.2, m=m)
+        mirrored = EhrenfestProcess(k=k, a=0.2, b=0.35, m=m)
+        space = forward.space()
+        P = forward.transition_matrix(space, sparse=False)
+        Q = mirrored.transition_matrix(space, sparse=False)
+        flip = [space.index(tuple(reversed(state))) for state in space]
+        assert np.allclose(P, Q[np.ix_(flip, flip)], atol=1e-15)
+        assert np.allclose(forward.stationary_distribution(space),
+                           mirrored.stationary_distribution(space)[flip])

@@ -64,7 +64,7 @@ class TestParseGrid:
             parse_grid([], space)
 
     @pytest.mark.parametrize(
-        "bad", ["n=1:2", "n=1:2:3:4", "n=a:b:3", "n=1:9:1", "n=", "n"]
+        "bad", ["n=1:2", "n=1:2:3:4", "n=a:b:3", "n=1:9:1", "n=", "n", "n=,"]
     )
     def test_malformed_axes_rejected(self, space, bad):
         with pytest.raises(InvalidParameterError):
@@ -117,6 +117,10 @@ class TestSeedAxis:
     def test_seed_crossed_with_parameter_axes(self, space):
         grid = parse_grid(["n=10,20", "seed=3,4"], space)
         assert list(grid) == ["n", "seed"]
+
+    def test_non_numeric_seed_rejected(self, space):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            parse_grid(["seed=a,b"], space)
 
     def test_fractional_seed_rejected(self, space):
         with pytest.raises(InvalidParameterError, match="integers"):

@@ -46,6 +46,18 @@ class TestParamCoercion:
         with pytest.raises(InvalidParameterError, match="expects float"):
             Param("x", "float", 0.0).coerce("nan")
 
+    def test_float_rejects_bool(self):
+        with pytest.raises(InvalidParameterError, match="expects float"):
+            Param("x", "float", 0.0).coerce(True)
+
+    def test_bool_rejects_unknown_spelling(self):
+        with pytest.raises(InvalidParameterError, match="expects bool"):
+            Param("flag", "bool", False).coerce("maybe")
+
+    def test_str_rejects_non_string(self):
+        with pytest.raises(InvalidParameterError, match="expects str"):
+            Param("mode", "str", "a").coerce(3)
+
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -92,6 +104,14 @@ class TestParamSpace:
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(InvalidParameterError, match="twice"):
             ParamSpace(Param("n", "int", 1), Param("n", "int", 2))
+
+    def test_non_param_entry_rejected(self):
+        with pytest.raises(InvalidParameterError, match="Param instances"):
+            ParamSpace(("n", "int", 1))
+
+    def test_profile_name_must_be_identifier(self):
+        with pytest.raises(InvalidParameterError, match="identifier"):
+            ParamSpace(Param("n", "int", 1), profiles={"not valid": {}})
 
     def test_profile_overrides_validated_at_construction(self):
         with pytest.raises(InvalidParameterError, match="unknown parameter"):

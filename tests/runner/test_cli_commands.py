@@ -493,6 +493,19 @@ class TestSweepSeries:
         assert main(arguments) == 2
         assert "--series" in capsys.readouterr().err
 
+    def test_resume_with_remote_exits_2(self, capsys):
+        arguments = ["sweep", "E1", "--remote", "http://127.0.0.1:1", "--resume"]
+        assert main(arguments) == 2
+        assert "--resume applies to local sweeps" in capsys.readouterr().err
+
+    def test_token_without_remote_exits_2(self, capsys):
+        assert main(["sweep", "E1", "--token", "secret"]) == 2
+        assert "--token only applies" in capsys.readouterr().err
+
+    def test_resume_without_cache_exits_2(self, capsys):
+        assert main(["sweep", "E1", "--resume"]) == 2
+        assert "--resume needs --cache" in capsys.readouterr().err
+
     def test_usage_error_does_not_truncate_output(self, capsys, tmp_path):
         # Validation happens before the record writer opens the file.
         records_path = tmp_path / "records.jsonl"

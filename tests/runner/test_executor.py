@@ -61,6 +61,22 @@ class TestPlanConstruction:
         with pytest.raises(InvalidParameterError, match="no values"):
             grid_plan("E1", {"k": []})
 
+    def test_grid_without_axes_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one grid axis"):
+            grid_plan("E1", {})
+
+    def test_non_int_seed_axis_rejected(self):
+        with pytest.raises(InvalidParameterError, match="must be ints"):
+            grid_plan("E1", {"seed": [1.5]})
+
+    def test_malformed_task_params_rejected(self):
+        with pytest.raises(InvalidParameterError, match="mapping"):
+            RunTask(experiment_id="E1", params=5)
+
+    def test_empty_experiment_id_rejected(self):
+        with pytest.raises(InvalidParameterError, match="non-empty"):
+            RunTask(experiment_id="")
+
 
 class TestExecute:
     def test_reports_in_task_order(self):

@@ -8,11 +8,22 @@ for ``grid_plan`` grids.
 
 import json
 
-from repro.runner import execute, replicate_plan
+from repro.runner import execute, grid_plan, replicate_plan, strip_provenance
 
 
 def canonical(records) -> str:
     return json.dumps(records, sort_keys=True)
+
+
+BACKEND_GRID = {"g_max": [0.5, 0.6], "seed": [3, 4]}
+
+
+def backend_grid_records(jobs: int) -> list:
+    records = []
+    for backend in ("count", "agent"):
+        plan = grid_plan("E6", BACKEND_GRID, backend=backend, jobs=jobs)
+        records += execute(plan).to_records()
+    return [strip_provenance(record) for record in records]
 
 
 class TestRunnerJobsEquivalence:
@@ -30,6 +41,25 @@ class TestRunnerJobsEquivalence:
             assert len(report.results) == 4
             payloads[jobs] = [r.report.to_dict() for r in report.results]
         assert canonical(payloads[1]) == canonical(payloads[4])
+
+
+class TestSweepJobsEquivalence:
+    def test_grid_identical_across_jobs(self):
+        results = {jobs: backend_grid_records(jobs) for jobs in (1, 4)}
+        assert len(results[1]) == 8
+        assert canonical(results[1]) == canonical(results[4])
+
+    def test_backends_share_the_seed_grid(self):
+        # Both backends are swept over identical (g_max, seed) points, so
+        # the record layout is comparable point-for-point across backends.
+        records = backend_grid_records(jobs=1)
+        count_rows = [r for r in records if r["backend"] == "count"]
+        agent_rows = [r for r in records if r["backend"] == "agent"]
+        count_points = [(r["label"], r["seed"]) for r in count_rows]
+        assert count_points == [(r["label"], r["seed"]) for r in agent_rows]
+        assert [r["seed"] for r in count_rows] == [3, 4, 3, 4]
+        for row in records:
+            assert all(row["report"]["checks"].values())
 
 
 class TestSeedAxisJobsEquivalence:
