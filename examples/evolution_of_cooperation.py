@@ -90,16 +90,12 @@ def act_three_payoffs():
     sim = IGTSimulation(n=n, shares=shares, grid=grid, seed=2,
                         setting=setting, track_payoffs=True)
     sim.run(int(2 * igt_mixing_upper_bound(k, shares, n)))
-    means = sim.mean_payoff_per_interaction()
-    from repro.core.igt import AgentType
-
-    rows = []
-    for agent_type, label in ((AgentType.AC, "Always-Cooperate"),
-                              (AgentType.AD, "Always-Defect"),
-                              (AgentType.GTFT, "GTFT (tuned)")):
-        mask = sim.types == agent_type
-        rows.append([label, int(mask.sum()),
-                     f"{means[mask].mean():.3f}"])
+    means = sim.mean_payoff_by_type()
+    rows = [[label, agents, f"{means[name]:.3f}"]
+            for name, label, agents in (
+                ("AC", "Always-Cooperate", sim.n_ac),
+                ("AD", "Always-Defect", sim.n_ad),
+                ("GTFT", "GTFT (tuned)", sim.n_gtft))]
     print(format_table(
         ["type", "agents", "mean payoff / interaction"], rows))
     print("(AD free-rides per interaction, but the GTFT block sustains "

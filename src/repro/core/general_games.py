@@ -25,11 +25,11 @@ strategy distribution over time — the quantity Experiment E14(iv) reports
 for the hawk–dove game.
 
 The update rules are declared once as engine interaction models
-(:func:`repro.engine.matrix_game_model`); ``step()`` and ``run()`` both
-execute that shared law.  The ``backend=`` knob selects the engine:
-``"agent"`` keeps per-agent strategies, ``"count"`` runs the exact
-count-level chain — distribution-identical and far faster at large ``n``
-(per-agent observables and ``step()`` are then unavailable).
+(:func:`repro.engine.matrix_game_model`) and ``run()`` executes them on
+the engine the ``backend=`` knob selects: ``"agent"`` keeps per-agent
+strategies, ``"count"`` runs the exact count-level chain —
+distribution-identical and far faster at large ``n`` (per-agent
+strategies are then unavailable).
 """
 
 from __future__ import annotations
@@ -45,7 +45,12 @@ from repro.engine import (
 )
 from repro.games.base import MatrixGame
 from repro.games.nash import symmetric_de_gap
-from repro.utils import as_generator, check_positive_int, check_probability
+from repro.utils import (
+    as_generator,
+    check_int_array,
+    check_positive_int,
+    check_probability,
+)
 from repro.utils.errors import InvalidParameterError
 
 _RULES = ("imitation", "best_response", "logit")
@@ -75,8 +80,8 @@ class PopulationGameSimulation:
     backend:
         ``"agent"`` (default) tracks every agent's strategy; ``"count"``
         tracks only the strategy-count vector — distribution-identical and
-        far faster at large ``n``, but ``strategies`` and ``step()`` are
-        unavailable.  ``"auto"`` dispatches between them from ``n``
+        far faster at large ``n``, but ``strategies`` is unavailable.
+        ``"auto"`` dispatches between them from ``n``
         (:func:`repro.engine.resolve_backend`).
     weights:
         Optional per-agent activity weights (length-``n`` positive array
@@ -95,17 +100,12 @@ class PopulationGameSimulation:
         graph process); pinning ``backend="count"`` runs the
         degree-annealed chain, accepted only for vertex-transitive
         graphs.  Mutually exclusive with non-uniform ``weights``.
-    vectorized:
-        Forwarded to :class:`~repro.engine.agent.AgentBackend`:
-        ``True`` opts the stochastic rules (``imitation``/``logit``)
-        into the batched kernel path — distribution-identical to the
-        sequential loop, several times its throughput.
     """
 
     def __init__(self, game: MatrixGame, n: int, rule: str = "imitation",
                  seed=None, initial_strategies=None, p_update: float = 0.5,
                  eta: float = 1.0, backend: str = "agent", weights=None,
-                 topology=None, vectorized: bool | None = None):
+                 topology=None):
         if not game.is_symmetric():
             raise InvalidParameterError(
                 "population game dynamics require a symmetric game")
@@ -120,9 +120,8 @@ class PopulationGameSimulation:
         if eta <= 0:
             raise InvalidParameterError(f"eta must be positive, got {eta!r}")
         self.eta = float(eta)
-        self._rng = as_generator(seed)
-        self._law = law = make_law(self.n, weights, topology,
-                                   seed=self._rng)
+        rng = as_generator(seed)
+        law = make_law(self.n, weights, topology, seed=rng)
         check_backend(backend, allow_auto=True)
         self.backend = backend = resolve_backend(
             backend, n=self.n, weighted=law.weights is not None,
@@ -134,12 +133,13 @@ class PopulationGameSimulation:
             # The uniform and graph count chains need counts alone: the
             # histogram of n uniform strategies is one multinomial draw.
             strategies = None
-            counts = self._rng.multinomial(
+            counts = rng.multinomial(
                 self.n, np.full(n_strategies, 1.0 / n_strategies))
         elif initial_strategies is None:
-            strategies = self._rng.integers(0, n_strategies, size=self.n)
+            strategies = rng.integers(0, n_strategies, size=self.n)
         else:
-            strategies = np.asarray(initial_strategies, dtype=np.int64).copy()
+            strategies = check_int_array("initial_strategies",
+                                         initial_strategies).copy()
             if strategies.size != self.n:
                 raise InvalidParameterError(
                     f"initial_strategies must have length n={self.n}")
@@ -147,18 +147,20 @@ class PopulationGameSimulation:
                 raise InvalidParameterError(
                     f"strategies must lie in 0..{n_strategies - 1}")
         payoff_span = float(self.payoffs.max() - self.payoffs.min())
-        self._imitation_scale = payoff_span if payoff_span > 0 else 1.0
-        # The update rule, declared once as an engine interaction model;
-        # step() and both backends execute this shared law.
-        self._model = matrix_game_model(
+        # The update rule, declared once as an engine interaction model
+        # that both backends execute.
+        model = matrix_game_model(
             self.payoffs, rule, p_update=self.p_update, eta=self.eta,
-            imitation_scale=self._imitation_scale)
+            imitation_scale=payoff_span if payoff_span > 0 else 1.0)
         self._strategies = strategies if backend == "agent" else None
-        self._engine = build_engine(self._model, law, backend,
-                                    states=strategies, counts=counts,
-                                    vectorized=vectorized)
+        self._engine = build_engine(model, law, backend, states=strategies,
+                                    counts=counts)
         self._counts = self._engine.counts_live
-        self.steps_run = 0
+
+    @property
+    def steps_run(self) -> int:
+        """Interactions executed so far."""
+        return self._engine.steps_run
 
     @property
     def n_strategies(self) -> int:
@@ -187,38 +189,9 @@ class PopulationGameSimulation:
         """Definition 1.1 gap of the current empirical distribution."""
         return symmetric_de_gap(self.payoffs, self.empirical_mu())
 
-    def _switch(self, agent: int, new_strategy: int) -> None:
-        old = int(self._strategies[agent])
-        if new_strategy != old:
-            self._strategies[agent] = new_strategy
-            self._counts[old] -= 1
-            self._counts[new_strategy] += 1
-
-    def step(self) -> None:
-        """One scheduled interaction (``backend="agent"``)."""
-        strategies = self.strategies
-        i, j = self._law.next_pair()
-        observed = None
-        if self._model.slots_per_step == 4:
-            # The rule reads two independently sampled opponents, drawn
-            # from the pair law.
-            oi = int(self._law.others_block([i])[0])
-            oj = int(self._law.others_block([j])[0])
-            observed = (int(strategies[oi]), int(strategies[oj]))
-        new_u, _ = self._model.apply_scalar(int(strategies[i]),
-                                            int(strategies[j]), self._rng,
-                                            observed)
-        self._switch(i, new_u)
-        self.steps_run += 1
-
     def run(self, steps: int) -> None:
         """Execute ``steps`` interactions on the configured backend."""
-        steps = check_positive_int("steps", steps, minimum=0)
-        if steps == 0:
-            return
-        self._engine.steps_run = self.steps_run
-        result = self._engine.run(steps)
-        self.steps_run = result.steps
+        self._engine.run(check_positive_int("steps", steps, minimum=0))
 
 
 def de_gap_trajectory(simulation: PopulationGameSimulation, steps: int,

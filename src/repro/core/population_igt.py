@@ -8,10 +8,12 @@ the k-IGT rule.  Three observation modes are supported:
 
 * ``"strategy"`` (Definition 2.1) — the initiator reads its partner's true
   strategy type.
-* ``"action"`` (Remark, Section 2.2) — the pair actually plays a Monte
-  Carlo repeated game and the initiator classifies its partner as AD iff it
-  defected in every round.  For large δ this coincides with the strategy
-  rule with high probability.
+* ``"action"`` (Remark, Section 2.2) — the initiator classifies its
+  partner as AD iff it defected in every round of their δ-repeated game.
+  That event's probability depends only on the two strategies, so the
+  rule runs as the exact per-pair classification law
+  (:func:`repro.engine.igt_action_model`).  For large δ it coincides
+  with the strategy rule with high probability.
 * ``"strict"`` (Remark after Proposition 2.2) — like ``"strategy"`` but AC
   partners do not trigger an increment.
 
@@ -22,13 +24,13 @@ corrections — is exposed via :meth:`IGTSimulation.equivalent_ehrenfest`.
 
 Execution is delegated to the engine layer (:mod:`repro.engine`): the
 dynamics is declared once as a ``k + 2``-state interaction model
-(:func:`repro.engine.igt_model`) and run on the backend selected by the
+(:func:`repro.engine.igt_model`, or :func:`~repro.engine.igt_action_model`
+in ``"action"`` mode) and run on the backend selected by the
 ``backend=`` knob — ``"agent"`` (per-agent states, trajectories bit-for-bit
 identical to the pre-engine fast path under a fixed seed) or ``"count"``
 (exact count-level simulation, practical up to ``n = 10^7`` and beyond; no
-per-agent observables).  The Monte-Carlo ``"action"`` mode and per-agent
-payoff accounting inherently need agent identities and keep their
-sequential loop on ``backend="agent"``.
+per-agent observables).  Payoffs are accounted per type pair on either
+backend (:meth:`IGTSimulation.mean_payoff_by_type`).
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.igt import AgentType, GenerosityGrid, IGTRule
+from repro.core.igt import GenerosityGrid
 from repro.engine import (
-    AgentBackend,
     build_engine,
     check_backend,
     igt_action_model,
@@ -47,7 +48,6 @@ from repro.engine import (
     make_law,
     resolve_backend,
 )
-from repro.games.repeated import RepeatedGameEngine
 from repro.games.strategies import (
     MemoryOneStrategy,
     always_cooperate,
@@ -55,7 +55,12 @@ from repro.games.strategies import (
     generous_tit_for_tat,
 )
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.utils import as_generator, check_fraction, check_positive_int
+from repro.utils import (
+    as_generator,
+    check_fraction,
+    check_int_array,
+    check_positive_int,
+)
 from repro.utils.errors import InvalidParameterError
 
 _MODES = ("strategy", "action", "strict")
@@ -142,8 +147,9 @@ class IGTSimulation:
         An :class:`~repro.core.equilibrium.RDSetting` (required for
         ``mode="action"`` and for payoff accounting; optional otherwise).
     track_payoffs:
-        When true, accumulate each agent's *expected* game payoff per
-        interaction (via the closed forms) into :attr:`total_payoffs`.
+        When true, count executed interactions per ordered engine-state
+        pair (:meth:`pair_counts`); :meth:`mean_payoff_by_type`
+        contracts them against the exact expected-payoff table.
     initial_indices:
         Per-GTFT-agent initial grid indices; ``"uniform"`` (default) draws
         them uniformly from the grid, an integer places all agents there, or
@@ -159,14 +165,9 @@ class IGTSimulation:
         ``"agent"`` (default) tracks every agent's state;  ``"count"``
         tracks only the count vector over ``{g_1..g_k, AC, AD}`` —
         distribution-identical and far faster at large ``n``.  Per-agent
-        observables (``indices``, ``step``, per-agent payoffs) are
-        unavailable there and the per-agent arrays (``types``,
-        ``total_payoffs``, ``interactions_played``) are ``None``, but
-        ``mode="action"`` and payoff accounting now run count-level too:
-        the action rule becomes an exact per-pair classification law
-        (:func:`repro.engine.igt_action_model`) and payoffs are
-        accumulated per type pair (:meth:`mean_payoff_by_type`).
-        ``"auto"`` dispatches between the engines from ``(n, mode)`` via
+        observables (``indices``, ``strategy_of``) are unavailable
+        there; every mode and payoff accounting run on both.
+        ``"auto"`` dispatches between the engines from ``n`` via
         :func:`repro.engine.resolve_backend`.
     weights:
         Optional per-agent activity weights — the heterogeneous-contact
@@ -209,14 +210,13 @@ class IGTSimulation:
         self.shares = shares
         self.grid = grid
         self.mode = mode
-        self.rule = IGTRule(grid, strict=(mode == "strict"))
         self.setting = setting
         self._rng = as_generator(seed)
         self._law = law = make_law(self.n, weights, topology,
                                    seed=self._rng)
         check_backend(backend, allow_auto=True)
         self.backend = backend = resolve_backend(
-            backend, n=self.n, mode=mode, weighted=law.weights is not None,
+            backend, n=self.n, weighted=law.weights is not None,
             graph_restricted=law.topology is not None)
         self.observation_noise = check_fraction("observation_noise",
                                                 observation_noise)
@@ -230,15 +230,6 @@ class IGTSimulation:
         n_ac, n_ad, n_gtft = shares.agent_counts(n)
         self.n_ac, self.n_ad, self.n_gtft = n_ac, n_ad, n_gtft
         self._gtft_slice = slice(n_ac + n_ad, n)
-        # Per-agent arrays exist only on the agent backend: the count
-        # backend's whole point is O(k) state at n = 10^7+.
-        self.types = None
-        if backend == "agent":
-            types = np.empty(n, dtype=np.int64)
-            types[:n_ac] = AgentType.AC
-            types[n_ac:n_ac + n_ad] = AgentType.AD
-            types[n_ac + n_ad:] = AgentType.GTFT
-            self.types = types
 
         k = grid.k
         # Per-agent layout [AC block, AD block, GTFT block].  The uniform
@@ -269,15 +260,16 @@ class IGTSimulation:
                     gtft_counts += np.bincount(chunk, minlength=k)
                     gtft_states[lo:lo + chunk.size] = chunk
         elif np.isscalar(initial_indices):
-            start = int(initial_indices)
-            if not 0 <= start < k:
+            start = check_positive_int("initial_indices", initial_indices,
+                                       minimum=0)
+            if start >= k:
                 raise InvalidParameterError(
                     f"initial index must lie in 0..{k - 1}, got {start}")
             gtft_counts[start] = n_gtft
             if gtft_states is not None:
                 gtft_states[:] = start
         else:
-            explicit = np.asarray(initial_indices, dtype=np.int64)
+            explicit = check_int_array("initial_indices", initial_indices)
             if explicit.size != n_gtft:
                 raise InvalidParameterError(
                     f"initial_indices must have length n_gtft={n_gtft}, "
@@ -297,11 +289,7 @@ class IGTSimulation:
         counts_full[k + 1] = n_ad
 
         self.track_payoffs = bool(track_payoffs)
-        self.total_payoffs = np.zeros(n) if backend == "agent" else None
-        self.interactions_played = (np.zeros(n, dtype=np.int64)
-                                    if backend == "agent" else None)
         self._payoff_matrix = None
-        self._game_engine = None
         if self.track_payoffs or mode == "action":
             if setting is None:
                 raise InvalidParameterError(
@@ -310,50 +298,23 @@ class IGTSimulation:
             if self.track_payoffs:
                 from repro.core.equilibrium import payoff_table
                 self._payoff_matrix = payoff_table(grid, setting)
-            if mode == "action" and backend == "agent":
-                self._game_engine = RepeatedGameEngine(setting.game,
-                                                       setting.delta)
 
-        self._model = None
-        if mode != "action":
+        if mode == "action":
+            self._model = igt_action_model(grid, setting)
+        else:
             self._model = igt_model(k, mode=mode,
                                     observation_noise=self.observation_noise)
-        elif backend == "count":
-            # Count-level action mode: the exact per-pair classification
-            # law replaces Monte-Carlo game play (same distribution).
-            self._model = igt_action_model(grid, setting)
         self._agent_states = states if backend == "agent" else None
-        self._engine = None
-        self._counts_full = counts_full
-        if backend == "count":
-            self._engine = build_engine(
-                self._model, law, backend, states=states,
-                counts=counts_full, track_pair_counts=self.track_payoffs)
-            self._counts_full = self._engine.counts_live
+        self._engine = build_engine(
+            self._model, law, backend, states=states, counts=counts_full,
+            track_pair_counts=self.track_payoffs)
+        self._counts_full = self._engine.counts_live
         self._counts = self._counts_full[:k]
-        self.steps_run = 0
 
     @property
-    def _step_loop_required(self) -> bool:
-        """Whether runs must go through the per-step Python loop.
-
-        Only the agent backend's Monte-Carlo game play and per-agent
-        payoff bookkeeping need it; the count backend folds both into
-        its engine (exact classification law + pair-count accounting).
-        """
-        return self.backend == "agent" and (self.mode == "action"
-                                            or self.track_payoffs)
-
-    def _ensure_engine(self) -> AgentBackend:
-        """The lazily built agent engine (shares states, counts, and rng)."""
-        if self._engine is None:
-            self._engine = build_engine(self._model, self._law, "agent",
-                                        states=self._agent_states)
-            # Adopt the engine's count vector so step() and engine runs
-            # mutate the same storage.
-            self._counts_full = self._engine.counts_live
-            self._counts = self._counts_full[:self.grid.k]
-        return self._engine
+    def steps_run(self) -> int:
+        """Interactions executed so far."""
+        return self._engine.steps_run
 
     # ------------------------------------------------------------------
     # Observables
@@ -396,80 +357,20 @@ class IGTSimulation:
         """Grid indices of the GTFT agents (copy)."""
         return self._require_agent_states()[self._gtft_slice].copy()
 
-    def _strategy_id(self, agent: int) -> int:
-        """Internal strategy id: grid index for GTFT, k for AC, k+1 for AD.
-
-        Identical to the agent's engine state (the engine uses the same
-        ``{g_1..g_k, AC, AD}`` encoding).
-        """
-        return int(self._require_agent_states()[agent])
-
     def strategy_of(self, agent: int) -> MemoryOneStrategy:
         """The concrete memory-one strategy an agent currently plays."""
-        self._require_agent_states()
-        t = self.types[agent]
-        if t == AgentType.AC:
+        state = int(self._require_agent_states()[agent])
+        k = self.grid.k
+        if state == k:
             return always_cooperate()
-        if t == AgentType.AD:
+        if state == k + 1:
             return always_defect()
         s1 = self.setting.s1 if self.setting is not None else 1.0
-        return generous_tit_for_tat(
-            self.grid.value(int(self._require_agent_states()[agent])), s1)
+        return generous_tit_for_tat(self.grid.value(state), s1)
 
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
-    def _classify_by_actions(self, initiator: int, responder: int) -> AgentType:
-        """Play a real game and classify the responder from its actions."""
-        record = self._game_engine.play(self.strategy_of(initiator),
-                                        self.strategy_of(responder),
-                                        seed=self._rng)
-        if self.track_payoffs:
-            self.total_payoffs[initiator] += record.first_payoff
-            self.total_payoffs[responder] += record.second_payoff
-        return (AgentType.AD if record.opponent_always_defected()
-                else AgentType.GTFT)
-
-    def step(self) -> None:
-        """Execute a single scheduled interaction (``backend="agent"``).
-
-        The pair is drawn through the simulation's pair law, so
-        weighted populations step with the weighted law (and uniform
-        ones bit-for-bit like the pre-scheduler code path).
-        """
-        self._require_agent_states()
-        i, j = self._law.next_pair()
-        self._interact(i, j)
-        self.steps_run += 1
-
-    def _interact(self, i: int, j: int) -> None:
-        states = self._agent_states
-        if self.track_payoffs and self._payoff_matrix is not None \
-                and self.mode != "action":
-            si, sj = int(states[i]), int(states[j])
-            self.total_payoffs[i] += self._payoff_matrix[si, sj]
-            self.total_payoffs[j] += self._payoff_matrix[sj, si]
-            self.interactions_played[i] += 1
-            self.interactions_played[j] += 1
-        if self.types[i] != AgentType.GTFT:
-            return
-        if self.mode == "action":
-            observed = self._classify_by_actions(i, j)
-            self.interactions_played[i] += 1
-            self.interactions_played[j] += 1
-        else:
-            observed = AgentType(int(self.types[j]))
-            if self.observation_noise > 0 \
-                    and self._rng.random() < self.observation_noise:
-                observed = (AgentType.GTFT if observed == AgentType.AD
-                            else AgentType.AD)
-        old = int(states[i])
-        new = self.rule.next_index(old, observed)
-        if new != old:
-            states[i] = new
-            self._counts[old] -= 1
-            self._counts[new] += 1
-
     def run(self, steps: int, observe_every: int | None = None,
             observe=None) -> np.ndarray | None:
         """Run ``steps`` interactions.
@@ -481,42 +382,10 @@ class IGTSimulation:
         the sink sees the engine's *full* count vector (generosity
         indices plus AC/AD) and the method returns ``None`` for sinks
         that retain no in-memory series.
-
-        Note on randomness: the engine draws scheduler randomness in
-        vectorized blocks (and the count backend in birthday batches), so a
-        ``run(n)`` call and ``n`` individual ``step()`` calls consume the
-        generator differently — both sample the same process law, but their
-        trajectories under a shared seed are not bitwise identical.
         """
         steps = check_positive_int("steps", steps, minimum=0)
-        if self._step_loop_required:
-            if observe is not None:
-                raise InvalidParameterError(
-                    "observe= sinks are an engine-path feature; the "
-                    "per-step game-play/payoff loop records in RAM only")
-            # Sequential loop: per-step game play / payoff bookkeeping.
-            recorded = None
-            row = 1
-            if observe_every is not None:
-                observe_every = check_positive_int("observe_every",
-                                                   observe_every)
-                recorded = np.empty((steps // observe_every + 1,
-                                     self.grid.k), dtype=np.int64)
-                recorded[0] = self._counts
-            for s in range(steps):
-                self.step()
-                if observe_every is not None \
-                        and (s + 1) % observe_every == 0:
-                    recorded[row] = self._counts
-                    row += 1
-            return recorded[:row] if recorded is not None else None
-
-        # Engine path (strategy/strict modes, including observation noise).
-        engine = self._ensure_engine()
-        engine.steps_run = self.steps_run
-        result = engine.run(steps, observe_every=observe_every,
-                            observe=observe)
-        self.steps_run = result.steps
+        result = self._engine.run(steps, observe_every=observe_every,
+                                  observe=observe)
         if observe_every is None or not result.observations:
             return None
         return np.stack([counts[:self.grid.k]
@@ -546,29 +415,13 @@ class IGTSimulation:
         else:
             check_stop_every = check_positive_int("check_stop_every",
                                                   check_stop_every)
-        if self._step_loop_required:
-            if observe is not None or observe_every is not None:
-                raise InvalidParameterError(
-                    "observe= sinks are an engine-path feature; the "
-                    "per-step game-play/payoff loop cannot stream")
-            if stop_when is None:
-                raise InvalidParameterError(
-                    "run_until without stop_when needs the engine path")
-            for s in range(steps):
-                self.step()
-                if (s + 1) % check_stop_every == 0 \
-                        and stop_when(self._counts):
-                    return True
-            return False
         k = self.grid.k
-        engine = self._ensure_engine()
-        engine.steps_run = self.steps_run
-        result = engine.run(steps,
-                            stop_when=None if stop_when is None
-                            else lambda full: stop_when(full[:k]),
-                            check_stop_every=check_stop_every,
-                            observe_every=observe_every, observe=observe)
-        self.steps_run = result.steps
+        result = self._engine.run(
+            steps,
+            stop_when=None if stop_when is None
+            else lambda full: stop_when(full[:k]),
+            check_stop_every=check_stop_every,
+            observe_every=observe_every, observe=observe)
         return result.converged
 
     # ------------------------------------------------------------------
@@ -577,22 +430,12 @@ class IGTSimulation:
     def snapshot(self):
         """Exact engine-level state between runs (crash-safety capture).
 
-        Valid on the engine execution paths (everything except the
-        agent backend's per-step game-play/payoff loop).  The returned
-        :class:`~repro.engine.snapshot.SnapshotState` restores into a
-        freshly constructed simulation with identical arguments via
-        :meth:`restore`, after which continued runs are byte-identical
-        to this simulation continuing.
+        The returned :class:`~repro.engine.snapshot.SnapshotState`
+        restores into a freshly constructed simulation with identical
+        arguments via :meth:`restore`, after which continued runs are
+        byte-identical to this simulation continuing.
         """
-        if self._step_loop_required:
-            raise InvalidParameterError(
-                "snapshot/restore is an engine-path feature; the agent "
-                "backend's per-step game-play/payoff loop is not "
-                "resumable — use backend='count' (exact classification "
-                "law + pair-count payoffs) for crash-safe long runs")
-        engine = self._ensure_engine()
-        engine.steps_run = self.steps_run
-        return engine.snapshot()
+        return self._engine.snapshot()
 
     def restore(self, snapshot) -> None:
         """Adopt a snapshot taken by an identically constructed simulation.
@@ -602,82 +445,54 @@ class IGTSimulation:
         on the agent backend) tracks the restored state, and the shared
         generator rewinds to the captured bitstream position.
         """
-        if self._step_loop_required:
-            raise InvalidParameterError(
-                "snapshot/restore is an engine-path feature; the agent "
-                "backend's per-step game-play/payoff loop is not "
-                "resumable")
-        engine = self._ensure_engine()
-        engine.restore(snapshot)
-        self.steps_run = engine.steps_run
-
-    def mean_payoff_per_interaction(self) -> np.ndarray:
-        """Average accumulated payoff per played interaction for each agent."""
-        self._require_agent_states()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = np.where(self.interactions_played > 0,
-                             self.total_payoffs / np.maximum(self.interactions_played, 1),
-                             0.0)
-        return means
+        self._engine.restore(snapshot)
 
     def pair_counts(self) -> np.ndarray:
-        """Executed interactions per ordered engine-state pair (count backend).
+        """Executed interactions per ordered engine-state pair.
 
-        The ``(k+2, k+2)`` matrix the count backend accumulates when
-        payoffs are tracked; the payoff observables below are linear
+        The ``(k+2, k+2)`` matrix the engine accumulates when payoffs
+        are tracked; the payoff observables below are linear
         functionals of it.
         """
-        if self.backend != "count" or self._engine is None:
+        if not self.track_payoffs:
             raise InvalidParameterError(
-                "pair counts are a count-backend observable; use "
-                "backend='count' with track_payoffs=True")
+                "pair counts need track_payoffs=True")
         return self._engine.pair_counts
 
     def mean_payoff_by_type(self) -> dict:
         """Mean payoff per played interaction for each agent *type*.
 
-        The backend-independent payoff observable: a dict over ``"GTFT"``
-        / ``"AC"`` / ``"AD"``.  On the agent backend it aggregates the
-        per-agent accumulators; on the count backend it contracts the
-        per-type-pair interaction counts against the exact expected
-        payoff table — in ``mode="action"`` only interactions initiated
-        by a GTFT agent count (only those play a game), matching the
-        agent backend's accounting.  Types that played no interaction
-        report ``0.0``.
+        The payoff observable of both backends: a dict over ``"GTFT"``
+        / ``"AC"`` / ``"AD"``, contracting the per-type-pair interaction
+        counts against the exact expected payoff table.  In
+        ``mode="action"`` only interactions initiated by a GTFT agent
+        count (only those play a game).  Types that played no
+        interaction report ``0.0``.
         """
         if not self.track_payoffs:
             raise InvalidParameterError(
                 "payoff observables need track_payoffs=True")
         k = self.grid.k
-        if self.backend == "agent":
-            totals = np.zeros(3)
-            plays = np.zeros(3)
-            for slot, agent_type in enumerate(
-                    (AgentType.GTFT, AgentType.AC, AgentType.AD)):
-                mask = self.types == agent_type
-                totals[slot] = self.total_payoffs[mask].sum()
-                plays[slot] = self.interactions_played[mask].sum()
+        pair_counts = self._engine.pair_counts.astype(float)
+        payoffs = self._payoff_matrix
+        state_totals = np.zeros(k + 2)
+        state_plays = np.zeros(k + 2)
+        if self.mode == "action":
+            # Games are played only when the initiator is GTFT.
+            initiated = pair_counts[:k]
+            state_totals[:k] += (initiated * payoffs[:k]).sum(axis=1)
+            state_totals += (initiated * payoffs[:, :k].T).sum(axis=0)
+            state_plays[:k] += initiated.sum(axis=1)
+            state_plays += initiated.sum(axis=0)
         else:
-            pair_counts = self._engine.pair_counts.astype(float)
-            payoffs = self._payoff_matrix
-            state_totals = np.zeros(k + 2)
-            state_plays = np.zeros(k + 2)
-            if self.mode == "action":
-                # Games are played only when the initiator is GTFT.
-                initiated = pair_counts[:k]
-                state_totals[:k] += (initiated * payoffs[:k]).sum(axis=1)
-                state_totals += (initiated * payoffs[:, :k].T).sum(axis=0)
-                state_plays[:k] += initiated.sum(axis=1)
-                state_plays += initiated.sum(axis=0)
-            else:
-                state_totals += (pair_counts * payoffs).sum(axis=1)
-                state_totals += (pair_counts * payoffs.T).sum(axis=0)
-                state_plays += pair_counts.sum(axis=1)
-                state_plays += pair_counts.sum(axis=0)
-            totals = np.array([state_totals[:k].sum(), state_totals[k],
-                               state_totals[k + 1]])
-            plays = np.array([state_plays[:k].sum(), state_plays[k],
-                              state_plays[k + 1]])
+            state_totals += (pair_counts * payoffs).sum(axis=1)
+            state_totals += (pair_counts * payoffs.T).sum(axis=0)
+            state_plays += pair_counts.sum(axis=1)
+            state_plays += pair_counts.sum(axis=0)
+        totals = np.array([state_totals[:k].sum(), state_totals[k],
+                           state_totals[k + 1]])
+        plays = np.array([state_plays[:k].sum(), state_plays[k],
+                          state_plays[k + 1]])
         means = np.divide(totals, plays, out=np.zeros(3),
                           where=plays > 0)
         return {"GTFT": float(means[0]), "AC": float(means[1]),

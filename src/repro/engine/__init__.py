@@ -9,14 +9,15 @@ uniform-scheduler process:
   reproducible against the seed simulator for deterministic models; table
   models run on the chunked vectorized kernel by default
   (:mod:`repro.engine.vectorized`, identical trajectories, ~5-8x the
-  sequential loops; ``vectorized=False`` opts out);
+  sequential loops; ``vectorized=False`` opts out); generic models
+  run a per-interaction loop;
 * :class:`CountBackend` — exact count-level simulation (the Section 2.2.1
   Markov-on-counts view): ``Θ(√n)``-batched birthday runs at large ``n``,
   and an array-proxy kernel below :data:`~repro.engine.count.PROXY_MAX_N`
-  so small populations no longer pay the per-batch fixed costs.  With
-  ``track_pair_counts=True`` it accumulates per-type-pair interaction
-  counts — the count-level route to payoff observables and
-  ``mode="action"`` experiments.
+  so small populations no longer pay the per-batch fixed costs.
+
+With ``track_pair_counts=True`` every backend accumulates per-type-pair
+interaction counts, the one route to the facades' payoff observables.
 
 Observations stream through pluggable sinks (:mod:`repro.engine.observe`):
 the default :class:`MemorySink` reproduces the classic in-RAM
@@ -40,7 +41,7 @@ loudly instead of silently downgrading it.
 Facades build engines in :mod:`repro.engine.dispatch`: :func:`make_law`
 parses ``weights=`` / ``topology=`` into one law, :func:`resolve_backend`
 turns ``backend="auto"`` into an engine name from
-``(n, mode, weights, topology)`` and crossover constants measured by
+``(n, weights, topology)`` and crossover constants measured by
 ``benchmarks/bench_engine.py``, and :func:`build_engine` constructs it.
 """
 

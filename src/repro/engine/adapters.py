@@ -11,11 +11,11 @@ through these factories, and either backend executes it.
   agents carry their grid index; AC/AD agents are inert).  Supports the
   strict variant and the observation-noise extension.
 * :func:`igt_action_model` — the *action-observed* k-IGT variant
-  (Remark, Section 2.2) as a count-level law: the probability that the
-  initiator classifies its partner as AD (the partner defected in every
-  round of the repeated game) is computed exactly per strategy pair, so
-  the count chain matches agent-level Monte-Carlo play in distribution
-  without playing a single game.
+  (Remark, Section 2.2): the probability that the initiator classifies
+  its partner as AD (the partner defected in every round of the
+  repeated game) is computed exactly per strategy pair, so either
+  backend matches Monte-Carlo game play in distribution without playing
+  a single game.
 * :func:`matrix_game_model` — the population game-dynamics rules of
   :mod:`repro.core.general_games` (imitation / best response / logit).
 """
@@ -77,8 +77,8 @@ def igt_model(k: int, mode: str = "strategy",
         Generosity-grid size (``>= 2``); the model has ``k + 2`` states.
     mode:
         ``"strategy"`` (standard rule) or ``"strict"`` (AC partners do not
-        trigger increments).  The Monte-Carlo ``"action"`` mode plays real
-        games and is only available on the agent-level simulation.
+        trigger increments).  The ``"action"`` mode has its own model,
+        :func:`igt_action_model`.
     observation_noise:
         Probability of flipping the initiator's AD / non-AD reading
         (``mode="strategy"`` only, mirroring
@@ -104,17 +104,17 @@ def igt_model(k: int, mode: str = "strategy",
 
 
 def igt_action_model(grid, setting) -> PairMixtureTableModel:
-    """Count-level model of the action-observed k-IGT rule.
+    """Engine model of the action-observed k-IGT rule.
 
     In ``mode="action"`` a GTFT initiator plays a real δ-repeated game
     and decrements iff its partner defected in every round.  That
     classification is Bernoulli with a probability depending only on the
     two players' *strategies* — computed exactly per state pair by
-    :func:`repro.games.repeated.always_defect_probability` — so the
-    count-level law is a :class:`PairMixtureTableModel`: the decrement
-    table with probability ``p_AD(u, v)``, the increment table otherwise.
-    Distribution-identical to agent-level Monte-Carlo play, no game
-    transcripts required.
+    :func:`repro.games.repeated.always_defect_probability` — so the law
+    is a :class:`PairMixtureTableModel`: the decrement table with
+    probability ``p_AD(u, v)``, the increment table otherwise.
+    Distribution-identical to Monte-Carlo game play, no game transcripts
+    required.
 
     Parameters
     ----------

@@ -41,6 +41,11 @@ The scheduler is any pair law of :mod:`repro.engine.sampling` /
 :class:`~repro.engine.sampling.WeightedScheduler` for heterogeneous
 contact processes); every inner loop draws its pairs — and 4-slot models
 their observed agents — through it.
+
+``track_pair_counts=True`` accumulates executed interactions per ordered
+state pair, like the count engines: table models then always run the
+kernel (bit-for-bit the loops, so the trajectory does not move) with its
+pair tracking on, and the generic loop counts as it applies.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from repro.engine.vectorized import (
     ConflictFreeKernel,
     run_kernel,
 )
+from repro.utils import check_int_array
 from repro.utils.errors import InvalidParameterError
 
 #: Above this ratio of population size to step budget, the list-based fast
@@ -95,19 +101,27 @@ class AgentBackend(SimulationEngine):
         batched stochastic path — distribution-identical to the
         sequential loop but not bit-identical — while ``None``/``False``
         keep the per-interaction loop (the reproducibility default).
+    track_pair_counts:
+        Accumulate the ``(S, S)`` matrix of executed interactions per
+        ordered state pair into :attr:`pair_counts` (payoff accounting).
+        Table models then run the kernel (so ``vectorized=False`` is
+        refused with it) and, like the generic loop, keep their
+        trajectories bit for bit.  The opt-in batched stochastic path
+        stays law-identical: counting turns its inert filter off.
     """
 
     def __init__(self, model: InteractionModel, initial_states, seed=None,
                  scheduler=None, copy: bool = True,
-                 vectorized: bool | None = None):
+                 vectorized: bool | None = None,
+                 track_pair_counts: bool = False):
         self.model = model
-        states = np.asarray(initial_states, dtype=np.int64)
+        states = check_int_array("initial_states", initial_states)
         if copy:
             states = states.copy()
         elif states is not initial_states:
             raise InvalidParameterError(
                 "copy=False requires a 1-D int64 ndarray to adopt in place")
-        if states.ndim != 1 or states.size < 2:
+        if states.size < 2:
             raise InvalidParameterError(
                 "initial_states must be a 1-D array of at least 2 agents")
         if states.min() < 0 or states.max() >= model.n_states:
@@ -133,7 +147,13 @@ class AgentBackend(SimulationEngine):
             self._flats_np = [(np.ascontiguousarray(t[:, :, 0].ravel()),
                                np.ascontiguousarray(t[:, :, 1].ravel()))
                               for t in tables]
+        if track_pair_counts and tables is not None and vectorized is False:
+            raise InvalidParameterError(
+                "track_pair_counts runs table models on the kernel; "
+                "vectorized=False cannot honor it")
         self.vectorized = vectorized
+        self._pair_counts = (np.zeros(model.n_states ** 2, dtype=np.int64)
+                             if track_pair_counts else None)
         self._kernel = None
         self.steps_run = 0
 
@@ -147,23 +167,43 @@ class AgentBackend(SimulationEngine):
         """The live state array (mutated by :meth:`run`; do not resize)."""
         return self._states
 
+    @property
+    def pair_counts(self) -> np.ndarray:
+        """Executed interactions per ordered state pair, shape ``(S, S)``.
+
+        Entry ``[u, v]`` counts interactions whose initiator was in state
+        ``u`` and responder in state ``v`` at execution time.  Requires
+        ``track_pair_counts=True``.
+        """
+        if self._pair_counts is None:
+            raise InvalidParameterError(
+                "pair counts were not tracked; construct the backend with "
+                "track_pair_counts=True")
+        s = self.model.n_states
+        return self._pair_counts.reshape(s, s).copy()
+
     # ------------------------------------------------------------------
     # Snapshot / restore (the crash-safety contract; see engine.snapshot)
     # ------------------------------------------------------------------
     def _ensure_kernel(self) -> ConflictFreeKernel:
         if self._kernel is None:
+            tracked = self._pair_counts is not None
             self._kernel = ConflictFreeKernel(
                 self.model, self._states, self._counts,
-                allow_stochastic=self._flats_np is None)
+                allow_stochastic=self._flats_np is None, track_pairs=tracked)
+            if tracked:
+                # One accumulator for every inner loop and the snapshot.
+                self._kernel.pair_counts = self._pair_counts
         return self._kernel
 
     def snapshot(self) -> "SnapshotState":
         """Exact mutable state between runs, for :meth:`restore`.
 
         Captures copies of the per-agent states and counts, the step
-        cursor, the scheduler generator's bitstream position, and — for
-        stochastic kernels only — the conflict peel stamps
-        (deterministic kernels are peel-independent; see
+        cursor, the scheduler generator's bitstream position, the
+        pair-count accumulator when tracked, and — for stochastic
+        kernels only — the conflict peel stamps (deterministic kernels
+        are peel-independent; see
         :meth:`~repro.engine.vectorized.ConflictFreeKernel.encode_stamps`).
         """
         from repro.engine.snapshot import SnapshotState, rng_state
@@ -178,6 +218,8 @@ class AgentBackend(SimulationEngine):
             "kernel": (None if self._kernel is None
                        else self._kernel.encode_stamps()),
         }
+        if self._pair_counts is not None:
+            payload["pair_counts"] = self._pair_counts.copy()
         return SnapshotState(kind="agent", payload=payload)
 
     def restore(self, snapshot: "SnapshotState") -> None:
@@ -201,6 +243,10 @@ class AgentBackend(SimulationEngine):
         states = _snapshot_array(payload, "states", self._states)
         counts = _snapshot_array(payload, "counts", self._counts)
         _check_population(counts, self.n, states)
+        pair_counts = None
+        if self._pair_counts is not None:
+            pair_counts = _snapshot_array(payload, "pair_counts",
+                                          self._pair_counts)
         stamps = payload.get("kernel")
         if stamps is not None:
             self._ensure_kernel()._check_stamps(stamps)
@@ -208,6 +254,8 @@ class AgentBackend(SimulationEngine):
         self._states[:] = states
         self._counts[:] = counts
         self.steps_run = int(payload["steps_run"])
+        if pair_counts is not None:
+            self._pair_counts[:] = pair_counts
         if stamps is not None:
             self._kernel.restore_stamps(stamps)
 
@@ -226,8 +274,8 @@ class AgentBackend(SimulationEngine):
         if stopped or max_steps == 0:
             return self._result(stopped, sink)
         if self._flats_np is not None:
-            if self._use_vectorized(stop_when, observe_every,
-                                    check_stop_every):
+            if self._pair_counts is not None or self._use_vectorized(
+                    stop_when, observe_every, check_stop_every):
                 return self._run_vectorized(max_steps, stop_when,
                                             observe_every, check_stop_every,
                                             sink)
@@ -366,8 +414,10 @@ class AgentBackend(SimulationEngine):
                      check_stop_every, sink) -> EngineResult:
         model = self.model
         four = model.slots_per_step == 4
+        s = model.n_states
         states = self._states
         counts = self._counts
+        pairs = self._pair_counts
         rng = self.scheduler.rng
         done = 0
         while done < max_steps:
@@ -388,6 +438,8 @@ class AgentBackend(SimulationEngine):
                 if four:
                     observed = (int(states[obs_i[offset]]),
                                 int(states[obs_j[offset]]))
+                if pairs is not None:
+                    pairs[u * s + v] += 1
                 new_u, new_v = model.apply_scalar(u, v, rng, observed)
                 if new_u != u:
                     states[i] = new_u

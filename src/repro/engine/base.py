@@ -86,8 +86,7 @@ class SimulationEngine(ABC):
     """Common interface of the interchangeable simulation backends.
 
     Concrete engines expose ``n`` (population size), ``steps_run``
-    (cumulative interaction count, writable so wrappers can re-sync after
-    stepping outside the engine), and the live count vector via
+    (cumulative interaction count), and the live count vector via
     :attr:`counts`.
     """
 

@@ -94,15 +94,16 @@ still ``None`` — and the ``O(n)`` memory is only paid where it is
 trivially affordable; beyond :data:`PROXY_MAX_N` the ``O(k)``-memory
 birthday path wins anyway.
 
-Per-type-pair accounting (count-level ``mode="action"``)
---------------------------------------------------------
+Per-type-pair accounting
+------------------------
 
 With ``track_pair_counts=True`` both paths accumulate the ``(S, S)``
 matrix of executed interactions per ordered state pair (an early stop
-counts only the segments it executed).  Facades turn that matrix into
-payoff observables — ``IGTSimulation`` multiplies it against the exact
-expected-payoff table, which is how payoff and tournament experiments
-run count-level at large ``n`` without per-agent arrays.
+counts only the segments it executed), as the agent backend does.
+Facades turn that matrix into payoff observables — ``IGTSimulation``
+multiplies it against the exact expected-payoff table, which is how
+payoff experiments run count-level at large ``n`` without per-agent
+arrays.
 
 One driver, pluggable laws
 --------------------------
@@ -136,7 +137,7 @@ from repro.engine.model import InteractionModel
 from repro.engine.observe import ObserverSink
 from repro.engine.sampling import ordered_pair_block
 from repro.engine.vectorized import ConflictFreeKernel, run_kernel
-from repro.utils import as_generator
+from repro.utils import as_generator, check_int_array
 from repro.utils.errors import InvalidParameterError
 
 #: Largest population the array-proxy fast path is used for (beyond it
@@ -439,8 +440,8 @@ class CountBackend(SimulationEngine):
     def __init__(self, model: InteractionModel, initial_counts, seed=None,
                  track_pair_counts: bool = False,
                  vectorized: bool | None = None, scheduler=None):
-        counts = np.asarray(initial_counts, dtype=np.int64).copy()
-        if counts.ndim != 1 or counts.size != model.n_states:
+        counts = check_int_array("initial_counts", initial_counts).copy()
+        if counts.size != model.n_states:
             raise InvalidParameterError(
                 f"initial_counts must be a 1-D vector of length "
                 f"{model.n_states}, got shape {counts.shape}")

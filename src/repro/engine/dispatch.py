@@ -31,14 +31,9 @@ from repro.engine.topology import GraphScheduler, resolve_topology
 from repro.engine.weighted import WeightedCountBackend, resolve_weights
 from repro.utils.errors import InvalidParameterError
 
-#: ``auto`` crossover of strategy workloads: count wins from the smallest
+#: ``auto`` crossover of unweighted workloads: count wins from the smallest
 #: measured size (its array-proxy kernel ties the agent kernel there).
 STRATEGY_CROSSOVER_N = 1000
-
-#: ``mode="action"`` crossover: the agent backend must *play* a
-#: Monte-Carlo repeated game per interaction, while the count backend
-#: applies the exact classification law vectorized.
-ACTION_CROSSOVER_N = 1000
 
 #: Crossover under non-uniform weights: both engines run the conflict
 #: kernel on weighted pair blocks, and the count side's
@@ -46,15 +41,13 @@ ACTION_CROSSOVER_N = 1000
 WEIGHTED_CROSSOVER_N = 2636
 
 
-def resolve_backend(backend: str | None, n: int, mode: str = "strategy",
-                    weighted: bool = False,
+def resolve_backend(backend: str | None, n: int, weighted: bool = False,
                     graph_restricted: bool = False) -> str:
     """Resolve a user-facing ``backend`` knob to a concrete engine name.
 
     ``"agent"``/``"count"`` pass through (unknown names raise).  ``None``
     and ``"auto"`` pick ``"count"`` iff ``n`` reaches the workload's
     crossover: :data:`WEIGHTED_CROSSOVER_N` when ``weighted``, else
-    :data:`ACTION_CROSSOVER_N` for ``mode="action"``, else
     :data:`STRATEGY_CROSSOVER_N`.  ``graph_restricted`` forces
     ``"agent"``: ``auto`` must never silently change the law, and on a
     non-complete graph only the agent backend simulates the quenched
@@ -65,12 +58,7 @@ def resolve_backend(backend: str | None, n: int, mode: str = "strategy",
         return check_backend(backend)
     if graph_restricted:
         return "agent"
-    if weighted:
-        crossover = WEIGHTED_CROSSOVER_N
-    elif mode == "action":
-        crossover = ACTION_CROSSOVER_N
-    else:
-        crossover = STRATEGY_CROSSOVER_N
+    crossover = WEIGHTED_CROSSOVER_N if weighted else STRATEGY_CROSSOVER_N
     return "count" if int(n) >= crossover else "agent"
 
 
@@ -123,12 +111,13 @@ def build_engine(model, law, backend: str, *, states=None, counts=None,
       vertex-transitive graphs.  This path needs no per-agent array, so
       callers at large ``n`` pass ``counts`` alone.
 
-    ``track_pair_counts`` applies to the count engines and
-    ``vectorized`` to the agent backend's kernel choice.
+    ``track_pair_counts`` applies to every engine and ``vectorized`` to
+    the agent backend's kernel choice.
     """
     if check_backend(backend) == "agent":
         return AgentBackend(model, states, scheduler=law, copy=False,
-                            vectorized=vectorized)
+                            vectorized=vectorized,
+                            track_pair_counts=track_pair_counts)
     if law.weights is not None:
         return WeightedCountBackend.from_agent_states(
             model, states, law.weights, seed=law.rng,
@@ -141,7 +130,6 @@ def build_engine(model, law, backend: str, *, states=None, counts=None,
 
 __all__ = [
     "STRATEGY_CROSSOVER_N",
-    "ACTION_CROSSOVER_N",
     "WEIGHTED_CROSSOVER_N",
     "resolve_backend",
     "make_law",

@@ -26,7 +26,7 @@ Concrete models:
   (``slots_per_step = 4``).
 * :class:`PairMixtureTableModel` — per interaction, one of two tables is
   applied with a probability depending on the *pair of states*; this is
-  the count-level form of the action-observed k-IGT rule, where the
+  the engine form of the action-observed k-IGT rule, where the
   chance of classifying a partner as AD is an exact function of both
   players' strategies.
 
@@ -414,7 +414,7 @@ class PairMixtureTableModel(InteractionModel):
     Each interaction with states ``(u, v)`` independently applies
     ``table_hit`` with probability ``pair_probs[u, v]`` and ``table_miss``
     otherwise.  This generalizes :class:`MixtureTableModel` (whose mixing
-    weights are constant) and is exactly the count-level shape of the
+    weights are constant) and is exactly the shape of the
     action-observed k-IGT rule: the probability that a GTFT initiator
     classifies its partner as AD — the partner defected in every round of
     a real repeated game — depends on both players' strategies, and

@@ -2,8 +2,7 @@
 
 The paper's model has one source of randomness: at each step an ordered
 pair of distinct agents is drawn.  Each pair law is one class, used alike
-by the engines, by the facades' scalar ``step()`` loops, and by callers
-that drive a scheduler directly:
+by the engines and by callers that drive a scheduler directly:
 
 * :class:`RandomScheduler` — uniform over the ``n(n − 1)`` ordered pairs.
   Its draws use the "shift trick" (:func:`ordered_pair_block`): drawing
@@ -21,7 +20,7 @@ that drive a scheduler directly:
   interaction graph.
 
 **Capability contract.**  Every law defines ``n``, ``rng``,
-``next_pair()``, ``pair_block(size)`` and ``others_block(first)`` (one
+``pair_block(size)`` and ``others_block(first)`` (one
 partner per given agent, for 4-slot models that read extra observed
 agents), plus two plain attributes that say how it deviates from the
 uniform law: ``weights`` (the per-agent activity weights; ``None`` means
@@ -257,14 +256,6 @@ class RandomScheduler:
         self.n = check_positive_int("n", n, minimum=2)
         self.rng = as_generator(seed)
 
-    def next_pair(self) -> tuple[int, int]:
-        """One ordered pair ``(initiator, responder)`` (shift trick)."""
-        i = int(self.rng.integers(0, self.n))
-        j = int(self.rng.integers(0, self.n - 1))
-        if j >= i:
-            j += 1
-        return i, j
-
     def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` ordered pairs of distinct agents."""
         size = check_positive_int("size", size)
@@ -312,14 +303,6 @@ class WeightedScheduler:
         (a count-level run reads only :attr:`weights` and never pays for
         it)."""
         return AliasTable(self.weights)
-
-    def next_pair(self) -> tuple[int, int]:
-        """One ordered pair of distinct agents, weight-proportional."""
-        i = int(self.table.draw_block(self.rng, 1)[0])
-        while True:
-            j = int(self.table.draw_block(self.rng, 1)[0])
-            if j != i:
-                return i, j
 
     def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` weighted ordered pairs (vectorized rejection)."""

@@ -524,12 +524,6 @@ class GraphScheduler:
         self.n = graph.n
         self.rng = as_generator(seed)
 
-    def next_pair(self) -> tuple[int, int]:
-        """One ordered pair of adjacent agents (a uniform directed edge)."""
-        graph = self.topology
-        pick = int(self.rng.integers(0, graph.edge_u.size))
-        return int(graph.edge_u[pick]), int(graph.edge_v[pick])
-
     def pair_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """``size`` ordered pairs of adjacent agents."""
         size = check_positive_int("size", size)

@@ -71,6 +71,7 @@ from repro.engine.sampling import (
     check_weights,
 )
 from repro.engine.vectorized import ConflictFreeKernel
+from repro.utils import check_int_array
 from repro.utils.errors import InvalidParameterError
 
 #: Hard cap on distinct weight classes: the product space is ``C × S``
@@ -355,7 +356,7 @@ class WeightedCountBackend(CountBackend):
         the one implementation of the facades' agent-view-to-lift
         conversion.  ``kwargs`` pass through to the constructor.
         """
-        states = np.asarray(states, dtype=np.int64)
+        states = check_int_array("states", states)
         class_weights, class_of = weight_classes(weights)
         if class_of.size != states.size:
             raise InvalidParameterError(

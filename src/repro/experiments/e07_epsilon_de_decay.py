@@ -117,7 +117,8 @@ def run(params=None, seed=12345) -> ExperimentReport:
         title="Theorem 2.9 — epsilon-DE with epsilon = O(1/k)",
         claim=("The normalized mean stationary distribution is an epsilon-"
                "approximate DE with epsilon = O(1/k) (under the effective "
-               "positivity condition; see DESIGN.md section 5)."),
+               "positivity condition; see the reproduction note of "
+               "repro.core.regimes.payoff_increase_margin)."),
         headers=["k", "Psi (effective)", "Psi*k (effective)",
                  "Psi empirical", "Psi (literal-only)", "Psi*k (literal)"],
         rows=rows,
@@ -126,5 +127,6 @@ def run(params=None, seed=12345) -> ExperimentReport:
                "(alpha,beta,gamma)=(0.2,0.05,0.75), g_max=0.4",
                "literal-only regime: b=4, c=1, delta=0.7, s1=0.5, "
                "(0.3,0.1,0.6), g_max=0.6 — passes the paper's printed "
-               "conditions yet the gap stalls (see DESIGN.md section 5)"],
+               "conditions yet the gap stalls (see the reproduction note "
+               "of repro.core.regimes.payoff_increase_margin)"],
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.engine import build_engine, make_law, protocol_model
 from repro.population.protocol import PopulationProtocol
+from repro.utils import check_int_array
 
 
 @dataclass
@@ -81,7 +82,7 @@ class Simulator:
     def __init__(self, protocol: PopulationProtocol, initial_states, seed=None,
                  vectorized: bool | None = None, topology=None):
         self.protocol = protocol
-        states = np.array(initial_states, dtype=np.int64)
+        states = check_int_array("initial_states", initial_states).copy()
         law = make_law(states.size, topology=topology, seed=seed)
         self._backend = build_engine(protocol_model(protocol), law, "agent",
                                      states=states, vectorized=vectorized)
@@ -173,7 +174,7 @@ def simulate_protocol_counts(protocol: PopulationProtocol, initial_counts,
     predicate once per interaction.  Pass ``1`` explicitly when the stop
     step must be exact to the interaction.
     """
-    counts = np.asarray(initial_counts, dtype=np.int64)
+    counts = check_int_array("initial_counts", initial_counts)
     backend = build_engine(protocol_model(protocol),
                            make_law(int(counts.sum()), seed=seed), "count",
                            counts=counts)

@@ -39,7 +39,10 @@ _CODE_VERSION: str | None = None
 #: Epoch 3: uniform count chains draw their start as one multinomial and
 #: run table models' birthday batches as cell compositions — same law,
 #: new uniform-count bitstreams.
-CODE_EPOCH = 3
+#: Epoch 4: the agent backend runs ``mode="action"`` as the exact
+#: classification law on its engine instead of playing Monte-Carlo
+#: games — same law, new agent action-mode bitstreams.
+CODE_EPOCH = 4
 
 
 def code_version() -> str:

@@ -16,6 +16,7 @@ from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import (
     check_fraction,
     check_in_range,
+    check_int_array,
     check_positive,
     check_positive_int,
     check_probability,
@@ -32,6 +33,7 @@ __all__ = [
     "spawn_generators",
     "check_fraction",
     "check_in_range",
+    "check_int_array",
     "check_positive",
     "check_positive_int",
     "check_probability",

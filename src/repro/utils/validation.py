@@ -31,6 +31,30 @@ def check_positive_int(name: str, value: int, minimum: int = 1) -> int:
     return int(value)
 
 
+def check_int_array(name: str, values) -> np.ndarray:
+    """Require a 1-D array of integers; return it as ``int64``.
+
+    Integer dtypes pass (an ``int64`` array is returned as is, not
+    copied); floats pass only when every entry is integral.  Bools, NaN,
+    non-integral values and other shapes are refused instead of being
+    truncated by a cast.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise InvalidParameterError(
+            f"{name} must be a 1-D array, got shape {arr.shape}")
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind != "f":
+        raise InvalidParameterError(
+            f"{name} must hold integers, got dtype {arr.dtype}")
+    bad = ~np.isfinite(arr) | (arr != np.rint(arr))
+    if bad.any():
+        raise InvalidParameterError(
+            f"{name} must hold integers, got {arr[bad][0]}")
+    return arr.astype(np.int64)
+
+
 def check_probability(name: str, value: float) -> float:
     """Require ``value`` in the closed interval [0, 1]; return it as ``float``."""
     try:

@@ -1,10 +1,10 @@
 """Count-level ``mode="action"`` and payoff accounting vs the agent backend.
 
-The agent backend plays real Monte-Carlo repeated games and accumulates
-realized payoffs per agent; the count backend applies the exact
-classification law and contracts per-type-pair interaction counts
-against the exact expected-payoff table.  Their *means* must coincide —
-that is the guarantee that lets payoff experiments run count-level.
+Both backends apply the exact classification law and contract
+per-type-pair interaction counts against the exact expected-payoff
+table, one on per-agent states and one on the count chain.  Their
+*means* must coincide — that is the guarantee that lets payoff
+experiments run count-level.
 """
 
 import numpy as np
@@ -83,17 +83,17 @@ class TestObservableGuards:
         with pytest.raises(InvalidParameterError):
             sim.mean_payoff_by_type()
 
-    def test_pair_counts_are_count_backend_only(self, sims):
-        agent = sims("agent", "strategy", 1)
-        with pytest.raises(InvalidParameterError):
-            agent.pair_counts()
+    @pytest.mark.parametrize("backend", ["agent", "count"])
+    def test_pair_counts_need_tracking(self, sims, backend):
+        with pytest.raises(InvalidParameterError, match="track_payoffs"):
+            sims(backend, "strategy", 1, track=False).pair_counts()
 
     def test_per_agent_observables_still_agent_only(self, sims):
         count = sims("count", "action", 1)
         with pytest.raises(InvalidParameterError):
-            count.mean_payoff_per_interaction()
+            count.indices
         with pytest.raises(InvalidParameterError):
-            count.step()
+            count.strategy_of(0)
 
     def test_setting_still_required(self, small_shares, small_grid):
         with pytest.raises(InvalidParameterError):

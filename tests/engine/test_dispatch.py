@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.equilibrium import RDSetting
+from repro.core.igt import GenerosityGrid
+from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.engine import check_backend, resolve_backend
 from repro.utils import InvalidParameterError
 
@@ -37,8 +40,16 @@ class TestChooseBackend:
     def test_crossover_decides(self):
         assert resolve_backend("auto", n=999) == "agent"
         assert resolve_backend("auto", n=1000) == "count"
-        assert resolve_backend("auto", n=999, mode="action") == "agent"
-        assert resolve_backend("auto", n=1000, mode="action") == "count"
+
+    @pytest.mark.parametrize("n, resolved", [(999, "agent"),
+                                             (1000, "count")])
+    def test_action_mode_resolves_like_strategy_mode(self, n, resolved):
+        sim = IGTSimulation(n=n, shares=PopulationShares(0.3, 0.2, 0.5),
+                            grid=GenerosityGrid(k=3, g_max=0.6), seed=0,
+                            mode="action",
+                            setting=RDSetting(4.0, 1.0, 0.7, 0.5),
+                            backend="auto")
+        assert sim.backend == resolved
 
     def test_weighted_crossover_decides(self):
         assert resolve_backend("auto", n=2635, weighted=True) == "agent"

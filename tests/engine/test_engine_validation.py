@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    AgentBackend,
+    CountBackend,
     ImitationModel,
     InteractionGraph,
     LogitResponseModel,
@@ -22,6 +24,7 @@ from repro.engine import (
     TableModel,
     WeightedCountBackend,
     grid_graph,
+    igt_model,
     matrix_game_model,
     powerlaw_graph,
     resolve_topology,
@@ -33,6 +36,8 @@ from repro.engine import (
 )
 from repro.engine.observe import DegreeProfileReducer
 from repro.engine.snapshot import check_snapshot, restore_rng, run_resumable
+from repro.population.protocol import TransitionFunctionProtocol
+from repro.population.simulator import Simulator, simulate_protocol_counts
 from repro.utils import InvalidParameterError
 
 IDENTITY = np.stack(np.meshgrid(np.arange(2), np.arange(2), indexing="ij"),
@@ -94,6 +99,36 @@ WEIGHT_REFUSALS = [
                  "cover 5 agents", id="from-agent-states-length"),
     pytest.param(lambda: ProductStateModel(TableModel(IDENTITY), 0),
                  "n_classes must be positive", id="product-classes"),
+]
+
+def max_protocol():
+    return TransitionFunctionProtocol(n_states=3,
+                                      fn=lambda u, v: (max(u, v), v))
+
+
+#: Non-integral populations, refused instead of truncated by a cast.
+POPULATION_REFUSALS = [
+    pytest.param(lambda: CountBackend(igt_model(3), [2.5, 3.5, 1.9, 4, 4]),
+                 "initial_counts must hold integers, got 2.5",
+                 id="count-fractional"),
+    pytest.param(lambda: CountBackend(igt_model(3),
+                                      [np.nan, 4.0, 4.0, 4.0, 4.0]),
+                 "initial_counts must hold integers, got nan",
+                 id="count-nan"),
+    pytest.param(lambda: AgentBackend(igt_model(3), [True, False, True]),
+                 "initial_states must hold integers, got dtype bool",
+                 id="agent-bool"),
+    pytest.param(lambda: WeightedCountBackend.from_agent_states(
+        TableModel(IDENTITY), [0.0, 1.0, 0.5, 1.0], np.ones(4)),
+                 "states must hold integers, got 0.5",
+                 id="from-agent-states-fractional"),
+    pytest.param(lambda: Simulator(max_protocol(), [0, 1, 2, 1.5]),
+                 "initial_states must hold integers, got 1.5",
+                 id="simulator-fractional"),
+    pytest.param(lambda: simulate_protocol_counts(max_protocol(),
+                                                  [[3, 3, 3]], 10),
+                 "initial_counts must be a 1-D array",
+                 id="protocol-counts-2d"),
 ]
 
 MODEL_REFUSALS = [
@@ -161,6 +196,13 @@ class TestTopologyRefusals:
 
 class TestWeightRefusals:
     @pytest.mark.parametrize("call, match", WEIGHT_REFUSALS)
+    def test_refused(self, call, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            call()
+
+
+class TestPopulationRefusals:
+    @pytest.mark.parametrize("call, match", POPULATION_REFUSALS)
     def test_refused(self, call, match):
         with pytest.raises(InvalidParameterError, match=match):
             call()

@@ -185,11 +185,11 @@ class TestGraphPairLaw:
 
 
 class TestSharedBitstream:
-    def test_scalar_next_pair_is_an_edge(self):
+    def test_single_pair_blocks_are_edges(self):
         graph = powerlaw_graph(64)
         scheduler = GraphScheduler(graph, seed=5)
         for _ in range(200):
-            i, j = scheduler.next_pair()
+            (i,), (j,) = scheduler.pair_block(1)
             assert j in graph.neighbors(i)
 
 

@@ -9,10 +9,13 @@ population) where every chunk is one long conflict chain.
 import numpy as np
 import pytest
 
+from repro.core.equilibrium import RDSetting
+from repro.core.igt import GenerosityGrid
 from repro.engine import (
     AgentBackend,
     ConflictFreeKernel,
     CountBackend,
+    igt_action_model,
     igt_model,
     matrix_game_model,
     protocol_model,
@@ -240,3 +243,70 @@ class TestCountProxyPath:
         backend = CountBackend(epidemic, np.array([5, 4, 1]), seed=0)
         with pytest.raises(InvalidParameterError):
             backend.pair_counts
+
+
+class GenericTable(TableModel):
+    """A table model without tables: the agent engine's generic loop."""
+
+    @property
+    def component_tables(self):
+        return None
+
+
+GAME = np.array([[3.0, 0.0], [5.0, 1.0]])
+TRACKED_MODELS = {
+    "igt": lambda: igt_model(6),
+    "noisy-igt": lambda: igt_model(6, observation_noise=0.1),
+    "action": lambda: igt_action_model(GenerosityGrid(k=6, g_max=0.6),
+                                       RDSetting(4.0, 1.0, 0.7, 0.5)),
+    "logit": lambda: matrix_game_model(GAME, "logit", eta=0.7),
+    "imitation": lambda: matrix_game_model(GAME, "imitation"),
+}
+
+
+class TestAgentPairCounts:
+    """``AgentBackend(track_pair_counts=True)``: table models count on
+    the kernel, generic models in their loop, and neither moves the
+    trajectory."""
+
+    def run_plan(self, backend):
+        backend.run(3000, observe_every=700)
+        backend.run(2000, stop_when=lambda counts: False,
+                    check_stop_every=50)
+        backend.run(4000)
+
+    @pytest.mark.parametrize("n", [4, 300, 5000])
+    @pytest.mark.parametrize("name", sorted(TRACKED_MODELS))
+    def test_trajectory_unchanged(self, name, n):
+        model = TRACKED_MODELS[name]()
+        states = np.random.default_rng(1).integers(0, model.n_states, n)
+        plain = AgentBackend(model, states, seed=4)
+        tracked = AgentBackend(model, states, seed=4,
+                               track_pair_counts=True)
+        self.run_plan(plain)
+        self.run_plan(tracked)
+        np.testing.assert_array_equal(plain.states, tracked.states)
+        assert (plain.scheduler.rng.bit_generator.state
+                == tracked.scheduler.rng.bit_generator.state)
+        assert tracked.pair_counts.sum() == tracked.steps_run == 9000
+
+    @pytest.mark.parametrize("n", [4, 300, 5000])
+    def test_kernel_counts_match_the_generic_loop(self, n):
+        table = igt_model(6).table
+        states = np.random.default_rng(2).integers(0, 8, n)
+        kernel = AgentBackend(TableModel(table), states, seed=9,
+                              track_pair_counts=True)
+        loop = AgentBackend(GenericTable(table), states, seed=9,
+                            track_pair_counts=True)
+        self.run_plan(kernel)
+        self.run_plan(loop)
+        np.testing.assert_array_equal(kernel.states, loop.states)
+        np.testing.assert_array_equal(kernel.pair_counts, loop.pair_counts)
+
+    def test_refusals(self):
+        states = np.zeros(10, dtype=np.int64)
+        with pytest.raises(InvalidParameterError, match="were not tracked"):
+            AgentBackend(igt_model(3), states).pair_counts
+        with pytest.raises(InvalidParameterError, match="vectorized=False"):
+            AgentBackend(igt_model(3), states, vectorized=False,
+                         track_pair_counts=True)

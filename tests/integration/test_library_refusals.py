@@ -42,18 +42,14 @@ CORE_REFUSALS = [
                  "unknown initial_indices spec", id="igt-start-spec"),
     pytest.param(lambda: igt(initial_indices=np.full(10, 9)),
                  "must lie in 0..3", id="igt-start-range"),
-    pytest.param(lambda: igt(track_payoffs=True,
-                             setting=RDSetting(4.0, 1.0, 0.7, 0.5)).run(
-        10, observe_every=5, observe="memory"),
-                 "engine-path feature", id="igt-step-loop-observe"),
-    pytest.param(lambda: igt(track_payoffs=True,
-                             setting=RDSetting(4.0, 1.0, 0.7, 0.5)).run_until(
-        10, lambda counts: False, observe_every=5),
-                 "cannot stream", id="igt-step-loop-stream"),
-    pytest.param(lambda: igt(track_payoffs=True,
-                             setting=RDSetting(4.0, 1.0, 0.7, 0.5)).run_until(
-        10, None),
-                 "needs the engine path", id="igt-step-loop-no-stop"),
+    pytest.param(lambda: igt(initial_indices=np.full(10, 1.7)),
+                 "initial_indices must hold integers, got 1.7",
+                 id="igt-start-fractional"),
+    pytest.param(lambda: igt(initial_indices=np.zeros((2, 5))),
+                 "initial_indices must be a 1-D array",
+                 id="igt-start-2d"),
+    pytest.param(lambda: igt(initial_indices=1.7),
+                 "initial_indices must be an integer", id="igt-start-float"),
     pytest.param(lambda: igt(weights="twoclass").equivalent_ehrenfest(
         exact=False),
                  "exact=True", id="embedding-weighted-idealized"),
@@ -99,6 +95,11 @@ CORE_REFUSALS = [
     pytest.param(lambda: PopulationGameSimulation(
         hawk_dove_game(), n=10, seed=0, initial_strategies=[0, 1]),
                  "length n=10", id="game-start-length"),
+    pytest.param(lambda: PopulationGameSimulation(
+        hawk_dove_game(), n=4, seed=0,
+        initial_strategies=[0.2, 0.9, 1.7, 1.1]),
+                 "initial_strategies must hold integers, got 0.2",
+                 id="game-start-fractional"),
     pytest.param(lambda: PopulationGameSimulation(
         hawk_dove_game(), n=10, seed=0, backend="count").strategies,
                  "backend='agent'", id="game-count-strategies"),

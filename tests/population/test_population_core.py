@@ -72,7 +72,7 @@ class TestRandomScheduler:
     def test_pairs_distinct(self):
         scheduler = RandomScheduler(5, seed=0)
         for _ in range(200):
-            i, j = scheduler.next_pair()
+            (i,), (j,) = scheduler.pair_block(1)
             assert i != j
             assert 0 <= i < 5 and 0 <= j < 5
 

@@ -21,7 +21,7 @@ class TestWeightedScheduler:
     def test_pairs_distinct(self):
         scheduler = WeightedScheduler([1.0, 5.0, 2.0], seed=0)
         for _ in range(100):
-            i, j = scheduler.next_pair()
+            (i,), (j,) = scheduler.pair_block(1)
             assert i != j
 
     def test_block_pairs_distinct(self):

@@ -329,6 +329,13 @@ def igt_sim(**kwargs):
     return IGTSimulation(**defaults)
 
 
+def agent_action_sim(track_payoffs):
+    from repro.core.equilibrium import RDSetting
+
+    return igt_sim(n=200, mode="action", track_payoffs=track_payoffs,
+                   setting=RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5))
+
+
 class TestFacade:
     @pytest.mark.parametrize("backend", ["agent", "count"])
     def test_igt_simulation_resumes(self, backend):
@@ -361,16 +368,39 @@ class TestFacade:
         np.testing.assert_array_equal(original.counts, resumed.counts)
         np.testing.assert_array_equal(original.indices, resumed.indices)
 
-    def test_step_loop_paths_refuse_snapshot(self):
-        from repro.core.equilibrium import RDSetting
+    @pytest.mark.parametrize("track_payoffs", [False, True],
+                             ids=["plain", "payoffs"])
+    def test_agent_action_mode_resumes(self, track_payoffs):
+        def build():
+            return agent_action_sim(track_payoffs)
 
-        setting = RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5)
-        sim = igt_sim(mode="action", setting=setting, n=50)
-        with pytest.raises(InvalidParameterError, match="backend='count'"):
-            sim.snapshot()
-        with pytest.raises(InvalidParameterError):
-            sim.restore(SnapshotState(kind="agent",
-                                      payload={"steps_run": 0}))
+        original = build()
+        original.run(1500)
+        data = original.snapshot().to_bytes()
+        resumed = build()
+        resumed.restore(SnapshotState.from_bytes(data))
+        assert resumed.snapshot().to_bytes() == data
+        original.run(1000)
+        resumed.run_until(1000, lambda z: False, check_stop_every=100)
+        assert resumed.snapshot().to_bytes() == original.snapshot().to_bytes()
+        if track_payoffs:
+            assert resumed.pair_counts().sum() == resumed.steps_run == 2500
+
+    @pytest.mark.parametrize("track_payoffs", [False, True],
+                             ids=["plain", "payoffs"])
+    def test_agent_action_mode_crash_and_resume(self, track_payoffs):
+        recording = RecordingChannel()
+        reference = agent_action_sim(track_payoffs)
+        run_resumable(reference, 6000, lambda z: False,
+                      check_stop_every=100, channel=recording)
+        final = reference.snapshot().to_bytes()
+        for crashed_at in (0, len(recording.snapshots) - 1):
+            resumed = agent_action_sim(track_payoffs)
+            run_resumable(resumed, 6000, lambda z: False,
+                          check_stop_every=100,
+                          channel=RecordingChannel(
+                              initial=recording.snapshots[crashed_at]))
+            assert resumed.snapshot().to_bytes() == final
 
 
 # ----------------------------------------------------------------------
@@ -382,6 +412,13 @@ class TestValidation:
         agent = AgentBackend(det_model(), initial_states(100, 5), seed=1)
         with pytest.raises(SnapshotError, match="'count'"):
             agent.restore(count.snapshot())
+
+    def test_untracked_pair_counts_refused(self):
+        plain = AgentBackend(det_model(), initial_states(100, 5), seed=1)
+        tracked = AgentBackend(det_model(), initial_states(100, 5), seed=1,
+                               track_pair_counts=True)
+        with pytest.raises(SnapshotError, match="'pair_counts'"):
+            tracked.restore(plain.snapshot())
 
     def test_shape_mismatch_refused(self):
         small = CountBackend(det_model(), initial_counts(100, 5), seed=1)

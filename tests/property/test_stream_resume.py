@@ -13,6 +13,7 @@ in ``scripts/run_chaos_smoke.py``.)
 import numpy as np
 import pytest
 
+from repro.core.equilibrium import RDSetting
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.engine import JsonlSink, MemorySink, run_resumable
@@ -40,16 +41,24 @@ class AbortChannel(RecordingChannel):
             raise RuntimeError("simulated crash after checkpoint")
 
 
-def fresh_sim():
-    shares = PopulationShares(alpha=0.2, beta=0.3, gamma=0.5)
-    grid = GenerosityGrid(k=3, g_max=0.6)
-    return IGTSimulation(n=2000, shares=shares, grid=grid, seed=99,
-                         backend="count")
+def fresh_sim(**overrides):
+    options = dict(n=2000, shares=PopulationShares(alpha=0.2, beta=0.3,
+                                                   gamma=0.5),
+                   grid=GenerosityGrid(k=3, g_max=0.6), seed=99,
+                   backend="count")
+    options.update(overrides)
+    return IGTSimulation(**options)
 
 
-def stream_run(path, channel):
+#: The agent backend's action mode: a stochastic model on the engine's
+#: per-interaction loop.
+AGENT_ACTION = dict(backend="agent", mode="action",
+                    setting=RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5))
+
+
+def stream_run(path, channel, **overrides):
     sink = JsonlSink(path)
-    sim = fresh_sim()
+    sim = fresh_sim(**overrides)
     run_resumable(sim, STEPS, None, check_stop_every=CADENCE,
                   channel=channel, observe_every=CADENCE, observe=sink)
     sink.close()
@@ -119,3 +128,27 @@ class TestStreamedResume:
         assert ((tmp_path / "twice.jsonl").read_bytes()
                 == (tmp_path / "reference.jsonl").read_bytes())
         np.testing.assert_array_equal(resumed.counts, reference.counts)
+
+
+class TestAgentActionStream:
+    @pytest.mark.parametrize("track_payoffs", [False, True],
+                             ids=["plain", "payoffs"])
+    def test_crash_resume_stream_is_byte_identical(self, tmp_path,
+                                                   track_payoffs):
+        options = dict(AGENT_ACTION, track_payoffs=track_payoffs)
+        reference = stream_run(tmp_path / "reference.jsonl",
+                               RecordingChannel(), **options)
+        lines = (tmp_path / "reference.jsonl").read_text().splitlines()
+        assert len(lines) == STEPS // CADENCE + 1
+
+        crashed = AbortChannel(3)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            stream_run(tmp_path / "resumed.jsonl", crashed, **options)
+        resumed = stream_run(
+            tmp_path / "resumed.jsonl",
+            RecordingChannel(initial=crashed.snapshots[-1]), **options)
+
+        assert ((tmp_path / "resumed.jsonl").read_bytes()
+                == (tmp_path / "reference.jsonl").read_bytes())
+        assert (resumed.snapshot().to_bytes()
+                == reference.snapshot().to_bytes())

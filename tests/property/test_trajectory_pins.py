@@ -10,7 +10,9 @@ digest.  A case that must change on purpose (a new bitstream) needs a
 ``CODE_EPOCH`` bump in the result cache too.  The five uniform-count
 digests were re-captured (epoch 3) when the count start became one
 multinomial draw and table models' birthday batches became cell
-compositions.
+compositions.  The three agent action-mode digests were re-captured
+(epoch 4) when that mode moved from a per-step Monte-Carlo game loop
+onto the engine's exact classification law.
 """
 
 import hashlib
@@ -51,7 +53,7 @@ def igt_run(law, backend, n=240, steps=20_000):
     return sim.counts, series
 
 
-def igt_action_steps(law):
+def igt_action(law):
     sim = IGTSimulation(n=60, shares=SHARES, grid=GRID, seed=5,
                         mode="action",
                         setting=RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5),
@@ -60,15 +62,11 @@ def igt_action_steps(law):
     return sim.counts, series, sim.gtft_indices()
 
 
-def game(law, backend="agent", stepped=False):
+def game(law, backend="agent"):
     sim = PopulationGameSimulation(hawk_dove_game(2.0, 4.0), 40,
                                    rule="imitation", seed=3,
                                    backend=backend, **LAWS[law])
-    if stepped:
-        for _ in range(3_000):
-            sim.step()
-    else:
-        sim.run(6_000)
+    sim.run(6_000)
     if backend == "agent":
         return sim.counts, sim.strategies
     return (sim.counts,)
@@ -106,12 +104,9 @@ CASES = {
     "igt-powerlaw-count": lambda: igt_run("powerlaw", "count"),
     "igt-ring-agent": lambda: igt_run("ring", "agent"),
     "igt-ring-count": lambda: igt_run("ring", "count"),
-    "igt-uniform-action-step": lambda: igt_action_steps("uniform"),
-    "igt-powerlaw-action-step": lambda: igt_action_steps("powerlaw"),
-    "igt-ring-action-step": lambda: igt_action_steps("ring"),
-    "game-uniform-step": lambda: game("uniform", stepped=True),
-    "game-powerlaw-step": lambda: game("powerlaw", stepped=True),
-    "game-ring-step": lambda: game("ring", stepped=True),
+    "igt-uniform-action-agent": lambda: igt_action("uniform"),
+    "igt-powerlaw-action-agent": lambda: igt_action("powerlaw"),
+    "igt-ring-action-agent": lambda: igt_action("ring"),
     "game-uniform-agent": lambda: game("uniform"),
     "game-powerlaw-agent": lambda: game("powerlaw"),
     "game-ring-agent": lambda: game("ring"),
@@ -127,19 +122,16 @@ CASES = {
 PINNED = {
     "game-powerlaw-agent": "8ff82df5bbae7a70",
     "game-powerlaw-count": "48c5ddf5992a1f28",
-    "game-powerlaw-step": "b0413b908c859766",
     "game-ring-agent": "ba1ba3404f9e99fa",
-    "game-ring-step": "7e922d7d1ef94654",
     "game-uniform-agent": "c87d86073a6f8d1f",
     "game-uniform-count": "f4f238a6fd6ae650",
-    "game-uniform-step": "66b1d8576ff3aaa2",
-    "igt-powerlaw-action-step": "01c8f491590d96e1",
+    "igt-powerlaw-action-agent": "76dbf5c3f0c7a979",
     "igt-powerlaw-agent": "cf1272bd440b85bc",
     "igt-powerlaw-count": "de45c04de3d375ac",
-    "igt-ring-action-step": "a9c150d72a055c64",
+    "igt-ring-action-agent": "9026b3bfe5450789",
     "igt-ring-agent": "c15addce9b4bb629",
     "igt-ring-count": "f579cde16d1a0912",
-    "igt-uniform-action-step": "5d879b0f3978e655",
+    "igt-uniform-action-agent": "fd85fed7d291dc95",
     "igt-uniform-agent": "6db001b736e7c680",
     "igt-uniform-count": "f579cde16d1a0912",
     "igt-uniform-count-birthday": "5fe2cde7b36e944d",

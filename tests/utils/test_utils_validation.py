@@ -9,6 +9,7 @@ from repro.utils import (
     ReproError,
     check_fraction,
     check_in_range,
+    check_int_array,
     check_positive,
     check_positive_int,
     check_probability,
@@ -53,6 +54,29 @@ class TestCheckPositiveInt:
 
     def test_minimum_zero_allows_zero(self):
         assert check_positive_int("n", 0, minimum=0) == 0
+
+
+class TestCheckIntArray:
+    def test_int64_passes_without_copy(self):
+        values = np.arange(4)
+        assert check_int_array("x", values) is values
+
+    def test_integral_floats_and_narrow_ints_convert(self):
+        for values in ([0.0, 3.0], np.array([0, 3], dtype=np.uint8)):
+            out = check_int_array("x", values)
+            assert out.dtype == np.int64 and list(out) == [0, 3]
+
+    @pytest.mark.parametrize("values, match", [
+        ([1.0, 2.5], "x must hold integers, got 2.5"),
+        ([1.0, np.inf], "x must hold integers, got inf"),
+        ([True, False], "dtype bool"),
+        (["1"], "dtype <U1"),
+        (np.zeros((2, 2), dtype=np.int64), "1-D array, got shape"),
+        (3, "1-D array, got shape"),
+    ])
+    def test_refuses(self, values, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            check_int_array("x", values)
 
 
 class TestCheckProbability:
