@@ -1,10 +1,12 @@
 """Micro-benchmarks of the substrate primitives.
 
-Unlike the experiment benchmarks (single-shot reproduction runs), these are
-classic repeated-timing benchmarks of the hot paths a user's own experiments
-will lean on: the Ehrenfest count simulator, the agent-level IGT step loop,
-the exact stationary solver, the payoff-table builder, and the repeated-game
-Monte Carlo engine.
+Classic repeated-timing benchmarks of the hot paths a user's own
+experiments will lean on: the Ehrenfest count simulator, the agent-level
+IGT engine run, the exact stationary solver, payoff-table construction,
+and the repeated-game Monte Carlo engine.  Run by path, since pytest's
+default discovery skips ``bench_*.py``::
+
+    python -m pytest benchmarks/bench_micro_substrate.py --benchmark-disable -q
 """
 
 import numpy as np

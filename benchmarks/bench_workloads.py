@@ -3,8 +3,10 @@
 Both the pytest-benchmark cases (``bench_micro_substrate.py``) and the
 standalone throughput script (``bench_engine.py``) measure the same two
 workloads; defining them once keeps the numbers comparable across the two
-harnesses.  Importable from either context: pytest inserts this directory
-on ``sys.path`` when collecting the bench files, and running
+harnesses.  Importable from either context: pytest puts this directory
+on ``sys.path`` when it imports ``bench_micro_substrate.py`` (run it by
+path: ``python -m pytest benchmarks/bench_micro_substrate.py``, since the
+default ``testpaths`` and ``test_*.py`` pattern skip it), and running
 ``python benchmarks/bench_engine.py`` makes it ``sys.path[0]``.
 """
 

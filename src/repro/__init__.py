@@ -10,7 +10,8 @@ Protocol Model* (PODC 2024, arXiv:2307.07297), built as a reusable library:
   games declare a pairwise interaction model once, and interchangeable
   backends execute it — per-agent (:class:`~repro.engine.AgentBackend`) or
   exact count-level (:class:`~repro.engine.CountBackend`, practical to
-  ``n = 10^7`` and beyond).
+  ``n = 10^7`` and beyond).  The k-IGT update rule is written once there,
+  as :func:`~repro.engine.igt_update`.
 * :mod:`repro.markov` — ``(k, a, b, m)``-Ehrenfest processes and the exact
   Markov-chain analysis the paper's bounds rest on (stationary laws,
   mixing times, couplings, random walks, cutoff profiles).
@@ -43,7 +44,6 @@ Quickstart::
 from repro.core import (
     AgentType,
     GenerosityGrid,
-    IGTRule,
     IGTSimulation,
     PopulationShares,
     RDSetting,
@@ -66,6 +66,7 @@ from repro.engine import (
     CountBackend,
     EngineResult,
     igt_model,
+    igt_update,
     matrix_game_model,
     protocol_model,
 )
@@ -95,7 +96,6 @@ __all__ = [
     # core
     "AgentType",
     "GenerosityGrid",
-    "IGTRule",
     "IGTSimulation",
     "PopulationShares",
     "RDSetting",
@@ -118,6 +118,7 @@ __all__ = [
     "EngineResult",
     "protocol_model",
     "igt_model",
+    "igt_update",
     "matrix_game_model",
     # games
     "DonationGame",

@@ -12,7 +12,6 @@ strategy against a population mixture, the DE gap
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.games.strategies import (
     always_defect,
     generous_tit_for_tat,
 )
+from repro.markov.ehrenfest import geometric_weights
 from repro.utils import check_probability, check_probability_vector
 from repro.utils.errors import InvalidParameterError
 
@@ -224,9 +224,4 @@ def mean_stationary_mu(k: int, beta: float = None, lam: float = None) -> np.ndar
             raise InvalidParameterError(
                 f"beta must lie strictly inside (0, 1), got {beta!r}")
         lam = (1.0 - beta) / beta
-    if lam <= 0:
-        raise InvalidParameterError(f"lam must be positive, got {lam!r}")
-    logs = np.arange(int(k), dtype=float) * math.log(lam)
-    logs -= logs.max()
-    weights = np.exp(logs)
-    return weights / weights.sum()
+    return geometric_weights(int(k), lam)

@@ -1,8 +1,8 @@
-"""The k-IGT update rule (paper Definition 2.1).
+"""The generosity grid and strategy types of the k-IGT dynamics.
 
 Each GTFT agent holds an index into the generosity grid
-``G = {g_1, ..., g_k}`` with ``g_j = ĝ·(j−1)/(k−1)``.  After interacting as
-*initiator* with a partner of strategy type ``S``:
+``G = {g_1, ..., g_k}`` with ``g_j = ĝ·(j−1)/(k−1)`` (Definition 2.1).
+After interacting as *initiator* with a partner of strategy type ``S``:
 
 * ``S ∈ {AC, GTFT}`` → increment to the next larger grid value
   (``Inc(g_j) = g_min{j+1,k}``),
@@ -11,7 +11,9 @@ Each GTFT agent holds an index into the generosity grid
 
 The *strict* variant (Remark after Proposition 2.2) increments only after a
 GTFT partner, making every move strictly payoff-improving at the price of a
-lower stationary generosity.
+lower stationary generosity.  The rule has one implementation,
+:func:`repro.engine.igt_update`, which every k-IGT transition table is
+built from.
 """
 
 from __future__ import annotations
@@ -81,63 +83,3 @@ class GenerosityGrid:
         """Index of the grid value closest to ``g``."""
         check_in_range("g", g, 0.0, 1.0)
         return int(round(g / self.spacing)) if g < self.g_max else self.k - 1
-
-
-class IGTRule:
-    """The local k-IGT transition rule applied by a GTFT initiator.
-
-    Parameters
-    ----------
-    grid:
-        The generosity grid.
-    strict:
-        When true, use the strict variant: increment only after GTFT
-        partners (AC partners leave the state unchanged).
-    """
-
-    def __init__(self, grid: GenerosityGrid, strict: bool = False):
-        self.grid = grid
-        self.strict = bool(strict)
-
-    def increment(self, index: int) -> int:
-        """``Inc``: move to the next larger grid index, truncated at ``k−1``."""
-        return min(index + 1, self.grid.k - 1)
-
-    def decrement(self, index: int) -> int:
-        """``Dec``: move to the next smaller grid index, truncated at ``0``."""
-        return max(index - 1, 0)
-
-    def next_index(self, index: int, partner_type: AgentType) -> int:
-        """New grid index after the initiator meets ``partner_type``.
-
-        Implements transitions (i)–(iii) of Definition 2.1 (or the strict
-        variant when enabled).
-        """
-        if not 0 <= index < self.grid.k:
-            raise InvalidParameterError(
-                f"index must lie in 0..{self.grid.k - 1}, got {index}")
-        if partner_type == AgentType.AD:
-            return self.decrement(index)
-        if partner_type == AgentType.AC and self.strict:
-            return index
-        return self.increment(index)
-
-    def transition_diagram(self) -> list[dict]:
-        """Structured description of the rule — the content of Figure 1.
-
-        One entry per (index, partner-kind) with the destination index and
-        the unconditional partner-kind probability expression used in the
-        figure (``1 − β`` for increments, ``β`` for decrements).
-        """
-        rows = []
-        for index in range(self.grid.k):
-            rows.append({
-                "index": index,
-                "value": self.grid.value(index),
-                "on_ac": self.next_index(index, AgentType.AC),
-                "on_gtft": self.next_index(index, AgentType.GTFT),
-                "on_ad": self.next_index(index, AgentType.AD),
-                "increment_probability": "1-beta",
-                "decrement_probability": "beta",
-            })
-        return rows

@@ -118,19 +118,15 @@ def igt_mean_field(shares: PopulationShares, grid: GenerosityGrid,
     """Drift generator and ``m`` for a concrete k-IGT population.
 
     With ``exact=True`` uses the finite-``n`` sampling rates of the
-    distinct-partner scheduler (matching
-    :meth:`IGTSimulation.equivalent_ehrenfest`); otherwise the paper's
-    idealized ``a = γ(1−β), b = γβ``.
+    distinct-partner scheduler (:meth:`PopulationShares.finite_n_rates`,
+    as :meth:`IGTSimulation.equivalent_ehrenfest` does); otherwise the
+    paper's idealized ``a = γ(1−β), b = γβ``
+    (:meth:`PopulationShares.idealized_rates`).
     """
-    n_ac, n_ad, m = shares.agent_counts(n)
+    _, n_ad, m = shares.agent_counts(n)
     if n_ad == 0:
         raise InvalidParameterError("the mean field needs at least one AD agent")
-    if exact:
-        a = (m / n) * (n - 1 - n_ad) / (n - 1)
-        b = (m / n) * n_ad / (n - 1)
-    else:
-        a = shares.gamma * (1.0 - shares.beta)
-        b = shares.gamma * shares.beta
+    a, b = shares.finite_n_rates(n) if exact else shares.idealized_rates()
     return drift_generator(grid.k, a, b), float(m)
 
 

@@ -126,6 +126,27 @@ class PopulationShares:
                 f"({self.alpha}, {self.beta}, {self.gamma})")
         return n_ac, n_ad, n_gtft
 
+    def idealized_rates(self) -> tuple[float, float]:
+        """The paper's idealized embedding rates ``a = γ(1−β)``, ``b = γβ``.
+
+        Eq. (5): a GTFT initiator is drawn with probability ``γ`` and
+        meets an AD partner with probability ``β``.
+        """
+        return self.gamma * (1.0 - self.beta), self.gamma * self.beta
+
+    def finite_n_rates(self, n: int) -> tuple[float, float]:
+        """The exact embedding rates ``(a, b)`` of ``n`` agents.
+
+        The responder is drawn from the *other* ``n − 1`` agents, so a
+        GTFT initiator (probability ``m/n``) meets AD with probability
+        ``β̂ = n_ad/(n−1)``: ``a = (m/n)(1 − β̂)`` and ``b = (m/n)·β̂``.
+        The stationary bias ``λ = (n−1−n_ad)/n_ad`` is an ``O(1/n)``
+        correction to ``(1−β)/β``.
+        """
+        _, n_ad, m = self.agent_counts(n)
+        beta_hat = n_ad / (n - 1)
+        return (m / n) * (1.0 - beta_hat), (m / n) * beta_hat
+
 
 class IGTSimulation:
     """Simulates the k-IGT dynamics at the level of individual agents.
@@ -507,15 +528,17 @@ class IGTSimulation:
         With ``exact=False`` returns the paper's idealized parameters
         ``a = γ(1−β), b = γβ, m = γn`` (eq. 5).  With ``exact=True``
         (default) the finite-population sampling correction is applied: the
-        responder is drawn from the *other* ``n − 1`` agents, so conditioned
-        on a GTFT initiator with index ``j`` (probability ``z_j/n``), the
-        decrement probability is ``n_ad/(n−1)``, giving
-
-        ``a = (m/n)·(n−1−n_ad)/(n−1)``,  ``b = (m/n)·n_ad/(n−1)``
-
-        and the exact stationary bias ``λ = (n−1−n_ad)/n_ad`` — an
-        ``O(1/n)`` correction to ``(1−β)/β`` that matters for the small
-        populations used in exact validation.
+        responder is drawn from the *other* ``n − 1`` agents, so
+        ``a = (m/n)·(1 − β̂)`` and ``b = (m/n)·β̂`` with
+        ``β̂ = n_ad/(n−1)``, and the exact stationary bias is
+        ``λ = (n−1−n_ad)/n_ad`` — an ``O(1/n)`` correction to
+        ``(1−β)/β`` that matters for the small populations used in exact
+        validation.  Both come from :class:`PopulationShares`
+        (:meth:`~PopulationShares.idealized_rates`,
+        :meth:`~PopulationShares.finite_n_rates`).  Observation
+        noise ``ε`` flips the AD / non-AD reading, so the count chain
+        stays an Ehrenfest process with the blended rates
+        ``((1−ε)a + εb, (1−ε)b + εa)``.
 
         Under a weighted scheduler (``weights=``) the count chain is
         still an Ehrenfest process *when all GTFT agents share one
@@ -528,11 +551,22 @@ class IGTSimulation:
         and the stationary bias becomes ``λ_w = (W − w_g − W_ad)/W_ad``
         — the activity-share generalization of the uniform formula
         (equal weights recover it exactly).  Requires ``exact=True``.
+
+        In ``mode="strict"`` increments fire only on GTFT partners:
+        conditioned on a GTFT initiator the increment probability is
+        ``(m−1)/(n−1)`` (the other GTFT agents) and the decrement
+        probability the standard ``n_ad/(n−1)``, so
+        ``λ_strict = (m−1)/n_ad`` — strictly below the standard rule's
+        bias whenever AC agents exist.  Uniform scheduler and
+        ``exact=True`` only.  ``mode="action"`` is refused: its
+        decrement probability depends on both players' strategies, so
+        its count chain is not an Ehrenfest process.
         """
-        if self.mode == "strict":
+        if self.mode == "action":
             raise InvalidParameterError(
-                "the strict variant has its own embedding; use "
-                "strict_equivalent_ehrenfest()")
+                "mode='action' has no Ehrenfest embedding: the decrement "
+                "probability depends on both players' strategies, not on "
+                "the counts alone")
         weights = self._law.weights
         if self._law.topology is not None:
             raise InvalidParameterError(
@@ -543,6 +577,22 @@ class IGTSimulation:
                 "Ehrenfest process (the E6 topology variant computes "
                 "that per-vertex quenched theory)")
         m = self.n_gtft
+        if self.mode == "strict":
+            if weights is not None:
+                raise InvalidParameterError(
+                    "the strict embedding is derived for the uniform "
+                    "scheduler; weighted populations are not supported here")
+            if not exact:
+                raise InvalidParameterError(
+                    "the strict embedding has finite-n rates only; use "
+                    "exact=True")
+            if self.n_ad == 0 or m < 2:
+                raise InvalidParameterError(
+                    "strict embedding needs at least one AD and two GTFT "
+                    "agents")
+            _, b = self.shares.finite_n_rates(self.n)
+            a = (m / self.n) * (m - 1) / (self.n - 1)
+            return EhrenfestProcess(k=self.grid.k, a=a, b=b, m=m)
         if weights is not None:
             if not exact:
                 raise InvalidParameterError(
@@ -563,63 +613,24 @@ class IGTSimulation:
                     "one AD agent (or positive observation noise)")
             w_gtft = float(gtft_weights[0])
             beta_hat = ad_weight / (total_weight - w_gtft)
-            up = 1.0 - beta_hat
-            down = beta_hat
+            scale = m * w_gtft / total_weight
+            a, b = scale * (1.0 - beta_hat), scale * beta_hat
         elif exact:
             if self.n_ad == 0 and self.observation_noise == 0:
                 raise InvalidParameterError(
                     "the Ehrenfest embedding needs b > 0, i.e. at least one "
                     "AD agent (or positive observation noise)")
-            beta_hat = self.n_ad / (self.n - 1)
-            up = 1.0 - beta_hat
-            down = beta_hat
+            a, b = self.shares.finite_n_rates(self.n)
         else:
             if self.shares.beta == 0 and self.observation_noise == 0:
                 raise InvalidParameterError(
                     "the Ehrenfest embedding needs beta > 0 (or positive "
                     "observation noise)")
-            up = 1.0 - self.shares.beta
-            down = self.shares.beta
-        # Observation noise flips the AD/non-AD reading with probability
-        # eps, blending the increment/decrement rates; the count chain stays
-        # an Ehrenfest process.
+            a, b = self.shares.idealized_rates()
         eps = self.observation_noise
-        up_eff = (1.0 - eps) * up + eps * down
-        down_eff = (1.0 - eps) * down + eps * up
-        if weights is not None:
-            scale = m * w_gtft / total_weight
-        else:
-            scale = m / self.n if exact else self.shares.gamma
-        a = scale * up_eff
-        b = scale * down_eff
+        a, b = (1.0 - eps) * a + eps * b, (1.0 - eps) * b + eps * a
         if a <= 0 or b <= 0:
             raise InvalidParameterError(
                 "degenerate embedding: both increment and decrement rates "
                 "must be positive")
-        return EhrenfestProcess(k=self.grid.k, a=a, b=b, m=m)
-
-    def strict_equivalent_ehrenfest(self) -> EhrenfestProcess:
-        """Ehrenfest embedding of the *strict* variant.
-
-        Increments fire only on GTFT partners: conditioned on a GTFT
-        initiator the increment probability is ``(m−1)/(n−1)`` (the other
-        GTFT agents) and the decrement probability ``n_ad/(n−1)``, so
-        ``λ_strict = (m−1)/n_ad`` — strictly below the standard rule's bias
-        whenever AC agents exist.
-        """
-        if self._law.weights is not None:
-            raise InvalidParameterError(
-                "the strict embedding is derived for the uniform "
-                "scheduler; weighted populations are not supported here")
-        if self._law.topology is not None:
-            raise InvalidParameterError(
-                "the strict embedding is derived for the complete-graph "
-                "scheduler; graph-restricted populations are not "
-                "supported here")
-        m = self.n_gtft
-        if self.n_ad == 0 or m < 2:
-            raise InvalidParameterError(
-                "strict embedding needs at least one AD and two GTFT agents")
-        a = (m / self.n) * (m - 1) / (self.n - 1)
-        b = (m / self.n) * self.n_ad / (self.n - 1)
         return EhrenfestProcess(k=self.grid.k, a=a, b=b, m=m)

@@ -9,14 +9,12 @@ directly from the population description.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
 from repro.markov.distributions import multinomial_pmf_over_space
-from repro.markov.ehrenfest import EhrenfestProcess
+from repro.markov.ehrenfest import EhrenfestProcess, geometric_weights
 from repro.markov.state_space import CompositionSpace
 from repro.utils import check_positive_int
 from repro.utils.errors import InvalidParameterError
@@ -66,11 +64,7 @@ def igt_stationary_weights(k: int, beta: float) -> np.ndarray:
     and on the smallest when ``β > 1/2``; it is uniform at ``β = 1/2``.
     """
     k = check_positive_int("k", k, minimum=2)
-    lam = igt_lambda(beta)
-    logs = np.arange(k, dtype=float) * math.log(lam)
-    logs -= logs.max()
-    weights = np.exp(logs)
-    return weights / weights.sum()
+    return geometric_weights(k, igt_lambda(beta))
 
 
 def igt_ehrenfest_parameters(shares: PopulationShares,
@@ -84,8 +78,7 @@ def igt_ehrenfest_parameters(shares: PopulationShares,
         raise InvalidParameterError(
             "the Ehrenfest embedding requires beta > 0 (some AD agents)")
     _, _, m = shares.agent_counts(n)
-    a = shares.gamma * (1.0 - shares.beta)
-    b = shares.gamma * shares.beta
+    a, b = shares.idealized_rates()
     return a, b, m
 
 

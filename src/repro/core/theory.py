@@ -3,62 +3,43 @@
 These are the *theory columns* of the benchmark tables: concrete evaluations
 of the paper's asymptotic bounds, with the explicit constants from the
 proofs where the paper provides them (Lemma A.8's ``2Φ·log(4m)`` coupling
-bound and Proposition A.9's ``km/2`` diameter bound).
+bound and Proposition A.9's ``km/2`` diameter bound).  The bounds
+themselves are :class:`~repro.markov.ehrenfest.EhrenfestProcess` methods;
+the functions here evaluate them on the k-IGT embedding.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core.population_igt import PopulationShares
+from repro.core.stationary import igt_ehrenfest_parameters
+from repro.markov.ehrenfest import EhrenfestProcess
 from repro.utils import check_positive_int
-from repro.utils.errors import InvalidParameterError
-
-
-def ehrenfest_phi(k: int, a: float, b: float, m: int) -> float:
-    """Lemma A.8's ``Φ``: ``min{k/|a−b|, k²}·m`` (``k²·m`` when ``a = b``)."""
-    k = check_positive_int("k", k, minimum=2)
-    m = check_positive_int("m", m, minimum=1)
-    if not (a > 0 and b > 0 and a + b <= 1 + 1e-12):
-        raise InvalidParameterError(
-            f"need a, b > 0 with a + b <= 1, got a={a!r}, b={b!r}")
-    if math.isclose(a, b):
-        return float(k * k * m)
-    return min(k / abs(a - b), float(k * k)) * m
-
-
-def mixing_upper_bound_interactions(k: int, a: float, b: float, m: int) -> float:
-    """Theorem 2.5 upper bound with Lemma A.8's constant: ``2Φ·log(4m)``."""
-    return 2.0 * ehrenfest_phi(k, a, b, m) * math.log(4.0 * m)
-
-
-def mixing_lower_bound_interactions(k: int, m: int) -> float:
-    """Theorem 2.5 lower bound (diameter argument): ``km/2``."""
-    k = check_positive_int("k", k, minimum=2)
-    m = check_positive_int("m", m, minimum=1)
-    return k * m / 2.0
 
 
 def igt_mixing_upper_bound(k: int, shares: PopulationShares, n: int) -> float:
     """Theorem 2.7 upper bound for the k-IGT dynamics, in *interactions*.
 
-    Instantiates the Ehrenfest bound at ``a = γ(1−β)``, ``b = γβ``,
-    ``m = γn``; note ``a − b = γ(1−2β)``, recovering the paper's
+    Lemma A.8's ``2Φ·log(4m)``
+    (:meth:`~repro.markov.ehrenfest.EhrenfestProcess.mixing_time_upper_bound`)
+    at the idealized embedding ``a = γ(1−β)``, ``b = γβ``, ``m = γn``;
+    note ``a − b = γ(1−2β)``, recovering the paper's
     ``O(min{k/|1−2β|, k²}·n·log n)`` statement (the extra ``1/γ`` and the
-    ``log`` constant are absorbed into the O(·) there).
+    ``log`` constant are absorbed into the O(·) there).  Refuses
+    ``β = 0``, where the embedding has no down-moves.
     """
-    if shares.beta <= 0:
-        raise InvalidParameterError("the bound requires beta > 0")
-    _, _, m = shares.agent_counts(n)
-    a = shares.gamma * (1.0 - shares.beta)
-    b = shares.gamma * shares.beta
-    return mixing_upper_bound_interactions(k, a, b, m)
+    a, b, m = igt_ehrenfest_parameters(shares, n)
+    return EhrenfestProcess(k, a, b, m).mixing_time_upper_bound()
 
 
 def igt_mixing_lower_bound(k: int, shares: PopulationShares, n: int) -> float:
-    """Theorem 2.7 lower bound ``Ω(kn)``: concretely ``k·(γn)/2``."""
+    """Theorem 2.7 lower bound ``Ω(kn)``: concretely ``k·(γn)/2``.
+
+    Proposition A.9's diameter bound depends on ``k`` and ``m = γn``
+    alone, so it holds at ``β = 0`` too; the process is built with
+    placeholder rates.
+    """
     _, _, m = shares.agent_counts(n)
-    return mixing_lower_bound_interactions(k, m)
+    return EhrenfestProcess(k, 0.5, 0.5, m).mixing_time_lower_bound()
 
 
 def per_agent_state_count(k: int) -> int:

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from repro.core.equilibrium import RDSetting, de_gap, mean_stationary_mu
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
-from repro.core.stationary import igt_ehrenfest_parameters
+from repro.core.stationary import igt_ehrenfest_process
 from repro.core.theory import (
     igt_mixing_lower_bound,
     igt_mixing_upper_bound,
     per_agent_state_count,
 )
 from repro.markov.coupling import coupling_mixing_estimate, coupling_time_samples
-from repro.markov.ehrenfest import EhrenfestProcess
 from repro.utils import check_positive_int
 
 
@@ -85,8 +84,7 @@ def tradeoff_table(ks, setting: RDSetting, shares: PopulationShares,
         psi = de_gap(mu, grid, setting, shares)
         measured = None
         if measure:
-            a, b, m = igt_ehrenfest_parameters(shares, n)
-            process = EhrenfestProcess(k=k, a=a, b=b, m=m)
+            process = igt_ehrenfest_process(shares, n, grid)
             times = coupling_time_samples(process, coupling_samples, seed=seed)
             measured = coupling_mixing_estimate(times)
         rows.append(TradeoffRow(

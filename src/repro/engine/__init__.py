@@ -48,6 +48,7 @@ turns ``backend="auto"`` into an engine name from
 from repro.engine.adapters import (
     igt_action_model,
     igt_model,
+    igt_update,
     matrix_game_model,
     protocol_model,
 )
@@ -152,6 +153,7 @@ __all__ = [
     "ProductStateModel",
     "protocol_model",
     "igt_model",
+    "igt_update",
     "igt_action_model",
     "matrix_game_model",
     "ordered_pair_block",

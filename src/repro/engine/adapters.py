@@ -6,6 +6,8 @@ through these factories, and either backend executes it.
 
 * :func:`protocol_model` — any :class:`~repro.population.protocol
   .PopulationProtocol` via its dense transition table.
+* :func:`igt_update` — the k-IGT rule itself (Definition 2.1), the one
+  implementation every k-IGT table below and Experiment E1 evaluate.
 * :func:`igt_model` — the paper's k-IGT dynamics on an ``(α, β, γ)``
   population, over the ``k + 2`` states ``{g_1..g_k, AC, AD}`` (GTFT
   agents carry their grid index; AC/AD agents are inert).  Supports the
@@ -32,7 +34,7 @@ from repro.engine.model import (
     PairMixtureTableModel,
     TableModel,
 )
-from repro.utils import check_probability
+from repro.utils import check_positive_int, check_probability
 from repro.utils.errors import InvalidParameterError
 
 
@@ -41,29 +43,46 @@ def protocol_model(protocol) -> TableModel:
     return TableModel(protocol.transition_table())
 
 
-def _igt_table(k: int, strict: bool, flipped: bool) -> np.ndarray:
+def igt_update(index, k: int, reads_ad, partner_ac=False,
+               strict: bool = False) -> np.ndarray:
+    """The k-IGT rule (Definition 2.1, Figure 1), vectorized.
+
+    The next grid index of GTFT initiators at ``index`` (``0..k-1``):
+    ``Dec`` (truncated at ``0``) when the initiator reads its partner as
+    AD, ``Inc`` (truncated at ``k - 1``) otherwise.  The strict variant
+    (Remark after Proposition 2.2) leaves the index unchanged after an AC
+    partner.  ``index``, ``reads_ad`` and ``partner_ac`` broadcast; an
+    ``index`` outside ``0..k-1`` is refused.
+    """
+    k = check_positive_int("k", k)
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"index must hold integers, got dtype {index.dtype}")
+    outside = (index < 0) | (index >= k)
+    if outside.any():
+        raise InvalidParameterError(
+            f"index must lie in 0..{k - 1}, got {index[outside].flat[0]}")
+    moved = np.minimum(index + 1, k - 1)
+    if strict:
+        moved = np.where(partner_ac, index, moved)
+    return np.where(reads_ad, np.maximum(index - 1, 0), moved)
+
+
+def _igt_table(k: int, reads_ad, strict: bool = False) -> np.ndarray:
     """k-IGT joint transition table over ``k + 2`` states.
 
     States ``0..k-1`` are GTFT generosity indices, ``k`` is AC, ``k+1`` is
-    AD.  Only GTFT initiators move; with ``flipped`` the initiator's binary
-    AD / non-AD reading of its partner is inverted (the observation-noise
-    channel).
+    AD.  Only GTFT initiators move, by :func:`igt_update`; ``reads_ad``
+    (a scalar, or an array over the partner state) is the initiator's
+    AD / non-AD reading of its partner.  The responder never moves.
     """
-    s = k + 2
-    table = np.empty((s, s, 2), dtype=np.int64)
-    for u in range(s):
-        for v in range(s):
-            new_u = u
-            if u < k:  # GTFT initiator applies the k-IGT rule
-                reads_ad = (v == k + 1) != flipped
-                if reads_ad:
-                    new_u = max(u - 1, 0)
-                elif strict and v == k:
-                    new_u = u  # strict rule: AC partners do not increment
-                else:
-                    new_u = min(u + 1, k - 1)
-            table[u, v, 0] = new_u
-            table[u, v, 1] = v  # one-way protocol: responder never moves
+    ids = np.arange(k + 2)
+    table = np.empty((k + 2, k + 2, 2), dtype=np.int64)
+    table[:, :, 0] = ids[:, None]
+    table[:k, :, 0] = igt_update(ids[:k, None], k, reads_ad, ids == k,
+                                 strict)
+    table[:, :, 1] = ids
     return table
 
 
@@ -95,10 +114,11 @@ def igt_model(k: int, mode: str = "strategy",
     if observation_noise > 0 and strict:
         raise InvalidParameterError(
             "observation_noise applies to mode='strategy' only")
-    base = _igt_table(k, strict=strict, flipped=False)
+    partner_ad = np.arange(k + 2) == k + 1
+    base = _igt_table(k, partner_ad, strict=strict)
     if observation_noise == 0:
         return TableModel(base)
-    flipped = _igt_table(k, strict=False, flipped=True)
+    flipped = _igt_table(k, ~partner_ad)
     return MixtureTableModel([base, flipped],
                              [1.0 - observation_noise, observation_noise])
 
@@ -134,17 +154,6 @@ def igt_action_model(grid, setting) -> PairMixtureTableModel:
 
     k = grid.k
     s = k + 2
-    ids_u = np.arange(s)[:, None]
-    ids_v = np.broadcast_to(np.arange(s), (s, s))
-    decrement = np.empty((s, s, 2), dtype=np.int64)
-    increment = np.empty((s, s, 2), dtype=np.int64)
-    decrement[:, :, 1] = ids_v
-    increment[:, :, 1] = ids_v
-    gtft = ids_u[:, 0] < k
-    decrement[:, :, 0] = np.where(gtft[:, None],
-                                  np.maximum(ids_u - 1, 0), ids_u)
-    increment[:, :, 0] = np.where(gtft[:, None],
-                                  np.minimum(ids_u + 1, k - 1), ids_u)
     strategies = [generous_tit_for_tat(gv, setting.s1)
                   for gv in grid.values]
     strategies.append(always_cooperate())
@@ -154,7 +163,8 @@ def igt_action_model(grid, setting) -> PairMixtureTableModel:
         for v in range(s):
             probs[u, v] = always_defect_probability(
                 strategies[u], strategies[v], setting.delta)
-    return PairMixtureTableModel(decrement, increment, probs)
+    return PairMixtureTableModel(_igt_table(k, True), _igt_table(k, False),
+                                 probs)
 
 
 def matrix_game_model(payoffs, rule: str, p_update: float = 0.5,

@@ -9,7 +9,10 @@ panel cases the figure illustrates (interior bump, truncated decrement at
 
 from __future__ import annotations
 
-from repro.core.igt import AgentType, GenerosityGrid, IGTRule
+import numpy as np
+
+from repro.core.igt import AgentType, GenerosityGrid
+from repro.engine import igt_update
 from repro.experiments.base import ExperimentReport, register
 from repro.params import Param, ParamSpace
 
@@ -26,30 +29,27 @@ def run(params=None, seed=None) -> ExperimentReport:
     """Tabulate the figure's update rule and check its three cases."""
     params = PARAMS.resolve() if params is None else params
     grid = GenerosityGrid(k=params["k"], g_max=params["g_max"])
-    rule = IGTRule(grid)
-    rows = []
-    for entry in rule.transition_diagram():
-        j = entry["index"]
-        rows.append([
-            f"g_{j + 1}",
-            round(entry["value"], 4),
-            f"g_{entry['on_ac'] + 1} (w.p. 1-beta)",
-            f"g_{entry['on_gtft'] + 1} (w.p. 1-beta)",
-            f"g_{entry['on_ad'] + 1} (w.p. beta)",
-        ])
+    k = grid.k
+    index = np.arange(k)
+    on_ac, on_gtft, on_ad = (
+        igt_update(index, k, reads_ad=kind == AgentType.AD,
+                   partner_ac=kind == AgentType.AC)
+        for kind in (AgentType.AC, AgentType.GTFT, AgentType.AD))
+    rows = [[f"g_{j + 1}", round(grid.value(j), 4),
+             f"g_{ac + 1} (w.p. 1-beta)", f"g_{gtft + 1} (w.p. 1-beta)",
+             f"g_{ad + 1} (w.p. beta)"]
+            for j, ac, gtft, ad in zip(range(k), on_ac.tolist(),
+                                       on_gtft.tolist(), on_ad.tolist())]
 
     checks = {
-        "interior increments move one step up": all(
-            rule.next_index(j, AgentType.AC) == j + 1
-            and rule.next_index(j, AgentType.GTFT) == j + 1
-            for j in range(grid.k - 1)),
-        "interior decrements move one step down": all(
-            rule.next_index(j, AgentType.AD) == j - 1
-            for j in range(1, grid.k)),
-        "decrement truncates at g_1": rule.next_index(0, AgentType.AD) == 0,
-        f"increment truncates at g_{grid.k}": (
-            rule.next_index(grid.k - 1, AgentType.AC) == grid.k - 1
-            and rule.next_index(grid.k - 1, AgentType.GTFT) == grid.k - 1),
+        "interior increments move one step up":
+            np.array_equal(on_ac[:-1], index[1:])
+            and np.array_equal(on_gtft[:-1], index[1:]),
+        "interior decrements move one step down":
+            np.array_equal(on_ad[1:], index[:-1]),
+        "decrement truncates at g_1": bool(on_ad[0] == 0),
+        f"increment truncates at g_{k}": bool(
+            on_ac[-1] == k - 1 and on_gtft[-1] == k - 1),
         "grid is the equidistant discretization of [0, g_max]": all(
             abs(grid.value(j) - grid.g_max * j / (grid.k - 1)) < 1e-15
             for j in range(grid.k)),

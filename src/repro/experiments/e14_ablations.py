@@ -126,7 +126,7 @@ def run(params=None, seed=12345) -> ExperimentReport:
                                         samples)
     g_strict = _stationary_generosity(strict, shares, n_strict, k_strict,
                                       samples)
-    strict_process = strict.strict_equivalent_ehrenfest()
+    strict_process = strict.equivalent_ehrenfest()
     lam_strict = strict_process.lam
     theory_strict = float(
         grid_strict.values @ strict_process.stationary_weights())

@@ -21,6 +21,7 @@ from repro.core.mean_field import (
 )
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.experiments.base import ExperimentReport, register
+from repro.markov.ehrenfest import EhrenfestProcess
 from repro.params import Param, ParamSpace
 from repro.utils import as_generator, spawn_generators
 
@@ -84,8 +85,7 @@ def run(params=None, seed=12345) -> ExperimentReport:
 
     # Fixed-point identity: mean-field stationary == Theorem 2.4 weights.
     a_rate, b_rate = A[1, 0], A[0, 1]
-    probe = IGTSimulation(n=n, shares=shares, grid=grid, seed=0)
-    weights = probe.equivalent_ehrenfest(exact=True).stationary_weights()
+    weights = EhrenfestProcess(k, a_rate, b_rate, m).stationary_weights()
     fixed_point_gap = float(np.abs(
         mean_field_stationary(k, a_rate, b_rate) - weights).max())
     rows.append(["stationary", np.round(m * weights, 2).tolist(),

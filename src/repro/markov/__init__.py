@@ -3,9 +3,11 @@
 The chains the paper's analysis rests on, enumerated exactly: the
 simplex-of-counts state space ``Delta_k^m``, generic finite Markov chains
 with exact stationary and mixing analysis, the ``(k, a, b, m)``-Ehrenfest
-process (Definition 2.3), the coordinate coupling of the mixing-time upper
-bound (Appendix A.4.1), biased random walks with closed-form absorption
-times (Proposition A.7), and cutoff profiles (Remark 2.6).  The
+process (Definition 2.3) with the one implementation of its stationary
+weights (:func:`geometric_weights`, Theorem 2.4) and mixing bounds
+(Theorem 2.5), the coordinate coupling of the mixing-time upper bound
+(Appendix A.4.1), biased random walks with closed-form absorption times
+(Proposition A.7), and cutoff profiles (Remark 2.6).  The
 experiments and the engines' exactness tests compare against them.
 """
 
@@ -20,7 +22,7 @@ from repro.markov.distributions import (
     multinomial_pmf_over_space,
     total_variation,
 )
-from repro.markov.ehrenfest import EhrenfestProcess
+from repro.markov.ehrenfest import EhrenfestProcess, geometric_weights
 from repro.markov.mixing import (
     distance_to_stationarity_curve,
     empirical_state_tv,
@@ -29,7 +31,6 @@ from repro.markov.mixing import (
 )
 from repro.markov.random_walks import (
     BiasedWalkSpec,
-    ReflectedWalk,
     expected_absorption_time,
     gamblers_ruin_win_probability,
     simulate_absorption_time,
@@ -43,6 +44,7 @@ __all__ = [
     "compositions",
     "num_compositions",
     "EhrenfestProcess",
+    "geometric_weights",
     "CoordinateCoupling",
     "coupling_time_samples",
     "multinomial_pmf",
@@ -56,7 +58,6 @@ __all__ = [
     "exact_mixing_time",
     "empirical_state_tv",
     "BiasedWalkSpec",
-    "ReflectedWalk",
     "expected_absorption_time",
     "symmetric_interval_win_probability",
     "gamblers_ruin_win_probability",

@@ -35,9 +35,28 @@ import numpy as np
 
 from repro.markov.chain import FiniteMarkovChain
 from repro.markov.distributions import multinomial_pmf_over_space
+from repro.markov.random_walks import paper_absorption_bound
 from repro.markov.state_space import CompositionSpace, num_compositions
 from repro.utils import as_generator, check_positive_int
 from repro.utils.errors import InvalidParameterError
+
+
+def geometric_weights(k: int, lam: float) -> np.ndarray:
+    """The cell weights ``p_j = λ^{j-1} / Σ_i λ^{i-1}``, ``j = 1..k``.
+
+    Theorem 2.4's stationary weights (and, with ``λ = (1−β)/β``, those of
+    Theorem 2.7).  Computed in log space and divided through by the
+    largest power, so they stay finite for large ``λ`` and ``k``.  A
+    ``λ`` that is not positive and finite is refused.
+    """
+    k = check_positive_int("k", k)
+    if not 0 < lam < math.inf:
+        raise InvalidParameterError(
+            f"lam must be positive and finite, got {lam!r}")
+    logs = np.arange(k, dtype=float) * math.log(lam)
+    logs -= logs.max()
+    weights = np.exp(logs)
+    return weights / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -99,15 +118,10 @@ class EhrenfestProcess:
     def stationary_weights(self) -> np.ndarray:
         """The per-urn weights ``p_j = λ^{j-1} / Σ_i λ^{i-1}`` (Theorem 2.4).
 
-        Computed in a normalized way that stays finite for large ``λ`` and
-        ``k`` (divide through by the largest power).
+        Also the stationary law of a single ball, i.e. of the process at
+        ``m = 1`` (the lazy reflected walk on ``{1..k}``).
         """
-        exponents = np.arange(self.k, dtype=float)
-        log_lam = math.log(self.lam)
-        logs = exponents * log_lam
-        logs -= logs.max()
-        weights = np.exp(logs)
-        return weights / weights.sum()
+        return geometric_weights(self.k, self.lam)
 
     def stationary_distribution(self, space: CompositionSpace | None = None) -> np.ndarray:
         """Exact stationary PMF over ``Delta_k^m`` (multinomial, Theorem 2.4)."""
@@ -325,13 +339,10 @@ class EhrenfestProcess:
 
         ``Φ = min{k/|a−b|, k²}·m`` when ``a ≠ b`` and ``k²·m`` when
         ``a = b``; the coupling time is below ``2Φ·log(4m)`` with
-        probability at least 3/4.
+        probability at least 3/4.  The per-ball factor is Lemma A.5's
+        absorption bound.
         """
-        if math.isclose(self.a, self.b):
-            per_ball = float(self.k ** 2)
-        else:
-            per_ball = min(self.k / abs(self.a - self.b), float(self.k ** 2))
-        return per_ball * self.m
+        return paper_absorption_bound(self.k, self.a, self.b) * self.m
 
     def mixing_time_upper_bound(self) -> float:
         """The paper's coupling upper bound ``2Φ·log(4m)`` (Lemma A.8)."""

@@ -1,14 +1,14 @@
-"""Biased lazy random walks: absorption, gambler's ruin, reflected walks.
+"""Biased lazy random walks: absorption and gambler's ruin.
 
 Appendix A.4.1 reduces the coupling analysis to a single lazy biased walk
 ``{Z_t}`` on ``{-k, ..., k}`` started at 0 and absorbed at ``±k``
 (Propositions A.6/A.7).  This module provides the closed forms from the
 paper's martingale argument — absorption probabilities via the exponential
 martingale ``(b/a)^{Z_t}`` and expected absorption times via the linear and
-quadratic martingales — together with exact simulators for cross-validation,
-plus the reflected walk on ``{1..k}`` that a single coupled coordinate
-follows (whose stationary law ``π_j ∝ λ^{j-1}`` is exactly the per-ball
-marginal of Theorem 2.4).
+quadratic martingales — together with exact simulators for cross-validation.
+The reflected walk on ``{1..k}`` that a single coupled coordinate follows
+is the one-ball Ehrenfest process,
+:class:`~repro.markov.ehrenfest.EhrenfestProcess` with ``m = 1``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.markov.chain import FiniteMarkovChain
 from repro.utils import as_generator, check_positive_int
 from repro.utils.errors import InvalidParameterError
 
@@ -146,65 +143,3 @@ def simulate_absorption_time(k: int, a: float, b: float, seed=None,
                 return t, position
     raise InvalidParameterError(
         f"walk not absorbed within {max_steps} steps; raise max_steps")
-
-
-class ReflectedWalk:
-    """Lazy biased walk on ``{1..k}`` with truncation at both ends.
-
-    A single ball of the coordinate Ehrenfest chain (conditioned on its
-    selection times) follows exactly this walk.  Its stationary distribution
-    is the birth–death law ``π_j ∝ λ^{j-1}`` — the per-ball marginal of the
-    multinomial in Theorem 2.4.
-    """
-
-    def __init__(self, k: int, a: float, b: float):
-        self.k = check_positive_int("k", k, minimum=2)
-        self.spec = BiasedWalkSpec(a, b)
-
-    def stationary_distribution(self) -> np.ndarray:
-        """``π_j = λ^{j-1} / Σ_i λ^{i-1}``."""
-        logs = np.arange(self.k, dtype=float) * math.log(self.spec.lam)
-        logs -= logs.max()
-        weights = np.exp(logs)
-        return weights / weights.sum()
-
-    def transition_matrix(self) -> np.ndarray:
-        """Dense ``k×k`` kernel with truncated boundary moves."""
-        a, b = self.spec.a, self.spec.b
-        P = np.zeros((self.k, self.k))
-        for j in range(self.k):
-            up = a if j < self.k - 1 else 0.0
-            down = b if j > 0 else 0.0
-            if j < self.k - 1:
-                P[j, j + 1] = a
-            if j > 0:
-                P[j, j - 1] = b
-            P[j, j] = 1.0 - up - down
-        return P
-
-    def chain(self) -> FiniteMarkovChain:
-        """Wrap the kernel in a :class:`FiniteMarkovChain`."""
-        return FiniteMarkovChain(self.transition_matrix(),
-                                 state_labels=list(range(1, self.k + 1)))
-
-    def simulate(self, start: int, steps: int, seed=None) -> np.ndarray:
-        """Simulate a trajectory of length ``steps + 1`` starting at ``start``."""
-        start = check_positive_int("start", start, minimum=1)
-        if start > self.k:
-            raise InvalidParameterError(f"start={start} exceeds k={self.k}")
-        steps = check_positive_int("steps", steps, minimum=0)
-        rng = as_generator(seed)
-        a, b = self.spec.a, self.spec.b
-        path = np.empty(steps + 1, dtype=np.int64)
-        path[0] = start
-        position = start
-        uniforms = rng.random(steps)
-        for t, u in enumerate(uniforms):
-            if u < a:
-                if position < self.k:
-                    position += 1
-            elif u < a + b:
-                if position > 1:
-                    position -= 1
-            path[t + 1] = position
-        return path

@@ -10,7 +10,8 @@ This package holds the protocol abstraction
 (:class:`PopulationProtocol`, :class:`TransitionFunctionProtocol` for a
 protocol given as a plain function), the pair laws re-exported from
 :mod:`repro.engine`, and :class:`Simulator`, the protocol facade over the
-engine backends.
+engine backends (its ``run`` returns the engine's
+:class:`~repro.engine.EngineResult`).
 """
 
 from repro.population.protocol import (
@@ -18,7 +19,7 @@ from repro.population.protocol import (
     TransitionFunctionProtocol,
 )
 from repro.population.scheduler import RandomScheduler, WeightedScheduler
-from repro.population.simulator import SimulationResult, Simulator
+from repro.population.simulator import Simulator
 
 __all__ = [
     "PopulationProtocol",
@@ -26,5 +27,4 @@ __all__ = [
     "RandomScheduler",
     "WeightedScheduler",
     "Simulator",
-    "SimulationResult",
 ]

@@ -18,39 +18,11 @@ distribution but orders of magnitude faster — use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.engine import build_engine, make_law, protocol_model
+from repro.engine import EngineResult, build_engine, make_law, protocol_model
 from repro.population.protocol import PopulationProtocol
 from repro.utils import check_int_array
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of a simulation run.
-
-    Attributes
-    ----------
-    states:
-        Final per-agent state array of length ``n``.
-    counts:
-        Final state-count vector of length ``n_states``.
-    steps:
-        Number of interactions executed.
-    converged:
-        Whether the stop predicate fired (``False`` when it never did or no
-        predicate was given).
-    observations:
-        ``(step, counts)`` snapshots collected by the observer, if any.
-    """
-
-    states: np.ndarray
-    counts: np.ndarray
-    steps: int
-    converged: bool
-    observations: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 class Simulator:
@@ -107,8 +79,13 @@ class Simulator:
 
     def run(self, max_steps: int, stop_when=None,
             observe_every: int | None = None,
-            check_stop_every: int = 1, observe=None) -> SimulationResult:
+            check_stop_every: int = 1, observe=None) -> EngineResult:
         """Execute up to ``max_steps`` interactions.
+
+        Returns the engine's :class:`~repro.engine.base.EngineResult`:
+        final ``states`` and ``counts``, the engine's cumulative
+        ``steps``, whether the stop predicate fired (``converged``) and
+        the ``observations``.
 
         Parameters
         ----------
@@ -129,14 +106,10 @@ class Simulator:
             :class:`~repro.engine.observe.ObserverSink`, or a spec string
             like ``"jsonl:PATH"`` (see :mod:`repro.engine.observe`).
         """
-        result = self._backend.run(max_steps, stop_when=stop_when,
-                                   observe_every=observe_every,
-                                   check_stop_every=check_stop_every,
-                                   observe=observe)
-        return SimulationResult(states=result.states, counts=result.counts,
-                                steps=result.steps,
-                                converged=result.converged,
-                                observations=result.observations)
+        return self._backend.run(max_steps, stop_when=stop_when,
+                                 observe_every=observe_every,
+                                 check_stop_every=check_stop_every,
+                                 observe=observe)
 
     def outputs(self) -> list:
         """Current per-agent outputs under the protocol's output map.

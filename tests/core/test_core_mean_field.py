@@ -137,3 +137,23 @@ class TestAgentLevelAgreement:
         shares = PopulationShares(alpha=0.5, beta=0.0, gamma=0.5)
         with pytest.raises(InvalidParameterError):
             igt_mean_field(shares, GenerosityGrid(k=3, g_max=0.5), 100)
+
+
+class TestOneEmbedding:
+    """The mean field and the facade read the embedding rates from one
+    function each, so their generators agree to the last bit."""
+
+    @pytest.mark.parametrize("n", [20, 37, 60, 100, 257, 1000, 4099,
+                                   10_007, 33_333, 65_537, 100_003])
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.2, 0.3, 0.45, 0.7])
+    def test_generators_agree_bit_for_bit(self, n, beta):
+        shares = PopulationShares(alpha=0.1, beta=beta, gamma=0.9 - beta)
+        grid = GenerosityGrid(k=4, g_max=0.6)
+        for exact in (True, False):
+            A, m = igt_mean_field(shares, grid, n, exact=exact)
+            process = IGTSimulation(
+                n=n, shares=shares, grid=grid, seed=0, backend="count",
+            ).equivalent_ehrenfest(exact=exact)
+            assert m == process.m
+            assert np.array_equal(
+                A, drift_generator(grid.k, process.a, process.b))

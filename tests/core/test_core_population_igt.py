@@ -397,12 +397,28 @@ class TestEhrenfestEmbedding:
     def test_strict_embedding_lower_bias(self, shares, grid):
         sim = IGTSimulation(n=100, shares=shares, grid=grid, seed=0,
                             mode="strict")
-        strict_process = sim.strict_equivalent_ehrenfest()
+        strict_process = sim.equivalent_ehrenfest()
         assert strict_process.lam == pytest.approx((50 - 1) / 20)
         assert strict_process.lam < (100 - 1 - 20) / 20
 
     def test_strict_mode_rejects_standard_embedding(self, shares, grid):
+        """Strict mode answers with its own rates, finite n only."""
         sim = IGTSimulation(n=100, shares=shares, grid=grid, seed=0,
                             mode="strict")
-        with pytest.raises(InvalidParameterError):
+        standard = IGTSimulation(n=100, shares=shares, grid=grid, seed=0)
+        strict_process = sim.equivalent_ehrenfest()
+        exact = standard.equivalent_ehrenfest()
+        assert strict_process.b == exact.b
+        assert strict_process.a < exact.a
+        with pytest.raises(InvalidParameterError, match="finite-n"):
+            sim.equivalent_ehrenfest(exact=False)
+
+    def test_action_mode_has_no_embedding(self, shares, grid):
+        """The action rule's decrement probability depends on both
+        players' strategies, so no single Ehrenfest process describes
+        its counts; strategy mode's is not returned in its place."""
+        setting = RDSetting(b=4.0, c=1.0, delta=0.5, s1=0.5)
+        sim = IGTSimulation(n=60, shares=shares, grid=grid, seed=0,
+                            mode="action", setting=setting)
+        with pytest.raises(InvalidParameterError, match="mode='action'"):
             sim.equivalent_ehrenfest()

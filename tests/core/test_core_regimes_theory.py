@@ -16,14 +16,12 @@ from repro.core.regimes import (
     theorem_2_9_g_max_bound,
 )
 from repro.core.theory import (
-    ehrenfest_phi,
     igt_mixing_lower_bound,
     igt_mixing_upper_bound,
-    mixing_lower_bound_interactions,
-    mixing_upper_bound_interactions,
     per_agent_state_count,
     theorem_2_9_epsilon_rate,
 )
+from repro.markov.ehrenfest import EhrenfestProcess
 from repro.utils import InvalidParameterError
 
 
@@ -121,25 +119,28 @@ class TestEffectiveMargin:
 
 
 class TestTheoryBounds:
+    """The bounds are EhrenfestProcess methods; igt_* evaluate them."""
+
     def test_phi_branches(self):
-        assert ehrenfest_phi(4, 0.5, 0.1, 10) == pytest.approx(100.0)
-        assert ehrenfest_phi(10, 0.35, 0.3, 5) == pytest.approx(
+        assert EhrenfestProcess(4, 0.5, 0.1, 10).phi() == pytest.approx(100.0)
+        assert EhrenfestProcess(10, 0.35, 0.3, 5).phi() == pytest.approx(
             min(10 / 0.05, 100) * 5)
-        assert ehrenfest_phi(4, 0.3, 0.3, 10) == pytest.approx(160.0)
+        assert EhrenfestProcess(4, 0.3, 0.3, 10).phi() == pytest.approx(160.0)
 
     def test_phi_rejects_bad_rates(self):
         with pytest.raises(InvalidParameterError):
-            ehrenfest_phi(4, 0.0, 0.3, 10)
+            EhrenfestProcess(4, 0.0, 0.3, 10)
         with pytest.raises(InvalidParameterError):
-            ehrenfest_phi(4, 0.8, 0.3, 10)
+            EhrenfestProcess(4, 0.8, 0.3, 10)
 
     def test_upper_bound_constant(self):
-        value = mixing_upper_bound_interactions(3, 0.4, 0.2, 8)
-        assert value == pytest.approx(
-            2 * ehrenfest_phi(3, 0.4, 0.2, 8) * math.log(32))
+        process = EhrenfestProcess(3, 0.4, 0.2, 8)
+        assert process.mixing_time_upper_bound() == pytest.approx(
+            2 * process.phi() * math.log(32))
 
     def test_lower_bound(self):
-        assert mixing_lower_bound_interactions(4, 10) == 20.0
+        assert EhrenfestProcess(4, 0.4, 0.2, 10).mixing_time_lower_bound() \
+            == 20.0
 
     def test_igt_bounds_consistent_with_ehrenfest(self):
         shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
@@ -147,8 +148,13 @@ class TestTheoryBounds:
         upper = igt_mixing_upper_bound(3, shares, n)
         a, b = 0.5 * 0.8, 0.5 * 0.2
         assert upper == pytest.approx(
-            mixing_upper_bound_interactions(3, a, b, 100))
+            EhrenfestProcess(3, a, b, 100).mixing_time_upper_bound())
         assert igt_mixing_lower_bound(3, shares, n) == pytest.approx(150.0)
+
+    def test_igt_lower_accepts_beta_zero(self):
+        """The diameter bound needs no AD agent: ``k·m/2`` at ``β = 0``."""
+        shares = PopulationShares(alpha=0.5, beta=0.0, gamma=0.5)
+        assert igt_mixing_lower_bound(3, shares, 100) == 75.0
 
     def test_igt_upper_requires_beta(self):
         shares = PopulationShares(alpha=0.5, beta=0.0, gamma=0.5)

@@ -8,7 +8,7 @@ play), the :class:`PairMixtureTableModel` law, and the assembled
 import numpy as np
 import pytest
 
-from repro.engine import PairMixtureTableModel, igt_action_model
+from repro.engine import PairMixtureTableModel, igt_action_model, igt_model
 from repro.core.igt import GenerosityGrid
 from repro.games.repeated import (
     RepeatedGameEngine,
@@ -22,6 +22,16 @@ from repro.games.strategies import (
     win_stay_lose_shift,
 )
 from repro.utils import InvalidParameterError
+
+
+class _ConstantUniforms:
+    """A stand-in generator whose uniform draws all equal ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
 
 
 class TestAlwaysDefectProbability:
@@ -142,6 +152,28 @@ class TestIgtActionModel:
         # AC/AD initiators never move.
         inert = model.inert_states
         assert inert is not None and inert[4] and inert[5]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_tables_read_every_partner_as_ad_or_not(self, k, small_setting):
+        """The decrement and increment tables are the standard k-IGT
+        table with every partner read as AD, and as non-AD."""
+        standard = igt_model(k).table
+        s = k + 2
+        # Every non-AD column of the standard table reads the same.
+        assert (standard[:, :k + 1, 0] == standard[:, :1, 0]).all()
+        model = igt_action_model(GenerosityGrid(k=k, g_max=0.5),
+                                 small_setting)
+        initiators = np.repeat(np.arange(s), s)
+        responders = np.tile(np.arange(s), s)
+        for draw, column in ((-1.0, k + 1), (2.0, k)):
+            # A uniform draw below every pair probability always takes
+            # the decrement ("read as AD") table; one above, never.
+            rng = _ConstantUniforms(draw)
+            new_u, new_v = model.apply(initiators, responders, rng)
+            assert np.array_equal(new_u.reshape(s, s),
+                                  np.repeat(standard[:, column:column + 1, 0],
+                                            s, axis=1))
+            assert np.array_equal(new_v.reshape(s, s), standard[:, :, 1])
 
     def test_classification_matches_rule(self, small_setting):
         grid = GenerosityGrid(k=3, g_max=0.5)

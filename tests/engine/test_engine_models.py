@@ -180,6 +180,31 @@ class TestAdapters:
         flipped = model.component_tables[1]
         assert flipped[1, 4, 0] == 2  # AD read as non-AD: increments
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_igt_tables_match_the_loop_reference(self, k):
+        """The vectorized tables equal a per-pair reading of
+        Definition 2.1 (with the strict variant and a flipped reading)."""
+
+        def reference(strict, flipped):
+            table = np.empty((k + 2, k + 2, 2), dtype=np.int64)
+            for u in range(k + 2):
+                for v in range(k + 2):
+                    new_u = u
+                    if u < k:
+                        if (v == k + 1) != flipped:
+                            new_u = max(u - 1, 0)
+                        elif not (strict and v == k):
+                            new_u = min(u + 1, k - 1)
+                    table[u, v] = new_u, v
+            return table
+
+        assert np.array_equal(igt_model(k).table, reference(False, False))
+        assert np.array_equal(igt_model(k, mode="strict").table,
+                              reference(True, False))
+        base, flipped = igt_model(k, observation_noise=0.1).component_tables
+        assert np.array_equal(base, reference(False, False))
+        assert np.array_equal(flipped, reference(False, True))
+
     def test_igt_validation(self):
         with pytest.raises(InvalidParameterError):
             igt_model(1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import bootstrap_confidence_interval
-from repro.core.equilibrium import RDSetting
+from repro.core.equilibrium import RDSetting, mean_stationary_mu
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.generosity import generosity_closed_form
 from repro.core.igt import GenerosityGrid
@@ -20,9 +20,11 @@ from repro.core.mean_field import (
 )
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.core.regimes import theorem_2_9_delta_bound, theorem_2_9_g_max_bound
+from repro.engine import igt_update
 from repro.games.base import MatrixGame
 from repro.games.nash import symmetric_de_gap
 from repro.markov.chain import FiniteMarkovChain
+from repro.markov.ehrenfest import geometric_weights
 from repro.markov.random_walks import simulate_absorption_time
 from repro.population.protocol import TransitionFunctionProtocol
 from repro.utils import ConvergenceError, InvalidParameterError
@@ -38,6 +40,15 @@ def igt(**kwargs) -> IGTSimulation:
 
 
 CORE_REFUSALS = [
+    pytest.param(lambda: igt_update(4, 4, reads_ad=False),
+                 "index must lie in 0..3, got 4", id="igt-update-index-high"),
+    pytest.param(lambda: igt_update(np.array([0, -3]), 4, reads_ad=True),
+                 "index must lie in 0..3, got -3",
+                 id="igt-update-index-negative"),
+    pytest.param(lambda: igt_update(1.5, 4, reads_ad=False),
+                 "index must hold integers", id="igt-update-index-float"),
+    pytest.param(lambda: mean_stationary_mu(3, lam=float("inf")),
+                 "lam must be positive and finite", id="mean-mu-lam-inf"),
     pytest.param(lambda: igt(initial_indices="corner"),
                  "unknown initial_indices spec", id="igt-start-spec"),
     pytest.param(lambda: igt(initial_indices=np.full(10, 9)),
@@ -63,15 +74,23 @@ CORE_REFUSALS = [
                  .equivalent_ehrenfest(),
                  "degenerate embedding", id="embedding-degenerate"),
     pytest.param(lambda: igt(mode="strict", weights="twoclass")
-                 .strict_equivalent_ehrenfest(),
+                 .equivalent_ehrenfest(),
                  "uniform scheduler", id="strict-weighted"),
     pytest.param(lambda: igt(mode="strict", topology="ring")
-                 .strict_equivalent_ehrenfest(),
+                 .equivalent_ehrenfest(),
                  "complete-graph", id="strict-topology"),
     pytest.param(lambda: igt(mode="strict",
                              shares=PopulationShares(0.5, 0.0, 0.5))
-                 .strict_equivalent_ehrenfest(),
+                 .equivalent_ehrenfest(),
                  "at least one AD", id="strict-no-ad"),
+    pytest.param(lambda: igt(mode="strict").equivalent_ehrenfest(
+        exact=False),
+                 "finite-n rates only", id="strict-idealized"),
+    pytest.param(lambda: igt(mode="action",
+                             setting=RDSetting(4.0, 1.0, 0.5, 0.5))
+                 .equivalent_ehrenfest(),
+                 "mode='action' has no Ehrenfest embedding",
+                 id="embedding-action"),
     pytest.param(lambda: theorem_2_9_delta_bound(4.0, 1.0, 1.0, SHARES),
                  "s1 < 1", id="delta-bound-s1"),
     pytest.param(lambda: theorem_2_9_g_max_bound(
@@ -115,6 +134,14 @@ GAMES_AND_MARKOV_REFUSALS = [
     pytest.param(lambda: simulate_absorption_time(6, 0.01, 0.01, seed=0,
                                                   max_steps=5),
                  "not absorbed within 5 steps", id="walk-budget"),
+    pytest.param(lambda: geometric_weights(3, 0.0),
+                 "lam must be positive and finite", id="weights-lam-zero"),
+    pytest.param(lambda: geometric_weights(3, float("inf")),
+                 "lam must be positive and finite", id="weights-lam-inf"),
+    pytest.param(lambda: geometric_weights(3, float("nan")),
+                 "lam must be positive and finite", id="weights-lam-nan"),
+    pytest.param(lambda: geometric_weights(0, 2.0),
+                 "k must be >= 1", id="weights-k-zero"),
     pytest.param(lambda: TransitionFunctionProtocol(0, lambda u, v: (u, v)),
                  "at least 1", id="protocol-no-states"),
     pytest.param(lambda: bootstrap_confidence_interval([]),

@@ -127,10 +127,10 @@ class TestTheoryConsistency:
 
     def test_phi_continuity_at_equal_rates(self):
         """Phi is continuous as a -> b (k/|a-b| branch exceeds k^2)."""
-        from repro.core.theory import ehrenfest_phi
+        from repro.markov.ehrenfest import EhrenfestProcess
 
-        near = ehrenfest_phi(4, 0.3 + 1e-12, 0.3, 10)
-        at = ehrenfest_phi(4, 0.3, 0.3, 10)
+        near = EhrenfestProcess(4, 0.3 + 1e-12, 0.3, 10).phi()
+        at = EhrenfestProcess(4, 0.3, 0.3, 10).phi()
         assert near == pytest.approx(at)
 
     def test_mixing_bounds_sandwich_order_all_regimes(self):

@@ -17,7 +17,6 @@ from repro.markov.chain import FiniteMarkovChain
 from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.mixing import exact_mixing_time
 from repro.markov.random_walks import (
-    ReflectedWalk,
     expected_absorption_time,
     gamblers_ruin_win_probability,
     symmetric_interval_win_probability,
@@ -164,7 +163,9 @@ class TestMixingTimeOracles:
 
     @pytest.mark.parametrize("k, a, b", [(5, 0.3, 0.2), (8, 0.25, 0.25)])
     def test_reflected_walk_within_relaxation_bounds(self, k, a, b):
-        chain = ReflectedWalk(k, a, b).chain()
+        """One ball of the Ehrenfest process is the reflected walk."""
+        chain = EhrenfestProcess(k=k, a=a, b=b, m=1).exact_chain()
+        chain = FiniteMarkovChain(chain.dense())
         lower, upper = relaxation_bounds(chain, 0.25)
         assert lower <= exact_mixing_time(chain) <= math.ceil(upper)
 

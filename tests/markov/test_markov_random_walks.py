@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.random_walks import (
     BiasedWalkSpec,
-    ReflectedWalk,
     expected_absorption_time,
     gamblers_ruin_win_probability,
     paper_absorption_bound,
@@ -129,45 +129,63 @@ class TestGamblersRuin:
         assert all(probs[i] < probs[i + 1] for i in range(10))
 
 
+def one_ball(k, a, b):
+    """The ``m = 1`` process and the urn (0-based) of each exact-chain state.
+
+    One ball's position is the lazy reflected walk on ``{1..k}`` that a
+    single coupled coordinate follows.
+    """
+    process = EhrenfestProcess(k=k, a=a, b=b, m=1)
+    return process, [state.index(1) for state in process.space().states]
+
+
 class TestReflectedWalk:
+    """The reflected walk on ``{1..k}`` is the one-ball Ehrenfest process."""
+
     def test_stationary_matches_birth_death_solve(self):
-        walk = ReflectedWalk(5, 0.4, 0.2)
-        pi_formula = walk.stationary_distribution()
-        pi_solved = walk.chain().stationary_distribution()
-        assert np.allclose(pi_formula, pi_solved, atol=1e-10)
+        process, urns = one_ball(5, 0.4, 0.2)
+        solved = process.exact_chain().stationary_distribution()
+        assert np.allclose(process.stationary_weights()[urns], solved,
+                           atol=1e-10)
 
     def test_stationary_is_per_ball_marginal_of_theorem_2_4(self):
-        """A single coupled coordinate has the Theorem 2.4 cell weights."""
-        from repro.markov.ehrenfest import EhrenfestProcess
-
-        process = EhrenfestProcess(k=4, a=0.4, b=0.2, m=7)
-        walk = ReflectedWalk(4, 0.4, 0.2)
-        assert np.allclose(walk.stationary_distribution(),
-                           process.stationary_weights())
+        """One ball's weights are each ball's marginal at any ``m``."""
+        many = EhrenfestProcess(k=4, a=0.4, b=0.2, m=7)
+        solved = many.exact_chain().stationary_distribution()
+        marginal = solved @ np.array(many.space().states) / 7
+        process, _ = one_ball(4, 0.4, 0.2)
+        assert np.allclose(process.stationary_weights(), marginal,
+                           atol=1e-10)
 
     def test_detailed_balance(self):
-        walk = ReflectedWalk(4, 0.35, 0.15)
-        assert walk.chain().satisfies_detailed_balance(
-            walk.stationary_distribution(), atol=1e-12)
+        process, urns = one_ball(4, 0.35, 0.15)
+        assert process.exact_chain().satisfies_detailed_balance(
+            process.stationary_weights()[urns], atol=1e-12)
 
     def test_kernel_rows(self):
-        P = ReflectedWalk(3, 0.3, 0.2).transition_matrix()
+        process, urns = one_ball(3, 0.3, 0.2)
+        P = process.transition_matrix(sparse=False)
         assert np.allclose(P.sum(axis=1), 1.0)
-        assert P[0, 0] == pytest.approx(0.7)  # no down-move at the bottom
-        assert P[2, 2] == pytest.approx(0.8)  # no up-move at the top
+        bottom, top = urns.index(0), urns.index(2)
+        assert P[bottom, bottom] == pytest.approx(0.7)  # no down-move
+        assert P[top, top] == pytest.approx(0.8)  # no up-move
 
     def test_simulate_stays_in_range(self, rng):
-        path = ReflectedWalk(4, 0.4, 0.2).simulate(2, 500, seed=rng)
-        assert path.min() >= 1 and path.max() <= 4
+        process, _ = one_ball(4, 0.4, 0.2)
+        path = process.simulate_counts((0, 1, 0, 0), 500, seed=rng,
+                                       observe_every=1)
+        assert path.shape == (501, 4)
+        assert path.min() >= 0 and (path.sum(axis=1) == 1).all()
 
     def test_simulate_occupancy_matches_stationary(self, rng):
-        walk = ReflectedWalk(3, 0.4, 0.2)
-        path = walk.simulate(1, 60_000, seed=rng)
-        occupancy = np.bincount(path[1000:] - 1, minlength=3) \
-            / (path.size - 1000)
-        assert np.allclose(occupancy, walk.stationary_distribution(),
+        process, _ = one_ball(3, 0.4, 0.2)
+        path = process.simulate_counts((1, 0, 0), 60_000, seed=rng,
+                                       observe_every=1)
+        occupancy = path[1000:].mean(axis=0)
+        assert np.allclose(occupancy, process.stationary_weights(),
                            atol=0.02)
 
     def test_bad_start_raises(self, rng):
+        process, _ = one_ball(3, 0.4, 0.2)
         with pytest.raises(InvalidParameterError):
-            ReflectedWalk(3, 0.4, 0.2).simulate(4, 10, seed=rng)
+            process.simulate_counts((0, 0, 0, 1), 10, seed=rng)

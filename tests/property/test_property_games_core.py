@@ -10,8 +10,9 @@ from repro.core.generosity import (
     average_stationary_generosity,
     generosity_closed_form,
 )
-from repro.core.igt import AgentType, GenerosityGrid, IGTRule
+from repro.core.igt import AgentType, GenerosityGrid
 from repro.core.population_igt import PopulationShares
+from repro.engine import igt_update
 from repro.games.closed_forms import (
     payoff_gtft_vs_ac,
     payoff_gtft_vs_ad,
@@ -73,35 +74,41 @@ class TestPayoffProperties:
 
 
 class TestIGTRuleProperties:
+    """Properties of the k-IGT rule's one implementation, igt_update."""
+
     @given(k=st.integers(min_value=2, max_value=12),
            index=st.integers(min_value=0, max_value=11),
-           partner=st.sampled_from(list(AgentType)))
+           partner=st.sampled_from(list(AgentType)),
+           strict=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_rule_stays_on_grid_and_moves_one(self, k, index, partner):
+    def test_rule_stays_on_grid_and_moves_one(self, k, index, partner,
+                                              strict):
         if index >= k:
             return
-        rule = IGTRule(GenerosityGrid(k=k, g_max=0.8))
-        new = rule.next_index(index, partner)
+        new = int(igt_update(index, k, reads_ad=partner == AgentType.AD,
+                             partner_ac=partner == AgentType.AC,
+                             strict=strict))
         assert 0 <= new < k
         assert abs(new - index) <= 1
 
     @given(k=st.integers(min_value=2, max_value=12),
-           index=st.integers(min_value=0, max_value=11))
+           index=st.integers(min_value=0, max_value=11),
+           strict=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_ad_never_increases(self, k, index):
+    def test_ad_never_increases(self, k, index, strict):
         if index >= k:
             return
-        rule = IGTRule(GenerosityGrid(k=k, g_max=0.8))
-        assert rule.next_index(index, AgentType.AD) <= index
+        assert igt_update(index, k, reads_ad=True, strict=strict) <= index
 
     @given(k=st.integers(min_value=2, max_value=12),
-           index=st.integers(min_value=0, max_value=11))
+           index=st.integers(min_value=0, max_value=11),
+           strict=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_ac_never_decreases(self, k, index):
+    def test_ac_never_decreases(self, k, index, strict):
         if index >= k:
             return
-        rule = IGTRule(GenerosityGrid(k=k, g_max=0.8))
-        assert rule.next_index(index, AgentType.AC) >= index
+        assert igt_update(index, k, reads_ad=False, partner_ac=True,
+                          strict=strict) >= index
 
 
 class TestStationaryProperties:

@@ -11,7 +11,6 @@ from repro.markov.distributions import (
 )
 from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.random_walks import (
-    ReflectedWalk,
     expected_absorption_time,
     gamblers_ruin_win_probability,
     symmetric_interval_win_probability,
@@ -166,7 +165,9 @@ class TestRandomWalkProperties:
     @given(k=st.integers(min_value=2, max_value=6), ab=rates)
     @settings(max_examples=25, deadline=None)
     def test_reflected_walk_stationary_solves_chain(self, k, ab):
+        """One ball of the Ehrenfest process is the reflected walk."""
         a, b = ab
-        walk = ReflectedWalk(k, a, b)
-        chain = walk.chain()
-        assert chain.is_stationary(walk.stationary_distribution(), atol=1e-9)
+        walk = EhrenfestProcess(k=k, a=a, b=b, m=1)
+        urns = [state.index(1) for state in walk.space().states]
+        assert walk.exact_chain().is_stationary(
+            walk.stationary_weights()[urns], atol=1e-9)
