@@ -18,7 +18,7 @@ per-interaction loops:
   backend's per-interaction generic loop behind ``IGTSimulation``, and
   the count backend's vectorized chain.
 * ``epidemic`` — a generic 3-state one-way protocol; seed baseline: the
-  seed ``Simulator`` table loop.
+  seed simulator's table loop.
 * ``igt-weighted`` — the heterogeneous-activity extension: the same
   k-IGT dynamics under a power-law ``WeightedScheduler``.  Cases: the
   agent backend's kernel fed weighted pair blocks (alias-table draws),
@@ -97,21 +97,18 @@ from repro.core.igt import AgentType  # noqa: E402
 from repro.engine import (  # noqa: E402
     AgentBackend,
     CountBackend,
+    GraphScheduler,
     ImitationModel,
     LogitResponseModel,
     WeightedCountBackend,
+    WeightedScheduler,
     igt_action_model,
     igt_model,
-    protocol_model,
     resolve_backend,
     weights_from_spec,
 )
 from repro.engine import dispatch  # noqa: E402
 from repro.engine.topology import ring_graph  # noqa: E402
-from repro.population.scheduler import (  # noqa: E402
-    GraphScheduler,
-    WeightedScheduler,
-)
 
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 HISTORY = OUTPUT.parent / "BENCH_history.jsonl"
@@ -159,7 +156,7 @@ def crossover_n(points) -> int:
 # Seed baselines: the pre-engine per-interaction loops, frozen.
 # ----------------------------------------------------------------------
 def seed_simulator_loop(states, table, steps, rng):
-    """The seed ``Simulator.run`` inner loop (per-interaction, NumPy)."""
+    """The seed simulator's ``run`` inner loop (per-interaction, NumPy)."""
     n = states.size
     counts = np.bincount(states, minlength=table.shape[0]).astype(np.int64)
     block = 65536
@@ -484,10 +481,9 @@ def main(argv=None) -> None:
                                           seed=1).run(steps), n_repeats))
 
         # --- generic epidemic protocol -------------------------------
-        model = protocol_model(EPIDEMIC)
         states = epidemic_states(n)
         if with_seed_loops and n <= 100_000:
-            table = EPIDEMIC.transition_table()
+            table = EPIDEMIC.table
             rng = np.random.default_rng(0)
             scratch = states.copy()
             baseline = steps / timed(
@@ -496,12 +492,12 @@ def main(argv=None) -> None:
         else:
             baseline = None
         record("epidemic", "agent", n, steps,
-               timed(lambda: AgentBackend(model, states, seed=1).run(steps),
-                     n_repeats),
+               timed(lambda: AgentBackend(EPIDEMIC, states,
+                                          seed=1).run(steps), n_repeats),
                baseline)
         start_counts = np.bincount(states, minlength=3)
         record("epidemic", "count", n, steps,
-               timed(lambda: CountBackend(model, start_counts,
+               timed(lambda: CountBackend(EPIDEMIC, start_counts,
                                           seed=1).run(steps), n_repeats),
                baseline)
 

@@ -15,7 +15,7 @@ from bench_workloads import EPIDEMIC, GRID, epidemic_states, igt_counts
 from repro.core.equilibrium import RDSetting, payoff_table
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.engine import AgentBackend, CountBackend, igt_model, protocol_model
+from repro.engine import AgentBackend, CountBackend, igt_model
 from repro.games.donation import DonationGame
 from repro.games.repeated import RepeatedGameEngine
 from repro.games.strategies import generous_tit_for_tat
@@ -95,7 +95,7 @@ def test_engine_agent_backend_epidemic_n1e5(benchmark):
     states = epidemic_states(100_000)
 
     def run():
-        backend = AgentBackend(protocol_model(EPIDEMIC), states, seed=1)
+        backend = AgentBackend(EPIDEMIC, states, seed=1)
         return backend.run(200_000).counts
 
     counts = benchmark(run)
@@ -107,7 +107,7 @@ def test_engine_count_backend_epidemic_n1e5(benchmark):
     start = np.bincount(epidemic_states(100_000), minlength=3)
 
     def run():
-        backend = CountBackend(protocol_model(EPIDEMIC), start, seed=1)
+        backend = CountBackend(EPIDEMIC, start, seed=1)
         return backend.run(200_000).counts
 
     counts = benchmark(run)

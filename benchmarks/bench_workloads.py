@@ -13,14 +13,14 @@ default ``testpaths`` and ``test_*.py`` pattern skip it), and running
 import numpy as np
 
 from repro.core.igt import GenerosityGrid
-from repro.population.protocol import TransitionFunctionProtocol
+from repro.engine import TableModel
 
 #: The paper's headline workload: k-IGT on a k = 8 generosity grid.
 GRID = GenerosityGrid(k=8, g_max=0.6)
 
-#: Generic 3-state one-way protocol (epidemic of the maximum).
-EPIDEMIC = TransitionFunctionProtocol(
-    n_states=3, fn=lambda u, v: (max(u, v), v))
+#: Generic 3-state one-way protocol (epidemic of the maximum): the
+#: initiator takes the larger of the two states, the responder keeps its own.
+EPIDEMIC = TableModel([[(max(u, v), v) for v in range(3)] for u in range(3)])
 
 
 def igt_states(n: int) -> np.ndarray:

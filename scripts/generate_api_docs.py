@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.engine",
     "repro.markov",
     "repro.games",
-    "repro.population",
     "repro.analysis",
     "repro.experiments",
     "repro.params",

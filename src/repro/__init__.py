@@ -10,17 +10,16 @@ Protocol Model* (PODC 2024, arXiv:2307.07297), built as a reusable library:
   games declare a pairwise interaction model once, and interchangeable
   backends execute it — per-agent (:class:`~repro.engine.AgentBackend`) or
   exact count-level (:class:`~repro.engine.CountBackend`, practical to
-  ``n = 10^7`` and beyond).  The k-IGT update rule is written once there,
-  as :func:`~repro.engine.igt_update`.
+  ``n = 10^7`` and beyond).  A population protocol is a
+  :class:`~repro.engine.TableModel` over its transition table, and the
+  pair laws (uniform, weighted, graph) live there too.  The k-IGT update
+  rule is written once there, as :func:`~repro.engine.igt_update`.
 * :mod:`repro.markov` — ``(k, a, b, m)``-Ehrenfest processes and the exact
   Markov-chain analysis the paper's bounds rest on (stationary laws,
   mixing times, couplings, random walks, cutoff profiles).
 * :mod:`repro.games` — repeated donation games, memory-one and
   zero-determinant strategies, exact expected payoffs, tournaments, and
-  Nash/distributional-equilibrium utilities.
-* :mod:`repro.population` — the population-protocol model: the protocol
-  abstraction, the pair laws, and the :class:`~repro.population.Simulator`
-  facade.
+  the distributional-equilibrium gap of symmetric games.
 * :mod:`repro.analysis` — statistics and table rendering for the
   experiment reports.
 * :mod:`repro.experiments` — one module per paper artifact (E1–E16)
@@ -56,7 +55,6 @@ from repro.core import (
     igt_mixing_lower_bound,
     igt_mixing_upper_bound,
     igt_stationary_weights,
-    is_epsilon_de,
     mean_stationary_mu,
     theorem_2_9_conditions,
     tradeoff_table,
@@ -68,7 +66,6 @@ from repro.engine import (
     igt_model,
     igt_update,
     matrix_game_model,
-    protocol_model,
 )
 from repro.games import (
     DonationGame,
@@ -87,7 +84,6 @@ from repro.markov import (
     FiniteMarkovChain,
     total_variation,
 )
-from repro.population import Simulator
 
 __version__ = "1.0.0"
 
@@ -108,7 +104,6 @@ __all__ = [
     "generosity_closed_form",
     "generosity_lower_bound",
     "de_gap",
-    "is_epsilon_de",
     "igt_mixing_upper_bound",
     "igt_mixing_lower_bound",
     "tradeoff_table",
@@ -116,7 +111,6 @@ __all__ = [
     "AgentBackend",
     "CountBackend",
     "EngineResult",
-    "protocol_model",
     "igt_model",
     "igt_update",
     "matrix_game_model",
@@ -135,6 +129,4 @@ __all__ = [
     "CompositionSpace",
     "CoordinateCoupling",
     "total_variation",
-    # population
-    "Simulator",
 ]

@@ -65,12 +65,6 @@ def format_table(headers, rows, title: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def format_records(records, columns, title: str | None = None) -> str:
-    """Render a list of dict records selecting the given columns."""
-    rows = [[record.get(c) for c in columns] for record in records]
-    return format_table(columns, rows, title=title)
-
-
 def sparkline(values) -> str:
     """Compress a numeric series into a unicode sparkline string."""
     data = [float(v) for v in values]

@@ -30,9 +30,6 @@
 from repro.core.equilibrium import (
     RDSetting,
     de_gap,
-    expected_payoff_vs_mixture,
-    induced_full_distribution,
-    is_epsilon_de,
     mean_stationary_mu,
     payoff_table,
 )
@@ -63,7 +60,6 @@ from repro.core.stationary import (
     igt_lambda,
     igt_stationary_weights,
     noisy_igt_lambda,
-    stationary_count_distribution,
 )
 from repro.core.theory import igt_mixing_lower_bound, igt_mixing_upper_bound
 from repro.core.tradeoffs import TradeoffRow, tradeoff_table
@@ -75,16 +71,12 @@ __all__ = [
     "PopulationShares",
     "RDSetting",
     "payoff_table",
-    "expected_payoff_vs_mixture",
-    "induced_full_distribution",
     "de_gap",
-    "is_epsilon_de",
     "mean_stationary_mu",
     "igt_lambda",
     "igt_stationary_weights",
     "noisy_igt_lambda",
     "igt_ehrenfest_parameters",
-    "stationary_count_distribution",
     "average_stationary_generosity",
     "generosity_closed_form",
     "generosity_lower_bound",

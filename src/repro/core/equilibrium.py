@@ -1,8 +1,8 @@
 """Distributional equilibria for RD games on ``(α, β, γ)`` populations.
 
-Implements Definition 1.2 and the machinery of Theorem 2.9: the induced
-full-population distribution ``µ̂`` (eq. 3), the expected payoff of a GTFT
-strategy against a population mixture, the DE gap
+Implements Definition 1.2 and the machinery of Theorem 2.9: the expected
+payoff of each grid strategy against the induced full-population
+distribution ``µ̂ = (γ·µ, α, β)`` (eq. 3), the DE gap
 
     ``Ψ(µ) = max_{g'∈G} E_{S~µ̂}[f(g', S)] − E_{g~µ, S~µ̂}[f(g, S)]``
 
@@ -114,43 +114,6 @@ def payoff_table(grid: GenerosityGrid, setting: RDSetting) -> np.ndarray:
     return table
 
 
-def induced_full_distribution(mu, shares: PopulationShares) -> np.ndarray:
-    """The induced distribution ``µ̂`` over ``S`` (eq. 3).
-
-    Ordered to match :func:`payoff_table` ids:
-    ``µ̂ = (γ·µ_1, ..., γ·µ_k, α, β)``.
-    """
-    mu = check_probability_vector("mu", mu)
-    return np.concatenate([shares.gamma * mu, [shares.alpha, shares.beta]])
-
-
-def expected_payoff_vs_mixture(g: float, mu, grid: GenerosityGrid,
-                               setting: RDSetting,
-                               shares: PopulationShares) -> float:
-    """``E_{S~µ̂}[f(g, S)]`` for a (possibly off-grid) generosity value ``g``.
-
-    ``= α·f(g, AC) + β·f(g, AD) + γ·Σ_j µ_j f(g, g_j)`` with the closed
-    forms of Appendix B.
-    """
-    mu = check_probability_vector("mu", mu)
-    if mu.size != grid.k:
-        raise InvalidParameterError(
-            f"mu must have k={grid.k} entries, got {mu.size}")
-    check_probability("g", g)
-    b, c, delta, s1 = setting.b, setting.c, setting.delta, setting.s1
-    value = shares.alpha * payoff_gtft_vs_ac(g, b, c, delta, s1)
-    value += shares.beta * payoff_gtft_vs_ad(g, b, c, delta, s1)
-    gp = grid.values
-    one = 1.0 - s1
-    joint = delta**2 * (1.0 - g) * (1.0 - gp)
-    denominator = 1.0 - joint
-    f_gtft = (s1 * (b - c) + (b - c) * delta / (1.0 - delta)
-              + c * one * (joint + delta * (1.0 - g)) / denominator
-              - b * one * (joint + delta * (1.0 - gp)) / denominator)
-    value += shares.gamma * float(mu @ f_gtft)
-    return value
-
-
 def grid_payoffs_vs_mixture(mu, grid: GenerosityGrid, setting: RDSetting,
                             shares: PopulationShares) -> np.ndarray:
     """Vector ``F`` with ``F[i] = E_{S~µ̂}[f(g_i, S)]`` for every grid value."""
@@ -177,35 +140,6 @@ def de_gap(mu, grid: GenerosityGrid, setting: RDSetting,
     payoffs = grid_payoffs_vs_mixture(mu, grid, setting, shares)
     mu = check_probability_vector("mu", mu)
     return float(np.max(payoffs) - mu @ payoffs)
-
-
-def continuous_de_gap(mu, grid: GenerosityGrid, setting: RDSetting,
-                      shares: PopulationShares) -> float:
-    """DE gap when deviations range over the *continuous* interval ``[0, ĝ]``.
-
-    Stronger than the grid gap of Definition 1.2 (every grid value is
-    feasible), so ``continuous_de_gap >= de_gap``; the ``O(1/k)`` rate
-    survives because the grid is ``ĝ/(k−1)``-dense and ``f`` is Lipschitz
-    in ``g``.
-    """
-    from scipy.optimize import minimize_scalar
-
-    mu = check_probability_vector("mu", mu)
-    payoffs = grid_payoffs_vs_mixture(mu, grid, setting, shares)
-    expected = float(mu @ payoffs)
-
-    result = minimize_scalar(
-        lambda g: -expected_payoff_vs_mixture(g, mu, grid, setting, shares),
-        bounds=(0.0, grid.g_max), method="bounded",
-        options={"xatol": 1e-10})
-    best = max(-float(result.fun), float(np.max(payoffs)))
-    return best - expected
-
-
-def is_epsilon_de(mu, epsilon: float, grid: GenerosityGrid,
-                  setting: RDSetting, shares: PopulationShares) -> bool:
-    """Whether ``µ`` is an ε-approximate DE (Definition 1.2)."""
-    return de_gap(mu, grid, setting, shares) <= epsilon + 1e-12
 
 
 def mean_stationary_mu(k: int, beta: float = None, lam: float = None) -> np.ndarray:

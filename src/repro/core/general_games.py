@@ -20,9 +20,9 @@ simple local rules:
   payoffs against its partner's strategy (temperature ``eta``) — a smoothed
   best response that keeps the chain irreducible.
 
-:func:`de_gap_trajectory` tracks the Definition 1.1 gap of the empirical
-strategy distribution over time — the quantity Experiment E14(iv) reports
-for the hawk–dove game.
+:meth:`PopulationGameSimulation.de_gap` reads the Definition 1.1 gap of
+the empirical strategy distribution — the quantity Experiment E14(iv)
+reports for the hawk–dove game.
 
 The update rules are declared once as engine interaction models
 (:func:`repro.engine.matrix_game_model`) and ``run()`` executes them on
@@ -192,26 +192,6 @@ class PopulationGameSimulation:
     def run(self, steps: int) -> None:
         """Execute ``steps`` interactions on the configured backend."""
         self._engine.run(check_positive_int("steps", steps, minimum=0))
-
-
-def de_gap_trajectory(simulation: PopulationGameSimulation, steps: int,
-                      observe_every: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run a simulation recording the DE gap every ``observe_every`` steps.
-
-    Returns ``(steps_axis, gaps)`` including the initial state.
-    """
-    steps = check_positive_int("steps", steps, minimum=0)
-    observe_every = check_positive_int("observe_every", observe_every)
-    points = steps // observe_every
-    axis = np.empty(points + 1, dtype=np.int64)
-    gaps = np.empty(points + 1)
-    axis[0] = simulation.steps_run
-    gaps[0] = simulation.de_gap()
-    for p in range(points):
-        simulation.run(observe_every)
-        axis[p + 1] = simulation.steps_run
-        gaps[p + 1] = simulation.de_gap()
-    return axis, gaps
 
 
 def hawk_dove_game(value: float = 2.0, cost: float = 4.0) -> MatrixGame:

@@ -66,39 +66,3 @@ def generosity_lower_bound(k: int, beta: float, g_max: float) -> float:
             f"Corollary C.1 requires beta < 1/2 (lambda > 1), got "
             f"beta={beta!r}")
     return g_max * (1.0 - 1.0 / ((lam - 1.0) * (k - 1)))
-
-
-def stationary_generosity_variance(k: int, beta: float, g_max: float,
-                                   m: int) -> float:
-    """Variance of the average-generosity statistic under stationarity.
-
-    With ``z ~ Multinomial(m, p)``, ``Var[(1/m)Σ g_j z_j]
-    = (1/m)·(Σ g_j² p_j − (Σ g_j p_j)²)`` — useful for sizing simulation
-    tolerances in the validation experiments.
-    """
-    m = check_positive_int("m", m, minimum=1)
-    grid = GenerosityGrid(k=k, g_max=g_max)
-    weights = igt_stationary_weights(k, beta)
-    mean = float(grid.values @ weights)
-    second = float((grid.values**2) @ weights)
-    return (second - mean**2) / m
-
-
-def single_agent_generosity_variance(k: int, beta: float, g_max: float) -> float:
-    """``Var_{g~µ}[g]`` for a single agent drawn from the stationary mixture.
-
-    Proposition D.2 bounds this by ``16/(k−1)²`` under the Theorem 2.9
-    regime (``λ >= 2``, ``ĝ <= 1``); the exact value here is what the DE
-    proof's Taylor remainder actually pays.
-    """
-    grid = GenerosityGrid(k=k, g_max=g_max)
-    weights = igt_stationary_weights(k, beta)
-    mean = float(grid.values @ weights)
-    second = float((grid.values**2) @ weights)
-    return second - mean**2
-
-
-def proposition_d2_variance_bound(k: int) -> float:
-    """The Proposition D.2 bound ``16/(k−1)²`` on ``Var_{g~µ}[g]``."""
-    k = check_positive_int("k", k, minimum=2)
-    return 16.0 / (k - 1) ** 2

@@ -128,15 +128,3 @@ def igt_mean_field(shares: PopulationShares, grid: GenerosityGrid,
         raise InvalidParameterError("the mean field needs at least one AD agent")
     a, b = shares.finite_n_rates(n) if exact else shares.idealized_rates()
     return drift_generator(grid.k, a, b), float(m)
-
-
-def mean_generosity_trajectory(k: int, a: float, b: float, z0,
-                               grid: GenerosityGrid, steps: int,
-                               observe_every: int = 1) -> np.ndarray:
-    """Expected average-generosity trajectory along the mean flow."""
-    if grid.k != k:
-        raise InvalidParameterError(
-            f"grid has k={grid.k}, expected {k}")
-    trajectory = mean_trajectory_discrete(k, a, b, z0, steps, observe_every)
-    m = float(np.asarray(z0, dtype=float).sum())
-    return trajectory @ grid.values / m

@@ -13,9 +13,7 @@ import numpy as np
 
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
-from repro.markov.distributions import multinomial_pmf_over_space
 from repro.markov.ehrenfest import EhrenfestProcess, geometric_weights
-from repro.markov.state_space import CompositionSpace
 from repro.utils import check_positive_int
 from repro.utils.errors import InvalidParameterError
 
@@ -87,25 +85,3 @@ def igt_ehrenfest_process(shares: PopulationShares, n: int,
     """The ``(k, γ(1−β), γβ, γn)``-Ehrenfest process of the count chain."""
     a, b, m = igt_ehrenfest_parameters(shares, n)
     return EhrenfestProcess(k=grid.k, a=a, b=b, m=m)
-
-
-def stationary_count_distribution(k: int, beta: float, m: int,
-                                  space: CompositionSpace | None = None) -> np.ndarray:
-    """Exact stationary PMF of the count vector over ``Delta_k^m``.
-
-    The multinomial of Theorem 2.7, evaluated over a (possibly shared)
-    composition space.
-    """
-    m = check_positive_int("m", m, minimum=1)
-    if space is None:
-        space = CompositionSpace(m, k)
-    if space.m != m or space.k != k:
-        raise InvalidParameterError(
-            f"space has (m={space.m}, k={space.k}), expected (m={m}, k={k})")
-    return multinomial_pmf_over_space(space, igt_stationary_weights(k, beta))
-
-
-def expected_stationary_counts(k: int, beta: float, m: int) -> np.ndarray:
-    """``E[π_j] = m·p_j`` — the expected stationary counts per grid value."""
-    m = check_positive_int("m", m, minimum=1)
-    return m * igt_stationary_weights(k, beta)

@@ -49,13 +49,3 @@ def per_agent_state_count(k: int) -> int:
     (Section 2.5): the required local state space grows linearly in ``k``.
     """
     return check_positive_int("k", k, minimum=2)
-
-
-def theorem_2_9_epsilon_rate(k: int, constant: float = 1.0) -> float:
-    """The Theorem 2.9 approximation guarantee shape ``ε = C/k``.
-
-    The paper proves ``ε = O(1/k)`` without an explicit constant; the
-    benchmarks fit ``C`` empirically and verify it stays bounded in ``k``.
-    """
-    k = check_positive_int("k", k, minimum=2)
-    return constant / k

@@ -50,7 +50,6 @@ from repro.engine.adapters import (
     igt_model,
     igt_update,
     matrix_game_model,
-    protocol_model,
 )
 from repro.engine.agent import AgentBackend
 from repro.engine.base import (
@@ -151,7 +150,6 @@ __all__ = [
     "LogitResponseModel",
     "ImitationModel",
     "ProductStateModel",
-    "protocol_model",
     "igt_model",
     "igt_update",
     "igt_action_model",

@@ -2,10 +2,10 @@
 
 The engine layer inverts the seed architecture: protocols and games no
 longer own simulation loops — they declare their transition law once,
-through these factories, and either backend executes it.
+through these factories, and either backend executes it.  A plain
+population protocol needs no factory: its ``(S, S, 2)`` transition table
+is a :class:`~repro.engine.model.TableModel` as it is.
 
-* :func:`protocol_model` — any :class:`~repro.population.protocol
-  .PopulationProtocol` via its dense transition table.
 * :func:`igt_update` — the k-IGT rule itself (Definition 2.1), the one
   implementation every k-IGT table below and Experiment E1 evaluate.
 * :func:`igt_model` — the paper's k-IGT dynamics on an ``(α, β, γ)``
@@ -36,11 +36,6 @@ from repro.engine.model import (
 )
 from repro.utils import check_positive_int, check_probability
 from repro.utils.errors import InvalidParameterError
-
-
-def protocol_model(protocol) -> TableModel:
-    """The engine model of a population protocol (its ``δ`` table)."""
-    return TableModel(protocol.transition_table())
 
 
 def igt_update(index, k: int, reads_ad, partner_ac=False,

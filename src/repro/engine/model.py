@@ -42,17 +42,23 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.utils import check_probability_vector
+from repro.utils import check_int_array, check_probability_vector
 from repro.utils.errors import InvalidParameterError
 
 
 def _check_table(table, n_states=None) -> np.ndarray:
-    """Validate a joint transition table and return it as ``int64``."""
-    table = np.asarray(table, dtype=np.int64)
+    """Validate a joint transition table and return it as ``int64``.
+
+    Entries pass by :func:`~repro.utils.check_int_array`'s rule: bools,
+    NaN and non-integral values are refused, not truncated by a cast.
+    """
+    table = np.asarray(table)
     if table.ndim != 3 or table.shape[2] != 2 \
             or table.shape[0] != table.shape[1]:
         raise InvalidParameterError(
             f"transition table must have shape (S, S, 2), got {table.shape}")
+    table = check_int_array("transition table",
+                            table.ravel()).reshape(table.shape)
     s = table.shape[0]
     if n_states is not None and s != n_states:
         raise InvalidParameterError(

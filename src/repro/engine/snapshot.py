@@ -33,8 +33,7 @@ The byte format (v2)
 --------------------
 
 ``magic | sha256 | header length | header | frames``: an 8-byte magic
-prefix (a v1 document is JSON and starts with ``{``, the magic never
-does), the SHA-256 of everything after it, the header's byte length as
+prefix, the SHA-256 of everything after it, the header's byte length as
 a little-endian ``uint64``, a JSON header (sorted keys, compact
 separators) holding the kind, the version and the payload with every
 ndarray replaced by a frame reference (its dtype, stored dtype, shape
@@ -47,8 +46,9 @@ smallest of ``uint8``/``uint16``/``uint32`` that holds its maximum
 (``uint8`` for every state array of the paper's workloads) and widened
 back to its own dtype on load; every other array is stored as it is.
 Narrowing depends only on values, so ``to_bytes(from_bytes(b)) == b``
-on every host.  Version 1 documents (checksummed JSON with base64
-arrays) are still read, never written.
+on every host.  Only v2 is read: any other document, version 1's
+checksummed JSON included, is refused as not a snapshot, and
+:meth:`SnapshotStore.load` then falls back as it does for a torn file.
 
 The bit-for-bit contract
 ------------------------
@@ -82,14 +82,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.observe import ObserverSink, as_sink
+from repro.utils import check_positive_int
 from repro.utils.errors import (
     InvalidParameterError,
     InvariantError,
     ReproError,
 )
 
-#: The snapshot byte format written by :meth:`SnapshotState.to_bytes`;
-#: :meth:`SnapshotState.from_bytes` also reads version 1 and refuses
+#: The snapshot byte format written by :meth:`SnapshotState.to_bytes`
+#: and the only one :meth:`SnapshotState.from_bytes` reads; it refuses
 #: every other version loudly instead of misinterpreting bytes.
 SNAPSHOT_VERSION = 2
 
@@ -112,28 +113,8 @@ class SnapshotError(ReproError, RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Array codecs: v2 frames, and the v1 base64 encoding
+# Array codec: v2 frames
 # ----------------------------------------------------------------------
-def encode_array(array: np.ndarray) -> dict:
-    """The v1 encoding of an ndarray (dtype/shape/base64 in JSON)."""
-    array = np.ascontiguousarray(array)
-    return {
-        "__ndarray__": base64.b64encode(array.tobytes()).decode("ascii"),
-        "dtype": str(array.dtype),
-        "shape": [int(size) for size in array.shape],
-    }
-
-
-def decode_array(document: dict) -> np.ndarray:
-    """Inverse of :func:`encode_array` (returns a fresh writable array)."""
-    try:
-        raw = base64.b64decode(document["__ndarray__"], validate=True)
-        array = np.frombuffer(raw, dtype=document["dtype"])
-        return array.reshape(document["shape"]).copy()
-    except (KeyError, TypeError, ValueError) as error:
-        raise SnapshotError(f"malformed array payload: {error}") from error
-
-
 def _stored_dtype(array: np.ndarray) -> np.dtype:
     """The little-endian dtype ``array`` is stored in (see the module doc)."""
     if array.dtype.kind in "iu" and array.size and array.min() >= 0:
@@ -184,16 +165,15 @@ def _frame_array(reference: dict, frames: memoryview) -> np.ndarray:
     return raw.reshape(shape).astype(reference["dtype"])
 
 
-def _decoded(value, marker: str, decode):
-    """``value`` with every dict holding ``marker`` replaced by ``decode``
-    of it (the v2 frame references, or the v1 base64 arrays)."""
+def _decoded(value, decode):
+    """``value`` with every frame reference (a dict holding
+    ``__frame__``) replaced by ``decode`` of it."""
     if isinstance(value, dict):
-        if marker in value:
+        if "__frame__" in value:
             return decode(value)
-        return {key: _decoded(item, marker, decode)
-                for key, item in value.items()}
+        return {key: _decoded(item, decode) for key, item in value.items()}
     if isinstance(value, list):
-        return [_decoded(item, marker, decode) for item in value]
+        return [_decoded(item, decode) for item in value]
     return value
 
 
@@ -299,9 +279,7 @@ class SnapshotState:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SnapshotState":
-        """Decode and verify a v2 or v1 document; torn/corrupt input raises."""
-        if data[:1] == b"{":
-            return cls._from_v1(data)
+        """Decode and verify a v2 document; torn/corrupt input raises."""
         if data[:len(_MAGIC)] != _MAGIC:
             raise SnapshotError("not a snapshot document (bad magic prefix)")
         view = memoryview(data)
@@ -318,37 +296,13 @@ class SnapshotState:
                     f"snapshot version {document.get('version')!r} is not "
                     f"supported (expected {SNAPSHOT_VERSION})")
             frames = view[start + length:]
-            payload = _decoded(document["payload"], "__frame__",
+            payload = _decoded(document["payload"],
                                lambda ref: _frame_array(ref, frames))
             return cls(kind=document["kind"], payload=payload)
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
                 AttributeError, KeyError, TypeError, ValueError) as error:
             raise SnapshotError(
                 f"malformed snapshot document: {error}") from error
-
-    @classmethod
-    def _from_v1(cls, data: bytes) -> "SnapshotState":
-        """Read a version-1 document (checksummed JSON, base64 arrays)."""
-        try:
-            outer = json.loads(data.decode("utf-8"))
-            checksum = outer["checksum"]
-            body = outer["body"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                TypeError) as error:
-            raise SnapshotError(
-                f"torn or malformed snapshot document: {error}") from error
-        actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if actual != checksum:
-            raise SnapshotError(
-                "snapshot checksum mismatch (torn or corrupted write)")
-        document = json.loads(body)
-        if document.get("version") != 1:
-            raise SnapshotError(
-                f"snapshot version {document.get('version')!r} is not "
-                f"supported (expected {SNAPSHOT_VERSION})")
-        return cls(kind=document["kind"],
-                   payload=_decoded(document["payload"], "__ndarray__",
-                                    decode_array))
 
     def to_wire(self) -> str:
         """Base64 of :meth:`to_bytes`: the fabric ``/snapshot`` wire form."""
@@ -675,6 +629,8 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     raises :class:`~repro.utils.errors.InvariantError` naming the step
     otherwise — before a corrupt state can be checkpointed.
     """
+    if observe_every is not None:
+        observe_every = check_positive_int("observe_every", observe_every)
     if channel is None:
         channel = current_channel()
     if observe is not None and observe_every is None:
@@ -686,7 +642,6 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     start = int(simulation.steps_run)
     stream = None
     if observe_every is not None:
-        observe_every = int(observe_every)
         segment_steps = -(-segment_steps // observe_every) * observe_every
         stream = _SegmentStreamSink(as_sink(observe), observe_every, start)
     target = start + int(max_steps)

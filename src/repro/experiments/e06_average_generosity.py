@@ -7,12 +7,12 @@ average generosity after burn-in.
 
 The ``weights`` parameter adds a **heterogeneous-activity variant**
 (``--set weights=powerlaw`` / ``twoclass:4``): pairs are scheduled
-weight-proportionally (:class:`~repro.population.scheduler
-.WeightedScheduler`), and the theory column generalizes — each GTFT
-agent ``i`` performs a lazy ±1 walk whose bias is the *weight share* of
-AD among the other agents, ``λ_i = (W − w_i − W_AD)/W_AD``, so the
-stationary average generosity is the GTFT-population mean of the
-Proposition 2.8 value at ``β_i = W_AD/(W − w_i)``.  Uniform weights
+weight-proportionally (:class:`~repro.engine.WeightedScheduler`), and
+the theory column generalizes — each GTFT agent ``i`` performs a lazy
+±1 walk whose bias is the *weight share* of AD among the other agents,
+``λ_i = (W − w_i − W_AD)/W_AD``, so the stationary average generosity
+is the GTFT-population mean of the Proposition 2.8 value at
+``β_i = W_AD/(W − w_i)``.  Uniform weights
 recover the paper's formula exactly; the check that simulation matches
 this weighted theory is precisely the scheduler-robustness claim of the
 heterogeneous extension.
@@ -20,7 +20,7 @@ heterogeneous extension.
 The ``topology`` parameter adds the **graph-restricted variant**
 (``--set topology=ring`` / ``grid`` / ``smallworld:0.1``): pairs are
 drawn uniformly from the directed edges of an interaction graph
-(:class:`~repro.population.scheduler.GraphScheduler`), and the theory
+(:class:`~repro.engine.GraphScheduler`), and the theory
 column becomes the exact *quenched per-vertex* generalization — GTFT
 agent ``i``'s walk moves down exactly when its sampled neighbor is AD,
 so its bias is ``β_i = (#AD neighbors of i) / deg(i)`` and the

@@ -6,35 +6,26 @@ memory-one/reactive families they live in), a Monte Carlo engine for repeated
 donation games with the δ-restart rule and optional execution noise, the
 exact expected payoffs ``f(S1, S2)`` via the absorbing-chain formula
 ``q₁(I − δM)^{-1}v`` (eq. 33), the paper's closed forms (eqs. 44–46) and
-payoff derivatives (eqs. 47/57), and classical Nash/equilibrium utilities
-that ground the distributional-equilibrium concept (Definition 1.1).
+payoff derivative (eq. 47), tournaments and zero-determinant strategies,
+and the distributional-equilibrium gap of a symmetric game
+(Definition 1.1).
 """
 
 from repro.games.base import Action, GAME_STATES, MatrixGame
 from repro.games.closed_forms import (
-    expected_payoff_closed_form,
     payoff_gtft_vs_ac,
     payoff_gtft_vs_ad,
     payoff_gtft_vs_gtft,
     payoff_derivative_in_g,
-    payoff_second_derivative_in_g,
     proposition_2_2_conditions,
 )
-from repro.games.donation import DonationGame, PrisonersDilemma
+from repro.games.donation import DonationGame
 from repro.games.expected_payoff import (
-    expected_game_length,
     expected_payoff,
     expected_payoff_pair,
     joint_action_chain,
 )
-from repro.games.nash import (
-    best_response_payoff,
-    distributional_equilibrium_gap,
-    is_epsilon_distributional_equilibrium,
-    is_epsilon_nash,
-    pure_nash_equilibria,
-    symmetric_de_gap,
-)
+from repro.games.nash import symmetric_de_gap
 from repro.games.repeated import GameRecord, RepeatedGameEngine, monte_carlo_payoff
 from repro.games.tournament import Tournament, TournamentResult
 from repro.games.zd import (
@@ -62,7 +53,6 @@ __all__ = [
     "GAME_STATES",
     "MatrixGame",
     "DonationGame",
-    "PrisonersDilemma",
     "MemoryOneStrategy",
     "reactive",
     "always_cooperate",
@@ -77,21 +67,13 @@ __all__ = [
     "monte_carlo_payoff",
     "expected_payoff",
     "expected_payoff_pair",
-    "expected_game_length",
     "joint_action_chain",
-    "expected_payoff_closed_form",
     "payoff_gtft_vs_ac",
     "payoff_gtft_vs_ad",
     "payoff_gtft_vs_gtft",
     "payoff_derivative_in_g",
-    "payoff_second_derivative_in_g",
     "proposition_2_2_conditions",
-    "best_response_payoff",
-    "is_epsilon_nash",
-    "pure_nash_equilibria",
-    "distributional_equilibrium_gap",
     "symmetric_de_gap",
-    "is_epsilon_distributional_equilibrium",
     "Tournament",
     "TournamentResult",
     "zd_strategy",

@@ -37,11 +37,6 @@ GAME_STATES: tuple[tuple[Action, Action], ...] = (
 )
 
 
-def state_index(first: Action, second: Action) -> int:
-    """Index of the joint state ``(first, second)`` in :data:`GAME_STATES`."""
-    return 2 * int(first) + int(second)
-
-
 class MatrixGame:
     """A two-player game in normal form.
 

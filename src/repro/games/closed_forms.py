@@ -1,9 +1,9 @@
 """The paper's closed-form expected payoffs and derivatives (Appendix B).
 
 Exact expressions for a GTFT agent's expected repeated-donation-game payoff
-against each opponent type (eqs. 44–46), the first and second derivatives in
-the generosity parameter (eqs. 47 and 57), and the Proposition 2.2 regime
-checks establishing that the k-IGT update rule is locally optimal.
+against each opponent type (eqs. 44–46), its derivative in the generosity
+parameter (eq. 47), and the Proposition 2.2 regime checks establishing
+that the k-IGT update rule is locally optimal.
 
 All functions cross-validate (in the test suite) against the generic
 matrix-resolvent computation in :mod:`repro.games.expected_payoff` and
@@ -72,24 +72,6 @@ def payoff_gtft_vs_gtft(g: float, g_prime: float, b: float, c: float,
     return value
 
 
-def expected_payoff_closed_form(g: float, opponent, b: float, c: float,
-                                delta: float, s1: float) -> float:
-    """Dispatch ``f(g, S)`` for ``S`` in ``{"AC", "AD"}`` or a generosity value.
-
-    ``opponent`` may be the string ``"AC"`` or ``"AD"``, or a float
-    ``g′ ∈ [0, 1]`` denoting a GTFT opponent.
-    """
-    if isinstance(opponent, str):
-        label = opponent.upper()
-        if label == "AC":
-            return payoff_gtft_vs_ac(g, b, c, delta, s1)
-        if label == "AD":
-            return payoff_gtft_vs_ad(g, b, c, delta, s1)
-        raise InvalidParameterError(
-            f"opponent must be 'AC', 'AD', or a generosity value, got {opponent!r}")
-    return payoff_gtft_vs_gtft(g, float(opponent), b, c, delta, s1)
-
-
 def payoff_derivative_in_g(g: float, g_prime: float, b: float, c: float,
                            delta: float, s1: float) -> float:
     """``d/dg f(g, g′)`` (eq. 47).
@@ -107,37 +89,6 @@ def payoff_derivative_in_g(g: float, g_prime: float, b: float, c: float,
     numerator_b = b * (-(delta**2) * (1.0 - g_prime)
                        - delta**3 * (1.0 - g_prime) ** 2)
     return one * (numerator_c - numerator_b) / denominator
-
-
-def payoff_second_derivative_in_g(g: float, g_prime: float, b: float, c: float,
-                                  delta: float, s1: float) -> float:
-    """``d²/dg² f(g, g′)`` (eq. 57) — used for the Taylor bound ``L``."""
-    _validate_common(b, c, delta, s1)
-    check_probability("g", g)
-    check_probability("g_prime", g_prime)
-    one = 1.0 - s1
-    base = 1.0 - delta**2 * (1.0 - g_prime) * (1.0 - g)
-    term_c = c * 2.0 * delta**3 * (1.0 - g_prime) * (1.0 + delta * (1.0 - g_prime))
-    term_b = b * 2.0 * delta**4 * (1.0 - g_prime) ** 2 * (1.0 + delta * (1.0 - g_prime))
-    return one * (term_c - term_b) / base**3
-
-
-def second_derivative_uniform_bound(b: float, c: float, delta: float,
-                                    s1: float, g_max: float) -> float:
-    """A concrete constant ``L`` with ``|d²f/dg²| <= L`` on ``[0, ĝ]²``.
-
-    Proposition D.3 shows such an ``L`` exists; from eqs. (58)–(59) the
-    magnitudes are bounded by
-    ``(1 − s1)·max(2cδ³(1+δ), 2bδ⁴(1+δ)) / (1 − δ²)³`` (worst case
-    ``g = g′ = 0``).
-    """
-    _validate_common(b, c, delta, s1)
-    check_in_range("g_max", g_max, 0.0, 1.0)
-    one = 1.0 - s1
-    denominator = (1.0 - delta**2) ** 3
-    upper = c * 2.0 * delta**3 * (1.0 + delta)
-    lower = b * 2.0 * delta**4 * (1.0 + delta)
-    return one * max(upper, lower) / denominator
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Donation games and general prisoner's dilemma reward structures.
+"""The donation game, the paper's prisoner's dilemma reward structure.
 
 The donation game (Section 1.1.2) is the most important subclass of
 prisoner's dilemma rewards: cooperating *donates* a benefit ``b`` to the
@@ -65,50 +65,3 @@ class DonationGame(MatrixGame):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DonationGame(b={self.b}, c={self.c})"
-
-
-class PrisonersDilemma(MatrixGame):
-    """A general (symmetric) prisoner's dilemma with payoffs ``T > R > P > S``.
-
-    Conventional labels: Reward ``R`` (CC), Sucker ``S`` (CD), Temptation
-    ``T`` (DC), Punishment ``P`` (DD).  The donation game is the special case
-    ``R = b − c, S = −c, T = b, P = 0``.
-    """
-
-    def __init__(self, reward: float, sucker: float, temptation: float,
-                 punishment: float):
-        if not (temptation > reward > punishment > sucker):
-            raise InvalidParameterError(
-                "prisoner's dilemma requires T > R > P > S, got "
-                f"T={temptation!r}, R={reward!r}, P={punishment!r}, S={sucker!r}")
-        if not 2 * reward > temptation + sucker:
-            raise InvalidParameterError(
-                "prisoner's dilemma requires 2R > T + S so that mutual "
-                "cooperation beats alternation")
-        self.reward = float(reward)
-        self.sucker = float(sucker)
-        self.temptation = float(temptation)
-        self.punishment = float(punishment)
-        matrix = np.array([[self.reward, self.sucker],
-                           [self.temptation, self.punishment]])
-        super().__init__(matrix, row_labels=["C", "D"], col_labels=["C", "D"])
-
-    @property
-    def reward_vector(self) -> np.ndarray:
-        """First-player payoffs ``[R, S, T, P]`` over ``(CC, CD, DC, DD)``."""
-        return np.array([self.reward, self.sucker, self.temptation,
-                         self.punishment])
-
-    @property
-    def second_player_reward_vector(self) -> np.ndarray:
-        """Second-player payoffs ``[R, T, S, P]`` over ``(CC, CD, DC, DD)``."""
-        return np.array([self.reward, self.temptation, self.sucker,
-                         self.punishment])
-
-    @classmethod
-    def from_donation(cls, b: float, c: float) -> "PrisonersDilemma":
-        """The PD induced by a donation game with benefit ``b``, cost ``c > 0``."""
-        if not b > c > 0:
-            raise InvalidParameterError(
-                f"donation-form PD requires b > c > 0, got b={b!r}, c={c!r}")
-        return cls(reward=b - c, sucker=-c, temptation=b, punishment=0.0)

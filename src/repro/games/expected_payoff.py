@@ -85,22 +85,3 @@ def expected_payoff_pair(first: MemoryOneStrategy, second: MemoryOneStrategy,
     q1, resolvent = _resolvent(first, second, delta)
     weights = q1 @ resolvent
     return float(weights @ v1), float(weights @ v2)
-
-
-def expected_game_length(delta: float) -> float:
-    """Expected number of rounds ``1/(1 − δ)`` under the restart rule."""
-    if not 0.0 <= delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in [0, 1), got {delta!r}")
-    return 1.0 / (1.0 - delta)
-
-
-def discounted_state_occupancy(first: MemoryOneStrategy,
-                               second: MemoryOneStrategy,
-                               delta: float) -> np.ndarray:
-    """Expected per-state visit counts ``q₁ (I − δM)^{-1}``.
-
-    Entry ``s`` is the expected number of rounds spent in joint state ``s``
-    over the whole repeated game; the entries sum to ``1/(1 − δ)``.
-    """
-    q1, resolvent = _resolvent(first, second, delta)
-    return q1 @ resolvent

@@ -1,84 +1,19 @@
-"""Classical equilibrium utilities and the distributional-equilibrium gap.
+"""The distributional-equilibrium gap of a symmetric game (Definition 1.1).
 
-Definition 1.1 casts the paper's distributional equilibrium as an approximate
-symmetric mixed Nash equilibrium whose mixture is the empirical distribution
-of pure strategies in the population.  This module provides the general
-finite-game machinery: best responses, ε-Nash checks for bimatrix games, pure
-equilibrium enumeration, and the DE gap of Definition 1.1 for arbitrary
-utility matrices.
+Definition 1.1 casts the paper's distributional equilibrium as an
+approximate symmetric mixed Nash equilibrium whose mixture is the
+empirical distribution of pure strategies in the population.  For a
+symmetric game both players' deviation gaps coincide, so the gap needs
+only the row player's matrix; the general-game dynamics
+(:mod:`repro.core.general_games`) and Experiment E14 read it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.games.base import MatrixGame
 from repro.utils import check_probability_vector
 from repro.utils.errors import InvalidParameterError
-
-
-def best_response_payoff(payoff_matrix, opponent_mixed) -> float:
-    """``max_{s'} E_{S2 ~ y}[u(s', S2)]`` — the best pure deviation payoff."""
-    A = np.asarray(payoff_matrix, dtype=float)
-    y = check_probability_vector("opponent_mixed", opponent_mixed)
-    if A.shape[1] != y.size:
-        raise InvalidParameterError(
-            f"matrix has {A.shape[1]} columns but mixture has {y.size} entries")
-    return float(np.max(A @ y))
-
-
-def is_epsilon_nash(game: MatrixGame, x, y, epsilon: float) -> bool:
-    """Whether ``(x, y)`` is an ε-Nash equilibrium of a bimatrix game.
-
-    Neither player can gain more than ``epsilon`` by a unilateral (pure,
-    hence also mixed) deviation.
-    """
-    x = check_probability_vector("x", x)
-    y = check_probability_vector("y", y)
-    u1, u2 = game.expected_payoffs(x, y)
-    best1 = best_response_payoff(game.row_payoffs, y)
-    best2 = float(np.max(x @ game.col_payoffs))
-    return best1 - u1 <= epsilon + 1e-12 and best2 - u2 <= epsilon + 1e-12
-
-
-def pure_nash_equilibria(game: MatrixGame) -> list[tuple[int, int]]:
-    """All pure-strategy Nash equilibria ``(i, j)`` of a bimatrix game."""
-    A, B = game.row_payoffs, game.col_payoffs
-    equilibria = []
-    row_best = A.max(axis=0)
-    col_best = B.max(axis=1)
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            if A[i, j] >= row_best[j] - 1e-12 and B[i, j] >= col_best[i] - 1e-12:
-                equilibria.append((i, j))
-    return equilibria
-
-
-def distributional_equilibrium_gap(game: MatrixGame, mu) -> float:
-    """The Definition 1.1 gap of a distribution ``µ`` over pure strategies.
-
-    Both agents' strategies are drawn i.i.d. from ``µ``; the gap is the
-    larger of the two players' best unilateral improvements:
-
-    ``max( max_{s'} E_{S2~µ}[u1(s', S2)] − E[u1],
-           max_{s'} E_{S1~µ}[u2(S1, s')] − E[u2] )``.
-
-    ``µ`` is an ε-approximate DE iff the gap is at most ε.
-    """
-    mu = check_probability_vector("mu", mu)
-    A, B = game.row_payoffs, game.col_payoffs
-    if A.shape[0] != A.shape[1]:
-        raise InvalidParameterError(
-            "distributional equilibrium requires a square game (shared "
-            f"strategy set), got shape {A.shape}")
-    if mu.size != A.shape[0]:
-        raise InvalidParameterError(
-            f"mu has {mu.size} entries for a game with {A.shape[0]} strategies")
-    expected_u1 = float(mu @ A @ mu)
-    expected_u2 = float(mu @ B @ mu)
-    gap1 = float(np.max(A @ mu)) - expected_u1
-    gap2 = float(np.max(mu @ B)) - expected_u2
-    return max(gap1, gap2)
 
 
 def symmetric_de_gap(payoff_matrix, mu) -> float:
@@ -94,9 +29,3 @@ def symmetric_de_gap(payoff_matrix, mu) -> float:
             f"payoff matrix shape {U.shape} incompatible with mu of size {mu.size}")
     expected = float(mu @ U @ mu)
     return float(np.max(U @ mu)) - expected
-
-
-def is_epsilon_distributional_equilibrium(game: MatrixGame, mu,
-                                          epsilon: float) -> bool:
-    """Whether ``µ`` is an ε-approximate DE (Definition 1.1)."""
-    return distributional_equilibrium_gap(game, mu) <= epsilon + 1e-12

@@ -16,8 +16,6 @@ from repro.markov.coupling import CoordinateCoupling, coupling_time_samples
 from repro.markov.cutoff import CutoffProfile, cutoff_profile
 from repro.markov.distributions import (
     binomial_pmf,
-    multinomial_covariance,
-    multinomial_mean,
     multinomial_pmf,
     multinomial_pmf_over_space,
     total_variation,
@@ -25,14 +23,12 @@ from repro.markov.distributions import (
 from repro.markov.ehrenfest import EhrenfestProcess, geometric_weights
 from repro.markov.mixing import (
     distance_to_stationarity_curve,
-    empirical_state_tv,
     exact_mixing_time,
     mixing_time_from_curve,
 )
 from repro.markov.random_walks import (
     BiasedWalkSpec,
     expected_absorption_time,
-    gamblers_ruin_win_probability,
     simulate_absorption_time,
     symmetric_interval_win_probability,
 )
@@ -49,18 +45,14 @@ __all__ = [
     "coupling_time_samples",
     "multinomial_pmf",
     "multinomial_pmf_over_space",
-    "multinomial_mean",
-    "multinomial_covariance",
     "binomial_pmf",
     "total_variation",
     "distance_to_stationarity_curve",
     "mixing_time_from_curve",
     "exact_mixing_time",
-    "empirical_state_tv",
     "BiasedWalkSpec",
     "expected_absorption_time",
     "symmetric_interval_win_probability",
-    "gamblers_ruin_win_probability",
     "simulate_absorption_time",
     "CutoffProfile",
     "cutoff_profile",

@@ -87,18 +87,6 @@ def multinomial_pmf_over_space(space: CompositionSpace, p) -> np.ndarray:
     return pmf
 
 
-def multinomial_mean(m: int, p) -> np.ndarray:
-    """Mean vector ``m * p`` of a multinomial distribution."""
-    probs = check_probability_vector("p", p)
-    return float(m) * probs
-
-
-def multinomial_covariance(m: int, p) -> np.ndarray:
-    """Covariance matrix ``m (diag(p) - p p^T)`` of a multinomial."""
-    probs = check_probability_vector("p", p)
-    return float(m) * (np.diag(probs) - np.outer(probs, probs))
-
-
 def binomial_pmf(i: int, m: int, p: float) -> float:
     """Binomial PMF ``P[X = i]`` for ``X ~ Bin(m, p)``."""
     if i < 0 or i > m:

@@ -112,18 +112,6 @@ def exact_mixing_time(chain: FiniteMarkovChain, pi=None, threshold: float = 0.25
         f"d(t) stayed above {threshold} for all t <= {t_max}")
 
 
-def empirical_state_tv(sample_indices, reference_pmf) -> float:
-    """TV distance between an empirical distribution of state indices and a PMF.
-
-    Converges to the true ``||P^t(x,·) − π||`` as the number of independent
-    replicas grows (up to the usual ``O(sqrt(n_states / samples))`` bias, so
-    use it on aggressively projected spaces or with many samples).
-    """
-    reference = np.asarray(reference_pmf, dtype=float)
-    empirical = empirical_distribution(sample_indices, reference.size)
-    return total_variation(empirical, reference)
-
-
 def projected_marginal_tv(count_samples: np.ndarray, coordinate: int, m: int,
                           marginal_pmf) -> float:
     """TV distance of one count coordinate's empirical law vs. a reference PMF.

@@ -1,4 +1,4 @@
-"""Biased lazy random walks: absorption and gambler's ruin.
+"""Biased lazy random walks absorbed at the ends of an interval.
 
 Appendix A.4.1 reduces the coupling analysis to a single lazy biased walk
 ``{Z_t}`` on ``{-k, ..., k}`` started at 0 and absorbed at ``±k``
@@ -92,27 +92,6 @@ def paper_absorption_bound(k: int, a: float, b: float) -> float:
     if math.isclose(a, b):
         return float(k * k)
     return min(k / abs(a - b), float(k * k))
-
-
-def gamblers_ruin_win_probability(start: int, target: int, a: float, b: float) -> float:
-    """``Pr[hit target before 0]`` for a biased walk on ``{0..target}``.
-
-    Classical gambler's ruin: ``(1 − (b/a)^start) / (1 − (b/a)^target)`` for
-    ``a ≠ b`` and ``start/target`` when ``a = b``.
-    """
-    target = check_positive_int("target", target, minimum=1)
-    start = check_positive_int("start", start, minimum=0)
-    if start > target:
-        raise InvalidParameterError(f"start={start} exceeds target={target}")
-    spec = BiasedWalkSpec(a, b)
-    if start == 0:
-        return 0.0
-    if start == target:
-        return 1.0
-    if math.isclose(a, b):
-        return start / target
-    ratio = 1.0 / spec.lam
-    return (1.0 - ratio**start) / (1.0 - ratio**target)
 
 
 def simulate_absorption_time(k: int, a: float, b: float, seed=None,

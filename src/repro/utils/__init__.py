@@ -1,7 +1,7 @@
 """Shared utilities: error types, parameter validation, and RNG handling.
 
 These helpers are intentionally small and dependency-free so that every
-substrate package (``repro.markov``, ``repro.games``, ``repro.population``)
+substrate package (``repro.markov``, ``repro.games``, ``repro.engine``)
 can rely on them without import cycles.
 """
 

@@ -5,13 +5,9 @@ import pytest
 
 from repro.core.equilibrium import (
     RDSetting,
-    continuous_de_gap,
     de_gap,
-    expected_payoff_vs_mixture,
     grid_payoffs_vs_mixture,
     gtft_payoff_matrix,
-    induced_full_distribution,
-    is_epsilon_de,
     mean_stationary_mu,
     payoff_table,
 )
@@ -103,61 +99,41 @@ class TestPayoffTable:
         assert table[5, 5] == pytest.approx(0.0)
 
 
-class TestInducedDistribution:
-    def test_composition(self, shares):
-        mu = [0.25, 0.25, 0.5]
-        full = induced_full_distribution(mu, shares)
-        assert full.shape == (5,)
-        assert np.allclose(full[:3], [0.125, 0.125, 0.25])
-        assert full[3] == shares.alpha
-        assert full[4] == shares.beta
-
-    def test_sums_to_one(self, shares):
-        full = induced_full_distribution([0.1, 0.2, 0.7], shares)
-        assert full.sum() == pytest.approx(1.0)
-
-    def test_matches_paper_eq_3(self, shares):
-        """mu_hat(i) = gamma * mu(i) for grid values."""
-        mu = np.array([0.4, 0.6])
-        full = induced_full_distribution(mu, shares)
-        assert np.allclose(full[:2], shares.gamma * mu)
-
-
 class TestPayoffVsMixture:
     def test_decomposition(self, setting, shares, grid):
+        """Each grid entry is α·f(g, AC) + β·f(g, AD) + γ·Σ_j µ_j f(g, g_j)
+        (eq. 46), evaluated here through the scalar closed forms."""
         mu = np.array([0.1, 0.2, 0.3, 0.4])
-        g = 0.35
-        expected = (shares.alpha * payoff_gtft_vs_ac(
-            g, setting.b, setting.c, setting.delta, setting.s1)
-            + shares.beta * payoff_gtft_vs_ad(
-                g, setting.b, setting.c, setting.delta, setting.s1)
-            + shares.gamma * sum(
-                mu[j] * payoff_gtft_vs_gtft(g, float(grid.values[j]),
-                                            setting.b, setting.c,
-                                            setting.delta, setting.s1)
-                for j in range(4)))
-        assert expected_payoff_vs_mixture(g, mu, grid, setting, shares) == \
-            pytest.approx(expected)
-
-    def test_grid_vector_consistent_with_scalar(self, setting, shares, grid):
-        mu = np.array([0.25, 0.25, 0.25, 0.25])
+        game = (setting.b, setting.c, setting.delta, setting.s1)
         vector = grid_payoffs_vs_mixture(mu, grid, setting, shares)
         for i, g in enumerate(grid.values):
-            assert vector[i] == pytest.approx(
-                expected_payoff_vs_mixture(float(g), mu, grid, setting,
-                                           shares))
+            expected = (shares.alpha * payoff_gtft_vs_ac(g, *game)
+                        + shares.beta * payoff_gtft_vs_ad(g, *game)
+                        + shares.gamma * sum(
+                            mu[j] * payoff_gtft_vs_gtft(g, gj, *game)
+                            for j, gj in enumerate(grid.values)))
+            assert vector[i] == pytest.approx(expected)
+
+    def test_affine_in_mu(self, setting, shares, grid):
+        """The payoffs are linear in the mixture µ̂, so mixing two
+        populations mixes their payoff vectors."""
+        first = np.array([0.7, 0.1, 0.1, 0.1])
+        second = np.array([0.0, 0.0, 0.5, 0.5])
+        mixed = grid_payoffs_vs_mixture(0.3 * first + 0.7 * second, grid,
+                                        setting, shares)
+        assert np.allclose(
+            mixed,
+            0.3 * grid_payoffs_vs_mixture(first, grid, setting, shares)
+            + 0.7 * grid_payoffs_vs_mixture(second, grid, setting, shares))
 
     def test_matches_full_distribution_dot_table(self, setting, shares, grid):
-        """E_{S~mu_hat}[f(g_i, S)] = (payoff_table row_i) . mu_hat."""
+        """E_{S~mu_hat}[f(g_i, S)] = (payoff_table row_i) . mu_hat, with
+        mu_hat = (gamma * mu, alpha, beta) (eq. 3)."""
         mu = np.array([0.4, 0.3, 0.2, 0.1])
         table = payoff_table(grid, setting)
-        full = induced_full_distribution(mu, shares)
+        full = np.concatenate([shares.gamma * mu, [shares.alpha, shares.beta]])
         vector = grid_payoffs_vs_mixture(mu, grid, setting, shares)
         assert np.allclose(vector, table[:4] @ full)
-
-    def test_wrong_mu_size(self, setting, shares, grid):
-        with pytest.raises(InvalidParameterError):
-            expected_payoff_vs_mixture(0.3, [0.5, 0.5], grid, setting, shares)
 
 
 class TestDeGap:
@@ -179,18 +155,6 @@ class TestDeGap:
                                                    shares)
         assert gap == pytest.approx(payoffs_at_point.max()
                                     - payoffs_at_point[best])
-
-    def test_is_epsilon_de_consistency(self, setting, shares, grid):
-        mu = mean_stationary_mu(4, beta=shares.beta)
-        gap = de_gap(mu, grid, setting, shares)
-        assert is_epsilon_de(mu, gap + 1e-9, grid, setting, shares)
-        assert not is_epsilon_de(mu, gap - 1e-6, grid, setting, shares) \
-            or gap < 1e-6
-
-    def test_continuous_gap_dominates_grid_gap(self, setting, shares, grid):
-        mu = mean_stationary_mu(4, beta=shares.beta)
-        assert continuous_de_gap(mu, grid, setting, shares) >= \
-            de_gap(mu, grid, setting, shares) - 1e-9
 
     def test_theorem_2_9_decay_in_effective_regime(self, canonical):
         setting, shares, g_max = canonical

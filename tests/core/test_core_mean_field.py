@@ -8,7 +8,6 @@ from repro.core.mean_field import (
     drift_generator,
     igt_mean_field,
     mean_field_stationary,
-    mean_generosity_trajectory,
     mean_trajectory_discrete,
     mean_trajectory_ode,
 )
@@ -95,13 +94,21 @@ class TestTrajectories:
         with pytest.raises(InvalidParameterError):
             mean_trajectory_ode(3, 0.3, 0.2, [2, 0, 0], [1.0])
 
-    def test_generosity_trajectory_monotone_upward(self):
-        """From all-zero generosity with upward drift, ẽg(t) increases."""
+    @pytest.mark.parametrize("a, b, start, rising", [
+        (0.4, 0.1, [8, 0, 0, 0], True),
+        (0.1, 0.4, [0, 0, 0, 8], False),
+    ], ids=["up-drift", "down-drift"])
+    def test_mean_generosity_moves_with_the_drift(self, a, b, start,
+                                                  rising):
+        """The expected average generosity (1/m)·Σ_j g_j E[z_j(t)] rises
+        monotonically from the bottom when a > b and falls from the top
+        when b > a."""
         grid = GenerosityGrid(k=4, g_max=0.6)
-        series = mean_generosity_trajectory(4, 0.4, 0.1, [8, 0, 0, 0],
-                                            grid, steps=500, observe_every=50)
-        assert all(series[i] <= series[i + 1] + 1e-12
-                   for i in range(series.size - 1))
+        trajectory = mean_trajectory_discrete(4, a, b, start, 500, 50)
+        series = trajectory @ grid.values / 8
+        steps = np.diff(series) if rising else -np.diff(series)
+        assert np.all(steps >= -1e-12)
+        assert abs(series[-1] - series[0]) > 0.1
 
 
 class TestAgentLevelAgreement:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis.stats import chi_square_goodness_of_fit
 from repro.core import population_igt
 from repro.core.equilibrium import RDSetting
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
@@ -56,6 +55,32 @@ class TestPopulationShares:
         shares = PopulationShares(alpha=0.99, beta=0.0, gamma=0.01)
         with pytest.raises(InvalidParameterError):
             shares.agent_counts(10)
+
+
+class TestEmbeddingRates:
+    """The Ehrenfest embedding's rates: the paper's idealized
+    ``(γ(1−β), γβ)`` and the exact rates of ``n`` agents drawing their
+    partner from the other ``n − 1``."""
+
+    def test_idealized_rates(self, shares):
+        a, b = shares.idealized_rates()
+        assert (a, b) == pytest.approx((0.5 * 0.8, 0.5 * 0.2))
+        assert a / b == pytest.approx(shares.lam)
+
+    @pytest.mark.parametrize("n", [99, 1000, 12_345, 100_000])
+    def test_finite_n_rates_approach_idealized(self, shares, n):
+        a, b = shares.idealized_rates()
+        a_n, b_n = shares.finite_n_rates(n)
+        assert abs(a_n - a) <= 2.0 / n
+        assert abs(b_n - b) <= 2.0 / n
+
+    @pytest.mark.parametrize("n", [99, 1000, 12_345])
+    def test_finite_n_bias_counts_distinct_partners(self, shares, n):
+        """λ_n = a/b = (n − 1 − n_AD)/n_AD: a GTFT initiator's partner is
+        one of the other n − 1 agents."""
+        _, n_ad, _ = shares.agent_counts(n)
+        a_n, b_n = shares.finite_n_rates(n)
+        assert a_n / b_n == pytest.approx((n - 1 - n_ad) / n_ad, rel=1e-12)
 
 
 class TestConstruction:
@@ -138,14 +163,13 @@ def multinomial_law(draws: int, cells: int) -> dict:
     return law
 
 
-def start_law_p_value(starts, law: dict) -> float:
+def start_law_p_value(starts, law: dict, chi_square_p_value) -> float:
     """Chi-square p-value of observed start count vectors against ``law``."""
     keys = sorted(law)
     observed = Counter(tuple(int(c) for c in start) for start in starts)
     assert set(observed) <= set(keys), "a start outside the law's support"
-    _, p_value = chi_square_goodness_of_fit(
-        [observed[key] for key in keys], [law[key] for key in keys])
-    return p_value
+    return chi_square_p_value([observed[key] for key in keys],
+                              [law[key] for key in keys])
 
 
 class TestCountStartLaw:
@@ -154,20 +178,24 @@ class TestCountStartLaw:
     that of the per-agent paths' histogram of uniform draws."""
 
     @pytest.mark.parametrize("topology", [None, "ring"])
-    def test_igt_start_matches_bincount_of_uniforms(self, grid, topology):
+    def test_igt_start_matches_bincount_of_uniforms(self, grid, topology,
+                                                    chi_square_p_value):
         shares = PopulationShares(alpha=0.25, beta=0.25, gamma=0.5)
         starts = [IGTSimulation(n=12, shares=shares, grid=grid, seed=seed,
                                 backend="count", topology=topology).counts
                   for seed in range(2000)]
-        assert start_law_p_value(starts, multinomial_law(6, grid.k)) > 1e-3
+        assert start_law_p_value(starts, multinomial_law(6, grid.k),
+                                 chi_square_p_value) > 1e-3
 
     @pytest.mark.parametrize("topology", [None, "ring"])
-    def test_game_start_matches_bincount_of_uniforms(self, topology):
+    def test_game_start_matches_bincount_of_uniforms(self, topology,
+                                                     chi_square_p_value):
         starts = [PopulationGameSimulation(
             hawk_dove_game(2.0, 4.0), 10, rule="best_response", seed=seed,
             backend="count", topology=topology).counts
             for seed in range(2000)]
-        assert start_law_p_value(starts, multinomial_law(10, 2)) > 1e-3
+        assert start_law_p_value(starts, multinomial_law(10, 2),
+                                 chi_square_p_value) > 1e-3
 
 
 class TestChunkedUniformStarts:

@@ -15,13 +15,14 @@ from repro.core.regimes import (
     theorem_2_9_delta_bound,
     theorem_2_9_g_max_bound,
 )
+from repro.core.stationary import igt_ehrenfest_process
 from repro.core.theory import (
     igt_mixing_lower_bound,
     igt_mixing_upper_bound,
     per_agent_state_count,
-    theorem_2_9_epsilon_rate,
 )
 from repro.markov.ehrenfest import EhrenfestProcess
+from repro.markov.mixing import exact_mixing_time
 from repro.utils import InvalidParameterError
 
 
@@ -151,6 +152,19 @@ class TestTheoryBounds:
             EhrenfestProcess(3, a, b, 100).mixing_time_upper_bound())
         assert igt_mixing_lower_bound(3, shares, n) == pytest.approx(150.0)
 
+    @pytest.mark.parametrize("k, beta", [(3, 0.1), (3, 0.4), (4, 0.25)])
+    def test_exact_mixing_time_between_igt_bounds(self, k, beta):
+        """Theorem 2.7 on an exactly solved embedding (n = 16): the
+        k-IGT count chain's t_mix lies between the two bounds."""
+        shares = PopulationShares(alpha=0.5 - beta, beta=beta, gamma=0.5)
+        process = igt_ehrenfest_process(shares, 16,
+                                        GenerosityGrid(k=k, g_max=0.6))
+        tmix = exact_mixing_time(process.exact_chain(),
+                                 pi=process.stationary_distribution(),
+                                 t_max=10_000)
+        assert igt_mixing_lower_bound(k, shares, 16) <= tmix
+        assert tmix <= igt_mixing_upper_bound(k, shares, 16)
+
     def test_igt_lower_accepts_beta_zero(self):
         """The diameter bound needs no AD agent: ``k·m/2`` at ``β = 0``."""
         shares = PopulationShares(alpha=0.5, beta=0.0, gamma=0.5)
@@ -172,7 +186,3 @@ class TestTheoryBounds:
         assert per_agent_state_count(7) == 7
         with pytest.raises(InvalidParameterError):
             per_agent_state_count(1)
-
-    def test_epsilon_rate(self):
-        assert theorem_2_9_epsilon_rate(10) == pytest.approx(0.1)
-        assert theorem_2_9_epsilon_rate(10, constant=3.0) == pytest.approx(0.3)

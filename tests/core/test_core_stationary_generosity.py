@@ -7,21 +7,16 @@ from repro.core.generosity import (
     average_stationary_generosity,
     generosity_closed_form,
     generosity_lower_bound,
-    proposition_d2_variance_bound,
-    single_agent_generosity_variance,
-    stationary_generosity_variance,
 )
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
 from repro.core.stationary import (
-    expected_stationary_counts,
     igt_ehrenfest_parameters,
     igt_ehrenfest_process,
     igt_lambda,
     igt_stationary_weights,
-    stationary_count_distribution,
 )
-from repro.markov.state_space import CompositionSpace
+from repro.markov.distributions import multinomial_pmf_over_space
 from repro.utils import InvalidParameterError
 
 
@@ -65,11 +60,6 @@ class TestStationaryWeights:
         backward = igt_stationary_weights(5, 0.8)
         assert np.allclose(forward, backward[::-1])
 
-    def test_expected_counts(self):
-        counts = expected_stationary_counts(3, 0.25, 60)
-        assert counts.sum() == pytest.approx(60)
-        assert np.allclose(counts, 60 * igt_stationary_weights(3, 0.25))
-
 
 class TestEhrenfestParameters:
     def test_values(self):
@@ -95,15 +85,6 @@ class TestEhrenfestParameters:
                                         GenerosityGrid(k=4, g_max=0.5))
         assert process.k == 4
         assert process.m == 50
-
-    def test_stationary_count_distribution_normalizes(self):
-        pmf = stationary_count_distribution(3, 0.2, 8)
-        assert pmf.sum() == pytest.approx(1.0)
-
-    def test_stationary_count_distribution_space_mismatch(self):
-        space = CompositionSpace(5, 3)
-        with pytest.raises(InvalidParameterError):
-            stationary_count_distribution(3, 0.2, 8, space=space)
 
 
 class TestProposition28:
@@ -173,25 +154,32 @@ class TestCorollaryC1:
         assert max(products) < 2 * g_max
 
 
-class TestVariances:
-    def test_single_agent_variance_below_d2_bound(self):
-        for k in (2, 4, 8, 16):
-            variance = single_agent_generosity_variance(k, 0.2, 0.8)
-            assert variance <= proposition_d2_variance_bound(k)
-
-    def test_population_variance_scales_inverse_m(self):
-        v100 = stationary_generosity_variance(4, 0.2, 0.6, m=100)
-        v400 = stationary_generosity_variance(4, 0.2, 0.6, m=400)
-        assert v100 == pytest.approx(4 * v400)
-
-    def test_variance_nonnegative(self):
-        assert single_agent_generosity_variance(3, 0.5, 1.0) >= 0.0
-
-    def test_variance_matches_direct_computation(self):
-        k, beta, g_max = 4, 0.3, 0.6
-        grid = GenerosityGrid(k=k, g_max=g_max)
+class TestTheorem27CountLaw:
+    @pytest.mark.parametrize("k, beta", [(2, 0.2), (3, 0.25), (4, 0.4)])
+    def test_exact_chain_solves_to_the_multinomial(self, k, beta):
+        """Solving the embedded count chain gives Multinomial(m, p) with
+        p the k-IGT stationary weights, and E[π_j] = m·p_j."""
+        shares = PopulationShares(alpha=0.5 - beta, beta=beta, gamma=0.5)
+        process = igt_ehrenfest_process(shares, 16,
+                                        GenerosityGrid(k=k, g_max=0.6))
         weights = igt_stationary_weights(k, beta)
-        direct = float(np.sum(weights * grid.values**2)
-                       - np.sum(weights * grid.values) ** 2)
-        assert single_agent_generosity_variance(k, beta, g_max) == \
-            pytest.approx(direct)
+        solved = process.exact_chain().stationary_distribution()
+        assert np.allclose(
+            solved, multinomial_pmf_over_space(process.space(), weights),
+            atol=1e-10)
+        assert np.allclose(process.mean_stationary_counts(),
+                           process.m * weights)
+
+
+class TestPropositionD2:
+    @pytest.mark.parametrize("beta", [0.1, 1 / 3])
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 32])
+    def test_stationary_generosity_variance_bound(self, k, beta):
+        """Var_{g~µ}[g] <= 16/(k-1)^2 for the stationary mixture when
+        λ >= 2 (β <= 1/3) and ĝ <= 1: the Taylor remainder of the
+        Theorem 2.9 proof is O(1/k²)."""
+        grid = GenerosityGrid(k=k, g_max=1.0)
+        weights = igt_stationary_weights(k, beta)
+        mean = weights @ grid.values
+        variance = weights @ (grid.values - mean) ** 2
+        assert variance <= 16.0 / (k - 1) ** 2

@@ -1,21 +1,17 @@
-"""Symmetric equilibria located through the continuous DE gap.
+"""Symmetric equilibria located through the grid DE gap.
 
 If every GTFT agent plays ``g`` (``µ`` a point mass), ``g`` is a
-symmetric equilibrium when no deviation in ``[0, ĝ]`` pays more, i.e.
-when ``continuous_de_gap`` vanishes there.  Scanning a fine grid locates
-it: at ``ĝ`` in the canonical Theorem 2.9 setting, and inside the
-interval, well below the stationary mean, in the literal-only setting
-that E7 exhibits.
+symmetric equilibrium of the grid game when no grid deviation pays
+more, i.e. when ``de_gap`` vanishes there.  Scanning a fine grid
+locates it: at ``ĝ`` in the canonical Theorem 2.9 setting, and inside
+the interval, well below the stationary mean, in the literal-only
+setting that E7 exhibits.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.equilibrium import (
-    RDSetting,
-    continuous_de_gap,
-    expected_payoff_vs_mixture,
-)
+from repro.core.equilibrium import RDSetting, de_gap, grid_payoffs_vs_mixture
 from repro.core.generosity import average_stationary_generosity
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
@@ -27,7 +23,7 @@ from repro.core.regimes import (
 
 def point_mass_gaps(setting, shares, g_max, k=41):
     grid = GenerosityGrid(k=k, g_max=g_max)
-    gaps = np.array([continuous_de_gap(np.eye(k)[i], grid, setting, shares)
+    gaps = np.array([de_gap(np.eye(k)[i], grid, setting, shares)
                      for i in range(k)])
     return grid, gaps
 
@@ -47,7 +43,7 @@ class TestSymmetricEquilibrium:
 
     def test_literal_regime_interior_below_stationary_mean(self):
         """The literal-only setting has an interior g* (~0.44) strictly
-        below where the stationary mass concentrates (~0.585) — the
+        below where the stationary mass concentrates (~0.6) — the
         geometric root cause of the stalled DE gap."""
         setting, shares, g_max = literal_only_theorem_2_9_setting()
         grid, gaps = point_mass_gaps(setting, shares, g_max)
@@ -59,14 +55,15 @@ class TestSymmetricEquilibrium:
         assert mean > g_star + 0.1
 
     def test_payoff_falls_toward_g_max_in_literal_regime(self):
-        """Against a population at ĝ, backing off from ĝ pays."""
+        """Against a population at ĝ, backing off from ĝ pays: on a grid
+        of spacing 0.05 the payoffs at ĝ − 0.1, ĝ − 0.05 and ĝ fall."""
         setting, shares, g_max = literal_only_theorem_2_9_setting()
-        grid = GenerosityGrid(k=4, g_max=g_max)
-        at_top = np.eye(4)[-1]
-        payoffs = [expected_payoff_vs_mixture(g, at_top, grid, setting,
-                                              shares)
-                   for g in (g_max - 0.1, g_max - 0.05, g_max)]
-        assert payoffs[0] > payoffs[1] > payoffs[2]
+        grid = GenerosityGrid(k=13, g_max=g_max)
+        assert np.allclose(grid.values[-3:], [g_max - 0.1, g_max - 0.05,
+                                              g_max])
+        payoffs = grid_payoffs_vs_mixture(np.eye(13)[-1], grid, setting,
+                                          shares)
+        assert payoffs[-3] > payoffs[-2] > payoffs[-1]
 
     def test_equilibrium_monotone_in_beta(self):
         """More defectors -> (weakly) less equilibrium generosity."""

@@ -6,22 +6,21 @@ import pytest
 from repro.engine import (
     AgentBackend,
     CountBackend,
+    RandomScheduler,
+    TableModel,
+    build_engine,
     igt_model,
+    make_law,
     matrix_game_model,
-    protocol_model,
 )
 from repro.engine.count import _collision_cdf
-from repro.population.protocol import TransitionFunctionProtocol
-from repro.population.scheduler import RandomScheduler
-from repro.population.simulator import simulate_protocol_counts
 from repro.utils import InvalidParameterError
 
 
 @pytest.fixture
 def epidemic():
     """One-way max-epidemic protocol on 3 states."""
-    return protocol_model(TransitionFunctionProtocol(
-        n_states=3, fn=lambda u, v: (max(u, v), v)))
+    return TableModel([[(max(u, v), v) for v in range(3)] for u in range(3)])
 
 
 class TestAgentBackend:
@@ -294,12 +293,28 @@ class TestCollisionCdf:
         assert _collision_cdf(123, 2) is _collision_cdf(123, 2)
 
 
-class TestSimulateProtocolCounts:
+class TestCountEngineFromFactory:
     def test_epidemic_spreads(self, rng):
-        protocol = TransitionFunctionProtocol(
-            n_states=2, fn=lambda u, v: (max(u, v), max(u, v)))
-        result = simulate_protocol_counts(
-            protocol, np.array([999, 1]), 200_000, seed=rng,
-            stop_when=lambda c: c[1] == 1000, check_stop_every=1000)
+        both_take_max = TableModel([[(max(u, v), max(u, v)) for v in range(2)]
+                                    for u in range(2)])
+        engine = build_engine(both_take_max, make_law(1000, seed=rng),
+                              "count", counts=np.array([999, 1]))
+        result = engine.run(200_000, stop_when=lambda c: c[1] == 1000,
+                            check_stop_every=1000)
         assert result.converged
         assert result.counts[1] == 1000
+
+    def test_count_engine_from_states_is_their_histogram(self, epidemic):
+        """Handed per-agent states, the count engine starts from their
+        histogram and draws the same trajectory as from the counts."""
+        states = np.repeat(np.arange(3), [600, 300, 100])
+        from_states = build_engine(epidemic, make_law(1000, seed=5),
+                                   "count", states=states)
+        from_counts = build_engine(epidemic, make_law(1000, seed=5),
+                                   "count", counts=np.array([600, 300, 100]))
+        assert np.array_equal(from_states.counts, [600, 300, 100])
+        left = from_states.run(5000, observe_every=1000)
+        right = from_counts.run(5000, observe_every=1000)
+        assert np.array_equal(left.counts, right.counts)
+        for (s1, c1), (s2, c2) in zip(left.observations, right.observations):
+            assert s1 == s2 and np.array_equal(c1, c2)

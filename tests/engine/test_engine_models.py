@@ -10,16 +10,15 @@ from repro.engine import (
     TableModel,
     igt_model,
     matrix_game_model,
-    protocol_model,
 )
-from repro.population.protocol import TransitionFunctionProtocol
 from repro.utils import InvalidParameterError
 
 
 def max_table(n_states=3):
-    protocol = TransitionFunctionProtocol(
-        n_states=n_states, fn=lambda u, v: (max(u, v), v))
-    return protocol.transition_table()
+    """One-way epidemic of the maximum: the initiator takes the larger
+    state, the responder keeps its own."""
+    return np.array([[(max(u, v), v) for v in range(n_states)]
+                     for u in range(n_states)])
 
 
 class TestTableModel:
@@ -46,15 +45,20 @@ class TestTableModel:
         assert np.array_equal(model.component_tables[0], table)
         assert model.sample_components(np.random.default_rng(0), 5) is None
 
-    def test_rejects_bad_shapes_and_entries(self):
-        with pytest.raises(InvalidParameterError):
-            TableModel(np.zeros((2, 3, 2), dtype=np.int64))
-        with pytest.raises(InvalidParameterError):
-            TableModel(np.zeros((2, 2, 3), dtype=np.int64))
-        bad = np.zeros((2, 2, 2), dtype=np.int64)
-        bad[0, 0, 0] = 5
-        with pytest.raises(InvalidParameterError):
-            TableModel(bad)
+    def test_apply_two_way_table(self, rng):
+        """Both agents adopt the larger state: the responder's column is
+        read too."""
+        both = np.array([[(max(u, v), max(u, v)) for v in range(3)]
+                         for u in range(3)])
+        model = TableModel(both)
+        new_u, new_v = model.apply(np.array([0, 2, 1]), np.array([1, 0, 1]),
+                                   rng)
+        assert new_u.tolist() == [1, 2, 1]
+        assert new_v.tolist() == [1, 2, 1]
+        assert not model.one_way
+
+    def test_single_table_has_no_component_law(self):
+        assert TableModel(max_table()).component_probs is None
 
 
 class TestMixtureTableModel:
@@ -79,6 +83,14 @@ class TestMixtureTableModel:
         v = np.ones(100, dtype=np.int64)
         new_u, new_v = model.apply(u, v, rng)
         assert (new_u == 1).all() and (new_v == 1).all()
+
+    def test_component_probs_are_the_mixture_weights(self):
+        table = max_table()
+        model = MixtureTableModel([table, table], [0.25, 0.75])
+        probs = model.component_probs
+        assert probs.tolist() == [0.25, 0.75]
+        probs[0] = 1.0  # a copy: the model's law is unchanged
+        assert model.component_probs.tolist() == [0.25, 0.75]
 
     def test_rejects_mismatched_probs(self):
         table = max_table()
@@ -145,12 +157,6 @@ class TestImitationModel:
 
 
 class TestAdapters:
-    def test_protocol_model_matches_transition_table(self):
-        protocol = TransitionFunctionProtocol(
-            n_states=3, fn=lambda u, v: (v, v))
-        model = protocol_model(protocol)
-        assert np.array_equal(model.table, protocol.transition_table())
-
     def test_igt_table_rule(self):
         k = 4
         model = igt_model(k)

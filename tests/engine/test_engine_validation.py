@@ -18,6 +18,7 @@ from repro.engine import (
     InteractionGraph,
     LogitResponseModel,
     MixtureTableModel,
+    PairMixtureTableModel,
     ProductStateModel,
     SnapshotError,
     SnapshotState,
@@ -36,8 +37,6 @@ from repro.engine import (
 )
 from repro.engine.observe import DegreeProfileReducer
 from repro.engine.snapshot import check_snapshot, restore_rng, run_resumable
-from repro.population.protocol import TransitionFunctionProtocol
-from repro.population.simulator import Simulator, simulate_protocol_counts
 from repro.utils import InvalidParameterError
 
 IDENTITY = np.stack(np.meshgrid(np.arange(2), np.arange(2), indexing="ij"),
@@ -101,11 +100,6 @@ WEIGHT_REFUSALS = [
                  "n_classes must be positive", id="product-classes"),
 ]
 
-def max_protocol():
-    return TransitionFunctionProtocol(n_states=3,
-                                      fn=lambda u, v: (max(u, v), v))
-
-
 #: Non-integral populations, refused instead of truncated by a cast.
 POPULATION_REFUSALS = [
     pytest.param(lambda: CountBackend(igt_model(3), [2.5, 3.5, 1.9, 4, 4]),
@@ -122,18 +116,44 @@ POPULATION_REFUSALS = [
         TableModel(IDENTITY), [0.0, 1.0, 0.5, 1.0], np.ones(4)),
                  "states must hold integers, got 0.5",
                  id="from-agent-states-fractional"),
-    pytest.param(lambda: Simulator(max_protocol(), [0, 1, 2, 1.5]),
+    pytest.param(lambda: AgentBackend(igt_model(3), [0, 1, 2, 1.5]),
                  "initial_states must hold integers, got 1.5",
-                 id="simulator-fractional"),
-    pytest.param(lambda: simulate_protocol_counts(max_protocol(),
-                                                  [[3, 3, 3]], 10),
-                 "initial_counts must be a 1-D array",
-                 id="protocol-counts-2d"),
+                 id="agent-fractional"),
+    pytest.param(lambda: CountBackend(igt_model(3), [[3, 3, 3, 3, 3]]),
+                 "initial_counts must be a 1-D array", id="count-2d"),
 ]
 
 MODEL_REFUSALS = [
     pytest.param(lambda: TableModel(np.zeros((0, 0, 2), dtype=int)),
                  ">= 1 state", id="table-empty"),
+    pytest.param(lambda: TableModel([[[0, 0.9], [1.7, 1]],
+                                     [[1, 0], [1, 1]]]),
+                 "transition table must hold integers, got 0.9",
+                 id="table-fractional"),
+    pytest.param(lambda: TableModel(IDENTITY.astype(float) * np.nan),
+                 "transition table must hold integers, got nan",
+                 id="table-nan"),
+    pytest.param(lambda: TableModel(IDENTITY.astype(bool)),
+                 "transition table must hold integers, got dtype bool",
+                 id="table-bool"),
+    pytest.param(lambda: TableModel(IDENTITY + 1),
+                 "table entries must lie in 0..1", id="table-entry-high"),
+    pytest.param(lambda: TableModel(IDENTITY - 1),
+                 "table entries must lie in 0..1", id="table-entry-negative"),
+    pytest.param(lambda: TableModel(np.zeros((2, 3, 2), dtype=int)),
+                 "shape \\(S, S, 2\\), got \\(2, 3, 2\\)",
+                 id="table-not-square"),
+    pytest.param(lambda: TableModel(np.zeros((2, 2, 3), dtype=int)),
+                 "shape \\(S, S, 2\\), got \\(2, 2, 3\\)",
+                 id="table-last-axis"),
+    pytest.param(lambda: MixtureTableModel([IDENTITY, IDENTITY + 0.5],
+                                           [0.5, 0.5]),
+                 "transition table must hold integers, got 0.5",
+                 id="mixture-fractional"),
+    pytest.param(lambda: PairMixtureTableModel(
+        IDENTITY, IDENTITY.astype(bool), np.full((2, 2), 0.5)),
+                 "transition table must hold integers, got dtype bool",
+                 id="pair-mixture-bool"),
     pytest.param(lambda: MixtureTableModel([], []),
                  "at least one component", id="mixture-empty"),
     pytest.param(lambda: MixtureTableModel(
@@ -160,6 +180,7 @@ def v2_document(header: bytes) -> bytes:
 
 
 def v1_document(document: dict) -> bytes:
+    """A version-1 document: checksummed JSON, no longer read."""
     body = json.dumps(document)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return json.dumps({"checksum": digest, "body": body}).encode("utf-8")
@@ -168,11 +189,10 @@ def v1_document(document: dict) -> bytes:
 SNAPSHOT_REFUSALS = [
     pytest.param(lambda: SnapshotState.from_bytes(v2_document(b"[1, 2]")),
                  "malformed snapshot document", id="v2-header-not-object"),
-    pytest.param(lambda: SnapshotState.from_bytes(b"{torn"),
-                 "torn or malformed", id="v1-torn"),
     pytest.param(lambda: SnapshotState.from_bytes(
-        v1_document({"version": 7, "kind": "count", "payload": {}})),
-                 "version 7 is not supported", id="v1-version"),
+        v1_document({"version": 1, "kind": "count",
+                     "payload": {"steps_run": 9}})),
+                 "bad magic prefix", id="v1-document"),
     pytest.param(lambda: restore_rng(np.random.default_rng(0),
                                      {"bit_generator": "MT19937"}),
                  "'MT19937' generator state", id="rng-kind"),

@@ -80,6 +80,14 @@ class TestInteractionGraph:
         with pytest.raises(InvalidParameterError, match="irregular"):
             InteractionGraph(3, [[0, 1], [1, 2]], vertex_transitive=True)
 
+    @pytest.mark.parametrize("graph, regular", [
+        (ring_graph(12, half_width=2), True),
+        (grid_graph(16, rows=4), True),
+        (InteractionGraph(4, [[0, 1], [0, 2], [0, 3]]), False),
+    ], ids=["ring", "torus", "star"])
+    def test_is_regular(self, graph, regular):
+        assert graph.is_regular is regular
+
     def test_degree_weights_are_degrees(self):
         graph = powerlaw_graph(64)
         assert np.array_equal(graph.degree_weights(),

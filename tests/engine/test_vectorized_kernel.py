@@ -18,19 +18,16 @@ from repro.engine import (
     igt_action_model,
     igt_model,
     matrix_game_model,
-    protocol_model,
 )
 from repro.engine.model import TableModel
 from repro.engine.vectorized import MIN_VECTORIZED_N, auto_chunk
-from repro.population.protocol import TransitionFunctionProtocol
 from repro.utils import InvalidParameterError
 
 
 @pytest.fixture
 def epidemic():
     """One-way max-epidemic protocol on 3 states (state 2 is inert)."""
-    return protocol_model(TransitionFunctionProtocol(
-        n_states=3, fn=lambda u, v: (max(u, v), v)))
+    return TableModel([[(max(u, v), v) for v in range(3)] for u in range(3)])
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.games.base import Action, GAME_STATES, MatrixGame, state_index
-from repro.games.donation import DonationGame, PrisonersDilemma
+from repro.games.base import Action, GAME_STATES, MatrixGame
+from repro.games.donation import DonationGame
 from repro.utils import InvalidParameterError
 
 
@@ -22,10 +22,6 @@ class TestGameStates:
     def test_order_matches_paper(self):
         C, D = Action.COOPERATE, Action.DEFECT
         assert GAME_STATES == ((C, C), (C, D), (D, C), (D, D))
-
-    def test_state_index(self):
-        for i, (first, second) in enumerate(GAME_STATES):
-            assert state_index(first, second) == i
 
 
 class TestMatrixGame:
@@ -96,6 +92,17 @@ class TestDonationGame:
         assert game.round_payoff(Action.COOPERATE, Action.DEFECT) == -1.0
         assert game.round_payoff(Action.DEFECT, Action.COOPERATE) == 4.0
 
+    @pytest.mark.parametrize("b, c", [(4.0, 1.0), (2.0, 1.5), (10.0, 0.1),
+                                      (1.01, 1.0)])
+    def test_is_a_prisoners_dilemma(self, b, c):
+        """With rewards R, S, T, P over (CC, CD, DC, DD), every positive
+        cost gives T > R > P > S and 2R > T + S (mutual cooperation beats
+        taking turns), the general prisoner's dilemma."""
+        reward, sucker, temptation, punishment = \
+            DonationGame(b=b, c=c).reward_vector
+        assert temptation > reward > punishment > sucker
+        assert 2 * reward > temptation + sucker
+
     def test_defect_dominates(self):
         """The eponymous dilemma: D is the dominant one-shot action."""
         game = DonationGame(b=3.0, c=1.0)
@@ -107,26 +114,3 @@ class TestDonationGame:
         game = DonationGame(b=3.0, c=1.0)
         assert game.round_payoff(Action.COOPERATE, Action.COOPERATE) \
             > game.round_payoff(Action.DEFECT, Action.DEFECT)
-
-
-class TestPrisonersDilemma:
-    def test_ordering_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            PrisonersDilemma(reward=3, sucker=0, temptation=2, punishment=1)
-
-    def test_2r_condition_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            PrisonersDilemma(reward=3, sucker=-2, temptation=9, punishment=0)
-
-    def test_from_donation(self):
-        pd = PrisonersDilemma.from_donation(4.0, 1.0)
-        assert np.allclose(pd.reward_vector, DonationGame(4, 1).reward_vector)
-
-    def test_from_donation_requires_positive_cost(self):
-        with pytest.raises(InvalidParameterError):
-            PrisonersDilemma.from_donation(4.0, 0.0)
-
-    def test_reward_vectors(self):
-        pd = PrisonersDilemma(reward=3, sucker=0, temptation=5, punishment=1)
-        assert np.allclose(pd.reward_vector, [3, 0, 5, 1])
-        assert np.allclose(pd.second_player_reward_vector, [3, 5, 0, 1])

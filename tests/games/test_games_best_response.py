@@ -17,7 +17,6 @@ from repro.core.equilibrium import (
     RDSetting,
     de_gap,
     grid_payoffs_vs_mixture,
-    induced_full_distribution,
     mean_stationary_mu,
 )
 from repro.core.igt import GenerosityGrid
@@ -56,6 +55,14 @@ def population_opponents(grid, setting, shares):
     opponents = [generous_tit_for_tat(float(g), setting.s1)
                  for g in grid.values]
     return opponents + [always_cooperate(), always_defect()]
+
+
+def induced_full_distribution(mu, shares) -> np.ndarray:
+    """The induced distribution ``µ̂ = (γ·µ_1, ..., γ·µ_k, α, β)`` over
+    the population's strategies (eq. 3), in :func:`population_opponents`
+    order."""
+    return np.concatenate([shares.gamma * np.asarray(mu, dtype=float),
+                           [shares.alpha, shares.beta]])
 
 
 def population_value(strategy, mu, grid, setting, shares) -> float:

@@ -1,17 +1,14 @@
-"""Tests for the paper's closed-form payoffs and derivatives (Appendix B)."""
+"""The paper's closed-form payoffs and their g-derivative (Appendix B)."""
 
 import numpy as np
 import pytest
 
 from repro.games.closed_forms import (
-    expected_payoff_closed_form,
     payoff_derivative_in_g,
     payoff_gtft_vs_ac,
     payoff_gtft_vs_ad,
     payoff_gtft_vs_gtft,
-    payoff_second_derivative_in_g,
     proposition_2_2_conditions,
-    second_derivative_uniform_bound,
 )
 from repro.games.donation import DonationGame
 from repro.games.expected_payoff import expected_payoff
@@ -80,18 +77,6 @@ class TestClosedFormStructure:
         assert slope == pytest.approx(-PARAMS["c"] * PARAMS["delta"]
                                       / (1 - PARAMS["delta"]))
 
-    def test_dispatch(self):
-        assert expected_payoff_closed_form(0.3, "AC", **PARAMS) == \
-            payoff_gtft_vs_ac(0.3, **PARAMS)
-        assert expected_payoff_closed_form(0.3, "ad", **PARAMS) == \
-            payoff_gtft_vs_ad(0.3, **PARAMS)
-        assert expected_payoff_closed_form(0.3, 0.6, **PARAMS) == \
-            payoff_gtft_vs_gtft(0.3, 0.6, **PARAMS)
-
-    def test_dispatch_unknown_label(self):
-        with pytest.raises(InvalidParameterError):
-            expected_payoff_closed_form(0.3, "TFT", **PARAMS)
-
     def test_rejects_invalid_delta(self):
         with pytest.raises(InvalidParameterError):
             payoff_gtft_vs_ac(0.3, 4.0, 1.0, 1.0, 0.5)
@@ -99,6 +84,14 @@ class TestClosedFormStructure:
     def test_rejects_b_below_c(self):
         with pytest.raises(InvalidParameterError):
             payoff_gtft_vs_ac(0.3, 1.0, 4.0, 0.5, 0.5)
+
+
+def second_derivative_bound(b, c, delta, s1) -> float:
+    """Proposition D.3's constant ``L`` bounding ``|d²f/dg²|`` on
+    ``[0, ĝ]²``: ``(1 − s1)·max(2cδ³(1+δ), 2bδ⁴(1+δ)) / (1 − δ²)³``, the
+    worst case ``g = g′ = 0`` of eqs. (58)–(59)."""
+    return (1 - s1) * max(2 * c * delta**3 * (1 + delta),
+                          2 * b * delta**4 * (1 + delta)) / (1 - delta**2)**3
 
 
 class TestDerivatives:
@@ -110,14 +103,15 @@ class TestDerivatives:
         analytic = payoff_derivative_in_g(g, gp, **PARAMS)
         assert analytic == pytest.approx(numeric, rel=1e-5)
 
-    @pytest.mark.parametrize("g,gp", [(0.1, 0.2), (0.4, 0.6), (0.7, 0.3)])
-    def test_second_derivative_vs_numeric(self, g, gp):
-        h = 1e-4
-        numeric = (payoff_gtft_vs_gtft(g + h, gp, **PARAMS)
-                   - 2 * payoff_gtft_vs_gtft(g, gp, **PARAMS)
-                   + payoff_gtft_vs_gtft(g - h, gp, **PARAMS)) / h**2
-        analytic = payoff_second_derivative_in_g(g, gp, **PARAMS)
-        assert analytic == pytest.approx(numeric, rel=1e-3, abs=1e-4)
+    @pytest.mark.parametrize("gp", [0.0, 0.3, 0.6])
+    def test_derivative_is_lipschitz_with_d3_constant(self, gp):
+        """Eq. 47 changes no faster than Proposition D.3's L allows, the
+        bound behind the DE proof's Taylor remainder."""
+        grid = np.linspace(0.0, 0.6, 61)
+        slopes = np.array([payoff_derivative_in_g(float(g), gp, **PARAMS)
+                           for g in grid])
+        steepest = np.max(np.abs(np.diff(slopes)) / np.diff(grid))
+        assert steepest <= second_derivative_bound(**PARAMS)
 
     def test_derivative_positive_in_regime(self):
         """Proposition 2.2(i): strictly increasing within the regime."""
@@ -125,13 +119,6 @@ class TestDerivatives:
             for gp in np.linspace(0, 0.6, 7):
                 assert payoff_derivative_in_g(float(g), float(gp),
                                               **PARAMS) > 0
-
-    def test_uniform_bound_dominates(self):
-        bound = second_derivative_uniform_bound(g_max=0.6, **PARAMS)
-        for g in np.linspace(0, 0.6, 7):
-            for gp in np.linspace(0, 0.6, 7):
-                assert abs(payoff_second_derivative_in_g(
-                    float(g), float(gp), **PARAMS)) <= bound + 1e-12
 
 
 class TestProposition22Conditions:

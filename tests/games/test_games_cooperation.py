@@ -5,22 +5,24 @@ occupancy-weighted share of rounds in the states where that player
 cooperated, ``q₁(I − δM)^{-1}`` dotted with an indicator and divided by
 the expected game length; in the limit of means it is the stationary
 mass of those states, which ``average_payoff_pair`` yields for a "game"
-whose per-round payoffs are the indicators.
+whose per-round payoffs are the indicators.  The occupancy is built here
+from the public joint action chain and round-1 distribution, so it is an
+independent reference for ``expected_payoff`` as well.
 """
 
 import numpy as np
 import pytest
 
-from repro.games.expected_payoff import (
-    discounted_state_occupancy,
-    expected_game_length,
-)
+from repro.games.donation import DonationGame
+from repro.games.expected_payoff import expected_payoff, joint_action_chain
 from repro.games.strategies import (
     always_cooperate,
     always_defect,
     generous_tit_for_tat,
+    joint_initial_distribution,
     reactive,
     tit_for_tat,
+    win_stay_lose_shift,
     with_execution_noise,
 )
 from repro.games.zd import average_payoff_pair
@@ -29,6 +31,18 @@ from repro.utils import InvalidParameterError
 #: Indicators over (CC, CD, DC, DD) of each player cooperating.
 FIRST_COOPERATES = np.array([1.0, 1.0, 0.0, 0.0])
 SECOND_COOPERATES = np.array([1.0, 0.0, 1.0, 0.0])
+
+
+def discounted_state_occupancy(first, second, delta) -> np.ndarray:
+    """Expected rounds spent in each joint state, ``q₁ (I − δM)^{-1}``."""
+    chain = joint_action_chain(first, second)
+    return joint_initial_distribution(first, second) @ np.linalg.inv(
+        np.eye(4) - delta * chain)
+
+
+def expected_game_length(delta) -> float:
+    """Expected number of rounds ``1/(1 − δ)`` under the restart rule."""
+    return 1.0 / (1.0 - delta)
 
 
 class CooperationIndicators:
@@ -131,3 +145,23 @@ class TestMutualCooperation:
         gtft = with_execution_noise(generous_tit_for_tat(0.3, 1.0), noise)
         assert mutual_cooperation(gtft, gtft, delta) > \
             mutual_cooperation(tft, tft, delta)
+
+
+class TestOccupancy:
+    def test_occupancy_sums_to_length(self):
+        occupancy = discounted_state_occupancy(
+            generous_tit_for_tat(0.3, 0.5), always_defect(), 0.8)
+        assert occupancy.sum() == pytest.approx(expected_game_length(0.8))
+
+    def test_occupancy_nonnegative(self):
+        occupancy = discounted_state_occupancy(
+            tit_for_tat(0.5), win_stay_lose_shift(), 0.9)
+        assert (occupancy >= -1e-12).all()
+
+    def test_payoff_is_occupancy_dot_rewards(self):
+        game = DonationGame(b=4.0, c=1.0)
+        first = generous_tit_for_tat(0.25, 0.5)
+        second = always_defect()
+        occupancy = discounted_state_occupancy(first, second, 0.8)
+        direct = expected_payoff(first, second, game.reward_vector, 0.8)
+        assert occupancy @ game.reward_vector == pytest.approx(direct)

@@ -5,8 +5,6 @@ import pytest
 
 from repro.games.donation import DonationGame
 from repro.games.expected_payoff import (
-    discounted_state_occupancy,
-    expected_game_length,
     expected_payoff,
     expected_payoff_pair,
     joint_action_chain,
@@ -129,30 +127,3 @@ class TestExpectedPayoff:
         strategy = generous_tit_for_tat(0.4, 0.5)
         f1, f2 = expected_payoff_pair(strategy, strategy, game, 0.6)
         assert f1 == pytest.approx(f2)
-
-
-class TestOccupancyAndLength:
-    def test_expected_game_length(self):
-        assert expected_game_length(0.75) == pytest.approx(4.0)
-        assert expected_game_length(0.0) == 1.0
-
-    def test_length_rejects_bad_delta(self):
-        with pytest.raises(InvalidParameterError):
-            expected_game_length(1.0)
-
-    def test_occupancy_sums_to_length(self):
-        occupancy = discounted_state_occupancy(
-            generous_tit_for_tat(0.3, 0.5), always_defect(), 0.8)
-        assert occupancy.sum() == pytest.approx(expected_game_length(0.8))
-
-    def test_occupancy_nonnegative(self):
-        occupancy = discounted_state_occupancy(
-            tit_for_tat(0.5), win_stay_lose_shift(), 0.9)
-        assert (occupancy >= -1e-12).all()
-
-    def test_payoff_is_occupancy_dot_rewards(self, game):
-        first = generous_tit_for_tat(0.25, 0.5)
-        second = always_defect()
-        occupancy = discounted_state_occupancy(first, second, 0.8)
-        direct = expected_payoff(first, second, game.reward_vector, 0.8)
-        assert occupancy @ game.reward_vector == pytest.approx(direct)

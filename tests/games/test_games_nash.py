@@ -1,129 +1,82 @@
-"""Tests for Nash/DE utilities on finite games."""
+"""Tests for the distributional-equilibrium gap of symmetric games."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.games.base import MatrixGame
-from repro.games.donation import DonationGame
-from repro.games.nash import (
-    best_response_payoff,
-    distributional_equilibrium_gap,
-    is_epsilon_distributional_equilibrium,
-    is_epsilon_nash,
-    pure_nash_equilibria,
-    symmetric_de_gap,
+from repro.core.general_games import (
+    hawk_dove_equilibrium_mixture,
+    hawk_dove_game,
 )
-from repro.utils import InvalidParameterError
+from repro.games.donation import DonationGame
+from repro.games.nash import symmetric_de_gap
 
 
-@pytest.fixture
-def matching_pennies():
-    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return MatrixGame(A, -A)
-
-
-@pytest.fixture
-def coordination():
-    A = np.array([[2.0, 0.0], [0.0, 1.0]])
-    return MatrixGame(A, A.copy())
-
-
-class TestBestResponse:
-    def test_pure_opponent(self):
-        A = np.array([[3.0, 0.0], [5.0, 1.0]])
-        assert best_response_payoff(A, [1.0, 0.0]) == 5.0
-
-    def test_mixed_opponent(self):
-        A = np.array([[3.0, 0.0], [5.0, 1.0]])
-        assert best_response_payoff(A, [0.5, 0.5]) == 3.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            best_response_payoff(np.eye(2), [0.5, 0.25, 0.25])
-
-
-class TestPureNash:
-    def test_prisoners_dilemma_dd(self):
-        game = DonationGame(4.0, 1.0)
-        assert pure_nash_equilibria(game) == [(1, 1)]
-
-    def test_matching_pennies_none(self, matching_pennies):
-        assert pure_nash_equilibria(matching_pennies) == []
-
-    def test_coordination_two(self, coordination):
-        assert pure_nash_equilibria(coordination) == [(0, 0), (1, 1)]
-
-
-class TestEpsilonNash:
-    def test_dd_is_exact_nash(self):
-        game = DonationGame(4.0, 1.0)
-        assert is_epsilon_nash(game, [0.0, 1.0], [0.0, 1.0], 0.0)
-
-    def test_cc_not_nash(self):
-        game = DonationGame(4.0, 1.0)
-        assert not is_epsilon_nash(game, [1.0, 0.0], [1.0, 0.0], 0.5)
-
-    def test_cc_is_epsilon_nash_for_large_epsilon(self):
-        game = DonationGame(4.0, 1.0)
-        # Deviation gain from C to D against C is exactly c = 1.
-        assert is_epsilon_nash(game, [1.0, 0.0], [1.0, 0.0], 1.0)
-
-    def test_matching_pennies_mixed(self, matching_pennies):
-        half = [0.5, 0.5]
-        assert is_epsilon_nash(matching_pennies, half, half, 0.0)
-
-
-class TestDistributionalEquilibriumGap:
+class TestSymmetricDeGap:
     def test_zero_at_symmetric_nash(self):
         game = DonationGame(4.0, 1.0)
-        assert distributional_equilibrium_gap(game, [0.0, 1.0]) == \
+        assert symmetric_de_gap(game.row_payoffs, [0.0, 1.0]) == \
             pytest.approx(0.0)
 
     def test_positive_off_equilibrium(self):
         game = DonationGame(4.0, 1.0)
-        assert distributional_equilibrium_gap(game, [1.0, 0.0]) == \
+        assert symmetric_de_gap(game.row_payoffs, [1.0, 0.0]) == \
             pytest.approx(1.0)  # the deviation gain c
 
     def test_uniform_pd_gap(self):
         game = DonationGame(4.0, 1.0)
         mu = [0.5, 0.5]
         # E[u1] = mu A mu = (3 - 1 + 4 + 0)/4 = 1.5; best response D: 2.0.
-        assert distributional_equilibrium_gap(game, mu) == pytest.approx(0.5)
-
-    def test_requires_square(self):
-        game = MatrixGame(np.zeros((2, 3)), np.zeros((2, 3)))
-        with pytest.raises(InvalidParameterError):
-            distributional_equilibrium_gap(game, [0.5, 0.5])
-
-    def test_size_mismatch(self):
-        game = DonationGame(4.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            distributional_equilibrium_gap(game, [0.3, 0.3, 0.4])
-
-    def test_symmetric_helper_agrees(self):
-        game = DonationGame(4.0, 1.0)
-        mu = [0.25, 0.75]
-        assert symmetric_de_gap(game.row_payoffs, mu) == pytest.approx(
-            distributional_equilibrium_gap(game, mu))
-
-    def test_epsilon_de_check(self):
-        game = DonationGame(4.0, 1.0)
-        assert is_epsilon_distributional_equilibrium(game, [0.0, 1.0], 0.0)
-        assert not is_epsilon_distributional_equilibrium(game, [1.0, 0.0], 0.5)
+        assert symmetric_de_gap(game.row_payoffs, mu) == pytest.approx(0.5)
 
     def test_hawk_dove_mixed_equilibrium_gap_zero(self):
-        from repro.core.general_games import (
-            hawk_dove_equilibrium_mixture,
-            hawk_dove_game,
-        )
         game = hawk_dove_game(2.0, 4.0)
         mu = hawk_dove_equilibrium_mixture(2.0, 4.0)
         assert symmetric_de_gap(game.row_payoffs, mu) == pytest.approx(0.0)
 
-    def test_definition_1_1_both_players(self, matching_pennies):
-        """For asymmetric games the gap takes the max over both players."""
-        gap = distributional_equilibrium_gap(matching_pennies, [0.5, 0.5])
-        assert gap == pytest.approx(0.0)
-        gap_biased = distributional_equilibrium_gap(matching_pennies,
-                                                    [0.9, 0.1])
-        assert gap_biased > 0.0
+
+games = st.integers(min_value=2, max_value=5).flatmap(
+    lambda size: st.tuples(
+        st.lists(st.floats(min_value=-10, max_value=10), min_size=size**2,
+                 max_size=size**2),
+        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=size,
+                 max_size=size)))
+
+
+def game_and_mixture(data):
+    entries, weights = data
+    size = len(weights)
+    mu = np.array(weights) / sum(weights)
+    return np.array(entries).reshape(size, size), mu
+
+
+class TestSymmetricDeGapProperties:
+    @given(data=games)
+    @settings(max_examples=60, deadline=None)
+    def test_nonnegative(self, data):
+        payoffs, mu = game_and_mixture(data)
+        assert symmetric_de_gap(payoffs, mu) >= -1e-9
+
+    @given(data=games, shift=st.floats(min_value=-50, max_value=50),
+           scale=st.floats(min_value=0.1, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_affine_payoff_change_scales_the_gap(self, data, shift, scale):
+        """Adding a constant to every payoff leaves the gap unchanged;
+        scaling every payoff scales it."""
+        payoffs, mu = game_and_mixture(data)
+        assert symmetric_de_gap(scale * payoffs + shift, mu) == \
+            pytest.approx(scale * symmetric_de_gap(payoffs, mu), abs=1e-7)
+
+    @given(size=st.integers(min_value=2, max_value=6),
+           pick=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_at_every_pure_equilibrium_of_a_coordination_game(
+            self, size, pick):
+        """In a pure coordination game every strategy is a best response
+        to itself, so each point mass has gap zero; the uniform mixture
+        does not."""
+        payoffs = np.diag(np.arange(1.0, size + 1.0))
+        point = np.eye(size)[pick % size]
+        assert symmetric_de_gap(payoffs, point) == 0.0
+        assert symmetric_de_gap(payoffs, np.full(size, 1.0 / size)) > 0.0

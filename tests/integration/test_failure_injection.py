@@ -11,12 +11,11 @@ import pytest
 from repro.core.equilibrium import RDSetting, de_gap, mean_stationary_mu
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
+from repro.engine import TableModel, build_engine, make_law
 from repro.games.donation import DonationGame
 from repro.games.repeated import RepeatedGameEngine
 from repro.games.strategies import MemoryOneStrategy, always_defect
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.population.protocol import TransitionFunctionProtocol
-from repro.population.simulator import Simulator
 from repro.utils import ReproError
 
 
@@ -62,10 +61,10 @@ class TestMinimalPopulations:
         """The absolute minimum population still runs correctly."""
         # Fratricide leader election: when two leaders (0) meet, the
         # responder becomes a follower (1).
-        protocol = TransitionFunctionProtocol(
-            2, lambda u, v: (u, 1) if u == v == 0 else (u, v))
-        sim = Simulator(protocol, np.zeros(2, dtype=np.int64), seed=0)
-        result = sim.run(1000, stop_when=lambda counts: counts[0] == 1)
+        fratricide = TableModel([[(0, 1), (0, 1)], [(1, 0), (1, 1)]])
+        engine = build_engine(fratricide, make_law(2, seed=0), "agent",
+                              states=np.zeros(2, dtype=np.int64))
+        result = engine.run(1000, stop_when=lambda counts: counts[0] == 1)
         assert result.converged
         assert result.counts[0] == 1
 

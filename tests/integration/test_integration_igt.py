@@ -9,7 +9,6 @@ noise of the configured run lengths.
 import numpy as np
 import pytest
 
-from repro.analysis.stats import chi_square_goodness_of_fit
 from repro.core.equilibrium import de_gap, mean_stationary_mu
 from repro.core.generosity import average_stationary_generosity
 from repro.core.igt import GenerosityGrid
@@ -51,7 +50,8 @@ class TestStationaryPipeline:
         assert np.allclose(observed, expected,
                            atol=0.06 * process.m)
 
-    def test_top_coordinate_chi_square(self, stationary_run):
+    def test_top_coordinate_chi_square(self, stationary_run,
+                                       chi_square_p_value):
         """The top-generosity count across snapshots fits Binomial(m, p_k).
 
         Snapshots are thinned but still correlated, so we only require the
@@ -65,9 +65,7 @@ class TestStationaryPipeline:
         p_top = process.stationary_weights()[-1]
         counts = np.bincount(snapshots[:, -1], minlength=m + 1)
         probs = np.array([binomial_pmf(i, m, p_top) for i in range(m + 1)])
-        _, p_value = chi_square_goodness_of_fit(counts, probs,
-                                                min_expected=5.0)
-        assert p_value > 1e-6
+        assert chi_square_p_value(counts, probs, min_expected=5.0) > 1e-6
 
     def test_average_generosity_matches_prop_2_8(self, stationary_run):
         shares, grid, sim, snapshots = stationary_run

@@ -8,25 +8,19 @@ whose message names the problem.  One case per refusal branch.
 import numpy as np
 import pytest
 
-from repro.analysis.stats import bootstrap_confidence_interval
 from repro.core.equilibrium import RDSetting, mean_stationary_mu
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.generosity import generosity_closed_form
 from repro.core.igt import GenerosityGrid
-from repro.core.mean_field import (
-    mean_generosity_trajectory,
-    mean_trajectory_discrete,
-    mean_trajectory_ode,
-)
+from repro.core.mean_field import mean_trajectory_discrete, mean_trajectory_ode
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.core.regimes import theorem_2_9_delta_bound, theorem_2_9_g_max_bound
-from repro.engine import igt_update
+from repro.engine import igt_update, run_resumable
 from repro.games.base import MatrixGame
 from repro.games.nash import symmetric_de_gap
 from repro.markov.chain import FiniteMarkovChain
 from repro.markov.ehrenfest import geometric_weights
 from repro.markov.random_walks import simulate_absorption_time
-from repro.population.protocol import TransitionFunctionProtocol
 from repro.utils import ConvergenceError, InvalidParameterError
 
 SHARES = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
@@ -106,9 +100,6 @@ CORE_REFUSALS = [
     pytest.param(lambda: mean_trajectory_ode(3, 0.3, 0.2, [0.5, 0.5],
                                              [0.0, 1.0]),
                  "length k=3", id="mean-ode-x0-length"),
-    pytest.param(lambda: mean_generosity_trajectory(3, 0.3, 0.2, [1, 1, 1],
-                                                    GRID, 5),
-                 "grid has k=4", id="mean-generosity-grid"),
     pytest.param(lambda: generosity_closed_form(4, 0.2, 1.5),
                  "g_max must lie in", id="generosity-g-max"),
     pytest.param(lambda: PopulationGameSimulation(
@@ -122,6 +113,14 @@ CORE_REFUSALS = [
     pytest.param(lambda: PopulationGameSimulation(
         hawk_dove_game(), n=10, seed=0, backend="count").strategies,
                  "backend='agent'", id="game-count-strategies"),
+    pytest.param(lambda: run_resumable(igt(), 2000, None, check_stop_every=50,
+                                       observe_every=0),
+                 "observe_every must be >= 1, got 0",
+                 id="resumable-observe-every-zero"),
+    pytest.param(lambda: run_resumable(igt(), 2000, None, check_stop_every=50,
+                                       observe_every=-3),
+                 "observe_every must be >= 1, got -3",
+                 id="resumable-observe-every-negative"),
 ]
 
 GAMES_AND_MARKOV_REFUSALS = [
@@ -142,10 +141,6 @@ GAMES_AND_MARKOV_REFUSALS = [
                  "lam must be positive and finite", id="weights-lam-nan"),
     pytest.param(lambda: geometric_weights(0, 2.0),
                  "k must be >= 1", id="weights-k-zero"),
-    pytest.param(lambda: TransitionFunctionProtocol(0, lambda u, v: (u, v)),
-                 "at least 1", id="protocol-no-states"),
-    pytest.param(lambda: bootstrap_confidence_interval([]),
-                 "at least one sample", id="bootstrap-empty"),
 ]
 
 class TestCoreRefusals:

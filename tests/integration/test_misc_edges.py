@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.games.donation import PrisonersDilemma
 from repro.games.expected_payoff import expected_payoff
 from repro.games.strategies import tit_for_tat, win_stay_lose_shift
 from repro.markov.cutoff import cutoff_profile
@@ -13,19 +12,22 @@ from repro.markov.ehrenfest import EhrenfestProcess
 from repro.utils import ConvergenceError, InvalidParameterError
 
 
+#: First-player rewards ``[R, S, T, P]`` over ``(CC, CD, DC, DD)`` of the
+#: textbook prisoner's dilemma, which is not a donation game.
+GENERAL_PD = np.array([3.0, 0.0, 5.0, 1.0])
+
+
 class TestGeneralPdPayoffs:
     def test_tft_pair_in_general_pd(self):
         """The resolvent machinery works for any PD reward structure."""
-        pd = PrisonersDilemma(reward=3, sucker=0, temptation=5, punishment=1)
         delta = 0.8
-        value = expected_payoff(tit_for_tat(), tit_for_tat(),
-                                pd.reward_vector, delta)
+        value = expected_payoff(tit_for_tat(), tit_for_tat(), GENERAL_PD,
+                                delta)
         assert value == pytest.approx(3 / 0.2)
 
     def test_wsls_recovers_in_general_pd(self):
-        pd = PrisonersDilemma(reward=3, sucker=0, temptation=5, punishment=1)
         value = expected_payoff(win_stay_lose_shift(), win_stay_lose_shift(),
-                                pd.reward_vector, 0.8)
+                                GENERAL_PD, 0.8)
         assert value == pytest.approx(3 / 0.2)
 
 

@@ -76,5 +76,5 @@ class TestTopLevelConvenience:
 
         for name in ("GenerosityGrid", "IGTSimulation", "PopulationShares",
                      "default_theorem_2_9_setting", "EhrenfestProcess",
-                     "total_variation", "Simulator"):
+                     "total_variation"):
             assert hasattr(repro, name)

@@ -10,8 +10,6 @@ from repro.markov.distributions import (
     binomial_pmf,
     empirical_distribution,
     log_multinomial_coefficient,
-    multinomial_covariance,
-    multinomial_mean,
     multinomial_pmf,
     multinomial_pmf_over_space,
     total_variation,
@@ -83,21 +81,23 @@ class TestPmfOverSpace:
             multinomial_pmf_over_space(space, [0.2, 0.3, 0.5])
 
 
-class TestMomentHelpers:
-    def test_mean(self):
-        assert np.allclose(multinomial_mean(10, [0.2, 0.8]), [2.0, 8.0])
+class TestMultinomialMoments:
+    """The PMF over the composition space has the multinomial's moments:
+    mean ``m·p`` and covariance ``m·(diag(p) − p pᵀ)``."""
 
-    def test_covariance_diagonal(self):
-        cov = multinomial_covariance(10, [0.2, 0.8])
-        assert cov[0, 0] == pytest.approx(10 * 0.2 * 0.8)
-
-    def test_covariance_off_diagonal_negative(self):
-        cov = multinomial_covariance(10, [0.3, 0.3, 0.4])
-        assert cov[0, 1] == pytest.approx(-10 * 0.3 * 0.3)
-
-    def test_covariance_rows_sum_to_zero(self):
-        cov = multinomial_covariance(7, [0.2, 0.3, 0.5])
-        assert np.allclose(cov.sum(axis=1), 0.0)
+    @pytest.mark.parametrize("m, p", [(5, [0.5, 0.5]),
+                                      (6, [0.2, 0.3, 0.5]),
+                                      (4, [0.1, 0.2, 0.3, 0.4])])
+    def test_mean_and_covariance(self, m, p):
+        space = CompositionSpace(m, len(p))
+        pmf = multinomial_pmf_over_space(space, p)
+        states = np.array(space.states, dtype=float)
+        mean = pmf @ states
+        centered = states - mean
+        covariance = centered.T @ (pmf[:, None] * centered)
+        p = np.array(p)
+        assert np.allclose(mean, m * p)
+        assert np.allclose(covariance, m * (np.diag(p) - np.outer(p, p)))
 
 
 class TestTotalVariation:

@@ -18,7 +18,6 @@ from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.mixing import exact_mixing_time
 from repro.markov.random_walks import (
     expected_absorption_time,
-    gamblers_ruin_win_probability,
     symmetric_interval_win_probability,
 )
 
@@ -110,14 +109,6 @@ class TestAbsorptionLinearSolve:
         win = solve_absorption_at_top(interval_walk(2 * k + 1, a, b))
         assert win[k] == pytest.approx(
             symmetric_interval_win_probability(k, a, b))
-
-    @pytest.mark.parametrize("target, a, b", [(10, 0.3, 0.2), (7, 0.15, 0.4),
-                                              (8, 0.35, 0.35)])
-    def test_gamblers_ruin_matches_solve(self, target, a, b):
-        win = solve_absorption_at_top(interval_walk(target + 1, a, b))
-        for start in range(target + 1):
-            assert win[start] == pytest.approx(
-                gamblers_ruin_win_probability(start, target, a, b), abs=1e-12)
 
     def test_unbiased_duration_is_quadratic(self):
         """Unbiased non-lazy gambler's ruin on {0..N}: E_i[tau] = i(N - i)."""

@@ -8,7 +8,6 @@ from repro.markov.distributions import binomial_pmf
 from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.mixing import (
     distance_to_stationarity_curve,
-    empirical_state_tv,
     exact_mixing_time,
     mixing_time_from_curve,
     projected_marginal_tv,
@@ -86,18 +85,6 @@ class TestMixingTime:
         tmix = exact_mixing_time(chain, pi=pi, t_max=50_000)
         assert process.mixing_time_lower_bound() <= tmix
         assert tmix <= process.mixing_time_upper_bound()
-
-
-class TestEmpiricalTV:
-    def test_zero_for_exact_samples(self):
-        reference = np.array([0.5, 0.5])
-        samples = [0] * 50 + [1] * 50
-        assert empirical_state_tv(samples, reference) == pytest.approx(0.0)
-
-    def test_detects_bias(self):
-        reference = np.array([0.5, 0.5])
-        samples = [0] * 90 + [1] * 10
-        assert empirical_state_tv(samples, reference) == pytest.approx(0.4)
 
 
 class TestProjectedMarginal:

@@ -1,4 +1,4 @@
-"""Tests for biased walks, gambler's ruin, and reflected walks."""
+"""Tests for biased walks and the reflected walk."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.random_walks import (
     BiasedWalkSpec,
     expected_absorption_time,
-    gamblers_ruin_win_probability,
     paper_absorption_bound,
     simulate_absorption_time,
     symmetric_interval_win_probability,
@@ -40,6 +39,11 @@ class TestWinProbability:
         expected = (lam**k - 1) / (lam**k - lam**(-k))
         assert symmetric_interval_win_probability(4, 0.4, 0.2) == \
             pytest.approx(expected)
+
+    def test_one_step_interval(self):
+        """At k = 1 the first move decides: up w.p. a/(a + b)."""
+        assert symmetric_interval_win_probability(1, 0.3, 0.1) == \
+            pytest.approx(0.3 / 0.4)
 
     def test_strong_upward_bias_near_one(self):
         assert symmetric_interval_win_probability(8, 0.6, 0.05) > 0.99
@@ -101,32 +105,6 @@ class TestAbsorptionTime:
         assert paper_absorption_bound(10, 0.6, 0.1) == pytest.approx(20.0)
         assert paper_absorption_bound(3, 0.51, 0.49) == pytest.approx(9.0)
         assert paper_absorption_bound(3, 0.4, 0.4) == pytest.approx(9.0)
-
-
-class TestGamblersRuin:
-    def test_boundaries(self):
-        assert gamblers_ruin_win_probability(0, 10, 0.3, 0.2) == 0.0
-        assert gamblers_ruin_win_probability(10, 10, 0.3, 0.2) == 1.0
-
-    def test_unbiased_linear(self):
-        assert gamblers_ruin_win_probability(3, 10, 0.3, 0.3) == \
-            pytest.approx(0.3)
-
-    def test_biased_formula(self):
-        a, b, start, target = 0.4, 0.2, 3, 8
-        ratio = b / a
-        expected = (1 - ratio**start) / (1 - ratio**target)
-        assert gamblers_ruin_win_probability(start, target, a, b) == \
-            pytest.approx(expected)
-
-    def test_start_above_target_raises(self):
-        with pytest.raises(InvalidParameterError):
-            gamblers_ruin_win_probability(11, 10, 0.3, 0.3)
-
-    def test_monotone_in_start(self):
-        probs = [gamblers_ruin_win_probability(s, 10, 0.35, 0.25)
-                 for s in range(11)]
-        assert all(probs[i] < probs[i + 1] for i in range(10))
 
 
 def one_ball(k, a, b):

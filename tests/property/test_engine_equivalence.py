@@ -3,10 +3,10 @@
 Two guarantees are pinned down here:
 
 * **AgentBackend is the seed simulator, bit for bit** — frozen copies of
-  the pre-engine per-interaction loops (``Simulator.run`` and the
-  ``IGTSimulation`` fast path) are replayed against the engine-backed
-  implementations under shared seeds and must produce identical
-  trajectories, not merely the same law.
+  the pre-engine per-interaction loops (the seed protocol simulator's
+  ``run`` and the ``IGTSimulation`` fast path) are replayed against the
+  engine-backed implementations under shared seeds and must produce
+  identical trajectories, not merely the same law.
 * **CountBackend is exact in distribution** — its empirical state
   distribution is compared against the exact transition matrices from
   :mod:`repro.markov` (the paper's Ehrenfest embedding) and against the
@@ -24,24 +24,27 @@ from repro.core.general_games import (
 )
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.engine import CountBackend, igt_model
+from repro.engine import (
+    CountBackend,
+    TableModel,
+    build_engine,
+    igt_model,
+    make_law,
+)
 from repro.markov.ehrenfest import EhrenfestProcess
-from repro.population.protocol import TransitionFunctionProtocol
-from repro.population.simulator import Simulator
 
 
 # ----------------------------------------------------------------------
 # Frozen references: the seed repo's per-interaction loops, verbatim law
 # and randomness consumption.
 # ----------------------------------------------------------------------
-def reference_simulator_run(protocol, initial_states, seed, max_steps,
+def reference_simulator_run(table, initial_states, seed, max_steps,
                             observe_every=None):
-    """The seed ``Simulator.run`` loop (block-sampled pairs, per-step)."""
+    """The seed simulator's ``run`` loop (block-sampled pairs, per-step)."""
     rng = np.random.default_rng(seed)
     states = np.asarray(initial_states, dtype=np.int64).copy()
     n = states.size
-    table = protocol.transition_table()
-    counts = np.bincount(states, minlength=protocol.n_states).astype(np.int64)
+    counts = np.bincount(states, minlength=table.shape[0]).astype(np.int64)
     observations = []
     if observe_every is not None:
         observations.append((0, counts.copy()))
@@ -72,6 +75,22 @@ def reference_simulator_run(protocol, initial_states, seed, max_steps,
                 observations.append((step, counts.copy()))
         done += batch
     return states, counts, observations
+
+
+def max_table(n_states: int, responder_too: bool) -> np.ndarray:
+    """The initiator (and, when ``responder_too``, the responder) takes
+    the larger of the two states."""
+    return np.array([[(max(u, v), max(u, v) if responder_too else v)
+                      for v in range(n_states)] for u in range(n_states)])
+
+
+def agent_run(table, initial_states, seed, max_steps, vectorized=None,
+              observe_every=None):
+    """``table`` on the agent engine, built as ``build_engine`` builds it."""
+    states = np.array(initial_states, dtype=np.int64)
+    engine = build_engine(TableModel(table), make_law(states.size, seed=seed),
+                          "agent", states=states, vectorized=vectorized)
+    return engine.run(max_steps, observe_every=observe_every)
 
 
 def reference_igt_run(n, shares, grid, seed, steps, observe_every=None,
@@ -122,15 +141,14 @@ def reference_igt_run(n, shares, grid, seed, steps, observe_every=None,
 class TestAgentBackendBitCompat:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_simulator_trajectories_identical(self, seed):
-        protocol = TransitionFunctionProtocol(
-            n_states=4, fn=lambda u, v: (max(u, v), v))
+        table = max_table(4, responder_too=False)
         states = np.zeros(300, dtype=np.int64)
         states[:5] = 3
         states[5:40] = 1
         ref_states, ref_counts, ref_obs = reference_simulator_run(
-            protocol, states, seed, 30_000, observe_every=7001)
-        sim = Simulator(protocol, states, seed=seed)
-        result = sim.run(30_000, observe_every=7001)
+            table, states, seed, 30_000, observe_every=7001)
+        result = agent_run(table, states, seed, 30_000,
+                           observe_every=7001)
         assert np.array_equal(result.states, ref_states)
         assert np.array_equal(result.counts, ref_counts)
         assert len(result.observations) == len(ref_obs)
@@ -138,12 +156,11 @@ class TestAgentBackendBitCompat:
             assert s1 == s2 and np.array_equal(c1, c2)
 
     def test_two_way_protocol_identical(self):
-        protocol = TransitionFunctionProtocol(
-            n_states=3, fn=lambda u, v: (max(u, v), max(u, v)))
+        table = max_table(3, responder_too=True)
         states = (np.arange(100) % 3).astype(np.int64)
         ref_states, ref_counts, _ = reference_simulator_run(
-            protocol, states, 13, 5000)
-        result = Simulator(protocol, states, seed=13).run(5000)
+            table, states, 13, 5000)
+        result = agent_run(table, states, 13, 5000)
         assert np.array_equal(result.states, ref_states)
         assert np.array_equal(result.counts, ref_counts)
 
@@ -174,15 +191,14 @@ class TestVectorizedAgentBitCompat:
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_simulator_trajectories_identical(self, seed):
-        protocol = TransitionFunctionProtocol(
-            n_states=4, fn=lambda u, v: (max(u, v), v))
+        table = max_table(4, responder_too=False)
         states = np.zeros(300, dtype=np.int64)
         states[:5] = 3
         states[5:40] = 1
         ref_states, ref_counts, ref_obs = reference_simulator_run(
-            protocol, states, seed, 30_000, observe_every=7001)
-        sim = Simulator(protocol, states, seed=seed, vectorized=True)
-        result = sim.run(30_000, observe_every=7001)
+            table, states, seed, 30_000, observe_every=7001)
+        result = agent_run(table, states, seed, 30_000, vectorized=True,
+                           observe_every=7001)
         assert np.array_equal(result.states, ref_states)
         assert np.array_equal(result.counts, ref_counts)
         assert len(result.observations) == len(ref_obs)
@@ -190,13 +206,11 @@ class TestVectorizedAgentBitCompat:
             assert s1 == s2 and np.array_equal(c1, c2)
 
     def test_two_way_protocol_identical(self):
-        protocol = TransitionFunctionProtocol(
-            n_states=3, fn=lambda u, v: (max(u, v), max(u, v)))
+        table = max_table(3, responder_too=True)
         states = (np.arange(100) % 3).astype(np.int64)
         ref_states, ref_counts, _ = reference_simulator_run(
-            protocol, states, 13, 5000)
-        result = Simulator(protocol, states, seed=13,
-                           vectorized=True).run(5000)
+            table, states, 13, 5000)
+        result = agent_run(table, states, 13, 5000, vectorized=True)
         assert np.array_equal(result.states, ref_states)
         assert np.array_equal(result.counts, ref_counts)
 

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the Markov substrate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,22 @@ from repro.markov.distributions import (
 from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.random_walks import (
     expected_absorption_time,
-    gamblers_ruin_win_probability,
     symmetric_interval_win_probability,
 )
 from repro.markov.state_space import CompositionSpace, num_compositions
+
+
+def gamblers_ruin_win_probability(start: int, target: int, a: float,
+                                  b: float) -> float:
+    """``Pr[hit target before 0]`` from ``start`` for the walk stepping up
+    w.p. ``a`` and down w.p. ``b``: the classical
+    ``(1 − (b/a)^start) / (1 − (b/a)^target)``, ``start/target`` when
+    ``a = b``."""
+    if math.isclose(a, b):
+        return start / target
+    ratio = b / a
+    return (1.0 - ratio**start) / (1.0 - ratio**target)
+
 
 # Shared strategies --------------------------------------------------------
 
@@ -154,13 +168,14 @@ class TestRandomWalkProperties:
         elif a < b:
             assert p <= 0.5
 
-    @given(target=st.integers(min_value=2, max_value=12), ab=rates)
-    @settings(max_examples=30, deadline=None)
-    def test_gamblers_ruin_monotone_in_start(self, target, ab):
+    @given(k=st.integers(min_value=1, max_value=10), ab=rates)
+    @settings(max_examples=40, deadline=None)
+    def test_win_probability_is_gamblers_ruin_from_the_middle(self, k, ab):
+        """Absorption at +k from 0 on {-k..k} is gambler's ruin from k on
+        {0..2k}: Proposition A.7's closed form against the textbook one."""
         a, b = ab
-        probs = [gamblers_ruin_win_probability(s, target, a, b)
-                 for s in range(target + 1)]
-        assert all(probs[i] <= probs[i + 1] + 1e-12 for i in range(target))
+        assert symmetric_interval_win_probability(k, a, b) == pytest.approx(
+            gamblers_ruin_win_probability(k, 2 * k, a, b), rel=1e-6)
 
     @given(k=st.integers(min_value=2, max_value=6), ab=rates)
     @settings(max_examples=25, deadline=None)

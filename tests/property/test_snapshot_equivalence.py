@@ -32,21 +32,17 @@ from repro.engine import (
     SnapshotError,
     SnapshotState,
     SnapshotStore,
+    TableModel,
     WeightedCountBackend,
     igt_model,
     matrix_game_model,
     run_resumable,
     use_snapshot_channel,
 )
-from repro.engine.snapshot import (
-    FileSnapshotChannel,
-    RecordingChannel,
-    decode_array,
-    encode_array,
-)
+from repro.engine.snapshot import FileSnapshotChannel, RecordingChannel
 from repro.testing import FaultSpec, crash_point, reset_faults
 from repro.testing.faults import CRASH_EXIT_CODE, FAULTS_ENV
-from repro.utils.errors import InvalidParameterError, InvariantError
+from repro.utils.errors import InvariantError
 
 PAYOFFS = np.array([[3.0, 0.0], [5.0, 1.0]])  # prisoner's dilemma
 
@@ -57,6 +53,13 @@ def det_model():
 
 def logit_model():
     return matrix_game_model(PAYOFFS, "logit", eta=0.7)  # stochastic one-way
+
+
+def averaging_model():
+    """Two-way table: the initiator takes the ceiling of the pair's mean,
+    the responder the floor (a protocol, not a game)."""
+    return TableModel([[((u + v + 1) // 2, (u + v) // 2) for v in range(5)]
+                       for u in range(5)])
 
 
 def initial_states(n, n_states, seed=7):
@@ -129,6 +132,17 @@ def assert_continues_identically(original, resumed, post_plan=None):
 # Backend x path matrix
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
+    @pytest.mark.parametrize("build", [
+        lambda: AgentBackend(averaging_model(), initial_states(2000, 5),
+                             seed=15, vectorized=True),
+        lambda: CountBackend(averaging_model(), initial_counts(5000, 5),
+                             seed=24),
+        lambda: CountBackend(averaging_model(), initial_counts(5000, 5),
+                             seed=25, vectorized=False),
+    ], ids=["agent-kernel", "count-proxy", "count-birthday"])
+    def test_two_way_table_protocol(self, build):
+        assert_resumes_identically(build)
+
     def test_agent_backend_table_loop(self):
         assert_resumes_identically(lambda: AgentBackend(
             det_model(), initial_states(300, 5), seed=11, vectorized=False))
@@ -227,27 +241,6 @@ def pinned_engine(kind):
                                 seed=31)
 
 
-def v1_bytes(snapshot: SnapshotState) -> bytes:
-    """``snapshot`` as a version-1 document: checksummed JSON, base64 arrays.
-
-    The v1 writer, kept to produce load fixtures: arrays through
-    :func:`encode_array`, then the v1 envelope.
-    """
-
-    def encoded(value):
-        if isinstance(value, np.ndarray):
-            return encode_array(value)
-        if isinstance(value, dict):
-            return {key: encoded(item) for key, item in value.items()}
-        return value
-
-    body = json.dumps({"version": 1, "kind": snapshot.kind,
-                       "payload": encoded(snapshot.payload)},
-                      sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps({"checksum": checksum, "body": body}).encode("utf-8")
-
-
 class TestSnapshotBytePins:
     """``snapshot().to_bytes()`` of every count-chain path, byte for byte.
 
@@ -255,43 +248,12 @@ class TestSnapshotBytePins:
     stamps on all three engines and the count engines' ``proxy_state``
     block (states, pair counts when tracked, stamps).  The birthday
     cases cover both count engines' batched payloads with a tracked
-    pair-count accumulator.  The v1 digests were captured before the
-    engines shared one encoder (proxy) and one count-chain driver
-    (birthday) and now pin the version-1 load fixtures; the v2 digests
-    pin the format written today, so any change to the on-disk/wire
-    snapshot format moves one.  Both ``count-birthday`` digests were
-    re-captured when table models' birthday batches became cell
-    compositions (a new bitstream, not a new format).
+    pair-count accumulator.  The digests pin the format written today,
+    so any change to the on-disk/wire snapshot format moves one.  The
+    ``count-birthday`` digest was re-captured when table models'
+    birthday batches became cell compositions (a new bitstream, not a
+    new format).
     """
-
-    @pytest.mark.parametrize("kind, digest", [
-        ("agent",
-         "b26b4d52ffcd19466ba71bb0479f9f58d4fd826e493b3e3cfc5fab34d39dca03"),
-        ("count",
-         "0afa44f7d1020dfb531c4c5e269a5e6fa057245c54ad9f717b6d54dca00bf83f"),
-        ("weighted",
-         "79133d8c82104d064faadf09bfe29c16758b05497ae59154969f32d5d68d4de0"),
-        ("count-birthday",
-         "e0463dd04390d4ad2a26b93abd512d567d4abf03c9c46389039ba7b730d8bd3e"),
-        ("weighted-birthday",
-         "19abe0e6a957519e317011941822e08cc4444939c0d6a7a7eb77d50f386025e8"),
-    ])
-    def test_snapshot_bytes_pinned(self, kind, digest):
-        # The v1 fixture: the v1 writer reproduces the pinned bytes, and
-        # a fresh engine loads them, re-captures the v2 bytes of the
-        # original, and continues identically.
-        engine = pinned_engine(kind)
-        run_plan(engine, PRE_PLAN)
-        snapshot = engine.snapshot()
-        if not kind.endswith("birthday"):
-            block = snapshot.payload.get("proxy_state", snapshot.payload)
-            assert block["kernel"] is not None  # peel stamps are captured
-        data = v1_bytes(snapshot)
-        assert hashlib.sha256(data).hexdigest() == digest
-        resumed = pinned_engine(kind)
-        resumed.restore(SnapshotState.from_bytes(data))
-        assert resumed.snapshot().to_bytes() == snapshot.to_bytes()
-        assert_continues_identically(engine, resumed)
 
     @pytest.mark.parametrize("kind, digest", [
         ("agent",
@@ -308,14 +270,20 @@ class TestSnapshotBytePins:
     def test_v2_bytes_pinned(self, kind, digest):
         engine = pinned_engine(kind)
         run_plan(engine, PRE_PLAN)
-        data = engine.snapshot().to_bytes()
+        snapshot = engine.snapshot()
+        if not kind.endswith("birthday"):
+            block = snapshot.payload.get("proxy_state", snapshot.payload)
+            assert block["kernel"] is not None  # peel stamps are captured
+        data = snapshot.to_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         # Decoding into a fresh engine and encoding again is lossless,
-        # and so is decoding and re-encoding the document itself.
+        # and so is decoding and re-encoding the document itself; the
+        # restored engine then continues identically.
         resumed = pinned_engine(kind)
         resumed.restore(SnapshotState.from_bytes(data))
         assert resumed.snapshot().to_bytes() == data
         assert SnapshotState.from_bytes(data).to_bytes() == data
+        assert_continues_identically(engine, resumed)
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +409,9 @@ class TestValidation:
                 SnapshotState.from_bytes(torn)
 
     def test_checksum_mismatch_detected(self):
-        # A version-1 fixture: its checksum still guards its JSON body.
-        data = v1_bytes(SnapshotState(kind="count", payload={"steps_run": 9}))
-        corrupted = data.replace(b'steps_run\\":9', b'steps_run\\":8')
+        data = SnapshotState(kind="count",
+                             payload={"steps_run": 9}).to_bytes()
+        corrupted = data.replace(b'"steps_run":9', b'"steps_run":8')
         assert corrupted != data  # the flip really landed
         with pytest.raises(SnapshotError, match="checksum"):
             SnapshotState.from_bytes(corrupted)
@@ -455,18 +423,6 @@ class TestValidation:
             SnapshotState.from_bytes(snapshot.to_bytes())
         with pytest.raises(SnapshotError, match="version"):
             SnapshotState.from_wire(snapshot.to_wire())
-
-    def test_array_codec_roundtrip_and_malformed(self):
-        arrays = [np.arange(7, dtype=np.int64),
-                  np.zeros((3, 4), dtype=np.float64),
-                  np.array([], dtype=np.int32)]
-        for array in arrays:
-            back = decode_array(encode_array(array))
-            assert back.dtype == array.dtype
-            np.testing.assert_array_equal(back, array)
-        with pytest.raises(SnapshotError, match="malformed"):
-            decode_array({"__ndarray__": "!!!", "dtype": "int64",
-                          "shape": [1]})
 
     def test_exact_large_integers_survive_the_wire(self):
         # PCG64 state words are 128-bit; they must round-trip exactly.
@@ -561,15 +517,22 @@ class TestFormatV2:
             broken[at] ^= mask
             return bytes(broken)
 
+        # Format 1 (checksummed JSON) is no longer read: a v1 file is
+        # not a snapshot, whatever its checksum says.
+        body = json.dumps({"version": 1, "kind": "count",
+                           "payload": {"steps_run": 9}})
+        v1 = json.dumps({"checksum": hashlib.sha256(body.encode())
+                         .hexdigest(), "body": body}).encode()
         return data, {
             "header": flipped((MAGIC_AND_DIGEST + header_end) // 2),
             "frame": flipped(header_end + 500),
             "truncated": data[:header_end + 400],
             "magic": flipped(0),
+            "v1": v1,
         }
 
     @pytest.mark.parametrize("damage", ["header", "frame", "truncated",
-                                        "magic"])
+                                        "magic", "v1"])
     def test_corruption_is_refused(self, damage, tmp_path):
         data, broken = self.corrupted()
         with pytest.raises(SnapshotError):

@@ -30,10 +30,10 @@ from repro.engine import (
     CountBackend,
     GraphScheduler,
     TableModel,
+    build_engine,
+    make_law,
     ring_graph,
 )
-from repro.population.protocol import TransitionFunctionProtocol
-from repro.population.simulator import Simulator
 from repro.utils import InvalidParameterError
 
 
@@ -124,12 +124,13 @@ class TestFacadeGuards:
         with pytest.raises(InvalidParameterError, match="complete-graph"):
             sim.equivalent_ehrenfest()
 
-    def test_simulator_runs_on_topology(self):
+    def test_protocol_runs_on_topology(self):
         # One-way rumor: a susceptible initiator (0) that meets an
         # informed responder (1) becomes informed.
-        protocol = TransitionFunctionProtocol(2, lambda u, v: (max(u, v), v))
+        rumor = TableModel([[(0, 0), (1, 1)], [(1, 0), (1, 1)]])
         states = np.zeros(60, dtype=np.int64)
         states[0] = 1
-        sim = Simulator(protocol, states, seed=1, topology="ring:2")
-        sim.run(20_000)
-        assert sim.counts[1] == 60  # the rumor spreads along the ring
+        engine = build_engine(rumor, make_law(60, topology="ring:2", seed=1),
+                              "agent", states=states)
+        engine.run(20_000)
+        assert engine.counts[1] == 60  # the rumor spreads along the ring

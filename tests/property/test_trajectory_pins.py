@@ -12,7 +12,9 @@ digests were re-captured (epoch 3) when the count start became one
 multinomial draw and table models' birthday batches became cell
 compositions.  The three agent action-mode digests were re-captured
 (epoch 4) when that mode moved from a per-step Monte-Carlo game loop
-onto the engine's exact classification law.
+onto the engine's exact classification law.  The ``simulator-*`` and
+``protocol-counts-*`` cases run a plain table protocol through
+``build_engine`` on the agent and the count engine.
 """
 
 import hashlib
@@ -24,8 +26,7 @@ from repro.core.equilibrium import RDSetting
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.population.protocol import TransitionFunctionProtocol
-from repro.population.simulator import Simulator, simulate_protocol_counts
+from repro.engine import TableModel, build_engine, make_law
 
 SHARES = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
 GRID = GenerosityGrid(k=4, g_max=0.6)
@@ -73,24 +74,30 @@ def game(law, backend="agent"):
 
 
 def protocol():
-    return TransitionFunctionProtocol(n_states=4,
-                                      fn=lambda u, v: (max(u, v), v))
+    """The initiator takes the larger state, the responder keeps its own."""
+    return TableModel([[(max(u, v), v) for v in range(4)] for u in range(4)])
 
 
 def simulator(law, n):
+    """The protocol on the agent engine (the ``simulator-*`` pins)."""
     states = np.zeros(n, dtype=np.int64)
     states[:5] = 3
     states[5:n // 8] = 1
-    sim = Simulator(protocol(), states, seed=7, **LAWS[law])
-    result = sim.run(30_000, observe_every=7_001)
+    engine = build_engine(protocol(), make_law(n, seed=7, **LAWS[law]),
+                          "agent", states=states)
+    result = engine.run(30_000, observe_every=7_001)
     observed = [counts for _, counts in result.observations]
     return result.states, result.counts, observed
 
 
 def protocol_counts(n):
+    """The protocol on the count engine, its stop cadence ~sqrt(n) (the
+    ``protocol-counts-*`` pins)."""
     counts = np.array([n - n // 4 - 5, n // 4, 0, 5])
-    result = simulate_protocol_counts(protocol(), counts, 200_000, seed=9,
-                                      observe_every=50_000)
+    engine = build_engine(protocol(), make_law(n, seed=9), "count",
+                          counts=counts)
+    result = engine.run(200_000, observe_every=50_000,
+                        check_stop_every=max(1, int(n ** 0.5)))
     observed = [counts for _, counts in result.observations]
     return result.counts, observed
 

@@ -549,6 +549,21 @@ class TestSimulateObserve:
         assert main(self.BASE + ["--observe", "mean"]) == 2
         assert "--observe-every" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snapshots", [False, True],
+                             ids=["plain", "snapshots"])
+    @pytest.mark.parametrize("cadence", ["0", "-3"])
+    def test_non_positive_cadence_exits_2(self, capsys, tmp_path, cadence,
+                                          snapshots):
+        # The segmented (--snapshots) path refuses the cadence with the
+        # same message as the plain run, before any segment arithmetic.
+        arguments = self.BASE + ["--observe-every", cadence, "--observe",
+                                 f"jsonl:{tmp_path / 'trajectory.jsonl'}"]
+        if snapshots:
+            arguments += ["--snapshots", str(tmp_path / "snaps")]
+        assert main(arguments) == 2
+        assert f"observe_every must be >= 1, got {cadence}" in \
+            capsys.readouterr().err
+
     def test_degree_profile_needs_topology(self, capsys):
         arguments = self.BASE + ["--observe-every", "5000",
                                  "--observe", "degree-profile"]

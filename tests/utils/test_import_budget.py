@@ -62,8 +62,17 @@ def test_sweep_pool_task_loads_no_scipy(tmp_path):
     assert scipy_loaded_by(code, tmp_path) == []
 
 
+def test_import_repro_leaves_the_population_package_unloaded(tmp_path):
+    """``repro.population`` keeps only the pair laws' old import path
+    (``repro.population.scheduler``); ``import repro`` never loads it."""
+    code = ("import sys, repro\n"
+            "assert not [m for m in sys.modules\n"
+            "            if m.startswith('repro.population')], sys.modules\n")
+    assert scipy_loaded_by(code, tmp_path) == []
+
+
 def test_probe_sees_a_scipy_caller(tmp_path):
     """The probe is not vacuous: a helper that calls scipy loads it."""
-    code = ("from repro.analysis.stats import mean_confidence_interval\n"
-            "mean_confidence_interval([1.0, 2.0, 4.0])\n")
-    assert "scipy.stats" in scipy_loaded_by(code, tmp_path)
+    code = ("from repro.markov.distributions import binomial_pmf\n"
+            "binomial_pmf(2, 5, 0.3)\n")
+    assert "scipy.special" in scipy_loaded_by(code, tmp_path)
