@@ -42,7 +42,7 @@ import os
 import sys
 
 from repro.experiments import all_experiments, get_spec
-from repro.utils.errors import InvalidParameterError
+from repro.utils.errors import FabricUnavailable, InvalidParameterError
 
 #: Unit multipliers for the ``--max-age`` spelling (seconds).
 _AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
@@ -851,8 +851,6 @@ def main(argv=None) -> int:
     stderr and exit with code 2 — they are user input problems, not
     crashes.
     """
-    from repro.fabric.protocol import FabricUnavailable
-
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

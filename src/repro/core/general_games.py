@@ -139,7 +139,7 @@ class PopulationGameSimulation:
             strategies = rng.integers(0, n_strategies, size=self.n)
         else:
             strategies = check_int_array("initial_strategies",
-                                         initial_strategies).copy()
+                                         initial_strategies)
             if strategies.size != self.n:
                 raise InvalidParameterError(
                     f"initial_strategies must have length n={self.n}")
@@ -152,7 +152,6 @@ class PopulationGameSimulation:
         model = matrix_game_model(
             self.payoffs, rule, p_update=self.p_update, eta=self.eta,
             imitation_scale=payoff_span if payoff_span > 0 else 1.0)
-        self._strategies = strategies if backend == "agent" else None
         self._engine = build_engine(model, law, backend, states=strategies,
                                     counts=counts)
         self._counts = self._engine.counts_live
@@ -169,12 +168,13 @@ class PopulationGameSimulation:
 
     @property
     def strategies(self) -> np.ndarray:
-        """Per-agent strategy array (``backend="agent"`` only; live view)."""
-        if self._strategies is None:
+        """Per-agent strategy array (``backend="agent"`` only; the
+        engine's live view, in its narrow state dtype — do not write)."""
+        if self.backend != "agent":
             raise InvalidParameterError(
                 "per-agent strategies are not tracked by backend='count'; "
                 "use backend='agent'")
-        return self._strategies
+        return self._engine.states_live
 
     @property
     def counts(self) -> np.ndarray:

@@ -253,12 +253,29 @@ class IGTSimulation:
         self._gtft_slice = slice(n_ac + n_ad, n)
 
         k = grid.k
-        # Per-agent layout [AC block, AD block, GTFT block].  The uniform
-        # and graph count chains run on counts alone: an int64 state
-        # array at n = 10^8 would cost 800 MB.
+        self.track_payoffs = bool(track_payoffs)
+        self._payoff_matrix = None
+        if self.track_payoffs or mode == "action":
+            if setting is None:
+                raise InvalidParameterError(
+                    "an RDSetting is required for payoff tracking and for "
+                    "mode='action'")
+            if self.track_payoffs:
+                from repro.core.equilibrium import payoff_table
+                self._payoff_matrix = payoff_table(grid, setting)
+
+        if mode == "action":
+            self._model = igt_action_model(grid, setting)
+        else:
+            self._model = igt_model(k, mode=mode,
+                                    observation_noise=self.observation_noise)
+
+        # Per-agent layout [AC block, AD block, GTFT block], in the
+        # engine's state dtype.  The uniform and graph count chains run
+        # on counts alone: no state array at n = 10^8.
         states = None
         if backend == "agent" or law.weights is not None:
-            states = np.empty(n, dtype=np.int64)
+            states = np.empty(n, dtype=self._model.state_dtype)
             states[:n_ac] = k
             states[n_ac:n_ac + n_ad] = k + 1
         gtft_states = None if states is None else states[self._gtft_slice]
@@ -309,23 +326,6 @@ class IGTSimulation:
         counts_full[k] = n_ac
         counts_full[k + 1] = n_ad
 
-        self.track_payoffs = bool(track_payoffs)
-        self._payoff_matrix = None
-        if self.track_payoffs or mode == "action":
-            if setting is None:
-                raise InvalidParameterError(
-                    "an RDSetting is required for payoff tracking and for "
-                    "mode='action'")
-            if self.track_payoffs:
-                from repro.core.equilibrium import payoff_table
-                self._payoff_matrix = payoff_table(grid, setting)
-
-        if mode == "action":
-            self._model = igt_action_model(grid, setting)
-        else:
-            self._model = igt_model(k, mode=mode,
-                                    observation_noise=self.observation_noise)
-        self._agent_states = states if backend == "agent" else None
         self._engine = build_engine(
             self._model, law, backend, states=states, counts=counts_full,
             track_pair_counts=self.track_payoffs)
@@ -360,23 +360,24 @@ class IGTSimulation:
         return float(self.grid.values @ self._counts) / self.n_gtft
 
     def _require_agent_states(self) -> np.ndarray:
-        if self._agent_states is None:
+        """The agent engine's live per-agent states."""
+        if self.backend != "agent":
             raise InvalidParameterError(
                 "per-agent observables are not tracked by backend='count'; "
                 "use backend='agent'")
-        return self._agent_states
+        return self._engine.states_live
 
     @property
     def indices(self) -> np.ndarray:
-        """Per-agent grid indices (0 for non-GTFT agents; copy)."""
-        states = self._require_agent_states()
-        masked = states.copy()
+        """Per-agent grid indices (0 for non-GTFT agents; int64 copy)."""
+        masked = self._require_agent_states().astype(np.int64)
         masked[:self._gtft_slice.start] = 0
         return masked
 
     def gtft_indices(self) -> np.ndarray:
-        """Grid indices of the GTFT agents (copy)."""
-        return self._require_agent_states()[self._gtft_slice].copy()
+        """Grid indices of the GTFT agents (``int64`` copy)."""
+        return self._require_agent_states()[self._gtft_slice].astype(
+            np.int64)
 
     def strategy_of(self, agent: int) -> MemoryOneStrategy:
         """The concrete memory-one strategy an agent currently plays."""

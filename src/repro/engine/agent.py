@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.base import BLOCK_SIZE, EngineResult, SimulationEngine
-from repro.engine.model import InteractionModel
+from repro.engine.model import InteractionModel, count_states
 from repro.engine.sampling import RandomScheduler
 from repro.engine.vectorized import (
     MIN_VECTORIZED_CADENCE,
@@ -78,7 +78,8 @@ class AgentBackend(SimulationEngine):
     model:
         The interaction law.
     initial_states:
-        Length-``n`` integer array of initial agent states.
+        Length-``n`` integer array of initial agent states, copied into
+        the engine's own array in the model's ``state_dtype``.
     seed:
         Seed or generator (ignored when ``scheduler`` is given).
     scheduler:
@@ -87,9 +88,6 @@ class AgentBackend(SimulationEngine):
         :class:`~repro.engine.sampling.WeightedScheduler`, or
         :class:`~repro.engine.topology.GraphScheduler`) sharing its
         randomness stream with the caller; uniform by default.
-    copy:
-        When false, adopt ``initial_states`` in place (it must be a 1-D
-        ``int64`` array); the caller then observes state updates directly.
     vectorized:
         Path selection.  For table models: ``None`` (default) uses the
         chunked NumPy kernel when ``n`` and the run's observation/stop
@@ -111,22 +109,19 @@ class AgentBackend(SimulationEngine):
     """
 
     def __init__(self, model: InteractionModel, initial_states, seed=None,
-                 scheduler=None, copy: bool = True,
-                 vectorized: bool | None = None,
+                 scheduler=None, vectorized: bool | None = None,
                  track_pair_counts: bool = False):
         self.model = model
-        states = check_int_array("initial_states", initial_states)
-        if copy:
-            states = states.copy()
-        elif states is not initial_states:
-            raise InvalidParameterError(
-                "copy=False requires a 1-D int64 ndarray to adopt in place")
-        if states.size < 2:
+        states = np.asarray(initial_states)  # integers are not widened
+        if states.dtype.kind not in "iu":
+            states = check_int_array("initial_states", states)
+        if states.ndim != 1 or states.size < 2:
             raise InvalidParameterError(
                 "initial_states must be a 1-D array of at least 2 agents")
         if states.min() < 0 or states.max() >= model.n_states:
             raise InvalidParameterError(
                 f"initial states must lie in 0..{model.n_states - 1}")
+        states = states.astype(model.state_dtype)
         self._states = states
         self.n = states.size
         if scheduler is None:
@@ -136,8 +131,7 @@ class AgentBackend(SimulationEngine):
                 f"scheduler is over n={scheduler.n} agents, "
                 f"population has n={self.n}")
         self.scheduler = scheduler
-        self._counts = np.bincount(states,
-                                   minlength=model.n_states).astype(np.int64)
+        self._counts = count_states(states, model.n_states)
         # Flat per-component lookup tables for the fast loop, built once
         # (component_tables returns fresh copies on every read).
         tables = model.component_tables
@@ -164,7 +158,8 @@ class AgentBackend(SimulationEngine):
 
     @property
     def states_live(self) -> np.ndarray:
-        """The live state array (mutated by :meth:`run`; do not resize)."""
+        """The live state array, in the model's ``state_dtype`` (mutated
+        by :meth:`run`; do not resize or write it)."""
         return self._states
 
     @property
@@ -200,11 +195,10 @@ class AgentBackend(SimulationEngine):
         """Exact mutable state between runs, for :meth:`restore`.
 
         Captures copies of the per-agent states and counts, the step
-        cursor, the scheduler generator's bitstream position, the
-        pair-count accumulator when tracked, and — for stochastic
-        kernels only — the conflict peel stamps (deterministic kernels
-        are peel-independent; see
-        :meth:`~repro.engine.vectorized.ConflictFreeKernel.encode_stamps`).
+        cursor, the scheduler generator's bitstream position, and the
+        pair-count accumulator when tracked.  The kernel's peel stamps
+        carry no history (see :mod:`repro.engine.vectorized`), so a
+        restored engine starts them afresh.
         """
         from repro.engine.snapshot import SnapshotState, rng_state
 
@@ -215,8 +209,6 @@ class AgentBackend(SimulationEngine):
             "states": self._states.copy(),
             "counts": self._counts.copy(),
             "rng": rng_state(self.scheduler.rng),
-            "kernel": (None if self._kernel is None
-                       else self._kernel.encode_stamps()),
         }
         if self._pair_counts is not None:
             payload["pair_counts"] = self._pair_counts.copy()
@@ -229,41 +221,37 @@ class AgentBackend(SimulationEngine):
         states' histogram) before any is written; they are then written
         *in place* (facades and the kernel alias them).  After this call
         any sequence of ``run`` calls is byte-identical to the
-        snapshotting engine continuing.
+        snapshotting engine continuing.  An older document's ``int64``
+        states restore too, and its peel stamps are ignored.
         """
         from repro.engine.snapshot import (
             _check_population,
             _snapshot_array,
+            _snapshot_states,
             check_snapshot,
             restore_rng,
         )
 
         payload = check_snapshot(snapshot, "agent", n=self.n,
                                  n_states=self.model.n_states)
-        states = _snapshot_array(payload, "states", self._states)
+        states = _snapshot_states(payload, "states", self._states)
         counts = _snapshot_array(payload, "counts", self._counts)
         _check_population(counts, self.n, states)
         pair_counts = None
         if self._pair_counts is not None:
             pair_counts = _snapshot_array(payload, "pair_counts",
                                           self._pair_counts)
-        stamps = payload.get("kernel")
-        if stamps is not None:
-            self._ensure_kernel()._check_stamps(stamps)
         restore_rng(self.scheduler.rng, payload["rng"])
         self._states[:] = states
         self._counts[:] = counts
         self.steps_run = int(payload["steps_run"])
         if pair_counts is not None:
             self._pair_counts[:] = pair_counts
-        if stamps is not None:
-            self._kernel.restore_stamps(stamps)
 
     def _result(self, converged, sink) -> EngineResult:
         sink.flush()
         return EngineResult(counts=self._counts.copy(), steps=self.steps_run,
-                            converged=converged, observations=sink.records,
-                            states=self._states.copy())
+                            converged=converged, observations=sink.records)
 
     def run(self, max_steps: int, stop_when=None,
             observe_every: int | None = None,
@@ -343,6 +331,9 @@ class AgentBackend(SimulationEngine):
             flats = self._flats_np
             states = self._states
             counts = self._counts
+            # Narrow state scalars times an intp factor give an intp
+            # pair index; times a Python int they would wrap.
+            s = np.intp(s)
         flat_u, flat_v = flats[0]
         single = len(flats) == 1
         rng = self.scheduler.rng

@@ -71,15 +71,14 @@ class EngineResult:
         Populated from the observer sink's retained records — empty for
         streaming/reducing sinks, whose output lives in the stream file
         or the reduction summary (see :mod:`repro.engine.observe`).
-    states:
-        Final per-agent state array (``None`` for count-level backends).
+
+    Per-agent states are read from the engine, not copied per run.
     """
 
     counts: np.ndarray
     steps: int
     converged: bool
     observations: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    states: np.ndarray | None = None
 
 
 class SimulationEngine(ABC):
@@ -113,6 +112,11 @@ class SimulationEngine(ABC):
     @property
     def states(self) -> np.ndarray | None:
         """Per-agent states (``None`` when the backend tracks only counts)."""
+        return None
+
+    @property
+    def states_live(self) -> np.ndarray | None:
+        """The live per-agent state array, or ``None`` (see :attr:`states`)."""
         return None
 
     @abstractmethod
@@ -158,7 +162,7 @@ class SimulationEngine(ABC):
             raise InvalidParameterError(
                 "observe= needs observe_every — the observation cadence")
         sink = as_sink(observe)
-        if sink.wants_states and self.states is None:
+        if sink.wants_states and self.states_live is None:
             raise InvalidParameterError(
                 f"{type(sink).__name__} needs per-agent states, which "
                 "only the agent backend tracks — count-level backends "
@@ -166,6 +170,6 @@ class SimulationEngine(ABC):
         if observe_every is not None:
             observe_every = check_positive_int("observe_every", observe_every)
             sink.emit(self.steps_run, self._counts,
-                      self.states if sink.wants_states else None)
+                      self.states_live if sink.wants_states else None)
         stopped = stop_when is not None and bool(stop_when(self._counts))
         return (max_steps, observe_every, check_stop_every, sink, stopped)

@@ -558,9 +558,8 @@ class CountBackend(SimulationEngine):
         tracked) the pair-count accumulator — everything
         :meth:`_init_birthday` builds is a construction constant.  The
         proxy path additionally owns the internal per-agent state
-        arrangement (identical index draws must hit identical states)
-        and, for stochastic models, the kernel's peel stamps.  Arrays
-        are captured as copies.
+        arrangement (identical index draws must hit identical states).
+        Arrays are captured as copies.
         """
         from repro.engine.snapshot import SnapshotState, rng_state
 
@@ -729,13 +728,13 @@ class CountBackend(SimulationEngine):
 
     def _proxy_kernel(self) -> ConflictFreeKernel:
         """The kernel over a fixed per-agent expansion of the chain."""
-        # Fixed (arbitrary) state assignment; exchangeability makes
-        # uniform pair sampling over it the exact count chain.  Inert
-        # states are placed in a contiguous tail so the kernel's inert
-        # filter is a single index comparison.
+        # Fixed (arbitrary) state assignment in the model's state
+        # dtype; exchangeability makes uniform pair sampling over it the
+        # exact count chain.  Inert states are placed in a contiguous
+        # tail so the kernel's inert filter is a single index comparison.
         model = self.model
         counts = self._chain
-        state_ids = np.arange(model.n_states, dtype=np.int64)
+        state_ids = np.arange(model.n_states, dtype=model.state_dtype)
         inert = model.inert_states
         bound = None
         if inert is not None and not self._track_pairs:

@@ -99,9 +99,9 @@ def build_engine(model, law, backend: str, *, states=None, counts=None,
     The one place that maps a pair law and a resolved ``backend`` name
     to an engine; every engine draws from the law's generator.
 
-    * ``"agent"`` — :class:`~repro.engine.agent.AgentBackend`, adopting
-      the int64 array ``states`` in place and drawing every pair through
-      ``law``.
+    * ``"agent"`` — :class:`~repro.engine.agent.AgentBackend` over a
+      copy of ``states`` in the model's ``state_dtype``, drawing every
+      pair through ``law``.
     * ``"count"`` under non-uniform ``law.weights`` — the exact
       ``(weight class × state)`` lift
       :class:`~repro.engine.weighted.WeightedCountBackend`, built from
@@ -115,7 +115,7 @@ def build_engine(model, law, backend: str, *, states=None, counts=None,
     the agent backend's kernel choice.
     """
     if check_backend(backend) == "agent":
-        return AgentBackend(model, states, scheduler=law, copy=False,
+        return AgentBackend(model, states, scheduler=law,
                             vectorized=vectorized,
                             track_pair_counts=track_pair_counts)
     if law.weights is not None:

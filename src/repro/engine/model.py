@@ -33,7 +33,8 @@ Concrete models:
 Models additionally advertise two structural facts the vectorized kernel
 exploits: :attr:`InteractionModel.one_way` (the responder never changes
 state) and :attr:`InteractionModel.inert_states` (states whose initiator
-row is the identity, so their interactions are no-ops).
+row is the identity, so their interactions are no-ops).  Engines hold
+per-agent states in :attr:`InteractionModel.state_dtype`.
 """
 
 from __future__ import annotations
@@ -45,14 +46,27 @@ import numpy as np
 from repro.utils import check_int_array, check_probability_vector
 from repro.utils.errors import InvalidParameterError
 
+#: Agents per :func:`count_states` slice: ``np.bincount`` widens its
+#: input to ``intp``, which slicing keeps cache-sized.
+COUNT_SLICE = 1 << 16
+
+
+def count_states(states: np.ndarray, n_states: int) -> np.ndarray:
+    """The ``int64`` histogram of states in ``0..n_states - 1``."""
+    counts = np.zeros(n_states, dtype=np.int64)
+    for lo in range(0, states.size, COUNT_SLICE):
+        counts += np.bincount(states[lo:lo + COUNT_SLICE],
+                              minlength=n_states)
+    return counts
+
 
 def _check_table(table, n_states=None) -> np.ndarray:
-    """Validate a joint transition table and return it as ``int64``.
+    """Validate a joint transition table and return an ``int64`` copy.
 
     Entries pass by :func:`~repro.utils.check_int_array`'s rule: bools,
     NaN and non-integral values are refused, not truncated by a cast.
     """
-    table = np.asarray(table)
+    table = np.array(table)  # the model's own: caller edits cannot leak
     if table.ndim != 3 or table.shape[2] != 2 \
             or table.shape[0] != table.shape[1]:
         raise InvalidParameterError(
@@ -92,6 +106,12 @@ class InteractionModel(ABC):
     @abstractmethod
     def n_states(self) -> int:
         """Size of the per-agent state space."""
+
+    @property
+    def state_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype holding every state, which engines
+        store per-agent states in (``uint8`` up to 256 states)."""
+        return np.min_scalar_type(self.n_states - 1)
 
     @property
     def one_way(self) -> bool:

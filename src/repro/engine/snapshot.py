@@ -7,11 +7,10 @@ deaths recoverable *without* changing a single byte of the trajectory:
 * :class:`SnapshotState` — a versioned capture of everything a backend
   mutates between ``run()`` calls: the exact count (and, where
   applicable, per-agent state) arrays as owned ndarray copies, the RNG
-  bitstream position (``bit_generator.state``), the interaction-count
-  cursor, and the conflict-resolution kernel's peel stamps when (and
-  only when) they influence future randomness consumption.  Its byte
-  form (format v2, below) is what lands on disk and, base64-encoded,
-  on the fabric wire.
+  bitstream position (``bit_generator.state``) and the
+  interaction-count cursor (the kernel's peel stamps carry no history).
+  Its byte form (format v2, below) is what lands on disk and,
+  base64-encoded, on the fabric wire.
 * :class:`SnapshotStore` — an on-disk store with atomic
   temp-file + ``os.replace`` writes, a per-document SHA-256 checksum,
   and a two-generation fallback ladder (``latest`` → ``previous`` →
@@ -49,6 +48,8 @@ Narrowing depends only on values, so ``to_bytes(from_bytes(b)) == b``
 on every host.  Only v2 is read: any other document, version 1's
 checksummed JSON included, is refused as not a snapshot, and
 :meth:`SnapshotStore.load` then falls back as it does for a torn file.
+v2 documents written while engines held ``int64`` states (and peel
+stamps) still restore: the states are range-checked, then narrowed.
 
 The bit-for-bit contract
 ------------------------
@@ -81,6 +82,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engine.model import count_states
 from repro.engine.observe import ObserverSink, as_sink
 from repro.utils import check_positive_int
 from repro.utils.errors import (
@@ -215,6 +217,17 @@ def _snapshot_array(block, name: str, like: np.ndarray) -> np.ndarray:
     return found
 
 
+def _snapshot_states(block, name: str, like: np.ndarray) -> np.ndarray:
+    """Like :func:`_snapshot_array` for per-agent states, but any integer
+    dtype passes (older documents hold ``int64``); :func:`_check_population`
+    then bounds the values."""
+    found = block.get(name) if isinstance(block, dict) else None
+    if isinstance(found, np.ndarray) and found.dtype.kind in "iu" \
+            and found.shape == like.shape:
+        return found
+    return _snapshot_array(block, name, like)
+
+
 def _check_population(chain: np.ndarray, n: int,
                      states: np.ndarray | None = None) -> None:
     """Refuse counts that cannot describe ``n`` agents (in ``states``).
@@ -230,8 +243,7 @@ def _check_population(chain: np.ndarray, n: int,
     if states.min() < 0 or states.max() >= chain.size:
         raise SnapshotError(
             f"snapshot states must lie in 0..{chain.size - 1}")
-    if not np.array_equal(np.bincount(states, minlength=chain.size),
-                          chain):
+    if not np.array_equal(count_states(states, chain.size), chain):
         raise SnapshotError("snapshot counts disagree with its states")
 
 

@@ -9,9 +9,9 @@ in three phases:
    every table row maps ``(u, v) -> (u, v)``; an interaction whose
    initiator is in an inert state is a complete no-op and — because
    one-way models never write responders — the agent can never leave the
-   inert state mid-chunk.  Those pairs are dropped up front (for the
-   k-IGT workload this removes the ~half of all interactions initiated
-   by AC/AD agents).
+   inert state mid-chunk.  Those pairs are dropped up front by one state
+   gather per chunk (for the k-IGT workload this removes the ~half of
+   all interactions initiated by AC/AD agents).
 2. **Conflict peeling.**  The remaining pairs are split into *rounds* of
    mutually independent interactions by repeatedly peeling the pairs
    that are "safe last": a pair whose cells no later pair touches can be
@@ -20,6 +20,10 @@ in three phases:
    whole schedule is computed before any interaction executes.  One-way
    models use a refined criterion that lets pairs *reading* the same
    agent share a round; two-way models fall back to agent-disjointness.
+   A round compares its ``int32`` pair stamps only with each other and
+   with older, smaller ones, so stamps carry no history: restarting
+   them at 0 over cleared maps (before they overflow, or on restore)
+   changes no round, and snapshots never capture them.
 3. **Apply.**  The un-peeled head (at most :data:`TAIL_THRESHOLD` pairs,
    the hard conflict chains) runs through a scalar Python loop in pair
    order; the peeled rounds then apply in reverse peel order as fancy
@@ -32,6 +36,9 @@ are **bit-for-bit identical** to the sequential loop fed the same pair
 block — not merely equal in distribution.  The property tests in
 ``tests/engine/test_vectorized_kernel.py`` pin this down, including the
 degenerate geometries (``n = 2``, ``n = 3``, chunk larger than ``n``).
+
+States live in the model's narrow ``state_dtype``; pair indices are
+computed on chunk-sized ``intp`` copies, never on a widened state array.
 
 The kernel also serves the count backend: a count vector expands to an
 (arbitrary, fixed) per-agent state assignment, uniform pair sampling
@@ -57,7 +64,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.snapshot import _check_population, _snapshot_array
+from repro.engine.model import count_states
+from repro.engine.snapshot import (
+    _check_population,
+    _snapshot_array,
+    _snapshot_states,
+)
 from repro.utils.errors import InvalidParameterError
 
 #: Remaining-conflict head below which the scalar loop finishes a chunk.
@@ -74,6 +86,9 @@ MIN_VECTORIZED_N = 1000
 #: Observation / stop-check cadences below this bound the chunk size so
 #: hard that the sequential loop is faster; the auto path falls back.
 MIN_VECTORIZED_CADENCE = 256
+
+#: A round whose ``int32`` peel stamps would pass this restarts them.
+STAMP_MAX = np.iinfo(np.int32).max
 
 
 def auto_chunk(n: int) -> int:
@@ -98,9 +113,10 @@ class ConflictFreeKernel:
         ``allow_stochastic`` is set *and* the model is one-way, and are
         applied through vectorized ``model.apply`` calls per round.
     states, counts:
-        The live per-agent state array and count vector, adopted (never
-        reallocated).  ``counts`` is only written by :meth:`apply_chunk`
-        when asked (``update_counts``) or by :meth:`sync_counts`.
+        The live per-agent state array (in the model's ``state_dtype``)
+        and count vector, adopted (never reallocated).  ``counts`` is
+        only written by :meth:`apply_chunk` when asked
+        (``update_counts``) or by :meth:`sync_counts`.
     chunk:
         Pairs per conflict analysis (default :func:`auto_chunk`).
     allow_stochastic:
@@ -149,12 +165,12 @@ class ConflictFreeKernel:
         self.one_way = one_way
         s = self.s
         if tables is not None:
-            # (C*S*S,) stacked flat lookups; component c of pair (u, v)
-            # lives at c*S*S + u*S + v.
+            # (C*S*S,) stacked flat lookups in the states' dtype;
+            # component c of pair (u, v) lives at c*S*S + u*S + v.
             self._flat_u = np.concatenate(
-                [np.ascontiguousarray(t[:, :, 0].ravel()) for t in tables])
+                [t[:, :, 0].ravel() for t in tables]).astype(states.dtype)
             self._flat_v = (None if one_way else np.concatenate(
-                [np.ascontiguousarray(t[:, :, 1].ravel()) for t in tables]))
+                [t[:, :, 1].ravel() for t in tables]).astype(states.dtype))
             self._flat_u_list = self._flat_u.tolist()
             self._flat_v_list = (None if one_way
                                  else self._flat_v.tolist())
@@ -162,23 +178,12 @@ class ConflictFreeKernel:
         self.pair_counts = (np.zeros(s * s, dtype=np.int64)
                             if self.track_pairs else None)
         inert = None if self.track_pairs else model.inert_states
-        self._inert = None if inert is None else np.asarray(inert, dtype=bool)
         self._inert_bound = (None if self.track_pairs
                              else inert_index_bound)
-        if self._inert_bound is not None:
-            self._inert = None  # index bound supersedes the state lookup
-        # When no active row can transition into an inert state, the
-        # inert-agent set is frozen for the whole run and the filter
-        # becomes one boolean gather over a per-agent mask (refreshed at
-        # run start in case a facade stepped agents outside the engine).
-        self._inert_closed = False
-        self._active_agents = None
-        if self._inert is not None and tables is not None \
-                and self._inert.any():
-            reached = np.zeros(s, dtype=bool)
-            for t in tables:
-                reached[np.unique(t[~self._inert, :, 0])] = True
-            self._inert_closed = not (reached & self._inert).any()
+        # Non-inert states, looked up per chunk unless the bound applies.
+        self._active = None
+        if inert is not None and self._inert_bound is None:
+            self._active = ~np.asarray(inert, dtype=bool)
         if chunk is None:
             chunk = auto_chunk(self.n)
             if self.four:
@@ -190,22 +195,21 @@ class ConflictFreeKernel:
         if self.chunk < 1:
             raise InvalidParameterError(
                 f"chunk must be positive, got {self.chunk}")
-        # Agent -> latest pair-stamp maps.  Stamps increase monotonically
-        # across rounds and chunks, so stale entries always read as
-        # "earlier" and can never deadlock the peeling (they may only
-        # conservatively defer a pair by one round).
+        # Agent -> latest pair-stamp maps; older entries read as earlier
+        # than the current round's, like a cleared map's -1.
         if one_way:
-            self._pos_i = np.full(self.n, -1, dtype=np.int64)
-            self._pos_r = np.full(self.n, -1, dtype=np.int64)
+            self._pos_i = np.full(self.n, -1, dtype=np.int32)
+            self._pos_r = np.full(self.n, -1, dtype=np.int32)
             if self.four:
                 # Interleaved (responder, observed_i, observed_j) read
                 # slots so equal-agent collisions resolve to the highest
                 # pair stamp (scatter order = pair order).
-                self._read_buf = np.empty(3 * self.chunk, dtype=np.int64)
+                self._read_buf = np.empty(3 * self.chunk, dtype=np.intp)
         else:
-            self._pos = np.empty(2 * self.n, dtype=np.int64)
-            self._slot_buf = np.empty(2 * self.chunk, dtype=np.int64)
-        self._arange = np.arange(self.chunk)
+            # Read back only where just written: never needs clearing.
+            self._pos = np.empty(self.n, dtype=np.int32)
+            self._slot_buf = np.empty(2 * self.chunk, dtype=np.intp)
+        self._arange = np.arange(self.chunk, dtype=np.int32)
         self._stamp = 0
 
     # ------------------------------------------------------------------
@@ -226,6 +230,11 @@ class ConflictFreeKernel:
         while ii.size > TAIL_THRESHOLD:
             m = ii.size
             stamp = self._stamp
+            if stamp + m > STAMP_MAX:
+                if one_way:
+                    self._pos_i.fill(-1)
+                    self._pos_r.fill(-1)
+                stamp = 0
             pid = self._arange[:m] + stamp
             self._stamp = stamp + m
             if one_way:
@@ -290,18 +299,18 @@ class ConflictFreeKernel:
         fu = None if stochastic else self._flat_u_list
         fv = None if stochastic or one_way else self._flat_v_list
         cl = None if comps is None else comps.tolist()
+        state = states.item  # Python ints: narrow scalars would wrap
         for t, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
-            u = states[a]
-            v = states[b]
+            u = state(a)
+            v = state(b)
             pair = u * s + v
             if track is not None:
                 track[pair] += 1
             if stochastic:
                 observed = None
                 if oi is not None:
-                    observed = (int(states[oi[t]]), int(states[oj[t]]))
-                nu, _ = self.model.apply_scalar(int(u), int(v), rng,
-                                                observed)
+                    observed = (state(oi[t]), state(oj[t]))
+                nu, _ = self.model.apply_scalar(u, v, rng, observed)
                 nv = v
             else:
                 flat = pair if cl is None else cl[t] * s * s + pair
@@ -321,7 +330,7 @@ class ConflictFreeKernel:
     def _apply_round(self, ii, jj, comps, oi, oj, update_counts, rng):
         """Vectorized application of one mutually-independent round."""
         states, s = self.states, self.s
-        u = states[ii]
+        u = states[ii].astype(np.intp)  # narrow states wrap in u * s
         v = states[jj]
         if not update_counts and self.pair_counts is None \
                 and not self._stochastic:
@@ -329,12 +338,13 @@ class ConflictFreeKernel:
             # so build the pair index in place instead of via temps.
             u *= s
             u += v
-            flat = u if comps is None else comps * (s * s) + u
-            nu = self._flat_u[flat]
-            states[ii] = nu
+            if comps is not None:
+                u += comps * (s * s)
+            states[ii] = self._flat_u[u]
             if not self.one_way:
-                states[jj] = self._flat_v[flat]
+                states[jj] = self._flat_v[u]
             return
+        v = v.astype(np.intp)
         pair = u * s
         pair += v
         if self.pair_counts is not None:
@@ -342,7 +352,8 @@ class ConflictFreeKernel:
         if self._stochastic:
             observed = None
             if oi is not None:
-                observed = (states[oi], states[oj])
+                observed = (states[oi].astype(np.intp),
+                            states[oj].astype(np.intp))
             nu, _ = self.model.apply(u, v, rng, observed)
             states[ii] = nu
             if update_counts:
@@ -373,13 +384,11 @@ class ConflictFreeKernel:
         required for stochastic models (their per-interaction draws);
         ``oi``/``oj`` carry the observed-agent indices of 4-slot models.
         """
-        if self._inert_bound is not None or self._inert is not None:
+        if self._inert_bound is not None or self._active is not None:
             if self._inert_bound is not None:
                 act = np.flatnonzero(ii < self._inert_bound)
-            elif self._active_agents is not None:
-                act = np.flatnonzero(self._active_agents[ii])
             else:
-                act = np.flatnonzero(~self._inert[self.states[ii]])
+                act = np.flatnonzero(self._active.take(self.states[ii]))
             if act.size == 0:
                 return
             if act.size < ii.size:
@@ -396,83 +405,43 @@ class ConflictFreeKernel:
         for pi, pj, pc, po_i, po_j in reversed(rounds):
             self._apply_round(pi, pj, pc, po_i, po_j, update_counts, rng)
 
-    def begin_run(self) -> None:
-        """Refresh run-scoped caches (call once per engine ``run``)."""
-        if self._inert_closed:
-            self._active_agents = ~self._inert[self.states]
-
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
-    def encode_stamps(self) -> dict | None:
-        """Copies of the peel stamps for snapshots, when they matter.
-
-        For *stochastic* models the peel's round grouping determines how
-        many vectorized ``model.apply`` draws each chunk consumes, and
-        the grouping depends on the carried-over stamp maps — so exact
-        resumption must capture them.  Deterministic table models are
-        peel-independent in both outcome and generator consumption
-        (conflicting pairs execute in sampling order either way and the
-        tables draw nothing), so ``None`` is returned and restore
-        starts from fresh stamps.  Scratch buffers carry no history and
-        are never captured.
-        """
-        if not self._stochastic:
-            return None
-        return {"stamp": int(self._stamp), "pos_i": self._pos_i.copy(),
-                "pos_r": self._pos_r.copy()}
-
-    def _check_stamps(self, block: dict | None) -> None:
-        """Refuse a :meth:`encode_stamps` block that does not fit."""
-        if block is None:
-            return
-        _snapshot_array(block, "pos_i", self._pos_i)
-        _snapshot_array(block, "pos_r", self._pos_r)
-
-    def restore_stamps(self, block: dict | None) -> None:
-        """Adopt a block checked by :meth:`_check_stamps`, in place."""
-        if block is None:
-            return
-        self._stamp = int(block["stamp"])
-        self._pos_i[:] = block["pos_i"]
-        self._pos_r[:] = block["pos_r"]
-
     def encode_proxy_state(self) -> dict:
         """The ``proxy_state`` snapshot block of a count engine's kernel.
 
         A count engine running this kernel owns the per-agent state
-        arrangement (identical index draws must hit identical states),
-        the pair-count accumulator when tracked, and the peel stamps.
+        arrangement (identical index draws must hit identical states)
+        and the pair-count accumulator when tracked.
         """
         return {
             "states": self.states.copy(),
             "pair_counts": (None if self.pair_counts is None
                             else self.pair_counts.copy()),
-            "kernel": self.encode_stamps(),
         }
 
     def _check_proxy_state(self, block: dict, chain: np.ndarray) -> None:
         """Refuse a :meth:`encode_proxy_state` block that does not fit.
 
         Its states must also agree with ``chain``, the snapshot's counts
-        the kernel adopts alongside them.
+        the kernel adopts alongside them.  An older ``kernel`` block of
+        peel stamps is ignored.
         """
-        states = _snapshot_array(block, "states", self.states)
+        states = _snapshot_states(block, "states", self.states)
         _check_population(chain, self.n, states)
         if self.pair_counts is not None:
             _snapshot_array(block, "pair_counts", self.pair_counts)
-        self._check_stamps(block.get("kernel"))
 
     def restore_proxy_state(self, block: dict) -> None:
         """Adopt a block checked by :meth:`_check_proxy_state`, in place."""
         self.states[:] = block["states"]
         if self.pair_counts is not None:
             self.pair_counts[:] = block["pair_counts"]
-        self.restore_stamps(block.get("kernel"))
 
     def sync_counts(self) -> None:
         """Recompute the count vector from the state array, in place."""
-        self.counts[:] = np.bincount(self.states, minlength=self.s)
+        self.counts[:] = count_states(self.states, self.s)
 
     def pair_count_matrix(self) -> np.ndarray:
         """The accumulated ``(S, S)`` per-type-pair interaction counts."""
@@ -507,7 +476,6 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
     """
     counts = kernel.counts
     track = observe_every is not None or stop_when is not None
-    kernel.begin_run()
     if kernel.four and others_block is None:
         raise InvalidParameterError(
             "4-slot models need an others_block to draw observed agents")

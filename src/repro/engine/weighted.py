@@ -395,17 +395,20 @@ class WeightedCountBackend(CountBackend):
 
     def _proxy_kernel(self) -> ConflictFreeKernel:
         """The product-space kernel and the weighted sampler driving it."""
-        # Fixed per-agent expansion: within-class exchangeability makes
-        # weighted pair sampling over any fixed assignment project to
-        # exactly the (class × state) count chain.
+        # Fixed per-agent expansion in the product model's state dtype:
+        # within-class exchangeability makes weighted pair sampling over
+        # any fixed assignment project to exactly the (class × state)
+        # count chain.
         model = self.model
+        product = ProductStateModel(model, self._classes)
         product_states = np.repeat(
-            np.arange(self._chain.size, dtype=np.int64), self._chain)
+            np.arange(self._chain.size, dtype=product.state_dtype),
+            self._chain)
         self._sampler = WeightedScheduler(
             np.repeat(self._class_weights, self._members), self._rng)
         return ConflictFreeKernel(
-            ProductStateModel(model, self._classes), product_states,
-            self._chain, allow_stochastic=model.component_tables is None,
+            product, product_states, self._chain,
+            allow_stochastic=model.component_tables is None,
             track_pairs=self._track_pairs)
 
     def _pair_block(self, size: int):

@@ -13,7 +13,8 @@ adopted in PR 2/3 (``allow_nan=False``; non-finite floats travel as
   typed failures;
 * :func:`http_call` / :func:`call_with_retries` — the stdlib
   ``urllib`` client every fabric role uses, separating *retryable*
-  transport failures (:class:`FabricUnavailable`) from *fatal* protocol
+  transport failures (:class:`FabricUnavailable`, from
+  :mod:`repro.utils.errors`) from *fatal* protocol
   rejections (:class:`ProtocolError`, carrying the HTTP status so the
   worker can distinguish an unknown-lease 409 from a generic 400).
 
@@ -29,7 +30,7 @@ import urllib.error
 import urllib.request
 
 from repro.runner.plan import RunTask
-from repro.utils.errors import InvalidParameterError
+from repro.utils.errors import FabricUnavailable, InvalidParameterError
 
 #: Protocol revision; bumped on any incompatible wire change.  The
 #: coordinator rejects mismatched clients loudly instead of
@@ -72,10 +73,6 @@ class UnknownLeaseError(ProtocolError):
 
     def __init__(self, message: str):
         super().__init__(message, status=STATUS_UNKNOWN_LEASE)
-
-
-class FabricUnavailable(RuntimeError):
-    """The coordinator could not be reached (retryable transport failure)."""
 
 
 def encode(payload: dict) -> bytes:

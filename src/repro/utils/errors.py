@@ -27,3 +27,8 @@ class InvariantError(ReproError, RuntimeError):
 
     For example, live counts that no longer describe ``n`` agents.
     """
+
+
+class FabricUnavailable(RuntimeError):
+    """The fabric coordinator could not be reached (retryable transport
+    failure); defined here so catching it loads no HTTP stack."""

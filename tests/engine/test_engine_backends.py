@@ -57,8 +57,10 @@ class TestAgentBackend:
 
     def test_reproducible(self, epidemic):
         states = (np.arange(30) % 3).astype(np.int64)
-        first = AgentBackend(epidemic, states, seed=11).run(2000)
-        second = AgentBackend(epidemic, states, seed=11).run(2000)
+        first = AgentBackend(epidemic, states, seed=11)
+        second = AgentBackend(epidemic, states, seed=11)
+        first.run(2000)
+        second.run(2000)
         assert np.array_equal(first.states, second.states)
 
     def test_stop_predicate_may_read_backend_counts(self, epidemic, rng):
@@ -78,10 +80,12 @@ class TestAgentBackend:
         import repro.engine.agent as agent_module
 
         states = (np.arange(4000) % 3).astype(np.int64)
-        numpy_path = AgentBackend(epidemic, states, seed=5).run(50)
+        numpy_path = AgentBackend(epidemic, states, seed=5)
+        numpy_path.run(50)
         monkeypatch.setattr(agent_module, "_LIST_PATH_MAX_N_PER_STEP",
                             10**9)
-        list_path = AgentBackend(epidemic, states, seed=5).run(50)
+        list_path = AgentBackend(epidemic, states, seed=5)
+        list_path.run(50)
         assert np.array_equal(numpy_path.states, list_path.states)
         assert np.array_equal(numpy_path.counts, list_path.counts)
 
@@ -94,13 +98,16 @@ class TestAgentBackend:
         assert result.counts.sum() == 12
         assert len(result.observations) == 5
 
-    def test_shared_scheduler_and_inplace_states(self, epidemic):
+    def test_shared_scheduler_and_owned_states(self, epidemic):
         states = (np.arange(10) % 3).astype(np.int64)
         scheduler = RandomScheduler(10, seed=3)
-        backend = AgentBackend(epidemic, states, scheduler=scheduler,
-                               copy=False)
+        backend = AgentBackend(epidemic, states, scheduler=scheduler)
         backend.run(100)
-        assert backend.states_live is states  # adopted, not copied
+        assert backend.scheduler is scheduler
+        # The engine runs on a one-byte copy of its own: the caller's
+        # array is never written.
+        assert backend.states_live.dtype == np.uint8
+        np.testing.assert_array_equal(states, np.arange(10) % 3)
 
     def test_validation(self, epidemic):
         with pytest.raises(InvalidParameterError):
@@ -112,8 +119,6 @@ class TestAgentBackend:
         with pytest.raises(InvalidParameterError):
             AgentBackend(epidemic, np.zeros(4, dtype=np.int64),
                          scheduler=RandomScheduler(7, seed=0))
-        with pytest.raises(InvalidParameterError):
-            AgentBackend(epidemic, [0, 1, 2], copy=False)
 
 
 class TestCountBackend:
@@ -169,15 +174,16 @@ class TestCountBackend:
         k = 4
         states = np.array([0] * 10 + [k] * 6 + [k + 1] * 4, dtype=np.int64)
         backend = AgentBackend(igt_model(k), states, seed=rng)
-        result = backend.run(8000)
-        assert (result.states[10:16] == k).all()
-        assert (result.states[16:] == k + 1).all()
-        assert (result.states[:10] < k).all()
+        backend.run(8000)
+        assert (backend.states[10:16] == k).all()
+        assert (backend.states[16:] == k + 1).all()
+        assert (backend.states[:10] < k).all()
 
     def test_states_not_tracked(self, epidemic, rng):
         backend = CountBackend(epidemic, np.array([5, 5, 5]), seed=rng)
+        backend.run(10)
         assert backend.states is None
-        assert backend.run(10).states is None
+        assert backend.states_live is None
 
     def test_validation(self, epidemic):
         with pytest.raises(InvalidParameterError):

@@ -76,7 +76,7 @@ class TestLawEquivalence:
         result = backend.run(20_000)
         assert result.counts.sum() == 500
         assert np.array_equal(
-            np.bincount(result.states, minlength=2), result.counts)
+            np.bincount(backend.states, minlength=2), result.counts)
 
     def test_observations_and_stop_predicates_work(self):
         model = LogitResponseModel(PAYOFFS, eta=2.0)
@@ -115,7 +115,8 @@ class TestRejections:
         from the pre-kernel behavior."""
         model = LogitResponseModel(PAYOFFS, eta=1.0)
         initial = (np.arange(40) % 2).astype(np.int64)
-        one = AgentBackend(model, initial.copy(), seed=7).run(500)
-        two = AgentBackend(model, initial.copy(), seed=7,
-                           vectorized=False).run(500)
+        one = AgentBackend(model, initial, seed=7)
+        two = AgentBackend(model, initial, seed=7, vectorized=False)
+        one.run(500)
+        two.run(500)
         assert np.array_equal(one.states, two.states)

@@ -274,16 +274,16 @@ class TestAveraging:
 
 
 class TestAgentEngineOnTables:
-    """A table protocol on the agent engine, built as ``build_engine``
-    builds it: the engine adopts the caller's state array in place."""
+    """A table protocol on the agent engine, built by ``build_engine``
+    from the caller's state array."""
 
     def test_max_spreads(self, rng):
         states = np.zeros(30, dtype=np.int64)
         states[0] = 3
-        result = agent_engine(maximum(4), states, rng).run(
-            20_000, stop_when=lambda counts: counts[3] == 30)
+        engine = agent_engine(maximum(4), states, rng)
+        result = engine.run(20_000, stop_when=lambda counts: counts[3] == 30)
         assert result.converged
-        assert (result.states == 3).all()
+        assert (engine.states == 3).all()
 
     def test_counts_match_states(self, rng):
         engine = agent_engine(maximum(4), [0, 1, 2, 3, 3], rng)
@@ -322,9 +322,11 @@ class TestAgentEngineOnTables:
 
     def test_reproducible(self):
         states = np.arange(4) % 4
-        r1 = agent_engine(maximum(4), states, 5).run(200)
-        r2 = agent_engine(maximum(4), states, 5).run(200)
-        assert np.array_equal(r1.states, r2.states)
+        e1 = agent_engine(maximum(4), states, 5)
+        e2 = agent_engine(maximum(4), states, 5)
+        e1.run(200)
+        e2.run(200)
+        assert np.array_equal(e1.states, e2.states)
 
 
 class TestTableModelStructure:
@@ -368,3 +370,22 @@ class TestTableModelStructure:
         from_lists = TableModel(table.tolist())
         assert np.array_equal(from_lists.table, table)
         assert from_lists.one_way == approximate_majority().one_way
+
+    def test_model_keeps_the_law_it_was_built_with(self):
+        # Editing the caller's table afterwards must not move the law:
+        # the model keeps a copy, so its table, its components, apply()
+        # and engines built after the edit all agree.
+        table = maximum(3).table
+        model = TableModel(table)
+        table[0, 1, 0] = 2
+        assert model.table[0, 1, 0] == 1
+        assert model.component_tables[0][0, 1, 0] == 1
+        new_u, _ = model.apply(np.array([0]), np.array([1]), None)
+        assert new_u.tolist() == [1]
+        states = np.array([0] * 30 + [1] * 30)
+        for backend in ("agent", "count"):
+            engine = build_engine(model, make_law(60, seed=2), backend,
+                                  states=states)
+            result = engine.run(3000)
+            # Under the max law nothing reaches state 2.
+            assert result.counts.tolist() == [0, 60, 0]

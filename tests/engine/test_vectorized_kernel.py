@@ -20,7 +20,7 @@ from repro.engine import (
     matrix_game_model,
 )
 from repro.engine.model import TableModel
-from repro.engine.vectorized import MIN_VECTORIZED_N, auto_chunk
+from repro.engine.vectorized import MIN_VECTORIZED_N, STAMP_MAX, auto_chunk
 from repro.utils import InvalidParameterError
 
 
@@ -56,28 +56,30 @@ class TestBitParity:
         # of a chunk conflicts with many others.
         model = igt_model(6)
         states = igt_states(n)
-        fast = AgentBackend(model, states, seed=11,
-                            vectorized=True).run(9000)
-        slow = AgentBackend(model, states, seed=11,
-                            vectorized=False).run(9000)
+        fast = AgentBackend(model, states, seed=11, vectorized=True)
+        slow = AgentBackend(model, states, seed=11, vectorized=False)
+        fast.run(9000)
+        slow.run(9000)
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.counts, slow.counts)
 
     @pytest.mark.parametrize("n", [2, 7, 800])
     def test_two_way_matches_sequential(self, swap, n):
         states = (np.arange(n) % 3).astype(np.int64)
-        fast = AgentBackend(swap, states, seed=5, vectorized=True).run(6000)
-        slow = AgentBackend(swap, states, seed=5, vectorized=False).run(6000)
+        fast = AgentBackend(swap, states, seed=5, vectorized=True)
+        slow = AgentBackend(swap, states, seed=5, vectorized=False)
+        fast.run(6000)
+        slow.run(6000)
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.counts, slow.counts)
 
     def test_mixture_model_matches_sequential(self):
         model = igt_model(5, observation_noise=0.2)
         states = igt_states(700, k=5)
-        fast = AgentBackend(model, states, seed=3,
-                            vectorized=True).run(20_000)
-        slow = AgentBackend(model, states, seed=3,
-                            vectorized=False).run(20_000)
+        fast = AgentBackend(model, states, seed=3, vectorized=True)
+        slow = AgentBackend(model, states, seed=3, vectorized=False)
+        fast.run(20_000)
+        slow.run(20_000)
         assert np.array_equal(fast.states, slow.states)
 
     def test_observations_and_stop_match(self, epidemic):
@@ -100,20 +102,20 @@ class TestBitParity:
     def test_inert_filter_epidemic_absorbed(self, epidemic):
         # All agents inert from the start: the whole run is no-ops.
         states = np.full(2000, 2, dtype=np.int64)
-        result = AgentBackend(epidemic, states, seed=1,
-                              vectorized=True).run(30_000)
+        backend = AgentBackend(epidemic, states, seed=1, vectorized=True)
+        result = backend.run(30_000)
         assert result.counts[2] == 2000
-        assert np.array_equal(result.states, states)
+        assert np.array_equal(backend.states, states)
 
     def test_epidemic_not_closed_still_exact(self, epidemic):
         # Epidemic agents *become* inert mid-run (active 0/1 -> inert 2),
-        # so the static-mask shortcut must not engage; trajectories stay
-        # identical to sequential execution.
+        # so the inert filter must read each chunk's current states;
+        # trajectories stay identical to sequential execution.
         states = (np.arange(1200) % 3).astype(np.int64)
-        fast = AgentBackend(epidemic, states, seed=21,
-                            vectorized=True).run(40_000)
-        slow = AgentBackend(epidemic, states, seed=21,
-                            vectorized=False).run(40_000)
+        fast = AgentBackend(epidemic, states, seed=21, vectorized=True)
+        slow = AgentBackend(epidemic, states, seed=21, vectorized=False)
+        fast.run(40_000)
+        slow.run(40_000)
         assert np.array_equal(fast.states, slow.states)
 
 
@@ -155,6 +157,74 @@ class TestPathSelection:
         assert backend.states_live is live
         assert np.array_equal(backend.counts,
                               np.bincount(live, minlength=3))
+
+
+PAYOFFS = np.array([[0.0, 3.0], [1.0, 2.0]])
+
+#: Kernels of every peel shape: one-way (table and stochastic), 4-slot
+#: and two-way.
+STAMP_MODELS = {
+    "one-way": lambda: igt_model(6),
+    "one-way-stochastic": lambda: matrix_game_model(PAYOFFS, "logit",
+                                                    eta=1.5),
+    "four-slot": lambda: matrix_game_model(PAYOFFS, "imitation"),
+    "two-way": lambda: TableModel([[(v, u) for v in range(3)]
+                                   for u in range(3)]),
+}
+
+
+class TestStampRestart:
+    """Peel stamps are ``int32``: a round that would overflow them
+    restarts them at 0 over cleared maps.  Rounds compare stamps only
+    with each other and with older, smaller ones, so the restart — like
+    a restore with fresh stamps — changes nothing."""
+
+    @pytest.mark.parametrize("headroom", [100, 5000])
+    @pytest.mark.parametrize("name", sorted(STAMP_MODELS))
+    def test_forced_restart_keeps_the_trajectory(self, name, headroom):
+        model = STAMP_MODELS[name]()
+        states = np.random.default_rng(3).integers(0, model.n_states, 3000)
+        plain = AgentBackend(model, states, seed=6, vectorized=True)
+        forced = AgentBackend(model, states, seed=6, vectorized=True)
+        plain.run(5000)
+        forced.run(5000)
+        # The maps keep their history, all of it below the forced stamp.
+        forced._kernel._stamp = STAMP_MAX - headroom
+        plain.run(20_000, observe_every=4000)
+        forced.run(20_000, observe_every=4000)
+        assert forced._kernel._stamp < STAMP_MAX - headroom  # restarted
+        np.testing.assert_array_equal(plain.states, forced.states)
+        np.testing.assert_array_equal(plain.counts, forced.counts)
+        assert (plain.scheduler.rng.bit_generator.state
+                == forced.scheduler.rng.bit_generator.state)
+
+
+class TestNarrowStates:
+    """Engines hold states in the model's narrowest unsigned dtype, and
+    compute pair indices on ``intp`` chunks so nothing wraps."""
+
+    def test_state_dtype_is_the_narrowest_unsigned_type(self):
+        assert igt_model(8).state_dtype == np.uint8
+        assert igt_model(254).state_dtype == np.uint8
+        assert igt_model(255).state_dtype == np.uint16
+
+    @pytest.mark.parametrize("vectorized, steps", [
+        (True, 6000), (False, 6000), (False, 100)],
+        ids=["kernel", "list-loop", "numpy-loop"])
+    def test_wide_state_space_does_not_wrap(self, vectorized, steps):
+        # 300 states in uint16: u * S reaches 89,700, past 2^16.
+        s = 300
+        table = np.empty((s, s, 2), dtype=np.int64)
+        table[:, :, 0] = np.maximum.outer(np.arange(s), np.arange(s))
+        table[:, :, 1] = np.arange(s)[None, :]
+        model = TableModel(table)
+        states = np.random.default_rng(5).integers(0, s, 2000)
+        engine = AgentBackend(model, states, seed=4, vectorized=vectorized)
+        assert engine.states_live.dtype == np.uint16
+        engine.run(steps)
+        reference = AgentBackend(GenericTable(table), states, seed=4)
+        reference.run(steps)
+        np.testing.assert_array_equal(engine.states, reference.states)
 
 
 class TestKernelValidation:

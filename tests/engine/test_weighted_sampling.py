@@ -160,11 +160,11 @@ class TestNoSilentDowngrade:
         states[0] = 1
         backend = AgentBackend(TableModel(table), states,
                                scheduler=WeightedScheduler(weights, seed=3))
-        result = backend.run(20_000)
+        backend.run(20_000)
         # Agent 0 is (essentially) never the initiator, so it keeps its
         # state; everyone else eventually copies it under this rule only
         # via interactions where 0 responds.
-        assert result.states[0] == 1
+        assert backend.states[0] == 1
 
     def test_count_backend_refuses_weighted_scheduler(self):
         table = np.zeros((2, 2, 2), dtype=np.int64)

@@ -86,11 +86,15 @@ def max_table(n_states: int, responder_too: bool) -> np.ndarray:
 
 def agent_run(table, initial_states, seed, max_steps, vectorized=None,
               observe_every=None):
-    """``table`` on the agent engine, built as ``build_engine`` builds it."""
+    """``table`` on the agent engine, built as ``build_engine`` builds it.
+
+    Returns the final per-agent states and the run's result.
+    """
     states = np.array(initial_states, dtype=np.int64)
     engine = build_engine(TableModel(table), make_law(states.size, seed=seed),
                           "agent", states=states, vectorized=vectorized)
-    return engine.run(max_steps, observe_every=observe_every)
+    result = engine.run(max_steps, observe_every=observe_every)
+    return engine.states, result
 
 
 def reference_igt_run(n, shares, grid, seed, steps, observe_every=None,
@@ -147,9 +151,9 @@ class TestAgentBackendBitCompat:
         states[5:40] = 1
         ref_states, ref_counts, ref_obs = reference_simulator_run(
             table, states, seed, 30_000, observe_every=7001)
-        result = agent_run(table, states, seed, 30_000,
+        final, result = agent_run(table, states, seed, 30_000,
                            observe_every=7001)
-        assert np.array_equal(result.states, ref_states)
+        assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
         assert len(result.observations) == len(ref_obs)
         for (s1, c1), (s2, c2) in zip(result.observations, ref_obs):
@@ -160,8 +164,8 @@ class TestAgentBackendBitCompat:
         states = (np.arange(100) % 3).astype(np.int64)
         ref_states, ref_counts, _ = reference_simulator_run(
             table, states, 13, 5000)
-        result = agent_run(table, states, 13, 5000)
-        assert np.array_equal(result.states, ref_states)
+        final, result = agent_run(table, states, 13, 5000)
+        assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -197,9 +201,9 @@ class TestVectorizedAgentBitCompat:
         states[5:40] = 1
         ref_states, ref_counts, ref_obs = reference_simulator_run(
             table, states, seed, 30_000, observe_every=7001)
-        result = agent_run(table, states, seed, 30_000, vectorized=True,
+        final, result = agent_run(table, states, seed, 30_000, vectorized=True,
                            observe_every=7001)
-        assert np.array_equal(result.states, ref_states)
+        assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
         assert len(result.observations) == len(ref_obs)
         for (s1, c1), (s2, c2) in zip(result.observations, ref_obs):
@@ -210,8 +214,8 @@ class TestVectorizedAgentBitCompat:
         states = (np.arange(100) % 3).astype(np.int64)
         ref_states, ref_counts, _ = reference_simulator_run(
             table, states, 13, 5000)
-        result = agent_run(table, states, 13, 5000, vectorized=True)
-        assert np.array_equal(result.states, ref_states)
+        final, result = agent_run(table, states, 13, 5000, vectorized=True)
+        assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
 
 

@@ -6,11 +6,12 @@ constructed* engine with identical arguments, continues the trajectory
 byte-identically — same counts, same per-agent states, same
 observations, same generator bitstream position — across all three
 backends, both execution paths of the count engines (array proxy and
-birthday batching), stochastic kernels (peel stamps), weighted
-populations, and graph topologies.  The second half exercises the
-durability machinery itself: the checksummed on-disk store's fallback
-ladder under torn writes, and the :mod:`repro.testing.faults` crash
-harness via real subprocess deaths.
+birthday batching), stochastic kernels (restored with fresh peel
+stamps), weighted populations, and graph topologies — and documents
+written before state arrays narrowed still resume.  The second half
+exercises the durability machinery itself: the checksummed on-disk
+store's fallback ladder under torn writes, and the
+:mod:`repro.testing.faults` crash harness via real subprocess deaths.
 """
 
 import hashlib
@@ -115,8 +116,8 @@ def assert_continues_identically(original, resumed, post_plan=None):
         assert left.steps == right.steps
         assert left.converged == right.converged
         np.testing.assert_array_equal(left.counts, right.counts)
-        if left.states is not None:
-            np.testing.assert_array_equal(left.states, right.states)
+        if original.states is not None:
+            np.testing.assert_array_equal(original.states, resumed.states)
         assert len(left.observations) == len(right.observations)
         for (step_a, counts_a), (step_b, counts_b) in zip(
                 left.observations, right.observations):
@@ -156,8 +157,9 @@ class TestBackendEquivalence:
             logit_model(), initial_states(200, 2), seed=13))
 
     def test_agent_backend_stochastic_kernel_stamps(self):
-        # Stochastic kernel: the peel stamps are part of the captured
-        # state (they set per-round model.apply draw counts).
+        # Stochastic kernel: the peel's rounds set the per-round
+        # model.apply draw counts, yet a restore with fresh stamps
+        # continues identically — the stamps carry no history.
         assert_resumes_identically(lambda: AgentBackend(
             logit_model(), initial_states(1500, 2), seed=14,
             vectorized=True))
@@ -241,27 +243,61 @@ def pinned_engine(kind):
                                 seed=31)
 
 
+def older_document(kind, engine) -> bytes:
+    """The document ``engine`` would have written while engines held
+    ``int64`` states and captured the stochastic kernel's peel stamps.
+
+    The stamps are rebuilt from the live kernel: stamp arithmetic did
+    not change when the maps narrowed to ``int32``, only their width.
+    """
+    snapshot = engine.snapshot()
+    payload = dict(snapshot.payload)
+    kernel = engine._kernel
+    stamps = {"stamp": kernel._stamp,
+              "pos_i": kernel._pos_i.astype(np.int64),
+              "pos_r": kernel._pos_r.astype(np.int64)}
+    block = payload if kind == "agent" else dict(payload["proxy_state"])
+    block["states"] = block["states"].astype(np.int64)
+    block["kernel"] = stamps
+    if kind != "agent":
+        payload["proxy_state"] = block
+    return SnapshotState(kind=snapshot.kind, payload=payload).to_bytes()
+
+
 class TestSnapshotBytePins:
     """``snapshot().to_bytes()`` of every count-chain path, byte for byte.
 
-    The proxy cases run stochastic kernels, so they cover the peel
-    stamps on all three engines and the count engines' ``proxy_state``
-    block (states, pair counts when tracked, stamps).  The birthday
-    cases cover both count engines' batched payloads with a tracked
-    pair-count accumulator.  The digests pin the format written today,
-    so any change to the on-disk/wire snapshot format moves one.  The
-    ``count-birthday`` digest was re-captured when table models'
+    The proxy cases run stochastic kernels and cover the count engines'
+    ``proxy_state`` block (states, pair counts when tracked).  The
+    birthday cases cover both count engines' batched payloads with a
+    tracked pair-count accumulator.  The digests pin the format written
+    today, so any change to the on-disk/wire snapshot format moves one.
+    The ``count-birthday`` digest was re-captured when table models'
     birthday batches became cell compositions (a new bitstream, not a
-    new format).
+    new format).  The ``agent``, ``count`` and ``weighted`` digests were
+    re-captured when state arrays narrowed to one byte (a new header
+    dtype) and the peel stamps left the document; :data:`OLDER_DIGESTS`
+    keeps the digests those engines wrote before.
     """
+
+    #: Digests of the documents the proxy cases wrote while engines held
+    #: ``int64`` states and captured peel stamps.
+    OLDER_DIGESTS = {
+        "agent": "f7f6fabe21b3f64215123895840ef2bd"
+                 "126e9ae4816c5cef135c6af02789420a",
+        "count": "3e5942cd4151272ee46912c7351edc15"
+                 "00fd5b3b41b3b9116d84a5f53bb8a1a3",
+        "weighted": "60a4bcabfa8401729b59a97a03e3e9a5"
+                    "149c0d25010f57845a1035cc0e69c233",
+    }
 
     @pytest.mark.parametrize("kind, digest", [
         ("agent",
-         "f7f6fabe21b3f64215123895840ef2bd126e9ae4816c5cef135c6af02789420a"),
+         "b55b603d75a34ecc56d5d3eaa6526d5b2cd71b6c1503e87057548b5443ff6801"),
         ("count",
-         "3e5942cd4151272ee46912c7351edc1500fd5b3b41b3b9116d84a5f53bb8a1a3"),
+         "806593c42b73bccc37a3bd178f464e5f5921fff2c436c0ad52d57cead6fa0d37"),
         ("weighted",
-         "60a4bcabfa8401729b59a97a03e3e9a5149c0d25010f57845a1035cc0e69c233"),
+         "aec5bd8de2c43ab92a6821a2a518ee1c6f84c430399eb8359c28a13deddc6caf"),
         ("count-birthday",
          "f371572936fb162a9d4c4fd3bd03e54ee3cc502641992cd9bc4b32ae8fb60ff9"),
         ("weighted-birthday",
@@ -273,7 +309,7 @@ class TestSnapshotBytePins:
         snapshot = engine.snapshot()
         if not kind.endswith("birthday"):
             block = snapshot.payload.get("proxy_state", snapshot.payload)
-            assert block["kernel"] is not None  # peel stamps are captured
+            assert "kernel" not in block  # peel stamps are not captured
         data = snapshot.to_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         # Decoding into a fresh engine and encoding again is lossless,
@@ -283,6 +319,20 @@ class TestSnapshotBytePins:
         resumed.restore(SnapshotState.from_bytes(data))
         assert resumed.snapshot().to_bytes() == data
         assert SnapshotState.from_bytes(data).to_bytes() == data
+        assert_continues_identically(engine, resumed)
+
+    @pytest.mark.parametrize("kind", sorted(OLDER_DIGESTS))
+    def test_older_documents_resume(self, kind):
+        # int64 states and a kernel block of peel stamps: restore checks
+        # and narrows the states, ignores the stamps, and continues
+        # exactly like the engine that wrote the document.
+        engine = pinned_engine(kind)
+        run_plan(engine, PRE_PLAN)
+        data = older_document(kind, engine)
+        assert hashlib.sha256(data).hexdigest() == self.OLDER_DIGESTS[kind]
+        resumed = pinned_engine(kind)
+        resumed.restore(SnapshotState.from_bytes(data))
+        assert resumed.snapshot().to_bytes() == engine.snapshot().to_bytes()
         assert_continues_identically(engine, resumed)
 
 
@@ -585,6 +635,17 @@ def state_out_of_range(payload):
         chain[0], chain[1] = -1, chain[1] + chain[0] + 1
 
 
+def older_state_out_of_range(payload):
+    """``int64`` states, as older documents hold them, one of which a
+    cast to a byte would wrap back into range."""
+    block = payload.get("proxy_state", payload)
+    if block.get("states") is None:
+        state_out_of_range(payload)
+        return
+    block["states"] = block["states"].astype(np.int64)
+    block["states"][0] += 256
+
+
 def wrong_length(payload):
     payload["counts"] = np.append(payload["counts"], 0)
 
@@ -600,8 +661,9 @@ def counts_disagree(payload):
 
 class TestRestoreChecks:
     @pytest.mark.parametrize("engine", sorted(CHECKED_ENGINES))
-    @pytest.mark.parametrize("damage", [state_out_of_range, wrong_length,
-                                        counts_disagree],
+    @pytest.mark.parametrize("damage", [state_out_of_range,
+                                        older_state_out_of_range,
+                                        wrong_length, counts_disagree],
                              ids=lambda damage: damage.__name__)
     def test_inconsistent_snapshot_is_refused_untouched(self, engine,
                                                         damage):
@@ -850,3 +912,49 @@ class TestFaultInjection:
         loaded = SnapshotStore(tmp_path).load("task")
         assert loaded is not None
         assert loaded.steps_run == 1
+
+    def test_simulate_resumes_from_an_older_checkpoint(self, tmp_path,
+                                                       monkeypatch):
+        """``repro simulate --snapshots DIR`` resumes across the change
+        that narrowed state arrays: a checkpoint as the ``int64`` engines
+        wrote it (deterministic kernels captured no stamps) continues to
+        the uninterrupted run's stream, byte for byte."""
+        from repro.cli import main
+
+        args = ["simulate", "--n", "3000", "--k", "4", "--backend", "agent",
+                "--steps", "60000", "--seed", "3", "--observe-every", "3000"]
+        env = dict(os.environ)
+        env[FAULTS_ENV] = "snapshot.post-save:1"
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro", *args, "--snapshots",
+             str(tmp_path / "snap"), "--observe",
+             f"jsonl:{tmp_path / 'resumed.jsonl'}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        store = SnapshotStore(tmp_path / "snap")
+        found = store.load("simulate")
+        payload = {**found.payload, "kernel": None,
+                   "states": found.payload["states"].astype(np.int64)}
+        store.save("simulate", SnapshotState(kind=found.kind,
+                                             payload=payload))
+        older = (tmp_path / "snap" / "simulate.snap").read_bytes()
+        # The bytes the int64 engines left at this crash point.
+        assert hashlib.sha256(older).hexdigest() == (
+            "fc7a571415aceb430bcd492975e2893bf807f8f63f2bea5bd9a917253aa2cecd")
+        restored = []
+        restore = AgentBackend.restore
+
+        def spy(engine, snapshot):
+            restored.append(snapshot.steps_run)
+            restore(engine, snapshot)
+
+        monkeypatch.setattr(AgentBackend, "restore", spy)
+        assert main([*args, "--snapshots", str(tmp_path / "snap"),
+                     "--observe", f"jsonl:{tmp_path / 'resumed.jsonl'}"]) == 0
+        assert restored == [payload["steps_run"]] != [0]
+        assert main([*args, "--snapshots", str(tmp_path / "ref"),
+                     "--observe", f"jsonl:{tmp_path / 'ref.jsonl'}"]) == 0
+        resumed = (tmp_path / "resumed.jsonl").read_bytes()
+        assert resumed == (tmp_path / "ref.jsonl").read_bytes()
+        assert len(resumed.splitlines()) == 21

@@ -14,7 +14,11 @@ compositions.  The three agent action-mode digests were re-captured
 (epoch 4) when that mode moved from a per-step Monte-Carlo game loop
 onto the engine's exact classification law.  The ``simulator-*`` and
 ``protocol-counts-*`` cases run a plain table protocol through
-``build_engine`` on the agent and the count engine.
+``build_engine`` on the agent and the count engine.  The ``*-kernel``
+agent cases run the chunked kernel: ``igt-uniform-agent-kernel`` with
+the k-IGT inert filter (n = 20,000, k = 8, observed), and the logit and
+imitation cases its batched stochastic path (2- and 4-slot peels); they
+were captured before the kernel's state arrays were narrowed.
 """
 
 import hashlib
@@ -26,7 +30,7 @@ from repro.core.equilibrium import RDSetting
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.engine import TableModel, build_engine, make_law
+from repro.engine import TableModel, build_engine, make_law, matrix_game_model
 
 SHARES = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
 GRID = GenerosityGrid(k=4, g_max=0.6)
@@ -63,6 +67,28 @@ def igt_action(law):
     return sim.counts, series, sim.gtft_indices()
 
 
+def igt_kernel():
+    """k-IGT on the agent kernel, inert filter included."""
+    sim = IGTSimulation(n=20_000, shares=SHARES,
+                        grid=GenerosityGrid(k=8, g_max=0.6), seed=13,
+                        backend="agent")
+    series = sim.run(200_000, observe_every=50_000)
+    return sim.counts, series, sim.gtft_indices()
+
+
+def stochastic_kernel(rule, n=2_000):
+    """A one-way stochastic game rule on the agent kernel
+    (``vectorized=True``)."""
+    model = matrix_game_model(hawk_dove_game(2.0, 4.0).row_payoffs, rule,
+                              eta=0.8)
+    states = np.random.default_rng(4).integers(0, model.n_states, size=n)
+    engine = build_engine(model, make_law(n, seed=8), "agent",
+                          states=states, vectorized=True)
+    result = engine.run(40_000, observe_every=10_000)
+    observed = [counts for _, counts in result.observations]
+    return engine.states, result.counts, observed
+
+
 def game(law, backend="agent"):
     sim = PopulationGameSimulation(hawk_dove_game(2.0, 4.0), 40,
                                    rule="imitation", seed=3,
@@ -87,7 +113,7 @@ def simulator(law, n):
                           "agent", states=states)
     result = engine.run(30_000, observe_every=7_001)
     observed = [counts for _, counts in result.observations]
-    return result.states, result.counts, observed
+    return engine.states, result.counts, observed
 
 
 def protocol_counts(n):
@@ -104,6 +130,7 @@ def protocol_counts(n):
 
 CASES = {
     "igt-uniform-agent": lambda: igt_run("uniform", "agent"),
+    "igt-uniform-agent-kernel": igt_kernel,
     "igt-uniform-count": lambda: igt_run("uniform", "count"),
     "igt-uniform-count-birthday": lambda: igt_run(
         "uniform", "count", n=2_000_000, steps=200_000),
@@ -119,6 +146,8 @@ CASES = {
     "game-ring-agent": lambda: game("ring"),
     "game-uniform-count": lambda: game("uniform", backend="count"),
     "game-powerlaw-count": lambda: game("powerlaw", backend="count"),
+    "logit-agent-kernel": lambda: stochastic_kernel("logit"),
+    "imitation-agent-kernel": lambda: stochastic_kernel("imitation"),
     "simulator-uniform": lambda: simulator("uniform", 300),
     "simulator-uniform-kernel": lambda: simulator("uniform", 4_000),
     "simulator-ring": lambda: simulator("ring", 300),
@@ -140,8 +169,11 @@ PINNED = {
     "igt-ring-count": "f579cde16d1a0912",
     "igt-uniform-action-agent": "fd85fed7d291dc95",
     "igt-uniform-agent": "6db001b736e7c680",
+    "igt-uniform-agent-kernel": "189a91b98a2d1fe2",
     "igt-uniform-count": "f579cde16d1a0912",
     "igt-uniform-count-birthday": "5fe2cde7b36e944d",
+    "imitation-agent-kernel": "06be09059915c630",
+    "logit-agent-kernel": "646d91d66418673a",
     "protocol-counts-birthday": "b7c5fc987aa25f82",
     "protocol-counts-proxy": "21d496e6330e2e77",
     "simulator-ring": "6f591db0dfe14496",

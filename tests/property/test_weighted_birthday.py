@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.engine import (
     CountBackend,
-    ImitationModel,
     TableModel,
     WeightedCountBackend,
 )

@@ -28,6 +28,22 @@ def failing_experiment():
     del _REGISTRY["E99X"]
 
 
+class TestFabricUnavailable:
+    def test_unreachable_coordinator_exits_with_code_3(self, monkeypatch, capsys):
+        from repro.fabric import protocol
+        from repro.fabric.client import RemotePool
+        from repro.utils.errors import FabricUnavailable
+
+        def unreachable(self, path, payload):
+            raise FabricUnavailable(f"cannot reach {self.url}{path}")
+
+        monkeypatch.setattr(RemotePool, "_call", unreachable)
+        assert protocol.FabricUnavailable is FabricUnavailable
+        code = main(["sweep", "E1", "--remote", "http://127.0.0.1:9"])
+        assert code == 3
+        assert "cannot reach http://127.0.0.1:9/submit" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_sweep_passes_and_prints_rates(self, capsys):
         code = main(["sweep", "E1", "--replicates", "2"])

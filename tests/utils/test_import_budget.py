@@ -53,6 +53,20 @@ def test_simulate_with_theory_report_loads_no_scipy(backend, tmp_path):
     assert scipy_loaded_by(code, tmp_path) == []
 
 
+def test_simulate_leaves_the_http_stack_unloaded(tmp_path):
+    """``repro simulate`` talks to no coordinator: it loads neither the
+    fabric nor ``urllib.request`` (and with it ``http.client``, ``ssl``
+    and ``email``)."""
+    code = ("import sys\n"
+            "import repro.cli\n"
+            "assert repro.cli.main(['simulate', '--n', '2000', "
+            "'--steps', '1000']) == 0\n"
+            "loaded = [name for name in ('repro.fabric', 'urllib.request')\n"
+            "          if name in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    assert scipy_loaded_by(code, tmp_path) == []
+
+
 def test_sweep_pool_task_loads_no_scipy(tmp_path):
     """One E6 task, as each pool worker of an ``E6 --grid seed=...``
     sweep runs it."""
