@@ -364,8 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
               "crossovers pinned in repro.engine.dispatch"))
     sim_parser.add_argument(
         "--observe-every", type=int, default=None, metavar="N",
-        help=("observation cadence: snapshot the strategy counts every "
-              "N interactions (required by --observe)"))
+        help=("observation cadence: record the strategy counts every "
+              "N interactions (--observe and --observe-every go "
+              "together)"))
     sim_parser.add_argument(
         "--observe", default=None, metavar="SPEC",
         help=("observer sink for the snapshots: 'jsonl:PATH' appends "
@@ -379,7 +380,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help=("run resumably: checkpoint engine snapshots under DIR, "
               "and on restart pick the run up mid-trajectory — the "
               "trajectory (and any --observe jsonl stream) is "
-              "byte-identical to an uninterrupted run's"))
+              "byte-identical to an uninterrupted run's; the run is cut "
+              "into segments of 8 x max(--observe-every, steps/64) "
+              "interactions (about 8 per run) with a checkpoint after "
+              "each, so a rerun must repeat --steps and --observe-every "
+              "or remove DIR"))
     return parser
 
 
@@ -393,9 +398,6 @@ def _simulate_sink(args, grid, graph):
     """
     if args.observe is None:
         return None
-    if args.observe_every is None:
-        raise InvalidParameterError(
-            "--observe needs --observe-every N (the observation cadence)")
     from repro.engine import sink_from_spec
 
     profile_classes = profile_values = None
@@ -441,6 +443,13 @@ def _run_simulate(args) -> int:
 
     import numpy as np
 
+    if args.observe is not None and args.observe_every is None:
+        raise InvalidParameterError(
+            "--observe needs --observe-every N (the observation cadence)")
+    if args.observe_every is not None and args.observe is None:
+        raise InvalidParameterError(
+            "--observe-every needs --observe SPEC (the sink that receives "
+            "the observations)")
     gamma = 1.0 - args.alpha - args.beta
     shares = PopulationShares(alpha=args.alpha, beta=args.beta, gamma=gamma)
     grid = GenerosityGrid(k=args.k, g_max=args.g_max)
@@ -472,7 +481,9 @@ def _run_simulate(args) -> int:
 
         channel = FileSnapshotChannel(SnapshotStore(args.snapshots),
                                       "simulate")
-        check = args.observe_every or max(1, steps // 64)
+        # About 8 segments per run (SEGMENT_CHECKS checks of steps/64
+        # each), never fewer than 8 observations per segment.
+        check = max(args.observe_every or 1, steps // 64)
         run_resumable(sim, steps, None, check_stop_every=check,
                       channel=channel, observe_every=args.observe_every,
                       observe=sink)

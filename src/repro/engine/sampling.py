@@ -74,7 +74,8 @@ def check_weights(weights) -> np.ndarray:
     if w.ndim != 1 or w.size < 2:
         raise InvalidParameterError(
             "weights must be a 1-D array of at least 2 agents")
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
+    # Two reductions, no temporaries: a NaN fails the first comparison.
+    if not (w.min() > 0 and np.isfinite(w.max())):
         raise InvalidParameterError("weights must be positive and finite")
     return w
 

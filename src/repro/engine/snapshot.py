@@ -456,6 +456,10 @@ class SnapshotChannel:
         """Discard the task's snapshots (called on task completion)."""
         raise NotImplementedError
 
+    def __str__(self) -> str:
+        """Where the snapshots live, for messages that ask to remove them."""
+        return f"the {type(self).__name__}'s snapshots"
+
 
 class FileSnapshotChannel(SnapshotChannel):
     """A :class:`SnapshotStore` scoped to one task's canonical key."""
@@ -463,6 +467,9 @@ class FileSnapshotChannel(SnapshotChannel):
     def __init__(self, store: SnapshotStore, key: str):
         self.store = store
         self.key = key
+
+    def __str__(self) -> str:
+        return str(self.store.root)
 
     def load(self) -> SnapshotState | None:
         return self.store.load(self.key)
@@ -523,6 +530,9 @@ class ScopedSnapshotChannel(SnapshotChannel):
 
     def clear(self) -> None:
         self.inner.clear()
+
+    def __str__(self) -> str:
+        return str(self.inner)
 
 
 def scoped_channel(scope: str,
@@ -634,7 +644,15 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     back to the last durable snapshot position and continues — so the
     streamed file is byte-identical to an uninterrupted run's.
     Segments are rounded up to a multiple of the observation cadence to
-    keep boundaries on the cadence grid.
+    keep boundaries on the cadence grid.  An empty budget still emits
+    the start observation, as a plain ``run`` does.
+
+    A restored checkpoint must sit on this run's segment grid: a whole
+    number of segments past the start step and before the end of the
+    budget.  One written under another cadence or step budget cannot
+    resume byte-identically, so it is refused with
+    :class:`~repro.utils.errors.InvalidParameterError` before any
+    segment runs or the stream is touched.
 
     Every segment boundary checks, in O(S), that the simulation's live
     counts (``counts_live``) are non-negative and sum to its ``n``, and
@@ -661,8 +679,21 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
         found = channel.load()
         if found is not None:
             simulation.restore(found)
+            offset = int(simulation.steps_run) - start
+            if offset % segment_steps or not 0 <= offset < target - start:
+                raise InvalidParameterError(
+                    f"cannot resume the checkpoint at step "
+                    f"{int(simulation.steps_run)}: it is not a boundary of "
+                    f"this run's {segment_steps}-interaction segments from "
+                    f"step {start} to step {target}, so it was written "
+                    f"with another cadence or step budget and would not "
+                    f"reproduce this run; remove {channel} to start over")
             if stream is not None:
                 stream.seek(found.payload.get("sink"))
+    if stream is not None and simulation.steps_run == target:
+        # An empty budget still observes its start state.
+        simulation.run_until(0, None, check_stop_every=check_stop_every,
+                             observe_every=observe_every, observe=stream)
     converged = False
     while simulation.steps_run < target and not converged:
         budget = min(segment_steps, target - int(simulation.steps_run))

@@ -154,15 +154,18 @@ def resolve_weights(weights, n: int):
     """The facades' one ``weights=`` parser: spec or array -> weights.
 
     ``None`` passes through (uniform); a string resolves via
-    :func:`weights_from_spec`; anything else is validated as a
-    length-``n`` positive 1-D array.  Every facade funnels its knob
-    through here so the validation (and its messages) exist once.
+    :func:`weights_from_spec`; anything else must be a length-``n``
+    array, returned as float.  Its values are validated once, by the
+    :class:`~repro.engine.sampling.WeightedScheduler` that
+    :func:`~repro.engine.dispatch.make_law` builds from it.  Every facade
+    funnels its knob through here so the parsing (and its messages)
+    exist once.
     """
     if weights is None:
         return None
     if isinstance(weights, str):
         return weights_from_spec(weights, n)
-    weights = check_weights(weights)
+    weights = np.asarray(weights, dtype=float)
     if weights.size != n:
         raise InvalidParameterError(
             f"weights must have length n={n}, got {weights.size}")
@@ -178,14 +181,16 @@ def weight_classes(weights) -> tuple[np.ndarray, np.ndarray]:
     count-level lift needs a small discrete class set.
     """
     w = check_weights(weights)
-    class_weights, class_of = np.unique(w, return_inverse=True)
+    # Distinct values, then a sorted lookup per agent: return_inverse
+    # would argsort all n weights.
+    class_weights = np.unique(w)
     if class_weights.size > MAX_WEIGHT_CLASSES:
         raise InvalidParameterError(
             f"{class_weights.size} distinct weight values exceed the "
             f"{MAX_WEIGHT_CLASSES}-class cap of the count-level lift; "
             f"discretize the weights (e.g. via weights_from_spec) or use "
             f"the agent backend")
-    return class_weights, class_of
+    return class_weights, np.searchsorted(class_weights, w)
 
 
 class ProductStateModel(InteractionModel):
@@ -356,16 +361,24 @@ class WeightedCountBackend(CountBackend):
         the one implementation of the facades' agent-view-to-lift
         conversion.  ``kwargs`` pass through to the constructor.
         """
-        states = check_int_array("states", states)
+        states = np.asarray(states)  # integers are not widened
+        if states.dtype.kind not in "iu" or states.ndim != 1:
+            states = check_int_array("states", states)
         class_weights, class_of = weight_classes(weights)
         if class_of.size != states.size:
             raise InvalidParameterError(
                 f"weights cover {class_of.size} agents, states "
                 f"{states.size}")
-        class_counts = np.zeros((class_weights.size, model.n_states),
-                                dtype=np.int64)
-        np.add.at(class_counts, (class_of, states), 1)
-        return cls(model, class_counts, class_weights, **kwargs)
+        n_states = model.n_states
+        if states.min() < 0 or states.max() >= n_states:
+            raise InvalidParameterError(
+                f"states must lie in 0..{n_states - 1}")
+        cells = class_of * n_states
+        cells += states
+        class_counts = np.bincount(cells,
+                                   minlength=class_weights.size * n_states)
+        return cls(model, class_counts.reshape(-1, n_states), class_weights,
+                   **kwargs)
 
     @property
     def class_weights(self) -> np.ndarray:

@@ -292,6 +292,29 @@ class TestWeightClassHelpers:
         with pytest.raises(InvalidParameterError, match="cap"):
             weight_classes(np.linspace(1.0, 2.0, 100))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_from_agent_states_histograms_per_class(self, dtype):
+        # The per-class histogram equals a scatter-add over (class,
+        # state) pairs, with classes in ascending weight order.
+        rng = np.random.default_rng(11)
+        weights = weights_from_spec("powerlaw", 10_000)[
+            rng.permutation(10_000)]
+        states = rng.integers(0, 5, size=10_000).astype(dtype)
+        engine = WeightedCountBackend.from_agent_states(
+            TableModel(epidemic_table(5)), states, weights)
+        class_weights, class_of = weight_classes(weights)
+        expected = np.zeros((class_weights.size, 5), dtype=np.int64)
+        np.add.at(expected, (class_of, states.astype(np.int64)), 1)
+        np.testing.assert_array_equal(engine.class_weights, class_weights)
+        np.testing.assert_array_equal(engine.class_state_counts, expected)
+
+    @pytest.mark.parametrize("states", [[0, 1, 5, 2], [0, -1, 2, 3]],
+                             ids=["high", "negative"])
+    def test_from_agent_states_refuses_states_out_of_range(self, states):
+        with pytest.raises(InvalidParameterError, match=r"lie in 0\.\.4"):
+            WeightedCountBackend.from_agent_states(
+                TableModel(epidemic_table(5)), np.array(states), np.ones(4))
+
     def test_weights_from_spec(self):
         assert weights_from_spec("uniform", 10) is None
         powerlaw = weights_from_spec("powerlaw:2", 16)

@@ -40,10 +40,11 @@ from repro.engine import (
     run_resumable,
     use_snapshot_channel,
 )
+from repro.engine.observe import JsonlSink, MemorySink
 from repro.engine.snapshot import FileSnapshotChannel, RecordingChannel
 from repro.testing import FaultSpec, crash_point, reset_faults
 from repro.testing.faults import CRASH_EXIT_CODE, FAULTS_ENV
-from repro.utils.errors import InvariantError
+from repro.utils.errors import InvalidParameterError, InvariantError
 
 PAYOFFS = np.array([[3.0, 0.0], [5.0, 1.0]])  # prisoner's dilemma
 
@@ -844,6 +845,51 @@ class TestRunResumable:
                           channel=channel)
         assert len(channel.snapshots) == 1
 
+    def test_off_grid_checkpoint_is_refused_before_any_segment(
+            self, tmp_path):
+        # Checks of 50 steps save at step 400, half of the 800-step
+        # segments that checks of 100 steps cut: that checkpoint belongs
+        # to another execution law.
+        recording = RecordingChannel()
+        run_resumable(igt_sim(backend="count"), 6000, lambda z: False,
+                      check_stop_every=50, channel=recording)
+        channel = RecordingChannel(initial=recording.snapshots[0])
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(InvalidParameterError,
+                           match=r"checkpoint at step 400: .* 800-interaction"
+                                 r" segments from step 0 to step 6000"):
+            run_resumable(igt_sim(backend="count"), 6000, lambda z: False,
+                          check_stop_every=100, channel=channel,
+                          observe_every=100, observe=JsonlSink(path))
+        assert channel.snapshots == []
+        assert path.read_bytes() == b"kept\n"
+
+    def test_checkpoint_past_the_budget_is_refused(self):
+        recording = RecordingChannel()
+        run_resumable(igt_sim(backend="count"), 6000, lambda z: False,
+                      check_stop_every=100, channel=recording)
+        late = recording.snapshots[-1]
+        assert late.steps_run == 5600  # a boundary, but past 4000
+        with pytest.raises(InvalidParameterError, match="at step 5600"):
+            run_resumable(igt_sim(backend="count"), 4000, lambda z: False,
+                          check_stop_every=100,
+                          channel=RecordingChannel(initial=late))
+
+    @pytest.mark.parametrize("backend", ["agent", "count"])
+    def test_empty_budget_observes_the_start(self, backend):
+        plain = MemorySink()
+        igt_sim(backend=backend).run(0, observe_every=100, observe=plain)
+        sink = MemorySink()
+        recording = RecordingChannel()
+        sim = igt_sim(backend=backend)
+        assert not run_resumable(sim, 0, None, check_stop_every=100,
+                                 channel=recording, observe_every=100,
+                                 observe=sink)
+        assert [step for step, _ in sink.records] == [0]
+        np.testing.assert_array_equal(sink.records[0][1], plain.records[0][1])
+        assert sim.steps_run == 0 and recording.snapshots == []
+
 
 # ----------------------------------------------------------------------
 # Fault injection: real process deaths at armed crash points
@@ -958,3 +1004,114 @@ class TestFaultInjection:
         resumed = (tmp_path / "resumed.jsonl").read_bytes()
         assert resumed == (tmp_path / "ref.jsonl").read_bytes()
         assert len(resumed.splitlines()) == 21
+
+
+# ----------------------------------------------------------------------
+# repro simulate --snapshots: checkpoints by run length
+# ----------------------------------------------------------------------
+def simulate_args(backend, steps, every, n=3000, k=4, seed=3):
+    return ["simulate", "--n", str(n), "--k", str(k), "--backend", backend,
+            "--steps", str(steps), "--seed", str(seed), "--observe-every",
+            str(every)]
+
+
+def spy_saves(monkeypatch) -> list:
+    """The ``steps_run`` of every snapshot ``SnapshotStore`` saves."""
+    saves = []
+    save = SnapshotStore.save
+
+    def spy(store, key, snapshot):
+        saves.append(snapshot.steps_run)
+        return save(store, key, snapshot)
+
+    monkeypatch.setattr(SnapshotStore, "save", spy)
+    return saves
+
+
+class TestSimulateCheckpointCadence:
+    """A ``--snapshots`` run is cut into segments of 8 checks of
+    ``max(--observe-every, steps // 64)`` interactions: about 8 segments
+    per run, never fewer than 8 observations per segment."""
+
+    @pytest.mark.parametrize("arguments, digest", [
+        (["--n", "200000", "--k", "8", "--backend", "agent", "--steps",
+          "128000", "--seed", "5", "--observe-every", "4000"],
+         "f1ae959d9b4966e14869edba93219e47fb4351a3a6d124d4dd1b8a2833572941"),
+        (["--n", "2000000", "--k", "4", "--backend", "count", "--steps",
+          "400000", "--seed", "3", "--observe-every", "20000"],
+         "ef122d2867001d3bde609e1be181f08f0aeb8e558ccc1402737398b147823778"),
+    ], ids=["agent", "count-birthday"])
+    def test_cadence_at_least_steps_over_64_keeps_its_stream(
+            self, tmp_path, arguments, digest):
+        # The cadence already sets segments of 8 observations, as it did
+        # when the cadence alone cut the segments: the stream bytes are
+        # the ones that rule wrote.
+        from repro.cli import main
+
+        path = tmp_path / "stream.jsonl"
+        assert main(["simulate", *arguments, "--snapshots",
+                     str(tmp_path / "snap"), "--observe",
+                     f"jsonl:{path}"]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("backend", ["agent", "count"])
+    def test_long_run_saves_seven_checkpoints_and_resumes(
+            self, tmp_path, monkeypatch, backend):
+        """Observing every 250 of 64,000 interactions, the run keeps 8
+        segments of 8,000 (not 32 of 2,000), and a kill after the first
+        save resumes to the uninterrupted stream."""
+        from repro.cli import main
+
+        args = simulate_args(backend, 64_000, 250)
+        env = dict(os.environ)
+        env[FAULTS_ENV] = "snapshot.post-save:1"
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        resumed = tmp_path / "resumed.jsonl"
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro", *args, "--snapshots",
+             str(tmp_path / "snap"), "--observe", f"jsonl:{resumed}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        assert SnapshotStore(tmp_path / "snap").load("simulate") \
+            .steps_run == 8000
+        saves = spy_saves(monkeypatch)
+        assert main([*args, "--snapshots", str(tmp_path / "snap"),
+                     "--observe", f"jsonl:{resumed}"]) == 0
+        assert saves == list(range(16_000, 64_000, 8000))
+        del saves[:]
+        reference = tmp_path / "ref.jsonl"
+        assert main([*args, "--snapshots", str(tmp_path / "ref"),
+                     "--observe", f"jsonl:{reference}"]) == 0
+        assert saves == list(range(8000, 64_000, 8000))
+        assert resumed.read_bytes() == reference.read_bytes()
+        assert len(resumed.read_bytes().splitlines()) == 257
+
+    @pytest.mark.parametrize("check, budget, steps, boundary, segment", [
+        (250, 4000, 64_000, 2000, 8000),
+        (1000, 16_000, 128_000, 8000, 16_000),
+    ], ids=["observation-cadence-grid", "other-step-budget"])
+    def test_off_grid_checkpoint_exits_2_and_stays(
+            self, tmp_path, capsys, check, budget, steps, boundary,
+            segment):
+        """A checkpoint cut on the observation-cadence grid, or by a run
+        with another ``--steps``, is refused before anything runs."""
+        from repro.cli import main
+
+        snap, path = tmp_path / "snap", tmp_path / "stream.jsonl"
+        sim = IGTSimulation(n=3000, shares=PopulationShares(0.3, 0.2, 0.5),
+                            grid=GenerosityGrid(k=4, g_max=0.6), seed=3,
+                            backend="count")
+        run_resumable(sim, budget, None, check_stop_every=check,
+                      channel=FileSnapshotChannel(SnapshotStore(snap),
+                                                  "simulate"),
+                      observe_every=250, observe=JsonlSink(path))
+        before = {item.name: item.read_bytes()
+                  for item in [*snap.iterdir(), path]}
+        assert main([*simulate_args("count", steps, 250), "--snapshots",
+                     str(snap), "--observe", f"jsonl:{path}"]) == 2
+        error = capsys.readouterr().err
+        assert f"checkpoint at step {boundary}:" in error
+        assert f"{segment}-interaction segments" in error
+        assert f"remove {snap} to start over" in error
+        assert {item.name: item.read_bytes()
+                for item in [*snap.iterdir(), path]} == before

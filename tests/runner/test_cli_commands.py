@@ -567,6 +567,37 @@ class TestSimulateObserve:
 
     @pytest.mark.parametrize("snapshots", [False, True],
                              ids=["plain", "snapshots"])
+    def test_cadence_without_observe_exits_2(self, capsys, tmp_path,
+                                             snapshots):
+        # Refused before the simulation is built (no header line), so a
+        # --snapshots run leaves no checkpoint it could not resume.
+        arguments = self.BASE + ["--observe-every", "5000"]
+        if snapshots:
+            arguments += ["--snapshots", str(tmp_path / "snaps")]
+        assert main(arguments) == 2
+        captured = capsys.readouterr()
+        assert "--observe-every needs --observe" in captured.err
+        assert "k-IGT" not in captured.out
+        assert not (tmp_path / "snaps").exists()
+
+    @pytest.mark.parametrize("snapshots", [False, True],
+                             ids=["plain", "snapshots"])
+    def test_zero_steps_stream_the_start_record(self, capsys, tmp_path,
+                                                snapshots):
+        # steps // every + 1 records, also for an empty budget.
+        path = tmp_path / "trajectory.jsonl"
+        arguments = ["simulate", "--n", "500", "--k", "3", "--steps", "0",
+                     "--backend", "count", "--observe-every", "100",
+                     "--observe", f"jsonl:{path}"]
+        if snapshots:
+            arguments += ["--snapshots", str(tmp_path / "snaps")]
+        assert main(arguments) == 0
+        (line,) = path.read_text().splitlines()
+        record = json.loads(line)
+        assert record["step"] == 0 and sum(record["counts"]) == 500
+
+    @pytest.mark.parametrize("snapshots", [False, True],
+                             ids=["plain", "snapshots"])
     @pytest.mark.parametrize("cadence", ["0", "-3"])
     def test_non_positive_cadence_exits_2(self, capsys, tmp_path, cadence,
                                           snapshots):
