@@ -18,6 +18,12 @@ The crash-safety contract, exercised end to end with real SIGKILLs:
    the snapshot directory, and produce records **byte-identical** to
    the baseline once provenance (``seconds``/``from_cache``/
    ``source``/``worker``) is stripped.
+
+   Stages 2–3 run twice: in process (``--jobs 1``), then on a forked
+   pool (``--jobs 2``), where the mid-task fault fires inside a worker
+   and the post-cache kill orphans a live pool.  Each killed sweep runs
+   in its own session, which must be empty within seconds of its death:
+   no pool worker outlives the sweep that started it.
 4. **Streamed trajectory kill** — a ``repro simulate`` run streaming
    its trajectory to a JSONL observer sink with ``--snapshots`` is
    SIGKILLed right after a checkpoint lands, leaving a partial stream
@@ -49,6 +55,7 @@ import json
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -71,6 +78,10 @@ MID_TASK_FAULT = "snapshot.post-save:3:kill"
 POST_CACHE_FAULT = "executor.post-cache:2:kill"
 WORKER_FAULT = "snapshot.post-save:2:kill"
 STREAM_FAULT = "snapshot.post-save:2:kill"
+
+#: Seconds a killed sweep's session may take to empty: its pool workers
+#: exit within a poll of its death, then the host reaps them.
+SESSION_DEADLINE_S = 10.0
 
 #: The streamed-trajectory scenario: big enough that the run spans
 #: several snapshot segments (so the kill lands mid-stream with rows
@@ -143,6 +154,94 @@ def check(condition: bool, message: str) -> None:
         raise SystemExit(f"CHAOS SMOKE FAILED: {message}")
 
 
+def run_killed(arguments: list[str], faults: str) -> int:
+    """Run a sweep that ``faults`` kills, in its own session; return its
+    exit code once nothing of the session is left alive."""
+    process = subprocess.Popen(
+        repro(*arguments),
+        cwd=REPO_ROOT,
+        env=child_environment(faults),
+        start_new_session=True,
+    )
+    code = process.wait()
+    deadline = time.monotonic() + SESSION_DEADLINE_S
+    while True:
+        try:
+            os.killpg(process.pid, 0)
+        except ProcessLookupError:
+            return code
+        if time.monotonic() > deadline:
+            os.killpg(process.pid, signal.SIGKILL)
+            check(
+                False,
+                f"processes of the killed sweep ({faults}) were still "
+                f"alive {SESSION_DEADLINE_S:.0f} s after it died",
+            )
+        time.sleep(0.05)
+
+
+def crash_and_resume(work: pathlib.Path, baseline: list[dict], jobs: int) -> None:
+    """Stages 2-3 at ``--jobs jobs``: two killed sweeps, then a resume
+    that must match the baseline."""
+    print(f"[2/6] --jobs {jobs}: resumable sweep dies mid-task "
+          f"({MID_TASK_FAULT}), its rerun dies between tasks "
+          f"({POST_CACHE_FAULT})", flush=True)
+    cache_dir = work / f"cache-jobs{jobs}"
+    snapshots_dir = cache_dir / "snapshots"
+    resumable = ["sweep", *GRID_ARGUMENTS, "--cache", str(cache_dir),
+                 "--resume", "--jobs", str(jobs)]
+
+    def cached_cells() -> int:
+        return len(list(cache_dir.glob("*/*.json")))
+
+    crashed = run_killed(resumable, MID_TASK_FAULT)
+    check(crashed != 0,
+          "fault-injected sweep exited 0 — the kill never fired")
+    leftovers = snapshot_files(snapshots_dir)
+    check(len(leftovers) > 0,
+          "the killed sweep left no snapshot behind")
+    check(cached_cells() == 0,
+          "the mid-task kill fired after a cell completed")
+    print(f"    died mid-task (exit {crashed}) leaving "
+          f"checkpoints {leftovers}", flush=True)
+
+    crashed_again = run_killed(resumable, POST_CACHE_FAULT)
+    check(crashed_again != 0,
+          "second fault-injected sweep exited 0 — the kill never "
+          "fired")
+    check(cached_cells() == 2,
+          f"expected exactly 2 cached cells after the post-cache "
+          f"kill, found {cached_cells()} — completed cells must be "
+          f"persisted the moment they finish")
+    print("    resumed the interrupted task, cached 2 cells, died "
+          "again; nothing of either killed sweep outlived it", flush=True)
+
+    print(f"[3/6] --jobs {jobs}: third run must finish: cached cells stay "
+          f"cached, records match the baseline", flush=True)
+    resumed_path = work / f"resumed-jobs{jobs}.jsonl"
+    resumed = subprocess.run(
+        repro(*resumable, "--output", str(resumed_path)),
+        cwd=REPO_ROOT,
+        env=child_environment(),
+    )
+    check(resumed.returncode == 0, "resumed sweep failed")
+    records = load_records(resumed_path)
+    check(stripped(records) == stripped(baseline),
+          "resumed records differ from the baseline "
+          "(beyond provenance)")
+    from_cache = [r for r in records if r["source"] == "cache"]
+    check(len(from_cache) == 2,
+          f"2 cell(s) were cached before the kill but "
+          f"{len(from_cache)} came from cache on resume — completed "
+          f"cells must never re-execute")
+    check(snapshot_files(snapshots_dir) == [],
+          f"completed tasks left snapshots: "
+          f"{snapshot_files(snapshots_dir)}")
+    print(f"    byte-identical; {len(from_cache)} cached / "
+          f"{len(records) - len(from_cache)} executed, snapshots "
+          f"cleared", flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -187,71 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         check(len(baseline) == 4, f"expected 4 baseline records, "
                                   f"got {len(baseline)}")
 
-        print(f"[2/6] resumable sweep dies mid-task ({MID_TASK_FAULT}), "
-              f"its rerun dies between tasks ({POST_CACHE_FAULT})",
-              flush=True)
-        cache_dir = work / "cache"
-        snapshots_dir = cache_dir / "snapshots"
-        resumable = ["sweep", *GRID_ARGUMENTS, "--cache", str(cache_dir),
-                     "--resume"]
-
-        def cached_cells() -> int:
-            return len(list(cache_dir.glob("*/*.json")))
-
-        crashed = subprocess.run(
-            repro(*resumable),
-            cwd=REPO_ROOT,
-            env=child_environment(MID_TASK_FAULT),
-        )
-        check(crashed.returncode != 0,
-              "fault-injected sweep exited 0 — the kill never fired")
-        leftovers = snapshot_files(snapshots_dir)
-        check(len(leftovers) > 0,
-              "the killed sweep left no snapshot behind")
-        check(cached_cells() == 0,
-              "the mid-task kill fired after a cell completed")
-        print(f"    died mid-task (exit {crashed.returncode}) leaving "
-              f"checkpoints {leftovers}", flush=True)
-
-        crashed_again = subprocess.run(
-            repro(*resumable),
-            cwd=REPO_ROOT,
-            env=child_environment(POST_CACHE_FAULT),
-        )
-        check(crashed_again.returncode != 0,
-              "second fault-injected sweep exited 0 — the kill never "
-              "fired")
-        check(cached_cells() == 2,
-              f"expected exactly 2 cached cells after the post-cache "
-              f"kill, found {cached_cells()} — completed cells must be "
-              f"persisted the moment they finish")
-        print("    resumed the interrupted task, cached 2 cells, died "
-              "again", flush=True)
-
-        print("[3/6] third run must finish: cached cells stay cached, "
-              "records match the baseline", flush=True)
-        resumed_path = work / "resumed.jsonl"
-        resumed = subprocess.run(
-            repro(*resumable, "--output", str(resumed_path)),
-            cwd=REPO_ROOT,
-            env=child_environment(),
-        )
-        check(resumed.returncode == 0, "resumed sweep failed")
-        records = load_records(resumed_path)
-        check(stripped(records) == stripped(baseline),
-              "resumed records differ from the baseline "
-              "(beyond provenance)")
-        from_cache = [r for r in records if r["source"] == "cache"]
-        check(len(from_cache) == 2,
-              f"2 cell(s) were cached before the kill but "
-              f"{len(from_cache)} came from cache on resume — completed "
-              f"cells must never re-execute")
-        check(snapshot_files(snapshots_dir) == [],
-              f"completed tasks left snapshots: "
-              f"{snapshot_files(snapshots_dir)}")
-        print(f"    byte-identical; {len(from_cache)} cached / "
-              f"{len(records) - len(from_cache)} executed, snapshots "
-              f"cleared", flush=True)
+        for jobs in (1, 2):
+            crash_and_resume(work, baseline, jobs)
 
         print(f"[4/6] streamed simulate killed mid-trajectory "
               f"({STREAM_FAULT}); rerun resumes byte-identically",

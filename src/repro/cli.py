@@ -37,10 +37,17 @@ provenance fields).
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import math
 import os
 import sys
 
+from repro.engine.snapshot import (
+    FileSnapshotChannel,
+    SnapshotState,
+    SnapshotStore,
+)
 from repro.experiments import all_experiments, get_spec
 from repro.utils.errors import FabricUnavailable, InvalidParameterError
 
@@ -383,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
               "byte-identical to an uninterrupted run's; the run is cut "
               "into segments of 8 x max(--observe-every, steps/64) "
               "interactions (about 8 per run) with a checkpoint after "
-              "each, so a rerun must repeat --steps and --observe-every "
+              "each; a rerun must repeat every argument but the paths, "
               "or remove DIR"))
     return parser
 
@@ -427,11 +434,51 @@ def _report_simulate_sink(args, sink) -> None:
         print(f"streamed {position['records']} observation record(s) "
               f"({position['bytes']} bytes) to {sink.path}")
     elif isinstance(sink, Reducer):
-        import json
-
         print("observer summary: "
               + json.dumps(sink.summary(), sort_keys=True,
                            allow_nan=False))
+
+
+#: The ``repro simulate`` arguments that define its trajectory.
+_SIMULATE_RUN_ARGUMENTS = ("n", "k", "alpha", "beta", "g_max", "noise",
+                           "backend", "weights", "topology", "seed",
+                           "steps", "observe_every")
+
+
+class _SimulateChannel(FileSnapshotChannel):
+    """The ``--snapshots DIR`` checkpoint of one ``repro simulate`` run.
+
+    Saves carry ``run``, a digest of the arguments that define the
+    trajectory (paths left out).  A checkpoint carrying another digest
+    is refused before anything is restored or streamed; one without a
+    digest, written before checkpoints carried it, resumes.
+    """
+
+    def __init__(self, root, args, steps: int):
+        super().__init__(SnapshotStore(root), "simulate")
+        fields = {name: getattr(args, name)
+                  for name in _SIMULATE_RUN_ARGUMENTS}
+        fields["steps"] = steps  # resolved when --steps is left out
+        self.run = hashlib.sha256(
+            json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+    def load(self) -> SnapshotState | None:
+        found = super().load()
+        if found is not None and found.payload.get("run", self.run) \
+                != self.run:
+            names = ", ".join(name.replace("_", "-")
+                              for name in _SIMULATE_RUN_ARGUMENTS)
+            raise InvalidParameterError(
+                f"cannot resume the checkpoint in {self}: a simulate run "
+                f"that differs from this one in one of {names} wrote it, "
+                f"so it would not reproduce this run; remove {self} to "
+                f"start over")
+        return found
+
+    def save(self, snapshot: SnapshotState) -> None:
+        super().save(SnapshotState(
+            kind=snapshot.kind, payload={**snapshot.payload, "run": self.run},
+            version=snapshot.version))
 
 
 def _run_simulate(args) -> int:
@@ -473,14 +520,9 @@ def _run_simulate(args) -> int:
           f"noise={args.noise}, steps={steps}, backend={args.backend}, "
           f"weights={args.weights}, topology={args.topology}")
     if args.snapshots is not None:
-        from repro.engine import (
-            FileSnapshotChannel,
-            SnapshotStore,
-            run_resumable,
-        )
+        from repro.engine import run_resumable
 
-        channel = FileSnapshotChannel(SnapshotStore(args.snapshots),
-                                      "simulate")
+        channel = _SimulateChannel(args.snapshots, args, steps)
         # About 8 segments per run (SEGMENT_CHECKS checks of steps/64
         # each), never fewer than 8 observations per segment.
         check = max(args.observe_every or 1, steps // 64)
@@ -603,8 +645,6 @@ class _RecordWriter:
         self._handle = open(path, "w", encoding="utf-8")
 
     def __call__(self, result) -> None:
-        import json
-
         from repro.runner import task_record
 
         record = json.dumps(task_record(result), sort_keys=True,
@@ -810,8 +850,6 @@ def _run_params(args) -> int:
     else:
         specs = [get_spec(args.experiment)]
     if args.json:
-        import json
-
         if args.all:
             payload = {spec.experiment_id: spec.params.to_dict()
                        for spec in specs}
@@ -834,8 +872,6 @@ def _run_cache(args) -> int:
     if args.cache_command == "info":
         stats = cache.stats()
         if args.json:
-            import json
-
             print(json.dumps({"root": str(cache.root), **stats},
                              sort_keys=True, allow_nan=False))
             return 0

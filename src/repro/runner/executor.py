@@ -9,17 +9,19 @@ what makes ``jobs=1``, ``jobs=N``, cache-hit, and distributed-fabric
 results byte-identical records (modulo the provenance fields).
 
 Two pools exist: :class:`LocalPool` (in-process for ``jobs=1``, a
-``spawn``-context process pool otherwise — ``spawn`` re-imports the
-library in each worker, so execution never depends on inherited parent
-state) and :class:`repro.fabric.RemotePool` (leases the tasks to a
-``repro serve`` coordinator).  :func:`execute` does not special-case
-either: the fabric is just another pool.
+``fork``-context process pool otherwise — each worker is a copy of a
+parent that has already imported numpy and the library, and
+:func:`_start_worker` drops the per-task state the copy inherits, so
+execution never depends on it) and :class:`repro.fabric.RemotePool`
+(leases the tasks to a ``repro serve`` coordinator).  :func:`execute`
+does not special-case either: the fabric is just another pool.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -36,19 +38,22 @@ from repro.runner.cache import (
     unpack_entry,
 )
 from repro.runner.plan import RunPlan, RunReport, RunTask, TaskResult
-from repro.testing import crash_point
+from repro.testing import crash_point, reset_faults
 from repro.utils import check_positive_int
 from repro.utils.errors import InvalidParameterError
 
 
 #: Environment variable carrying the snapshot directory of a resumable
-#: sweep.  Environment-based (rather than a parameter) so it crosses
-#: the ``spawn`` boundary into pool workers unchanged.
+#: sweep.  Environment-based (rather than a parameter) so a forked pool
+#: worker reads it in each task, as the in-process path does.
 SNAPSHOT_DIR_ENV = "REPRO_SNAPSHOT_DIR"
 
 # The observation-series counterpart, SERIES_DIR_ENV, lives in
 # repro.engine.observe (the sinks consume it) and is re-exported above;
-# it crosses the ``spawn`` boundary the same way.
+# forked workers read it the same way.
+
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.2
 
 
 def _snapshot_scope(task: RunTask):
@@ -96,9 +101,9 @@ def _series_scope(task: RunTask):
 def run_task(task: RunTask) -> tuple[dict, float]:
     """Execute one task; returns ``(report payload, seconds)``.
 
-    Module-level so the ``spawn`` pool can import it by reference; the
-    experiment registry is imported lazily to keep worker start-up (and
-    the ``repro.runner`` import graph) light.
+    Module-level so the process pool can pickle it by reference; the
+    experiment registry is imported lazily to keep the ``repro.runner``
+    import graph light.
 
     When a snapshot channel is in scope (see :func:`_snapshot_scope`),
     resumable experiments checkpoint through it and pick up a prior
@@ -177,8 +182,37 @@ class TaskPool:
         yield from self.run(tasks)
 
 
+def _start_worker(parent: int) -> None:
+    """Initializer of a forked pool worker: drop what the fork copied.
+
+    The worker inherits the parent's context variables and fault hit
+    counters.  It unbinds the snapshot channel and the series scope, so
+    each task binds its own from :data:`SNAPSHOT_DIR_ENV` and
+    :data:`SERIES_DIR_ENV`, and counts ``REPRO_FAULTS`` hits from zero.
+    It also exits once ``parent`` is gone: a killed parent never closes
+    the task queue, so the worker would otherwise wait on it forever.
+    """
+    from repro.engine import observe, snapshot
+
+    snapshot._CHANNEL.set(None)
+    observe._SERIES_SCOPE.set(None)
+    reset_faults()
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
 class LocalPool(TaskPool):
-    """Run tasks in-process (``jobs=1``) or on a ``spawn`` process pool."""
+    """Run tasks in-process (``jobs=1``) or on a ``fork`` process pool.
+
+    Forked workers skip the interpreter start and the numpy and library
+    imports a fresh process would pay before its first task;
+    :func:`_start_worker` gives each the state a fresh one would have.
+    """
 
     def __init__(self, jobs: int = 1):
         check_positive_int("jobs", jobs)
@@ -190,9 +224,13 @@ class LocalPool(TaskPool):
     def run_iter(self, tasks: list[RunTask]):
         tasks = list(tasks)
         if self.jobs > 1 and len(tasks) > 1:
-            context = get_context("spawn")
             workers = min(self.jobs, len(tasks))
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=get_context("fork"),
+                initializer=_start_worker,
+                initargs=(os.getpid(),),
+            ) as pool:
                 for payload, seconds in pool.map(run_task, tasks):
                     yield task_outcome(payload, seconds)
         else:
@@ -203,7 +241,7 @@ class LocalPool(TaskPool):
 
 @contextlib.contextmanager
 def _dir_env(name: str, value):
-    """Expose a directory to this process *and* spawned pool workers."""
+    """Expose a directory to this process *and* its pool workers."""
     if value is None:
         yield
         return

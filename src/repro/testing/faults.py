@@ -6,10 +6,13 @@ write and its atomic rename, just before a worker submits a result.
 Unarmed (no ``REPRO_FAULTS`` in the environment) those calls cost one
 dict lookup and do nothing, so the instrumented paths ship as-is.
 
-Arming is env-driven so injected crashes cross ``spawn``/``exec``
+Arming is env-driven so injected crashes cross ``fork``/``exec``
 process boundaries (pool workers inherit the spec) and so CI scenarios
 are *reproducible*: a fault fires at the Nth hit of a named point, not
-at a random moment.
+at a random moment.  Hits are counted per process: a forked
+:class:`~repro.runner.executor.LocalPool` worker counts its own from
+zero, because the pool's initializer resets the counters it copied
+from the parent.
 
 ``REPRO_FAULTS`` grammar (comma-separated specs)::
 

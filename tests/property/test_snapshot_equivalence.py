@@ -980,8 +980,10 @@ class TestFaultInjection:
         assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
         store = SnapshotStore(tmp_path / "snap")
         found = store.load("simulate")
+        # Older checkpoints carry no digest of the run's arguments.
         payload = {**found.payload, "kernel": None,
                    "states": found.payload["states"].astype(np.int64)}
+        del payload["run"]
         store.save("simulate", SnapshotState(kind=found.kind,
                                              payload=payload))
         older = (tmp_path / "snap" / "simulate.snap").read_bytes()
@@ -1115,3 +1117,47 @@ class TestSimulateCheckpointCadence:
         assert f"remove {snap} to start over" in error
         assert {item.name: item.read_bytes()
                 for item in [*snap.iterdir(), path]} == before
+
+
+class _Killed(Exception):
+    """Stands in for a kill right after a checkpoint lands."""
+
+
+class TestSimulateCheckpointOwner:
+    """A ``--snapshots`` checkpoint carries a digest of the arguments
+    that define its run, and resumes only that run."""
+
+    @pytest.mark.parametrize("other", [
+        simulate_args("count", 64_000, 250, seed=4),
+        simulate_args("count", 64_000, 500),
+    ], ids=["seed", "observe-every"])
+    def test_another_runs_checkpoint_exits_2_and_stays(
+            self, tmp_path, monkeypatch, capsys, other):
+        from repro.cli import main
+
+        snap, path = tmp_path / "snap", tmp_path / "stream.jsonl"
+        outputs = ["--snapshots", str(snap), "--observe", f"jsonl:{path}"]
+        save = SnapshotStore.save
+
+        def save_then_die(store, key, snapshot):
+            save(store, key, snapshot)
+            raise _Killed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SnapshotStore, "save", save_then_die)
+            with pytest.raises(_Killed):
+                main([*simulate_args("count", 64_000, 250), *outputs])
+        before = {item.name: item.read_bytes()
+                  for item in [*snap.iterdir(), path]}
+        assert main([*other, *outputs]) == 2
+        assert f"remove {snap} to start over" in capsys.readouterr().err
+        assert {item.name: item.read_bytes()
+                for item in [*snap.iterdir(), path]} == before
+
+        # The run that wrote the checkpoint still resumes it.
+        assert main([*simulate_args("count", 64_000, 250), *outputs]) == 0
+        reference = tmp_path / "ref.jsonl"
+        assert main([*simulate_args("count", 64_000, 250), "--snapshots",
+                     str(tmp_path / "ref"), "--observe",
+                     f"jsonl:{reference}"]) == 0
+        assert path.read_bytes() == reference.read_bytes()

@@ -2,9 +2,10 @@
 
 scipy serves the exact-analysis helpers (stationary laws, the continuous
 ε-DE optimisation) and is imported inside the functions that call it.
-Every process the CLI starts — the ``repro`` parent, each
-``spawn`` pool worker, the fabric coordinator, workers and sweep clients,
-``repro simulate`` — runs what these probes run, so none may load scipy.
+Every process the CLI starts — the ``repro`` parent (whose modules each
+forked pool worker inherits), the fabric coordinator, workers and sweep
+clients, ``repro simulate`` — runs what these probes run, so none may
+load scipy.
 Each probe runs in a fresh interpreter: this test process imported scipy
 long ago.
 """
