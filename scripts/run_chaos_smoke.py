@@ -21,9 +21,12 @@ The crash-safety contract, exercised end to end with real SIGKILLs:
 
    Stages 2–3 run twice: in process (``--jobs 1``), then on a forked
    pool (``--jobs 2``), where the mid-task fault fires inside a worker
-   and the post-cache kill orphans a live pool.  Each killed sweep runs
+   (the sweep must exit 3, the code of an environment failure) and the
+   post-cache kill orphans a live pool.  Each killed sweep runs
    in its own session, which must be empty within seconds of its death:
-   no pool worker outlives the sweep that started it.
+   no pool worker outlives the sweep that started it.  Every
+   checkpoint the mid-task kill leaves is a count checkpoint under
+   4 KB.
 4. **Streamed trajectory kill** — a ``repro simulate`` run streaming
    its trajectory to a JSONL observer sink with ``--snapshots`` is
    SIGKILLed right after a checkpoint lands, leaving a partial stream
@@ -63,9 +66,10 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: 4 tasks, each relaxing for several snapshot segments (n = 2e5 puts
-#: the birthday run well past one 8-check segment) — long enough that a
-#: mid-task kill leaves a meaningful checkpoint, short enough for CI.
+#: 4 tasks, each relaxing for several snapshot segments (n = 2e5 runs
+#: the count engine's array proxy, n <= PROXY_MAX_N, well past one
+#: 8-check segment) — long enough that a mid-task kill leaves a
+#: meaningful checkpoint, short enough for CI.
 GRID_ARGUMENTS = ["E4", "--grid", "n=2e5", "--grid", "seed=0:3:4"]
 
 #: Record fields that legitimately differ between runs.
@@ -82,6 +86,13 @@ STREAM_FAULT = "snapshot.post-save:2:kill"
 #: Seconds a killed sweep's session may take to empty: its pool workers
 #: exit within a poll of its death, then the host reaps them.
 SESSION_DEADLINE_S = 10.0
+
+#: A count engine's checkpoint holds counts, not agents: a few hundred
+#: bytes at any n (a per-agent block at n = 2e5 would be ~200 KB).
+MAX_COUNT_CHECKPOINT_BYTES = 4096
+
+#: Exit code of a sweep whose pool worker died mid-task.
+DEAD_WORKER_EXIT = 3
 
 #: The streamed-trajectory scenario: big enough that the run spans
 #: several snapshot segments (so the kill lands mid-stream with rows
@@ -197,13 +208,27 @@ def crash_and_resume(work: pathlib.Path, baseline: list[dict], jobs: int) -> Non
     crashed = run_killed(resumable, MID_TASK_FAULT)
     check(crashed != 0,
           "fault-injected sweep exited 0 — the kill never fired")
+    if jobs > 1:
+        check(
+            crashed == DEAD_WORKER_EXIT,
+            f"a sweep whose pool worker died exited {crashed}, not "
+            f"{DEAD_WORKER_EXIT}",
+        )
     leftovers = snapshot_files(snapshots_dir)
     check(len(leftovers) > 0,
           "the killed sweep left no snapshot behind")
+    sizes = {name: (snapshots_dir / name).stat().st_size for name in leftovers}
+    check(
+        max(sizes.values()) < MAX_COUNT_CHECKPOINT_BYTES,
+        f"count checkpoints must hold counts, not agents: {sizes}",
+    )
     check(cached_cells() == 0,
           "the mid-task kill fired after a cell completed")
-    print(f"    died mid-task (exit {crashed}) leaving "
-          f"checkpoints {leftovers}", flush=True)
+    print(
+        f"    died mid-task (exit {crashed}) leaving "
+        f"checkpoints of {sizes} bytes",
+        flush=True,
+    )
 
     crashed_again = run_killed(resumable, POST_CACHE_FAULT)
     check(crashed_again != 0,

@@ -896,7 +896,8 @@ def main(argv=None) -> int:
     Domain errors (unknown experiment ids, bad ``--set`` / ``--grid``
     input, out-of-range parameters) print a schema-aware message to
     stderr and exit with code 2 — they are user input problems, not
-    crashes.
+    crashes.  Environment failures (an unreachable coordinator, a sweep
+    pool worker that died mid-task) exit with code 3.
     """
     args = _build_parser().parse_args(argv)
     try:
@@ -905,8 +906,9 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except FabricUnavailable as error:
-        # An unreachable coordinator is an environment failure, not a
-        # usage error: distinct exit code so scripts can retry.
+        # An unreachable coordinator or a dead pool worker is an
+        # environment failure, not a usage error: distinct exit code so
+        # scripts can retry.
         print(f"error: {error}", file=sys.stderr)
         return 3
 

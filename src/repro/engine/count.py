@@ -83,16 +83,20 @@ Birthday runs are ``Θ(√n)`` interactions, so their fixed per-run cost
 dominates at small ``n`` — the regime where the count backend used to
 *lose* to the agent backend.  For ``n`` up to :data:`PROXY_MAX_N` (and
 pairwise models the vectorized kernel accepts) the backend therefore
-expands the count vector into an arbitrary fixed per-agent state array
-and runs the :mod:`repro.engine.vectorized` kernel on it: by
-exchangeability, uniform pair sampling over *any* fixed assignment of
-states to agents projects to exactly the count-level chain, so the law
-is untouched while throughput matches the vectorized agent backend
-(tens of millions of interactions/s instead of ~0.5M at ``n = 10^3``).
-The per-agent array stays internal — :attr:`CountBackend.states` is
-still ``None`` — and the ``O(n)`` memory is only paid where it is
-trivially affordable; beyond :data:`PROXY_MAX_N` the ``O(k)``-memory
-birthday path wins anyway.
+runs the :mod:`repro.engine.vectorized` kernel on a per-agent state
+array: by exchangeability, uniform pair sampling over *any* assignment
+of states to agents that agrees with the counts projects to exactly the
+count-level chain, so the law is untouched while throughput matches the
+vectorized agent backend (tens of millions of interactions/s instead of
+~0.5M at ``n = 10^3``).  The arrangement carries no information, so
+the engine's state is its count vector alone: every ``run`` call starts
+by writing the chain's *canonical expansion* into the array (each
+state's agents contiguous, in a fixed state order with inert states
+last), and snapshots hold no per-agent block.  The per-agent array
+stays internal — :attr:`CountBackend.states` is still ``None`` — and
+the ``O(n)`` memory is only paid where it is trivially affordable;
+beyond :data:`PROXY_MAX_N` the ``O(k)``-memory birthday path wins
+anyway.
 
 Per-type-pair accounting
 ------------------------
@@ -122,8 +126,10 @@ the ``(weight class × state)`` chain and keeps only its law: the
 projection (a sum over classes), proxy eligibility and kernel, pair
 draws, the birthday window draw, the clean run (which returns its
 per-segment deltas for the driver to apply) and the collision resolver,
-and three class constants (snapshot ``kind``, the chain's payload key,
-the default proxy ceiling).
+and four class constants (snapshot ``kind``, the chain's payload key,
+the default proxy ceiling, and ``_INERT_LAST``, off so the proxy's
+expansion stays class-major and keeps each class inside its block of
+the sampler's weights).
 """
 
 from __future__ import annotations
@@ -427,11 +433,14 @@ class CountBackend(SimulationEngine):
         :meth:`~repro.engine.topology.InteractionGraph.degree_weights`.
     """
 
-    #: Snapshot ``kind``, payload key of the chain array, and default
-    #: proxy ceiling — the constants a lifted law overrides.
+    #: Snapshot ``kind``, payload key of the chain array, default proxy
+    #: ceiling, and whether the proxy's expansion may put inert states
+    #: last (uniform pair draws treat all agents alike) — the constants
+    #: a lifted law overrides.
     _KIND = "count"
     _CHAIN_KEY = "counts"
     _PROXY_MAX_N = PROXY_MAX_N
+    _INERT_LAST = True
 
     #: The uniform proxy runs pairwise models only, so it never draws
     #: observed agents.
@@ -509,6 +518,19 @@ class CountBackend(SimulationEngine):
         self._pair_counts = None
         if vectorized:
             self._kernel = self._proxy_kernel()
+            # One accumulator for the kernel and the snapshot.
+            self._pair_counts = self._kernel.pair_counts
+            # The state order of :meth:`_expand`.  Inert states form a
+            # contiguous tail when the kernel filters them, so its inert
+            # filter is one index comparison.
+            self._order = np.arange(chain.size)
+            self._inert = None
+            inert = model.inert_states
+            if self._INERT_LAST and inert is not None \
+                    and not self._track_pairs:
+                self._inert = np.asarray(inert, dtype=bool)
+                self._order = np.concatenate((self._order[~self._inert],
+                                              self._order[self._inert]))
         else:
             self._init_birthday()
             if self._track_pairs:
@@ -528,19 +550,16 @@ class CountBackend(SimulationEngine):
 
         Entry ``[u, v]`` counts interactions whose initiator was in state
         ``u`` and responder in state ``v`` *at execution time*; a lifted
-        kernel's chain-pair matrix is contracted over its class axes.
-        Requires ``track_pair_counts=True``.
+        kernel's chain-pair accumulator is contracted over its class
+        axes.  Requires ``track_pair_counts=True``.
         """
         if not self._track_pairs:
             raise InvalidParameterError(
                 "pair counts were not tracked; construct the backend with "
                 "track_pair_counts=True")
         s = self.model.n_states
-        if self._kernel is not None:
-            matrix = self._kernel.pair_count_matrix()
-            c = matrix.shape[0] // s
-            return matrix.reshape(c, s, c, s).sum(axis=(0, 2))
-        return self._pair_counts.reshape(s, s).copy()
+        c = math.isqrt(self._pair_counts.size) // s
+        return self._pair_counts.reshape(c, s, c, s).sum(axis=(0, 2))
 
     def _refresh(self, chain) -> np.ndarray:
         """Write the projection of ``chain`` into the live counts."""
@@ -553,12 +572,11 @@ class CountBackend(SimulationEngine):
     def snapshot(self) -> "SnapshotState":
         """Exact mutable state between runs, for :meth:`restore`.
 
-        The birthday path's mutable surface is the chain array, the
-        live counts, the step cursor, the generator position, and (when
-        tracked) the pair-count accumulator — everything
-        :meth:`_init_birthday` builds is a construction constant.  The
-        proxy path additionally owns the internal per-agent state
-        arrangement (identical index draws must hit identical states).
+        A count engine's mutable surface is the chain array, the live
+        counts, the step cursor, the generator position, and (when
+        tracked) the pair-count accumulator — everything else is a
+        construction constant, and the proxy's per-agent array is
+        rewritten from the chain at the start of every ``run``.
         Arrays are captured as copies.
         """
         from repro.engine.snapshot import SnapshotState, rng_state
@@ -572,9 +590,7 @@ class CountBackend(SimulationEngine):
             "counts": self._counts.copy(),
             "rng": rng_state(self._rng),
         }
-        if self._kernel is not None:
-            payload["proxy_state"] = self._kernel.encode_proxy_state()
-        elif self._pair_counts is not None:
+        if self._pair_counts is not None:
             payload["pair_counts"] = self._pair_counts.copy()
         return SnapshotState(kind=self._KIND, payload=payload)
 
@@ -582,12 +598,11 @@ class CountBackend(SimulationEngine):
         """Adopt a snapshot taken by an identically constructed engine.
 
         Every array is checked first — shapes, a non-negative chain
-        summing to ``n``, proxy states in range and histogramming to the
-        chain, counts projecting from the chain — so a refused snapshot
-        writes nothing.  All arrays are then written *in place* —
-        facades alias :attr:`counts_live` and the proxy kernel adopts
-        both the chain array and its internal state array, so nothing
-        may be reallocated.
+        summing to ``n``, counts projecting from the chain — so a
+        refused snapshot writes nothing.  All arrays are then written
+        *in place* — facades alias :attr:`counts_live` and the proxy
+        kernel adopts the chain array and the pair-count accumulator, so
+        nothing may be reallocated.
         """
         from repro.engine.snapshot import (
             SnapshotError,
@@ -601,24 +616,18 @@ class CountBackend(SimulationEngine):
                                  proxy=self._kernel is not None)
         chain = _snapshot_array(payload, self._CHAIN_KEY, self._chain)
         counts = _snapshot_array(payload, "counts", self._counts)
+        _check_population(chain, self.n)
         pair_counts = None
-        if self._kernel is not None:
-            self._kernel._check_proxy_state(payload.get("proxy_state"),
-                                           chain)
-        else:
-            _check_population(chain, self.n)
-            if self._pair_counts is not None:
-                pair_counts = _snapshot_array(payload, "pair_counts",
-                                             self._pair_counts)
+        if self._pair_counts is not None:
+            pair_counts = _snapshot_array(payload, "pair_counts",
+                                          self._pair_counts)
         if not np.array_equal(counts, self._project(chain)):
             raise SnapshotError("snapshot counts disagree with its chain")
         restore_rng(self._rng, payload["rng"])
         self._chain[:] = chain
         self._counts[:] = counts
         self.steps_run = int(payload["steps_run"])
-        if self._kernel is not None:
-            self._kernel.restore_proxy_state(payload["proxy_state"])
-        elif pair_counts is not None:
+        if pair_counts is not None:
             self._pair_counts[:] = pair_counts
 
     def run(self, max_steps: int, stop_when=None,
@@ -630,6 +639,7 @@ class CountBackend(SimulationEngine):
         done = 0
         converged = stopped
         if not stopped and self._kernel is not None and max_steps > 0:
+            self._expand()
             fresh_stop = None
             if stop_when is not None:
                 def fresh_stop(chain):
@@ -727,26 +737,30 @@ class CountBackend(SimulationEngine):
                                    or model.one_way)
 
     def _proxy_kernel(self) -> ConflictFreeKernel:
-        """The kernel over a fixed per-agent expansion of the chain."""
-        # Fixed (arbitrary) state assignment in the model's state
-        # dtype; exchangeability makes uniform pair sampling over it the
-        # exact count chain.  Inert states are placed in a contiguous
-        # tail so the kernel's inert filter is a single index comparison.
+        """The kernel over a per-agent array that :meth:`_expand` fills."""
         model = self.model
-        counts = self._chain
-        state_ids = np.arange(model.n_states, dtype=model.state_dtype)
-        inert = model.inert_states
-        bound = None
-        if inert is not None and not self._track_pairs:
-            inert = np.asarray(inert, dtype=bool)
-            order = np.concatenate((state_ids[~inert], state_ids[inert]))
-            bound = int(counts[~inert].sum())
-        else:
-            order = state_ids
-        states = np.repeat(order, counts[order])
         return ConflictFreeKernel(
-            model, states, counts, allow_stochastic=True,
-            track_pairs=self._track_pairs, inert_index_bound=bound)
+            model, np.empty(self.n, dtype=model.state_dtype), self._chain,
+            allow_stochastic=True, track_pairs=self._track_pairs)
+
+    def _expand(self) -> None:
+        """Write the chain's canonical expansion into the kernel's states.
+
+        Each state's agents fill one contiguous block, in the order
+        :attr:`_order`.  Exchangeability makes pair sampling over any
+        arrangement that agrees with the chain the exact chain, so every
+        proxy run may start from this one, and a restored engine starts
+        its next run exactly where the original would.
+        """
+        states = self._kernel.states
+        end = 0
+        for state, count in zip(self._order.tolist(),
+                                self._chain[self._order].tolist()):
+            states[end:end + count] = state
+            end += count
+        if self._inert is not None:
+            self._kernel.inert_index_bound = int(
+                self._chain[~self._inert].sum())
 
     def _pair_block(self, size: int):
         """One proxy block of uniform ordered agent pairs."""

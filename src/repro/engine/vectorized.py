@@ -28,7 +28,9 @@ in three phases:
    the hard conflict chains) runs through a scalar Python loop in pair
    order; the peeled rounds then apply in reverse peel order as fancy
    indexed table lookups.  Within a round no pair writes a cell another
-   pair touches, so the scatters commute.
+   pair touches, so the scatters commute.  Every round also moves the
+   count vector by the histograms of the states it leaves and enters,
+   so the counts are exact whenever a chunk returns.
 
 Because conflicting pairs always execute in their original sampling
 order and non-conflicting pairs commute exactly, the resulting states
@@ -40,13 +42,14 @@ degenerate geometries (``n = 2``, ``n = 3``, chunk larger than ``n``).
 States live in the model's narrow ``state_dtype``; pair indices are
 computed on chunk-sized ``intp`` copies, never on a widened state array.
 
-The kernel also serves the count backend: a count vector expands to an
-(arbitrary, fixed) per-agent state assignment, uniform pair sampling
-over that array *is* the count-level chain (exchangeability), and only
-the count vector is exposed.  In that mode stochastic one-way models may
-be applied round-vectorized too — each interaction still receives an
-independent model draw, so the trajectory law is untouched even though
-generator consumption differs from the scalar loop.
+The kernel also serves the count backend: at the start of every run a
+count vector expands to a canonical per-agent state assignment, uniform
+pair sampling over that array *is* the count-level chain
+(exchangeability), and only the count vector is exposed.  In that mode
+stochastic one-way models may be applied round-vectorized too — each
+interaction still receives an independent model draw, so the trajectory
+law is untouched even though generator consumption differs from the
+scalar loop.
 
 The sampler is pluggable: the kernel never draws pairs itself, so
 weighted (heterogeneous-activity) pair blocks flow through the exact
@@ -64,12 +67,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.model import count_states
-from repro.engine.snapshot import (
-    _check_population,
-    _snapshot_array,
-    _snapshot_states,
-)
 from repro.utils.errors import InvalidParameterError
 
 #: Remaining-conflict head below which the scalar loop finishes a chunk.
@@ -114,9 +111,8 @@ class ConflictFreeKernel:
         applied through vectorized ``model.apply`` calls per round.
     states, counts:
         The live per-agent state array (in the model's ``state_dtype``)
-        and count vector, adopted (never reallocated).  ``counts`` is
-        only written by :meth:`apply_chunk` when asked
-        (``update_counts``) or by :meth:`sync_counts`.
+        and count vector, adopted (never reallocated); every round
+        :meth:`apply_chunk` executes updates both.
     chunk:
         Pairs per conflict analysis (default :func:`auto_chunk`).
     allow_stochastic:
@@ -124,21 +120,22 @@ class ConflictFreeKernel:
         preserved per interaction, but generator consumption differs
         from the scalar loop, so agent-level bit parity is off).
     track_pairs:
-        Accumulate the per-type-pair interaction count matrix
-        :attr:`pair_counts` (the count-level payoff-accounting input).
-        Disables the inert filter — inert interactions still count.
-    inert_index_bound:
-        Owners that control the state-to-agent assignment (the count
-        proxy) may place all inert-state agents at indices ``>= bound``;
-        the inert filter then becomes a single index comparison instead
-        of two gathers.  Sound because inert agents never change state
-        and active agents never become inert mid-run (one-way models).
+        Accumulate executed interactions per ordered state pair into the
+        flat ``S*S`` array :attr:`pair_counts` (the count-level
+        payoff-accounting input); an owner may replace it with its own
+        accumulator of that shape.  Disables the inert filter — inert
+        interactions still count.
+
+    An owner that places every inert-state agent at an index ``>= b``
+    (the count proxy) may set :attr:`inert_index_bound` to ``b`` between
+    chunks: the inert filter then becomes a single index comparison
+    instead of two gathers.  Sound because inert agents never change
+    state (one-way models).
     """
 
     def __init__(self, model, states: np.ndarray, counts: np.ndarray,
                  chunk: int | None = None, allow_stochastic: bool = False,
-                 track_pairs: bool = False,
-                 inert_index_bound: int | None = None):
+                 track_pairs: bool = False):
         self.model = model
         self.s = model.n_states
         self.states = states
@@ -178,11 +175,10 @@ class ConflictFreeKernel:
         self.pair_counts = (np.zeros(s * s, dtype=np.int64)
                             if self.track_pairs else None)
         inert = None if self.track_pairs else model.inert_states
-        self._inert_bound = (None if self.track_pairs
-                             else inert_index_bound)
-        # Non-inert states, looked up per chunk unless the bound applies.
+        self.inert_index_bound = None
+        # Non-inert states, looked up per chunk unless a bound is set.
         self._active = None
-        if inert is not None and self._inert_bound is None:
+        if inert is not None:
             self._active = ~np.asarray(inert, dtype=bool)
         if chunk is None:
             chunk = auto_chunk(self.n)
@@ -289,7 +285,7 @@ class ConflictFreeKernel:
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
-    def _apply_head(self, ii, jj, comps, oi, oj, update_counts, rng):
+    def _apply_head(self, ii, jj, comps, oi, oj, rng):
         """Scalar loop over the hard conflict chains, in pair order."""
         states, s = self.states, self.s
         counts = self.counts
@@ -318,75 +314,61 @@ class ConflictFreeKernel:
                 nv = v if one_way else fv[flat]
             if nu != u:
                 states[a] = nu
-                if update_counts:
-                    counts[u] -= 1
-                    counts[nu] += 1
+                counts[u] -= 1
+                counts[nu] += 1
             if nv != v:
                 states[b] = nv
-                if update_counts:
-                    counts[v] -= 1
-                    counts[nv] += 1
+                counts[v] -= 1
+                counts[nv] += 1
 
-    def _apply_round(self, ii, jj, comps, oi, oj, update_counts, rng):
+    def _apply_round(self, ii, jj, comps, oi, oj, rng):
         """Vectorized application of one mutually-independent round."""
         states, s = self.states, self.s
-        u = states[ii].astype(np.intp)  # narrow states wrap in u * s
+        u = states[ii]
         v = states[jj]
-        if not update_counts and self.pair_counts is None \
-                and not self._stochastic:
-            # Hot path: nothing reads the pre-states after the lookup,
-            # so build the pair index in place instead of via temps.
-            u *= s
-            u += v
-            if comps is not None:
-                u += comps * (s * s)
-            states[ii] = self._flat_u[u]
-            if not self.one_way:
-                states[jj] = self._flat_v[u]
-            return
-        v = v.astype(np.intp)
-        pair = u * s
-        pair += v
+        flat = u.astype(np.intp)  # narrow states wrap in u * s
+        flat *= s
+        flat += v
         if self.pair_counts is not None:
-            self.pair_counts += np.bincount(pair, minlength=s * s)
+            self.pair_counts += np.bincount(flat, minlength=s * s)
         if self._stochastic:
             observed = None
             if oi is not None:
                 observed = (states[oi].astype(np.intp),
                             states[oj].astype(np.intp))
-            nu, _ = self.model.apply(u, v, rng, observed)
+            nu, _ = self.model.apply(u.astype(np.intp), v.astype(np.intp),
+                                     rng, observed)
             states[ii] = nu
-            if update_counts:
-                self.counts += (np.bincount(nu, minlength=s)
-                                - np.bincount(u, minlength=s))
+            self._move(u, nu)
             return
-        flat = pair if comps is None else comps * (s * s) + pair
+        if comps is not None:
+            flat += comps * (s * s)
         nu = self._flat_u[flat]
         states[ii] = nu
-        if self.one_way:
-            if update_counts:
-                self.counts += (np.bincount(nu, minlength=s)
-                                - np.bincount(u, minlength=s))
-            return
-        nv = self._flat_v[flat]
-        states[jj] = nv
-        if update_counts:
-            self.counts += (
-                np.bincount(np.concatenate((nu, nv)), minlength=s)
-                - np.bincount(np.concatenate((u, v)), minlength=s))
+        self._move(u, nu)
+        if not self.one_way:
+            nv = self._flat_v[flat]
+            states[jj] = nv
+            self._move(v, nv)
 
-    def apply_chunk(self, ii, jj, comps=None, update_counts: bool = True,
-                    rng=None, oi=None, oj=None) -> None:
+    def _move(self, old, new) -> None:
+        """Move a round's agents from the states ``old`` to ``new`` in the
+        count vector."""
+        self.counts += (np.bincount(new, minlength=self.s)
+                        - np.bincount(old, minlength=self.s))
+
+    def apply_chunk(self, ii, jj, comps=None, rng=None, oi=None,
+                    oj=None) -> None:
         """Execute one chunk of sampled pairs, exactly as if sequential.
 
-        With ``update_counts`` false the count vector is left stale for
-        speed; call :meth:`sync_counts` before reading it.  ``rng`` is
-        required for stochastic models (their per-interaction draws);
-        ``oi``/``oj`` carry the observed-agent indices of 4-slot models.
+        The state array and the count vector are both current when it
+        returns.  ``rng`` is required for stochastic models (their
+        per-interaction draws); ``oi``/``oj`` carry the observed-agent
+        indices of 4-slot models.
         """
-        if self._inert_bound is not None or self._active is not None:
-            if self._inert_bound is not None:
-                act = np.flatnonzero(ii < self._inert_bound)
+        if self.inert_index_bound is not None or self._active is not None:
+            if self.inert_index_bound is not None:
+                act = np.flatnonzero(ii < self.inert_index_bound)
             else:
                 act = np.flatnonzero(self._active.take(self.states[ii]))
             if act.size == 0:
@@ -401,55 +383,9 @@ class ConflictFreeKernel:
                     oj = oj[act]
         (hi, hj, hc, ho_i, ho_j), rounds = self._peel(ii, jj, comps, oi, oj)
         if hi is not None and hi.size:
-            self._apply_head(hi, hj, hc, ho_i, ho_j, update_counts, rng)
+            self._apply_head(hi, hj, hc, ho_i, ho_j, rng)
         for pi, pj, pc, po_i, po_j in reversed(rounds):
-            self._apply_round(pi, pj, pc, po_i, po_j, update_counts, rng)
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def encode_proxy_state(self) -> dict:
-        """The ``proxy_state`` snapshot block of a count engine's kernel.
-
-        A count engine running this kernel owns the per-agent state
-        arrangement (identical index draws must hit identical states)
-        and the pair-count accumulator when tracked.
-        """
-        return {
-            "states": self.states.copy(),
-            "pair_counts": (None if self.pair_counts is None
-                            else self.pair_counts.copy()),
-        }
-
-    def _check_proxy_state(self, block: dict, chain: np.ndarray) -> None:
-        """Refuse a :meth:`encode_proxy_state` block that does not fit.
-
-        Its states must also agree with ``chain``, the snapshot's counts
-        the kernel adopts alongside them.  An older ``kernel`` block of
-        peel stamps is ignored.
-        """
-        states = _snapshot_states(block, "states", self.states)
-        _check_population(chain, self.n, states)
-        if self.pair_counts is not None:
-            _snapshot_array(block, "pair_counts", self.pair_counts)
-
-    def restore_proxy_state(self, block: dict) -> None:
-        """Adopt a block checked by :meth:`_check_proxy_state`, in place."""
-        self.states[:] = block["states"]
-        if self.pair_counts is not None:
-            self.pair_counts[:] = block["pair_counts"]
-
-    def sync_counts(self) -> None:
-        """Recompute the count vector from the state array, in place."""
-        self.counts[:] = count_states(self.states, self.s)
-
-    def pair_count_matrix(self) -> np.ndarray:
-        """The accumulated ``(S, S)`` per-type-pair interaction counts."""
-        if self.pair_counts is None:
-            raise InvalidParameterError(
-                "pair counts were not tracked; construct the kernel with "
-                "track_pairs=True")
-        return self.pair_counts.reshape(self.s, self.s).copy()
+            self._apply_round(pi, pj, pc, po_i, po_j, rng)
 
 
 def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
@@ -475,7 +411,6 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
     otherwise.
     """
     counts = kernel.counts
-    track = observe_every is not None or stop_when is not None
     if kernel.four and others_block is None:
         raise InvalidParameterError(
             "4-slot models need an others_block to draw observed agents")
@@ -501,7 +436,7 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
             kernel.apply_chunk(initiators[off:off + m],
                                responders[off:off + m],
                                None if comps is None else comps[off:off + m],
-                               update_counts=track, rng=rng,
+                               rng=rng,
                                oi=None if obs_i is None
                                else obs_i[off:off + m],
                                oj=None if obs_j is None
@@ -514,6 +449,4 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
                     and stop_when(counts)):
                 return step, True
         done += batch
-    if not track:
-        kernel.sync_counts()
     return max_steps, False

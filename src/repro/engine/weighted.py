@@ -21,14 +21,15 @@ predicates, observers and :attr:`~WeightedCountBackend.counts` see;
 :attr:`~WeightedCountBackend.class_state_counts` exposes the ``(C, S)``
 view.  What the lift changes is its law:
 
-* the **array-proxy kernel** expands the product counts into a fixed
-  per-agent assignment and draws pairs from a
-  :class:`~repro.engine.sampling.WeightedScheduler` whose per-agent
-  weights repeat each class weight — by within-class exchangeability the
-  projection onto ``(class, state)`` counts is *exactly* the lifted
-  chain.  It is the default up to :data:`WEIGHTED_PROXY_MAX_N` agents, a
-  *measured* crossover higher than the uniform path's, and unlike the
-  uniform proxy it also runs 4-slot one-way models;
+* the **array-proxy kernel** expands the product counts, class-major,
+  into a per-agent assignment at the start of every run and draws pairs
+  from a :class:`~repro.engine.sampling.WeightedScheduler` whose
+  per-agent weights repeat each class weight — by within-class
+  exchangeability the projection onto ``(class, state)`` counts is
+  *exactly* the lifted chain.  It is the default up to
+  :data:`WEIGHTED_PROXY_MAX_N` agents, a *measured* crossover higher
+  than the uniform path's, and unlike the uniform proxy it also runs
+  4-slot one-way models;
 * **birthday-run batching** becomes the *heterogeneous* birthday
   problem: the first-collision law depends on which weight classes the
   draws land in, so no count-only CDF can be precomputed — instead each
@@ -327,6 +328,9 @@ class WeightedCountBackend(CountBackend):
     _KIND = "weighted"
     _CHAIN_KEY = "product_counts"
     _PROXY_MAX_N = WEIGHTED_PROXY_MAX_N
+    #: Class-major expansion: class c's agents fill the block of the
+    #: sampler's weights that carries w_c.
+    _INERT_LAST = False
 
     def __init__(self, model: InteractionModel, initial_counts,
                  class_weights, seed=None,
@@ -408,20 +412,16 @@ class WeightedCountBackend(CountBackend):
 
     def _proxy_kernel(self) -> ConflictFreeKernel:
         """The product-space kernel and the weighted sampler driving it."""
-        # Fixed per-agent expansion in the product model's state dtype:
-        # within-class exchangeability makes weighted pair sampling over
-        # any fixed assignment project to exactly the (class × state)
-        # count chain.
+        # Within-class exchangeability makes weighted pair sampling over
+        # any class-major arrangement project to exactly the
+        # (class × state) chain.
         model = self.model
         product = ProductStateModel(model, self._classes)
-        product_states = np.repeat(
-            np.arange(self._chain.size, dtype=product.state_dtype),
-            self._chain)
         self._sampler = WeightedScheduler(
             np.repeat(self._class_weights, self._members), self._rng)
         return ConflictFreeKernel(
-            product, product_states, self._chain,
-            allow_stochastic=model.component_tables is None,
+            product, np.empty(self.n, dtype=product.state_dtype),
+            self._chain, allow_stochastic=model.component_tables is None,
             track_pairs=self._track_pairs)
 
     def _pair_block(self, size: int):

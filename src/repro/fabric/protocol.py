@@ -51,8 +51,8 @@ MAX_BACKOFF = 5.0
 
 #: Largest request body the coordinator reads (bytes); a larger declared
 #: ``Content-Length`` is refused with 413 before the body is read.  It
-#: holds a base64 v2 agent checkpoint up to n ≈ 5·10^7 (an E4
-#: checkpoint at n = 10^6 is 1.33 MB).
+#: holds a base64 v2 agent checkpoint up to n ≈ 5·10^7 (an agent E4
+#: checkpoint at n = 10^6 is 1.33 MB; a count one holds only counts).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 

@@ -42,7 +42,10 @@ _CODE_VERSION: str | None = None
 #: Epoch 4: the agent backend runs ``mode="action"`` as the exact
 #: classification law on its engine instead of playing Monte-Carlo
 #: games — same law, new agent action-mode bitstreams.
-CODE_EPOCH = 4
+#: Epoch 5: every count-proxy ``run()`` starts from the canonical
+#: expansion of its counts — same law, new bitstreams for proxy
+#: trajectories of two or more ``run()`` calls.
+CODE_EPOCH = 5
 
 
 def code_version() -> str:

@@ -24,6 +24,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 
 from repro.engine.observe import (
@@ -40,7 +41,7 @@ from repro.runner.cache import (
 from repro.runner.plan import RunPlan, RunReport, RunTask, TaskResult
 from repro.testing import crash_point, reset_faults
 from repro.utils import check_positive_int
-from repro.utils.errors import InvalidParameterError
+from repro.utils.errors import FabricUnavailable, InvalidParameterError
 
 
 #: Environment variable carrying the snapshot directory of a resumable
@@ -212,6 +213,9 @@ class LocalPool(TaskPool):
     Forked workers skip the interpreter start and the numpy and library
     imports a fresh process would pay before its first task;
     :func:`_start_worker` gives each the state a fresh one would have.
+    A worker that dies mid-task (killed, out of memory) breaks the pool;
+    :meth:`run_iter` then raises :class:`FabricUnavailable`, the
+    environment failure the CLI exits 3 on.
     """
 
     def __init__(self, jobs: int = 1):
@@ -231,8 +235,15 @@ class LocalPool(TaskPool):
                 initializer=_start_worker,
                 initargs=(os.getpid(),),
             ) as pool:
-                for payload, seconds in pool.map(run_task, tasks):
-                    yield task_outcome(payload, seconds)
+                try:
+                    for payload, seconds in pool.map(run_task, tasks):
+                        yield task_outcome(payload, seconds)
+                except BrokenProcessPool as error:
+                    raise FabricUnavailable(
+                        "a pool worker died mid-task; rerun with --cache DIR "
+                        "to keep the finished cells (and --resume to continue "
+                        "a sweep's checkpointed tasks)"
+                    ) from error
         else:
             for task in tasks:
                 payload, seconds = run_task(task)

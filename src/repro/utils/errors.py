@@ -30,5 +30,7 @@ class InvariantError(ReproError, RuntimeError):
 
 
 class FabricUnavailable(RuntimeError):
-    """The fabric coordinator could not be reached (retryable transport
-    failure); defined here so catching it loads no HTTP stack."""
+    """The execution environment failed, not the task: the fabric
+    coordinator could not be reached (retryable transport failure) or a
+    local pool worker died mid-task.  Defined here so catching it loads
+    no HTTP stack."""

@@ -239,17 +239,42 @@ class TestKernelValidation:
                                     allow_stochastic=True)
         assert kernel.one_way
 
-    def test_pair_count_matrix_requires_tracking(self, epidemic):
-        states = np.zeros(10, dtype=np.int64)
-        kernel = ConflictFreeKernel(epidemic, states,
-                                    np.bincount(states, minlength=3))
-        with pytest.raises(InvalidParameterError):
-            kernel.pair_count_matrix()
-
     def test_auto_chunk_bounds(self):
         assert auto_chunk(2) == 1024
         assert auto_chunk(10_000) == 8192
         assert auto_chunk(10 ** 9) == 32768
+
+
+def wide_table_model(s: int) -> TableModel:
+    """``s`` states; the initiator takes the larger of the two states."""
+    table = np.empty((s, s, 2), dtype=np.int64)
+    table[:, :, 0] = np.maximum.outer(np.arange(s), np.arange(s))
+    table[:, :, 1] = np.arange(s)[None, :]
+    return TableModel(table)
+
+
+class TestCountsFollowStates:
+    """Every round moves the count vector by histograms of the states it
+    leaves and enters, so after any run, observed or not, the counts are
+    the states' histogram: one- and two-way tables, mixture components,
+    a 40-state table, and stochastic 2- and 4-slot rounds."""
+
+    MODELS = {
+        **STAMP_MODELS,
+        "mixture": lambda: igt_model(6, observation_noise=0.1),
+        "wide-table": lambda: wide_table_model(40),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_counts_are_the_states_histogram(self, name):
+        model = self.MODELS[name]()
+        states = np.random.default_rng(8).integers(0, model.n_states, 3000)
+        engine = AgentBackend(model, states, seed=9, vectorized=True)
+        for kwargs in ({}, {"observe_every": 2500}):
+            engine.run(10_000, **kwargs)
+            np.testing.assert_array_equal(
+                engine.counts, np.bincount(engine.states,
+                                           minlength=model.n_states))
 
 
 class TestCountProxyPath:

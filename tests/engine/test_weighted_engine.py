@@ -86,7 +86,11 @@ def exact_weighted_epidemic_chain(class_sizes, class_weights):
 
 
 class TestWeightedCountExactChain:
-    def test_two_class_toy_matches_exact_chain(self):
+    # A run split across calls restarts each call from the class-major
+    # expansion of the product counts: the law must not move.
+    @pytest.mark.parametrize("calls", [(5,), (2, 1, 2)],
+                             ids=["one-call", "split"])
+    def test_two_class_toy_matches_exact_chain(self, calls):
         class_sizes = (2, 2)
         class_weights = (1.0, 4.0)
         states, index, matrix = exact_weighted_epidemic_chain(
@@ -95,14 +99,16 @@ class TestWeightedCountExactChain:
         # One infected agent in the heavy class.
         initial = np.array([[2, 0], [1, 1]], dtype=np.int64)
         start = (0, 1)
-        steps, runs = 5, 4000
+        steps, runs = sum(calls), 4000
         rng = np.random.default_rng(99)
         histogram = np.zeros(len(states))
         for _ in range(runs):
             backend = WeightedCountBackend(model, initial,
                                            np.array(class_weights),
                                            seed=rng)
-            backend.run(steps)
+            assert backend._kernel is not None  # the proxy path
+            for call in calls:
+                backend.run(call)
             final = backend.class_state_counts
             histogram[index[(int(final[0, 1]), int(final[1, 1]))]] += 1
         histogram /= runs

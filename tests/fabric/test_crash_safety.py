@@ -216,7 +216,9 @@ class TestSnapshotBodyCap:
     def test_oversized_checkpoint_is_skipped(self, server, monkeypatch):
         # E4 at n=5e4 checkpoints three times; with the cap below a
         # checkpoint's body every save is skipped on the worker side,
-        # and the task still completes and stores its result.
+        # and the task still completes and stores its result.  Only an
+        # agent checkpoint holds per-agent states: a count engine's
+        # checkpoint is a few hundred bytes at any n, under the cap.
         monkeypatch.setattr("repro.fabric.worker.MAX_BODY_BYTES", 1000)
         stored = []
         original = server.coordinator.store_snapshot
@@ -225,7 +227,9 @@ class TestSnapshotBodyCap:
             "store_snapshot",
             lambda *args: stored.append(args) or original(*args),
         )
-        task = RunTask(experiment_id="E4", seed=1, params={"n": 50_000})
+        task = RunTask(
+            experiment_id="E4", seed=1, params={"n": 50_000}, backend="agent"
+        )
         http_call(server.url, "/submit", {"tasks": [task_to_wire(task)]})
         lines = []
         worker = Worker(

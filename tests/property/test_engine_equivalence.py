@@ -220,13 +220,19 @@ class TestVectorizedAgentBitCompat:
 
 
 class TestCountBackendExactLaw:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_matches_exact_ehrenfest_chain(self, vectorized):
+    @pytest.mark.parametrize("vectorized, calls", [
+        (True, (12,)), (False, (12,)), (True, (5, 4, 3)),
+        (True, (3, 3, 3, 3))], ids=["True", "False", "proxy-5+4+3",
+                                    "proxy-4x3"])
+    def test_matches_exact_ehrenfest_chain(self, vectorized, calls):
         """Empirical T-step distribution vs the exact chain from markov/.
 
         Parametrized over both count paths: the array-proxy kernel
         (``vectorized=True``, the small-n default) and the birthday
         batching (``vectorized=False``) must both realize the exact law.
+        A proxy run split across ``run()`` calls must too: every call
+        starts from the canonical expansion of the counts it inherits
+        (inert AC/AD agents last, behind the index bound).
         """
         n, n_ac, n_ad, k = 8, 1, 2, 2
         m = n - n_ac - n_ad
@@ -237,18 +243,50 @@ class TestCountBackendExactLaw:
         matrix = process.exact_chain(space).dense()
         model = igt_model(k)
         start = np.array([m, 0, n_ac, n_ad], dtype=np.int64)
-        steps, runs = 12, 6000
+        steps, runs = sum(calls), 6000
         rng = np.random.default_rng(2024)
         histogram = np.zeros(len(space))
         for _ in range(runs):
             backend = CountBackend(model, start, seed=rng,
                                    vectorized=vectorized)
-            final = backend.run(steps).counts
+            for call in calls:
+                final = backend.run(call).counts
             histogram[space.index(tuple(final[:k]))] += 1
         histogram /= runs
         initial = np.zeros(len(space))
         initial[space.index((m, 0))] = 1.0
         exact = initial @ np.linalg.matrix_power(matrix, steps)
+        tv = 0.5 * np.abs(histogram - exact).sum()
+        assert tv < 0.05, f"TV to exact chain {tv:.4f}"
+
+    def test_split_proxy_run_with_an_inert_state_first(self):
+        """The expansion moves inert states behind the index bound.
+
+        In the "cure" protocol an initiator takes the smaller of the two
+        states, so state 0 is inert and the expansion puts state 1
+        first.  The number of 1s is a pure death chain: it drops by one
+        with probability x(n-x)/(n(n-1)) per interaction.
+        """
+        n, ones, calls, runs = 10, 9, (4, 4, 4), 5000
+        cure = np.array([[(min(u, v), v) for v in range(2)]
+                         for u in range(2)])
+        matrix = np.zeros((n + 1, n + 1))
+        for x in range(n + 1):
+            down = x * (n - x) / (n * (n - 1))
+            matrix[x, x] = 1 - down
+            if x:
+                matrix[x, x - 1] = down
+        rng = np.random.default_rng(31)
+        histogram = np.zeros(n + 1)
+        for _ in range(runs):
+            backend = CountBackend(TableModel(cure),
+                                   np.array([n - ones, ones]), seed=rng,
+                                   vectorized=True)
+            for steps in calls:
+                final = backend.run(steps).counts
+            histogram[final[1]] += 1
+        histogram /= runs
+        exact = np.linalg.matrix_power(matrix, sum(calls))[ones]
         tv = 0.5 * np.abs(histogram - exact).sum()
         assert tv < 0.05, f"TV to exact chain {tv:.4f}"
 

@@ -244,7 +244,7 @@ def pinned_engine(kind):
                                 seed=31)
 
 
-def older_document(kind, engine) -> bytes:
+def older_agent_document(engine) -> bytes:
     """The document ``engine`` would have written while engines held
     ``int64`` states and captured the stochastic kernel's peel stamps.
 
@@ -254,51 +254,43 @@ def older_document(kind, engine) -> bytes:
     snapshot = engine.snapshot()
     payload = dict(snapshot.payload)
     kernel = engine._kernel
-    stamps = {"stamp": kernel._stamp,
-              "pos_i": kernel._pos_i.astype(np.int64),
-              "pos_r": kernel._pos_r.astype(np.int64)}
-    block = payload if kind == "agent" else dict(payload["proxy_state"])
-    block["states"] = block["states"].astype(np.int64)
-    block["kernel"] = stamps
-    if kind != "agent":
-        payload["proxy_state"] = block
+    payload["states"] = payload["states"].astype(np.int64)
+    payload["kernel"] = {"stamp": kernel._stamp,
+                         "pos_i": kernel._pos_i.astype(np.int64),
+                         "pos_r": kernel._pos_r.astype(np.int64)}
     return SnapshotState(kind=snapshot.kind, payload=payload).to_bytes()
 
 
 class TestSnapshotBytePins:
     """``snapshot().to_bytes()`` of every count-chain path, byte for byte.
 
-    The proxy cases run stochastic kernels and cover the count engines'
-    ``proxy_state`` block (states, pair counts when tracked).  The
-    birthday cases cover both count engines' batched payloads with a
-    tracked pair-count accumulator.  The digests pin the format written
-    today, so any change to the on-disk/wire snapshot format moves one.
-    The ``count-birthday`` digest was re-captured when table models'
-    birthday batches became cell compositions (a new bitstream, not a
-    new format).  The ``agent``, ``count`` and ``weighted`` digests were
-    re-captured when state arrays narrowed to one byte (a new header
-    dtype) and the peel stamps left the document; :data:`OLDER_DIGESTS`
-    keeps the digests those engines wrote before.
+    The ``agent``, ``count`` and ``weighted`` cases run stochastic
+    kernels; the birthday cases cover both count engines' batched
+    payloads with a tracked pair-count accumulator.  The digests pin the
+    format written today, so any change to the on-disk/wire snapshot
+    format moves one.  The ``count-birthday`` digest was re-captured
+    when table models' birthday batches became cell compositions (a new
+    bitstream, not a new format).  The ``agent`` digest was re-captured
+    when state arrays narrowed to one byte (a new header dtype) and the
+    peel stamps left the document; :data:`OLDER_AGENT_DIGEST` keeps the
+    digest it wrote before.  The ``count`` and ``weighted`` digests were
+    re-captured when the count engines' proxy documents lost their
+    per-agent block (a new format) and every proxy run started from the
+    chain's canonical expansion (a new bitstream).
     """
 
-    #: Digests of the documents the proxy cases wrote while engines held
+    #: Digest of the document the agent case wrote while engines held
     #: ``int64`` states and captured peel stamps.
-    OLDER_DIGESTS = {
-        "agent": "f7f6fabe21b3f64215123895840ef2bd"
-                 "126e9ae4816c5cef135c6af02789420a",
-        "count": "3e5942cd4151272ee46912c7351edc15"
-                 "00fd5b3b41b3b9116d84a5f53bb8a1a3",
-        "weighted": "60a4bcabfa8401729b59a97a03e3e9a5"
-                    "149c0d25010f57845a1035cc0e69c233",
-    }
+    OLDER_AGENT_DIGEST = ("f7f6fabe21b3f64215123895840ef2bd"
+                          "126e9ae4816c5cef135c6af02789420a")
 
     @pytest.mark.parametrize("kind, digest", [
         ("agent",
          "b55b603d75a34ecc56d5d3eaa6526d5b2cd71b6c1503e87057548b5443ff6801"),
         ("count",
-         "806593c42b73bccc37a3bd178f464e5f5921fff2c436c0ad52d57cead6fa0d37"),
+         "1d46994a28136e3abaaf5089453b8b9cc0f31fd3c1db18ef77c5f768b76d1b2e"),
         ("weighted",
-         "aec5bd8de2c43ab92a6821a2a518ee1c6f84c430399eb8359c28a13deddc6caf"),
+         "07db331d4dd4405da4470a78ad4bcede969301e95fcc3091fc4ae6ea1386565e"),
         ("count-birthday",
          "f371572936fb162a9d4c4fd3bd03e54ee3cc502641992cd9bc4b32ae8fb60ff9"),
         ("weighted-birthday",
@@ -308,9 +300,9 @@ class TestSnapshotBytePins:
         engine = pinned_engine(kind)
         run_plan(engine, PRE_PLAN)
         snapshot = engine.snapshot()
-        if not kind.endswith("birthday"):
-            block = snapshot.payload.get("proxy_state", snapshot.payload)
-            assert "kernel" not in block  # peel stamps are not captured
+        # No peel stamps, and no per-agent block in a count document.
+        assert "kernel" not in snapshot.payload
+        assert "proxy_state" not in snapshot.payload
         data = snapshot.to_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         # Decoding into a fresh engine and encoding again is lossless,
@@ -322,19 +314,71 @@ class TestSnapshotBytePins:
         assert SnapshotState.from_bytes(data).to_bytes() == data
         assert_continues_identically(engine, resumed)
 
-    @pytest.mark.parametrize("kind", sorted(OLDER_DIGESTS))
-    def test_older_documents_resume(self, kind):
+    def test_older_agent_document_resumes(self):
         # int64 states and a kernel block of peel stamps: restore checks
         # and narrows the states, ignores the stamps, and continues
         # exactly like the engine that wrote the document.
-        engine = pinned_engine(kind)
+        engine = pinned_engine("agent")
         run_plan(engine, PRE_PLAN)
-        data = older_document(kind, engine)
-        assert hashlib.sha256(data).hexdigest() == self.OLDER_DIGESTS[kind]
-        resumed = pinned_engine(kind)
+        data = older_agent_document(engine)
+        assert hashlib.sha256(data).hexdigest() == self.OLDER_AGENT_DIGEST
+        resumed = pinned_engine("agent")
         resumed.restore(SnapshotState.from_bytes(data))
         assert resumed.snapshot().to_bytes() == engine.snapshot().to_bytes()
         assert_continues_identically(engine, resumed)
+
+    @pytest.mark.parametrize("kind", ["count", "weighted"])
+    def test_proxy_checkpoint_holds_no_agents(self, kind):
+        # At n=10^6 a per-agent block alone would be 1 MB.
+        model = igt_model(8)
+        counts = initial_counts(10**6, model.n_states)
+        if kind == "count":
+            engine = CountBackend(model, counts, seed=3)
+        else:
+            engine = WeightedCountBackend(
+                model, np.array([counts // 2, counts - counts // 2]),
+                np.array([1.0, 3.5]), seed=3)
+        assert engine._kernel is not None  # the proxy path
+        engine.run(20_000)
+        engine.run(20_000)
+        assert len(engine.snapshot().to_bytes()) < 1000
+
+    @pytest.mark.parametrize("kind", ["count", "weighted"])
+    def test_proxy_state_block_is_never_read(self, kind):
+        # Older proxy documents carried a per-agent ``proxy_state``
+        # block.  A count engine holds only its counts, so restore
+        # ignores the block — here one no population could have.
+        engine = pinned_engine(kind)
+        run_plan(engine, PRE_PLAN)
+        snapshot = engine.snapshot()
+        payload = dict(snapshot.payload)
+        payload["proxy_state"] = {
+            "states": np.full(engine.n, 99, dtype=np.int64),
+            "pair_counts": None,
+        }
+        resumed = pinned_engine(kind)
+        resumed.restore(SnapshotState(kind=snapshot.kind, payload=payload))
+        assert resumed.snapshot().to_bytes() == snapshot.to_bytes()
+        assert_continues_identically(engine, resumed)
+
+    def test_older_pair_tracking_proxy_document_is_refused(self):
+        # Older pair-tracking proxy documents kept ``pair_counts`` inside
+        # the ``proxy_state`` block, which restore never reads, so they
+        # lack the top-level accumulator and are refused, writing nothing.
+        engine = pinned_engine("count")
+        assert engine._track_pairs and engine._kernel is not None
+        run_plan(engine, PRE_PLAN)
+        snapshot = engine.snapshot()
+        payload = dict(snapshot.payload)
+        payload["proxy_state"] = {
+            "states": np.repeat(np.arange(2), payload["counts"]),
+            "pair_counts": payload.pop("pair_counts"),
+        }
+        resumed = pinned_engine("count")
+        before = resumed.snapshot().to_bytes()
+        with pytest.raises(SnapshotError, match="'pair_counts'"):
+            resumed.restore(SnapshotState(kind=snapshot.kind, payload=payload))
+        assert resumed.snapshot().to_bytes() == before
 
 
 # ----------------------------------------------------------------------
@@ -618,8 +662,8 @@ CHECKED_ENGINES = {
 
 
 def agent_states(payload):
-    """The snapshot's per-agent state array (``None`` on birthday paths)."""
-    return payload.get("proxy_state", payload).get("states")
+    """The snapshot's per-agent state array (``None`` on count engines)."""
+    return payload.get("states")
 
 
 def chain_of(payload):
@@ -639,12 +683,11 @@ def state_out_of_range(payload):
 def older_state_out_of_range(payload):
     """``int64`` states, as older documents hold them, one of which a
     cast to a byte would wrap back into range."""
-    block = payload.get("proxy_state", payload)
-    if block.get("states") is None:
+    if agent_states(payload) is None:
         state_out_of_range(payload)
         return
-    block["states"] = block["states"].astype(np.int64)
-    block["states"][0] += 256
+    payload["states"] = payload["states"].astype(np.int64)
+    payload["states"][0] += 256
 
 
 def wrong_length(payload):

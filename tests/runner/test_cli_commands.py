@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main, parse_age, parse_size
 from repro.experiments.base import _REGISTRY, ExperimentReport, register
+from repro.testing import reset_faults
+from repro.testing.faults import FAULTS_ENV
 from repro.utils import InvalidParameterError
 
 
@@ -42,6 +44,41 @@ class TestFabricUnavailable:
         code = main(["sweep", "E1", "--remote", "http://127.0.0.1:9"])
         assert code == 3
         assert "cannot reach http://127.0.0.1:9/submit" in capsys.readouterr().err
+
+
+class TestDeadPoolWorker:
+    #: Two E4 tasks small enough to checkpoint once each.
+    SWEEP = (
+        "sweep E4 --replicates 2 --set n=20000 --set m=4 --set k_max=3 "
+        "--set m_urn=8 --jobs 2 --resume --cache"
+    ).split()
+
+    def test_dead_worker_exits_with_code_3_naming_the_rerun(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # Each forked worker SIGKILLs itself right after its task's first
+        # checkpoint, so the pool breaks mid-task.
+        cache = tmp_path / "cache"
+        reset_faults()
+        monkeypatch.setenv(FAULTS_ENV, "snapshot.post-save:1:kill")
+        try:
+            code = main([*self.SWEEP, str(cache)])
+        finally:
+            reset_faults()
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [
+            "error: a pool worker died mid-task; rerun with --cache DIR to "
+            "keep the finished cells (and --resume to continue a sweep's "
+            "checkpointed tasks)"
+        ]
+        # The rerun it names resumes from the checkpoints left behind and
+        # caches both cells (its exit code is the checks' verdict).
+        assert list((cache / "snapshots").glob("*.snap"))
+        monkeypatch.delenv(FAULTS_ENV)
+        assert main([*self.SWEEP, str(cache)]) in (0, 1)
+        assert len(list(cache.glob("*/*.json"))) == 2
+        assert not list((cache / "snapshots").glob("*.snap"))
 
 
 class TestSweepCommand:

@@ -28,6 +28,7 @@ from repro.runner import RunPlan, RunTask, execute
 from repro.runner.executor import _task_cache_key
 from repro.testing import crash_point, reset_faults
 from repro.testing.faults import FAULTS_ENV
+from repro.utils.errors import FabricUnavailable
 
 #: An E4 task whose relaxation saves exactly one checkpoint, and a task
 #: that saves none.
@@ -61,8 +62,11 @@ class TestWorkersStartClean:
         # stays on disk to show which channel took it.
         faults("snapshot.post-save:1")
         parent = RecordingChannel()
-        with use_snapshot_channel(parent), pytest.raises(BrokenProcessPool):
+        with use_snapshot_channel(parent), pytest.raises(FabricUnavailable) as died:
             execute(PLAN, snapshot_dir=tmp_path)
+        # The broken pool surfaces as the environment failure the CLI
+        # exits 3 on.
+        assert isinstance(died.value.__cause__, BrokenProcessPool)
         assert parent.snapshots == [] and parent.cleared == 0
         saved = SnapshotStore(tmp_path).load(_task_cache_key(CHECKPOINTING))
         assert saved is not None
