@@ -8,7 +8,8 @@ Three acts:
 2. **Generosity finds its level.**  The k-IGT dynamics tunes the GTFT
    sub-population's generosity: against many defectors it drops, against
    few it climbs toward g_max (Proposition 2.8's lambda dependence).
-3. **Who earns what?**  Per-type expected payoffs at stationarity.
+3. **Who earns what?**  Per-type expected payoffs at stationarity, read
+   off the count vector through the exact expected-payoff table.
 
 Run with:  python examples/evolution_of_cooperation.py
 """
@@ -24,7 +25,7 @@ from repro import (
     tit_for_tat,
 )
 from repro.analysis.tables import format_table, sparkline
-from repro.core.equilibrium import RDSetting
+from repro.core.equilibrium import RDSetting, payoff_table
 from repro.core.population_igt import PopulationShares
 from repro.core.theory import igt_mixing_upper_bound
 from repro.games.strategies import with_execution_noise
@@ -88,16 +89,24 @@ def act_three_payoffs():
     k, n = 4, 300
     grid = GenerosityGrid(k=k, g_max=0.6)
     sim = IGTSimulation(n=n, shares=shares, grid=grid, seed=2,
-                        setting=setting, track_payoffs=True)
+                        setting=setting)
     sim.run(int(2 * igt_mixing_upper_bound(k, shares, n)))
-    means = sim.mean_payoff_by_type()
+    # Engine states 0..k-1 are the GTFT indices, k is AC and k+1 AD.  An
+    # agent in state i meets a partner drawn from the other n-1 agents,
+    # so its expected payoff per interaction is (table[i] @ z - table[i,
+    # i]) / (n - 1) over the full count vector z.
+    z = sim.counts_live
+    table = payoff_table(grid, setting)
+    per_state = (table @ z - np.diag(table)) / (n - 1)
+    means = {"GTFT": float(z[:k] @ per_state[:k]) / sim.n_gtft,
+             "AC": per_state[k], "AD": per_state[k + 1]}
     rows = [[label, agents, f"{means[name]:.3f}"]
             for name, label, agents in (
                 ("AC", "Always-Cooperate", sim.n_ac),
                 ("AD", "Always-Defect", sim.n_ad),
                 ("GTFT", "GTFT (tuned)", sim.n_gtft))]
     print(format_table(
-        ["type", "agents", "mean payoff / interaction"], rows))
+        ["type", "agents", "expected payoff / interaction"], rows))
     print("(AD free-rides per interaction, but the GTFT block sustains "
           "cooperation among itself - the population-level story of the "
           "repeated donation game)")

@@ -439,19 +439,21 @@ def _report_simulate_sink(args, sink) -> None:
                            allow_nan=False))
 
 
-#: The ``repro simulate`` arguments that define its trajectory.
+#: The ``repro simulate`` arguments that define its trajectory and the
+#: sink whose resume token its checkpoints carry.
 _SIMULATE_RUN_ARGUMENTS = ("n", "k", "alpha", "beta", "g_max", "noise",
                            "backend", "weights", "topology", "seed",
-                           "steps", "observe_every")
+                           "steps", "observe_every", "observe")
 
 
 class _SimulateChannel(FileSnapshotChannel):
     """The ``--snapshots DIR`` checkpoint of one ``repro simulate`` run.
 
     Saves carry ``run``, a digest of the arguments that define the
-    trajectory (paths left out).  A checkpoint carrying another digest
-    is refused before anything is restored or streamed; one without a
-    digest, written before checkpoints carried it, resumes.
+    trajectory and of the ``--observe`` sink kind (paths left out).  A
+    checkpoint carrying another digest is refused before anything is
+    restored or streamed; one without a digest, written before
+    checkpoints carried it, resumes.
     """
 
     def __init__(self, root, args, steps: int):
@@ -459,6 +461,8 @@ class _SimulateChannel(FileSnapshotChannel):
         fields = {name: getattr(args, name)
                   for name in _SIMULATE_RUN_ARGUMENTS}
         fields["steps"] = steps  # resolved when --steps is left out
+        if args.observe is not None:  # the kind, not a jsonl path
+            fields["observe"] = args.observe.partition(":")[0]
         self.run = hashlib.sha256(
             json.dumps(fields, sort_keys=True).encode()).hexdigest()
 

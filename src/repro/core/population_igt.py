@@ -29,8 +29,8 @@ in ``"action"`` mode) and run on the backend selected by the
 ``backend=`` knob — ``"agent"`` (per-agent states, trajectories bit-for-bit
 identical to the pre-engine fast path under a fixed seed) or ``"count"``
 (exact count-level simulation, practical up to ``n = 10^7`` and beyond; no
-per-agent observables).  Payoffs are accounted per type pair on either
-backend (:meth:`IGTSimulation.mean_payoff_by_type`).
+per-agent observables).  Expected payoffs follow from the count vector
+alone (:func:`repro.core.equilibrium.payoff_table`), on either backend.
 """
 
 from __future__ import annotations
@@ -166,11 +166,7 @@ class IGTSimulation:
         docstring.
     setting:
         An :class:`~repro.core.equilibrium.RDSetting` (required for
-        ``mode="action"`` and for payoff accounting; optional otherwise).
-    track_payoffs:
-        When true, count executed interactions per ordered engine-state
-        pair (:meth:`pair_counts`); :meth:`mean_payoff_by_type`
-        contracts them against the exact expected-payoff table.
+        ``mode="action"``; optional otherwise).
     initial_indices:
         Per-GTFT-agent initial grid indices; ``"uniform"`` (default) draws
         them uniformly from the grid, an integer places all agents there, or
@@ -187,7 +183,7 @@ class IGTSimulation:
         tracks only the count vector over ``{g_1..g_k, AC, AD}`` —
         distribution-identical and far faster at large ``n``.  Per-agent
         observables (``indices``, ``strategy_of``) are unavailable
-        there; every mode and payoff accounting run on both.
+        there; every mode runs on both.
         ``"auto"`` dispatches between the engines from ``n`` via
         :func:`repro.engine.resolve_backend`.
     weights:
@@ -221,9 +217,8 @@ class IGTSimulation:
 
     def __init__(self, n: int, shares: PopulationShares, grid: GenerosityGrid,
                  seed=None, mode: str = "strategy", setting=None,
-                 track_payoffs: bool = False, initial_indices="uniform",
-                 observation_noise: float = 0.0, backend: str = "agent",
-                 weights=None, topology=None):
+                 initial_indices="uniform", observation_noise: float = 0.0,
+                 backend: str = "agent", weights=None, topology=None):
         if mode not in _MODES:
             raise InvalidParameterError(
                 f"mode must be one of {_MODES}, got {mode!r}")
@@ -253,18 +248,10 @@ class IGTSimulation:
         self._gtft_slice = slice(n_ac + n_ad, n)
 
         k = grid.k
-        self.track_payoffs = bool(track_payoffs)
-        self._payoff_matrix = None
-        if self.track_payoffs or mode == "action":
+        if mode == "action":
             if setting is None:
                 raise InvalidParameterError(
-                    "an RDSetting is required for payoff tracking and for "
-                    "mode='action'")
-            if self.track_payoffs:
-                from repro.core.equilibrium import payoff_table
-                self._payoff_matrix = payoff_table(grid, setting)
-
-        if mode == "action":
+                    "an RDSetting is required for mode='action'")
             self._model = igt_action_model(grid, setting)
         else:
             self._model = igt_model(k, mode=mode,
@@ -327,8 +314,7 @@ class IGTSimulation:
         counts_full[k + 1] = n_ad
 
         self._engine = build_engine(
-            self._model, law, backend, states=states, counts=counts_full,
-            track_pair_counts=self.track_payoffs)
+            self._model, law, backend, states=states, counts=counts_full)
         self._counts_full = self._engine.counts_live
         self._counts = self._counts_full[:k]
 
@@ -468,57 +454,6 @@ class IGTSimulation:
         generator rewinds to the captured bitstream position.
         """
         self._engine.restore(snapshot)
-
-    def pair_counts(self) -> np.ndarray:
-        """Executed interactions per ordered engine-state pair.
-
-        The ``(k+2, k+2)`` matrix the engine accumulates when payoffs
-        are tracked; the payoff observables below are linear
-        functionals of it.
-        """
-        if not self.track_payoffs:
-            raise InvalidParameterError(
-                "pair counts need track_payoffs=True")
-        return self._engine.pair_counts
-
-    def mean_payoff_by_type(self) -> dict:
-        """Mean payoff per played interaction for each agent *type*.
-
-        The payoff observable of both backends: a dict over ``"GTFT"``
-        / ``"AC"`` / ``"AD"``, contracting the per-type-pair interaction
-        counts against the exact expected payoff table.  In
-        ``mode="action"`` only interactions initiated by a GTFT agent
-        count (only those play a game).  Types that played no
-        interaction report ``0.0``.
-        """
-        if not self.track_payoffs:
-            raise InvalidParameterError(
-                "payoff observables need track_payoffs=True")
-        k = self.grid.k
-        pair_counts = self._engine.pair_counts.astype(float)
-        payoffs = self._payoff_matrix
-        state_totals = np.zeros(k + 2)
-        state_plays = np.zeros(k + 2)
-        if self.mode == "action":
-            # Games are played only when the initiator is GTFT.
-            initiated = pair_counts[:k]
-            state_totals[:k] += (initiated * payoffs[:k]).sum(axis=1)
-            state_totals += (initiated * payoffs[:, :k].T).sum(axis=0)
-            state_plays[:k] += initiated.sum(axis=1)
-            state_plays += initiated.sum(axis=0)
-        else:
-            state_totals += (pair_counts * payoffs).sum(axis=1)
-            state_totals += (pair_counts * payoffs.T).sum(axis=0)
-            state_plays += pair_counts.sum(axis=1)
-            state_plays += pair_counts.sum(axis=0)
-        totals = np.array([state_totals[:k].sum(), state_totals[k],
-                           state_totals[k + 1]])
-        plays = np.array([state_plays[:k].sum(), state_plays[k],
-                          state_plays[k + 1]])
-        means = np.divide(totals, plays, out=np.zeros(3),
-                          where=plays > 0)
-        return {"GTFT": float(means[0]), "AC": float(means[1]),
-                "AD": float(means[2])}
 
     # ------------------------------------------------------------------
     # Ehrenfest embedding (Section 2.2.1)

@@ -16,9 +16,6 @@ uniform-scheduler process:
   and an array-proxy kernel below :data:`~repro.engine.count.PROXY_MAX_N`
   so small populations no longer pay the per-batch fixed costs.
 
-With ``track_pair_counts=True`` every backend accumulates per-type-pair
-interaction counts, the one route to the facades' payoff observables.
-
 Observations stream through pluggable sinks (:mod:`repro.engine.observe`):
 the default :class:`MemorySink` reproduces the classic in-RAM
 ``observations`` list byte-for-byte, while :class:`JsonlSink` appends

@@ -41,11 +41,6 @@ The scheduler is any pair law of :mod:`repro.engine.sampling` /
 :class:`~repro.engine.sampling.WeightedScheduler` for heterogeneous
 contact processes); every inner loop draws its pairs — and 4-slot models
 their observed agents — through it.
-
-``track_pair_counts=True`` accumulates executed interactions per ordered
-state pair, like the count engines: table models then always run the
-kernel (bit-for-bit the loops, so the trajectory does not move) with its
-pair tracking on, and the generic loop counts as it applies.
 """
 
 from __future__ import annotations
@@ -99,18 +94,10 @@ class AgentBackend(SimulationEngine):
         batched stochastic path — distribution-identical to the
         sequential loop but not bit-identical — while ``None``/``False``
         keep the per-interaction loop (the reproducibility default).
-    track_pair_counts:
-        Accumulate the ``(S, S)`` matrix of executed interactions per
-        ordered state pair into :attr:`pair_counts` (payoff accounting).
-        Table models then run the kernel (so ``vectorized=False`` is
-        refused with it) and, like the generic loop, keep their
-        trajectories bit for bit.  The opt-in batched stochastic path
-        stays law-identical: counting turns its inert filter off.
     """
 
     def __init__(self, model: InteractionModel, initial_states, seed=None,
-                 scheduler=None, vectorized: bool | None = None,
-                 track_pair_counts: bool = False):
+                 scheduler=None, vectorized: bool | None = None):
         self.model = model
         states = np.asarray(initial_states)  # integers are not widened
         if states.dtype.kind not in "iu":
@@ -141,13 +128,7 @@ class AgentBackend(SimulationEngine):
             self._flats_np = [(np.ascontiguousarray(t[:, :, 0].ravel()),
                                np.ascontiguousarray(t[:, :, 1].ravel()))
                               for t in tables]
-        if track_pair_counts and tables is not None and vectorized is False:
-            raise InvalidParameterError(
-                "track_pair_counts runs table models on the kernel; "
-                "vectorized=False cannot honor it")
         self.vectorized = vectorized
-        self._pair_counts = (np.zeros(model.n_states ** 2, dtype=np.int64)
-                             if track_pair_counts else None)
         self._kernel = None
         self.steps_run = 0
 
@@ -162,57 +143,35 @@ class AgentBackend(SimulationEngine):
         by :meth:`run`; do not resize or write it)."""
         return self._states
 
-    @property
-    def pair_counts(self) -> np.ndarray:
-        """Executed interactions per ordered state pair, shape ``(S, S)``.
-
-        Entry ``[u, v]`` counts interactions whose initiator was in state
-        ``u`` and responder in state ``v`` at execution time.  Requires
-        ``track_pair_counts=True``.
-        """
-        if self._pair_counts is None:
-            raise InvalidParameterError(
-                "pair counts were not tracked; construct the backend with "
-                "track_pair_counts=True")
-        s = self.model.n_states
-        return self._pair_counts.reshape(s, s).copy()
-
     # ------------------------------------------------------------------
     # Snapshot / restore (the crash-safety contract; see engine.snapshot)
     # ------------------------------------------------------------------
     def _ensure_kernel(self) -> ConflictFreeKernel:
         if self._kernel is None:
-            tracked = self._pair_counts is not None
             self._kernel = ConflictFreeKernel(
                 self.model, self._states, self._counts,
-                allow_stochastic=self._flats_np is None, track_pairs=tracked)
-            if tracked:
-                # One accumulator for every inner loop and the snapshot.
-                self._kernel.pair_counts = self._pair_counts
+                allow_stochastic=self._flats_np is None)
         return self._kernel
 
     def snapshot(self) -> "SnapshotState":
         """Exact mutable state between runs, for :meth:`restore`.
 
         Captures copies of the per-agent states and counts, the step
-        cursor, the scheduler generator's bitstream position, and the
-        pair-count accumulator when tracked.  The kernel's peel stamps
-        carry no history (see :mod:`repro.engine.vectorized`), so a
-        restored engine starts them afresh.
+        cursor, and the scheduler generator's bitstream position.  The
+        kernel's peel stamps carry no history (see
+        :mod:`repro.engine.vectorized`), so a restored engine starts them
+        afresh.
         """
         from repro.engine.snapshot import SnapshotState, rng_state
 
-        payload = {
+        return SnapshotState(kind="agent", payload={
             "n": int(self.n),
             "n_states": int(self.model.n_states),
             "steps_run": int(self.steps_run),
             "states": self._states.copy(),
             "counts": self._counts.copy(),
             "rng": rng_state(self.scheduler.rng),
-        }
-        if self._pair_counts is not None:
-            payload["pair_counts"] = self._pair_counts.copy()
-        return SnapshotState(kind="agent", payload=payload)
+        })
 
     def restore(self, snapshot: "SnapshotState") -> None:
         """Adopt a snapshot taken by an identically constructed engine.
@@ -237,16 +196,10 @@ class AgentBackend(SimulationEngine):
         states = _snapshot_states(payload, "states", self._states)
         counts = _snapshot_array(payload, "counts", self._counts)
         _check_population(counts, self.n, states)
-        pair_counts = None
-        if self._pair_counts is not None:
-            pair_counts = _snapshot_array(payload, "pair_counts",
-                                          self._pair_counts)
         restore_rng(self.scheduler.rng, payload["rng"])
         self._states[:] = states
         self._counts[:] = counts
         self.steps_run = int(payload["steps_run"])
-        if pair_counts is not None:
-            self._pair_counts[:] = pair_counts
 
     def _result(self, converged, sink) -> EngineResult:
         sink.flush()
@@ -262,8 +215,8 @@ class AgentBackend(SimulationEngine):
         if stopped or max_steps == 0:
             return self._result(stopped, sink)
         if self._flats_np is not None:
-            if self._pair_counts is not None or self._use_vectorized(
-                    stop_when, observe_every, check_stop_every):
+            if self._use_vectorized(stop_when, observe_every,
+                                    check_stop_every):
                 return self._run_vectorized(max_steps, stop_when,
                                             observe_every, check_stop_every,
                                             sink)
@@ -405,10 +358,8 @@ class AgentBackend(SimulationEngine):
                      check_stop_every, sink) -> EngineResult:
         model = self.model
         four = model.slots_per_step == 4
-        s = model.n_states
         states = self._states
         counts = self._counts
-        pairs = self._pair_counts
         rng = self.scheduler.rng
         done = 0
         while done < max_steps:
@@ -429,8 +380,6 @@ class AgentBackend(SimulationEngine):
                 if four:
                     observed = (int(states[obs_i[offset]]),
                                 int(states[obs_j[offset]]))
-                if pairs is not None:
-                    pairs[u * s + v] += 1
                 new_u, new_v = model.apply_scalar(u, v, rng, observed)
                 if new_u != u:
                     states[i] = new_u

@@ -38,8 +38,7 @@ The batch's effect depends only on how many interactions fall in each
 *cell* — ``(component, initiator state, responder class)``, where a
 class groups the responder states whose outcome columns agree in every
 table of a one-way model (k-IGT has two, AD and non-AD; two-way tables
-and tracked pair counts use one class per state) — and the cell counts
-are drawn directly:
+use one class per state) — and the cell counts are drawn directly:
 
 * one multivariate hypergeometric draw gives the ``2T`` participants'
   composition, and one more the initiators' share of it (the rest are
@@ -98,23 +97,12 @@ the ``O(n)`` memory is only paid where it is trivially affordable;
 beyond :data:`PROXY_MAX_N` the ``O(k)``-memory birthday path wins
 anyway.
 
-Per-type-pair accounting
-------------------------
-
-With ``track_pair_counts=True`` both paths accumulate the ``(S, S)``
-matrix of executed interactions per ordered state pair (an early stop
-counts only the segments it executed), as the agent backend does.
-Facades turn that matrix into payoff observables — ``IGTSimulation``
-multiplies it against the exact expected-payoff table, which is how
-payoff experiments run count-level at large ``n`` without per-agent
-arrays.
-
 One driver, pluggable laws
 --------------------------
 
 :class:`CountBackend` holds the only count-chain driver: construction
 checks and the proxy/birthday choice, ``run`` (kernel path and birthday
-loop), checkpoint materialization, snapshots, and pair-count accounting.
+loop), checkpoint materialization, and snapshots.
 It runs on a *chain array* that the proxy kernel adopts and the birthday
 path mutates, and keeps a separate length-``S`` live view
 (:attr:`counts_live`, which facades alias) refreshed from
@@ -202,15 +190,13 @@ def sample_without_replacement(rng, counts, n_slots: int) -> np.ndarray:
                        minlength=len(counts))
 
 
-def _slot_segments(before, after, keys, cuts, spp: int, total,
-                   pair_bins: int) -> list:
-    """Per-segment ``(chain delta, pair delta)`` of a per-slot batch.
+def _slot_segments(before, after, cuts, spp: int, total) -> list:
+    """Per-segment chain deltas of a per-slot batch.
 
-    ``before``/``after`` are the batch's per-slot pre/post chain states,
-    ``total`` its whole chain delta, and ``keys`` its per-interaction
-    ordered-pair indices (``None`` when pair counts are not tracked);
-    segments end at the interaction offsets ``cuts`` and at the batch's
-    end, whose delta is what the earlier segments leave of ``total``.
+    ``before``/``after`` are the batch's per-slot pre/post chain states
+    and ``total`` its whole chain delta; segments end at the interaction
+    offsets ``cuts`` and at the batch's end, whose delta is what the
+    earlier segments leave of ``total``.
     """
     segments = []
     lo = 0
@@ -218,13 +204,9 @@ def _slot_segments(before, after, keys, cuts, spp: int, total,
         delta = np.bincount(after[lo * spp:hi * spp], minlength=total.size)
         delta -= np.bincount(before[lo * spp:hi * spp], minlength=total.size)
         total = total - delta
-        pairs = (None if keys is None
-                 else np.bincount(keys[lo:hi], minlength=pair_bins))
-        segments.append((delta, pairs))
+        segments.append(delta)
         lo = hi
-    pairs = None if keys is None else np.bincount(keys[lo:],
-                                                  minlength=pair_bins)
-    segments.append((total, pairs))
+    segments.append(total)
     return segments
 
 
@@ -233,8 +215,7 @@ class _CellLaw:
 
     A cell is ``(component, initiator state, responder class)``, flattened
     component-major; :attr:`delta` holds each cell's count change per
-    interaction, and :attr:`pair` its ordered-pair index when every
-    state is its own class.
+    interaction.
     """
 
     def __init__(self, tables, probs, by_class: bool):
@@ -263,7 +244,6 @@ class _CellLaw:
         np.add.at(self.delta, (cells, tables[comp, u, v, 0]), 1)
         np.add.at(self.delta, (cells, v), -1)
         np.add.at(self.delta, (cells, tables[comp, u, v, 1]), 1)
-        self.pair = u * s + v
         self.states = s
 
     def draw(self, rng, sampled, t: int) -> np.ndarray:
@@ -312,17 +292,10 @@ class _CellLaw:
                             minlength=sizes.size * used.size)
         return used, parts.reshape(sizes.size, used.size)
 
-    def segments(self, rng, cells, cuts, track_pairs: bool) -> list:
-        """``(count delta, pair delta)`` of each segment between ``cuts``."""
+    def segments(self, rng, cells, cuts) -> np.ndarray:
+        """The count delta of each segment between ``cuts``, one per row."""
         used, parts = self.split(rng, cells, cuts)
-        deltas = parts @ self.delta[used]
-        if not track_pairs:
-            return [(delta, None) for delta in deltas]
-        bins = self.states ** 2
-        keys = np.arange(len(parts))[:, None] * bins + self.pair[used]
-        pairs = np.bincount(keys.ravel(), weights=parts.ravel(),
-                            minlength=len(parts) * bins)
-        return list(zip(deltas, pairs.astype(np.int64).reshape(-1, bins)))
+        return parts @ self.delta[used]
 
 
 def _collision_cdf(n: int, slots_per_step: int) -> np.ndarray:
@@ -400,10 +373,6 @@ class CountBackend(SimulationEngine):
         the population size ``n >= 2``.
     seed:
         Seed or generator.
-    track_pair_counts:
-        Accumulate the ``(S, S)`` matrix of executed interactions per
-        ordered state pair into :attr:`pair_counts` (count-level payoff
-        accounting; see the module docstring).
     vectorized:
         Proxy-path selection: ``None`` (default) uses the array-proxy
         kernel for supported models (pairwise, with component tables or
@@ -447,18 +416,15 @@ class CountBackend(SimulationEngine):
     _others_block = None
 
     def __init__(self, model: InteractionModel, initial_counts, seed=None,
-                 track_pair_counts: bool = False,
                  vectorized: bool | None = None, scheduler=None):
         counts = check_int_array("initial_counts", initial_counts).copy()
         if counts.size != model.n_states:
             raise InvalidParameterError(
                 f"initial_counts must be a 1-D vector of length "
                 f"{model.n_states}, got shape {counts.shape}")
-        self._setup(model, counts, seed, track_pair_counts, vectorized,
-                    scheduler)
+        self._setup(model, counts, seed, vectorized, scheduler)
 
-    def _setup(self, model, chain, seed, track_pair_counts, vectorized,
-               scheduler=None) -> None:
+    def _setup(self, model, chain, seed, vectorized, scheduler=None) -> None:
         """Construction shared by both count engines.
 
         Validates the population held in ``chain``, adopts a uniform
@@ -505,7 +471,6 @@ class CountBackend(SimulationEngine):
             raise InvalidParameterError(
                 "models observing extra agents need n >= 4 for an "
                 "all-distinct interaction to exist")
-        self._track_pairs = bool(track_pair_counts)
         proxy_ok = self._proxy_ok()
         if vectorized is True and not proxy_ok:
             raise InvalidParameterError(
@@ -515,27 +480,20 @@ class CountBackend(SimulationEngine):
             vectorized = proxy_ok and self.n <= self._PROXY_MAX_N
         self._chain = chain
         self._kernel = None
-        self._pair_counts = None
         if vectorized:
             self._kernel = self._proxy_kernel()
-            # One accumulator for the kernel and the snapshot.
-            self._pair_counts = self._kernel.pair_counts
             # The state order of :meth:`_expand`.  Inert states form a
             # contiguous tail when the kernel filters them, so its inert
             # filter is one index comparison.
             self._order = np.arange(chain.size)
             self._inert = None
             inert = model.inert_states
-            if self._INERT_LAST and inert is not None \
-                    and not self._track_pairs:
+            if self._INERT_LAST and inert is not None:
                 self._inert = np.asarray(inert, dtype=bool)
                 self._order = np.concatenate((self._order[~self._inert],
                                               self._order[self._inert]))
         else:
             self._init_birthday()
-            if self._track_pairs:
-                self._pair_counts = np.zeros(model.n_states ** 2,
-                                             dtype=np.int64)
         self._counts = self._project(chain).copy()
         self.steps_run = 0
 
@@ -543,23 +501,6 @@ class CountBackend(SimulationEngine):
     def rng(self) -> np.random.Generator:
         """The backend's generator."""
         return self._rng
-
-    @property
-    def pair_counts(self) -> np.ndarray:
-        """Executed interactions per ordered state pair, shape ``(S, S)``.
-
-        Entry ``[u, v]`` counts interactions whose initiator was in state
-        ``u`` and responder in state ``v`` *at execution time*; a lifted
-        kernel's chain-pair accumulator is contracted over its class
-        axes.  Requires ``track_pair_counts=True``.
-        """
-        if not self._track_pairs:
-            raise InvalidParameterError(
-                "pair counts were not tracked; construct the backend with "
-                "track_pair_counts=True")
-        s = self.model.n_states
-        c = math.isqrt(self._pair_counts.size) // s
-        return self._pair_counts.reshape(c, s, c, s).sum(axis=(0, 2))
 
     def _refresh(self, chain) -> np.ndarray:
         """Write the projection of ``chain`` into the live counts."""
@@ -573,15 +514,14 @@ class CountBackend(SimulationEngine):
         """Exact mutable state between runs, for :meth:`restore`.
 
         A count engine's mutable surface is the chain array, the live
-        counts, the step cursor, the generator position, and (when
-        tracked) the pair-count accumulator — everything else is a
-        construction constant, and the proxy's per-agent array is
-        rewritten from the chain at the start of every ``run``.
+        counts, the step cursor and the generator position — everything
+        else is a construction constant, and the proxy's per-agent array
+        is rewritten from the chain at the start of every ``run``.
         Arrays are captured as copies.
         """
         from repro.engine.snapshot import SnapshotState, rng_state
 
-        payload = {
+        return SnapshotState(kind=self._KIND, payload={
             **self._structure(),
             "proxy": self._kernel is not None,
             "steps_run": int(self.steps_run),
@@ -589,20 +529,17 @@ class CountBackend(SimulationEngine):
             self._CHAIN_KEY: self._chain.copy(),
             "counts": self._counts.copy(),
             "rng": rng_state(self._rng),
-        }
-        if self._pair_counts is not None:
-            payload["pair_counts"] = self._pair_counts.copy()
-        return SnapshotState(kind=self._KIND, payload=payload)
+        })
 
     def restore(self, snapshot: "SnapshotState") -> None:
         """Adopt a snapshot taken by an identically constructed engine.
 
         Every array is checked first — shapes, a non-negative chain
-        summing to ``n``, counts projecting from the chain — so a
-        refused snapshot writes nothing.  All arrays are then written
+        summing to ``n`` with this engine's class sizes (a lift's agents
+        never change weight class), counts projecting from the chain — so
+        a refused snapshot writes nothing.  All arrays are then written
         *in place* — facades alias :attr:`counts_live` and the proxy
-        kernel adopts the chain array and the pair-count accumulator, so
-        nothing may be reallocated.
+        kernel adopts the chain array, so nothing may be reallocated.
         """
         from repro.engine.snapshot import (
             SnapshotError,
@@ -617,18 +554,19 @@ class CountBackend(SimulationEngine):
         chain = _snapshot_array(payload, self._CHAIN_KEY, self._chain)
         counts = _snapshot_array(payload, "counts", self._counts)
         _check_population(chain, self.n)
-        pair_counts = None
-        if self._pair_counts is not None:
-            pair_counts = _snapshot_array(payload, "pair_counts",
-                                          self._pair_counts)
+        classes = self._chain.size // self.model.n_states
+        sizes = chain.reshape(classes, -1).sum(axis=1)
+        own = self._chain.reshape(classes, -1).sum(axis=1)
+        if not np.array_equal(sizes, own):
+            raise SnapshotError(
+                f"snapshot class sizes {sizes.tolist()} differ from the "
+                f"restoring engine's {own.tolist()}")
         if not np.array_equal(counts, self._project(chain)):
             raise SnapshotError("snapshot counts disagree with its chain")
         restore_rng(self._rng, payload["rng"])
         self._chain[:] = chain
         self._counts[:] = counts
         self.steps_run = int(payload["steps_run"])
-        if pair_counts is not None:
-            self._pair_counts[:] = pair_counts
 
     def run(self, max_steps: int, stop_when=None,
             observe_every: int | None = None,
@@ -689,10 +627,8 @@ class CountBackend(SimulationEngine):
                 if obs_at or stop_at else [])
         segments, resolve = self._run_clean(t, window, cuts)
         base = self.steps_run + done
-        for offset, (delta, pairs) in zip([*cuts, None], segments):
+        for offset, delta in zip([*cuts, None], segments):
             self._chain += delta
-            if pairs is not None:
-                self._pair_counts += pairs
             if offset is not None and self._checkpoint(
                     base, offset, obs_at, stop_at, stop_when, sink):
                 return offset, True
@@ -741,7 +677,7 @@ class CountBackend(SimulationEngine):
         model = self.model
         return ConflictFreeKernel(
             model, np.empty(self.n, dtype=model.state_dtype), self._chain,
-            allow_stochastic=True, track_pairs=self._track_pairs)
+            allow_stochastic=True)
 
     def _expand(self) -> None:
         """Write the chain's canonical expansion into the kernel's states.
@@ -781,7 +717,7 @@ class CountBackend(SimulationEngine):
         if self._spp == 2 and tables is not None and (
                 len(tables) == 1 or model.component_probs is not None):
             self._cells = _CellLaw(tables, model.component_probs,
-                                   model.one_way and not self._track_pairs)
+                                   model.one_way)
 
     def _draw_batch(self, budget: int):
         """Draw one batch window: ``(t, collides, window)``.
@@ -806,9 +742,8 @@ class CountBackend(SimulationEngine):
     def _run_clean(self, t: int, window, cuts):
         """Draw ``t`` interactions among all-distinct agents.
 
-        Returns ``(segments, resolve)``: the ``(count delta, pair delta)``
-        of each segment of the run split at the interaction offsets
-        ``cuts`` (pair deltas are ``None`` unless tracked), for the
+        Returns ``(segments, resolve)``: the count delta of each segment
+        of the run split at the interaction offsets ``cuts``, for the
         driver to apply, and the arguments of :meth:`_run_collision` —
         the touched agents' post-run state histogram and the untouched
         remainder's counts.
@@ -820,8 +755,7 @@ class CountBackend(SimulationEngine):
         sampled = sample_without_replacement(rng, chain, t * self._spp)
         if self._cells is not None:
             cells = self._cells.draw(rng, sampled, t)
-            segments = self._cells.segments(rng, cells, cuts,
-                                            self._pair_counts is not None)
+            segments = self._cells.segments(rng, cells, cuts)
             touched = sampled + cells @ self._cells.delta
         else:
             segments, touched = self._run_slots(sampled, cuts)
@@ -846,11 +780,9 @@ class CountBackend(SimulationEngine):
         updated = slots.copy()
         updated[0::spp] = new_u
         updated[1::spp] = new_v
-        keys = (initiators * s + responders
-                if self._pair_counts is not None else None)
         touched = np.bincount(updated, minlength=s)
-        return (_slot_segments(slots, updated, keys, cuts, spp,
-                               touched - sampled, s * s), touched)
+        return (_slot_segments(slots, updated, cuts, spp, touched - sampled),
+                touched)
 
     def _rest_all_fresh(self, position: int, distinct: int) -> float:
         """P(slots ``position..spp-1`` all hit unseen agents | ``distinct``)."""
@@ -924,8 +856,6 @@ class CountBackend(SimulationEngine):
         observed = None
         if spp == 4:
             observed = (slot_states[2], slot_states[3])
-        if self._pair_counts is not None:
-            self._pair_counts[u * self.model.n_states + v] += 1
         new_u, new_v = self.model.apply_scalar(u, v, rng, observed)
         counts = self._chain
         counts[u] -= 1

@@ -92,7 +92,6 @@ def make_law(n: int, weights=None, topology=None, seed=None):
 
 
 def build_engine(model, law, backend: str, *, states=None, counts=None,
-                 track_pair_counts: bool = False,
                  vectorized: bool | None = None):
     """The engine that runs ``model`` under ``law`` on a concrete backend.
 
@@ -111,21 +110,17 @@ def build_engine(model, law, backend: str, *, states=None, counts=None,
       vertex-transitive graphs.  This path needs no per-agent array, so
       callers at large ``n`` pass ``counts`` alone.
 
-    ``track_pair_counts`` applies to every engine and ``vectorized`` to
-    the agent backend's kernel choice.
+    ``vectorized`` applies to the agent backend's kernel choice.
     """
     if check_backend(backend) == "agent":
         return AgentBackend(model, states, scheduler=law,
-                            vectorized=vectorized,
-                            track_pair_counts=track_pair_counts)
+                            vectorized=vectorized)
     if law.weights is not None:
         return WeightedCountBackend.from_agent_states(
-            model, states, law.weights, seed=law.rng,
-            track_pair_counts=track_pair_counts)
+            model, states, law.weights, seed=law.rng)
     if counts is None:
         counts = np.bincount(states, minlength=model.n_states)
-    return CountBackend(model, counts, scheduler=law,
-                        track_pair_counts=track_pair_counts)
+    return CountBackend(model, counts, scheduler=law)
 
 
 __all__ = [

@@ -96,8 +96,8 @@ from repro.utils.errors import (
 #: every other version loudly instead of misinterpreting bytes.
 SNAPSHOT_VERSION = 2
 
-#: Default number of stop-check periods per resumable segment (the
-#: snapshot cadence of :func:`run_resumable`).
+#: Stop-check periods per resumable segment (the snapshot cadence of
+#: :func:`run_resumable`).
 SEGMENT_CHECKS = 8
 
 #: Leading bytes of a v2 document.
@@ -613,7 +613,7 @@ def _check_boundary(simulation) -> None:
 
 
 def run_resumable(simulation, max_steps: int, stop_when, *,
-                  check_stop_every: int, segment_steps: int | None = None,
+                  check_stop_every: int,
                   channel: SnapshotChannel | None = None,
                   observe_every: int | None = None, observe=None) -> bool:
     """Drive ``simulation.run_until`` in deterministic resumable segments.
@@ -622,12 +622,12 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     ``run_until(max_steps, stop_when, check_stop_every=...)``,
     ``snapshot()`` and ``restore()`` (the
     :class:`~repro.core.population_igt.IGTSimulation` facade
-    qualifies).  Execution is split into segments of ``segment_steps``
-    interactions (default :data:`SEGMENT_CHECKS` stop-check periods);
-    after every completed segment the current snapshot is saved to
-    ``channel`` (or the ambient channel).  On entry, an existing
-    channel snapshot is restored and the already-executed segments are
-    skipped.
+    qualifies).  Execution is split into segments of
+    :data:`SEGMENT_CHECKS` stop-check periods; after every completed
+    segment the current snapshot is saved to ``channel`` (or the
+    ambient channel).  On entry, an existing channel snapshot is
+    restored and the already-executed segments are skipped.  A negative
+    ``max_steps`` is refused before anything is restored.
 
     Segmentation is applied whether or not a channel is bound — the
     segment boundaries are part of the execution law, so an
@@ -659,6 +659,7 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     raises :class:`~repro.utils.errors.InvariantError` naming the step
     otherwise — before a corrupt state can be checkpointed.
     """
+    max_steps = check_positive_int("max_steps", max_steps, minimum=0)
     if observe_every is not None:
         observe_every = check_positive_int("observe_every", observe_every)
     if channel is None:
@@ -666,15 +667,13 @@ def run_resumable(simulation, max_steps: int, stop_when, *,
     if observe is not None and observe_every is None:
         raise InvalidParameterError(
             "observe= needs observe_every — the observation cadence")
-    if segment_steps is None:
-        segment_steps = SEGMENT_CHECKS * int(check_stop_every)
-    segment_steps = max(1, int(segment_steps))
+    segment_steps = max(1, SEGMENT_CHECKS * int(check_stop_every))
     start = int(simulation.steps_run)
     stream = None
     if observe_every is not None:
         segment_steps = -(-segment_steps // observe_every) * observe_every
         stream = _SegmentStreamSink(as_sink(observe), observe_every, start)
-    target = start + int(max_steps)
+    target = start + max_steps
     if channel is not None:
         found = channel.load()
         if found is not None:

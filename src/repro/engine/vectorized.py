@@ -113,18 +113,13 @@ class ConflictFreeKernel:
         The live per-agent state array (in the model's ``state_dtype``)
         and count vector, adopted (never reallocated); every round
         :meth:`apply_chunk` executes updates both.
-    chunk:
-        Pairs per conflict analysis (default :func:`auto_chunk`).
     allow_stochastic:
         Permit stochastic one-way models (count-level use: the law is
         preserved per interaction, but generator consumption differs
         from the scalar loop, so agent-level bit parity is off).
-    track_pairs:
-        Accumulate executed interactions per ordered state pair into the
-        flat ``S*S`` array :attr:`pair_counts` (the count-level
-        payoff-accounting input); an owner may replace it with its own
-        accumulator of that shape.  Disables the inert filter — inert
-        interactions still count.
+
+    Each conflict analysis takes :attr:`chunk` pairs, set by
+    :func:`auto_chunk` (halved for 4-slot models).
 
     An owner that places every inert-state agent at an index ``>= b``
     (the count proxy) may set :attr:`inert_index_bound` to ``b`` between
@@ -134,8 +129,7 @@ class ConflictFreeKernel:
     """
 
     def __init__(self, model, states: np.ndarray, counts: np.ndarray,
-                 chunk: int | None = None, allow_stochastic: bool = False,
-                 track_pairs: bool = False):
+                 allow_stochastic: bool = False):
         self.model = model
         self.s = model.n_states
         self.states = states
@@ -160,7 +154,6 @@ class ConflictFreeKernel:
                 "4-slot models with component tables are not supported; "
                 "tables cannot encode observed-agent reads")
         self.one_way = one_way
-        s = self.s
         if tables is not None:
             # (C*S*S,) stacked flat lookups in the states' dtype;
             # component c of pair (u, v) lives at c*S*S + u*S + v.
@@ -171,26 +164,18 @@ class ConflictFreeKernel:
             self._flat_u_list = self._flat_u.tolist()
             self._flat_v_list = (None if one_way
                                  else self._flat_v.tolist())
-        self.track_pairs = bool(track_pairs)
-        self.pair_counts = (np.zeros(s * s, dtype=np.int64)
-                            if self.track_pairs else None)
-        inert = None if self.track_pairs else model.inert_states
         self.inert_index_bound = None
         # Non-inert states, looked up per chunk unless a bound is set.
-        self._active = None
-        if inert is not None:
-            self._active = ~np.asarray(inert, dtype=bool)
-        if chunk is None:
-            chunk = auto_chunk(self.n)
-            if self.four:
-                # 4-slot interactions occupy twice the agents per pair,
-                # so conflict density at a given chunk size doubles;
-                # halving restores the measured sweet spot at every n.
-                chunk = max(MIN_CHUNK // 2, chunk // 2)
-        self.chunk = int(chunk)
-        if self.chunk < 1:
-            raise InvalidParameterError(
-                f"chunk must be positive, got {self.chunk}")
+        inert = model.inert_states
+        self._active = (None if inert is None
+                        else ~np.asarray(inert, dtype=bool))
+        chunk = auto_chunk(self.n)
+        if self.four:
+            # 4-slot interactions occupy twice the agents per pair, so
+            # conflict density at a given chunk size doubles; halving
+            # restores the measured sweet spot at every n.
+            chunk = max(MIN_CHUNK // 2, chunk // 2)
+        self.chunk = chunk
         # Agent -> latest pair-stamp maps; older entries read as earlier
         # than the current round's, like a cleared map's -1.
         if one_way:
@@ -291,7 +276,6 @@ class ConflictFreeKernel:
         counts = self.counts
         one_way = self.one_way
         stochastic = self._stochastic
-        track = self.pair_counts
         fu = None if stochastic else self._flat_u_list
         fv = None if stochastic or one_way else self._flat_v_list
         cl = None if comps is None else comps.tolist()
@@ -299,9 +283,6 @@ class ConflictFreeKernel:
         for t, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
             u = state(a)
             v = state(b)
-            pair = u * s + v
-            if track is not None:
-                track[pair] += 1
             if stochastic:
                 observed = None
                 if oi is not None:
@@ -309,7 +290,7 @@ class ConflictFreeKernel:
                 nu, _ = self.model.apply_scalar(u, v, rng, observed)
                 nv = v
             else:
-                flat = pair if cl is None else cl[t] * s * s + pair
+                flat = u * s + v if cl is None else (cl[t] * s + u) * s + v
                 nu = fu[flat]
                 nv = v if one_way else fv[flat]
             if nu != u:
@@ -329,8 +310,6 @@ class ConflictFreeKernel:
         flat = u.astype(np.intp)  # narrow states wrap in u * s
         flat *= s
         flat += v
-        if self.pair_counts is not None:
-            self.pair_counts += np.bincount(flat, minlength=s * s)
         if self._stochastic:
             observed = None
             if oi is not None:

@@ -14,10 +14,10 @@ component and carries the class component through unchanged
 
 :class:`WeightedCountBackend` is that lift.  It subclasses
 :class:`~repro.engine.count.CountBackend` and runs its driver — ``run``,
-checkpoint materialization, stop-predicate freshness, snapshots and
-pair-count accounting — on the length-``C·S`` product counts (class
-major), projecting them to the inner length-``S`` state counts that stop
-predicates, observers and :attr:`~WeightedCountBackend.counts` see;
+checkpoint materialization, stop-predicate freshness and snapshots — on
+the length-``C·S`` product counts (class major), projecting them to the
+inner length-``S`` state counts that stop predicates, observers and
+:attr:`~WeightedCountBackend.counts` see;
 :attr:`~WeightedCountBackend.class_state_counts` exposes the ``(C, S)``
 view.  What the lift changes is its law:
 
@@ -314,10 +314,6 @@ class WeightedCountBackend(CountBackend):
         :class:`~repro.engine.count.CountBackend`'s law.
     seed:
         Seed or generator.
-    track_pair_counts:
-        Accumulate executed interactions per ordered *inner*-state pair
-        into :attr:`pair_counts` (the projection of the product-pair
-        counts).
     vectorized:
         Proxy-path selection as in
         :class:`~repro.engine.count.CountBackend`, with the default
@@ -334,7 +330,6 @@ class WeightedCountBackend(CountBackend):
 
     def __init__(self, model: InteractionModel, initial_counts,
                  class_weights, seed=None,
-                 track_pair_counts: bool = False,
                  vectorized: bool | None = None):
         weights = np.asarray(class_weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
@@ -352,8 +347,7 @@ class WeightedCountBackend(CountBackend):
         self._class_weights = weights
         self._classes = weights.size
         self._members = counts.sum(axis=1)
-        self._setup(model, counts.ravel(), seed, track_pair_counts,
-                    vectorized)
+        self._setup(model, counts.ravel(), seed, vectorized)
 
     @classmethod
     def from_agent_states(cls, model: InteractionModel, states, weights,
@@ -421,8 +415,7 @@ class WeightedCountBackend(CountBackend):
             np.repeat(self._class_weights, self._members), self._rng)
         return ConflictFreeKernel(
             product, np.empty(self.n, dtype=product.state_dtype),
-            self._chain, allow_stochastic=model.component_tables is None,
-            track_pairs=self._track_pairs)
+            self._chain, allow_stochastic=model.component_tables is None)
 
     def _pair_block(self, size: int):
         return self._sampler.pair_block(size)
@@ -544,10 +537,10 @@ class WeightedCountBackend(CountBackend):
         from that class's state counts
         (``multivariate_hypergeometric`` + shuffle), exactly as
         the uniform path samples from the global counts.  Returns the
-        per-segment ``(count delta, pair delta)`` list of the run split
-        at ``cuts`` and the collision-resolution inputs ``(pids,
-        updated, pool)``: per-slot pre/post product ids and the
-        untouched remainder's product counts.
+        per-segment count deltas of the run split at ``cuts`` and the
+        collision-resolution inputs ``(pids, updated, pool)``: per-slot
+        pre/post product ids and the untouched remainder's product
+        counts.
         """
         cls = window[0]
         s = self.model.n_states
@@ -578,15 +571,13 @@ class WeightedCountBackend(CountBackend):
             observed = (slots[2::spp], slots[3::spp])
         new_u, new_v = self.model.apply(initiators, responders, rng,
                                         observed)
-        keys = (initiators * s + responders
-                if self._pair_counts is not None else None)
         pids = prefix_cls * s + slots
         updated = pids.copy()
         updated[0::spp] = prefix_cls[0::spp] * s + new_u
         updated[1::spp] = prefix_cls[1::spp] * s + new_v
         sampled = np.bincount(pids, minlength=p)
         delta = np.bincount(updated, minlength=p) - sampled
-        return (_slot_segments(pids, updated, keys, cuts, spp, delta, s * s),
+        return (_slot_segments(pids, updated, cuts, spp, delta),
                 (pids, updated, self._chain - sampled))
 
     def _run_collision(self, t: int, window, pids, updated, pool) -> None:
@@ -682,8 +673,6 @@ class WeightedCountBackend(CountBackend):
         observed = None
         if spp == 4:
             observed = (slot_state[2], slot_state[3])
-        if self._pair_counts is not None:
-            self._pair_counts[u * s + v] += 1
         new_u, new_v = self.model.apply_scalar(u, v, rng, observed)
         counts = self._chain
         counts[slot_cls[0] * s + u] -= 1

@@ -165,7 +165,6 @@ def _mean_coalescence(n: int, seed, backend: str, delta: float):
     stream = series_sink("coalescence")
     pair = _CoalescencePair(top, bottom, chunk, m, delta, stream=stream)
     met = run_resumable(pair, horizon, None, check_stop_every=chunk,
-                        segment_steps=8 * chunk,
                         channel=scoped_channel("e13-coalescence"))
     if stream is not None:
         stream.close()

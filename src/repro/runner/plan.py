@@ -143,7 +143,9 @@ def strip_provenance(record: dict) -> dict:
     The byte-identity contract — local ``jobs=1`` vs ``jobs=N`` vs a
     distributed fabric run — holds on the *report* content, not on who
     computed it or how long it took; this is the canonical projection
-    both the tests and ``scripts/run_fabric_smoke.py`` compare.
+    the tests compare.  ``scripts/run_fabric_smoke.py`` does not import
+    the package: it strips records by its own copy of
+    :data:`PROVENANCE_FIELDS`.
     """
     return {
         name: value

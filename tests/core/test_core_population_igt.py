@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.core import population_igt
-from repro.core.equilibrium import RDSetting
+from repro.core.equilibrium import RDSetting, payoff_table
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
@@ -353,28 +353,101 @@ class TestStrategyObjects:
         assert strategy.coop_probs[1] == pytest.approx(grid.value(2))
 
 
-class TestPayoffTracking:
-    def test_requires_setting(self, shares, grid):
-        with pytest.raises(InvalidParameterError):
-            IGTSimulation(n=50, shares=shares, grid=grid, seed=0,
-                          track_payoffs=True)
+def expected_payoffs(table, counts, n, k) -> np.ndarray:
+    """Expected payoff per interaction of GTFT, AC and AD against the
+    population ``counts``, the partner drawn from the other ``n - 1``
+    agents (a GTFT agent's is averaged over the GTFT indices)."""
+    counts = np.asarray(counts, dtype=float)
+    per_state = (table @ counts - np.diag(table)) / (n - 1)
+    gtft = counts[:k] @ per_state[:k] / counts[:k].sum()
+    return np.array([gtft, per_state[k], per_state[k + 1]])
 
-    def test_accumulates(self, shares, grid, small_setting):
-        sim = IGTSimulation(n=50, shares=shares, grid=grid, seed=0,
-                            setting=small_setting, track_payoffs=True)
-        sim.run(2000)
-        assert sim.pair_counts().sum() == 2000
-        assert any(sim.mean_payoff_by_type().values())
+
+class TestExpectedPayoffs:
+    """Payoffs are a function of the count vector: ``payoff_table``
+    contracted with the counts, on either backend."""
 
     def test_ad_agents_earn_most_against_cooperators(self, grid,
                                                      small_setting):
-        """AD free-rides: with many AC agents, AD out-earns AC on average."""
+        """AD free-rides: with many AC agents, AD out-earns AC."""
         shares = PopulationShares(alpha=0.6, beta=0.2, gamma=0.2)
         sim = IGTSimulation(n=100, shares=shares, grid=grid, seed=1,
-                            setting=small_setting, track_payoffs=True)
+                            setting=small_setting)
         sim.run(20_000)
-        means = sim.mean_payoff_by_type()
-        assert means["AD"] > means["AC"]
+        gtft, ac, ad = expected_payoffs(payoff_table(grid, small_setting),
+                                        sim.counts_live, sim.n, grid.k)
+        assert ad > gtft > ac
+
+    @pytest.mark.parametrize("mode, seeds", [("strategy", (11, 12)),
+                                             ("action", (7, 8))])
+    def test_backends_agree(self, mode, seeds, small_shares, small_grid,
+                            small_setting):
+        # Time averages over a stationary stretch of both backends.
+        table = payoff_table(small_grid, small_setting)
+        means = []
+        for backend, seed in zip(("agent", "count"), seeds):
+            sim = IGTSimulation(n=240, shares=small_shares, grid=small_grid,
+                                seed=seed, mode=mode, setting=small_setting,
+                                backend=backend)
+            sim.run(5000)
+            samples = []
+            for _ in range(90):
+                sim.run(500)
+                samples.append(expected_payoffs(table, sim.counts_live,
+                                                sim.n, small_grid.k))
+            means.append(np.mean(samples, axis=0))
+        np.testing.assert_allclose(means[0], means[1], rtol=0.01)
+
+
+class TestActionModeCountLevel:
+    """``mode="action"`` runs the exact per-pair classification law on
+    the count backend too; its generosity matches agent play."""
+
+    def test_generosity_agrees_with_agent_play(self, small_shares,
+                                               small_grid, small_setting):
+        steps = 40_000
+        agent_values = []
+        count_values = []
+        for seed in range(4):
+            for backend, offset, values in (("agent", 0, agent_values),
+                                            ("count", 100, count_values)):
+                sim = IGTSimulation(n=240, shares=small_shares,
+                                    grid=small_grid, seed=seed + offset,
+                                    mode="action", setting=small_setting,
+                                    backend=backend)
+                sim.run(steps)
+                values.append(sim.average_generosity())
+        assert abs(np.mean(agent_values)
+                   - np.mean(count_values)) < 0.035
+
+    def test_run_until_stops_on_a_check(self, small_shares, small_grid,
+                                        small_setting):
+        sim = IGTSimulation(n=240, shares=small_shares, grid=small_grid,
+                            seed=5, mode="action", setting=small_setting,
+                            backend="count")
+        start = sim.counts
+        assert sim.run_until(30_000, lambda z: not np.array_equal(z, start),
+                             check_stop_every=500)
+        assert sim.steps_run > 0 and sim.steps_run % 500 == 0
+        assert not np.array_equal(sim.counts, start)
+
+    def test_per_agent_observables_still_agent_only(self, small_shares,
+                                                    small_grid,
+                                                    small_setting):
+        count = IGTSimulation(n=240, shares=small_shares, grid=small_grid,
+                              seed=1, mode="action", setting=small_setting,
+                              backend="count")
+        with pytest.raises(InvalidParameterError):
+            count.indices
+        with pytest.raises(InvalidParameterError):
+            count.strategy_of(0)
+
+    @pytest.mark.parametrize("backend", ["agent", "count"])
+    def test_setting_still_required(self, backend, small_shares,
+                                    small_grid):
+        with pytest.raises(InvalidParameterError, match="RDSetting"):
+            IGTSimulation(n=100, shares=small_shares, grid=small_grid,
+                          seed=0, mode="action", backend=backend)
 
 
 class TestActionMode:

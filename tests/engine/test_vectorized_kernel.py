@@ -9,18 +9,20 @@ population) where every chunk is one long conflict chain.
 import numpy as np
 import pytest
 
-from repro.core.equilibrium import RDSetting
-from repro.core.igt import GenerosityGrid
 from repro.engine import (
     AgentBackend,
     ConflictFreeKernel,
     CountBackend,
-    igt_action_model,
     igt_model,
     matrix_game_model,
 )
 from repro.engine.model import TableModel
-from repro.engine.vectorized import MIN_VECTORIZED_N, STAMP_MAX, auto_chunk
+from repro.engine.vectorized import (
+    MIN_CHUNK,
+    MIN_VECTORIZED_N,
+    STAMP_MAX,
+    auto_chunk,
+)
 from repro.utils import InvalidParameterError
 
 
@@ -244,6 +246,21 @@ class TestKernelValidation:
         assert auto_chunk(10_000) == 8192
         assert auto_chunk(10 ** 9) == 32768
 
+    @pytest.mark.parametrize("n", [2, 10_000, 100_000])
+    @pytest.mark.parametrize("name", sorted(STAMP_MODELS))
+    def test_chunk_is_sized_by_population(self, name, n):
+        # The kernel sizes its own chunks: auto_chunk(n), halved for
+        # 4-slot models, whose pairs occupy twice the agents.
+        model = STAMP_MODELS[name]()
+        states = np.zeros(n, dtype=model.state_dtype)
+        counts = np.bincount(states, minlength=model.n_states)
+        kernel = ConflictFreeKernel(model, states, counts,
+                                    allow_stochastic=True)
+        expected = auto_chunk(n)
+        if model.slots_per_step == 4:
+            expected = max(MIN_CHUNK // 2, expected // 2)
+        assert kernel.chunk == expected
+
 
 def wide_table_model(s: int) -> TableModel:
     """``s`` states; the initiator takes the larger of the two states."""
@@ -308,33 +325,21 @@ class TestCountProxyPath:
         assert result.steps % 100 == 0
         assert all(c.sum() == 1000 for _, c in result.observations)
 
-    def test_pair_counts_sum_to_steps(self, epidemic):
-        backend = CountBackend(epidemic, np.array([50, 30, 20]), seed=3,
-                               track_pair_counts=True)
-        backend.run(4321)
-        assert backend.pair_counts.sum() == 4321
-        birthday = CountBackend(epidemic, np.array([50, 30, 20]), seed=3,
-                                track_pair_counts=True, vectorized=False)
-        birthday.run(4321)
-        assert birthday.pair_counts.sum() == 4321
-
-    def test_pair_counts_rewound_on_early_stop(self, epidemic):
-        # Early stop mid-batch discards the remainder; the pair counts
-        # must match the executed steps exactly on both paths.
+    def test_early_stop_mid_batch_on_both_paths(self, epidemic):
+        # An early stop mid-batch discards the remainder: the engine
+        # stops at the firing check with the counts the predicate saw,
+        # and checked every interaction, the epidemic (one infection at
+        # most per interaction) stops on exactly 600 inert agents.
         for vectorized in (True, False):
             backend = CountBackend(epidemic, np.array([900, 0, 100]),
-                                   seed=6, track_pair_counts=True,
-                                   vectorized=vectorized)
+                                   seed=6, vectorized=vectorized)
             result = backend.run(200_000,
                                  stop_when=lambda c: c[2] >= 600,
                                  check_stop_every=1)
             assert result.converged
-            assert backend.pair_counts.sum() == result.steps
-
-    def test_pair_counts_require_tracking(self, epidemic):
-        backend = CountBackend(epidemic, np.array([5, 4, 1]), seed=0)
-        with pytest.raises(InvalidParameterError):
-            backend.pair_counts
+            assert result.steps == backend.steps_run < 200_000
+            assert result.counts[2] == 600
+            assert result.counts.sum() == 1000
 
 
 class GenericTable(TableModel):
@@ -345,21 +350,17 @@ class GenericTable(TableModel):
         return None
 
 
-GAME = np.array([[3.0, 0.0], [5.0, 1.0]])
-TRACKED_MODELS = {
+#: Models with component tables: one table and a mixture.
+TABLE_MODELS = {
     "igt": lambda: igt_model(6),
     "noisy-igt": lambda: igt_model(6, observation_noise=0.1),
-    "action": lambda: igt_action_model(GenerosityGrid(k=6, g_max=0.6),
-                                       RDSetting(4.0, 1.0, 0.7, 0.5)),
-    "logit": lambda: matrix_game_model(GAME, "logit", eta=0.7),
-    "imitation": lambda: matrix_game_model(GAME, "imitation"),
 }
 
 
-class TestAgentPairCounts:
-    """``AgentBackend(track_pair_counts=True)``: table models count on
-    the kernel, generic models in their loop, and neither moves the
-    trajectory."""
+class TestKernelMatchesLoops:
+    """Over plain, observed and stop-checked runs, the kernel keeps the
+    trajectory of the table loop and of the generic loop, bit for bit,
+    at populations where the auto choice would decline it."""
 
     def run_plan(self, backend):
         backend.run(3000, observe_every=700)
@@ -368,37 +369,27 @@ class TestAgentPairCounts:
         backend.run(4000)
 
     @pytest.mark.parametrize("n", [4, 300, 5000])
-    @pytest.mark.parametrize("name", sorted(TRACKED_MODELS))
-    def test_trajectory_unchanged(self, name, n):
-        model = TRACKED_MODELS[name]()
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_kernel_matches_the_table_loop(self, name, n):
+        model = TABLE_MODELS[name]()
         states = np.random.default_rng(1).integers(0, model.n_states, n)
-        plain = AgentBackend(model, states, seed=4)
-        tracked = AgentBackend(model, states, seed=4,
-                               track_pair_counts=True)
-        self.run_plan(plain)
-        self.run_plan(tracked)
-        np.testing.assert_array_equal(plain.states, tracked.states)
-        assert (plain.scheduler.rng.bit_generator.state
-                == tracked.scheduler.rng.bit_generator.state)
-        assert tracked.pair_counts.sum() == tracked.steps_run == 9000
+        loop = AgentBackend(model, states, seed=4, vectorized=False)
+        kernel = AgentBackend(model, states, seed=4, vectorized=True)
+        self.run_plan(loop)
+        self.run_plan(kernel)
+        np.testing.assert_array_equal(loop.states, kernel.states)
+        np.testing.assert_array_equal(loop.counts, kernel.counts)
+        assert (loop.scheduler.rng.bit_generator.state
+                == kernel.scheduler.rng.bit_generator.state)
 
     @pytest.mark.parametrize("n", [4, 300, 5000])
-    def test_kernel_counts_match_the_generic_loop(self, n):
+    def test_kernel_matches_the_generic_loop(self, n):
         table = igt_model(6).table
         states = np.random.default_rng(2).integers(0, 8, n)
         kernel = AgentBackend(TableModel(table), states, seed=9,
-                              track_pair_counts=True)
-        loop = AgentBackend(GenericTable(table), states, seed=9,
-                            track_pair_counts=True)
+                              vectorized=True)
+        loop = AgentBackend(GenericTable(table), states, seed=9)
         self.run_plan(kernel)
         self.run_plan(loop)
         np.testing.assert_array_equal(kernel.states, loop.states)
-        np.testing.assert_array_equal(kernel.pair_counts, loop.pair_counts)
-
-    def test_refusals(self):
-        states = np.zeros(10, dtype=np.int64)
-        with pytest.raises(InvalidParameterError, match="were not tracked"):
-            AgentBackend(igt_model(3), states).pair_counts
-        with pytest.raises(InvalidParameterError, match="vectorized=False"):
-            AgentBackend(igt_model(3), states, vectorized=False,
-                         track_pair_counts=True)
+        np.testing.assert_array_equal(kernel.counts, loop.counts)

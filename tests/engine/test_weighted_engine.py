@@ -388,18 +388,18 @@ class TestFacadeIntegration:
         with pytest.raises(InvalidParameterError, match="GTFT"):
             sim.equivalent_ehrenfest(exact=True)
 
-    def test_igt_weighted_count_payoffs(self):
+    def test_igt_weighted_count_action_mode(self):
         from repro.core.equilibrium import RDSetting
         shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
         grid = GenerosityGrid(k=3, g_max=0.6)
         setting = RDSetting(b=4.0, c=1.0, delta=0.9, s1=0.5)
         sim = IGTSimulation(n=90, shares=shares, grid=grid, seed=1,
                             backend="count", weights="twoclass:2",
-                            setting=setting, track_payoffs=True)
+                            mode="action", setting=setting)
         sim.run(5000)
-        payoffs = sim.mean_payoff_by_type()
-        assert set(payoffs) == {"GTFT", "AC", "AD"}
-        assert sim.pair_counts().sum() == 5000
+        assert sim.steps_run == 5000
+        assert sim.counts.sum() == sim.n_gtft
+        assert sim.counts_live[3:].tolist() == [sim.n_ac, sim.n_ad]
 
     def test_game_simulation_weighted_backends(self):
         game = hawk_dove_game(2.0, 4.0)

@@ -121,6 +121,13 @@ CORE_REFUSALS = [
                                        observe_every=-3),
                  "observe_every must be >= 1, got -3",
                  id="resumable-observe-every-negative"),
+    pytest.param(lambda: run_resumable(igt(), -5, None, check_stop_every=50),
+                 "max_steps must be >= 0, got -5",
+                 id="resumable-max-steps-negative"),
+    pytest.param(lambda: run_resumable(igt(), 2000.0, None,
+                                       check_stop_every=50),
+                 "max_steps must be an integer, got 2000.0",
+                 id="resumable-max-steps-float"),
 ]
 
 GAMES_AND_MARKOV_REFUSALS = [

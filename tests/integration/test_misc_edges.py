@@ -79,18 +79,6 @@ class TestIgtModeRecording:
         assert sim.run(0) is None
         assert np.array_equal(before, sim.counts)
 
-    def test_payoff_tracking_in_action_mode(self, small_setting, rng):
-        """Action mode counts the games GTFT initiators play."""
-        shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
-        grid = GenerosityGrid(k=3, g_max=0.5)
-        sim = IGTSimulation(n=20, shares=shares, grid=grid, seed=rng,
-                            mode="action", setting=small_setting,
-                            track_payoffs=True)
-        sim.run(300)
-        pairs = sim.pair_counts()
-        assert pairs.sum() == 300
-        assert any(sim.mean_payoff_by_type().values())
-
 
 class TestEhrenfestMiscellany:
     def test_repr_strings(self):

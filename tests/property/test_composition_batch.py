@@ -60,29 +60,27 @@ def per_slot_cells(rng, chain, t, model, class_of) -> np.ndarray:
     return (component * s + slots[0::2]) * classes + class_of[slots[1::2]]
 
 
-#: Small models whose batches have few outcomes: name -> (model, counts,
-#: track pair counts).  Cells are (component, initiator, responder class).
+#: Small models whose batches have few outcomes: name -> (model,
+#: counts).  Cells are (component, initiator, responder class).
 MODELS = {
     # One-way, one table: AC and the GTFT indices share a responder
     # class, AD has its own (4 states, 2 classes, 8 cells).
-    "igt": (igt_model(2), np.array([3, 2, 2, 3]), False),
-    # Tracked pair counts: one class per state (16 cells).
-    "igt-tracked": (igt_model(2), np.array([3, 2, 2, 3]), True),
+    "igt": (igt_model(2), np.array([3, 2, 2, 3])),
     # One-way mixture: copy the responder w.p. 0.6, else keep (8 cells).
     "mixture": (MixtureTableModel([[[[0, 0], [1, 1]], [[0, 0], [1, 1]]],
                                    [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]],
                                   [0.6, 0.4]),
-                np.array([3, 4]), False),
-    # Two-way table: the responder moves too (4 cells).
+                np.array([3, 4])),
+    # Two-way table: the responder moves too, so every state is its own
+    # responder class (4 cells).
     "two-way": (TableModel([[[0, 0], [1, 0]], [[1, 1], [0, 1]]]),
-                np.array([3, 4]), False),
+                np.array([3, 4])),
 }
 
 
 def cell_law(name):
-    model, chain, track = MODELS[name]
-    engine = CountBackend(model, chain, seed=0, vectorized=False,
-                          track_pair_counts=track)
+    model, chain = MODELS[name]
+    engine = CountBackend(model, chain, seed=0, vectorized=False)
     law = engine._cells
     assert law is not None
     class_of = law.members.argmax(axis=1)
@@ -93,7 +91,7 @@ def cell_law(name):
 def test_cell_counts_match_per_slot_batch(name):
     model, chain, law, class_of = cell_law(name)
     cells = law.delta.shape[0]
-    t = 2 if cells > 8 else 3
+    t = 3
     rng = np.random.default_rng(11)
     composed = [tuple(law.draw(rng, sample_without_replacement(
         rng, chain, 2 * t), t)) for _ in range(DRAWS)]

@@ -174,29 +174,10 @@ class TestBackendEquivalence:
             logit_model(), initial_counts(4000, 2), seed=22,
             vectorized=True))
 
-    def test_count_backend_proxy_pair_counts(self):
-        def factory():
-            return CountBackend(det_model(), initial_counts(3000, 5),
-                                seed=23, track_pair_counts=True)
-
-        assert_resumes_identically(factory)
-        original, resumed = factory(), factory()
-        run_plan(original, PRE_PLAN)
-        resumed.restore(original.snapshot())
-        original.run(400)
-        resumed.run(400)
-        np.testing.assert_array_equal(original.pair_counts,
-                                      resumed.pair_counts)
-
     def test_count_backend_birthday(self):
         assert_resumes_identically(lambda: CountBackend(
             det_model(), initial_counts(5000, 5), seed=24,
             vectorized=False))
-
-    def test_count_backend_birthday_pair_counts(self):
-        assert_resumes_identically(lambda: CountBackend(
-            det_model(), initial_counts(2500, 5), seed=25,
-            vectorized=False, track_pair_counts=True))
 
     def weighted_counts(self, n_states=5):
         counts = np.array([initial_counts(900, n_states, seed=3),
@@ -228,16 +209,16 @@ def pinned_engine(kind):
                             vectorized=True)
     if kind == "count":
         return CountBackend(logit_model(), initial_counts(4000, 2), seed=22,
-                            vectorized=True, track_pair_counts=True)
+                            vectorized=True)
     if kind == "count-birthday":
         return CountBackend(det_model(), initial_counts(2500, 5), seed=25,
-                            vectorized=False, track_pair_counts=True)
+                            vectorized=False)
     if kind == "weighted-birthday":
         counts = np.array([initial_counts(900, 5, seed=3),
                            initial_counts(2100, 5, seed=4)])
         return WeightedCountBackend(det_model(), counts,
                                     np.array([1.0, 3.5]), seed=32,
-                                    vectorized=False, track_pair_counts=True)
+                                    vectorized=False)
     counts = np.array([initial_counts(900, 2, seed=3),
                        initial_counts(2100, 2, seed=4)])
     return WeightedCountBackend(logit_model(), counts, np.array([1.0, 3.5]),
@@ -266,17 +247,20 @@ class TestSnapshotBytePins:
 
     The ``agent``, ``count`` and ``weighted`` cases run stochastic
     kernels; the birthday cases cover both count engines' batched
-    payloads with a tracked pair-count accumulator.  The digests pin the
-    format written today, so any change to the on-disk/wire snapshot
-    format moves one.  The ``count-birthday`` digest was re-captured
-    when table models' birthday batches became cell compositions (a new
-    bitstream, not a new format).  The ``agent`` digest was re-captured
-    when state arrays narrowed to one byte (a new header dtype) and the
-    peel stamps left the document; :data:`OLDER_AGENT_DIGEST` keeps the
-    digest it wrote before.  The ``count`` and ``weighted`` digests were
-    re-captured when the count engines' proxy documents lost their
-    per-agent block (a new format) and every proxy run started from the
-    chain's canonical expansion (a new bitstream).
+    payloads.  The digests pin the format written today, so any change
+    to the on-disk/wire snapshot format moves one.  The
+    ``count-birthday`` digest was re-captured when table models'
+    birthday batches became cell compositions (a new bitstream, not a
+    new format).  The ``agent`` digest was re-captured when state arrays
+    narrowed to one byte (a new header dtype) and the peel stamps left
+    the document; :data:`OLDER_AGENT_DIGEST` keeps the digest it wrote
+    before.  The ``count`` and ``weighted`` digests were re-captured
+    when the count engines' proxy documents lost their per-agent block
+    (a new format) and every proxy run started from the chain's
+    canonical expansion (a new bitstream).  The ``count``,
+    ``count-birthday`` and ``weighted-birthday`` digests were
+    re-captured when engines stopped accumulating pair counts: those
+    cases had been built with the accumulator on.
     """
 
     #: Digest of the document the agent case wrote while engines held
@@ -288,13 +272,13 @@ class TestSnapshotBytePins:
         ("agent",
          "b55b603d75a34ecc56d5d3eaa6526d5b2cd71b6c1503e87057548b5443ff6801"),
         ("count",
-         "1d46994a28136e3abaaf5089453b8b9cc0f31fd3c1db18ef77c5f768b76d1b2e"),
+         "8cc1e73895f94405254673f00b987ea6741da592761f9a3b77b504d03d3e86a4"),
         ("weighted",
          "07db331d4dd4405da4470a78ad4bcede969301e95fcc3091fc4ae6ea1386565e"),
         ("count-birthday",
-         "f371572936fb162a9d4c4fd3bd03e54ee3cc502641992cd9bc4b32ae8fb60ff9"),
+         "6cd4180ad426292cfac10ce5e877ad92ba77f2410ef2b03c05eaaa83dbe7c348"),
         ("weighted-birthday",
-         "4f9a72222d9b48efb378e7df8ea735a3d69842aae85c9ead96e92368a3e255d6"),
+         "d901ec74800eff94600f16692c6fdd5d78bd97d621e617f0015ce723ee963a1c"),
     ])
     def test_v2_bytes_pinned(self, kind, digest):
         engine = pinned_engine(kind)
@@ -361,24 +345,24 @@ class TestSnapshotBytePins:
         assert resumed.snapshot().to_bytes() == snapshot.to_bytes()
         assert_continues_identically(engine, resumed)
 
-    def test_older_pair_tracking_proxy_document_is_refused(self):
-        # Older pair-tracking proxy documents kept ``pair_counts`` inside
-        # the ``proxy_state`` block, which restore never reads, so they
-        # lack the top-level accumulator and are refused, writing nothing.
-        engine = pinned_engine("count")
-        assert engine._track_pairs and engine._kernel is not None
+    @pytest.mark.parametrize("kind", ["agent", "count", "weighted",
+                                      "count-birthday", "weighted-birthday"])
+    def test_older_pair_tracking_document_resumes(self, kind):
+        # Engines built with pair tracking wrote a ``pair_counts``
+        # accumulator beside the counts.  Engines no longer track pairs
+        # and restore never reads it, so such a document resumes and
+        # continues like the engine that took it.
+        engine = pinned_engine(kind)
         run_plan(engine, PRE_PLAN)
         snapshot = engine.snapshot()
-        payload = dict(snapshot.payload)
-        payload["proxy_state"] = {
-            "states": np.repeat(np.arange(2), payload["counts"]),
-            "pair_counts": payload.pop("pair_counts"),
-        }
-        resumed = pinned_engine("count")
-        before = resumed.snapshot().to_bytes()
-        with pytest.raises(SnapshotError, match="'pair_counts'"):
-            resumed.restore(SnapshotState(kind=snapshot.kind, payload=payload))
-        assert resumed.snapshot().to_bytes() == before
+        s = engine.model.n_states
+        payload = {**snapshot.payload,
+                   "pair_counts": np.arange(s * s, dtype=np.int64)}
+        resumed = pinned_engine(kind)
+        resumed.restore(SnapshotState.from_bytes(SnapshotState(
+            kind=snapshot.kind, payload=payload).to_bytes()))
+        assert resumed.snapshot().to_bytes() == snapshot.to_bytes()
+        assert_continues_identically(engine, resumed)
 
 
 # ----------------------------------------------------------------------
@@ -392,10 +376,10 @@ def igt_sim(**kwargs):
     return IGTSimulation(**defaults)
 
 
-def agent_action_sim(track_payoffs):
+def agent_action_sim():
     from repro.core.equilibrium import RDSetting
 
-    return igt_sim(n=200, mode="action", track_payoffs=track_payoffs,
+    return igt_sim(n=200, mode="action",
                    setting=RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5))
 
 
@@ -431,34 +415,26 @@ class TestFacade:
         np.testing.assert_array_equal(original.counts, resumed.counts)
         np.testing.assert_array_equal(original.indices, resumed.indices)
 
-    @pytest.mark.parametrize("track_payoffs", [False, True],
-                             ids=["plain", "payoffs"])
-    def test_agent_action_mode_resumes(self, track_payoffs):
-        def build():
-            return agent_action_sim(track_payoffs)
-
-        original = build()
+    def test_agent_action_mode_resumes(self):
+        original = agent_action_sim()
         original.run(1500)
         data = original.snapshot().to_bytes()
-        resumed = build()
+        resumed = agent_action_sim()
         resumed.restore(SnapshotState.from_bytes(data))
         assert resumed.snapshot().to_bytes() == data
         original.run(1000)
         resumed.run_until(1000, lambda z: False, check_stop_every=100)
         assert resumed.snapshot().to_bytes() == original.snapshot().to_bytes()
-        if track_payoffs:
-            assert resumed.pair_counts().sum() == resumed.steps_run == 2500
+        assert resumed.steps_run == 2500
 
-    @pytest.mark.parametrize("track_payoffs", [False, True],
-                             ids=["plain", "payoffs"])
-    def test_agent_action_mode_crash_and_resume(self, track_payoffs):
+    def test_agent_action_mode_crash_and_resume(self):
         recording = RecordingChannel()
-        reference = agent_action_sim(track_payoffs)
+        reference = agent_action_sim()
         run_resumable(reference, 6000, lambda z: False,
                       check_stop_every=100, channel=recording)
         final = reference.snapshot().to_bytes()
         for crashed_at in (0, len(recording.snapshots) - 1):
-            resumed = agent_action_sim(track_payoffs)
+            resumed = agent_action_sim()
             run_resumable(resumed, 6000, lambda z: False,
                           check_stop_every=100,
                           channel=RecordingChannel(
@@ -475,13 +451,6 @@ class TestValidation:
         agent = AgentBackend(det_model(), initial_states(100, 5), seed=1)
         with pytest.raises(SnapshotError, match="'count'"):
             agent.restore(count.snapshot())
-
-    def test_untracked_pair_counts_refused(self):
-        plain = AgentBackend(det_model(), initial_states(100, 5), seed=1)
-        tracked = AgentBackend(det_model(), initial_states(100, 5), seed=1,
-                               track_pair_counts=True)
-        with pytest.raises(SnapshotError, match="'pair_counts'"):
-            tracked.restore(plain.snapshot())
 
     def test_shape_mismatch_refused(self):
         small = CountBackend(det_model(), initial_counts(100, 5), seed=1)
@@ -739,6 +708,50 @@ class TestRestoreChecks:
         target = factory()
         before = target.snapshot().to_bytes()
         with pytest.raises(SnapshotError, match="chain"):
+            target.restore(snapshot)
+        assert target.snapshot().to_bytes() == before
+
+    @pytest.mark.parametrize("engine", ["weighted", "weighted-birthday"])
+    def test_class_sizes_must_match(self, engine):
+        # One agent moves to the other weight class in its state: n and
+        # the projected counts still agree, but agents never change
+        # class, so the chain is refused.
+        factory = CHECKED_ENGINES[engine]
+        source = factory()
+        source.run(700)
+        snapshot = source.snapshot()
+        chain = snapshot.payload["product_counts"].reshape(2, -1)
+        state = int(np.flatnonzero(chain[0])[0])
+        chain[0, state] -= 1
+        chain[1, state] += 1
+        target = factory()
+        target.run(300)
+        before = target.snapshot().to_bytes()
+        with pytest.raises(SnapshotError, match="class sizes"):
+            target.restore(snapshot)
+        assert target.snapshot().to_bytes() == before
+
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["proxy", "birthday"])
+    @pytest.mark.parametrize("written, restoring", [
+        ([[10, 10, 5, 5, 0], [10, 10, 5, 5, 0]],
+         [[20, 10, 5, 5, 0], [0, 10, 5, 5, 0]]),
+        ([[20, 10, 5, 5, 0], [0, 10, 5, 5, 0]],
+         [[10, 10, 5, 5, 0], [10, 10, 5, 5, 0]]),
+    ], ids=["30/30-into-40/20", "40/20-into-30/30"])
+    def test_other_class_sizes_are_refused(self, written, restoring,
+                                           vectorized):
+        # Same n, states, classes and state counts: only the class sizes
+        # differ, which the engine's pair and class draws are built on.
+        def build(counts):
+            return WeightedCountBackend(det_model(), np.array(counts),
+                                        np.array([1.0, 4.0]), seed=5,
+                                        vectorized=vectorized)
+
+        snapshot = build(written).snapshot()
+        target = build(restoring)
+        before = target.snapshot().to_bytes()
+        with pytest.raises(SnapshotError, match="class sizes"):
             target.restore(snapshot)
         assert target.snapshot().to_bytes() == before
 
@@ -1204,3 +1217,47 @@ class TestSimulateCheckpointOwner:
                      str(tmp_path / "ref"), "--observe",
                      f"jsonl:{reference}"]) == 0
         assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("sink", ["mean", "extinction"])
+    def test_another_sink_kind_exits_2_and_stays(self, tmp_path, capsys,
+                                                 sink):
+        # The checkpoint carries the jsonl sink's resume token, which a
+        # reducer cannot seek: the sink kind is part of the digest.
+        from repro.cli import main
+
+        snap, path = tmp_path / "snap", tmp_path / "stream.jsonl"
+        args = simulate_args("count", 64_000, 250)
+        env = dict(os.environ)
+        env[FAULTS_ENV] = "snapshot.post-save:1"
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro", *args, "--snapshots", str(snap),
+             "--observe", f"jsonl:{path}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        before = {item.name: item.read_bytes()
+                  for item in [*snap.iterdir(), path]}
+        assert main([*args, "--snapshots", str(snap), "--observe",
+                     sink]) == 2
+        error = capsys.readouterr().err
+        assert f"remove {snap} to start over" in error
+        assert "observe" in error and "Traceback" not in error
+        assert {item.name: item.read_bytes()
+                for item in [*snap.iterdir(), path]} == before
+        # The jsonl run that wrote it still resumes it.
+        assert main([*args, "--snapshots", str(snap), "--observe",
+                     f"jsonl:{path}"]) == 0
+        assert len(path.read_bytes().splitlines()) == 257
+
+    def test_negative_steps_exit_2_and_leave_no_checkpoint(self, tmp_path,
+                                                           capsys):
+        from repro.cli import main
+
+        snap = tmp_path / "snap"
+        assert main(["simulate", "--n", "3000", "--k", "4", "--backend",
+                     "count", "--steps", "-5", "--snapshots",
+                     str(snap)]) == 2
+        out, error = capsys.readouterr()
+        assert "max_steps must be >= 0, got -5" in error
+        assert "simulated" not in out
+        assert not snap.exists() or not list(snap.iterdir())

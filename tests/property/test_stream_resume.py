@@ -131,22 +131,18 @@ class TestStreamedResume:
 
 
 class TestAgentActionStream:
-    @pytest.mark.parametrize("track_payoffs", [False, True],
-                             ids=["plain", "payoffs"])
-    def test_crash_resume_stream_is_byte_identical(self, tmp_path,
-                                                   track_payoffs):
-        options = dict(AGENT_ACTION, track_payoffs=track_payoffs)
+    def test_crash_resume_stream_is_byte_identical(self, tmp_path):
         reference = stream_run(tmp_path / "reference.jsonl",
-                               RecordingChannel(), **options)
+                               RecordingChannel(), **AGENT_ACTION)
         lines = (tmp_path / "reference.jsonl").read_text().splitlines()
         assert len(lines) == STEPS // CADENCE + 1
 
         crashed = AbortChannel(3)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            stream_run(tmp_path / "resumed.jsonl", crashed, **options)
+            stream_run(tmp_path / "resumed.jsonl", crashed, **AGENT_ACTION)
         resumed = stream_run(
             tmp_path / "resumed.jsonl",
-            RecordingChannel(initial=crashed.snapshots[-1]), **options)
+            RecordingChannel(initial=crashed.snapshots[-1]), **AGENT_ACTION)
 
         assert ((tmp_path / "resumed.jsonl").read_bytes()
                 == (tmp_path / "reference.jsonl").read_bytes())
