@@ -10,7 +10,13 @@ default discovery skips ``bench_*.py``::
 """
 
 import numpy as np
-from bench_workloads import EPIDEMIC, GRID, epidemic_states, igt_counts
+from bench_workloads import (
+    EPIDEMIC,
+    GRID,
+    epidemic_states,
+    igt_counts,
+    igt_states,
+)
 
 from repro.core.equilibrium import RDSetting, payoff_table
 from repro.core.igt import GenerosityGrid
@@ -100,6 +106,19 @@ def test_engine_agent_backend_epidemic_n1e5(benchmark):
 
     counts = benchmark(run)
     assert counts.sum() == 100_000
+
+
+def test_engine_agent_backend_igt_n1e6(benchmark):
+    """Agent engine on k-IGT, 1M interactions at n=1e6: the kernel's
+    read-free peel, beside the epidemic case's peel with reads."""
+    states = igt_states(1_000_000)
+
+    def run():
+        backend = AgentBackend(igt_model(GRID.k), states, seed=4)
+        return backend.run(1_000_000).counts
+
+    counts = benchmark(run)
+    assert counts.sum() == 1_000_000
 
 
 def test_engine_count_backend_epidemic_n1e5(benchmark):

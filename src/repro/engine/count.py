@@ -127,7 +127,7 @@ import math
 import numpy as np
 
 from repro.engine.base import BLOCK_SIZE, EngineResult, SimulationEngine
-from repro.engine.model import InteractionModel
+from repro.engine.model import InteractionModel, responder_classes
 from repro.engine.observe import ObserverSink
 from repro.engine.sampling import ordered_pair_block
 from repro.engine.vectorized import ConflictFreeKernel, run_kernel
@@ -221,15 +221,7 @@ class _CellLaw:
     def __init__(self, tables, probs, by_class: bool):
         tables = np.stack(tables)
         components, s = tables.shape[:2]
-        class_of = np.arange(s)
-        if by_class:
-            # A one-way model's responder matters only through its
-            # initiator-outcome column, so states with equal columns in
-            # every table share a class.
-            seen: dict[bytes, int] = {}
-            for v in range(s):
-                class_of[v] = seen.setdefault(tables[:, :, v, 0].tobytes(),
-                                              len(seen))
+        class_of = responder_classes(tables) if by_class else np.arange(s)
         classes = int(class_of.max()) + 1
         self.members = np.zeros((s, classes), dtype=np.int64)
         self.members[np.arange(s), class_of] = 1

@@ -215,6 +215,19 @@ def _tables_structure(tables) -> tuple:
     return True, inert
 
 
+def responder_classes(tables) -> np.ndarray:
+    """Each state's responder class under a list of ``(S, S, 2)`` tables.
+
+    States whose initiator-outcome columns are equal in every table
+    share a class, numbered in order of first appearance: in a one-way
+    model a responder matters to the initiator only through its class.
+    """
+    stacked = np.stack(tables)
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(stacked[:, :, v, 0].tobytes(), len(seen))
+                     for v in range(stacked.shape[1])], dtype=np.int64)
+
+
 class TableModel(InteractionModel):
     """A deterministic joint transition table — the protocol ``δ``.
 

@@ -96,6 +96,19 @@ class ObserverSink:
                 f"{type(self).__name__} does not support resuming from a "
                 "saved position")
 
+    def _check_position(self, position, *keys) -> None:
+        """Refuse a resume token unless it holds exactly ``keys``, the
+        ones this sink's :meth:`position` writes; checked before
+        :meth:`seek` changes any state or file."""
+        if isinstance(position, dict) and set(position) == set(keys):
+            return
+        held = (sorted(map(str, position)) if isinstance(position, dict)
+                else type(position).__name__)
+        raise InvalidParameterError(
+            f"{type(self).__name__} cannot resume from the saved position "
+            f"{held}: it resumes only from {sorted(keys)}, so another kind "
+            f"of sink wrote it")
+
     def close(self) -> None:
         self.flush()
 
@@ -130,6 +143,7 @@ class MemorySink(ObserverSink):
         if position is None:
             del self._records[:]
             return
+        self._check_position(position, "records")
         keep = int(position["records"])
         if keep > len(self._records):
             raise InvalidParameterError(
@@ -217,6 +231,8 @@ class JsonlSink(ObserverSink):
         if self._file is not None or self._buffer or self._sought:
             raise InvalidParameterError(
                 "JsonlSink.seek() must be called before the first emit")
+        if position is not None:
+            self._check_position(position, "records", "bytes")
         self._sought = True
         if position is None:
             self._open(truncate_to=0)
@@ -272,6 +288,7 @@ class MeanReducer(Reducer):
             self._sum = None
             self._count = 0
             return
+        self._check_position(position, "count", "sum")
         self._count = int(position["count"])
         total = position["sum"]
         self._sum = (None if total is None
@@ -305,6 +322,7 @@ class ExtinctionTimeReducer(Reducer):
         if position is None:
             self._first_zero = None
             return
+        self._check_position(position, "first_zero")
         saved = position["first_zero"]
         self._first_zero = None if saved is None else list(saved)
 
@@ -364,6 +382,8 @@ class DegreeProfileReducer(Reducer):
             self._member_counts[:] = 0.0
             self._observations = 0
             return
+        self._check_position(position, "observations", "value_sums",
+                             "member_counts")
         self._observations = int(position["observations"])
         self._value_sums = np.asarray(position["value_sums"],
                                       dtype=np.float64)

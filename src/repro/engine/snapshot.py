@@ -593,9 +593,10 @@ class _SegmentStreamSink(ObserverSink):
             self._last = None
             self._inner.seek(None)
             return
+        self._check_position(position, "inner", "last", "start")
+        self._inner.seek(position["inner"])
         self._last = position["last"]
         self._start = int(position["start"])
-        self._inner.seek(position["inner"])
 
     @property
     def records(self) -> list:

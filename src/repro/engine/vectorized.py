@@ -20,6 +20,17 @@ in three phases:
    whole schedule is computed before any interaction executes.  One-way
    models use a refined criterion that lets pairs *reading* the same
    agent share a round; two-way models fall back to agent-disjointness.
+   A one-way table model is *read-free* when every component sends each
+   initiator state to a state of the same responder class
+   (:func:`~repro.engine.model.responder_classes`: states whose
+   initiator-outcome columns agree in every table).  A read then sees
+   only the class of the agent it reads, which no write changes, so
+   reads and writes of one agent commute and only each initiator's own
+   writes keep their order: a pair is safe last when no later pair
+   shares its initiator.  That takes one scatter and one gather per
+   round over a single stamp map.  k-IGT is read-free: only GTFT
+   initiators move, they read only whether the partner is AD (or, under
+   the strict rule, AC), and no update turns GTFT into AC or AD.
    A round compares its ``int32`` pair stamps only with each other and
    with older, smaller ones, so stamps carry no history: restarting
    them at 0 over cleared maps (before they overflow, or on restore)
@@ -67,6 +78,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.model import responder_classes
 from repro.utils.errors import InvalidParameterError
 
 #: Remaining-conflict head below which the scalar loop finishes a chunk.
@@ -121,6 +133,12 @@ class ConflictFreeKernel:
     Each conflict analysis takes :attr:`chunk` pairs, set by
     :func:`auto_chunk` (halved for 4-slot models).
 
+    :attr:`read_free` is derived from the component tables: it holds
+    for one-way tables whose every write keeps the written agent's
+    responder class.  Reads then commute with all writes (a read sees
+    only the class), so peeling orders each initiator's writes alone and
+    keeps one ``int32`` stamp map instead of a write and a read map.
+
     An owner that places every inert-state agent at an index ``>= b``
     (the count proxy) may set :attr:`inert_index_bound` to ``b`` between
     chunks: the inert filter then becomes a single index comparison
@@ -154,6 +172,13 @@ class ConflictFreeKernel:
                 "4-slot models with component tables are not supported; "
                 "tables cannot encode observed-agent reads")
         self.one_way = one_way
+        self.read_free = False
+        if one_way and tables is not None:
+            # Every write keeps its agent's responder class.
+            classes = responder_classes(tables)
+            self.read_free = all(
+                (classes[t[:, :, 0]] == classes[:, None]).all()
+                for t in tables)
         if tables is not None:
             # (C*S*S,) stacked flat lookups in the states' dtype;
             # component c of pair (u, v) lives at c*S*S + u*S + v.
@@ -178,7 +203,7 @@ class ConflictFreeKernel:
         self.chunk = chunk
         # Agent -> latest pair-stamp maps; older entries read as earlier
         # than the current round's, like a cleared map's -1.
-        if one_way:
+        if one_way and not self.read_free:
             self._pos_i = np.full(self.n, -1, dtype=np.int32)
             self._pos_r = np.full(self.n, -1, dtype=np.int32)
             if self.four:
@@ -189,7 +214,8 @@ class ConflictFreeKernel:
         else:
             # Read back only where just written: never needs clearing.
             self._pos = np.empty(self.n, dtype=np.int32)
-            self._slot_buf = np.empty(2 * self.chunk, dtype=np.intp)
+            if not one_way:
+                self._slot_buf = np.empty(2 * self.chunk, dtype=np.intp)
         self._arange = np.arange(self.chunk, dtype=np.int32)
         self._stamp = 0
 
@@ -205,7 +231,8 @@ class ConflictFreeKernel:
         carries the matching ``comps`` and observed-agent slices
         (``None`` when absent).
         """
-        one_way = self.one_way
+        read_free = self.read_free
+        one_way = self.one_way and not read_free  # the criterion with reads
         four = self.four
         rounds = []
         while ii.size > TAIL_THRESHOLD:
@@ -218,7 +245,10 @@ class ConflictFreeKernel:
                 stamp = 0
             pid = self._arange[:m] + stamp
             self._stamp = stamp + m
-            if one_way:
+            if read_free:
+                self._pos[ii] = pid
+                ok = self._pos[ii] == pid     # last write to own cell
+            elif one_way:
                 pos_i, pos_r = self._pos_i, self._pos_r
                 pos_i[ii] = pid
                 if four:

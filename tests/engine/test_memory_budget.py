@@ -1,10 +1,10 @@
 """Memory budget of the agent engine at large ``n``.
 
 Per-agent arrays are as narrow as the state space allows — one byte of
-state and two ``int32`` peel-stamp maps for k-IGT — and neither ``run``
-nor a snapshot makes a length-``n`` ``int64`` copy.  So an observed,
-checkpointed k-IGT run at ``n = 10^6`` peaks under 16 bytes per agent
-of traced allocations.
+state and, k-IGT being read-free, one ``int32`` peel-stamp map — and
+neither ``run`` nor a snapshot makes a length-``n`` ``int64`` copy.  So
+an observed, checkpointed k-IGT run at ``n = 10^6`` peaks under 10
+bytes per agent of traced allocations.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ from repro.core.population_igt import IGTSimulation, PopulationShares
 N = 10**6
 
 #: Traced bytes per agent the run below may peak at.
-BUDGET = 16
+BUDGET = 10
 
 
 def test_observed_checkpointed_agent_run_stays_in_budget():

@@ -31,6 +31,7 @@ from repro.engine import (
     use_series_scope,
 )
 from repro.engine.observe import decode_record, encode_record, series_path
+from repro.engine.snapshot import _SegmentStreamSink
 from repro.utils.errors import InvalidParameterError
 
 
@@ -235,6 +236,70 @@ class TestTeeSink:
     def test_needs_at_least_one_sink(self):
         with pytest.raises(InvalidParameterError):
             TeeSink()
+
+
+#: Every sink kind that can resume from a saved position.
+RESUMABLE = ("degree-profile", "extinction", "jsonl", "mean", "memory",
+             "segment-stream")
+
+#: Per-agent states for the degree-profile sink (three agents).
+AGENT_STATES = np.array([0, 1, 2])
+
+
+def resumable_sink(kind, path):
+    """A fresh sink of ``kind``; ``path`` backs the jsonl stream."""
+    if kind == "degree-profile":
+        return DegreeProfileReducer([1, 1, 2], [0.0, 1.0, 2.0])
+    if kind == "segment-stream":
+        return _SegmentStreamSink(MemorySink(), 10, 0)
+    if kind == "jsonl":
+        return JsonlSink(path)
+    return {"extinction": ExtinctionTimeReducer, "mean": MeanReducer,
+            "memory": MemorySink}[kind]()
+
+
+def emit_with_states(sink, rows):
+    for step, counts in rows:
+        sink.emit(step, counts, AGENT_STATES)
+
+
+def token_of(kind, path):
+    """The position a ``kind`` sink reports after two checkpoints."""
+    sink = resumable_sink(kind, path)
+    emit_with_states(sink, ROWS[:2])
+    token = sink.position()
+    sink.close()
+    return token
+
+
+class TestForeignTokens:
+    """A sink resumes only from a position its own kind wrote: another
+    kind's token is refused, naming the sink, before ``seek`` changes
+    any state or file."""
+
+    @pytest.mark.parametrize("kind", RESUMABLE)
+    def test_another_kinds_token_is_refused(self, tmp_path, kind):
+        path = tmp_path / "series.jsonl"
+        own = token_of(kind, path)
+        sink = resumable_sink(kind, path)
+        if kind == "jsonl":  # a stream seeks before its first emit
+            before = path.read_bytes()
+        else:
+            emit_with_states(sink, ROWS[:2])
+            before = sink.position()
+        for other in RESUMABLE:
+            if other == kind:
+                continue
+            token = token_of(other, tmp_path / f"{other}.jsonl")
+            with pytest.raises(InvalidParameterError,
+                               match=type(sink).__name__):
+                sink.seek(token)
+        if kind == "jsonl":
+            assert path.read_bytes() == before
+        else:
+            assert sink.position() == before
+        sink.seek(own)  # its own kind's token still resumes it
+        sink.close()
 
 
 class TestSpecs:

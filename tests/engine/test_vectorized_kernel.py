@@ -6,6 +6,8 @@ the degenerate geometries (``n = 2``, ``n = 3``, chunks larger than the
 population) where every chunk is one long conflict chain.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.engine.vectorized import (
     STAMP_MAX,
     auto_chunk,
 )
+from repro.engine.weighted import ProductStateModel
 from repro.utils import InvalidParameterError
 
 
@@ -161,12 +164,22 @@ class TestPathSelection:
                               np.bincount(live, minlength=3))
 
 
+def wide_table_model(s: int) -> TableModel:
+    """``s`` states; the initiator takes the larger of the two states."""
+    table = np.empty((s, s, 2), dtype=np.int64)
+    table[:, :, 0] = np.maximum.outer(np.arange(s), np.arange(s))
+    table[:, :, 1] = np.arange(s)[None, :]
+    return TableModel(table)
+
+
 PAYOFFS = np.array([[0.0, 3.0], [1.0, 2.0]])
 
-#: Kernels of every peel shape: one-way (table and stochastic), 4-slot
-#: and two-way.
+#: Kernels of every peel shape: read-free one-way (k-IGT), one-way with
+#: reads (the max table and a stochastic law), 4-slot and two-way.  The
+#: max table has enough states to keep pairs active for the whole run.
 STAMP_MODELS = {
     "one-way": lambda: igt_model(6),
+    "one-way-max": lambda: wide_table_model(20),
     "one-way-stochastic": lambda: matrix_game_model(PAYOFFS, "logit",
                                                     eta=1.5),
     "four-slot": lambda: matrix_game_model(PAYOFFS, "imitation"),
@@ -177,9 +190,11 @@ STAMP_MODELS = {
 
 class TestStampRestart:
     """Peel stamps are ``int32``: a round that would overflow them
-    restarts them at 0 over cleared maps.  Rounds compare stamps only
-    with each other and with older, smaller ones, so the restart — like
-    a restore with fresh stamps — changes nothing."""
+    restarts them at 0 over cleared maps (a read-free kernel reads its
+    one map back only where the round just wrote it, and clears
+    nothing).  Rounds compare stamps only with each other and with
+    older, smaller ones, so the restart — like a restore with fresh
+    stamps — changes nothing."""
 
     @pytest.mark.parametrize("headroom", [100, 5000])
     @pytest.mark.parametrize("name", sorted(STAMP_MODELS))
@@ -262,14 +277,6 @@ class TestKernelValidation:
         assert kernel.chunk == expected
 
 
-def wide_table_model(s: int) -> TableModel:
-    """``s`` states; the initiator takes the larger of the two states."""
-    table = np.empty((s, s, 2), dtype=np.int64)
-    table[:, :, 0] = np.maximum.outer(np.arange(s), np.arange(s))
-    table[:, :, 1] = np.arange(s)[None, :]
-    return TableModel(table)
-
-
 class TestCountsFollowStates:
     """Every round moves the count vector by histograms of the states it
     leaves and enters, so after any run, observed or not, the counts are
@@ -350,10 +357,30 @@ class GenericTable(TableModel):
         return None
 
 
-#: Models with component tables: one table and a mixture.
+def igt_top_into_ac(mode: str, k: int = 6) -> TableModel:
+    """k-IGT whose top GTFT index increments into AC instead of staying.
+
+    Under the standard rule AC reads as non-AD, like GTFT, so the write
+    keeps the agent's class; under the strict rule AC is a class of its
+    own, so it crosses classes.
+    """
+    table = igt_model(k, mode).table
+    table[k - 1, table[k - 2, :, 0] == k - 1, 0] = k
+    return TableModel(table)
+
+
+#: Models with component tables.  Read-free: k-IGT's three rules and a
+#: variant whose writes change state but not class.  One-way with
+#: reads: the max tables and strict k-IGT into AC, whose writes cross
+#: classes.
 TABLE_MODELS = {
     "igt": lambda: igt_model(6),
     "noisy-igt": lambda: igt_model(6, observation_noise=0.1),
+    "strict-igt": lambda: igt_model(6, "strict"),
+    "igt-into-ac": lambda: igt_top_into_ac("strategy"),
+    "strict-igt-into-ac": lambda: igt_top_into_ac("strict"),
+    "max-3": lambda: wide_table_model(3),
+    "max-5": lambda: wide_table_model(5),
 }
 
 
@@ -393,3 +420,55 @@ class TestKernelMatchesLoops:
         self.run_plan(loop)
         np.testing.assert_array_equal(kernel.states, loop.states)
         np.testing.assert_array_equal(kernel.counts, loop.counts)
+
+
+def kernel_is_read_free(model) -> bool:
+    states = np.zeros(100, dtype=model.state_dtype)
+    return ConflictFreeKernel(model, states,
+                              np.bincount(states, minlength=model.n_states),
+                              allow_stochastic=True).read_free
+
+
+class TestReadFree:
+    """A one-way table model is read-free when every write keeps its
+    agent's responder class: reads then see only what no write changes,
+    and the kernel orders each chunk by its writes alone."""
+
+    READ_FREE = {
+        "igt": lambda: igt_model(6),
+        "strict-igt": lambda: igt_model(6, "strict"),
+        "noisy-igt": lambda: igt_model(6, observation_noise=0.1),
+        "weighted-igt": lambda: ProductStateModel(igt_model(6), 3),
+        "igt-into-ac": lambda: igt_top_into_ac("strategy"),
+    }
+    WITH_READS = {
+        "max-3": lambda: wide_table_model(3),
+        "strict-igt-into-ac": lambda: igt_top_into_ac("strict"),
+        "logit": lambda: matrix_game_model(PAYOFFS, "logit", eta=1.5),
+        "imitation": lambda: matrix_game_model(PAYOFFS, "imitation"),
+        "two-way": STAMP_MODELS["two-way"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(READ_FREE))
+    def test_read_free_models(self, name):
+        assert kernel_is_read_free(self.READ_FREE[name]())
+
+    @pytest.mark.parametrize("name", sorted(WITH_READS))
+    def test_models_whose_reads_count(self, name):
+        assert not kernel_is_read_free(self.WITH_READS[name]())
+
+    @pytest.mark.parametrize("name, maps", [("igt", 1), ("max-3", 2)])
+    def test_a_read_free_kernel_holds_no_read_map(self, name, maps):
+        # One int32 stamp map per agent when read-free; the criterion
+        # with reads keeps a second, of read stamps.
+        n = 10**6
+        model = {**self.READ_FREE, **self.WITH_READS}[name]()
+        states = np.zeros(n, dtype=model.state_dtype)
+        counts = np.bincount(states, minlength=model.n_states)
+        tracemalloc.start()
+        try:
+            ConflictFreeKernel(model, states, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert round(peak / (4 * n)) == maps

@@ -1179,6 +1179,22 @@ class _Killed(Exception):
     """Stands in for a kill right after a checkpoint lands."""
 
 
+def kill_after_first_checkpoint(monkeypatch, argv) -> None:
+    """Run ``repro argv`` until its first checkpoint lands."""
+    from repro.cli import main
+
+    save = SnapshotStore.save
+
+    def save_then_die(store, key, snapshot):
+        save(store, key, snapshot)
+        raise _Killed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SnapshotStore, "save", save_then_die)
+        with pytest.raises(_Killed):
+            main(argv)
+
+
 class TestSimulateCheckpointOwner:
     """A ``--snapshots`` checkpoint carries a digest of the arguments
     that define its run, and resumes only that run."""
@@ -1193,16 +1209,8 @@ class TestSimulateCheckpointOwner:
 
         snap, path = tmp_path / "snap", tmp_path / "stream.jsonl"
         outputs = ["--snapshots", str(snap), "--observe", f"jsonl:{path}"]
-        save = SnapshotStore.save
-
-        def save_then_die(store, key, snapshot):
-            save(store, key, snapshot)
-            raise _Killed
-
-        with monkeypatch.context() as patch:
-            patch.setattr(SnapshotStore, "save", save_then_die)
-            with pytest.raises(_Killed):
-                main([*simulate_args("count", 64_000, 250), *outputs])
+        kill_after_first_checkpoint(
+            monkeypatch, [*simulate_args("count", 64_000, 250), *outputs])
         before = {item.name: item.read_bytes()
                   for item in [*snap.iterdir(), path]}
         assert main([*other, *outputs]) == 2
@@ -1248,6 +1256,34 @@ class TestSimulateCheckpointOwner:
         assert main([*args, "--snapshots", str(snap), "--observe",
                      f"jsonl:{path}"]) == 0
         assert len(path.read_bytes().splitlines()) == 257
+
+    def test_digestless_checkpoint_of_another_sink_exits_2_and_stays(
+            self, tmp_path, monkeypatch, capsys):
+        # A checkpoint without a run digest (written before checkpoints
+        # carried one) still resumes, so the digest cannot refuse it:
+        # the sink refuses the jsonl resume token it carries.
+        from repro.cli import main
+
+        snap, path = tmp_path / "snap", tmp_path / "stream.jsonl"
+        args = simulate_args("count", 64_000, 250)
+        kill_after_first_checkpoint(
+            monkeypatch, [*args, "--snapshots", str(snap), "--observe",
+                          f"jsonl:{path}"])
+        store = SnapshotStore(snap)
+        found = store.load("simulate")
+        payload = {key: value for key, value in found.payload.items()
+                   if key != "run"}
+        store.save("simulate", SnapshotState(kind=found.kind,
+                                             payload=payload))
+        before = {item.name: item.read_bytes()
+                  for item in [*snap.iterdir(), path]}
+        assert main([*args, "--snapshots", str(snap), "--observe",
+                     "mean"]) == 2
+        error = capsys.readouterr().err
+        assert "MeanReducer cannot resume" in error
+        assert "Traceback" not in error
+        assert {item.name: item.read_bytes()
+                for item in [*snap.iterdir(), path]} == before
 
     def test_negative_steps_exit_2_and_leave_no_checkpoint(self, tmp_path,
                                                            capsys):
