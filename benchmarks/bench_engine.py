@@ -15,8 +15,8 @@ per-interaction loops:
   interactions; baseline: the PR 1 per-step-batch path.
 * ``igt-action`` — the action-observed rule, the exact per-pair
   classification law (``igt_action_model``) on both engines: the agent
-  backend's per-interaction generic loop behind ``IGTSimulation``, and
-  the count backend's vectorized chain.
+  backend's kernel in pair order behind ``IGTSimulation``, and the
+  count backend's vectorized chain.
 * ``epidemic`` — a generic 3-state one-way protocol; seed baseline: the
   seed simulator's table loop.
 * ``igt-weighted`` — the heterogeneous-activity extension: the same
@@ -46,10 +46,10 @@ per-interaction loops:
   per checkpoint no matter how large the population or how long the
   trajectory.
 * ``logit`` / ``imitation`` — the *generic* (stochastic) models.
-  ``agent-seq`` is the per-interaction ``apply_scalar`` loop;
-  ``agent`` is the batched kernel path (``vectorized=True``,
-  distribution-identical), whose ``speedup_vs_agent_seq`` is the
-  generic-model vectorization claim.
+  ``agent-seq`` is the default pair-order kernel path, one
+  ``apply_scalar`` call per interaction; ``agent`` is the batched
+  kernel path (``vectorized=True``, distribution-identical), whose
+  ``speedup_vs_agent_seq`` is the generic-model vectorization claim.
 
 The file also records host metadata (python/numpy versions, CPU count),
 and every run appends its full payload to the append-only
@@ -501,8 +501,8 @@ def main(argv=None) -> None:
                                           seed=1).run(steps), n_repeats),
                baseline)
 
-        # --- generic stochastic models: per-interaction loop vs the
-        # batched kernel path (vectorized=True, law-identical) --------
+        # --- generic stochastic models: pair order vs the batched
+        # kernel path (vectorized=True, law-identical) ----------------
         for workload, generic_model in (
                 ("logit", LogitResponseModel(generic_payoffs)),
                 ("imitation", ImitationModel(generic_payoffs))):

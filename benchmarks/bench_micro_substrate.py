@@ -121,6 +121,22 @@ def test_engine_agent_backend_igt_n1e6(benchmark):
     assert counts.sum() == 1_000_000
 
 
+def test_engine_agent_backend_action_n1e4(benchmark):
+    """Agent engine on action-mode k-IGT, 50k interactions at n=1e4: a
+    stochastic rule, one model draw per pair on the kernel in pair
+    order."""
+
+    def run():
+        sim = IGTSimulation(n=10_000, shares=SHARES, grid=GRID, seed=5,
+                            mode="action", setting=SETTING,
+                            backend="agent")
+        sim.run(50_000)
+        return sim.counts
+
+    counts = benchmark(run)
+    assert counts.sum() == 5000
+
+
 def test_engine_count_backend_epidemic_n1e5(benchmark):
     """Count engine, same protocol/size as the agent case above."""
     start = np.bincount(epidemic_states(100_000), minlength=3)

@@ -9,8 +9,8 @@ uniform-scheduler process:
   reproducible against the seed simulator for deterministic models; table
   models run on the chunked vectorized kernel by default
   (:mod:`repro.engine.vectorized`, identical trajectories, ~5-8x the
-  sequential loops; ``vectorized=False`` opts out); generic models
-  run a per-interaction loop;
+  sequential loops; ``vectorized=False`` opts out); stochastic models
+  run on the same kernel in pair order, one model draw per interaction;
 * :class:`CountBackend` — exact count-level simulation (the Section 2.2.1
   Markov-on-counts view): ``Θ(√n)``-batched birthday runs at large ``n``,
   and an array-proxy kernel below :data:`~repro.engine.count.PROXY_MAX_N`
@@ -78,7 +78,6 @@ from repro.engine.observe import (
     MemorySink,
     ObserverSink,
     Reducer,
-    TeeSink,
     as_sink,
     series_paths_for,
     series_sink,
@@ -177,7 +176,6 @@ __all__ = [
     "MeanReducer",
     "ExtinctionTimeReducer",
     "DegreeProfileReducer",
-    "TeeSink",
     "as_sink",
     "sink_from_spec",
     "series_sink",

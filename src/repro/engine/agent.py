@@ -8,33 +8,36 @@ sampler), exactly like the seed simulator — so for deterministic (table /
 mixture-of-table) models a fixed seed reproduces the pre-engine
 simulator's trajectories bit for bit.
 
-Three inner loops:
+Two inner loops:
 
-* **vectorized kernel** (default for table models at ``n >= 1000``) — the
-  chunked conflict-resolution kernel of :mod:`repro.engine.vectorized`:
-  pair blocks are split into mutually independent rounds applied as fancy
-  indexed table lookups, with only the hard conflict chains running
-  through a scalar tail.  Outcomes are **bit-for-bit identical** to the
-  sequential loops (same pair blocks, same component draws, conflicting
-  pairs executed in sampling order), roughly 5-8x their throughput on the
-  k-IGT workload; ``vectorized=False`` opts out, ``vectorized=True``
-  forces it even where the auto heuristics would decline;
-* **table loop** — models exposing ``component_tables`` run a tight
-  flat-lookup loop over Python lists (several times faster than per-element
-  NumPy indexing, identical outcomes).  On this path the live state array
-  is written back at run end (and the live count array additionally at
-  every stop check), so ``stop_when`` predicates must read the ``counts``
-  argument they are handed — not per-agent backend state;
-* **generic loop** — stochastic models are applied per interaction through
-  :meth:`~repro.engine.model.InteractionModel.apply_scalar`; models that
-  read extra agents (``slots_per_step == 4``) get their observed agents
-  sampled per block through the scheduler's ``others_block`` (the same
-  shift trick under the uniform scheduler; weighted rejection draws under
-  a weighted one).  ``vectorized=True`` opts one-way generic models into
-  the chunked kernel's batched stochastic path — *distribution*-identical
-  to this loop (each interaction still gets an independent model draw and
-  conflicting interactions execute in sampling order) but not bit-identical,
-  because model randomness is consumed per round rather than per step.
+* **conflict-free kernel** (:mod:`repro.engine.vectorized`) — every
+  model without component tables, and table models at ``n >= 1000``
+  by default.  Table chunks are split into mutually independent rounds
+  applied as fancy indexed table lookups, with only the hard conflict
+  chains running through a scalar tail.  Outcomes are **bit-for-bit
+  identical** to the table loop (same pair blocks, same component draws,
+  conflicting pairs executed in sampling order), roughly 5-8x its
+  throughput on the k-IGT workload; ``vectorized=False`` opts out,
+  ``vectorized=True`` forces it even where the auto heuristics would
+  decline.  Stochastic models run each chunk in pair order, one
+  :meth:`~repro.engine.model.InteractionModel.apply_scalar` call per
+  interaction; models that read extra agents (``slots_per_step == 4``)
+  get their observed agents sampled per block through the scheduler's
+  ``others_block`` (the same shift trick under the uniform scheduler;
+  weighted rejection draws under a weighted one).  ``vectorized=True``
+  moves one-way stochastic models to the batched rounds instead —
+  *distribution*-identical (each interaction still gets an independent
+  model draw and conflicting interactions execute in sampling order)
+  but not bit-identical, because model randomness is consumed per round
+  rather than per step;
+* **table loop** — other runs of models exposing ``component_tables``
+  take a tight flat-lookup loop over the kernel's stacked tables, as
+  Python lists (several times faster than per-element NumPy indexing,
+  identical outcomes) or, when the population dwarfs the run, as NumPy
+  arrays.  On the list path the live state array is written back at run
+  end (and the live count array additionally at every stop check), so
+  ``stop_when`` predicates must read the ``counts`` argument they are
+  handed — not per-agent backend state.
 
 The scheduler is any pair law of :mod:`repro.engine.sampling` /
 :mod:`repro.engine.topology` (e.g. a
@@ -89,11 +92,11 @@ class AgentBackend(SimulationEngine):
         cadences make it profitable, ``True`` forces it, ``False`` keeps
         the sequential loop (bit-for-bit the seed simulator; the kernel
         produces identical trajectories, so this knob is about
-        performance and auditability, not results).  For generic
-        (stochastic) one-way models ``True`` opts into the kernel's
-        batched stochastic path — distribution-identical to the
-        sequential loop but not bit-identical — while ``None``/``False``
-        keep the per-interaction loop (the reproducibility default).
+        performance and auditability, not results).  Stochastic models
+        always run on the kernel: ``None``/``False`` in pair order (the
+        reproducibility default), ``True`` in the batched rounds of
+        one-way models — distribution-identical to pair order but not
+        bit-identical.
     """
 
     def __init__(self, model: InteractionModel, initial_states, seed=None,
@@ -119,15 +122,7 @@ class AgentBackend(SimulationEngine):
                 f"population has n={self.n}")
         self.scheduler = scheduler
         self._counts = count_states(states, model.n_states)
-        # Flat per-component lookup tables for the fast loop, built once
-        # (component_tables returns fresh copies on every read).
-        tables = model.component_tables
-        self._flats_np = None
-        self._flats_list = None
-        if tables is not None:
-            self._flats_np = [(np.ascontiguousarray(t[:, :, 0].ravel()),
-                               np.ascontiguousarray(t[:, :, 1].ravel()))
-                              for t in tables]
+        self._has_tables = model.component_tables is not None
         self.vectorized = vectorized
         self._kernel = None
         self.steps_run = 0
@@ -150,7 +145,7 @@ class AgentBackend(SimulationEngine):
         if self._kernel is None:
             self._kernel = ConflictFreeKernel(
                 self.model, self._states, self._counts,
-                allow_stochastic=self._flats_np is None)
+                in_order=self.vectorized is not True)
         return self._kernel
 
     def snapshot(self) -> "SnapshotState":
@@ -214,30 +209,25 @@ class AgentBackend(SimulationEngine):
                                       check_stop_every, observe)
         if stopped or max_steps == 0:
             return self._result(stopped, sink)
-        if self._flats_np is not None:
-            if self._use_vectorized(stop_when, observe_every,
-                                    check_stop_every):
-                return self._run_vectorized(max_steps, stop_when,
-                                            observe_every, check_stop_every,
-                                            sink)
+        if self._has_tables and not self._use_vectorized(
+                stop_when, observe_every, check_stop_every):
             return self._run_tables(max_steps, stop_when, observe_every,
                                     check_stop_every, sink)
-        if self.vectorized is True:
-            # Opt-in batched stochastic path (law-identical, not
-            # bit-identical): the kernel rejects models it cannot
-            # vectorize (two-way stochastic laws) loudly.
-            return self._run_vectorized(max_steps, stop_when,
-                                        observe_every, check_stop_every,
-                                        sink)
-        return self._run_generic(max_steps, stop_when, observe_every,
-                                 check_stop_every, sink)
+        executed, converged = run_kernel(
+            self._ensure_kernel(), self.scheduler.pair_block,
+            self.model.sample_components, self.scheduler.rng, max_steps,
+            self.steps_run, stop_when, observe_every, check_stop_every,
+            sink, others_block=self.scheduler.others_block,
+            states=self._states)
+        self.steps_run += executed
+        return self._result(converged, sink)
 
     # ------------------------------------------------------------------
     # Vectorized kernel path
     # ------------------------------------------------------------------
     def _use_vectorized(self, stop_when, observe_every,
                         check_stop_every) -> bool:
-        """Whether this run should take the chunked kernel path.
+        """Whether this run of a table model should take the kernel.
 
         ``vectorized=True``/``False`` decide outright; the auto default
         declines for small populations and for runs whose observation or
@@ -254,17 +244,6 @@ class AgentBackend(SimulationEngine):
             check_stop_every if stop_when is not None else BLOCK_SIZE)
         return cadence >= MIN_VECTORIZED_CADENCE
 
-    def _run_vectorized(self, max_steps, stop_when, observe_every,
-                        check_stop_every, sink) -> EngineResult:
-        executed, converged = run_kernel(
-            self._ensure_kernel(), self.scheduler.pair_block,
-            self.model.sample_components, self.scheduler.rng, max_steps,
-            self.steps_run, stop_when, observe_every, check_stop_every,
-            sink, BLOCK_SIZE, others_block=self.scheduler.others_block,
-            states=self._states)
-        self.steps_run += executed
-        return self._result(converged, sink)
-
     # ------------------------------------------------------------------
     # Table fast loop
     # ------------------------------------------------------------------
@@ -272,23 +251,20 @@ class AgentBackend(SimulationEngine):
                     check_stop_every, sink) -> EngineResult:
         model = self.model
         s = model.n_states
+        kernel = self._ensure_kernel()
         use_lists = self.n <= _LIST_PATH_MAX_N_PER_STEP * max_steps
         if use_lists:
-            if self._flats_list is None:
-                self._flats_list = [(fu.tolist(), fv.tolist())
-                                    for fu, fv in self._flats_np]
-            flats = self._flats_list
+            flat_u, flat_v = kernel.flat_u_list, kernel.flat_v_list
             states = self._states.tolist()
             counts = self._counts.tolist()
         else:
-            flats = self._flats_np
+            flat_u, flat_v = kernel.flat_u, kernel.flat_v
             states = self._states
             counts = self._counts
             # Narrow state scalars times an intp factor give an intp
             # pair index; times a Python int they would wrap.
             s = np.intp(s)
-        flat_u, flat_v = flats[0]
-        single = len(flats) == 1
+        single = len(flat_u) == s * s  # one component table
         rng = self.scheduler.rng
 
         def sync():
@@ -314,21 +290,23 @@ class AgentBackend(SimulationEngine):
             for offset in range(batch):
                 i = initiators[offset]
                 j = responders[offset]
-                if comps is not None:
-                    flat_u, flat_v = flats[comps[offset]]
                 u = states[i]
                 v = states[j]
-                pair = u * s + v
+                if comps is None:
+                    pair = u * s + v
+                else:
+                    pair = (comps[offset] * s + u) * s + v
                 new_u = flat_u[pair]
-                new_v = flat_v[pair]
                 if new_u != u:
                     states[i] = new_u
                     counts[u] -= 1
                     counts[new_u] += 1
-                if new_v != v:
-                    states[j] = new_v
-                    counts[v] -= 1
-                    counts[new_v] += 1
+                if flat_v is not None:
+                    new_v = flat_v[pair]
+                    if new_v != v:
+                        states[j] = new_v
+                        counts[v] -= 1
+                        counts[new_v] += 1
                 step = done + offset + 1
                 if observe_every is not None and step % observe_every == 0:
                     sink.emit(self.steps_run + step, counts, states)
@@ -348,55 +326,5 @@ class AgentBackend(SimulationEngine):
                         return self._result(True, sink)
             done += batch
         sync()
-        self.steps_run += max_steps
-        return self._result(False, sink)
-
-    # ------------------------------------------------------------------
-    # Generic sequential loop (stochastic models)
-    # ------------------------------------------------------------------
-    def _run_generic(self, max_steps, stop_when, observe_every,
-                     check_stop_every, sink) -> EngineResult:
-        model = self.model
-        four = model.slots_per_step == 4
-        states = self._states
-        counts = self._counts
-        rng = self.scheduler.rng
-        done = 0
-        while done < max_steps:
-            batch = min(BLOCK_SIZE, max_steps - done)
-            initiators, responders = self.scheduler.pair_block(batch)
-            if four:
-                # Observed opponents: one *other* agent relative to the
-                # initiator / responder respectively, drawn from the
-                # scheduler's law (shift trick when uniform).
-                obs_i = self.scheduler.others_block(initiators)
-                obs_j = self.scheduler.others_block(responders)
-            for offset in range(batch):
-                i = initiators[offset]
-                j = responders[offset]
-                u = int(states[i])
-                v = int(states[j])
-                observed = None
-                if four:
-                    observed = (int(states[obs_i[offset]]),
-                                int(states[obs_j[offset]]))
-                new_u, new_v = model.apply_scalar(u, v, rng, observed)
-                if new_u != u:
-                    states[i] = new_u
-                    counts[u] -= 1
-                    counts[new_u] += 1
-                if new_v != v:
-                    states[j] = new_v
-                    counts[v] -= 1
-                    counts[new_v] += 1
-                step = done + offset + 1
-                if observe_every is not None and step % observe_every == 0:
-                    sink.emit(self.steps_run + step, counts, states)
-                if (stop_when is not None
-                        and step % check_stop_every == 0
-                        and stop_when(counts)):
-                    self.steps_run += step
-                    return self._result(True, sink)
-            done += batch
         self.steps_run += max_steps
         return self._result(False, sink)

@@ -126,7 +126,7 @@ import math
 
 import numpy as np
 
-from repro.engine.base import BLOCK_SIZE, EngineResult, SimulationEngine
+from repro.engine.base import EngineResult, SimulationEngine
 from repro.engine.model import InteractionModel, responder_classes
 from repro.engine.observe import ObserverSink
 from repro.engine.sampling import ordered_pair_block
@@ -578,7 +578,7 @@ class CountBackend(SimulationEngine):
                 self._kernel, self._pair_block,
                 self._kernel.model.sample_components, self._rng, max_steps,
                 self.steps_run, fresh_stop, observe_every, check_stop_every,
-                _ProjectingSink(sink, self._project), BLOCK_SIZE,
+                _ProjectingSink(sink, self._project),
                 others_block=self._others_block)
         elif not stopped:
             while done < max_steps:
@@ -668,8 +668,7 @@ class CountBackend(SimulationEngine):
         """The kernel over a per-agent array that :meth:`_expand` fills."""
         model = self.model
         return ConflictFreeKernel(
-            model, np.empty(self.n, dtype=model.state_dtype), self._chain,
-            allow_stochastic=True)
+            model, np.empty(self.n, dtype=model.state_dtype), self._chain)
 
     def _expand(self) -> None:
         """Write the chain's canonical expansion into the kernel's states.

@@ -15,7 +15,6 @@ observation path a first-class, pluggable layer:
   uninterrupted file byte for byte.
 - :class:`Reducer` sinks — online reductions (running mean, extinction
   times, per-class profiles) that retain no series at all.
-- :class:`TeeSink` — compose several sinks behind one emit stream.
 
 Emit contract: the ``counts`` (and optional per-agent ``states``)
 arguments are only valid *during* the call — backends pass their live
@@ -47,7 +46,6 @@ __all__ = [
     "MeanReducer",
     "ExtinctionTimeReducer",
     "DegreeProfileReducer",
-    "TeeSink",
     "as_sink",
     "sink_from_spec",
     "series_sink",
@@ -403,50 +401,6 @@ class DegreeProfileReducer(Reducer):
                 "classes": classes.tolist(),
                 "profile": [None if np.isnan(value) else float(value)
                             for value in means]}
-
-
-class TeeSink(ObserverSink):
-    """Fan one emit stream out to several sinks.
-
-    ``records`` (and therefore ``EngineResult.observations``) delegate
-    to the first sink, so ``TeeSink(MemorySink(), JsonlSink(path))``
-    keeps the historical in-RAM result *and* streams to disk.
-    """
-
-    def __init__(self, *sinks: ObserverSink) -> None:
-        if not sinks:
-            raise InvalidParameterError("TeeSink needs at least one sink")
-        self.sinks = tuple(sinks)
-        self.wants_states = any(sink.wants_states for sink in self.sinks)
-
-    def emit(self, step, counts, states=None) -> None:
-        for sink in self.sinks:
-            sink.emit(step, counts, states)
-
-    def flush(self) -> None:
-        for sink in self.sinks:
-            sink.flush()
-
-    def position(self):
-        return [sink.position() for sink in self.sinks]
-
-    def seek(self, position) -> None:
-        if position is None:
-            position = [None] * len(self.sinks)
-        if len(position) != len(self.sinks):
-            raise InvalidParameterError(
-                f"TeeSink position has {len(position)} entries for "
-                f"{len(self.sinks)} sinks")
-        for sink, token in zip(self.sinks, position):
-            sink.seek(token)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-    @property
-    def records(self) -> list:
-        return self.sinks[0].records
 
 
 #: The spec strings accepted by ``--observe`` / ``observe=``.

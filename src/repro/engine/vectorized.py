@@ -53,14 +53,20 @@ degenerate geometries (``n = 2``, ``n = 3``, chunk larger than ``n``).
 States live in the model's narrow ``state_dtype``; pair indices are
 computed on chunk-sized ``intp`` copies, never on a widened state array.
 
+Models without component tables draw their own randomness per
+interaction.  An owner that needs pair order (the agent backend's
+default) builds the kernel ``in_order``: each chunk then runs through
+the scalar head alone, one ``apply_scalar`` call per pair, consuming
+the generator exactly as a per-interaction loop would, two-way models
+included.  Otherwise one-way stochastic models are applied
+round-vectorized — each interaction still receives an independent
+model draw, so the trajectory law is untouched even though generator
+consumption differs from the scalar loop.
+
 The kernel also serves the count backend: at the start of every run a
 count vector expands to a canonical per-agent state assignment, uniform
 pair sampling over that array *is* the count-level chain
-(exchangeability), and only the count vector is exposed.  In that mode
-stochastic one-way models may be applied round-vectorized too — each
-interaction still receives an independent model draw, so the trajectory
-law is untouched even though generator consumption differs from the
-scalar loop.
+(exchangeability), and only the count vector is exposed.
 
 The sampler is pluggable: the kernel never draws pairs itself, so
 weighted (heterogeneous-activity) pair blocks flow through the exact
@@ -78,6 +84,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.base import BLOCK_SIZE
 from repro.engine.model import responder_classes
 from repro.utils.errors import InvalidParameterError
 
@@ -118,20 +125,27 @@ class ConflictFreeKernel:
     ----------
     model:
         The interaction law.  Deterministic (mixture-of-)table models run
-        fully in-kernel; stochastic models are accepted only when
-        ``allow_stochastic`` is set *and* the model is one-way, and are
-        applied through vectorized ``model.apply`` calls per round.
+        fully in-kernel; stochastic models are applied through
+        ``model.apply_scalar`` per pair when ``in_order``, else, if
+        one-way, through vectorized ``model.apply`` calls per round.
     states, counts:
         The live per-agent state array (in the model's ``state_dtype``)
         and count vector, adopted (never reallocated); every round
         :meth:`apply_chunk` executes updates both.
-    allow_stochastic:
-        Permit stochastic one-way models (count-level use: the law is
-        preserved per interaction, but generator consumption differs
-        from the scalar loop, so agent-level bit parity is off).
+    in_order:
+        Apply each chunk of a stochastic model in pair order through the
+        scalar head: the same model draws, in the same order, as a
+        per-interaction loop, so agent-level bit parity holds.  Table
+        rounds are exact in any order, so table models ignore it.
 
     Each conflict analysis takes :attr:`chunk` pairs, set by
     :func:`auto_chunk` (halved for 4-slot models).
+
+    A table model's lookups are stacked flat in the states' dtype:
+    :attr:`flat_u` (and :attr:`flat_v`, ``None`` for one-way tables)
+    holds component ``c`` of pair ``(u, v)`` at ``(c*S + u)*S + v``;
+    :attr:`flat_u_list`/:attr:`flat_v_list` are their Python-list
+    copies for scalar loops.
 
     :attr:`read_free` is derived from the component tables: it holds
     for one-way tables whose every write keeps the written agent's
@@ -147,7 +161,7 @@ class ConflictFreeKernel:
     """
 
     def __init__(self, model, states: np.ndarray, counts: np.ndarray,
-                 allow_stochastic: bool = False):
+                 in_order: bool = False):
         self.model = model
         self.s = model.n_states
         self.states = states
@@ -155,14 +169,9 @@ class ConflictFreeKernel:
         self.n = states.size
         tables = model.component_tables
         self._stochastic = tables is None
-        if self._stochastic and not allow_stochastic:
-            raise InvalidParameterError(
-                "the vectorized kernel needs component tables; stochastic "
-                "models require allow_stochastic=True (the trajectory law "
-                "is exact but generator consumption differs from the "
-                "scalar loop)")
+        self.in_order = in_order and self._stochastic
         one_way = bool(model.one_way)
-        if self._stochastic and not one_way:
+        if self._stochastic and not (one_way or self.in_order):
             raise InvalidParameterError(
                 "stochastic models are only vectorizable when one-way "
                 "(responder never changes state)")
@@ -182,13 +191,13 @@ class ConflictFreeKernel:
         if tables is not None:
             # (C*S*S,) stacked flat lookups in the states' dtype;
             # component c of pair (u, v) lives at c*S*S + u*S + v.
-            self._flat_u = np.concatenate(
+            self.flat_u = np.concatenate(
                 [t[:, :, 0].ravel() for t in tables]).astype(states.dtype)
-            self._flat_v = (None if one_way else np.concatenate(
+            self.flat_v = (None if one_way else np.concatenate(
                 [t[:, :, 1].ravel() for t in tables]).astype(states.dtype))
-            self._flat_u_list = self._flat_u.tolist()
-            self._flat_v_list = (None if one_way
-                                 else self._flat_v.tolist())
+            self.flat_u_list = self.flat_u.tolist()
+            self.flat_v_list = (None if one_way
+                                else self.flat_v.tolist())
         self.inert_index_bound = None
         # Non-inert states, looked up per chunk unless a bound is set.
         inert = model.inert_states
@@ -201,6 +210,8 @@ class ConflictFreeKernel:
             # restores the measured sweet spot at every n.
             chunk = max(MIN_CHUNK // 2, chunk // 2)
         self.chunk = chunk
+        if self.in_order:
+            return  # never peels, so it holds no stamp maps
         # Agent -> latest pair-stamp maps; older entries read as earlier
         # than the current round's, like a cleared map's -1.
         if one_way and not self.read_free:
@@ -301,28 +312,30 @@ class ConflictFreeKernel:
     # Application
     # ------------------------------------------------------------------
     def _apply_head(self, ii, jj, comps, oi, oj, rng):
-        """Scalar loop over the hard conflict chains, in pair order."""
+        """Scalar loop in pair order: over the hard conflict chains, or
+        over a whole chunk of an in-order kernel."""
         states, s = self.states, self.s
         counts = self.counts
-        one_way = self.one_way
         stochastic = self._stochastic
-        fu = None if stochastic else self._flat_u_list
-        fv = None if stochastic or one_way else self._flat_v_list
+        apply = self.model.apply_scalar
+        fu = None if stochastic else self.flat_u_list
+        fv = None if stochastic else self.flat_v_list
         cl = None if comps is None else comps.tolist()
+        obs = None if oi is None else list(zip(oi.tolist(), oj.tolist()))
         state = states.item  # Python ints: narrow scalars would wrap
         for t, (a, b) in enumerate(zip(ii.tolist(), jj.tolist())):
             u = state(a)
             v = state(b)
             if stochastic:
                 observed = None
-                if oi is not None:
-                    observed = (state(oi[t]), state(oj[t]))
-                nu, _ = self.model.apply_scalar(u, v, rng, observed)
-                nv = v
+                if obs is not None:
+                    x, y = obs[t]
+                    observed = (state(x), state(y))
+                nu, nv = apply(u, v, rng, observed)
             else:
                 flat = u * s + v if cl is None else (cl[t] * s + u) * s + v
                 nu = fu[flat]
-                nv = v if one_way else fv[flat]
+                nv = v if fv is None else fv[flat]
             if nu != u:
                 states[a] = nu
                 counts[u] -= 1
@@ -352,11 +365,11 @@ class ConflictFreeKernel:
             return
         if comps is not None:
             flat += comps * (s * s)
-        nu = self._flat_u[flat]
+        nu = self.flat_u[flat]
         states[ii] = nu
         self._move(u, nu)
         if not self.one_way:
-            nv = self._flat_v[flat]
+            nv = self.flat_v[flat]
             states[jj] = nv
             self._move(v, nv)
 
@@ -375,6 +388,9 @@ class ConflictFreeKernel:
         per-interaction draws); ``oi``/``oj`` carry the observed-agent
         indices of 4-slot models.
         """
+        if self.in_order:
+            self._apply_head(ii, jj, comps, oi, oj, rng)
+            return
         if self.inert_index_bound is not None or self._active is not None:
             if self.inert_index_bound is not None:
                 act = np.flatnonzero(ii < self.inert_index_bound)
@@ -399,16 +415,17 @@ class ConflictFreeKernel:
 
 def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
                rng, max_steps: int, steps_done: int, stop_when,
-               observe_every, check_stop_every, sink,
-               block_size: int, others_block=None, states=None):
+               observe_every, check_stop_every, sink, others_block=None,
+               states=None):
     """Drive a kernel through up to ``max_steps`` interactions.
 
-    The shared engine loop of the vectorized paths: pair randomness is
-    drawn in ``block_size`` blocks (identical consumption to the
-    sequential loops), chunks are capped at observation / stop-cadence
-    boundaries so counts are exact whenever the Python layer looks at
-    them, and early stops discard the remainder of the drawn block just
-    like the sequential loops do.  Returns ``(executed, converged)``.
+    The shared engine loop of the kernel paths: pair randomness is
+    drawn in :data:`~repro.engine.base.BLOCK_SIZE` blocks (identical
+    consumption to the sequential loops), chunks are capped at
+    observation / stop-cadence boundaries so counts are exact whenever
+    the Python layer looks at them, and early stops discard the
+    remainder of the drawn block just like the sequential loops do.
+    Returns ``(executed, converged)``.
 
     ``steps_done`` is the engine's cumulative pre-call step count (used
     only to label observations, which go to the observer ``sink``).
@@ -425,7 +442,7 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
             "4-slot models need an others_block to draw observed agents")
     done = 0
     while done < max_steps:
-        batch = min(block_size, max_steps - done)
+        batch = min(BLOCK_SIZE, max_steps - done)
         initiators, responders = pair_block(batch)
         obs_i = obs_j = None
         if kernel.four:

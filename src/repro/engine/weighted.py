@@ -409,13 +409,12 @@ class WeightedCountBackend(CountBackend):
         # Within-class exchangeability makes weighted pair sampling over
         # any class-major arrangement project to exactly the
         # (class × state) chain.
-        model = self.model
-        product = ProductStateModel(model, self._classes)
+        product = ProductStateModel(self.model, self._classes)
         self._sampler = WeightedScheduler(
             np.repeat(self._class_weights, self._members), self._rng)
         return ConflictFreeKernel(
             product, np.empty(self.n, dtype=product.state_dtype),
-            self._chain, allow_stochastic=model.component_tables is None)
+            self._chain)
 
     def _pair_block(self, size: int):
         return self._sampler.pair_block(size)

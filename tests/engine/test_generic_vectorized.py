@@ -1,15 +1,15 @@
 """The batched stochastic path for generic models (``vectorized=True``).
 
 The agent backend's generic models (:class:`LogitResponseModel`,
-:class:`ImitationModel`) historically ran a per-interaction Python loop;
-``vectorized=True`` opts them into the conflict-resolution kernel, which
-batch-draws responses per round.  The trajectory *law* must be untouched
-— each interaction still receives an independent model draw and
-conflicting interactions execute in sampling order — even though
-generator consumption differs from the scalar loop (so bit-parity is
-explicitly not claimed).  These tests pin the law equivalence, the
-observed-agent handling of the 4-slot kernel, and the loud rejection of
-models the kernel cannot vectorize.
+:class:`ImitationModel`) run on the conflict-resolution kernel in pair
+order by default, one model draw per interaction; ``vectorized=True``
+moves them to the kernel's batched rounds, which batch-draw responses
+per round.  The trajectory *law* must be untouched — each interaction
+still receives an independent model draw and conflicting interactions
+execute in sampling order — even though generator consumption differs
+from pair order (so bit-parity is explicitly not claimed).  These tests
+pin the law equivalence, the observed-agent handling of the 4-slot
+kernel, and the loud rejection of models the kernel cannot vectorize.
 """
 
 import numpy as np
@@ -110,9 +110,8 @@ class TestRejections:
             backend.run(100)
 
     def test_default_path_keeps_sequential_loop(self):
-        """vectorized=None (the default) stays on the per-interaction
-        loop for generic models: fixed-seed trajectories are unchanged
-        from the pre-kernel behavior."""
+        """vectorized=None (the default) and False both run generic
+        models in pair order: the same fixed-seed trajectory."""
         model = LogitResponseModel(PAYOFFS, eta=1.0)
         initial = (np.arange(40) % 2).astype(np.int64)
         one = AgentBackend(model, initial, seed=7)

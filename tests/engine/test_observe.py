@@ -1,10 +1,10 @@
 """The observer-sink layer: units, byte-compat, and stream resume.
 
 Covers the sink protocol itself (MemorySink identity, JsonlSink
-durability/truncation, reducers vs manual computation, TeeSink
-fan-out, spec parsing), the cross-backend contract that a JSONL stream
-decodes to exactly the MemorySink series, and the ambient per-task
-series scope the sweep executor binds.
+durability/truncation, reducers vs manual computation, spec parsing),
+the cross-backend contract that a JSONL stream decodes to exactly the
+MemorySink series, and the ambient per-task series scope the sweep
+executor binds.
 """
 
 import os
@@ -21,7 +21,6 @@ from repro.engine import (
     MeanReducer,
     MemorySink,
     ObserverSink,
-    TeeSink,
     WeightedCountBackend,
     as_sink,
     igt_model,
@@ -203,39 +202,6 @@ class TestReducers:
         resumed.seek(token)
         resumed.emit(1, [1, 2], states=states[1])
         assert resumed.summary() == full.summary()
-
-
-class TestTeeSink:
-    def test_fans_out_and_delegates_records(self, tmp_path):
-        memory = MemorySink()
-        jsonl = JsonlSink(tmp_path / "series.jsonl")
-        tee = TeeSink(memory, jsonl)
-        emit_rows(tee, ROWS)
-        tee.close()
-        assert len(memory.records) == 3
-        assert tee.records is memory.records
-        assert len((tmp_path / "series.jsonl").read_bytes()
-                   .splitlines()) == 3
-
-    def test_wants_states_is_any(self):
-        assert not TeeSink(MemorySink()).wants_states
-        profile = DegreeProfileReducer([1], [0.0])
-        assert TeeSink(MemorySink(), profile).wants_states
-
-    def test_position_and_seek_distribute(self):
-        tee = TeeSink(MemorySink(), MeanReducer())
-        emit_rows(tee, ROWS[:2])
-        token = tee.position()
-        emit_rows(tee, ROWS[2:])
-        tee.seek(token)
-        assert len(tee.sinks[0].records) == 2
-        assert tee.sinks[1].summary()["observations"] == 2
-        with pytest.raises(InvalidParameterError, match="entries"):
-            tee.seek([None])
-
-    def test_needs_at_least_one_sink(self):
-        with pytest.raises(InvalidParameterError):
-            TeeSink()
 
 
 #: Every sink kind that can resume from a saved position.

@@ -15,6 +15,7 @@ from repro.engine import (
     AgentBackend,
     ConflictFreeKernel,
     CountBackend,
+    PairMixtureTableModel,
     igt_model,
     matrix_game_model,
 )
@@ -174,6 +175,9 @@ def wide_table_model(s: int) -> TableModel:
 
 PAYOFFS = np.array([[0.0, 3.0], [1.0, 2.0]])
 
+#: Initiator and responder swap states.
+TWO_WAY_TABLE = np.array([[(v, u) for v in range(3)] for u in range(3)])
+
 #: Kernels of every peel shape: read-free one-way (k-IGT), one-way with
 #: reads (the max table and a stochastic law), 4-slot and two-way.  The
 #: max table has enough states to keep pairs active for the whole run.
@@ -183,8 +187,7 @@ STAMP_MODELS = {
     "one-way-stochastic": lambda: matrix_game_model(PAYOFFS, "logit",
                                                     eta=1.5),
     "four-slot": lambda: matrix_game_model(PAYOFFS, "imitation"),
-    "two-way": lambda: TableModel([[(v, u) for v in range(3)]
-                                   for u in range(3)]),
+    "two-way": lambda: TableModel(TWO_WAY_TABLE),
 }
 
 
@@ -245,16 +248,31 @@ class TestNarrowStates:
 
 
 class TestKernelValidation:
-    def test_stochastic_needs_opt_in(self):
-        model = matrix_game_model(np.array([[0.0, 2.0], [1.0, 0.0]]),
-                                  "logit", eta=2.0)
-        states = np.zeros(10, dtype=np.int64)
-        counts = np.bincount(states, minlength=2)
-        with pytest.raises(InvalidParameterError):
+    def test_two_way_stochastic_needs_pair_order(self):
+        # Batched rounds draw a stochastic model's outcomes per round,
+        # which only one-way models allow; pair order takes any model.
+        model = PairMixtureTableModel(TWO_WAY_TABLE, TWO_WAY_TABLE[::-1],
+                                      np.full((3, 3), 0.5))
+        states = np.zeros(10, dtype=model.state_dtype)
+        counts = np.bincount(states, minlength=3)
+        with pytest.raises(InvalidParameterError, match="one-way"):
             ConflictFreeKernel(model, states, counts)
-        kernel = ConflictFreeKernel(model, states, counts,
-                                    allow_stochastic=True)
-        assert kernel.one_way
+        assert ConflictFreeKernel(model, states, counts,
+                                  in_order=True).in_order
+
+    @pytest.mark.parametrize("in_order, maps", [(True, 0), (False, 2)])
+    def test_an_in_order_kernel_holds_no_stamp_map(self, in_order, maps):
+        # It never peels; batched logit rounds keep write and read maps.
+        model = matrix_game_model(PAYOFFS, "logit", eta=1.5)
+        assert stamp_maps(model, in_order) == maps
+
+    def test_table_models_ignore_pair_order(self):
+        # Table rounds are exact in any order.
+        states = np.zeros(10, dtype=np.uint8)
+        kernel = ConflictFreeKernel(igt_model(6), states,
+                                    np.bincount(states, minlength=8),
+                                    in_order=True)
+        assert not kernel.in_order
 
     def test_auto_chunk_bounds(self):
         assert auto_chunk(2) == 1024
@@ -269,8 +287,7 @@ class TestKernelValidation:
         model = STAMP_MODELS[name]()
         states = np.zeros(n, dtype=model.state_dtype)
         counts = np.bincount(states, minlength=model.n_states)
-        kernel = ConflictFreeKernel(model, states, counts,
-                                    allow_stochastic=True)
+        kernel = ConflictFreeKernel(model, states, counts)
         expected = auto_chunk(n)
         if model.slots_per_step == 4:
             expected = max(MIN_CHUNK // 2, expected // 2)
@@ -350,7 +367,7 @@ class TestCountProxyPath:
 
 
 class GenericTable(TableModel):
-    """A table model without tables: the agent engine's generic loop."""
+    """A table model without tables: the kernel's pair-order path."""
 
     @property
     def component_tables(self):
@@ -385,9 +402,10 @@ TABLE_MODELS = {
 
 
 class TestKernelMatchesLoops:
-    """Over plain, observed and stop-checked runs, the kernel keeps the
-    trajectory of the table loop and of the generic loop, bit for bit,
-    at populations where the auto choice would decline it."""
+    """Over plain, observed and stop-checked runs, the kernel's rounds
+    keep the trajectory of the table loop and of the pair-order path,
+    bit for bit, at populations where the auto choice would decline
+    them."""
 
     def run_plan(self, backend):
         backend.run(3000, observe_every=700)
@@ -422,11 +440,25 @@ class TestKernelMatchesLoops:
         np.testing.assert_array_equal(kernel.counts, loop.counts)
 
 
+def stamp_maps(model, in_order=False) -> int:
+    """Per-agent ``int32`` maps a new kernel over 10^6 agents allocates,
+    read off its traced bytes."""
+    n = 10**6
+    states = np.zeros(n, dtype=model.state_dtype)
+    counts = np.bincount(states, minlength=model.n_states)
+    tracemalloc.start()
+    try:
+        ConflictFreeKernel(model, states, counts, in_order=in_order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / (4 * n))
+
+
 def kernel_is_read_free(model) -> bool:
     states = np.zeros(100, dtype=model.state_dtype)
-    return ConflictFreeKernel(model, states,
-                              np.bincount(states, minlength=model.n_states),
-                              allow_stochastic=True).read_free
+    counts = np.bincount(states, minlength=model.n_states)
+    return ConflictFreeKernel(model, states, counts).read_free
 
 
 class TestReadFree:
@@ -461,14 +493,5 @@ class TestReadFree:
     def test_a_read_free_kernel_holds_no_read_map(self, name, maps):
         # One int32 stamp map per agent when read-free; the criterion
         # with reads keeps a second, of read stamps.
-        n = 10**6
         model = {**self.READ_FREE, **self.WITH_READS}[name]()
-        states = np.zeros(n, dtype=model.state_dtype)
-        counts = np.bincount(states, minlength=model.n_states)
-        tracemalloc.start()
-        try:
-            ConflictFreeKernel(model, states, counts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert round(peak / (4 * n)) == maps
+        assert stamp_maps(model) == maps

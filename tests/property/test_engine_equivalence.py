@@ -6,7 +6,10 @@ Two guarantees are pinned down here:
   the pre-engine per-interaction loops (the seed protocol simulator's
   ``run`` and the ``IGTSimulation`` fast path) are replayed against the
   engine-backed implementations under shared seeds and must produce
-  identical trajectories, not merely the same law.
+  identical trajectories, not merely the same law.  A frozen copy of
+  the agent engine's former per-interaction loop for models without
+  component tables is replayed the same way against the kernel's
+  pair-order path that replaced it.
 * **CountBackend is exact in distribution** — its empirical state
   distribution is compared against the exact transition matrices from
   :mod:`repro.markov` (the paper's Ehrenfest embedding) and against the
@@ -25,7 +28,11 @@ from repro.core.general_games import (
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.engine import (
+    AgentBackend,
     CountBackend,
+    ImitationModel,
+    LogitResponseModel,
+    PairMixtureTableModel,
     TableModel,
     build_engine,
     igt_model,
@@ -142,6 +149,59 @@ def reference_igt_run(n, shares, grid, seed, steps, observe_every=None,
     return indices[n_ac + n_ad:], counts, recorded
 
 
+def reference_generic_run(model, states, counts, scheduler, max_steps,
+                          steps_run=0, stop_when=None, observe_every=None,
+                          check_stop_every=1):
+    """The agent engine's per-interaction loop for models without
+    component tables, as it ran before they moved onto the kernel.
+
+    Updates ``states`` and ``counts`` in place, drawing pair blocks,
+    observed agents and model randomness from ``scheduler`` in the
+    engine's order.  Returns ``(observations, executed, converged)``.
+    """
+    observations = []
+    if observe_every is not None:
+        observations.append((steps_run, counts.copy()))
+    if stop_when is not None and stop_when(counts):
+        return observations, 0, True
+    four = model.slots_per_step == 4
+    rng = scheduler.rng
+    block = 65536
+    done = 0
+    while done < max_steps:
+        batch = min(block, max_steps - done)
+        initiators, responders = scheduler.pair_block(batch)
+        if four:
+            obs_i = scheduler.others_block(initiators)
+            obs_j = scheduler.others_block(responders)
+        for offset in range(batch):
+            i = initiators[offset]
+            j = responders[offset]
+            u = int(states[i])
+            v = int(states[j])
+            observed = None
+            if four:
+                observed = (int(states[obs_i[offset]]),
+                            int(states[obs_j[offset]]))
+            new_u, new_v = model.apply_scalar(u, v, rng, observed)
+            if new_u != u:
+                states[i] = new_u
+                counts[u] -= 1
+                counts[new_u] += 1
+            if new_v != v:
+                states[j] = new_v
+                counts[v] -= 1
+                counts[new_v] += 1
+            step = done + offset + 1
+            if observe_every is not None and step % observe_every == 0:
+                observations.append((steps_run + step, counts.copy()))
+            if (stop_when is not None and step % check_stop_every == 0
+                    and stop_when(counts)):
+                return observations, step, True
+        done += batch
+    return observations, max_steps, False
+
+
 class TestAgentBackendBitCompat:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_simulator_trajectories_identical(self, seed):
@@ -217,6 +277,86 @@ class TestVectorizedAgentBitCompat:
         final, result = agent_run(table, states, 13, 5000, vectorized=True)
         assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
+
+
+def moving_pair_mixture(s: int = 4) -> PairMixtureTableModel:
+    """A two-way stochastic model: both tables move the responder."""
+    u, v = np.meshgrid(np.arange(s), np.arange(s), indexing="ij")
+    hit = np.stack([(u + 1) % s, (v + s - 1) % s], axis=-1)
+    miss = np.stack([v, (u + v) % s], axis=-1)
+    probs = np.random.default_rng(8).random((s, s))
+    return PairMixtureTableModel(hit, miss, probs)
+
+
+class TestGenericModelsInPairOrder:
+    """Models without component tables run on the kernel in pair order,
+    bit for bit the per-interaction loop they used to run: same pair
+    blocks, observed-agent draws and model draws, the responder's
+    outcome kept, observations and early stops at the same steps."""
+
+    def assert_runs_match(self, model, initial, law, plan, seed=5,
+                          vectorized=None):
+        """Run ``plan`` (a list of ``run`` keyword dicts) on the engine
+        and on the frozen loop, comparing after every call."""
+        n = initial.size
+        engine = AgentBackend(model, initial,
+                              scheduler=make_law(n, seed=seed, **law),
+                              vectorized=vectorized)
+        scheduler = make_law(n, seed=seed, **law)
+        states = initial.astype(np.int64)
+        counts = np.bincount(states, minlength=model.n_states)
+        steps_run = 0
+        converged = []
+        for call in plan:
+            result = engine.run(**call)
+            observations, executed, stopped = reference_generic_run(
+                model, states, counts, scheduler, steps_run=steps_run,
+                **call)
+            steps_run += executed
+            np.testing.assert_array_equal(engine.states, states)
+            np.testing.assert_array_equal(result.counts, counts)
+            assert result.steps == engine.steps_run == steps_run
+            assert result.converged == stopped
+            assert len(result.observations) == len(observations)
+            for (s1, c1), (s2, c2) in zip(result.observations,
+                                          observations):
+                assert s1 == s2
+                np.testing.assert_array_equal(c1, c2)
+            converged.append(stopped)
+        return converged
+
+    @pytest.mark.parametrize("vectorized", [None, False])
+    def test_two_way_pair_mixture(self, vectorized):
+        model = moving_pair_mixture()
+        assert not model.one_way
+        initial = np.random.default_rng(2).integers(0, 4, 150)
+        self.assert_runs_match(model, initial, {}, [
+            {"max_steps": 3000, "observe_every": 700},
+            {"max_steps": 70_000},
+        ], vectorized=vectorized)
+
+    @pytest.mark.parametrize("law", [
+        {}, {"weights": "powerlaw"}, {"topology": "ring"}],
+        ids=["uniform", "powerlaw", "ring"])
+    def test_imitation_reads_its_observed_agents(self, law):
+        model = ImitationModel(np.array([[1.0, 3.0], [0.0, 2.0]]))
+        initial = (np.arange(200) % 2).astype(np.int64)
+        self.assert_runs_match(model, initial, law, [
+            {"max_steps": 5000, "observe_every": 700},
+            {"max_steps": 4000},
+        ])
+
+    def test_logit_stop_fires_mid_block(self):
+        model = LogitResponseModel(np.array([[0.0, 2.0], [1.0, 3.0]]),
+                                   eta=1.5)
+        initial = np.zeros(300, dtype=np.int64)
+        converged = self.assert_runs_match(model, initial, {}, [
+            {"max_steps": 20_000, "observe_every": 700,
+             "stop_when": lambda counts: counts[1] >= 200,
+             "check_stop_every": 300},
+            {"max_steps": 5000, "observe_every": 700},
+        ])
+        assert converged == [True, False]
 
 
 class TestCountBackendExactLaw:

@@ -51,7 +51,7 @@ def fresh_sim(**overrides):
 
 
 #: The agent backend's action mode: a stochastic model on the engine's
-#: per-interaction loop.
+#: kernel in pair order.
 AGENT_ACTION = dict(backend="agent", mode="action",
                     setting=RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5))
 
