@@ -6,9 +6,9 @@ them against faithful reimplementations of the *seed* (pre-engine)
 per-interaction loops:
 
 * ``igt`` — the paper's k-IGT dynamics (k = 8, the headline workload).
-  Cases: the frozen seed loop, ``agent-seq`` (the engine's sequential
-  list loop, ``vectorized=False``), ``agent`` (the chunked vectorized
-  kernel, bit-for-bit identical trajectories), ``count``, and ``auto``
+  Cases: the frozen seed loop, ``agent-seq`` (the kernel in pair
+  order, ``vectorized=False``), ``agent`` (the kernel's peeled rounds,
+  bit-for-bit identical trajectories), ``count``, and ``auto``
   (the dispatcher's pick, annotated with what it resolved to).
 * ``igt-observed`` — the E4/E13 mixing shape: the k-IGT count chain with
   an observation snapshot and a stop-predicate check every 2 500

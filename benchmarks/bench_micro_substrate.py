@@ -121,6 +121,26 @@ def test_engine_agent_backend_igt_n1e6(benchmark):
     assert counts.sum() == 1_000_000
 
 
+def test_engine_agent_backend_igt_n200_short_runs(benchmark):
+    """Agent engine on k-IGT at n=200 in E6's first case (alpha 0.4,
+    beta 0.2, gamma 0.4, k=3): a burn-in, then 150 runs of 100
+    interactions, E6's thinned sampling.  Every agent run takes the
+    kernel, here with chunks far larger than the population."""
+    shares = PopulationShares(alpha=0.4, beta=0.2, gamma=0.4)
+    grid = GenerosityGrid(k=3, g_max=0.5)
+
+    def run():
+        sim = IGTSimulation(n=200, shares=shares, grid=grid, seed=6,
+                            backend="agent")
+        sim.run(16_000)
+        for _ in range(150):
+            sim.run(100)
+        return sim.counts
+
+    counts = benchmark(run)
+    assert counts.sum() == 80
+
+
 def test_engine_agent_backend_action_n1e4(benchmark):
     """Agent engine on action-mode k-IGT, 50k interactions at n=1e4: a
     stochastic rule, one model draw per pair on the kernel in pair

@@ -6,11 +6,11 @@ The architecture is: *models* declare what a pairwise interaction does
 uniform-scheduler process:
 
 * :class:`AgentBackend` — per-agent sequential semantics, bit-for-bit
-  reproducible against the seed simulator for deterministic models; table
-  models run on the chunked vectorized kernel by default
-  (:mod:`repro.engine.vectorized`, identical trajectories, ~5-8x the
-  sequential loops; ``vectorized=False`` opts out); stochastic models
-  run on the same kernel in pair order, one model draw per interaction;
+  reproducible against the seed simulator for deterministic models;
+  every run goes through the chunked vectorized kernel
+  (:mod:`repro.engine.vectorized`): table models in peeled rounds by
+  default, stochastic models (and every model under
+  ``vectorized=False``) in pair order, one model draw per interaction;
 * :class:`CountBackend` — exact count-level simulation (the Section 2.2.1
   Markov-on-counts view): ``Θ(√n)``-batched birthday runs at large ``n``,
   and an array-proxy kernel below :data:`~repro.engine.count.PROXY_MAX_N`

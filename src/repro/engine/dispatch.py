@@ -11,8 +11,7 @@ comparing ``n`` with a measured crossover: below it the (vectorized)
 agent backend wins, from it on the count backends' batched kernels do.
 The crossovers are source constants, like the engines' other measured
 path bounds (:data:`~repro.engine.count.PROXY_MAX_N`,
-:data:`~repro.engine.weighted.WEIGHTED_PROXY_MAX_N`,
-:data:`~repro.engine.vectorized.MIN_VECTORIZED_N`), so ``auto`` names
+:data:`~repro.engine.weighted.WEIGHTED_PROXY_MAX_N`), so ``auto`` names
 one engine for given inputs and source on every install — and a result
 cached under ``backend="auto"``, whose key digests the source, names one
 trajectory.  ``benchmarks/bench_engine.py`` re-measures them and prints

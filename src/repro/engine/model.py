@@ -90,8 +90,8 @@ class InteractionModel(ABC):
 
     Subclasses must define :attr:`n_states` and :meth:`apply`.  Models whose
     law is a (mixture of) deterministic table(s) additionally expose
-    :attr:`component_tables`/:meth:`sample_components` so the agent engine
-    can use its table-lookup fast loop.
+    :attr:`component_tables`/:meth:`sample_components` so the kernel
+    (:mod:`repro.engine.vectorized`) can apply them as table lookups.
 
     ``slots_per_step`` is the number of agents an interaction involves: 2
     for ordinary protocols (initiator, responder), 4 for rules that also
@@ -142,8 +142,8 @@ class InteractionModel(ABC):
 
         A list ``[t_0, ..., t_{C-1}]`` of ``(S, S, 2)`` tables such that each
         interaction applies table ``t_c`` with ``c`` drawn by
-        :meth:`sample_components`.  Engines use this for the fast sequential
-        loop; generic stochastic models return ``None``.
+        :meth:`sample_components`.  Engines apply these as table
+        lookups; generic stochastic models return ``None``.
         """
         return None
 

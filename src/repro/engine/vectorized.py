@@ -1,7 +1,7 @@
 """Vectorized interaction-batch kernel with exact sequential semantics.
 
-The sequential backends spend ~200 ns of Python per interaction; this
-module replaces that with NumPy batch work while preserving the *exact*
+A per-interaction Python loop spends ~200 ns per interaction; this
+module replaces it with NumPy batch work while preserving the *exact*
 per-interaction law.  A chunk of ``B`` sampled ordered pairs is resolved
 in three phases:
 
@@ -45,23 +45,24 @@ in three phases:
 
 Because conflicting pairs always execute in their original sampling
 order and non-conflicting pairs commute exactly, the resulting states
-are **bit-for-bit identical** to the sequential loop fed the same pair
-block — not merely equal in distribution.  The property tests in
+are **bit-for-bit identical** to applying the same pair block one pair
+at a time — not merely equal in distribution.  The property tests in
 ``tests/engine/test_vectorized_kernel.py`` pin this down, including the
 degenerate geometries (``n = 2``, ``n = 3``, chunk larger than ``n``).
 
 States live in the model's narrow ``state_dtype``; pair indices are
 computed on chunk-sized ``intp`` copies, never on a widened state array.
 
-Models without component tables draw their own randomness per
-interaction.  An owner that needs pair order (the agent backend's
-default) builds the kernel ``in_order``: each chunk then runs through
-the scalar head alone, one ``apply_scalar`` call per pair, consuming
-the generator exactly as a per-interaction loop would, two-way models
-included.  Otherwise one-way stochastic models are applied
-round-vectorized — each interaction still receives an independent
-model draw, so the trajectory law is untouched even though generator
-consumption differs from the scalar loop.
+An owner that asks for pair order builds the kernel ``in_order``: each
+chunk then runs through the scalar head alone, with no inert filter and
+no peel.  For a table model that is the peeled rounds' trajectory; a
+model without component tables draws its own randomness per
+interaction, one ``apply_scalar`` call per pair, consuming the generator
+exactly as a per-interaction loop would, two-way models included.
+Otherwise one-way stochastic models are applied round-vectorized — each
+interaction still receives an independent model draw, so the trajectory
+law is untouched even though generator consumption differs from pair
+order.
 
 The kernel also serves the count backend: at the start of every run a
 count vector expands to a canonical per-agent state assignment, uniform
@@ -95,14 +96,6 @@ TAIL_THRESHOLD = 48
 MIN_CHUNK = 1024
 MAX_CHUNK = 32768
 
-#: Below this population size the sequential loops win (chunks of ~n/2
-#: pairs carry too many conflicts to amortize the NumPy call overhead).
-MIN_VECTORIZED_N = 1000
-
-#: Observation / stop-check cadences below this bound the chunk size so
-#: hard that the sequential loop is faster; the auto path falls back.
-MIN_VECTORIZED_CADENCE = 256
-
 #: A round whose ``int32`` peel stamps would pass this restarts them.
 STAMP_MAX = np.iinfo(np.int32).max
 
@@ -128,24 +121,22 @@ class ConflictFreeKernel:
         fully in-kernel; stochastic models are applied through
         ``model.apply_scalar`` per pair when ``in_order``, else, if
         one-way, through vectorized ``model.apply`` calls per round.
+        A model with more than one component table must draw component
+        indices (:meth:`~repro.engine.model.InteractionModel.sample_components`);
+        :func:`run_kernel` refuses it otherwise.
     states, counts:
         The live per-agent state array (in the model's ``state_dtype``)
         and count vector, adopted (never reallocated); every round
         :meth:`apply_chunk` executes updates both.
     in_order:
-        Apply each chunk of a stochastic model in pair order through the
-        scalar head: the same model draws, in the same order, as a
-        per-interaction loop, so agent-level bit parity holds.  Table
-        rounds are exact in any order, so table models ignore it.
+        Apply each whole chunk in pair order through the scalar head,
+        with no inert filter and no peel.  A table model keeps the
+        trajectory of the peeled rounds; a stochastic model makes the
+        same model draws, in the same order, as a per-interaction loop,
+        so agent-level bit parity holds.
 
     Each conflict analysis takes :attr:`chunk` pairs, set by
     :func:`auto_chunk` (halved for 4-slot models).
-
-    A table model's lookups are stacked flat in the states' dtype:
-    :attr:`flat_u` (and :attr:`flat_v`, ``None`` for one-way tables)
-    holds component ``c`` of pair ``(u, v)`` at ``(c*S + u)*S + v``;
-    :attr:`flat_u_list`/:attr:`flat_v_list` are their Python-list
-    copies for scalar loops.
 
     :attr:`read_free` is derived from the component tables: it holds
     for one-way tables whose every write keeps the written agent's
@@ -169,7 +160,9 @@ class ConflictFreeKernel:
         self.n = states.size
         tables = model.component_tables
         self._stochastic = tables is None
-        self.in_order = in_order and self._stochastic
+        # Component tables; run_kernel refuses several without draws.
+        self._components = 0 if tables is None else len(tables)
+        self.in_order = in_order
         one_way = bool(model.one_way)
         if self._stochastic and not (one_way or self.in_order):
             raise InvalidParameterError(
@@ -189,15 +182,17 @@ class ConflictFreeKernel:
                 (classes[t[:, :, 0]] == classes[:, None]).all()
                 for t in tables)
         if tables is not None:
-            # (C*S*S,) stacked flat lookups in the states' dtype;
-            # component c of pair (u, v) lives at c*S*S + u*S + v.
-            self.flat_u = np.concatenate(
+            # (C*S*S,) stacked flat lookups in the states' dtype, and
+            # their Python-list copies for the scalar head; component c
+            # of pair (u, v) lives at c*S*S + u*S + v.  No responder
+            # lookup for one-way tables.
+            self._flat_u = np.concatenate(
                 [t[:, :, 0].ravel() for t in tables]).astype(states.dtype)
-            self.flat_v = (None if one_way else np.concatenate(
+            self._flat_v = (None if one_way else np.concatenate(
                 [t[:, :, 1].ravel() for t in tables]).astype(states.dtype))
-            self.flat_u_list = self.flat_u.tolist()
-            self.flat_v_list = (None if one_way
-                                else self.flat_v.tolist())
+            self._flat_u_list = self._flat_u.tolist()
+            self._flat_v_list = (None if one_way
+                                 else self._flat_v.tolist())
         self.inert_index_bound = None
         # Non-inert states, looked up per chunk unless a bound is set.
         inert = model.inert_states
@@ -318,8 +313,8 @@ class ConflictFreeKernel:
         counts = self.counts
         stochastic = self._stochastic
         apply = self.model.apply_scalar
-        fu = None if stochastic else self.flat_u_list
-        fv = None if stochastic else self.flat_v_list
+        fu = None if stochastic else self._flat_u_list
+        fv = None if stochastic else self._flat_v_list
         cl = None if comps is None else comps.tolist()
         obs = None if oi is None else list(zip(oi.tolist(), oj.tolist()))
         state = states.item  # Python ints: narrow scalars would wrap
@@ -365,11 +360,11 @@ class ConflictFreeKernel:
             return
         if comps is not None:
             flat += comps * (s * s)
-        nu = self.flat_u[flat]
+        nu = self._flat_u[flat]
         states[ii] = nu
         self._move(u, nu)
         if not self.one_way:
-            nv = self.flat_v[flat]
+            nv = self._flat_v[flat]
             states[jj] = nv
             self._move(v, nv)
 
@@ -419,12 +414,14 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
                states=None):
     """Drive a kernel through up to ``max_steps`` interactions.
 
-    The shared engine loop of the kernel paths: pair randomness is
-    drawn in :data:`~repro.engine.base.BLOCK_SIZE` blocks (identical
-    consumption to the sequential loops), chunks are capped at
-    observation / stop-cadence boundaries so counts are exact whenever
-    the Python layer looks at them, and early stops discard the
-    remainder of the drawn block just like the sequential loops do.
+    The one engine loop of the kernel paths: pair randomness is drawn
+    in :data:`~repro.engine.base.BLOCK_SIZE` blocks (the seed
+    simulator's consumption), chunks are capped at observation /
+    stop-cadence boundaries so counts are exact whenever the Python
+    layer looks at them, and an early stop discards the remainder of
+    the drawn block.  A model with several component tables whose
+    ``sample_components`` returns ``None`` is refused before its first
+    pair is applied.
     Returns ``(executed, converged)``.
 
     ``steps_done`` is the engine's cumulative pre-call step count (used
@@ -449,6 +446,11 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, sample_components,
             obs_i = others_block(initiators)
             obs_j = others_block(responders)
         comps = sample_components(rng, batch)
+        if comps is None and kernel._components > 1:
+            raise InvalidParameterError(
+                "model exposes multiple component tables but "
+                "sample_components returned None; override it to draw "
+                "per-interaction component indices")
         off = 0
         while off < batch:
             limit = batch - off

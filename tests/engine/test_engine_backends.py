@@ -65,7 +65,7 @@ class TestAgentBackend:
 
     def test_stop_predicate_may_read_backend_counts(self, epidemic, rng):
         # Predicates that consult backend state instead of their argument
-        # must still see live counts on the list fast path.
+        # must still see live counts.
         states = np.zeros(20, dtype=np.int64)
         states[0] = 2
         backend = AgentBackend(epidemic, states, seed=rng)
@@ -73,21 +73,6 @@ class TestAgentBackend:
                              stop_when=lambda _: backend.counts[2] == 20,
                              check_stop_every=10)
         assert result.converged
-
-    def test_numpy_path_matches_list_path(self, epidemic, monkeypatch):
-        # n >> steps takes the NumPy branch; forcing the list branch via
-        # the threshold must produce bit-identical outcomes.
-        import repro.engine.agent as agent_module
-
-        states = (np.arange(4000) % 3).astype(np.int64)
-        numpy_path = AgentBackend(epidemic, states, seed=5)
-        numpy_path.run(50)
-        monkeypatch.setattr(agent_module, "_LIST_PATH_MAX_N_PER_STEP",
-                            10**9)
-        list_path = AgentBackend(epidemic, states, seed=5)
-        list_path.run(50)
-        assert np.array_equal(numpy_path.states, list_path.states)
-        assert np.array_equal(numpy_path.counts, list_path.counts)
 
     def test_generic_path_runs_stochastic_model(self, rng):
         model = matrix_game_model(np.array([[0.0, 2.0], [1.0, 0.0]]),

@@ -1,9 +1,10 @@
 """Unit tests for the chunked vectorized kernel and its backend paths.
 
-The load-bearing guarantee is *bit-for-bit* equality with the sequential
-loops: same seed, same pair blocks, identical trajectories — including
-the degenerate geometries (``n = 2``, ``n = 3``, chunks larger than the
-population) where every chunk is one long conflict chain.
+The load-bearing guarantee is *bit-for-bit* equality of the peeled
+rounds with pair order: same seed, same pair blocks, identical
+trajectories — including the degenerate geometries (``n = 2``,
+``n = 3``, chunks larger than the population) where every chunk is one
+long conflict chain.
 """
 
 import tracemalloc
@@ -15,14 +16,15 @@ from repro.engine import (
     AgentBackend,
     ConflictFreeKernel,
     CountBackend,
+    MixtureTableModel,
     PairMixtureTableModel,
+    WeightedCountBackend,
     igt_model,
     matrix_game_model,
 )
 from repro.engine.model import TableModel
 from repro.engine.vectorized import (
     MIN_CHUNK,
-    MIN_VECTORIZED_N,
     STAMP_MAX,
     auto_chunk,
 )
@@ -126,26 +128,19 @@ class TestBitParity:
 
 
 class TestPathSelection:
-    def test_auto_declines_small_population(self, epidemic):
-        backend = AgentBackend(epidemic,
-                               np.zeros(MIN_VECTORIZED_N - 1,
-                                        dtype=np.int64), seed=0)
-        assert not backend._use_vectorized(None, None, 1)
-
-    def test_auto_declines_tiny_cadence(self, epidemic):
-        backend = AgentBackend(epidemic,
-                               np.zeros(5000, dtype=np.int64), seed=0)
-        assert backend._use_vectorized(None, None, 1)
-        assert not backend._use_vectorized(lambda c: False, None, 10)
-        assert backend._use_vectorized(lambda c: False, None, 5000)
-        assert not backend._use_vectorized(None, 10, 1)
-
-    def test_explicit_flags_win(self, epidemic):
+    def test_table_kernel_is_in_order_only_when_not_vectorized(
+            self, epidemic):
+        # Every run takes the kernel, at any n and cadence; only
+        # vectorized=False asks a table model for pair order, which
+        # never peels and so holds no stamp map.
         states = np.zeros(50, dtype=np.int64)
-        forced = AgentBackend(epidemic, states, seed=0, vectorized=True)
-        assert forced._use_vectorized(lambda c: False, 1, 1)
-        pinned = AgentBackend(epidemic, states, seed=0, vectorized=False)
-        assert not pinned._use_vectorized(None, None, 1)
+        for vectorized in (None, True, False):
+            backend = AgentBackend(epidemic, states, seed=0,
+                                   vectorized=vectorized)
+            backend.run(100, observe_every=1)
+            assert backend._kernel.in_order is (vectorized is False)
+        assert stamp_maps(epidemic, in_order=True) == 0
+        assert stamp_maps(epidemic) == 2
 
     def test_generic_models_ignore_the_knob(self):
         model = matrix_game_model(np.array([[0.0, 2.0], [1.0, 0.0]]),
@@ -266,13 +261,27 @@ class TestKernelValidation:
         model = matrix_game_model(PAYOFFS, "logit", eta=1.5)
         assert stamp_maps(model, in_order) == maps
 
-    def test_table_models_ignore_pair_order(self):
-        # Table rounds are exact in any order.
-        states = np.zeros(10, dtype=np.uint8)
-        kernel = ConflictFreeKernel(igt_model(6), states,
-                                    np.bincount(states, minlength=8),
-                                    in_order=True)
-        assert not kernel.in_order
+    def test_table_models_honour_pair_order(self):
+        # An in-order table kernel runs each whole chunk through the
+        # scalar head, never the peel, and lands where the rounds do.
+        model = igt_model(6)
+        start = np.random.default_rng(2).integers(0, 8, 10).astype(np.uint8)
+        pairs = np.random.default_rng(3).integers(0, 10, (2, 400))
+        pairs = pairs[:, pairs[0] != pairs[1]]
+        ends = []
+        for in_order in (True, False):
+            states = start.copy()
+            kernel = ConflictFreeKernel(model, states,
+                                        np.bincount(states, minlength=8),
+                                        in_order=in_order)
+            assert kernel.in_order is in_order
+            if in_order:
+                kernel._peel = None  # a peel would fail
+            kernel.apply_chunk(pairs[0], pairs[1])
+            np.testing.assert_array_equal(
+                kernel.counts, np.bincount(states, minlength=8))
+            ends.append(states)
+        np.testing.assert_array_equal(*ends)
 
     def test_auto_chunk_bounds(self):
         assert auto_chunk(2) == 1024
@@ -366,6 +375,53 @@ class TestCountProxyPath:
             assert result.counts.sum() == 1000
 
 
+class NoDraws(MixtureTableModel):
+    """Two component tables, but no per-interaction component draws."""
+
+    def sample_components(self, rng, size: int):
+        return None
+
+
+def no_draws_model() -> NoDraws:
+    return NoDraws(igt_model(6, observation_noise=0.2).component_tables,
+                   [0.8, 0.2])
+
+
+class TestMissingComponentDraws:
+    """A model with several component tables must draw which one each
+    interaction applies; one that returns no draws is refused before
+    its first pair is applied, on the agent and on both count proxies,
+    instead of applying table 0 to every pair."""
+
+    @pytest.mark.parametrize("n", [200, 5000])
+    def test_agent_refuses(self, n):
+        model = no_draws_model()
+        start = igt_states(n)
+        engine = AgentBackend(model, start, seed=1)
+        with pytest.raises(InvalidParameterError, match="sample_components"):
+            engine.run(1000)
+        np.testing.assert_array_equal(engine.states, start)
+        np.testing.assert_array_equal(engine.counts,
+                                      np.bincount(start, minlength=8))
+
+    def test_count_proxy_refuses(self):
+        counts = np.bincount(igt_states(5000), minlength=8)
+        engine = CountBackend(no_draws_model(), counts, seed=1,
+                              vectorized=True)
+        with pytest.raises(InvalidParameterError, match="sample_components"):
+            engine.run(1000)
+        np.testing.assert_array_equal(engine.counts, counts)
+
+    def test_weighted_proxy_refuses(self):
+        counts = np.bincount(igt_states(5000), minlength=8)
+        initial = np.stack([counts // 2, counts - counts // 2])
+        engine = WeightedCountBackend(no_draws_model(), initial, [1.0, 4.0],
+                                      seed=1, vectorized=True)
+        with pytest.raises(InvalidParameterError, match="sample_components"):
+            engine.run(1000)
+        np.testing.assert_array_equal(engine.class_state_counts, initial)
+
+
 class GenericTable(TableModel):
     """A table model without tables: the kernel's pair-order path."""
 
@@ -402,10 +458,10 @@ TABLE_MODELS = {
 
 
 class TestKernelMatchesLoops:
-    """Over plain, observed and stop-checked runs, the kernel's rounds
-    keep the trajectory of the table loop and of the pair-order path,
-    bit for bit, at populations where the auto choice would decline
-    them."""
+    """Over plain, observed and stop-checked runs, the kernel's peeled
+    rounds keep the trajectory of its pair-order head, for table models
+    (``vectorized=False``) and for a table disguised as a stochastic
+    model, bit for bit, down to populations far below a chunk."""
 
     def run_plan(self, backend):
         backend.run(3000, observe_every=700)
@@ -438,6 +494,25 @@ class TestKernelMatchesLoops:
         self.run_plan(loop)
         np.testing.assert_array_equal(kernel.states, loop.states)
         np.testing.assert_array_equal(kernel.counts, loop.counts)
+
+
+    def test_one_component_mixture_on_every_path(self):
+        # A one-table mixture still draws a component per interaction,
+        # on every path alike, so the flag parts neither the trajectory
+        # nor the generator.
+        model = MixtureTableModel([igt_model(6).table], [1.0])
+        start = np.random.default_rng(1).integers(0, 8, 300)
+        engines = [AgentBackend(model, start, seed=4, vectorized=flag)
+                   for flag in (None, True, False)]
+        for _ in range(2):
+            for engine in engines:
+                engine.run(3000)
+            first = engines[0]
+            for engine in engines[1:]:
+                np.testing.assert_array_equal(engine.states, first.states)
+                np.testing.assert_array_equal(engine.counts, first.counts)
+                assert (engine.scheduler.rng.bit_generator.state
+                        == first.scheduler.rng.bit_generator.state)
 
 
 def stamp_maps(model, in_order=False) -> int:

@@ -202,9 +202,31 @@ def reference_generic_run(model, states, counts, scheduler, max_steps,
     return observations, max_steps, False
 
 
+def igt_engine(n, shares, grid, seed, strict, vectorized):
+    """The k-IGT population on the agent engine, started as
+    ``IGTSimulation`` starts it: the GTFT indices are the generator's
+    first draws, and the engine's pairs come after them."""
+    k = grid.k
+    rng = np.random.default_rng(seed)
+    n_ac, n_ad, n_gtft = shares.agent_counts(n)
+    states = np.concatenate([np.full(n_ac, k), np.full(n_ad, k + 1),
+                             rng.integers(0, k, size=n_gtft)])
+    model = igt_model(k, mode="strict" if strict else "strategy")
+    return build_engine(model, make_law(n, seed=rng), "agent",
+                        states=states, vectorized=vectorized)
+
+
+@pytest.mark.parametrize("vectorized", [None, True, False])
 class TestAgentBackendBitCompat:
+    """The agent engine is the seed simulator bit for bit under every
+    ``vectorized`` value: peeled rounds (``None``, ``True``) and the
+    kernel's pair-order head (``False``) against the frozen pre-engine
+    loops, which share no code with the kernel — states, counts,
+    observation snapshots, everything, at populations far below a
+    chunk."""
+
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    def test_simulator_trajectories_identical(self, seed):
+    def test_simulator_trajectories_identical(self, vectorized, seed):
         table = max_table(4, responder_too=False)
         states = np.zeros(300, dtype=np.int64)
         states[:5] = 3
@@ -212,71 +234,45 @@ class TestAgentBackendBitCompat:
         ref_states, ref_counts, ref_obs = reference_simulator_run(
             table, states, seed, 30_000, observe_every=7001)
         final, result = agent_run(table, states, seed, 30_000,
-                           observe_every=7001)
+                                  vectorized=vectorized, observe_every=7001)
         assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
         assert len(result.observations) == len(ref_obs)
         for (s1, c1), (s2, c2) in zip(result.observations, ref_obs):
             assert s1 == s2 and np.array_equal(c1, c2)
 
-    def test_two_way_protocol_identical(self):
+    def test_two_way_protocol_identical(self, vectorized):
         table = max_table(3, responder_too=True)
         states = (np.arange(100) % 3).astype(np.int64)
         ref_states, ref_counts, _ = reference_simulator_run(
             table, states, 13, 5000)
-        final, result = agent_run(table, states, 13, 5000)
+        final, result = agent_run(table, states, 13, 5000,
+                                  vectorized=vectorized)
         assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("seed", [1, 42])
-    def test_igt_trajectories_identical(self, seed, strict):
+    def test_igt_trajectories_identical(self, vectorized, seed, strict):
         shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
         grid = GenerosityGrid(k=5, g_max=0.6)
         ref_gtft, ref_counts, ref_recorded = reference_igt_run(
             150, shares, grid, seed, 20_000, observe_every=4999,
             strict=strict)
-        sim = IGTSimulation(n=150, shares=shares, grid=grid, seed=seed,
-                            mode="strict" if strict else "strategy")
-        recorded = sim.run(20_000, observe_every=4999)
-        assert np.array_equal(sim.gtft_indices(), ref_gtft)
-        assert np.array_equal(sim.counts, ref_counts)
-        assert np.array_equal(recorded, np.stack(ref_recorded))
-
-
-class TestVectorizedAgentBitCompat:
-    """The chunked kernel is the seed simulator bit for bit, forced on.
-
-    The auto heuristics would decline these small populations; forcing
-    ``vectorized=True`` pins the kernel's conflict resolution itself
-    against the frozen pre-engine loops — states, counts, observation
-    snapshots, everything.
-    """
-
-    @pytest.mark.parametrize("seed", [0, 7, 2024])
-    def test_simulator_trajectories_identical(self, seed):
-        table = max_table(4, responder_too=False)
-        states = np.zeros(300, dtype=np.int64)
-        states[:5] = 3
-        states[5:40] = 1
-        ref_states, ref_counts, ref_obs = reference_simulator_run(
-            table, states, seed, 30_000, observe_every=7001)
-        final, result = agent_run(table, states, seed, 30_000, vectorized=True,
-                           observe_every=7001)
-        assert np.array_equal(final, ref_states)
-        assert np.array_equal(result.counts, ref_counts)
-        assert len(result.observations) == len(ref_obs)
-        for (s1, c1), (s2, c2) in zip(result.observations, ref_obs):
-            assert s1 == s2 and np.array_equal(c1, c2)
-
-    def test_two_way_protocol_identical(self):
-        table = max_table(3, responder_too=True)
-        states = (np.arange(100) % 3).astype(np.int64)
-        ref_states, ref_counts, _ = reference_simulator_run(
-            table, states, 13, 5000)
-        final, result = agent_run(table, states, 13, 5000, vectorized=True)
-        assert np.array_equal(final, ref_states)
-        assert np.array_equal(result.counts, ref_counts)
+        engine = igt_engine(150, shares, grid, seed, strict, vectorized)
+        result = engine.run(20_000, observe_every=4999)
+        assert np.array_equal(engine.states[-len(ref_gtft):], ref_gtft)
+        assert np.array_equal(result.counts[:grid.k], ref_counts)
+        assert np.array_equal(
+            np.stack([c[:grid.k] for _, c in result.observations]),
+            np.stack(ref_recorded))
+        if vectorized is None:
+            # The facade builds that engine, at the default.
+            sim = IGTSimulation(n=150, shares=shares, grid=grid, seed=seed,
+                                mode="strict" if strict else "strategy")
+            recorded = sim.run(20_000, observe_every=4999)
+            assert np.array_equal(sim.gtft_indices(), ref_gtft)
+            assert np.array_equal(recorded, np.stack(ref_recorded))
 
 
 def moving_pair_mixture(s: int = 4) -> PairMixtureTableModel:
