@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate primitives.
 
 Classic repeated-timing benchmarks of the hot paths a user's own
-experiments will lean on: the Ehrenfest count simulator, the agent-level
+experiments will lean on: the Ehrenfest state sampler, the agent-level
 IGT engine run, the exact stationary solver, payoff-table construction,
 and the repeated-game Monte Carlo engine.  Run by path, since pytest's
 default discovery skips ``bench_*.py``::
@@ -29,17 +29,6 @@ from repro.markov.ehrenfest import EhrenfestProcess
 
 SHARES = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
 SETTING = RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5)
-
-
-def test_ehrenfest_count_simulation_100k_steps(benchmark):
-    process = EhrenfestProcess(k=8, a=0.4, b=0.1, m=500)
-    start = (500,) + (0,) * 7
-
-    def run():
-        return process.simulate_counts(start, 100_000, seed=1)
-
-    final = benchmark(run)
-    assert final.sum() == 500
 
 
 def test_ehrenfest_vectorized_state_sampler(benchmark):

@@ -334,7 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
               "'repro serve --token'"))
 
     sim_parser = subparsers.add_parser(
-        "simulate", help="run one k-IGT simulation and report vs theory")
+        "simulate", help="run one k-IGT simulation and report vs theory",
+        description=("Run one k-IGT simulation and report it against the "
+                     "stationary theory.  The run is cut into segments of "
+                     "8 x max(--observe-every, steps/64) interactions "
+                     "(about 8 per run), with or without --snapshots, so "
+                     "a seed gives one trajectory either way."))
     sim_parser.add_argument("--n", type=int, default=400,
                             help="population size (default 400)")
     sim_parser.add_argument("--k", type=int, default=6,
@@ -384,42 +389,38 @@ def _build_parser() -> argparse.ArgumentParser:
               "see repro.engine.observe"))
     sim_parser.add_argument(
         "--snapshots", default=None, metavar="DIR",
-        help=("run resumably: checkpoint engine snapshots under DIR, "
-              "and on restart pick the run up mid-trajectory — the "
-              "trajectory (and any --observe jsonl stream) is "
-              "byte-identical to an uninterrupted run's; the run is cut "
-              "into segments of 8 x max(--observe-every, steps/64) "
-              "interactions (about 8 per run) with a checkpoint after "
-              "each; a rerun must repeat every argument but the paths, "
-              "or remove DIR"))
+        help=("run resumably: checkpoint engine snapshots under DIR "
+              "after each segment, and on restart pick the run up "
+              "mid-trajectory — the trajectory (and any --observe jsonl "
+              "stream) is byte-identical to an uninterrupted run's; a "
+              "rerun must repeat every argument but the paths, or "
+              "remove DIR"))
     return parser
 
 
 def _simulate_sink(args, grid, graph):
     """The observer sink of a ``repro simulate`` run, or ``None``.
 
-    ``degree-profile`` is wired here rather than in
+    ``degree-profile`` is built here rather than in
     :func:`repro.engine.observe.sink_from_spec` because only the caller
     knows the class labels (vertex degrees) and per-state values (GTFT
     generosity levels; AC/AD excluded as ``NaN``).
     """
     if args.observe is None:
         return None
-    from repro.engine import sink_from_spec
+    from repro.engine import DegreeProfileReducer, sink_from_spec
 
-    profile_classes = profile_values = None
-    if args.observe == "degree-profile":
-        import numpy as np
+    if args.observe != "degree-profile":
+        return sink_from_spec(args.observe)
+    import numpy as np
 
-        if graph is None:
-            raise InvalidParameterError(
-                "--observe degree-profile needs a non-complete "
-                "--topology: it averages GTFT generosity by vertex "
-                "degree")
-        profile_classes = graph.degrees
-        profile_values = np.concatenate([grid.values, [np.nan, np.nan]])
-    return sink_from_spec(args.observe, profile_classes=profile_classes,
-                          profile_values=profile_values)
+    if graph is None:
+        raise InvalidParameterError(
+            "--observe degree-profile needs a non-complete "
+            "--topology: it averages GTFT generosity by vertex "
+            "degree")
+    return DegreeProfileReducer(
+        graph.degrees, np.concatenate([grid.values, [np.nan, np.nan]]))
 
 
 def _report_simulate_sink(args, sink) -> None:
@@ -490,7 +491,11 @@ def _run_simulate(args) -> int:
     from repro.core.igt import GenerosityGrid
     from repro.core.population_igt import IGTSimulation, PopulationShares
     from repro.core.theory import igt_mixing_upper_bound
-    from repro.engine import topology_from_spec, weights_from_spec
+    from repro.engine import (
+        run_resumable,
+        topology_from_spec,
+        weights_from_spec,
+    )
 
     import numpy as np
 
@@ -523,19 +528,16 @@ def _run_simulate(args) -> int:
           f"{args.beta}, {gamma:.3g}), k={args.k}, g_max={args.g_max}, "
           f"noise={args.noise}, steps={steps}, backend={args.backend}, "
           f"weights={args.weights}, topology={args.topology}")
-    if args.snapshots is not None:
-        from repro.engine import run_resumable
-
-        channel = _SimulateChannel(args.snapshots, args, steps)
-        # About 8 segments per run (SEGMENT_CHECKS checks of steps/64
-        # each), never fewer than 8 observations per segment.
-        check = max(args.observe_every or 1, steps // 64)
-        run_resumable(sim, steps, None, check_stop_every=check,
-                      channel=channel, observe_every=args.observe_every,
-                      observe=sink)
+    # One execution law with or without --snapshots: about 8 segments
+    # per run (SEGMENT_CHECKS checks of steps/64 each), never fewer than
+    # 8 observations per segment; the channel only adds the checkpoints.
+    channel = (None if args.snapshots is None
+               else _SimulateChannel(args.snapshots, args, steps))
+    check = max(args.observe_every or 1, steps // 64)
+    run_resumable(sim, steps, None, check_stop_every=check, channel=channel,
+                  observe_every=args.observe_every, observe=sink)
+    if channel is not None:
         channel.clear()
-    else:
-        sim.run(steps, observe_every=args.observe_every, observe=sink)
     _report_simulate_sink(args, sink)
     # Heterogeneous GTFT activity weights mix per-agent walk biases, and
     # an interaction graph gives each GTFT agent its own AD-neighbor
@@ -586,10 +588,8 @@ def _render_result(result) -> None:
 def _run_plan_and_render(ids, args) -> int:
     """Execute experiments through the orchestrator and render each report.
 
-    With ``--jobs 1`` each experiment is executed (and its report printed)
-    as soon as it finishes — long serial runs stream progress exactly like
-    the pre-orchestrator CLI.  With parallel jobs the plan executes as one
-    batch and the reports print afterwards, in task order.
+    One plan for every ``--jobs`` value: each report prints, in task
+    order, as soon as it and every earlier task are done.
     """
     from repro.runner import execute, experiments_plan
 
@@ -603,23 +603,10 @@ def _run_plan_and_render(ids, args) -> int:
     for experiment_id in ids:
         overrides = _overrides_of(args, experiment_id)
         get_spec(experiment_id).resolve(profile, overrides)
-    if args.jobs == 1:
-        all_pass = True
-        for experiment_id in ids:
-            plan = experiments_plan([experiment_id], profile=profile,
-                                    params=overrides, seed=args.seed,
-                                    backend=args.backend,
-                                    cache_dir=args.cache)
-            result = execute(plan).results[0]
-            _render_result(result)
-            all_pass = all_pass and result.report.all_checks_pass
-        return 0 if all_pass else 1
     plan = experiments_plan(ids, profile=profile, params=overrides,
                             seed=args.seed, backend=args.backend,
                             jobs=args.jobs, cache_dir=args.cache)
-    report = execute(plan)
-    for result in report.results:
-        _render_result(result)
+    report = execute(plan, record_stream=_render_result)
     return 0 if report.all_checks_pass else 1
 
 

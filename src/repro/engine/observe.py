@@ -35,7 +35,6 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from repro.utils import check_positive_int
 from repro.utils.errors import InvalidParameterError
 
 __all__ = [
@@ -168,9 +167,13 @@ def decode_record(line) -> tuple[int, np.ndarray]:
             np.asarray(payload["counts"], dtype=np.int64))
 
 
+#: Records a :class:`JsonlSink` buffers before one write + fsync.
+_JSONL_BATCH = 256
+
+
 class JsonlSink(ObserverSink):
     """Append-only JSONL stream: one ``{"step":…,"counts":[…]}`` line
-    per checkpoint, written in fsync'd batches.
+    per checkpoint, written in fsync'd batches of :data:`_JSONL_BATCH`.
 
     Memory is bounded by the batch size regardless of trajectory
     length.  A fresh sink truncates any leftover file on first write;
@@ -179,9 +182,8 @@ class JsonlSink(ObserverSink):
     continues — the crash-equals-uninterrupted law for streams.
     """
 
-    def __init__(self, path, batch: int = 256) -> None:
+    def __init__(self, path) -> None:
         self.path = os.fspath(path)
-        self.batch = check_positive_int("batch", batch)
         self._buffer: list[bytes] = []
         self._records = 0
         self._bytes = 0
@@ -199,7 +201,7 @@ class JsonlSink(ObserverSink):
 
     def emit(self, step, counts, states=None) -> None:
         self._buffer.append(encode_record(step, counts))
-        if len(self._buffer) >= self.batch:
+        if len(self._buffer) >= _JSONL_BATCH:
             self._write()
 
     def _write(self) -> None:
@@ -408,13 +410,12 @@ SINK_SPECS = ("memory", "jsonl:PATH", "mean", "extinction",
               "degree-profile")
 
 
-def sink_from_spec(spec: str, *, profile_classes=None,
-                   profile_values=None) -> ObserverSink:
+def sink_from_spec(spec: str) -> ObserverSink:
     """Build a sink from a user-facing spec string.
 
-    ``degree-profile`` needs context only the caller has — per-agent
-    class labels and per-state values — supplied by the facade/CLI
-    when a topology is in play.
+    ``degree-profile`` is refused: it needs per-agent class labels and
+    per-state values that only the caller has, so ``repro simulate``
+    builds its :class:`DegreeProfileReducer` itself.
     """
     if spec == "memory":
         return MemorySink()
@@ -430,13 +431,11 @@ def sink_from_spec(spec: str, *, profile_classes=None,
     if spec == "extinction":
         return ExtinctionTimeReducer()
     if spec == "degree-profile":
-        if profile_classes is None or profile_values is None:
-            raise InvalidParameterError(
-                "observe spec 'degree-profile' needs per-agent classes "
-                "and per-state values — it is only available where a "
-                "topology provides them (e.g. repro simulate --topology "
-                "... --observe degree-profile)")
-        return DegreeProfileReducer(profile_classes, profile_values)
+        raise InvalidParameterError(
+            "observe spec 'degree-profile' needs per-agent classes "
+            "and per-state values — it is only available where a "
+            "topology provides them (e.g. repro simulate --topology "
+            "... --observe degree-profile)")
     raise InvalidParameterError(
         f"unknown observe spec {spec!r}; expected one of "
         f"{', '.join(SINK_SPECS)}")

@@ -16,8 +16,6 @@ from repro.experiments.base import (
     ExperimentReport,
     ExperimentSpec,
     all_experiments,
-    experiment_params,
-    get_experiment,
     get_spec,
     run_experiment,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentSpec",
     "all_experiments",
-    "experiment_params",
-    "get_experiment",
     "get_spec",
     "run_experiment",
 ]

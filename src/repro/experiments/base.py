@@ -102,30 +102,6 @@ class ExperimentReport:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """Render the report as a GitHub-flavored markdown section."""
-        def cell(value) -> str:
-            if isinstance(value, bool):
-                return "yes" if value else "no"
-            if value is None:
-                return "-"
-            return str(value).replace("|", "\\|")
-
-        lines = [f"## {self.experiment_id} — {self.title}", "",
-                 f"**Claim.** {self.claim}", ""]
-        lines.append("| " + " | ".join(self.headers) + " |")
-        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(cell(v) for v in row) + " |")
-        if self.checks:
-            lines.append("")
-            for name, passed in self.checks.items():
-                mark = "x" if passed else " "
-                lines.append(f"- [{mark}] {name}")
-        for note in self.notes:
-            lines.append(f"- *note:* {note}")
-        return "\n".join(lines)
-
     def to_dict(self) -> dict:
         """The report as plain JSON types (the cache / worker wire form).
 
@@ -185,7 +161,7 @@ _REGISTRY: dict[str, ExperimentSpec] = {}
 def normalize_experiment_id(experiment_id: str) -> str:
     """The canonical (uppercased, stripped) form of an experiment id.
 
-    ``register`` and ``get_experiment`` share this normalization, so an
+    ``register`` and ``get_spec`` share this normalization, so an
     experiment registered as ``"e17x"`` is stored — and looked up — as
     ``"E17X"`` rather than silently shadowing its uppercase twin.
     """
@@ -235,29 +211,8 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
     return _REGISTRY[key]
 
 
-def get_experiment(experiment_id: str):
-    """The runner registered under ``experiment_id``."""
-    return get_spec(experiment_id).runner
-
-
-def experiment_params(experiment_id: str) -> ParamSpace:
-    """The declared :class:`ParamSpace` of one experiment."""
-    return get_spec(experiment_id).params
-
-
-def _call_runner(spec: ExperimentSpec, resolved: ResolvedParams,
-                 seed, backend: str | None) -> ExperimentReport:
-    """Invoke a runner with ``params=`` and ``seed=``, plus ``backend=``
-    when one is given and the runner accepts it."""
-    kwargs = {"params": resolved, "seed": seed}
-    if backend is not None and \
-            "backend" in inspect.signature(spec.runner).parameters:
-        kwargs["backend"] = backend
-    return spec.runner(**kwargs)
-
-
 def run_experiment(experiment_id: str, seed=12345,
-                   backend: str | None = None, cache=None,
+                   backend: str | None = None,
                    params: dict | None = None,
                    profile: str = "fast") -> ExperimentReport:
     """Run one experiment and return its report.
@@ -273,13 +228,6 @@ def run_experiment(experiment_id: str, seed=12345,
         or ``"auto"`` for measured-crossover dispatch) for experiments
         that simulate populations; runners that do not accept a
         ``backend`` parameter (exact-computation experiments) ignore it.
-    cache:
-        Optional :class:`repro.runner.ResultCache` (or a cache directory
-        path): the report is served from / stored into it under the key
-        ``(experiment, params, seed, backend, code-version)``.  Requires
-        an int/str seed — generator objects have no stable cache identity.
-        Cached and fresh reports are identical records (both round-trip
-        through the JSON wire form).
     params:
         Optional ``name -> value`` overrides, validated and coerced
         against the experiment's declared :class:`ParamSpace` — unknown
@@ -290,20 +238,9 @@ def run_experiment(experiment_id: str, seed=12345,
         ``"full"``, or any profile the experiment declares).
     """
     spec = get_spec(experiment_id)
-    resolved = spec.resolve(profile, params)
+    kwargs = {"params": spec.resolve(profile, params), "seed": seed}
     if backend is not None:
         check_backend(backend, allow_auto=True)
-    if cache is None:
-        return _call_runner(spec, resolved, seed, backend)
-
-    # Cached runs delegate to the plan executor — the one implementation
-    # of the lookup/run/store flow — so entries written here are served to
-    # `execute()` plans and vice versa by construction.
-    from repro.runner.cache import ResultCache
-    from repro.runner.executor import execute
-    from repro.runner.plan import RunPlan, RunTask
-    cache_dir = str(cache.root) if isinstance(cache, ResultCache) else str(cache)
-    task = RunTask(experiment_id=spec.experiment_id, profile=profile,
-                   params=params, seed=seed, backend=backend)
-    plan = RunPlan(tasks=(task,), cache_dir=cache_dir)
-    return execute(plan).results[0].report
+        if "backend" in inspect.signature(spec.runner).parameters:
+            kwargs["backend"] = backend
+    return spec.runner(**kwargs)

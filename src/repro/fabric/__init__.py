@@ -30,8 +30,6 @@ See ``docs/ARCHITECTURE.md`` for the wire-protocol sketch and
 
 from repro.fabric.client import (
     RemotePool,
-    fabric_status,
-    remote_execute,
     shutdown_coordinator,
 )
 from repro.fabric.coordinator import Coordinator, FabricServer
@@ -50,8 +48,6 @@ __all__ = [
     "FabricServer",
     "Worker",
     "RemotePool",
-    "remote_execute",
-    "fabric_status",
     "shutdown_coordinator",
     "default_worker_id",
     "task_to_wire",

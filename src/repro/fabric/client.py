@@ -8,8 +8,9 @@ byte-identical to a local one apart from the provenance fields.
 
 ``repro sweep --remote URL`` is the CLI spelling; the library form::
 
-    from repro.fabric import remote_execute
-    report = remote_execute(plan, "http://127.0.0.1:8731")
+    from repro.fabric import RemotePool
+    from repro.runner import execute
+    report = execute(plan, pool=RemotePool("http://127.0.0.1:8731"))
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.fabric.protocol import (
     task_to_wire,
 )
 from repro.runner.executor import TaskPool, task_outcome
-from repro.runner.plan import RunPlan, RunReport
 
 
 class RemotePool(TaskPool):
@@ -117,24 +117,6 @@ class RemotePool(TaskPool):
             )
             for key, was_cached in zip(keys, cached)
         ]
-
-
-def remote_execute(plan: RunPlan, url: str, **pool_options) -> RunReport:
-    """Execute ``plan`` against a fabric coordinator at ``url``.
-
-    Identical to :func:`repro.runner.execute` with a
-    :class:`RemotePool`: a local ``plan.cache_dir`` (if any) is still
-    consulted first, misses are leased out, and the report comes back
-    in task order.
-    """
-    from repro.runner.executor import execute
-
-    return execute(plan, pool=RemotePool(url, **pool_options))
-
-
-def fabric_status(url: str, **options) -> dict:
-    """The coordinator's ``/status`` payload (counters + cache stats)."""
-    return call_with_retries(url.rstrip("/"), "/status", {}, **options)
 
 
 def shutdown_coordinator(url: str, **options) -> dict:

@@ -32,9 +32,10 @@ import urllib.request
 from repro.runner.plan import RunTask
 from repro.utils.errors import FabricUnavailable, InvalidParameterError
 
-#: Protocol revision; bumped on any incompatible wire change.  The
-#: coordinator rejects mismatched clients loudly instead of
-#: misinterpreting their payloads.
+#: Protocol revision; bumped on any incompatible wire change.  Clients
+#: and workers send no version, and the coordinator checks none on
+#: requests: it stamps its queue checkpoint with this value, refuses to
+#: restore a checkpoint carrying another, and reports it in ``/status``.
 WIRE_VERSION = 1
 
 #: HTTP status used for lease-identity rejections (unknown lease id).

@@ -13,16 +13,20 @@ and proves:
 * **Theorem 2.5** — mixing time ``O(min{k/|a−b|, k²} · m log m)`` (upper,
   via a coordinate coupling) and ``Ω(km)`` (lower, via the diameter).
 
-This class exposes three equivalent simulation views:
+This class exposes two exact views of the chain:
 
-1. the *count chain* over ``Delta_k^m`` (the paper's definition),
+1. the *count chain* over ``Delta_k^m`` (the paper's definition) as an
+   exact dense/sparse transition matrix for small state spaces, and
 2. the *coordinate chain* over ``{1..k}^m`` used in the coupling proof
-   (each ball's urn index evolves as a lazy reflected walk), and
-3. an exact dense/sparse transition matrix for small state spaces.
+   (each ball's urn index evolves as a lazy reflected walk).  Its count
+   vector is distributed exactly as the count chain, which gives the
+   vectorized "state at time t" sampler
+   :meth:`~EhrenfestProcess.sample_state_at`.
 
-The count vector of the coordinate chain is distributed exactly as the count
-chain, which gives an O(1)-per-step simulator and a vectorized
-"state at time t" sampler.
+Step-by-step trajectories come from :mod:`repro.engine`: one Ehrenfest
+step is one interaction of a ``MixtureTableModel`` of three initiator
+tables (up, down, stay) drawn with probabilities ``(a, b, 1 − a − b)``,
+and ``CountBackend`` runs that chain exactly.
 """
 
 from __future__ import annotations
@@ -218,9 +222,9 @@ class EhrenfestProcess:
         return FiniteMarkovChain(matrix, state_labels=space.states)
 
     # ------------------------------------------------------------------
-    # Simulation: count view (O(1) per step via the coordinate view)
+    # Sampling through the coordinate view
     # ------------------------------------------------------------------
-    def initial_coordinates(self, x0, seed=None) -> np.ndarray:
+    def initial_coordinates(self, x0) -> np.ndarray:
         """Return a coordinate vector in ``{1..k}^m`` whose counts equal ``x0``.
 
         Ball identities are exchangeable, so any consistent assignment gives
@@ -236,68 +240,6 @@ class EhrenfestProcess:
     def counts_from_coordinates(coords: np.ndarray, k: int) -> np.ndarray:
         """Count vector of a coordinate configuration in ``{1..k}^m``."""
         return np.bincount(coords - 1, minlength=k).astype(np.int64)
-
-    def simulate_counts(self, x0, steps: int, seed=None,
-                        observe_every: int | None = None) -> np.ndarray:
-        """Simulate the count chain for ``steps`` steps.
-
-        Uses the coordinate representation internally (one ball index update
-        per step), which reproduces the count-chain law exactly and runs in
-        O(1) per step.
-
-        Parameters
-        ----------
-        x0:
-            Initial count vector in ``Delta_k^m``.
-        steps:
-            Number of steps.
-        observe_every:
-            When ``None`` (default) return only the final count vector of
-            shape ``(k,)``.  Otherwise return an array of shape
-            ``(steps // observe_every + 1, k)`` holding the trajectory
-            sampled every ``observe_every`` steps (including the initial
-            state).
-        """
-        steps = check_positive_int("steps", steps, minimum=0)
-        rng = as_generator(seed)
-        coords = self.initial_coordinates(x0)
-        counts = self.counts_from_coordinates(coords, self.k)
-        if observe_every is not None:
-            observe_every = check_positive_int("observe_every", observe_every)
-            recorded = np.empty((steps // observe_every + 1, self.k),
-                                dtype=np.int64)
-            recorded[0] = counts
-        block = 65536
-        done = 0
-        a, b = self.a, self.b
-        k = self.k
-        row = 1
-        while done < steps:
-            batch = min(block, steps - done)
-            picks = rng.integers(0, self.m, size=batch)
-            uniforms = rng.random(batch)
-            for offset in range(batch):
-                i = picks[offset]
-                u = uniforms[offset]
-                value = coords[i]
-                if u < a:
-                    if value < k:
-                        coords[i] = value + 1
-                        counts[value - 1] -= 1
-                        counts[value] += 1
-                elif u < a + b:
-                    if value > 1:
-                        coords[i] = value - 1
-                        counts[value - 1] -= 1
-                        counts[value - 2] += 1
-                if observe_every is not None \
-                        and (done + offset + 1) % observe_every == 0:
-                    recorded[row] = counts
-                    row += 1
-            done += batch
-        if observe_every is not None:
-            return recorded[:row]
-        return counts
 
     def sample_state_at(self, x0, t: int, seed=None, size: int = 1) -> np.ndarray:
         """Draw ``size`` independent samples of the count vector at time ``t``.

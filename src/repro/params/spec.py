@@ -170,7 +170,7 @@ class Param:
         return " ".join(parts)
 
     def to_dict(self) -> dict:
-        """Plain-JSON form (:meth:`from_dict` round-trips it)."""
+        """Plain-JSON form (one entry of :meth:`ParamSpace.to_dict`)."""
         payload = {"name": self.name, "kind": self.kind, "default": self.default}
         if self.minimum is not None:
             payload["minimum"] = self.minimum
@@ -181,20 +181,6 @@ class Param:
         if self.help:
             payload["help"] = self.help
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Param":
-        """Rebuild a declaration from its :meth:`to_dict` form."""
-        choices = payload.get("choices")
-        return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            default=payload["default"],
-            minimum=payload.get("minimum"),
-            maximum=payload.get("maximum"),
-            choices=tuple(choices) if choices is not None else None,
-            help=payload.get("help", ""),
-        )
 
 
 class ParamSpace:
@@ -297,7 +283,7 @@ class ParamSpace:
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-JSON form (:meth:`from_dict` round-trips it)."""
+        """Plain-JSON form (what ``repro params --json`` prints)."""
         return {
             "params": [param.to_dict() for param in self],
             "profiles": {
@@ -305,12 +291,6 @@ class ParamSpace:
                 for name, overrides in self._profiles.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ParamSpace":
-        """Rebuild a space from its :meth:`to_dict` form."""
-        params = [Param.from_dict(entry) for entry in payload["params"]]
-        return cls(*params, profiles=payload.get("profiles"))
 
     def describe_table(self) -> tuple[list[str], list[list]]:
         """``(headers, rows)`` describing the schema for tabular display."""
@@ -379,10 +359,6 @@ class ResolvedParams:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def as_dict(self) -> dict:
-        """A plain copy of the resolved ``name -> value`` mapping."""
-        return dict(self.values)
 
     def canonical(self) -> dict:
         """The canonical JSON payload digested by cache keys."""

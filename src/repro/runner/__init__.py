@@ -51,7 +51,7 @@ from repro.runner.plan import (
     strip_provenance,
     task_record,
 )
-from repro.runner.seeds import task_seed, task_seeds
+from repro.runner.seeds import task_seed
 
 __all__ = [
     "RunTask",
@@ -74,5 +74,4 @@ __all__ = [
     "code_version",
     "experiment_cache_key",
     "task_seed",
-    "task_seeds",
 ]

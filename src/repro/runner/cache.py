@@ -117,8 +117,8 @@ def experiment_cache_key(
 ) -> str:
     """The canonical cache key of one experiment run.
 
-    The single key-construction path shared by ``run_experiment(cache=)``
-    and the plan executor — entries written by either are served to both.
+    The single key-construction path: the plan executor, resumable
+    snapshots, series streams and the fabric coordinator all key by it.
     ``profile`` names the parameter profile (``"fast"``, ``"full"``, or
     any profile the experiment declares).
 

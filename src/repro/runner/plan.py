@@ -210,12 +210,14 @@ class TaskResult:
 def task_record(result: TaskResult) -> dict:
     """The strict-JSON record of one :class:`TaskResult`.
 
-    The single serialization path behind :meth:`RunReport.to_records`
-    and the streaming ``repro sweep --output`` writer, so a record's
-    bytes are identical whether it was emitted the moment the task
-    finished or assembled from the completed report.  A ``"series"``
-    key appears only when the task streamed observation series, keeping
-    series-free records byte-identical to the pre-streaming format.
+    The one record producer (``repro sweep --output`` streams it): the
+    task coordinates, the execution provenance (timing, ``source``,
+    ``worker``, legacy ``from_cache``), and the full report wire form.
+    Everything except the :data:`PROVENANCE_FIELDS` is
+    byte-deterministic for a given plan, wherever and however it
+    executed.  A ``"series"`` key appears only when the task streamed
+    observation series, keeping series-free records byte-identical to
+    the pre-streaming format.
     """
     from repro.experiments.base import _jsonable
 
@@ -243,11 +245,6 @@ class RunReport:
     """Results of an executed plan, in task order."""
 
     results: list[TaskResult] = field(default_factory=list)
-
-    @property
-    def reports(self) -> list:
-        """The experiment reports, in task order."""
-        return [result.report for result in self.results]
 
     @property
     def all_checks_pass(self) -> bool:
@@ -306,18 +303,6 @@ class RunReport:
                 ]
             )
         return headers, rows
-
-    def to_records(self) -> list[dict]:
-        """One strict-JSON record per result, in task order.
-
-        Each record carries the task coordinates, the execution
-        provenance (timing, ``source``, ``worker``, legacy
-        ``from_cache``), and the full report wire form — the payload
-        ``repro sweep --output`` dumps as JSON Lines.  Everything except
-        the :data:`PROVENANCE_FIELDS` is byte-deterministic for a given
-        plan, wherever and however it executed.
-        """
-        return [task_record(result) for result in self.results]
 
 
 def replicate_plan(

@@ -33,10 +33,3 @@ def task_seed(base_seed: int, index: int) -> int:
         raise InvalidParameterError(f"task index must be >= 0, got {index}")
     sequence = np.random.SeedSequence(int(base_seed), spawn_key=(int(index),))
     return int(sequence.generate_state(1, np.uint64)[0])
-
-
-def task_seeds(base_seed: int, count: int) -> list[int]:
-    """The first ``count`` task seeds of the stream rooted at ``base_seed``."""
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
-    return [task_seed(base_seed, index) for index in range(count)]

@@ -99,7 +99,7 @@ class TestJsonlSink:
 
     def test_batching_defers_writes_until_flush(self, tmp_path):
         path = tmp_path / "series.jsonl"
-        sink = JsonlSink(path, batch=100)
+        sink = JsonlSink(path)
         sink.emit(0, [1])
         assert not path.exists()
         sink.flush()
@@ -276,10 +276,6 @@ class TestSpecs:
                           ExtinctionTimeReducer)
         jsonl = sink_from_spec(f"jsonl:{tmp_path / 's.jsonl'}")
         assert isinstance(jsonl, JsonlSink)
-        profile = sink_from_spec("degree-profile",
-                                 profile_classes=[1, 2],
-                                 profile_values=[0.0, 1.0])
-        assert isinstance(profile, DegreeProfileReducer)
 
     def test_spec_errors(self):
         with pytest.raises(InvalidParameterError, match="needs a path"):

@@ -44,13 +44,9 @@ class TestFastProfileReport:
     def test_renderings_list_every_check(self, experiment_id):
         report = fast_report(experiment_id)
         text = report.render().splitlines()
-        markdown = report.to_markdown().splitlines()
         assert report.checks
         for name in report.checks:
             assert f"[PASS] {name}" in text
-            assert f"- [x] {name}" in markdown
-        table = [line for line in markdown if line.startswith("|")]
-        assert len(table) == len(report.rows) + 2
 
     def test_identical_under_a_fixed_seed(self, experiment_id):
         again = run_experiment(experiment_id, profile="fast")

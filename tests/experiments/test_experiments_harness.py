@@ -1,5 +1,6 @@
 """Tests for the experiment registry, parameter specs, reports, and CLI."""
 
+import json
 import math
 
 import pytest
@@ -7,8 +8,6 @@ import pytest
 from repro.cli import main
 from repro.experiments import (
     all_experiments,
-    experiment_params,
-    get_experiment,
     get_spec,
     run_experiment,
 )
@@ -30,19 +29,19 @@ class TestRegistry:
         ids = [eid for eid, _ in all_experiments()]
         assert sorted(ids) == sorted(EXPECTED_IDS)
 
-    def test_get_experiment_case_insensitive(self):
-        assert get_experiment("e1") is get_experiment("E1")
+    def test_get_spec_case_insensitive(self):
+        assert get_spec("e1") is get_spec("E1")
 
     def test_unknown_id_raises(self):
         with pytest.raises(InvalidParameterError, match="unknown"):
-            get_experiment("E99")
+            get_spec("E99")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(InvalidParameterError):
             register("E1", "dup")(lambda fast, seed: None)
 
     def test_register_normalizes_lowercase_ids(self):
-        # register() uppercases ids exactly like get_experiment lookups,
+        # register() uppercases ids exactly like get_spec lookups,
         # so a lowercase registration cannot shadow its uppercase twin.
         def runner(params=None, seed=None):
             return None
@@ -51,8 +50,8 @@ class TestRegistry:
         try:
             assert "E77X" in _REGISTRY
             assert "e77x" not in _REGISTRY
-            assert get_experiment("e77x") is runner
-            assert get_experiment("E77X") is runner
+            assert get_spec("e77x").runner is runner
+            assert get_spec("E77X").runner is runner
         finally:
             del _REGISTRY["E77X"]
 
@@ -73,26 +72,25 @@ class TestParamSpaces:
 
     @pytest.mark.parametrize("experiment_id", EXPECTED_IDS)
     def test_declares_a_param_space(self, experiment_id):
-        space = experiment_params(experiment_id)
+        space = get_spec(experiment_id).params
         assert isinstance(space, ParamSpace)
         assert len(space) > 0, f"{experiment_id} declares no knobs"
 
     @pytest.mark.parametrize("experiment_id", EXPECTED_IDS)
     def test_profiles_resolve(self, experiment_id):
-        space = experiment_params(experiment_id)
+        space = get_spec(experiment_id).params
         fast = space.resolve("fast")
         full = space.resolve("full")
         assert set(fast.values) == set(full.values) == set(space.names)
 
     @pytest.mark.parametrize("experiment_id", EXPECTED_IDS)
     def test_schema_round_trips_through_json(self, experiment_id):
-        space = experiment_params(experiment_id)
-        assert ParamSpace.from_dict(space.to_dict()).to_dict() == \
-            space.to_dict()
+        payload = get_spec(experiment_id).params.to_dict()
+        assert json.loads(json.dumps(payload, allow_nan=False)) == payload
 
     @pytest.mark.parametrize("experiment_id", EXPECTED_IDS)
     def test_every_param_documented(self, experiment_id):
-        for param in experiment_params(experiment_id):
+        for param in get_spec(experiment_id).params:
             assert param.help, \
                 f"{experiment_id}.{param.name} lacks a help string"
 

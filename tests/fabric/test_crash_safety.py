@@ -28,12 +28,11 @@ from repro.fabric import (
     RemotePool,
     UnknownLeaseError,
     Worker,
-    remote_execute,
     task_to_wire,
 )
 from repro.fabric.protocol import STATUS_UNAUTHORIZED, http_call
 from repro.fabric.worker import EXIT_DRAINED, EXIT_LEASE_REJECTED
-from repro.runner import RunPlan, RunTask, run_task
+from repro.runner import RunPlan, RunTask, execute, run_task
 
 QUIET = {"log": lambda message: None}
 TOKEN = "s3cret-fabric-token"
@@ -113,7 +112,7 @@ class TestTokenAuth:
         )
         thread = threading.Thread(target=worker.run_forever, daemon=True)
         thread.start()
-        report = remote_execute(plan, guarded.url, poll=0.05, token=TOKEN)
+        report = execute(plan, pool=RemotePool(guarded.url, poll=0.05, token=TOKEN))
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert [r.source for r in report.results] == ["executed"]

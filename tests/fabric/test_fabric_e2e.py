@@ -21,8 +21,6 @@ from repro.fabric import (
     ProtocolError,
     RemotePool,
     Worker,
-    fabric_status,
-    remote_execute,
     task_to_wire,
 )
 from repro.fabric.protocol import MAX_BODY_BYTES, http_call
@@ -32,10 +30,27 @@ from repro.fabric.worker import (
     EXIT_NEVER_REACHED,
     EXIT_RESULT_LOST,
 )
-from repro.runner import RunPlan, RunTask, execute, run_task, strip_provenance
+from repro.runner import (
+    RunPlan,
+    RunTask,
+    execute,
+    run_task,
+    strip_provenance,
+    task_record,
+)
 from repro.runner.plan import replicate_plan
 
 QUIET = {"log": lambda message: None}
+
+
+def fabric_counters(url: str) -> dict:
+    """The coordinator's ``/status`` payload (counters + cache stats)."""
+    return http_call(url, "/status", {})
+
+
+def records(report) -> list:
+    """The provenance-free records of a run report, in task order."""
+    return [strip_provenance(task_record(result)) for result in report.results]
 
 
 def small_plan(cache_dir=None) -> RunPlan:
@@ -76,13 +91,11 @@ class TestByteIdentity:
         worker = drain_worker(server.url, max_tasks=len(plan.tasks), worker_id="wA")
         thread = threading.Thread(target=worker.run_forever, daemon=True)
         thread.start()
-        remote = remote_execute(plan, server.url, poll=0.05)
+        remote = execute(plan, pool=RemotePool(server.url, poll=0.05))
         thread.join(timeout=10.0)
         assert not thread.is_alive()
 
-        local_records = [strip_provenance(r) for r in local.to_records()]
-        remote_records = [strip_provenance(r) for r in remote.to_records()]
-        assert remote_records == local_records
+        assert records(remote) == records(local)
         assert [r.source for r in remote.results] == ["executed"] * 3
         assert {r.worker for r in remote.results} == {"wA"}
 
@@ -91,19 +104,17 @@ class TestByteIdentity:
         worker = drain_worker(server.url, max_tasks=len(plan.tasks))
         thread = threading.Thread(target=worker.run_forever, daemon=True)
         thread.start()
-        first = remote_execute(plan, server.url, poll=0.05)
+        first = execute(plan, pool=RemotePool(server.url, poll=0.05))
         thread.join(timeout=10.0)
-        executed_after_first = fabric_status(server.url)["executed"]
+        executed_after_first = fabric_counters(server.url)["executed"]
 
         # No worker is connected any more: the resubmission must be
         # answered entirely by the coordinator's shared cache.
-        second = remote_execute(plan, server.url, poll=0.05)
+        second = execute(plan, pool=RemotePool(server.url, poll=0.05))
         assert [r.source for r in second.results] == ["cache"] * 3
         assert [r.worker for r in second.results] == [None] * 3
-        assert fabric_status(server.url)["executed"] == executed_after_first
-        assert [strip_provenance(r) for r in second.to_records()] == [
-            strip_provenance(r) for r in first.to_records()
-        ]
+        assert fabric_counters(server.url)["executed"] == executed_after_first
+        assert records(second) == records(first)
 
 
 class TestFaultInjection:
@@ -136,9 +147,7 @@ class TestFaultInjection:
             remote = execute(
                 plan, pool=RemotePool(server.url, poll=0.05)
             )
-            assert [strip_provenance(r) for r in remote.to_records()] == [
-                strip_provenance(r) for r in local.to_records()
-            ]
+            assert records(remote) == records(local)
         finally:
             server.close()
 
@@ -171,9 +180,9 @@ class TestFaultInjection:
             # The lease never expired, so the result was stored fresh —
             # not demoted to the duplicate path.
             assert any("(stored)" in message for message in messages)
-            status = fabric_status(server.url)
-            assert status["executed"] == 1
-            assert status["pending"] == 0
+            counters = fabric_counters(server.url)
+            assert counters["executed"] == 1
+            assert counters["pending"] == 0
         finally:
             server.close()
 
@@ -194,7 +203,7 @@ class TestFaultInjection:
         worker = drain_worker(server.url, max_tasks=1, run=flaky_run)
         assert worker.run_forever() == EXIT_DRAINED
         assert len(attempts) == 2  # failed once, requeued, succeeded
-        assert fabric_status(server.url)["done"] == 1
+        assert fabric_counters(server.url)["done"] == 1
 
 
 class TestWorkerExitCodes:
@@ -278,7 +287,7 @@ class TestHttpSurface:
         reply = raw_post(server, length)
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"invalid Content-Length" in reply
-        assert fabric_status(server.url)["tasks"] == 0
+        assert fabric_counters(server.url)["tasks"] == 0
 
     def test_oversized_body_is_refused_unread(self, server):
         # Declared over the cap and never sent: the coordinator answers
@@ -288,10 +297,10 @@ class TestHttpSurface:
         assert reply.startswith(b"HTTP/1.1 413 ")
         assert b"exceeds" in reply
         assert time.monotonic() - started < 2.0
-        assert fabric_status(server.url)["tasks"] == 0
+        assert fabric_counters(server.url)["tasks"] == 0
 
     def test_status_get_and_post_agree(self, server):
-        posted = fabric_status(server.url)
+        posted = fabric_counters(server.url)
         assert posted["tasks"] == 0
         assert posted["wire_version"] == 1
         assert "entries" in posted["cache"]

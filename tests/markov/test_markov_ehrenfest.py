@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from repro.engine import CountBackend, MixtureTableModel
 from repro.markov.chain import FiniteMarkovChain
 from repro.markov.distributions import total_variation
 from repro.markov.ehrenfest import EhrenfestProcess, classic_two_urn_process
@@ -133,34 +134,10 @@ class TestTheorem24:
 
 
 class TestSimulation:
-    def test_counts_conserved(self):
-        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=12)
-        final = process.simulate_counts((12, 0, 0), 500, seed=1)
-        assert final.sum() == 12
-        assert final.min() >= 0
-
-    def test_zero_steps_identity(self):
-        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=5)
-        final = process.simulate_counts((2, 2, 1), 0, seed=1)
-        assert tuple(final) == (2, 2, 1)
-
-    def test_reproducible(self):
-        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=10)
-        a1 = process.simulate_counts((10, 0, 0), 300, seed=7)
-        a2 = process.simulate_counts((10, 0, 0), 300, seed=7)
-        assert np.array_equal(a1, a2)
-
-    def test_trajectory_recording(self):
-        process = EhrenfestProcess(k=2, a=0.4, b=0.3, m=6)
-        traj = process.simulate_counts((6, 0), 100, seed=2, observe_every=10)
-        assert traj.shape == (11, 2)
-        assert (traj.sum(axis=1) == 6).all()
-        assert tuple(traj[0]) == (6, 0)
-
     def test_invalid_start_raises(self):
         process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=5)
         with pytest.raises(InvalidParameterError):
-            process.simulate_counts((3, 3, 3), 10, seed=0)
+            process.sample_state_at((3, 3, 3), 10, seed=0)
 
     def test_initial_coordinates_consistent(self):
         process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=6)
@@ -175,12 +152,32 @@ class TestSimulation:
         assert np.allclose(samples.mean(axis=0), expected, atol=0.5)
 
     def test_sample_state_at_matches_simulate_distribution(self, rng):
-        """The vectorized sampler and the sequential simulator agree in law."""
+        """The vectorized sampler and the engine's sequential count chain
+        agree in law.  One Ehrenfest step is one interaction of three
+        initiator tables (up, down, stay) drawn with probabilities
+        ``(a, b, 1 - a - b)``; the responder is ignored."""
         process = EhrenfestProcess(k=2, a=0.4, b=0.3, m=8)
         t = 60
         n = 1500
-        direct = np.array([process.simulate_counts((8, 0), t, seed=rng)[0]
-                           for _ in range(n)])
+        urns = np.arange(process.k)
+
+        def initiator_table(moved):
+            table = np.empty((process.k, process.k, 2), dtype=np.int64)
+            table[:, :, 0] = moved[:, None]
+            table[:, :, 1] = urns[None, :]
+            return table
+
+        model = MixtureTableModel(
+            [initiator_table(np.minimum(urns + 1, process.k - 1)),
+             initiator_table(np.maximum(urns - 1, 0)),
+             initiator_table(urns)],
+            [process.a, process.b, 1.0 - process.a - process.b])
+        direct = []
+        for _ in range(n):
+            engine = CountBackend(model, np.array([8, 0]), seed=rng)
+            engine.run(t)
+            direct.append(engine.counts[0])
+        direct = np.array(direct)
         fast = process.sample_state_at((8, 0), t, seed=rng, size=n)[:, 0]
         hist_direct = np.bincount(direct, minlength=9) / n
         hist_fast = np.bincount(fast, minlength=9) / n

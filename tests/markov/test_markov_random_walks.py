@@ -148,22 +148,7 @@ class TestReflectedWalk:
         assert P[bottom, bottom] == pytest.approx(0.7)  # no down-move
         assert P[top, top] == pytest.approx(0.8)  # no up-move
 
-    def test_simulate_stays_in_range(self, rng):
-        process, _ = one_ball(4, 0.4, 0.2)
-        path = process.simulate_counts((0, 1, 0, 0), 500, seed=rng,
-                                       observe_every=1)
-        assert path.shape == (501, 4)
-        assert path.min() >= 0 and (path.sum(axis=1) == 1).all()
-
-    def test_simulate_occupancy_matches_stationary(self, rng):
-        process, _ = one_ball(3, 0.4, 0.2)
-        path = process.simulate_counts((1, 0, 0), 60_000, seed=rng,
-                                       observe_every=1)
-        occupancy = path[1000:].mean(axis=0)
-        assert np.allclose(occupancy, process.stationary_weights(),
-                           atol=0.02)
-
     def test_bad_start_raises(self, rng):
         process, _ = one_ball(3, 0.4, 0.2)
         with pytest.raises(InvalidParameterError):
-            process.simulate_counts((0, 0, 0, 1), 10, seed=rng)
+            process.sample_state_at((0, 0, 0, 1), 10, seed=rng)

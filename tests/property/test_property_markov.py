@@ -97,7 +97,7 @@ class TestEhrenfestProperties:
         k, (a, b), m = instance
         process = EhrenfestProcess(k=k, a=a, b=b, m=m)
         start = (m,) + (0,) * (k - 1)
-        final = process.simulate_counts(start, steps, seed=seed)
+        final = process.sample_state_at(start, steps, seed=seed)[0]
         assert final.sum() == m
         assert final.min() >= 0
 

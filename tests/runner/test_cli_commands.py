@@ -1,6 +1,7 @@
 """The CLI commands: run/sweep orchestration, params, cache, error paths."""
 
 import json
+import re
 
 import pytest
 
@@ -146,6 +147,24 @@ class TestRunCommand:
         assert main(["run", "E1", "--profile", "full"]) == 0
         assert "[PASS]" in capsys.readouterr().out
 
+    def test_reports_print_alike_for_every_jobs_value(self, capsys):
+        # One plan and one render path for every --jobs value: the text
+        # differs only in the per-report "(N.Ns)" timing lines.
+        from repro import cli
+
+        printed = {}
+        for jobs in (1, 2):
+            args = cli._build_parser().parse_args(["run", "all", "--jobs", str(jobs)])
+            assert cli._run_plan_and_render(["E1", "E2", "E8"], args) == 0
+            printed[jobs] = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if not re.fullmatch(r"\(\d+\.\ds\)", line)
+            ]
+        assert printed[1] == printed[2]
+        headers = [line for line in printed[1] if line.startswith("== ")]
+        assert [line.split(":")[0] for line in headers] == ["== E1", "== E2", "== E8"]
+
 
 class TestCliErrorPaths:
     """Bad user input exits 2 with a schema-aware message on stderr."""
@@ -232,12 +251,11 @@ class TestParamsCommand:
         assert "eps" in capsys.readouterr().out
 
     def test_params_json_round_trips(self, capsys):
-        from repro.params import ParamSpace
+        from repro.experiments import get_spec
 
         assert main(["params", "E4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        rebuilt = ParamSpace.from_dict(payload)
-        assert rebuilt.to_dict() == payload
+        assert payload == get_spec("E4").params.to_dict()
 
     def test_params_unknown_experiment_exits_2(self, capsys):
         assert main(["params", "E404"]) == 2
@@ -252,15 +270,14 @@ class TestParamsCommand:
             assert f"{experiment_id}: {title}" in out
 
     def test_params_all_json_keyed_by_id(self, capsys):
-        from repro.experiments import all_experiments
-        from repro.params import ParamSpace
+        from repro.experiments import all_experiments, get_spec
 
         assert main(["params", "--all", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == sorted(
             eid for eid, _ in all_experiments())
-        for schema in payload.values():
-            assert ParamSpace.from_dict(schema).to_dict() == schema
+        for experiment_id, schema in payload.items():
+            assert schema == get_spec(experiment_id).params.to_dict()
 
     def test_params_without_id_or_all_exits_2(self, capsys):
         assert main(["params"]) == 2
@@ -463,11 +480,12 @@ class TestFabricCli:
 
         serve_thread = threading.Thread(target=serve, daemon=True)
         serve_thread.start()
-        from repro.fabric import FabricUnavailable, fabric_status
+        from repro.fabric import FabricUnavailable
+        from repro.fabric.protocol import call_with_retries
 
         for _ in range(100):
             try:
-                fabric_status(url, retries=0)
+                call_with_retries(url, "/status", {}, retries=0)
                 break
             except FabricUnavailable:
                 time_module.sleep(0.05)
@@ -665,6 +683,23 @@ class TestSimulateObserve:
                              .splitlines()[0])
         assert summary["kind"] == "degree-profile"
         assert summary["classes"] == [4]  # ring:2 is 4-regular
+
+    @pytest.mark.parametrize("backend", ["agent", "count"])
+    def test_same_stream_with_or_without_snapshots(self, capsys, tmp_path, backend):
+        # Every run is segmented the same way; --snapshots only adds the
+        # checkpoints, so a seed gives one trajectory either way.
+        run = ["simulate", "--n", "2000", "--k", "4", "--backend", backend]
+        run += ["--steps", "40000", "--seed", "3", "--observe-every", "2000"]
+        snapshots = ["--snapshots", str(tmp_path / "snaps")]
+        printed = {}
+        for name, extra in (("plain", []), ("saved", snapshots)):
+            path = tmp_path / f"{name}.jsonl"
+            assert main(run + ["--observe", f"jsonl:{path}"] + extra) == 0
+            printed[name] = capsys.readouterr().out.replace(str(path), "PATH")
+        plain = (tmp_path / "plain.jsonl").read_bytes()
+        assert plain == (tmp_path / "saved.jsonl").read_bytes()
+        assert len(plain.splitlines()) == 21
+        assert printed["plain"] == printed["saved"]
 
     def test_snapshots_run_completes_and_clears(self, capsys, tmp_path):
         path = tmp_path / "trajectory.jsonl"

@@ -17,6 +17,7 @@ from repro.runner import (
     run_task,
     strip_provenance,
     task_outcome,
+    task_record,
     task_seed,
 )
 from repro.utils import InvalidParameterError
@@ -101,19 +102,6 @@ class TestExecute:
         first_payloads = [r.report.to_dict() for r in first.results]
         second_payloads = [r.report.to_dict() for r in second.results]
         assert first_payloads == second_payloads
-
-    def test_run_experiment_cache_interoperates_with_executor(self, tmp_path):
-        # An entry written by run_experiment(cache=...) is served to
-        # executor plans with the same coordinates, and vice versa.
-        from repro.experiments import run_experiment
-
-        direct = run_experiment("E1", seed=task_seed(5, 0), cache=str(tmp_path))
-        plan = replicate_plan("E1", 1, base_seed=5, cache_dir=str(tmp_path))
-        planned = execute(plan)
-        assert planned.cache_hits == 1
-        assert planned.results[0].report.to_dict() == direct.to_dict()
-        again = run_experiment("E1", seed=task_seed(5, 0), cache=str(tmp_path))
-        assert again.to_dict() == direct.to_dict()
 
     def test_seed_change_misses_cache(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -209,15 +197,15 @@ class TestRecordsAndProvenance:
         for jobs in (1, 2):
             plan = replicate_plan("E2", replicates=2, base_seed=9, jobs=jobs)
             records[jobs] = [
-                strip_provenance(record)
-                for record in execute(plan).to_records()
+                strip_provenance(task_record(result))
+                for result in execute(plan).results
             ]
         assert records[1] == records[2]
 
     def test_records_carry_provenance_fields(self, tmp_path):
         plan = experiments_plan(["E1"], cache_dir=str(tmp_path))
         execute(plan)
-        [record] = execute(plan).to_records()
+        [record] = [task_record(result) for result in execute(plan).results]
         for field in PROVENANCE_FIELDS:
             assert field in record
         assert record["source"] == "cache"

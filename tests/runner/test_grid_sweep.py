@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.runner import execute, grid_plan, strip_provenance
+from repro.runner import (
+    execute,
+    experiments_plan,
+    grid_plan,
+    strip_provenance,
+    task_record,
+)
 from repro.utils import InvalidParameterError
 
 
@@ -16,7 +22,7 @@ def canonical(records) -> str:
 class TestGridSweep:
     def test_records_carry_point_and_report(self):
         report = execute(grid_plan("E1", {"k": [3, 4]}))
-        records = report.to_records()
+        records = [task_record(result) for result in report.results]
         assert [record["params"] for record in records] == [{"k": 3}, {"k": 4}]
         assert [record["label"] for record in records] == ["k=3", "k=4"]
         assert report.all_checks_pass
@@ -39,13 +45,12 @@ class TestGridSweep:
             plan = grid_plan("E2", {"a": [0.25, 0.3], "m": [3, 4]}, jobs=jobs)
             report = execute(plan)
             assert len(report.results) == 4
-            results[jobs] = report.to_records()
+            results[jobs] = [task_record(result) for result in report.results]
         assert canonical(results[1]) == canonical(results[4])
 
     def test_cache_shared_with_single_runs(self, tmp_path):
-        from repro.experiments import run_experiment
-
-        direct = run_experiment("E1", params={"k": 3}, cache=str(tmp_path))
+        single = experiments_plan(["E1"], params={"k": 3}, cache_dir=str(tmp_path))
+        direct = execute(single).results[0].report
         report = execute(grid_plan("E1", {"k": [3]}, cache_dir=str(tmp_path)))
         assert report.cache_hits == 1
         assert report.results[0].report.to_dict() == direct.to_dict()

@@ -8,7 +8,13 @@ for ``grid_plan`` grids.
 
 import json
 
-from repro.runner import execute, grid_plan, replicate_plan, strip_provenance
+from repro.runner import (
+    execute,
+    grid_plan,
+    replicate_plan,
+    strip_provenance,
+    task_record,
+)
 
 
 def canonical(records) -> str:
@@ -22,7 +28,7 @@ def backend_grid_records(jobs: int) -> list:
     records = []
     for backend in ("count", "agent"):
         plan = grid_plan("E6", BACKEND_GRID, backend=backend, jobs=jobs)
-        records += execute(plan).to_records()
+        records += [task_record(result) for result in execute(plan).results]
     return [strip_provenance(record) for record in records]
 
 

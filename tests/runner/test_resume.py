@@ -20,7 +20,14 @@ from repro.engine.snapshot import (
     SnapshotStore,
     use_snapshot_channel,
 )
-from repro.runner import RunPlan, RunTask, execute, run_task, strip_provenance
+from repro.runner import (
+    RunPlan,
+    RunTask,
+    execute,
+    run_task,
+    strip_provenance,
+    task_record,
+)
 from repro.runner.executor import (
     SNAPSHOT_DIR_ENV,
     _snapshot_dir_env,
@@ -102,8 +109,8 @@ class TestExecuteResume:
         plain = execute(plan)
         resumed = execute(plan, snapshot_dir=tmp_path / "snapshots")
         assert SNAPSHOT_DIR_ENV not in os.environ
-        assert [strip_provenance(r) for r in resumed.to_records()] == [
-            strip_provenance(r) for r in plain.to_records()
+        assert [strip_provenance(task_record(r)) for r in resumed.results] == [
+            strip_provenance(task_record(r)) for r in plain.results
         ]
 
     def test_cached_cells_never_reexecute(self, tmp_path):

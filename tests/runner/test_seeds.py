@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runner import task_seed, task_seeds
+from repro.runner import task_seed
 from repro.utils import InvalidParameterError
 
 
@@ -12,20 +12,20 @@ class TestTaskSeed:
         assert task_seed(123, 7) == task_seed(123, 7)
 
     def test_distinct_across_indices(self):
-        seeds = task_seeds(123, 64)
+        seeds = [task_seed(123, index) for index in range(64)]
         assert len(set(seeds)) == 64
 
     def test_distinct_across_base_seeds(self):
         # Adjacent integer base seeds must not produce colliding streams.
-        left = set(task_seeds(0, 32))
-        right = set(task_seeds(1, 32))
+        left = {task_seed(0, index) for index in range(32)}
+        right = {task_seed(1, index) for index in range(32)}
         assert not left & right
 
     def test_matches_seed_sequence_spawning(self):
         # The contract: task i's seed is child i of SeedSequence(base).
         children = np.random.SeedSequence(99).spawn(5)
         expected = [int(c.generate_state(1, np.uint64)[0]) for c in children]
-        assert task_seeds(99, 5) == expected
+        assert [task_seed(99, index) for index in range(5)] == expected
 
     def test_plain_int(self):
         seed = task_seed(5, 0)
@@ -39,7 +39,3 @@ class TestTaskSeed:
     def test_rejects_negative_index(self):
         with pytest.raises(InvalidParameterError, match=">= 0"):
             task_seed(1, -1)
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(InvalidParameterError, match=">= 0"):
-            task_seeds(1, -2)

@@ -105,4 +105,6 @@ class TestRecordStream:
             record_stream=lambda r: lines.append(
                 json.dumps(task_record(r), sort_keys=True,
                            allow_nan=False)))
-        assert [json.loads(line) for line in lines] == report.to_records()
+        assert [json.loads(line) for line in lines] == [
+            task_record(result) for result in report.results
+        ]
