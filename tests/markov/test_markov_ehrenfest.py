@@ -11,6 +11,28 @@ from repro.markov.ehrenfest import EhrenfestProcess, classic_two_urn_process
 from repro.utils import InvalidParameterError
 
 
+def engine_model(process):
+    """The process as a table model the engine runs exactly.
+
+    One Ehrenfest step is one interaction of three initiator tables (up,
+    down, stay) drawn with probabilities ``(a, b, 1 - a - b)``; the
+    responder is ignored.
+    """
+    urns = np.arange(process.k)
+
+    def initiator_table(moved):
+        table = np.empty((process.k, process.k, 2), dtype=np.int64)
+        table[:, :, 0] = moved[:, None]
+        table[:, :, 1] = urns[None, :]
+        return table
+
+    return MixtureTableModel(
+        [initiator_table(np.minimum(urns + 1, process.k - 1)),
+         initiator_table(np.maximum(urns - 1, 0)),
+         initiator_table(urns)],
+        [process.a, process.b, 1.0 - process.a - process.b])
+
+
 class TestConstruction:
     def test_rejects_k_one(self):
         with pytest.raises(InvalidParameterError):
@@ -134,6 +156,43 @@ class TestTheorem24:
 
 
 class TestSimulation:
+    def test_counts_conserved(self):
+        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=12)
+        engine = CountBackend(engine_model(process), np.array([12, 0, 0]),
+                              seed=1)
+        for final in (engine.run(500).counts,
+                      process.sample_state_at((12, 0, 0), 500, seed=1)[0]):
+            assert final.sum() == 12
+            assert final.min() >= 0
+
+    def test_zero_steps_identity(self):
+        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=5)
+        engine = CountBackend(engine_model(process), np.array([2, 2, 1]),
+                              seed=1)
+        assert tuple(engine.run(0).counts) == (2, 2, 1)
+        assert tuple(process.sample_state_at((2, 2, 1), 0, seed=1)[0]) \
+            == (2, 2, 1)
+
+    def test_reproducible(self):
+        process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=10)
+        runs = [CountBackend(engine_model(process), np.array([10, 0, 0]),
+                             seed=7).run(300).counts for _ in range(2)]
+        assert np.array_equal(*runs)
+        draws = [process.sample_state_at((10, 0, 0), 300, seed=7, size=4)
+                 for _ in range(2)]
+        assert np.array_equal(*draws)
+
+    def test_trajectory_recording(self):
+        process = EhrenfestProcess(k=2, a=0.4, b=0.3, m=6)
+        engine = CountBackend(engine_model(process), np.array([6, 0]),
+                              seed=2)
+        observations = engine.run(100, observe_every=10).observations
+        assert [step for step, _ in observations] == list(range(0, 101, 10))
+        traj = np.array([counts for _, counts in observations])
+        assert traj.shape == (11, 2)
+        assert (traj.sum(axis=1) == 6).all()
+        assert tuple(traj[0]) == (6, 0)
+
     def test_invalid_start_raises(self):
         process = EhrenfestProcess(k=3, a=0.3, b=0.2, m=5)
         with pytest.raises(InvalidParameterError):
@@ -153,25 +212,11 @@ class TestSimulation:
 
     def test_sample_state_at_matches_simulate_distribution(self, rng):
         """The vectorized sampler and the engine's sequential count chain
-        agree in law.  One Ehrenfest step is one interaction of three
-        initiator tables (up, down, stay) drawn with probabilities
-        ``(a, b, 1 - a - b)``; the responder is ignored."""
+        agree in law."""
         process = EhrenfestProcess(k=2, a=0.4, b=0.3, m=8)
         t = 60
         n = 1500
-        urns = np.arange(process.k)
-
-        def initiator_table(moved):
-            table = np.empty((process.k, process.k, 2), dtype=np.int64)
-            table[:, :, 0] = moved[:, None]
-            table[:, :, 1] = urns[None, :]
-            return table
-
-        model = MixtureTableModel(
-            [initiator_table(np.minimum(urns + 1, process.k - 1)),
-             initiator_table(np.maximum(urns - 1, 0)),
-             initiator_table(urns)],
-            [process.a, process.b, 1.0 - process.a - process.b])
+        model = engine_model(process)
         direct = []
         for _ in range(n):
             engine = CountBackend(model, np.array([8, 0]), seed=rng)

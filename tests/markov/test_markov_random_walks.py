@@ -148,6 +148,23 @@ class TestReflectedWalk:
         assert P[bottom, bottom] == pytest.approx(0.7)  # no down-move
         assert P[top, top] == pytest.approx(0.8)  # no up-move
 
+    def test_simulate_stays_in_range(self, rng):
+        process, _ = one_ball(4, 0.4, 0.2)
+        final = process.sample_state_at((0, 1, 0, 0), 500, seed=rng, size=20)
+        assert final.shape == (20, 4)
+        assert final.min() >= 0 and (final.sum(axis=1) == 1).all()
+
+    def test_simulate_occupancy_matches_stationary(self, rng):
+        """Every ball walks alone given its selection count, so the urn
+        occupancy pooled over balls follows the one-ball weights."""
+        process, _ = one_ball(3, 0.4, 0.2)
+        balls = EhrenfestProcess(k=3, a=0.4, b=0.2, m=1000)
+        final = balls.sample_state_at((1000, 0, 0), 40_000, seed=rng,
+                                      size=10)
+        occupancy = final.sum(axis=0) / final.sum()
+        assert np.allclose(occupancy, process.stationary_weights(),
+                           atol=0.02)
+
     def test_bad_start_raises(self, rng):
         process, _ = one_ball(3, 0.4, 0.2)
         with pytest.raises(InvalidParameterError):

@@ -103,6 +103,24 @@ class TestExecute:
         second_payloads = [r.report.to_dict() for r in second.results]
         assert first_payloads == second_payloads
 
+    def test_run_experiment_cache_interoperates_with_executor(self, tmp_path):
+        # A one-task plan is the cached form of run_experiment: its entry
+        # is served to replicate plans with the same coordinates and vice
+        # versa, and equals what uncached run_experiment computes there.
+        from repro.experiments import run_experiment
+
+        direct = run_experiment("E1", seed=task_seed(5, 0))
+        single = experiments_plan(["E1"], seed=task_seed(5, 0),
+                                  cache_dir=str(tmp_path))
+        assert execute(single).cache_hits == 0
+        planned = execute(replicate_plan("E1", 1, base_seed=5,
+                                         cache_dir=str(tmp_path)))
+        assert planned.cache_hits == 1
+        assert planned.results[0].report.to_dict() == direct.to_dict()
+        again = execute(single)
+        assert again.cache_hits == 1
+        assert again.results[0].report.to_dict() == direct.to_dict()
+
     def test_seed_change_misses_cache(self, tmp_path):
         cache_dir = str(tmp_path)
         execute(replicate_plan("E1", 1, base_seed=5, cache_dir=cache_dir))
