@@ -6,17 +6,16 @@ them against faithful reimplementations of the *seed* (pre-engine)
 per-interaction loops:
 
 * ``igt`` — the paper's k-IGT dynamics (k = 8, the headline workload).
-  Cases: the frozen seed loop, ``agent-seq`` (the kernel in pair
-  order, ``vectorized=False``), ``agent`` (the kernel's peeled rounds,
-  bit-for-bit identical trajectories), ``count``, and ``auto``
-  (the dispatcher's pick, annotated with what it resolved to).
+  Cases: the frozen seed loop, ``agent`` (the kernel's peeled rounds,
+  bit-for-bit identical trajectories), ``count``, and ``auto`` (the
+  dispatcher's pick, annotated with what it resolved to).
 * ``igt-observed`` — the E4/E13 mixing shape: the k-IGT count chain with
   an observation snapshot and a stop-predicate check every 2 500
   interactions; baseline: the PR 1 per-step-batch path.
 * ``igt-action`` — the action-observed rule, the exact per-pair
   classification law (``igt_action_model``) on both engines: the agent
-  backend's kernel in pair order behind ``IGTSimulation``, and the
-  count backend's vectorized chain.
+  backend's kernel behind ``IGTSimulation``, and the count backend's
+  vectorized chain.
 * ``epidemic`` — a generic 3-state one-way protocol; seed baseline: the
   seed simulator's table loop.
 * ``igt-weighted`` — the heterogeneous-activity extension: the same
@@ -45,11 +44,9 @@ per-interaction loops:
   (:data:`STREAM_RSS_CEILING_MB`) — the observation pipeline is O(k)
   per checkpoint no matter how large the population or how long the
   trajectory.
-* ``logit`` / ``imitation`` — the *generic* (stochastic) models.
-  ``agent-seq`` is the default pair-order kernel path, one
-  ``apply_scalar`` call per interaction; ``agent`` is the batched
-  kernel path (``vectorized=True``, distribution-identical), whose
-  ``speedup_vs_agent_seq`` is the generic-model vectorization claim.
+* ``logit`` / ``imitation`` — the *generic* (stochastic) models on the
+  agent kernel, whose peeled rounds apply each interaction with its own
+  uniform, bit for bit a per-interaction loop.
 
 The file also records host metadata (python/numpy versions, CPU count),
 and every run appends its full payload to the append-only
@@ -348,8 +345,7 @@ def main(argv=None) -> None:
     results = []
 
     def record(workload, backend, n, steps, seconds, baseline=None,
-               perstep_baseline=None, agent_seq_baseline=None,
-               resolved=None):
+               perstep_baseline=None, resolved=None):
         entry = {
             "workload": workload,
             "backend": backend,
@@ -366,15 +362,10 @@ def main(argv=None) -> None:
         if perstep_baseline is not None:
             entry["speedup_vs_perstep"] = round(
                 steps / seconds / perstep_baseline, 2)
-        if agent_seq_baseline is not None:
-            entry["speedup_vs_agent_seq"] = round(
-                steps / seconds / agent_seq_baseline, 2)
         results.append(entry)
         per_sec = steps / seconds
         extra = ""
-        if agent_seq_baseline is not None:
-            extra = f"  ({entry['speedup_vs_agent_seq']}x agent-seq)"
-        elif baseline is not None:
+        if baseline is not None:
             extra = f"  ({entry['speedup_vs_seed_loop']}x seed)"
         elif perstep_baseline is not None:
             extra = f"  ({entry['speedup_vs_perstep']}x per-step)"
@@ -392,7 +383,6 @@ def main(argv=None) -> None:
     steps = 1_000_000
     perstep_steps = 20_000 if args.smoke else 50_000
     action_agent_steps = 5_000 if args.smoke else 20_000
-    generic_seq_steps = 100_000 if args.smoke else 200_000
     repeats = 3 if args.smoke else 1
     population_sizes = ((1000, 10_000, 100_000) if args.smoke
                         else (1000, 10_000, 100_000, 10_000_000))
@@ -425,17 +415,11 @@ def main(argv=None) -> None:
             record("igt", "seed-loop", n, steps, steps / baseline)
         else:
             baseline = None
-        agent_seq = record(
-            "igt", "agent-seq", n, steps,
-            timed(lambda: AgentBackend(model, states, seed=1,
-                                       vectorized=False).run(steps),
-                  n_repeats),
-            baseline)
         agent_ips = record(
             "igt", "agent", n, steps,
             timed(lambda: AgentBackend(model, states, seed=1).run(steps),
                   n_repeats),
-            baseline, agent_seq_baseline=agent_seq)
+            baseline)
         start_counts = np.bincount(states, minlength=GRID.k + 2)
         count_ips = record(
             "igt", "count", n, steps,
@@ -501,22 +485,15 @@ def main(argv=None) -> None:
                                           seed=1).run(steps), n_repeats),
                baseline)
 
-        # --- generic stochastic models: pair order vs the batched
-        # kernel path (vectorized=True, law-identical) ----------------
+        # --- generic stochastic models on the agent kernel ------------
         for workload, generic_model in (
                 ("logit", LogitResponseModel(generic_payoffs)),
                 ("imitation", ImitationModel(generic_payoffs))):
             generic_states = (np.arange(n) % 8).astype(np.int64)
-            sequential = record(
-                workload, "agent-seq", n, generic_seq_steps,
-                timed(lambda: AgentBackend(
-                    generic_model, generic_states,
-                    seed=1).run(generic_seq_steps), n_repeats))
             record(workload, "agent", n, steps,
                    timed(lambda: AgentBackend(
-                       generic_model, generic_states, seed=1,
-                       vectorized=True).run(steps), n_repeats),
-                   agent_seq_baseline=sequential)
+                       generic_model, generic_states,
+                       seed=1).run(steps), n_repeats))
 
     # --- weighted k-IGT workload (heterogeneous activity) ------------
     # Measured on its own size grid: the alias-table + heterogeneous-

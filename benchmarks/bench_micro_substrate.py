@@ -132,8 +132,8 @@ def test_engine_agent_backend_igt_n200_short_runs(benchmark):
 
 def test_engine_agent_backend_action_n1e4(benchmark):
     """Agent engine on action-mode k-IGT, 50k interactions at n=1e4: a
-    stochastic rule, one model draw per pair on the kernel in pair
-    order."""
+    stochastic rule on the kernel's peel, each interaction applied with
+    its own uniform."""
 
     def run():
         sim = IGTSimulation(n=10_000, shares=SHARES, grid=GRID, seed=5,

@@ -8,10 +8,9 @@ are gated — they carry the engine's performance claims across every
 workload (including the ``igt-observed`` / ``igt-action`` count cases,
 the ``igt-weighted`` heterogeneous-activity cases on both backends,
 the ``igt-topology`` graph-restricted cases on both backends, and
-the ``logit`` / ``imitation`` generic-model vectorized cases);
-seed-loop, ``agent-seq``, and per-step entries are baselines by
-construction, and ``auto`` rows duplicate whichever gated case the
-dispatcher resolved to.  A case fails when its throughput drops below
+the ``logit`` / ``imitation`` generic-model cases); seed-loop and
+per-step entries are baselines by construction, and ``auto`` rows
+duplicate whichever gated case the dispatcher resolved to.  A case fails when its throughput drops below
 ``baseline / factor``; the default factor 2 absorbs the gap between CI
 runners and the machine that committed the baseline while still
 catching real regressions (the work this guards delivered 5x-600x).

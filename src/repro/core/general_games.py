@@ -117,8 +117,9 @@ class PopulationGameSimulation:
         self.n = check_positive_int("n", n, minimum=2)
         self.rule = rule
         self.p_update = check_probability("p_update", p_update)
-        if eta <= 0:
-            raise InvalidParameterError(f"eta must be positive, got {eta!r}")
+        if not 0 < eta < np.inf:
+            raise InvalidParameterError(
+                f"eta must be positive and finite, got {eta!r}")
         self.eta = float(eta)
         rng = as_generator(seed)
         law = make_law(self.n, weights, topology, seed=rng)

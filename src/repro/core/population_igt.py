@@ -279,11 +279,12 @@ class IGTSimulation:
                 gtft_counts = self._rng.multinomial(n_gtft,
                                                     np.full(k, 1.0 / k))
             else:
+                # Each slice is drawn straight into the state array, so
+                # no draw outlives its slice into the engine build.
                 for lo in range(0, n_gtft, _START_CHUNK):
-                    chunk = self._rng.integers(
-                        0, k, size=min(_START_CHUNK, n_gtft - lo))
+                    chunk = gtft_states[lo:lo + _START_CHUNK]
+                    chunk[:] = self._rng.integers(0, k, size=chunk.size)
                     gtft_counts += np.bincount(chunk, minlength=k)
-                    gtft_states[lo:lo + chunk.size] = chunk
         elif np.isscalar(initial_indices):
             start = check_positive_int("initial_indices", initial_indices,
                                        minimum=0)

@@ -8,9 +8,9 @@ uniform-scheduler process:
 * :class:`AgentBackend` — per-agent sequential semantics, bit-for-bit
   reproducible against the seed simulator for deterministic models;
   every run goes through the chunked vectorized kernel
-  (:mod:`repro.engine.vectorized`): table models in peeled rounds by
-  default, stochastic models (and every model under
-  ``vectorized=False``) in pair order, one model draw per interaction;
+  (:mod:`repro.engine.vectorized`), whose peeled rounds apply every
+  model as a per-interaction loop would, each interaction with its one
+  uniform;
 * :class:`CountBackend` — exact count-level simulation (the Section 2.2.1
   Markov-on-counts view): ``Θ(√n)``-batched birthday runs at large ``n``,
   and an array-proxy kernel below :data:`~repro.engine.count.PROXY_MAX_N`

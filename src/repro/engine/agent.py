@@ -4,30 +4,18 @@ Executes the model's classic semantics: every agent's state is tracked
 individually and the sampled interactions take effect as if applied one
 at a time.  Scheduler randomness is drawn in vectorized blocks through
 :meth:`repro.engine.sampling.RandomScheduler.pair_block` (the shift-trick
-sampler), exactly like the seed simulator — so for deterministic (table /
-mixture-of-table) models a fixed seed reproduces the pre-engine
-simulator's trajectories bit for bit.
+sampler), exactly like the seed simulator — so for table models a fixed
+seed reproduces the pre-engine simulator's trajectories bit for bit.
 
 Every run goes through the conflict-free kernel
-(:mod:`repro.engine.vectorized`), and ``vectorized`` picks how it
-applies a chunk, with one meaning for every model:
-
-* ``None`` (default) — table chunks are split into mutually independent
-  rounds applied as fancy indexed table lookups, with only the hard
-  conflict chains running through a scalar head; stochastic models run
-  each chunk in pair order, one
-  :meth:`~repro.engine.model.InteractionModel.apply_scalar` call per
-  interaction.  Both are **bit-for-bit identical** to applying the pairs
-  one at a time (same pair blocks, same component and model draws,
-  conflicting pairs executed in sampling order);
-* ``True`` — batched rounds: tables as above, and one-way stochastic
-  models too (two-way ones are refused) — *distribution*-identical
-  (each interaction still gets an independent model draw and
-  conflicting interactions execute in sampling order) but not
-  bit-identical, because model randomness is consumed per round rather
-  than per step;
-* ``False`` — every model in pair order through the scalar head: for
-  table models the trajectory of ``None`` without the peel.
+(:mod:`repro.engine.vectorized`), one way for every model: each chunk's
+interactions draw their uniforms (for models that draw one) before any
+executes, and the chunk is split into mutually independent rounds
+applied as table lookups or vectorized ``model.apply`` calls, with only
+the hard conflict chains running through a scalar head.  That is
+**bit-for-bit identical** to applying the pairs one at a time, each
+with its own uniform (same pair blocks, same uniforms, conflicting
+pairs executed in sampling order).
 
 Models that read extra agents (``slots_per_step == 4``) get their
 observed agents sampled per block through the scheduler's
@@ -71,18 +59,10 @@ class AgentBackend(SimulationEngine):
         :class:`~repro.engine.sampling.WeightedScheduler`, or
         :class:`~repro.engine.topology.GraphScheduler`) sharing its
         randomness stream with the caller; uniform by default.
-    vectorized:
-        How the kernel applies a chunk, one meaning for every model.
-        ``None`` (default): table models in peeled rounds, stochastic
-        models in pair order — both bit-for-bit a per-interaction loop.
-        ``True``: batched rounds (tables peeled; one-way stochastic
-        models distribution-identical to pair order, not
-        bit-identical).  ``False``: every model in pair order through
-        the kernel's scalar head.
     """
 
     def __init__(self, model: InteractionModel, initial_states, seed=None,
-                 scheduler=None, vectorized: bool | None = None):
+                 scheduler=None):
         self.model = model
         states = np.asarray(initial_states)  # integers are not widened
         if states.dtype.kind not in "iu":
@@ -104,8 +84,8 @@ class AgentBackend(SimulationEngine):
                 f"population has n={self.n}")
         self.scheduler = scheduler
         self._counts = count_states(states, model.n_states)
-        self.vectorized = vectorized
-        self._kernel = None
+        # Refuses several component tables without ``component_probs``.
+        self._kernel = ConflictFreeKernel(model, states, self._counts)
         self.steps_run = 0
 
     @property
@@ -122,26 +102,14 @@ class AgentBackend(SimulationEngine):
     # ------------------------------------------------------------------
     # Snapshot / restore (the crash-safety contract; see engine.snapshot)
     # ------------------------------------------------------------------
-    def _ensure_kernel(self) -> ConflictFreeKernel:
-        if self._kernel is None:
-            # Pair order under False, and by default for stochastic
-            # models, whose batched rounds draw per round, not per pair.
-            vectorized = self.vectorized
-            self._kernel = ConflictFreeKernel(
-                self.model, self._states, self._counts,
-                in_order=vectorized is False or (
-                    vectorized is None
-                    and self.model.component_tables is None))
-        return self._kernel
-
     def snapshot(self) -> "SnapshotState":
         """Exact mutable state between runs, for :meth:`restore`.
 
         Captures copies of the per-agent states and counts, the step
         cursor, and the scheduler generator's bitstream position.  The
         kernel's peel stamps carry no history (see
-        :mod:`repro.engine.vectorized`), so a restored engine starts them
-        afresh.
+        :mod:`repro.engine.vectorized`), so they are not captured: a
+        restored engine keeps its own.
         """
         from repro.engine.snapshot import SnapshotState, rng_state
 
@@ -196,10 +164,9 @@ class AgentBackend(SimulationEngine):
         if stopped or max_steps == 0:
             return self._result(stopped, sink)
         executed, converged = run_kernel(
-            self._ensure_kernel(), self.scheduler.pair_block,
-            self.model.sample_components, self.scheduler.rng, max_steps,
-            self.steps_run, stop_when, observe_every, check_stop_every,
-            sink, others_block=self.scheduler.others_block,
-            states=self._states)
+            self._kernel, self.scheduler.pair_block,
+            self.scheduler.rng, max_steps, self.steps_run, stop_when,
+            observe_every, check_stop_every, sink,
+            others_block=self.scheduler.others_block, states=self._states)
         self.steps_run += executed
         return self._result(converged, sink)

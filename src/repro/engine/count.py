@@ -80,9 +80,9 @@ The proxy fast path (small and medium ``n``)
 
 Birthday runs are ``Θ(√n)`` interactions, so their fixed per-run cost
 dominates at small ``n`` — the regime where the count backend used to
-*lose* to the agent backend.  For ``n`` up to :data:`PROXY_MAX_N` (and
-pairwise models the vectorized kernel accepts) the backend therefore
-runs the :mod:`repro.engine.vectorized` kernel on a per-agent state
+*lose* to the agent backend.  For pairwise models up to
+:data:`PROXY_MAX_N` agents the backend therefore runs the
+:mod:`repro.engine.vectorized` kernel on a per-agent state
 array: by exchangeability, uniform pair sampling over *any* assignment
 of states to agents that agrees with the counts projects to exactly the
 count-level chain, so the law is untouched while throughput matches the
@@ -127,7 +127,11 @@ import math
 import numpy as np
 
 from repro.engine.base import EngineResult, SimulationEngine
-from repro.engine.model import InteractionModel, responder_classes
+from repro.engine.model import (
+    InteractionModel,
+    draws_uniform,
+    responder_classes,
+)
 from repro.engine.observe import ObserverSink
 from repro.engine.sampling import ordered_pair_block
 from repro.engine.vectorized import ConflictFreeKernel, run_kernel
@@ -367,10 +371,9 @@ class CountBackend(SimulationEngine):
         Seed or generator.
     vectorized:
         Proxy-path selection: ``None`` (default) uses the array-proxy
-        kernel for supported models (pairwise, with component tables or
-        a one-way law) up to :data:`PROXY_MAX_N` agents, ``True`` forces
-        it (still requires a supported model), ``False`` forces the
-        birthday path.  Both paths simulate the same law.
+        kernel for pairwise models up to :data:`PROXY_MAX_N` agents,
+        ``True`` forces it (still requires a pairwise model), ``False``
+        forces the birthday path.  Both paths simulate the same law.
     scheduler:
         Optional pair law sharing its randomness stream with the
         caller.  The count chain *is* the uniform scheduler's law, so
@@ -455,6 +458,7 @@ class CountBackend(SimulationEngine):
                     f"population has n={self.n}")
             seed = scheduler.rng
         self._rng = as_generator(seed)
+        self._draws = draws_uniform(model)  # refused here on both paths
         self._spp = model.slots_per_step
         if self._spp not in (2, 4):
             raise InvalidParameterError(
@@ -575,8 +579,7 @@ class CountBackend(SimulationEngine):
                 def fresh_stop(chain):
                     return stop_when(self._refresh(chain))
             done, converged = run_kernel(
-                self._kernel, self._pair_block,
-                self._kernel.model.sample_components, self._rng, max_steps,
+                self._kernel, self._pair_block, self._rng, max_steps,
                 self.steps_run, fresh_stop, observe_every, check_stop_every,
                 _ProjectingSink(sink, self._project),
                 others_block=self._others_block)
@@ -659,10 +662,8 @@ class CountBackend(SimulationEngine):
         return {"n": int(self.n), "n_states": int(self.model.n_states)}
 
     def _proxy_ok(self) -> bool:
-        """Whether the proxy kernel accepts the model."""
-        model = self.model
-        return self._spp == 2 and (model.component_tables is not None
-                                   or model.one_way)
+        """Whether the proxy kernel accepts the model: every pairwise one."""
+        return self._spp == 2
 
     def _proxy_kernel(self) -> ConflictFreeKernel:
         """The kernel over a per-agent array that :meth:`_expand` fills."""
@@ -696,17 +697,15 @@ class CountBackend(SimulationEngine):
     def _init_birthday(self) -> None:
         """Construction constants of the birthday path.
 
-        Pairwise models with component tables (and their probabilities)
-        get their cell structure; every other model runs per-slot
-        batches.
+        Pairwise models with component tables get their cell structure;
+        every other model runs per-slot batches.
         """
         model = self.model
         self._cdf = _collision_cdf(self.n, self._spp)
         self._state_ids = np.arange(model.n_states)
         self._cells = None
         tables = model.component_tables
-        if self._spp == 2 and tables is not None and (
-                len(tables) == 1 or model.component_probs is not None):
+        if self._spp == 2 and tables is not None:
             self._cells = _CellLaw(tables, model.component_probs,
                                    model.one_way)
 
@@ -766,7 +765,8 @@ class CountBackend(SimulationEngine):
         observed = None
         if spp == 4:
             observed = (slots[2::spp], slots[3::spp])
-        new_u, new_v = self.model.apply(initiators, responders, self._rng,
+        uniforms = self._rng.random(initiators.size) if self._draws else None
+        new_u, new_v = self.model.apply(initiators, responders, uniforms,
                                         observed)
         updated = slots.copy()
         updated[0::spp] = new_u
@@ -847,7 +847,8 @@ class CountBackend(SimulationEngine):
         observed = None
         if spp == 4:
             observed = (slot_states[2], slot_states[3])
-        new_u, new_v = self.model.apply_scalar(u, v, rng, observed)
+        new_u, new_v = self.model.apply_scalar(
+            u, v, rng.random() if self._draws else None, observed)
         counts = self._chain
         counts[u] -= 1
         counts[v] -= 1

@@ -90,8 +90,7 @@ def make_law(n: int, weights=None, topology=None, seed=None):
     return RandomScheduler(n, seed)
 
 
-def build_engine(model, law, backend: str, *, states=None, counts=None,
-                 vectorized: bool | None = None):
+def build_engine(model, law, backend: str, *, states=None, counts=None):
     """The engine that runs ``model`` under ``law`` on a concrete backend.
 
     The one place that maps a pair law and a resolved ``backend`` name
@@ -108,12 +107,9 @@ def build_engine(model, law, backend: str, *, states=None, counts=None,
       over ``counts`` (or the histogram of ``states``); it accepts only
       vertex-transitive graphs.  This path needs no per-agent array, so
       callers at large ``n`` pass ``counts`` alone.
-
-    ``vectorized`` applies to the agent backend's kernel choice.
     """
     if check_backend(backend) == "agent":
-        return AgentBackend(model, states, scheduler=law,
-                            vectorized=vectorized)
+        return AgentBackend(model, states, scheduler=law)
     if law.weights is not None:
         return WeightedCountBackend.from_agent_states(
             model, states, law.weights, seed=law.rng)

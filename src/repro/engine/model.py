@@ -30,6 +30,12 @@ Concrete models:
   chance of classifying a partner as AD is an exact function of both
   players' strategies.
 
+An interaction's only randomness is one uniform that the engine draws
+for it (:func:`draws_uniform`): a table mixture picks its table with it
+(:func:`component_picker`), a stochastic model takes it as an argument of
+``apply`` / ``apply_scalar``.  So the vectorized kernel may apply an
+interaction in any round and get the outcome pair order would give it.
+
 Models additionally advertise two structural facts the vectorized kernel
 exploits: :attr:`InteractionModel.one_way` (the responder never changes
 state) and :attr:`InteractionModel.inert_states` (states whose initiator
@@ -40,6 +46,7 @@ per-agent states in :attr:`InteractionModel.state_dtype`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 
 import numpy as np
 
@@ -90,8 +97,8 @@ class InteractionModel(ABC):
 
     Subclasses must define :attr:`n_states` and :meth:`apply`.  Models whose
     law is a (mixture of) deterministic table(s) additionally expose
-    :attr:`component_tables`/:meth:`sample_components` so the kernel
-    (:mod:`repro.engine.vectorized`) can apply them as table lookups.
+    :attr:`component_tables` (and, for several tables,
+    :attr:`component_probs`) so engines can apply them as table lookups.
 
     ``slots_per_step`` is the number of agents an interaction involves: 2
     for ordinary protocols (initiator, responder), 4 for rules that also
@@ -141,37 +148,36 @@ class InteractionModel(ABC):
         """Deterministic table components, or ``None`` for generic models.
 
         A list ``[t_0, ..., t_{C-1}]`` of ``(S, S, 2)`` tables such that each
-        interaction applies table ``t_c`` with ``c`` drawn by
-        :meth:`sample_components`.  Engines apply these as table
+        interaction applies table ``t_c``, ``c`` picked by its uniform
+        under :attr:`component_probs`.  Engines apply these as table
         lookups; generic stochastic models return ``None``.
         """
         return None
 
-    def sample_components(self, rng, size: int):
-        """Component indices for ``size`` interactions (``None`` if ``C=1``)."""
-        return None
-
     @property
     def component_probs(self):
-        """Probabilities with which :meth:`sample_components` draws each
-        table, iid per interaction (``None`` when ``C = 1`` or generic).
+        """Probabilities with which each interaction applies each component
+        table (``None`` for a single table that draws no uniform, and for
+        generic models; several tables must declare them).
 
-        The count backend splits an interaction batch over the components
-        by one multinomial draw with these probabilities.
+        Each interaction's uniform picks its table by them
+        (:func:`component_picker`), and the count backend splits an
+        interaction batch over the components by one multinomial draw.
         """
         return None
 
     @abstractmethod
-    def apply(self, initiators, responders, rng, observed=None):
+    def apply(self, initiators, responders, uniforms, observed=None):
         """Vectorized outcome of a batch of interactions.
 
         Parameters
         ----------
         initiators, responders:
             Integer state arrays of equal length (the pair's *states*).
-        rng:
-            Generator for the model's own randomness (one independent draw
-            per interaction; unused by deterministic models).
+        uniforms:
+            One uniform on ``[0, 1)`` per interaction, its only randomness
+            (``None`` for models that draw none, see
+            :func:`draws_uniform`).
         observed:
             For ``slots_per_step == 4``, the pair of extra observed state
             arrays ``(obs_i, obs_j)``; ``None`` otherwise.
@@ -182,18 +188,47 @@ class InteractionModel(ABC):
         never change state.
         """
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
+    def apply_scalar(self, u: int, v: int, uniform, observed=None) -> tuple:
         """Single-interaction outcome on Python ints (sequential engines).
 
         The default routes through :meth:`apply` with length-1 arrays;
         models on hot sequential paths may override with a cheaper scalar
-        implementation.  The law must match :meth:`apply` exactly.
+        implementation.  For equal states and ``uniform`` the outcome
+        must equal :meth:`apply`'s exactly.
         """
         obs = None
         if observed is not None:
             obs = (np.array([observed[0]]), np.array([observed[1]]))
-        new_u, new_v = self.apply(np.array([u]), np.array([v]), rng, obs)
+        new_u, new_v = self.apply(np.array([u]), np.array([v]),
+                                  np.array([uniform]), obs)
         return int(new_u[0]), int(new_v[0])
+
+
+def component_picker(probs):
+    """The map from uniforms (an array or a scalar) to mixture component
+    indices: ``x`` picks the first component whose cumulative probability
+    under ``probs`` (the last pinned to 1) exceeds it."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return partial(np.searchsorted, cdf, side="right")
+
+
+def draws_uniform(model: InteractionModel) -> bool:
+    """Whether each interaction of ``model`` draws one uniform: it does
+    unless the model is a single table without ``component_probs``.
+
+    Refuses several tables without ``component_probs``; every engine
+    asks at construction, before its first pair.
+    """
+    tables = model.component_tables
+    if tables is None or model.component_probs is not None:
+        return True
+    if len(tables) > 1:
+        raise InvalidParameterError(
+            f"{type(model).__name__} has {len(tables)} component tables "
+            f"but no component_probs to pick one by each interaction's "
+            f"uniform")
+    return False
 
 
 def _tables_structure(tables) -> tuple:
@@ -265,11 +300,12 @@ class TableModel(InteractionModel):
     def component_tables(self):
         return [self._table.copy()]
 
-    def apply(self, initiators, responders, rng, observed=None):
+    def apply(self, initiators, responders, uniforms=None, observed=None):
         idx = initiators * self._s + responders
         return self._flat_u[idx], self._flat_v[idx]
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
+    def apply_scalar(self, u: int, v: int, uniform=None,
+                     observed=None) -> tuple:
         idx = u * self._s + v
         return int(self._flat_u[idx]), int(self._flat_v[idx])
 
@@ -296,8 +332,7 @@ class MixtureTableModel(InteractionModel):
             raise InvalidParameterError(
                 f"{probs.size} probabilities for {len(self._tables)} tables")
         self._probs = probs
-        self._cum = np.cumsum(probs)
-        self._cum[-1] = 1.0
+        self._pick = component_picker(probs)
         # (C, S*S) stacked flat lookups for vectorized mixture application.
         self._flat_u = np.stack([t[:, :, 0].ravel() for t in self._tables])
         self._flat_v = np.stack([t[:, :, 1].ravel() for t in self._tables])
@@ -328,16 +363,13 @@ class MixtureTableModel(InteractionModel):
     def component_probs(self):
         return self._probs.copy()
 
-    def sample_components(self, rng, size: int):
-        return np.searchsorted(self._cum, rng.random(size), side="right")
-
-    def apply(self, initiators, responders, rng, observed=None):
-        comps = self.sample_components(rng, len(initiators))
+    def apply(self, initiators, responders, uniforms, observed=None):
+        comps = self._pick(uniforms)
         idx = initiators * self._s + responders
         return self._flat_u[comps, idx], self._flat_v[comps, idx]
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
-        c = int(np.searchsorted(self._cum, rng.random(), side="right"))
+    def apply_scalar(self, u: int, v: int, uniform, observed=None) -> tuple:
+        c = int(self._pick(uniform))
         idx = u * self._s + v
         return int(self._flat_u[c, idx]), int(self._flat_v[c, idx])
 
@@ -356,8 +388,9 @@ class LogitResponseModel(InteractionModel):
         if payoffs.ndim != 2 or payoffs.shape[0] != payoffs.shape[1]:
             raise InvalidParameterError(
                 f"payoffs must be a square matrix, got shape {payoffs.shape}")
-        if eta <= 0:
-            raise InvalidParameterError(f"eta must be positive, got {eta!r}")
+        if not 0 < eta < np.inf:
+            raise InvalidParameterError(
+                f"eta must be positive and finite, got {eta!r}")
         self._s = payoffs.shape[0]
         self.eta = float(eta)
         logits = self.eta * payoffs
@@ -376,16 +409,14 @@ class LogitResponseModel(InteractionModel):
     def one_way(self) -> bool:
         return True
 
-    def apply(self, initiators, responders, rng, observed=None):
-        draws = rng.random(len(initiators))
+    def apply(self, initiators, responders, uniforms, observed=None):
         rows = self._cdf[responders]
-        new_u = (rows <= draws[:, None]).sum(axis=1)
+        new_u = (rows <= uniforms[:, None]).sum(axis=1)
         np.minimum(new_u, self._s - 1, out=new_u)
         return new_u, responders
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
-        draw = rng.random()
-        new_u = int(np.searchsorted(self._cdf[v], draw, side="right"))
+    def apply_scalar(self, u: int, v: int, uniform, observed=None) -> tuple:
+        new_u = int(np.searchsorted(self._cdf[v], uniform, side="right"))
         return min(new_u, self._s - 1), v
 
 
@@ -411,8 +442,9 @@ class ImitationModel(InteractionModel):
         if scale is None:
             span = float(payoffs.max() - payoffs.min())
             scale = span if span > 0 else 1.0
-        if scale <= 0:
-            raise InvalidParameterError(f"scale must be positive, got {scale!r}")
+        if not 0 < scale < np.inf:
+            raise InvalidParameterError(
+                f"scale must be positive and finite, got {scale!r}")
         self.scale = float(scale)
         self._flat = np.ascontiguousarray(payoffs.ravel())
 
@@ -424,7 +456,7 @@ class ImitationModel(InteractionModel):
     def one_way(self) -> bool:
         return True
 
-    def apply(self, initiators, responders, rng, observed=None):
+    def apply(self, initiators, responders, uniforms, observed=None):
         if observed is None:
             raise InvalidParameterError(
                 "ImitationModel needs the two observed opponent states")
@@ -432,17 +464,16 @@ class ImitationModel(InteractionModel):
         payoff_u = self._flat[initiators * self._s + obs_i]
         payoff_v = self._flat[responders * self._s + obs_j]
         advantage = payoff_v - payoff_u
-        switch = (advantage > 0) & (rng.random(len(initiators))
-                                    < advantage / self.scale)
+        switch = (advantage > 0) & (uniforms < advantage / self.scale)
         return np.where(switch, responders, initiators), responders
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
+    def apply_scalar(self, u: int, v: int, uniform, observed=None) -> tuple:
         if observed is None:
             raise InvalidParameterError(
                 "ImitationModel needs the two observed opponent states")
         advantage = (self._flat[v * self._s + observed[1]]
                      - self._flat[u * self._s + observed[0]])
-        if advantage > 0 and rng.random() < advantage / self.scale:
+        if advantage > 0 and uniform < advantage / self.scale:
             return v, v
         return u, v
 
@@ -507,15 +538,15 @@ class PairMixtureTableModel(InteractionModel):
         """The ``(S, S)`` hit-probability matrix (copy)."""
         return self._probs.copy()
 
-    def apply(self, initiators, responders, rng, observed=None):
+    def apply(self, initiators, responders, uniforms, observed=None):
         idx = initiators * self._s + responders
-        hit = rng.random(len(idx)) < self._probs_flat[idx]
+        hit = uniforms < self._probs_flat[idx]
         new_u = np.where(hit, self._hit_u[idx], self._miss_u[idx])
         new_v = np.where(hit, self._hit_v[idx], self._miss_v[idx])
         return new_u, new_v
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
+    def apply_scalar(self, u: int, v: int, uniform, observed=None) -> tuple:
         idx = u * self._s + v
-        if rng.random() < self._probs_flat[idx]:
+        if uniform < self._probs_flat[idx]:
             return int(self._hit_u[idx]), int(self._hit_v[idx])
         return int(self._miss_u[idx]), int(self._miss_v[idx])

@@ -263,10 +263,11 @@ class ProductStateModel(InteractionModel):
         lifted[:, :, 1] = class_part[None, :] + gathered[:, :, 1]
         return lifted
 
-    def sample_components(self, rng, size: int):
-        return self._inner.sample_components(rng, size)
+    @property
+    def component_probs(self):
+        return self._inner.component_probs
 
-    def apply(self, initiators, responders, rng, observed=None):
+    def apply(self, initiators, responders, uniforms, observed=None):
         s = self._s
         class_u = initiators - initiators % s
         class_v = responders - responders % s
@@ -275,14 +276,14 @@ class ProductStateModel(InteractionModel):
             # states to the inner component the inner law consumes.
             observed = (observed[0] % s, observed[1] % s)
         new_u, new_v = self._inner.apply(initiators % s, responders % s,
-                                         rng, observed)
+                                         uniforms, observed)
         return class_u + new_u, class_v + new_v
 
-    def apply_scalar(self, u: int, v: int, rng, observed=None) -> tuple:
+    def apply_scalar(self, u: int, v: int, uniform, observed=None) -> tuple:
         s = self._s
         if observed is not None:
             observed = (observed[0] % s, observed[1] % s)
-        new_u, new_v = self._inner.apply_scalar(u % s, v % s, rng, observed)
+        new_u, new_v = self._inner.apply_scalar(u % s, v % s, uniform, observed)
         return (u - u % s + new_u, v - v % s + new_v)
 
 
@@ -302,9 +303,9 @@ class WeightedCountBackend(CountBackend):
     ----------
     model:
         The (inner) interaction law; 4-slot observed-agent models are
-        supported on both paths.  The proxy kernel additionally needs
-        the vectorized-kernel family (component tables or a one-way
-        stochastic law); the birthday path accepts any model.
+        supported on both paths.  The proxy kernel takes every pairwise
+        model and one-way stochastic 4-slot ones; the birthday path
+        accepts any model.
     initial_counts:
         ``(C, S)`` non-negative integers: agents per weight class and
         state, summing to the population size ``n >= 2``.
@@ -338,12 +339,13 @@ class WeightedCountBackend(CountBackend):
         if np.any(~np.isfinite(weights)) or np.any(weights <= 0):
             raise InvalidParameterError(
                 "class weights must be positive and finite")
-        counts = np.asarray(initial_counts, dtype=np.int64).copy()
-        if counts.ndim != 2 or counts.shape != (weights.size,
-                                                model.n_states):
+        shape = np.shape(initial_counts)
+        if shape != (weights.size, model.n_states):
             raise InvalidParameterError(
                 f"initial_counts must have shape (C, S) = "
-                f"({weights.size}, {model.n_states}), got {counts.shape}")
+                f"({weights.size}, {model.n_states}), got {shape}")
+        counts = check_int_array(
+            "initial_counts", np.ravel(initial_counts)).reshape(shape).copy()
         self._class_weights = weights
         self._classes = weights.size
         self._members = counts.sum(axis=1)
@@ -400,9 +402,8 @@ class WeightedCountBackend(CountBackend):
 
     def _proxy_ok(self) -> bool:
         model = self.model
-        if self._spp == 4:
-            return model.one_way and model.component_tables is None
-        return model.component_tables is not None or model.one_way
+        return self._spp == 2 or (model.one_way
+                                  and model.component_tables is None)
 
     def _proxy_kernel(self) -> ConflictFreeKernel:
         """The product-space kernel and the weighted sampler driving it."""
@@ -568,7 +569,8 @@ class WeightedCountBackend(CountBackend):
         observed = None
         if spp == 4:
             observed = (slots[2::spp], slots[3::spp])
-        new_u, new_v = self.model.apply(initiators, responders, rng,
+        uniforms = rng.random(t) if self._draws else None
+        new_u, new_v = self.model.apply(initiators, responders, uniforms,
                                         observed)
         pids = prefix_cls * s + slots
         updated = pids.copy()
@@ -672,7 +674,8 @@ class WeightedCountBackend(CountBackend):
         observed = None
         if spp == 4:
             observed = (slot_state[2], slot_state[3])
-        new_u, new_v = self.model.apply_scalar(u, v, rng, observed)
+        new_u, new_v = self.model.apply_scalar(
+            u, v, rng.random() if self._draws else None, observed)
         counts = self._chain
         counts[slot_cls[0] * s + u] -= 1
         counts[slot_cls[1] * s + v] -= 1

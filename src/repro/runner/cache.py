@@ -45,7 +45,12 @@ _CODE_VERSION: str | None = None
 #: Epoch 5: every count-proxy ``run()`` starts from the canonical
 #: expansion of its counts — same law, new bitstreams for proxy
 #: trajectories of two or more ``run()`` calls.
-CODE_EPOCH = 5
+#: Epoch 6: every interaction draws one uniform, per chunk in pair
+#: order — same law, new bitstreams wherever imitation's scalar rule runs
+#: (it drew only when the model agent earned more), for stochastic
+#: models on the count proxies, and for table mixtures after an early
+#: stop.
+CODE_EPOCH = 6
 
 
 def code_version() -> str:

@@ -157,6 +157,8 @@ class TestPopulationGameSimulation:
             gaps.append(sim.de_gap())
         assert min(gaps) >= -1e-12
 
-    def test_rejects_bad_eta(self, game):
-        with pytest.raises(InvalidParameterError):
-            PopulationGameSimulation(game, n=10, rule="logit", eta=0.0)
+    @pytest.mark.parametrize("eta", [0.0, np.nan, np.inf])
+    def test_rejects_bad_eta(self, game, eta):
+        # NaN used to run, every agent ending on strategy 0.
+        with pytest.raises(InvalidParameterError, match="eta"):
+            PopulationGameSimulation(game, n=10, rule="logit", eta=eta)

@@ -24,16 +24,6 @@ from repro.games.strategies import (
 from repro.utils import InvalidParameterError
 
 
-class _ConstantUniforms:
-    """A stand-in generator whose uniform draws all equal ``value``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, size=None):
-        return np.full(size, self.value)
-
-
 class TestAlwaysDefectProbability:
     def test_ad_partner_is_certain(self):
         gtft = generous_tit_for_tat(0.3, 0.5)
@@ -110,12 +100,13 @@ class TestPairMixtureTableModel:
         rng = np.random.default_rng(0)
         draws = 20_000
         new_u, new_v = model.apply(np.full(draws, 1), np.full(draws, 2),
-                                   rng)
+                                   rng.random(draws))
         assert np.array_equal(new_v, np.full(draws, 2))
         hit_rate = (new_u == 0).mean()
         assert abs(hit_rate - 0.7) < 0.02
         # probability-0 pair always takes the miss table
-        new_u, _ = model.apply(np.full(100, 0), np.full(100, 1), rng)
+        new_u, _ = model.apply(np.full(100, 0), np.full(100, 1),
+                               rng.random(100))
         assert (new_u == 1).all()
 
     def test_apply_scalar_matches_law(self):
@@ -123,7 +114,8 @@ class TestPairMixtureTableModel:
         probs = np.full((3, 3), 0.3)
         model = PairMixtureTableModel(hit, miss, probs)
         rng = np.random.default_rng(7)
-        outcomes = [model.apply_scalar(1, 0, rng) for _ in range(5000)]
+        outcomes = [model.apply_scalar(1, 0, rng.random())
+                    for _ in range(5000)]
         hits = sum(u == 0 for u, _ in outcomes)
         assert all(v == 0 for _, v in outcomes)
         assert abs(hits / 5000 - 0.3) < 0.03
@@ -166,10 +158,10 @@ class TestIgtActionModel:
         initiators = np.repeat(np.arange(s), s)
         responders = np.tile(np.arange(s), s)
         for draw, column in ((-1.0, k + 1), (2.0, k)):
-            # A uniform draw below every pair probability always takes
-            # the decrement ("read as AD") table; one above, never.
-            rng = _ConstantUniforms(draw)
-            new_u, new_v = model.apply(initiators, responders, rng)
+            # A uniform below every pair probability always takes the
+            # decrement ("read as AD") table; one above, never.
+            new_u, new_v = model.apply(initiators, responders,
+                                       np.full(initiators.size, draw))
             assert np.array_equal(new_u.reshape(s, s),
                                   np.repeat(standard[:, column:column + 1, 0],
                                             s, axis=1))
@@ -178,9 +170,9 @@ class TestIgtActionModel:
     def test_classification_matches_rule(self, small_setting):
         grid = GenerosityGrid(k=3, g_max=0.5)
         model = igt_action_model(grid, small_setting)
-        rng = np.random.default_rng(1)
-        # AD partner (state k+1 = 4): initiator at index 2 decrements.
-        assert model.apply_scalar(2, 4, rng) == (1, 4)
+        # AD partner (state k+1 = 4): initiator at index 2 decrements,
+        # whatever its uniform.
+        assert model.apply_scalar(2, 4, 0.999) == (1, 4)
         # AC partner: increments (and saturates at k-1).
-        assert model.apply_scalar(1, 3, rng) == (2, 3)
-        assert model.apply_scalar(2, 3, rng) == (2, 3)
+        assert model.apply_scalar(1, 3, 0.0) == (2, 3)
+        assert model.apply_scalar(2, 3, 0.0) == (2, 3)

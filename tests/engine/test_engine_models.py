@@ -7,10 +7,12 @@ from repro.engine import (
     ImitationModel,
     LogitResponseModel,
     MixtureTableModel,
+    PairMixtureTableModel,
     TableModel,
     igt_model,
     matrix_game_model,
 )
+from repro.engine.model import component_picker, draws_uniform
 from repro.utils import InvalidParameterError
 
 
@@ -22,37 +24,37 @@ def max_table(n_states=3):
 
 
 class TestTableModel:
-    def test_apply_matches_table(self, rng):
+    def test_apply_matches_table(self):
         table = max_table()
         model = TableModel(table)
         u = np.array([0, 1, 2, 0])
         v = np.array([2, 0, 1, 0])
-        new_u, new_v = model.apply(u, v, rng)
+        new_u, new_v = model.apply(u, v, None)
         assert new_u.tolist() == [2, 1, 2, 0]
         assert new_v.tolist() == v.tolist()
 
-    def test_apply_scalar_matches_apply(self, rng):
+    def test_apply_scalar_matches_apply(self):
         model = TableModel(max_table())
         for u in range(3):
             for v in range(3):
-                vec = model.apply(np.array([u]), np.array([v]), rng)
-                assert model.apply_scalar(u, v, rng) == (int(vec[0][0]),
-                                                         int(vec[1][0]))
+                vec = model.apply(np.array([u]), np.array([v]), None)
+                assert model.apply_scalar(u, v, None) == (int(vec[0][0]),
+                                                          int(vec[1][0]))
 
     def test_component_tables_roundtrip(self):
         table = max_table()
         model = TableModel(table)
         assert np.array_equal(model.component_tables[0], table)
-        assert model.sample_components(np.random.default_rng(0), 5) is None
+        assert not draws_uniform(model)
 
-    def test_apply_two_way_table(self, rng):
+    def test_apply_two_way_table(self):
         """Both agents adopt the larger state: the responder's column is
         read too."""
         both = np.array([[(max(u, v), max(u, v)) for v in range(3)]
                          for u in range(3)])
         model = TableModel(both)
         new_u, new_v = model.apply(np.array([0, 2, 1]), np.array([1, 0, 1]),
-                                   rng)
+                                   None)
         assert new_u.tolist() == [1, 2, 1]
         assert new_v.tolist() == [1, 2, 1]
         assert not model.one_way
@@ -69,8 +71,17 @@ class TestMixtureTableModel:
         flip = identity.copy()
         flip[:, :, 0] = 1 - identity[:, :, 0]
         model = MixtureTableModel([identity, flip], [0.7, 0.3])
-        comps = model.sample_components(rng, 40_000)
+        comps = component_picker(model.component_probs)(rng.random(40_000))
         assert abs(comps.mean() - 0.3) < 0.02
+        zeros = np.zeros(40_000, dtype=np.int64)
+        new_u, _ = model.apply(zeros, zeros, rng.random(40_000))
+        assert abs(new_u.mean() - 0.3) < 0.02
+
+    def test_uniform_picks_by_cumulative_probability(self):
+        pick = component_picker(np.array([0.25, 0.5, 0.25]))
+        uniforms = np.array([0.0, 0.2499, 0.25, 0.7499, 0.75, 0.9999])
+        assert pick(uniforms).tolist() == [0, 0, 1, 1, 2, 2]
+        assert int(pick(0.75)) == 2
 
     def test_degenerate_mixture_is_deterministic(self, rng):
         identity = np.zeros((2, 2, 2), dtype=np.int64)
@@ -81,7 +92,7 @@ class TestMixtureTableModel:
         model = MixtureTableModel([identity, flip], [0.0, 1.0])
         u = np.zeros(100, dtype=np.int64)
         v = np.ones(100, dtype=np.int64)
-        new_u, new_v = model.apply(u, v, rng)
+        new_u, new_v = model.apply(u, v, rng.random(100))
         assert (new_u == 1).all() and (new_v == 1).all()
 
     def test_component_probs_are_the_mixture_weights(self):
@@ -104,7 +115,7 @@ class TestLogitResponseModel:
         eta = 1.3
         model = LogitResponseModel(payoffs, eta=eta)
         v = np.zeros(60_000, dtype=np.int64)
-        new_u, new_v = model.apply(np.zeros_like(v), v, rng)
+        new_u, new_v = model.apply(np.zeros_like(v), v, rng.random(v.size))
         weights = np.exp(eta * payoffs[:, 0])
         weights /= weights.sum()
         assert abs(new_u.mean() - weights[1]) < 0.01
@@ -114,14 +125,16 @@ class TestLogitResponseModel:
         payoffs = np.array([[0.0, 1.0], [2.0, 0.5]])
         model = LogitResponseModel(payoffs, eta=0.8)
         rng = np.random.default_rng(3)
-        draws = [model.apply_scalar(0, 1, rng)[0] for _ in range(20_000)]
+        draws = [model.apply_scalar(0, 1, rng.random())[0]
+                 for _ in range(20_000)]
         weights = np.exp(0.8 * payoffs[:, 1])
         weights /= weights.sum()
         assert abs(np.mean(draws) - weights[1]) < 0.012
 
-    def test_rejects_bad_eta(self):
-        with pytest.raises(InvalidParameterError):
-            LogitResponseModel(np.eye(2), eta=0.0)
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_eta(self, eta):
+        with pytest.raises(InvalidParameterError, match="eta"):
+            LogitResponseModel(np.eye(2), eta=eta)
 
 
 class TestImitationModel:
@@ -135,7 +148,7 @@ class TestImitationModel:
         v = np.ones(size, dtype=np.int64)
         observed = (np.zeros(size, dtype=np.int64),
                     np.zeros(size, dtype=np.int64))
-        new_u, _ = model.apply(u, v, rng, observed)
+        new_u, _ = model.apply(u, v, rng.random(size), observed)
         assert abs(new_u.mean() - 0.5) < 0.01
 
     def test_never_switches_on_disadvantage(self, rng):
@@ -146,14 +159,60 @@ class TestImitationModel:
         v = np.ones(size, dtype=np.int64)
         observed = (np.zeros(size, dtype=np.int64),
                     np.zeros(size, dtype=np.int64))
-        new_u, _ = model.apply(u, v, rng, observed)
+        new_u, _ = model.apply(u, v, rng.random(size), observed)
         assert (new_u == 0).all()
 
     def test_requires_observed(self, rng):
         model = ImitationModel(np.eye(2))
         with pytest.raises(InvalidParameterError):
-            model.apply(np.array([0]), np.array([1]), rng)
+            model.apply(np.array([0]), np.array([1]), rng.random(1))
         assert model.slots_per_step == 4
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, np.nan, np.inf])
+    def test_rejects_bad_scale(self, scale):
+        # An infinite scale would freeze the rule: no switch ever passes.
+        with pytest.raises(InvalidParameterError, match="scale"):
+            ImitationModel(np.eye(2), scale=scale)
+
+
+#: Every model that draws a uniform, with the observed states it reads.
+UNIFORM_MODELS = {
+    "mixture": (lambda: igt_model(3, observation_noise=0.3), None),
+    "logit": (lambda: LogitResponseModel(
+        np.array([[1.0, 0.0, 2.0], [0.5, 2.0, 0.0], [0.0, 1.0, 1.0]]),
+        eta=1.1), None),
+    "imitation": (lambda: ImitationModel(
+        np.array([[1.0, 0.0, 2.0], [0.5, 2.0, 0.0], [0.0, 1.0, 1.0]])),
+        (1, 2)),
+    "pair-mixture": (lambda: PairMixtureTableModel(
+        max_table(), max_table()[::-1],
+        np.random.default_rng(1).random((3, 3))), None),
+}
+
+
+class TestUniformContract:
+    """An interaction's outcome is a function of its states and its one
+    uniform: ``apply`` and ``apply_scalar`` agree on every uniform, which
+    is what lets the kernel apply it in any round."""
+
+    @pytest.mark.parametrize("name", sorted(UNIFORM_MODELS))
+    def test_apply_scalar_equals_apply(self, name):
+        factory, observed = UNIFORM_MODELS[name]
+        model = factory()
+        assert draws_uniform(model)
+        s = model.n_states
+        uniforms = np.random.default_rng(2).random(200)
+        u = np.repeat(np.arange(s), uniforms.size * s)
+        v = np.tile(np.repeat(np.arange(s), uniforms.size), s)
+        w = np.tile(uniforms, s * s)
+        obs = None
+        if observed is not None:
+            obs = tuple(np.full(u.size, state) for state in observed)
+        new_u, new_v = model.apply(u, v, w, obs)
+        for i in range(0, u.size, 7):
+            assert model.apply_scalar(int(u[i]), int(v[i]), float(w[i]),
+                                      observed) == (int(new_u[i]),
+                                                    int(new_v[i]))
 
 
 class TestAdapters:
@@ -224,7 +283,7 @@ class TestAdapters:
         model = matrix_game_model(payoffs, "best_response", p_update=1.0)
         assert isinstance(model, TableModel)
         # best response to strategy 1 is strategy 0 (payoff 2 > 0).
-        assert model.apply_scalar(1, 1, np.random.default_rng(0))[0] == 0
+        assert model.apply_scalar(1, 1, None)[0] == 0
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -165,8 +165,7 @@ MODEL_REFUSALS = [
                  "square matrix", id="imitation-shape"),
     pytest.param(lambda: ImitationModel(np.ones((2, 2)), scale=-1.0),
                  "scale must be positive", id="imitation-scale"),
-    pytest.param(lambda: ImitationModel(np.eye(2)).apply_scalar(
-        0, 1, np.random.default_rng(0)),
+    pytest.param(lambda: ImitationModel(np.eye(2)).apply_scalar(0, 1, 0.5),
                  "two observed opponent states", id="imitation-unobserved"),
     pytest.param(lambda: matrix_game_model(np.ones(3), "logit"),
                  "square matrix", id="game-model-shape"),

@@ -1,12 +1,12 @@
 """Memory budget of the agent engine at large ``n``.
 
 Per-agent arrays are as narrow as the state space allows — one byte of
-state and, k-IGT being read-free, one ``int32`` peel-stamp map — and
-neither ``run`` nor a snapshot makes a length-``n`` ``int64`` copy.  So
-an observed, checkpointed k-IGT run at ``n = 10^6`` peaks under 10
-bytes per agent of traced allocations.  An action-mode run stays under
-the same budget: its stochastic rule runs on the kernel in pair order,
-which never peels and so holds no stamp maps.
+state and one ``int32`` peel-stamp map — and neither ``run`` nor a
+snapshot makes a length-``n`` ``int64`` copy.  So an observed,
+checkpointed k-IGT run at ``n = 10^6`` peaks under 10 bytes per agent
+of traced allocations.  An action-mode run stays under the same budget:
+its stochastic rule is not read-free, and the peel's criterion with
+reads keeps its read stamps in that same map.
 """
 
 import tracemalloc

@@ -1,10 +1,11 @@
 """Unit tests for the chunked vectorized kernel and its backend paths.
 
 The load-bearing guarantee is *bit-for-bit* equality of the peeled
-rounds with pair order: same seed, same pair blocks, identical
-trajectories — including the degenerate geometries (``n = 2``,
+rounds with pair order: same seed, same pair blocks and uniforms,
+identical trajectories — including the degenerate geometries (``n = 2``,
 ``n = 3``, chunks larger than the population) where every chunk is one
-long conflict chain.
+long conflict chain.  Pair order is the kernel's own scalar head run on
+whole chunks (:class:`PairOrderKernel`).
 """
 
 import tracemalloc
@@ -12,13 +13,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.equilibrium import RDSetting
+from repro.core.igt import GenerosityGrid
 from repro.engine import (
     AgentBackend,
     ConflictFreeKernel,
     CountBackend,
+    ImitationModel,
     MixtureTableModel,
     PairMixtureTableModel,
     WeightedCountBackend,
+    igt_action_model,
     igt_model,
     matrix_game_model,
 )
@@ -57,6 +62,21 @@ def igt_states(n, k=6):
     return states
 
 
+class PairOrderKernel(ConflictFreeKernel):
+    """A kernel that never peels: each whole chunk runs through the
+    scalar head, one interaction at a time in pair order."""
+
+    def _peel(self, ii, jj, w, oi=None, oj=None):
+        return (ii, jj, w, oi, oj), []
+
+
+def in_pair_order(engine: AgentBackend) -> AgentBackend:
+    """``engine``, its runs applied by a :class:`PairOrderKernel`."""
+    engine._kernel = PairOrderKernel(engine.model, engine.states_live,
+                                     engine.counts_live)
+    return engine
+
+
 class TestBitParity:
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 300, 1500])
     def test_igt_matches_sequential(self, n):
@@ -64,8 +84,8 @@ class TestBitParity:
         # of a chunk conflicts with many others.
         model = igt_model(6)
         states = igt_states(n)
-        fast = AgentBackend(model, states, seed=11, vectorized=True)
-        slow = AgentBackend(model, states, seed=11, vectorized=False)
+        fast = AgentBackend(model, states, seed=11)
+        slow = in_pair_order(AgentBackend(model, states, seed=11))
         fast.run(9000)
         slow.run(9000)
         assert np.array_equal(fast.states, slow.states)
@@ -74,8 +94,8 @@ class TestBitParity:
     @pytest.mark.parametrize("n", [2, 7, 800])
     def test_two_way_matches_sequential(self, swap, n):
         states = (np.arange(n) % 3).astype(np.int64)
-        fast = AgentBackend(swap, states, seed=5, vectorized=True)
-        slow = AgentBackend(swap, states, seed=5, vectorized=False)
+        fast = AgentBackend(swap, states, seed=5)
+        slow = in_pair_order(AgentBackend(swap, states, seed=5))
         fast.run(6000)
         slow.run(6000)
         assert np.array_equal(fast.states, slow.states)
@@ -84,8 +104,8 @@ class TestBitParity:
     def test_mixture_model_matches_sequential(self):
         model = igt_model(5, observation_noise=0.2)
         states = igt_states(700, k=5)
-        fast = AgentBackend(model, states, seed=3, vectorized=True)
-        slow = AgentBackend(model, states, seed=3, vectorized=False)
+        fast = AgentBackend(model, states, seed=3)
+        slow = in_pair_order(AgentBackend(model, states, seed=3))
         fast.run(20_000)
         slow.run(20_000)
         assert np.array_equal(fast.states, slow.states)
@@ -94,9 +114,9 @@ class TestBitParity:
         states = np.zeros(400, dtype=np.int64)
         states[0] = 2
         runs = []
-        for vectorized in (True, False):
-            backend = AgentBackend(epidemic, states, seed=9,
-                                   vectorized=vectorized)
+        for backend in (AgentBackend(epidemic, states, seed=9),
+                        in_pair_order(AgentBackend(epidemic, states,
+                                                   seed=9))):
             runs.append(backend.run(50_000, stop_when=lambda c: c[2] >= 300,
                                     observe_every=1000,
                                     check_stop_every=500))
@@ -110,7 +130,7 @@ class TestBitParity:
     def test_inert_filter_epidemic_absorbed(self, epidemic):
         # All agents inert from the start: the whole run is no-ops.
         states = np.full(2000, 2, dtype=np.int64)
-        backend = AgentBackend(epidemic, states, seed=1, vectorized=True)
+        backend = AgentBackend(epidemic, states, seed=1)
         result = backend.run(30_000)
         assert result.counts[2] == 2000
         assert np.array_equal(backend.states, states)
@@ -120,39 +140,17 @@ class TestBitParity:
         # so the inert filter must read each chunk's current states;
         # trajectories stay identical to sequential execution.
         states = (np.arange(1200) % 3).astype(np.int64)
-        fast = AgentBackend(epidemic, states, seed=21, vectorized=True)
-        slow = AgentBackend(epidemic, states, seed=21, vectorized=False)
+        fast = AgentBackend(epidemic, states, seed=21)
+        slow = in_pair_order(AgentBackend(epidemic, states, seed=21))
         fast.run(40_000)
         slow.run(40_000)
         assert np.array_equal(fast.states, slow.states)
 
 
 class TestPathSelection:
-    def test_table_kernel_is_in_order_only_when_not_vectorized(
-            self, epidemic):
-        # Every run takes the kernel, at any n and cadence; only
-        # vectorized=False asks a table model for pair order, which
-        # never peels and so holds no stamp map.
-        states = np.zeros(50, dtype=np.int64)
-        for vectorized in (None, True, False):
-            backend = AgentBackend(epidemic, states, seed=0,
-                                   vectorized=vectorized)
-            backend.run(100, observe_every=1)
-            assert backend._kernel.in_order is (vectorized is False)
-        assert stamp_maps(epidemic, in_order=True) == 0
-        assert stamp_maps(epidemic) == 2
-
-    def test_generic_models_ignore_the_knob(self):
-        model = matrix_game_model(np.array([[0.0, 2.0], [1.0, 0.0]]),
-                                  "logit", eta=2.0)
-        backend = AgentBackend(model, (np.arange(12) % 2).astype(np.int64),
-                               seed=1, vectorized=True)
-        result = backend.run(500)
-        assert result.counts.sum() == 12
-
     def test_states_live_identity_preserved(self, epidemic):
         states = (np.arange(3000) % 3).astype(np.int64)
-        backend = AgentBackend(epidemic, states, seed=2, vectorized=True)
+        backend = AgentBackend(epidemic, states, seed=2)
         live = backend.states_live
         backend.run(10_000)
         assert backend.states_live is live
@@ -188,9 +186,9 @@ STAMP_MODELS = {
 
 class TestStampRestart:
     """Peel stamps are ``int32``: a round that would overflow them
-    restarts them at 0 over cleared maps (a read-free kernel reads its
-    one map back only where the round just wrote it, and clears
-    nothing).  Rounds compare stamps only with each other and with
+    restarts them at 0 over a cleared map (read-free and two-way
+    kernels read their map back only where the round just wrote it, and
+    clear nothing).  Rounds compare stamps only with each other and with
     older, smaller ones, so the restart — like a restore with fresh
     stamps — changes nothing."""
 
@@ -199,8 +197,8 @@ class TestStampRestart:
     def test_forced_restart_keeps_the_trajectory(self, name, headroom):
         model = STAMP_MODELS[name]()
         states = np.random.default_rng(3).integers(0, model.n_states, 3000)
-        plain = AgentBackend(model, states, seed=6, vectorized=True)
-        forced = AgentBackend(model, states, seed=6, vectorized=True)
+        plain = AgentBackend(model, states, seed=6)
+        forced = AgentBackend(model, states, seed=6)
         plain.run(5000)
         forced.run(5000)
         # The maps keep their history, all of it below the forced stamp.
@@ -223,18 +221,19 @@ class TestNarrowStates:
         assert igt_model(254).state_dtype == np.uint8
         assert igt_model(255).state_dtype == np.uint16
 
-    @pytest.mark.parametrize("vectorized, steps", [
-        (True, 6000), (False, 6000), (False, 100)],
-        ids=["kernel", "list-loop", "numpy-loop"])
-    def test_wide_state_space_does_not_wrap(self, vectorized, steps):
+    @pytest.mark.parametrize("pair_order", [False, True],
+                             ids=["peel", "pair-order"])
+    def test_wide_state_space_does_not_wrap(self, pair_order):
         # 300 states in uint16: u * S reaches 89,700, past 2^16.
-        s = 300
+        s, steps = 300, 6000
         table = np.empty((s, s, 2), dtype=np.int64)
         table[:, :, 0] = np.maximum.outer(np.arange(s), np.arange(s))
         table[:, :, 1] = np.arange(s)[None, :]
         model = TableModel(table)
         states = np.random.default_rng(5).integers(0, s, 2000)
-        engine = AgentBackend(model, states, seed=4, vectorized=vectorized)
+        engine = AgentBackend(model, states, seed=4)
+        if pair_order:
+            in_pair_order(engine)
         assert engine.states_live.dtype == np.uint16
         engine.run(steps)
         reference = AgentBackend(GenericTable(table), states, seed=4)
@@ -242,41 +241,58 @@ class TestNarrowStates:
         np.testing.assert_array_equal(engine.states, reference.states)
 
 
-class TestKernelValidation:
-    def test_two_way_stochastic_needs_pair_order(self):
-        # Batched rounds draw a stochastic model's outcomes per round,
-        # which only one-way models allow; pair order takes any model.
-        model = PairMixtureTableModel(TWO_WAY_TABLE, TWO_WAY_TABLE[::-1],
-                                      np.full((3, 3), 0.5))
-        states = np.zeros(10, dtype=model.state_dtype)
-        counts = np.bincount(states, minlength=3)
-        with pytest.raises(InvalidParameterError, match="one-way"):
-            ConflictFreeKernel(model, states, counts)
-        assert ConflictFreeKernel(model, states, counts,
-                                  in_order=True).in_order
+class TwoWayImitation(ImitationModel):
+    """Imitation whose model agent copies the initiator back: a 4-slot
+    model that writes its responder."""
 
-    @pytest.mark.parametrize("in_order, maps", [(True, 0), (False, 2)])
-    def test_an_in_order_kernel_holds_no_stamp_map(self, in_order, maps):
-        # It never peels; batched logit rounds keep write and read maps.
-        model = matrix_game_model(PAYOFFS, "logit", eta=1.5)
-        assert stamp_maps(model, in_order) == maps
+    @property
+    def one_way(self) -> bool:
+        return False
+
+    def apply(self, initiators, responders, uniforms, observed=None):
+        new_u, _ = super().apply(initiators, responders, uniforms, observed)
+        return new_u, initiators
+
+
+class TestKernelValidation:
+    @pytest.mark.parametrize("model", [
+        TwoWayImitation(PAYOFFS),
+        PairMixtureTableModel(TWO_WAY_TABLE, TWO_WAY_TABLE[::-1],
+                              np.full((3, 3), 0.5)),
+    ], ids=["four-slot", "two-slot"])
+    def test_two_way_stochastic_models(self, model):
+        # A two-way pairwise stochastic model peels by agent-disjointness;
+        # a 4-slot one is refused, as the peel reads observed agents only
+        # beside a one-way write.
+        states = np.zeros(10, dtype=model.state_dtype)
+        counts = np.bincount(states, minlength=model.n_states)
+        if model.slots_per_step == 4:
+            with pytest.raises(InvalidParameterError, match="one-way"):
+                ConflictFreeKernel(model, states, counts)
+        else:
+            assert not ConflictFreeKernel(model, states, counts).one_way
+
+    def test_four_slot_tables_are_refused(self):
+        class FourSlotTable(TableModel):
+            slots_per_step = 4
+
+        model = FourSlotTable(TWO_WAY_TABLE)
+        states = np.zeros(10, dtype=model.state_dtype)
+        with pytest.raises(InvalidParameterError, match="4-slot"):
+            ConflictFreeKernel(model, states, np.bincount(states,
+                                                          minlength=3))
 
     def test_table_models_honour_pair_order(self):
-        # An in-order table kernel runs each whole chunk through the
-        # scalar head, never the peel, and lands where the rounds do.
+        # A pair-order kernel runs each whole chunk through the scalar
+        # head, never the peel, and lands where the rounds do.
         model = igt_model(6)
         start = np.random.default_rng(2).integers(0, 8, 10).astype(np.uint8)
         pairs = np.random.default_rng(3).integers(0, 10, (2, 400))
         pairs = pairs[:, pairs[0] != pairs[1]]
         ends = []
-        for in_order in (True, False):
+        for kind in (PairOrderKernel, ConflictFreeKernel):
             states = start.copy()
-            kernel = ConflictFreeKernel(model, states,
-                                        np.bincount(states, minlength=8),
-                                        in_order=in_order)
-            assert kernel.in_order is in_order
-            if in_order:
-                kernel._peel = None  # a peel would fail
+            kernel = kind(model, states, np.bincount(states, minlength=8))
             kernel.apply_chunk(pairs[0], pairs[1])
             np.testing.assert_array_equal(
                 kernel.counts, np.bincount(states, minlength=8))
@@ -319,7 +335,7 @@ class TestCountsFollowStates:
     def test_counts_are_the_states_histogram(self, name):
         model = self.MODELS[name]()
         states = np.random.default_rng(8).integers(0, model.n_states, 3000)
-        engine = AgentBackend(model, states, seed=9, vectorized=True)
+        engine = AgentBackend(model, states, seed=9)
         for kwargs in ({}, {"observe_every": 2500}):
             engine.run(10_000, **kwargs)
             np.testing.assert_array_equal(
@@ -336,6 +352,17 @@ class TestCountProxyPath:
             result = backend.run(25_000)
             assert result.counts.sum() == 1000
             assert (result.counts >= 0).all()
+
+    @pytest.mark.parametrize("model", [
+        matrix_game_model(PAYOFFS, "logit", eta=1.5),
+        PairMixtureTableModel(TWO_WAY_TABLE, TWO_WAY_TABLE[::-1],
+                              np.full((3, 3), 0.5)),
+    ], ids=["one-way", "two-way"])
+    def test_every_pairwise_model_runs_on_the_proxy(self, model):
+        counts = np.full(model.n_states, 300)
+        backend = CountBackend(model, counts, seed=4)
+        assert backend._kernel is not None
+        assert backend.run(20_000).counts.sum() == counts.sum()
 
     def test_proxy_forced_needs_supported_model(self):
         imitation = matrix_game_model(np.array([[0.0, 2.0], [1.0, 0.0]]),
@@ -375,55 +402,57 @@ class TestCountProxyPath:
             assert result.counts.sum() == 1000
 
 
-class NoDraws(MixtureTableModel):
-    """Two component tables, but no per-interaction component draws."""
+class NoProbs(MixtureTableModel):
+    """Two component tables that declare no probabilities."""
 
-    def sample_components(self, rng, size: int):
+    @property
+    def component_probs(self):
         return None
 
 
-def no_draws_model() -> NoDraws:
-    return NoDraws(igt_model(6, observation_noise=0.2).component_tables,
+def no_probs_model() -> NoProbs:
+    return NoProbs(igt_model(6, observation_noise=0.2).component_tables,
                    [0.8, 0.2])
 
 
-class TestMissingComponentDraws:
-    """A model with several component tables must draw which one each
-    interaction applies; one that returns no draws is refused before
-    its first pair is applied, on the agent and on both count proxies,
-    instead of applying table 0 to every pair."""
+class TestComponentProbsRequired:
+    """Each interaction's uniform picks its component table by the
+    model's ``component_probs``, so a model with several tables must
+    declare them: every engine and path refuses one that does not at
+    construction, before its first pair, instead of applying table 0
+    to every pair."""
 
-    @pytest.mark.parametrize("n", [200, 5000])
-    def test_agent_refuses(self, n):
-        model = no_draws_model()
-        start = igt_states(n)
-        engine = AgentBackend(model, start, seed=1)
-        with pytest.raises(InvalidParameterError, match="sample_components"):
-            engine.run(1000)
-        np.testing.assert_array_equal(engine.states, start)
-        np.testing.assert_array_equal(engine.counts,
-                                      np.bincount(start, minlength=8))
+    def test_agent_refuses(self):
+        with pytest.raises(InvalidParameterError, match="component_probs"):
+            AgentBackend(no_probs_model(), igt_states(200), seed=1)
 
-    def test_count_proxy_refuses(self):
+    def test_kernel_refuses(self):
+        states = np.zeros(10, dtype=np.uint8)
+        with pytest.raises(InvalidParameterError, match="component_probs"):
+            ConflictFreeKernel(no_probs_model(), states,
+                               np.bincount(states, minlength=8))
+
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["proxy", "birthday"])
+    def test_count_refuses(self, vectorized):
         counts = np.bincount(igt_states(5000), minlength=8)
-        engine = CountBackend(no_draws_model(), counts, seed=1,
-                              vectorized=True)
-        with pytest.raises(InvalidParameterError, match="sample_components"):
-            engine.run(1000)
-        np.testing.assert_array_equal(engine.counts, counts)
+        with pytest.raises(InvalidParameterError, match="component_probs"):
+            CountBackend(no_probs_model(), counts, seed=1,
+                         vectorized=vectorized)
 
-    def test_weighted_proxy_refuses(self):
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["proxy", "birthday"])
+    def test_weighted_refuses(self, vectorized):
         counts = np.bincount(igt_states(5000), minlength=8)
         initial = np.stack([counts // 2, counts - counts // 2])
-        engine = WeightedCountBackend(no_draws_model(), initial, [1.0, 4.0],
-                                      seed=1, vectorized=True)
-        with pytest.raises(InvalidParameterError, match="sample_components"):
-            engine.run(1000)
-        np.testing.assert_array_equal(engine.class_state_counts, initial)
+        with pytest.raises(InvalidParameterError, match="component_probs"):
+            WeightedCountBackend(no_probs_model(), initial, [1.0, 4.0],
+                                 seed=1, vectorized=vectorized)
 
 
 class GenericTable(TableModel):
-    """A table model without tables: the kernel's pair-order path."""
+    """A table model without tables: the kernel's stochastic path, which
+    draws (and ignores) one uniform per interaction."""
 
     @property
     def component_tables(self):
@@ -457,11 +486,25 @@ TABLE_MODELS = {
 }
 
 
+#: Models without component tables, one per peel shape: one-way with
+#: reads (logit, action-mode k-IGT with its inert filter), 4-slot
+#: (imitation) and two-way.
+STOCHASTIC_MODELS = {
+    "logit": STAMP_MODELS["one-way-stochastic"],
+    "imitation": STAMP_MODELS["four-slot"],
+    "action-igt": lambda: igt_action_model(
+        GenerosityGrid(k=6, g_max=0.6),
+        RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5)),
+    "two-way": lambda: PairMixtureTableModel(
+        TWO_WAY_TABLE, TWO_WAY_TABLE[::-1], np.full((3, 3), 0.5)),
+}
+
+
 class TestKernelMatchesLoops:
     """Over plain, observed and stop-checked runs, the kernel's peeled
     rounds keep the trajectory of its pair-order head, for table models
-    (``vectorized=False``) and for a table disguised as a stochastic
-    model, bit for bit, down to populations far below a chunk."""
+    and for a table disguised as a stochastic model, bit for bit, down
+    to populations far below a chunk."""
 
     def run_plan(self, backend):
         backend.run(3000, observe_every=700)
@@ -474,8 +517,24 @@ class TestKernelMatchesLoops:
     def test_kernel_matches_the_table_loop(self, name, n):
         model = TABLE_MODELS[name]()
         states = np.random.default_rng(1).integers(0, model.n_states, n)
-        loop = AgentBackend(model, states, seed=4, vectorized=False)
-        kernel = AgentBackend(model, states, seed=4, vectorized=True)
+        loop = in_pair_order(AgentBackend(model, states, seed=4))
+        kernel = AgentBackend(model, states, seed=4)
+        self.run_plan(loop)
+        self.run_plan(kernel)
+        np.testing.assert_array_equal(loop.states, kernel.states)
+        np.testing.assert_array_equal(loop.counts, kernel.counts)
+        assert (loop.scheduler.rng.bit_generator.state
+                == kernel.scheduler.rng.bit_generator.state)
+
+    @pytest.mark.parametrize("n", [60, 5000])
+    @pytest.mark.parametrize("name", sorted(STOCHASTIC_MODELS))
+    def test_stochastic_peel_matches_pair_order(self, name, n):
+        # Each interaction's uniform is drawn before its chunk runs, so
+        # the peeled rounds apply it wherever pair order would.
+        model = STOCHASTIC_MODELS[name]()
+        states = np.random.default_rng(3).integers(0, model.n_states, n)
+        loop = in_pair_order(AgentBackend(model, states, seed=7))
+        kernel = AgentBackend(model, states, seed=7)
         self.run_plan(loop)
         self.run_plan(kernel)
         np.testing.assert_array_equal(loop.states, kernel.states)
@@ -485,25 +544,28 @@ class TestKernelMatchesLoops:
 
     @pytest.mark.parametrize("n", [4, 300, 5000])
     def test_kernel_matches_the_generic_loop(self, n):
+        # A one-table mixture and the same table as a stochastic model
+        # both draw one uniform per interaction; the table peel and the
+        # stochastic peel part neither the trajectory nor the generator.
         table = igt_model(6).table
         states = np.random.default_rng(2).integers(0, 8, n)
-        kernel = AgentBackend(TableModel(table), states, seed=9,
-                              vectorized=True)
+        kernel = AgentBackend(MixtureTableModel([table], [1.0]), states,
+                              seed=9)
         loop = AgentBackend(GenericTable(table), states, seed=9)
         self.run_plan(kernel)
         self.run_plan(loop)
         np.testing.assert_array_equal(kernel.states, loop.states)
         np.testing.assert_array_equal(kernel.counts, loop.counts)
-
+        assert (kernel.scheduler.rng.bit_generator.state
+                == loop.scheduler.rng.bit_generator.state)
 
     def test_one_component_mixture_on_every_path(self):
         # A one-table mixture still draws a component per interaction,
-        # on every path alike, so the flag parts neither the trajectory
-        # nor the generator.
+        # in the peel and in pair order alike.
         model = MixtureTableModel([igt_model(6).table], [1.0])
         start = np.random.default_rng(1).integers(0, 8, 300)
-        engines = [AgentBackend(model, start, seed=4, vectorized=flag)
-                   for flag in (None, True, False)]
+        engines = [AgentBackend(model, start, seed=4),
+                   in_pair_order(AgentBackend(model, start, seed=4))]
         for _ in range(2):
             for engine in engines:
                 engine.run(3000)
@@ -515,7 +577,7 @@ class TestKernelMatchesLoops:
                         == first.scheduler.rng.bit_generator.state)
 
 
-def stamp_maps(model, in_order=False) -> int:
+def stamp_maps(model) -> int:
     """Per-agent ``int32`` maps a new kernel over 10^6 agents allocates,
     read off its traced bytes."""
     n = 10**6
@@ -523,7 +585,7 @@ def stamp_maps(model, in_order=False) -> int:
     counts = np.bincount(states, minlength=model.n_states)
     tracemalloc.start()
     try:
-        ConflictFreeKernel(model, states, counts, in_order=in_order)
+        ConflictFreeKernel(model, states, counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -564,9 +626,12 @@ class TestReadFree:
     def test_models_whose_reads_count(self, name):
         assert not kernel_is_read_free(self.WITH_READS[name]())
 
-    @pytest.mark.parametrize("name, maps", [("igt", 1), ("max-3", 2)])
-    def test_a_read_free_kernel_holds_no_read_map(self, name, maps):
-        # One int32 stamp map per agent when read-free; the criterion
-        # with reads keeps a second, of read stamps.
-        model = {**self.READ_FREE, **self.WITH_READS}[name]()
-        assert stamp_maps(model) == maps
+    @pytest.mark.parametrize("name", [
+        "igt", "max-3", "logit", "action-igt", "imitation", "two-way"])
+    def test_every_kernel_holds_one_stamp_map(self, name):
+        # One int32 stamp map per agent on every peel: read-free, with
+        # reads (2- and 4-slot, tables and stochastic models alike) and
+        # agent-disjoint.
+        model = {**self.READ_FREE, **self.WITH_READS,
+                 **STOCHASTIC_MODELS}[name]()
+        assert stamp_maps(model) == 1

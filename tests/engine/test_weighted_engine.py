@@ -256,7 +256,7 @@ class TestProductStateModel:
         rng = np.random.default_rng(0)
         initiators = rng.integers(0, product.n_states, size=200)
         responders = rng.integers(0, product.n_states, size=200)
-        new_u, new_v = product.apply(initiators, responders, rng)
+        new_u, new_v = product.apply(initiators, responders, None)
         s = inner.n_states
         assert np.array_equal(new_u // s, initiators // s)
         assert np.array_equal(new_v // s, responders // s)
@@ -266,11 +266,13 @@ class TestProductStateModel:
         from repro.engine import ImitationModel
 
         class Probe(ImitationModel):
-            def apply(self, initiators, responders, rng, observed=None):
+            def apply(self, initiators, responders, uniforms,
+                      observed=None):
                 assert observed is not None
                 assert (observed[0] < self.n_states).all()
                 assert (observed[1] < self.n_states).all()
-                return super().apply(initiators, responders, rng, observed)
+                return super().apply(initiators, responders, uniforms,
+                                     observed)
 
         inner = Probe(np.array([[1.0, 0.0], [2.0, 1.0]]))
         product = ProductStateModel(inner, 3)
@@ -281,10 +283,11 @@ class TestProductStateModel:
         responders = rng.integers(0, product.n_states, size=300)
         observed = (rng.integers(0, product.n_states, size=300),
                     rng.integers(0, product.n_states, size=300))
-        new_u, new_v = product.apply(initiators, responders, rng, observed)
+        new_u, new_v = product.apply(initiators, responders,
+                                     rng.random(300), observed)
         assert np.array_equal(new_u // s, initiators // s)
         assert np.array_equal(new_v // s, responders // s)
-        u, v = product.apply_scalar(2 * s + 1, s, rng,
+        u, v = product.apply_scalar(2 * s + 1, s, rng.random(),
                                     observed=(s + 1, 2 * s))
         assert u // s == 2 and v // s == 1
 
@@ -320,6 +323,17 @@ class TestWeightClassHelpers:
         with pytest.raises(InvalidParameterError, match=r"lie in 0\.\.4"):
             WeightedCountBackend.from_agent_states(
                 TableModel(epidemic_table(5)), np.array(states), np.ones(4))
+
+    @pytest.mark.parametrize("counts", [
+        [[1.5, 2, 1, 1], [2, 2, 1.9, 1]],
+        [[1, 2, 1, 1], [2, np.nan, 1, 1]],
+    ], ids=["fractional", "nan"])
+    def test_initial_counts_must_be_integers(self, counts):
+        # Fractional counts used to be truncated by a cast (n=11 here),
+        # and NaN raised numpy's own ValueError.
+        with pytest.raises(InvalidParameterError, match="initial_counts"):
+            WeightedCountBackend(TableModel(epidemic_table(4)),
+                                 np.array(counts), np.array([1.0, 2.0]))
 
     def test_weights_from_spec(self):
         assert weights_from_spec("uniform", 10) is None

@@ -24,7 +24,7 @@ from repro.engine import (
     igt_model,
 )
 from repro.engine.count import sample_without_replacement
-from repro.engine.model import InteractionModel
+from repro.engine.model import InteractionModel, component_picker
 
 DRAWS = 6000
 
@@ -56,7 +56,7 @@ def per_slot_cells(rng, chain, t, model, class_of) -> np.ndarray:
     rng.shuffle(slots)
     component = np.zeros(t, dtype=np.int64)
     if len(tables) > 1:
-        component = model.sample_components(rng, t)
+        component = component_picker(model.component_probs)(rng.random(t))
     return (component * s + slots[0::2]) * classes + class_of[slots[1::2]]
 
 
@@ -230,10 +230,10 @@ class Recorder(InteractionModel):
     def n_states(self) -> int:
         return self._s
 
-    def apply(self, initiators, responders, rng, observed=None):
+    def apply(self, initiators, responders, uniforms, observed=None):
         return initiators, responders
 
-    def apply_scalar(self, u, v, rng, observed=None):
+    def apply_scalar(self, u, v, uniform, observed=None):
         self.seen.append((u, v, *(observed or ())))
         return u, v
 

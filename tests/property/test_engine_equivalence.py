@@ -6,10 +6,10 @@ Two guarantees are pinned down here:
   the pre-engine per-interaction loops (the seed protocol simulator's
   ``run`` and the ``IGTSimulation`` fast path) are replayed against the
   engine-backed implementations under shared seeds and must produce
-  identical trajectories, not merely the same law.  A frozen copy of
-  the agent engine's former per-interaction loop for models without
-  component tables is replayed the same way against the kernel's
-  pair-order path that replaced it.
+  identical trajectories, not merely the same law.  A frozen
+  per-interaction loop that hands each interaction one uniform is
+  replayed the same way against the kernel's peel for every model that
+  draws one: stochastic models and table mixtures.
 * **CountBackend is exact in distribution** — its empirical state
   distribution is compared against the exact transition matrices from
   :mod:`repro.markov` (the paper's Ehrenfest embedding) and against the
@@ -91,15 +91,14 @@ def max_table(n_states: int, responder_too: bool) -> np.ndarray:
                       for v in range(n_states)] for u in range(n_states)])
 
 
-def agent_run(table, initial_states, seed, max_steps, vectorized=None,
-              observe_every=None):
+def agent_run(table, initial_states, seed, max_steps, observe_every=None):
     """``table`` on the agent engine, built as ``build_engine`` builds it.
 
     Returns the final per-agent states and the run's result.
     """
     states = np.array(initial_states, dtype=np.int64)
     engine = build_engine(TableModel(table), make_law(states.size, seed=seed),
-                          "agent", states=states, vectorized=vectorized)
+                          "agent", states=states)
     result = engine.run(max_steps, observe_every=observe_every)
     return engine.states, result
 
@@ -153,11 +152,12 @@ def reference_generic_run(model, states, counts, scheduler, max_steps,
                           steps_run=0, stop_when=None, observe_every=None,
                           check_stop_every=1):
     """The agent engine's per-interaction loop for models without
-    component tables, as it ran before they moved onto the kernel.
+    component tables, as it ran before they moved onto the kernel, with
+    each interaction's one uniform drawn before its model call.
 
     Updates ``states`` and ``counts`` in place, drawing pair blocks,
-    observed agents and model randomness from ``scheduler`` in the
-    engine's order.  Returns ``(observations, executed, converged)``.
+    observed agents and uniforms from ``scheduler`` in the engine's
+    order.  Returns ``(observations, executed, converged)``.
     """
     observations = []
     if observe_every is not None:
@@ -183,7 +183,7 @@ def reference_generic_run(model, states, counts, scheduler, max_steps,
             if four:
                 observed = (int(states[obs_i[offset]]),
                             int(states[obs_j[offset]]))
-            new_u, new_v = model.apply_scalar(u, v, rng, observed)
+            new_u, new_v = model.apply_scalar(u, v, rng.random(), observed)
             if new_u != u:
                 states[i] = new_u
                 counts[u] -= 1
@@ -202,7 +202,7 @@ def reference_generic_run(model, states, counts, scheduler, max_steps,
     return observations, max_steps, False
 
 
-def igt_engine(n, shares, grid, seed, strict, vectorized):
+def igt_engine(n, shares, grid, seed, strict):
     """The k-IGT population on the agent engine, started as
     ``IGTSimulation`` starts it: the GTFT indices are the generator's
     first draws, and the engine's pairs come after them."""
@@ -213,20 +213,17 @@ def igt_engine(n, shares, grid, seed, strict, vectorized):
                              rng.integers(0, k, size=n_gtft)])
     model = igt_model(k, mode="strict" if strict else "strategy")
     return build_engine(model, make_law(n, seed=rng), "agent",
-                        states=states, vectorized=vectorized)
+                        states=states)
 
 
-@pytest.mark.parametrize("vectorized", [None, True, False])
 class TestAgentBackendBitCompat:
-    """The agent engine is the seed simulator bit for bit under every
-    ``vectorized`` value: peeled rounds (``None``, ``True``) and the
-    kernel's pair-order head (``False``) against the frozen pre-engine
-    loops, which share no code with the kernel — states, counts,
-    observation snapshots, everything, at populations far below a
-    chunk."""
+    """The agent engine's peeled rounds are the seed simulator bit for
+    bit against the frozen pre-engine loops, which share no code with
+    the kernel — states, counts, observation snapshots, everything, at
+    populations far below a chunk."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    def test_simulator_trajectories_identical(self, vectorized, seed):
+    def test_simulator_trajectories_identical(self, seed):
         table = max_table(4, responder_too=False)
         states = np.zeros(300, dtype=np.int64)
         states[:5] = 3
@@ -234,45 +231,43 @@ class TestAgentBackendBitCompat:
         ref_states, ref_counts, ref_obs = reference_simulator_run(
             table, states, seed, 30_000, observe_every=7001)
         final, result = agent_run(table, states, seed, 30_000,
-                                  vectorized=vectorized, observe_every=7001)
+                                  observe_every=7001)
         assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
         assert len(result.observations) == len(ref_obs)
         for (s1, c1), (s2, c2) in zip(result.observations, ref_obs):
             assert s1 == s2 and np.array_equal(c1, c2)
 
-    def test_two_way_protocol_identical(self, vectorized):
+    def test_two_way_protocol_identical(self):
         table = max_table(3, responder_too=True)
         states = (np.arange(100) % 3).astype(np.int64)
         ref_states, ref_counts, _ = reference_simulator_run(
             table, states, 13, 5000)
-        final, result = agent_run(table, states, 13, 5000,
-                                  vectorized=vectorized)
+        final, result = agent_run(table, states, 13, 5000)
         assert np.array_equal(final, ref_states)
         assert np.array_equal(result.counts, ref_counts)
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("seed", [1, 42])
-    def test_igt_trajectories_identical(self, vectorized, seed, strict):
+    def test_igt_trajectories_identical(self, seed, strict):
         shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
         grid = GenerosityGrid(k=5, g_max=0.6)
         ref_gtft, ref_counts, ref_recorded = reference_igt_run(
             150, shares, grid, seed, 20_000, observe_every=4999,
             strict=strict)
-        engine = igt_engine(150, shares, grid, seed, strict, vectorized)
+        engine = igt_engine(150, shares, grid, seed, strict)
         result = engine.run(20_000, observe_every=4999)
         assert np.array_equal(engine.states[-len(ref_gtft):], ref_gtft)
         assert np.array_equal(result.counts[:grid.k], ref_counts)
         assert np.array_equal(
             np.stack([c[:grid.k] for _, c in result.observations]),
             np.stack(ref_recorded))
-        if vectorized is None:
-            # The facade builds that engine, at the default.
-            sim = IGTSimulation(n=150, shares=shares, grid=grid, seed=seed,
-                                mode="strict" if strict else "strategy")
-            recorded = sim.run(20_000, observe_every=4999)
-            assert np.array_equal(sim.gtft_indices(), ref_gtft)
-            assert np.array_equal(recorded, np.stack(ref_recorded))
+        # The facade builds that engine.
+        sim = IGTSimulation(n=150, shares=shares, grid=grid, seed=seed,
+                            mode="strict" if strict else "strategy")
+        recorded = sim.run(20_000, observe_every=4999)
+        assert np.array_equal(sim.gtft_indices(), ref_gtft)
+        assert np.array_equal(recorded, np.stack(ref_recorded))
 
 
 def moving_pair_mixture(s: int = 4) -> PairMixtureTableModel:
@@ -284,20 +279,24 @@ def moving_pair_mixture(s: int = 4) -> PairMixtureTableModel:
     return PairMixtureTableModel(hit, miss, probs)
 
 
-class TestGenericModelsInPairOrder:
-    """Models without component tables run on the kernel in pair order,
-    bit for bit the per-interaction loop they used to run: same pair
-    blocks, observed-agent draws and model draws, the responder's
-    outcome kept, observations and early stops at the same steps."""
+LAWS = [{}, {"weights": "powerlaw"}, {"topology": "ring"}]
+LAW_IDS = ["uniform", "powerlaw", "ring"]
 
-    def assert_runs_match(self, model, initial, law, plan, seed=5,
-                          vectorized=None):
+
+class TestGenericModelsInPairOrder:
+    """Every model that draws a uniform per interaction — stochastic
+    models and table mixtures — peels on the kernel bit for bit like the
+    frozen per-interaction loop: same pair blocks, observed-agent draws
+    and uniforms, the responder's outcome kept, observations and early
+    stops at the same steps, and the generator where the loop leaves
+    it."""
+
+    def assert_runs_match(self, model, initial, law, plan, seed=5):
         """Run ``plan`` (a list of ``run`` keyword dicts) on the engine
         and on the frozen loop, comparing after every call."""
         n = initial.size
         engine = AgentBackend(model, initial,
-                              scheduler=make_law(n, seed=seed, **law),
-                              vectorized=vectorized)
+                              scheduler=make_law(n, seed=seed, **law))
         scheduler = make_law(n, seed=seed, **law)
         states = initial.astype(np.int64)
         counts = np.bincount(states, minlength=model.n_states)
@@ -319,21 +318,21 @@ class TestGenericModelsInPairOrder:
                 assert s1 == s2
                 np.testing.assert_array_equal(c1, c2)
             converged.append(stopped)
+        assert (engine.scheduler.rng.bit_generator.state
+                == scheduler.rng.bit_generator.state)
         return converged
 
-    @pytest.mark.parametrize("vectorized", [None, False])
-    def test_two_way_pair_mixture(self, vectorized):
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
+    def test_two_way_pair_mixture(self, law):
         model = moving_pair_mixture()
         assert not model.one_way
         initial = np.random.default_rng(2).integers(0, 4, 150)
-        self.assert_runs_match(model, initial, {}, [
+        self.assert_runs_match(model, initial, law, [
             {"max_steps": 3000, "observe_every": 700},
             {"max_steps": 70_000},
-        ], vectorized=vectorized)
+        ])
 
-    @pytest.mark.parametrize("law", [
-        {}, {"weights": "powerlaw"}, {"topology": "ring"}],
-        ids=["uniform", "powerlaw", "ring"])
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_imitation_reads_its_observed_agents(self, law):
         model = ImitationModel(np.array([[1.0, 3.0], [0.0, 2.0]]))
         initial = (np.arange(200) % 2).astype(np.int64)
@@ -351,6 +350,21 @@ class TestGenericModelsInPairOrder:
              "stop_when": lambda counts: counts[1] >= 200,
              "check_stop_every": 300},
             {"max_steps": 5000, "observe_every": 700},
+        ])
+        assert converged == [True, False]
+
+    def test_noisy_igt_stop_fires_mid_block(self):
+        # A table mixture draws its uniforms per chunk, so a stop inside
+        # a block leaves the generator where the loop leaves it.
+        # GTFT agents start at the bottom index and climb: the stop
+        # fires after a few thousand steps of a 30,000-step block.
+        model = igt_model(6, observation_noise=0.1)
+        initial = np.repeat([0, 6, 7], [200, 120, 80])
+        converged = self.assert_runs_match(model, initial, {}, [
+            {"max_steps": 30_000, "observe_every": 900,
+             "stop_when": lambda counts: counts[5] >= 40,
+             "check_stop_every": 250},
+            {"max_steps": 6000, "observe_every": 900},
         ])
         assert converged == [True, False]
 

@@ -136,7 +136,7 @@ def assert_continues_identically(original, resumed, post_plan=None):
 class TestBackendEquivalence:
     @pytest.mark.parametrize("build", [
         lambda: AgentBackend(averaging_model(), initial_states(2000, 5),
-                             seed=15, vectorized=True),
+                             seed=15),
         lambda: CountBackend(averaging_model(), initial_counts(5000, 5),
                              seed=24),
         lambda: CountBackend(averaging_model(), initial_counts(5000, 5),
@@ -145,25 +145,18 @@ class TestBackendEquivalence:
     def test_two_way_table_protocol(self, build):
         assert_resumes_identically(build)
 
-    def test_agent_backend_table_loop(self):
+    @pytest.mark.parametrize("n, seed", [(300, 11), (2000, 12)])
+    def test_agent_backend_table(self, n, seed):
         assert_resumes_identically(lambda: AgentBackend(
-            det_model(), initial_states(300, 5), seed=11, vectorized=False))
+            det_model(), initial_states(n, 5), seed=seed))
 
-    def test_agent_backend_table_vectorized(self):
+    @pytest.mark.parametrize("n, seed", [(200, 13), (1500, 14)])
+    def test_agent_backend_stochastic(self, n, seed):
+        # A stochastic kernel's peel sets which rounds apply which
+        # interactions, yet a restore with fresh stamps continues
+        # identically — the stamps carry no history.
         assert_resumes_identically(lambda: AgentBackend(
-            det_model(), initial_states(2000, 5), seed=12, vectorized=True))
-
-    def test_agent_backend_stochastic_loop(self):
-        assert_resumes_identically(lambda: AgentBackend(
-            logit_model(), initial_states(200, 2), seed=13))
-
-    def test_agent_backend_stochastic_kernel_stamps(self):
-        # Stochastic kernel: the peel's rounds set the per-round
-        # model.apply draw counts, yet a restore with fresh stamps
-        # continues identically — the stamps carry no history.
-        assert_resumes_identically(lambda: AgentBackend(
-            logit_model(), initial_states(1500, 2), seed=14,
-            vectorized=True))
+            logit_model(), initial_states(n, 2), seed=seed))
 
     def test_count_backend_proxy(self):
         assert_resumes_identically(lambda: CountBackend(
@@ -205,8 +198,7 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 def pinned_engine(kind):
     if kind == "agent":
-        return AgentBackend(logit_model(), initial_states(1500, 2), seed=14,
-                            vectorized=True)
+        return AgentBackend(logit_model(), initial_states(1500, 2), seed=14)
     if kind == "count":
         return CountBackend(logit_model(), initial_counts(4000, 2), seed=22,
                             vectorized=True)
@@ -227,18 +219,18 @@ def pinned_engine(kind):
 
 def older_agent_document(engine) -> bytes:
     """The document ``engine`` would have written while engines held
-    ``int64`` states and captured the stochastic kernel's peel stamps.
+    ``int64`` states and captured the stochastic kernel's peel stamps
+    (a write and a read map).
 
-    The stamps are rebuilt from the live kernel: stamp arithmetic did
-    not change when the maps narrowed to ``int32``, only their width.
+    The stamps are a cleared kernel's (stamp 0, both maps -1): a kernel
+    now keeps one stamp map, and restore ignores the block whatever it
+    holds.
     """
     snapshot = engine.snapshot()
     payload = dict(snapshot.payload)
-    kernel = engine._kernel
     payload["states"] = payload["states"].astype(np.int64)
-    payload["kernel"] = {"stamp": kernel._stamp,
-                         "pos_i": kernel._pos_i.astype(np.int64),
-                         "pos_r": kernel._pos_r.astype(np.int64)}
+    cleared = np.full(engine.n, -1, dtype=np.int64)
+    payload["kernel"] = {"stamp": 0, "pos_i": cleared, "pos_r": cleared}
     return SnapshotState(kind=snapshot.kind, payload=payload).to_bytes()
 
 
@@ -260,21 +252,28 @@ class TestSnapshotBytePins:
     canonical expansion (a new bitstream).  The ``count``,
     ``count-birthday`` and ``weighted-birthday`` digests were
     re-captured when engines stopped accumulating pair counts: those
-    cases had been built with the accumulator on.
+    cases had been built with the accumulator on.  The ``agent``,
+    ``count`` and ``weighted`` digests and :data:`OLDER_AGENT_DIGEST`
+    were re-captured when every interaction came to draw one uniform per
+    chunk in pair order (a new bitstream, not a new format): the agent
+    case had run the batched stochastic path, which drew per round.
+    :data:`OLDER_AGENT_DIGEST` moved again when its stamp block became a
+    cleared one, the agent case's kernel no longer holding those maps.
     """
 
     #: Digest of the document the agent case wrote while engines held
-    #: ``int64`` states and captured peel stamps.
-    OLDER_AGENT_DIGEST = ("f7f6fabe21b3f64215123895840ef2bd"
-                          "126e9ae4816c5cef135c6af02789420a")
+    #: ``int64`` states and captured peel stamps (see
+    #: :func:`older_agent_document`).
+    OLDER_AGENT_DIGEST = ("ea30bf0b4828e73c4aa1384580e2d562"
+                          "8d6fc5f2711a318f354635bdeeb1c5a7")
 
     @pytest.mark.parametrize("kind, digest", [
         ("agent",
-         "b55b603d75a34ecc56d5d3eaa6526d5b2cd71b6c1503e87057548b5443ff6801"),
+         "61407da1b07f0b15b16ceb2806232f97c3d8c7b84fdf1614368a38fd7acff44b"),
         ("count",
-         "8cc1e73895f94405254673f00b987ea6741da592761f9a3b77b504d03d3e86a4"),
+         "d0fcf8b813abebe2efa4f8de219be6b50eb80bc33296fddbff1a630d21366214"),
         ("weighted",
-         "07db331d4dd4405da4470a78ad4bcede969301e95fcc3091fc4ae6ea1386565e"),
+         "1c1352db470bafbb50ced3916d5a37697e12377d32bd69c7cf943f97dfe87370"),
         ("count-birthday",
          "6cd4180ad426292cfac10ce5e877ad92ba77f2410ef2b03c05eaaa83dbe7c348"),
         ("weighted-birthday",

@@ -51,7 +51,7 @@ def fresh_sim(**overrides):
 
 
 #: The agent backend's action mode: a stochastic model on the engine's
-#: kernel in pair order.
+#: kernel, one uniform per interaction drawn per chunk.
 AGENT_ACTION = dict(backend="agent", mode="action",
                     setting=RDSetting(b=4.0, c=1.0, delta=0.7, s1=0.5))
 

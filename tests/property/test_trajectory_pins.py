@@ -17,8 +17,13 @@ onto the engine's exact classification law.  The ``simulator-*`` and
 ``build_engine`` on the agent and the count engine.  The ``*-kernel``
 agent cases run the chunked kernel: ``igt-uniform-agent-kernel`` with
 the k-IGT inert filter (n = 20,000, k = 8, observed), and the logit and
-imitation cases its batched stochastic path (2- and 4-slot peels); they
-were captured before the kernel's state arrays were narrowed.
+imitation cases its stochastic peels (2- and 4-slot); they were
+captured before the kernel's state arrays were narrowed.  Epoch 6 gave
+every interaction one uniform, drawn per chunk in pair order: the five
+``game-*`` (imitation) digests and ``imitation-agent-kernel`` were
+re-captured, as imitation used to draw only when the model agent
+earned more, and ``logit-agent-kernel`` now pins the pair-order
+trajectory, as the batched path that drew per round is gone.
 """
 
 import hashlib
@@ -77,13 +82,12 @@ def igt_kernel():
 
 
 def stochastic_kernel(rule, n=2_000):
-    """A one-way stochastic game rule on the agent kernel
-    (``vectorized=True``)."""
+    """A one-way stochastic game rule on the agent kernel."""
     model = matrix_game_model(hawk_dove_game(2.0, 4.0).row_payoffs, rule,
                               eta=0.8)
     states = np.random.default_rng(4).integers(0, model.n_states, size=n)
     engine = build_engine(model, make_law(n, seed=8), "agent",
-                          states=states, vectorized=True)
+                          states=states)
     result = engine.run(40_000, observe_every=10_000)
     observed = [counts for _, counts in result.observations]
     return engine.states, result.counts, observed
@@ -156,11 +160,11 @@ CASES = {
 }
 
 PINNED = {
-    "game-powerlaw-agent": "8ff82df5bbae7a70",
-    "game-powerlaw-count": "48c5ddf5992a1f28",
-    "game-ring-agent": "ba1ba3404f9e99fa",
-    "game-uniform-agent": "c87d86073a6f8d1f",
-    "game-uniform-count": "f4f238a6fd6ae650",
+    "game-powerlaw-agent": "75dc48a46b979500",
+    "game-powerlaw-count": "cd34167414374c52",
+    "game-ring-agent": "6fffdaaf9b7bbb09",
+    "game-uniform-agent": "fe6b119a34500f19",
+    "game-uniform-count": "ab2e519baf01f99b",
     "igt-powerlaw-action-agent": "76dbf5c3f0c7a979",
     "igt-powerlaw-agent": "cf1272bd440b85bc",
     "igt-powerlaw-count": "de45c04de3d375ac",
@@ -172,8 +176,8 @@ PINNED = {
     "igt-uniform-agent-kernel": "189a91b98a2d1fe2",
     "igt-uniform-count": "f579cde16d1a0912",
     "igt-uniform-count-birthday": "5fe2cde7b36e944d",
-    "imitation-agent-kernel": "06be09059915c630",
-    "logit-agent-kernel": "646d91d66418673a",
+    "imitation-agent-kernel": "110ab9d603f1cccf",
+    "logit-agent-kernel": "bef227a73283ccd4",
     "protocol-counts-birthday": "b7c5fc987aa25f82",
     "protocol-counts-proxy": "21d496e6330e2e77",
     "simulator-ring": "6f591db0dfe14496",

@@ -684,12 +684,16 @@ class TestSimulateObserve:
         assert summary["kind"] == "degree-profile"
         assert summary["classes"] == [4]  # ring:2 is 4-regular
 
+    @pytest.mark.parametrize("noise", ["0", "0.1"])
     @pytest.mark.parametrize("backend", ["agent", "count"])
-    def test_same_stream_with_or_without_snapshots(self, capsys, tmp_path, backend):
+    def test_same_stream_with_or_without_snapshots(self, capsys, tmp_path,
+                                                   backend, noise):
         # Every run is segmented the same way; --snapshots only adds the
-        # checkpoints, so a seed gives one trajectory either way.
+        # checkpoints, so a seed gives one trajectory either way — noisy
+        # runs too, whose uniforms are drawn per chunk.
         run = ["simulate", "--n", "2000", "--k", "4", "--backend", backend]
-        run += ["--steps", "40000", "--seed", "3", "--observe-every", "2000"]
+        run += ["--steps", "40000", "--seed", "3", "--observe-every", "2000",
+                "--noise", noise]
         snapshots = ["--snapshots", str(tmp_path / "snaps")]
         printed = {}
         for name, extra in (("plain", []), ("saved", snapshots)):
