@@ -116,6 +116,19 @@ HISTORY = OUTPUT.parent / "BENCH_history.jsonl"
 CROSSOVER_CEILING = 100_000_000
 
 
+class BirthdayCountBackend(CountBackend):
+    """``CountBackend`` on its birthday path at every ``n`` (its path
+    follows from the model and ``n``; a zero proxy ceiling pins it)."""
+
+    _PROXY_MAX_N = 0
+
+
+class BirthdayWeightedCountBackend(WeightedCountBackend):
+    """``WeightedCountBackend`` on its birthday path at every ``n``."""
+
+    _PROXY_MAX_N = 0
+
+
 def host_metadata() -> dict:
     """The machine coordinates a throughput number is meaningless without."""
     return {
@@ -234,10 +247,10 @@ def perstep_observed_run(model, counts, steps, stop_when, seed) -> None:
     Before cross-boundary batching, ``check_stop_every=1`` capped every
     birthday batch at a single interaction and evaluated the predicate
     after each one; single-step ``run`` calls with an external check
-    reproduce exactly that work profile (``vectorized=False`` pins the
-    birthday path the PR 1 engine actually ran).
+    reproduce exactly that work profile (:class:`BirthdayCountBackend`
+    pins the birthday path that engine actually ran).
     """
-    backend = CountBackend(model, counts, seed=seed, vectorized=False)
+    backend = BirthdayCountBackend(model, counts, seed=seed)
     for _ in range(steps):
         backend.run(1)
         if stop_when(backend.counts_live):
@@ -251,17 +264,21 @@ def action_setting():
     return RDSetting(b=4.0, c=1.0, delta=0.9, s1=0.5)
 
 
-def agent_action_run(n: int, steps: int, seed: int) -> None:
-    """Agent-backend action mode through the facade and its engine."""
+def agent_action_simulation(n: int, seed: int):
+    """Agent-backend action mode through the facade and its engine.
+
+    Built outside the timed runs, as the weighted rows build their
+    engines: the facade's construction (``igt_action_model``'s per-pair
+    tables among it) is a one-time cost, not engine throughput.
+    """
     from repro.core.igt import GenerosityGrid
     from repro.core.population_igt import IGTSimulation, PopulationShares
 
     shares = PopulationShares(alpha=0.3, beta=0.2, gamma=0.5)
     grid = GenerosityGrid(k=GRID.k, g_max=GRID.g_max)
-    sim = IGTSimulation(n=n, shares=shares, grid=grid, seed=seed,
-                        mode="action", setting=action_setting(),
-                        initial_indices=0, backend="agent")
-    sim.run(steps)
+    return IGTSimulation(n=n, shares=shares, grid=grid, seed=seed,
+                         mode="action", setting=action_setting(),
+                         initial_indices=0, backend="agent")
 
 
 #: Hard RSS ceiling (MB) of the n = 10^9 streamed observation case.
@@ -457,9 +474,10 @@ def main(argv=None) -> None:
         action_model = igt_action_model(_Grid(k=GRID.k, g_max=GRID.g_max),
                                         action_setting())
         if n <= 10_000:  # the gated sizes of the committed baseline
+            action_sim = agent_action_simulation(n, seed=1)
             record("igt-action", "agent", n, action_agent_steps,
-                   timed(lambda: agent_action_run(n, action_agent_steps,
-                                                  seed=1), n_repeats))
+                   timed(lambda: action_sim.run(action_agent_steps),
+                         n_repeats))
         record("igt-action", "count", n, steps,
                timed(lambda: CountBackend(action_model, start_counts,
                                           seed=1).run(steps), n_repeats))
@@ -532,8 +550,8 @@ def main(argv=None) -> None:
             # forced at the largest measured size.  Ungated (not an
             # "agent"/"count" backend name): a baseline for the
             # heterogeneous-birthday claim, not a dispatch target here.
-            birthday_backend = WeightedCountBackend.from_agent_states(
-                model, states, activity, seed=1, vectorized=False)
+            birthday_backend = BirthdayWeightedCountBackend.from_agent_states(
+                model, states, activity, seed=1)
             record(
                 "igt-weighted", "count-birthday", n, steps,
                 timed(lambda: birthday_backend.run(steps), n_repeats))

@@ -19,9 +19,15 @@ from bench_workloads import (
 )
 
 from repro.core.equilibrium import RDSetting, payoff_table
+from repro.core.general_games import hawk_dove_game
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
-from repro.engine import AgentBackend, CountBackend, igt_model
+from repro.engine import (
+    AgentBackend,
+    CountBackend,
+    igt_model,
+    matrix_game_model,
+)
 from repro.games.donation import DonationGame
 from repro.games.repeated import RepeatedGameEngine
 from repro.games.strategies import generous_tit_for_tat
@@ -180,6 +186,23 @@ def test_engine_count_backend_igt_n1e3(benchmark):
 
     counts = benchmark(run)
     assert counts.sum() == 1000
+
+
+def test_engine_count_backend_imitation_proxy_n1e4(benchmark):
+    """Count engine's uniform proxy on 4-slot imitation at n=1e4 (E16's
+    population tournament size): observed agents drawn through the
+    proxy's pair law, each interaction with its own uniform."""
+    model = matrix_game_model(hawk_dove_game(2.0, 4.0).row_payoffs,
+                              "imitation")
+    start = np.array([5000, 5000])
+    assert CountBackend(model, start, seed=7)._kernel is not None
+
+    def run():
+        backend = CountBackend(model, start, seed=7)
+        return backend.run(200_000).counts
+
+    counts = benchmark(run)
+    assert counts.sum() == 10_000
 
 
 def test_de_gap_k64(benchmark):

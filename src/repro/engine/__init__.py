@@ -106,14 +106,12 @@ from repro.engine.topology import (
 )
 from repro.engine.snapshot import (
     FileSnapshotChannel,
-    ScopedSnapshotChannel,
     SnapshotChannel,
     SnapshotError,
     SnapshotState,
     SnapshotStore,
     current_channel,
     run_resumable,
-    scoped_channel,
     use_snapshot_channel,
 )
 from repro.engine.vectorized import ConflictFreeKernel
@@ -187,9 +185,7 @@ __all__ = [
     "SnapshotError",
     "SnapshotChannel",
     "FileSnapshotChannel",
-    "ScopedSnapshotChannel",
     "current_channel",
     "use_snapshot_channel",
-    "scoped_channel",
     "run_resumable",
 ]

@@ -164,9 +164,8 @@ class AgentBackend(SimulationEngine):
         if stopped or max_steps == 0:
             return self._result(stopped, sink)
         executed, converged = run_kernel(
-            self._kernel, self.scheduler.pair_block,
-            self.scheduler.rng, max_steps, self.steps_run, stop_when,
-            observe_every, check_stop_every, sink,
-            others_block=self.scheduler.others_block, states=self._states)
+            self._kernel, self.scheduler, max_steps, self.steps_run,
+            stop_when, observe_every, check_stop_every, sink,
+            states=self._states)
         self.steps_run += executed
         return self._result(converged, sink)

@@ -80,22 +80,25 @@ The proxy fast path (small and medium ``n``)
 
 Birthday runs are ``Θ(√n)`` interactions, so their fixed per-run cost
 dominates at small ``n`` — the regime where the count backend used to
-*lose* to the agent backend.  For pairwise models up to
-:data:`PROXY_MAX_N` agents the backend therefore runs the
-:mod:`repro.engine.vectorized` kernel on a per-agent state
-array: by exchangeability, uniform pair sampling over *any* assignment
-of states to agents that agrees with the counts projects to exactly the
-count-level chain, so the law is untouched while throughput matches the
-vectorized agent backend (tens of millions of interactions/s instead of
-~0.5M at ``n = 10^3``).  The arrangement carries no information, so
-the engine's state is its count vector alone: every ``run`` call starts
-by writing the chain's *canonical expansion* into the array (each
-state's agents contiguous, in a fixed state order with inert states
-last), and snapshots hold no per-agent block.  The per-agent array
-stays internal — :attr:`CountBackend.states` is still ``None`` — and
-the ``O(n)`` memory is only paid where it is trivially affordable;
-beyond :data:`PROXY_MAX_N` the ``O(k)``-memory birthday path wins
-anyway.
+*lose* to the agent backend.  Up to :data:`PROXY_MAX_N` agents the
+backend therefore runs every model the :mod:`repro.engine.vectorized`
+kernel runs (every pairwise model, and one-way stochastic 4-slot ones
+such as imitation) on a per-agent state array, drawing pairs and
+observed agents through a
+:class:`~repro.engine.sampling.RandomScheduler` on its own generator,
+as the agent backend does: by exchangeability, uniform sampling over
+*any* assignment of states to agents that agrees with the counts
+projects to exactly the count-level chain, so the law is untouched
+while throughput matches the agent backend (tens of millions of
+interactions/s instead of ~0.5M at ``n = 10^3``).  The arrangement
+carries no information, so the engine's state is its count vector
+alone: every ``run`` call starts by writing the chain's *canonical
+expansion* into the array (each state's agents contiguous, in a fixed
+state order with inert states last), and snapshots hold no per-agent
+block.  The per-agent array stays internal — :attr:`CountBackend.states`
+is still ``None`` — and the ``O(n)`` memory is only paid where it is
+trivially affordable; beyond :data:`PROXY_MAX_N` the ``O(k)``-memory
+birthday path wins anyway.
 
 One driver, pluggable laws
 --------------------------
@@ -111,13 +114,15 @@ and at the end of every ``run``.  Here the chain is the state-count
 vector and the projection the identity.
 :class:`~repro.engine.weighted.WeightedCountBackend` subclasses it with
 the ``(weight class × state)`` chain and keeps only its law: the
-projection (a sum over classes), proxy eligibility and kernel, pair
-draws, the birthday window draw, the clean run (which returns its
+projection (a sum over classes), the proxy kernel and the pair law that
+drives it, the birthday window draw, the clean run (which returns its
 per-segment deltas for the driver to apply) and the collision resolver,
 and four class constants (snapshot ``kind``, the chain's payload key,
-the default proxy ceiling, and ``_INERT_LAST``, off so the proxy's
-expansion stays class-major and keeps each class inside its block of
-the sampler's weights).
+the proxy ceiling, and ``_INERT_LAST``, off so the proxy's expansion
+stays class-major and keeps each class inside its block of the pair
+law's weights).  Which path runs follows from the model and ``n``
+alone; tests reach the birthday path below the ceiling through a
+subclass that sets ``_PROXY_MAX_N = 0``.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ from repro.engine.model import (
     responder_classes,
 )
 from repro.engine.observe import ObserverSink
-from repro.engine.sampling import ordered_pair_block
+from repro.engine.sampling import RandomScheduler
 from repro.engine.vectorized import ConflictFreeKernel, run_kernel
 from repro.utils import as_generator, check_int_array
 from repro.utils.errors import InvalidParameterError
@@ -369,11 +374,6 @@ class CountBackend(SimulationEngine):
         the population size ``n >= 2``.
     seed:
         Seed or generator.
-    vectorized:
-        Proxy-path selection: ``None`` (default) uses the array-proxy
-        kernel for pairwise models up to :data:`PROXY_MAX_N` agents,
-        ``True`` forces it (still requires a pairwise model), ``False``
-        forces the birthday path.  Both paths simulate the same law.
     scheduler:
         Optional pair law sharing its randomness stream with the
         caller.  The count chain *is* the uniform scheduler's law, so
@@ -397,7 +397,7 @@ class CountBackend(SimulationEngine):
         :meth:`~repro.engine.topology.InteractionGraph.degree_weights`.
     """
 
-    #: Snapshot ``kind``, payload key of the chain array, default proxy
+    #: Snapshot ``kind``, payload key of the chain array, proxy
     #: ceiling, and whether the proxy's expansion may put inert states
     #: last (uniform pair draws treat all agents alike) — the constants
     #: a lifted law overrides.
@@ -406,25 +406,23 @@ class CountBackend(SimulationEngine):
     _PROXY_MAX_N = PROXY_MAX_N
     _INERT_LAST = True
 
-    #: The uniform proxy runs pairwise models only, so it never draws
-    #: observed agents.
-    _others_block = None
-
     def __init__(self, model: InteractionModel, initial_counts, seed=None,
-                 vectorized: bool | None = None, scheduler=None):
+                 scheduler=None):
         counts = check_int_array("initial_counts", initial_counts).copy()
         if counts.size != model.n_states:
             raise InvalidParameterError(
                 f"initial_counts must be a 1-D vector of length "
                 f"{model.n_states}, got shape {counts.shape}")
-        self._setup(model, counts, seed, vectorized, scheduler)
+        self._setup(model, counts, seed, scheduler)
 
-    def _setup(self, model, chain, seed, vectorized, scheduler=None) -> None:
+    def _setup(self, model, chain, seed, scheduler=None) -> None:
         """Construction shared by both count engines.
 
         Validates the population held in ``chain``, adopts a uniform
         ``scheduler``'s generator, picks the proxy or the birthday path,
-        and allocates the live view.
+        and allocates the live view.  The proxy runs up to
+        :attr:`_PROXY_MAX_N` agents whenever the kernel runs the model:
+        every pairwise model, and one-way stochastic 4-slot ones.
         """
         self.model = model
         if chain.min() < 0:
@@ -467,16 +465,11 @@ class CountBackend(SimulationEngine):
             raise InvalidParameterError(
                 "models observing extra agents need n >= 4 for an "
                 "all-distinct interaction to exist")
-        proxy_ok = self._proxy_ok()
-        if vectorized is True and not proxy_ok:
-            raise InvalidParameterError(
-                f"the proxy fast path of {type(self).__name__} does not "
-                f"support this model (see its vectorized= parameter)")
-        if vectorized is None:
-            vectorized = proxy_ok and self.n <= self._PROXY_MAX_N
         self._chain = chain
         self._kernel = None
-        if vectorized:
+        if self.n <= self._PROXY_MAX_N and (
+                self._spp == 2 or (model.one_way
+                                   and model.component_tables is None)):
             self._kernel = self._proxy_kernel()
             # The state order of :meth:`_expand`.  Inert states form a
             # contiguous tail when the kernel filters them, so its inert
@@ -579,10 +572,9 @@ class CountBackend(SimulationEngine):
                 def fresh_stop(chain):
                     return stop_when(self._refresh(chain))
             done, converged = run_kernel(
-                self._kernel, self._pair_block, self._rng, max_steps,
-                self.steps_run, fresh_stop, observe_every, check_stop_every,
-                _ProjectingSink(sink, self._project),
-                others_block=self._others_block)
+                self._kernel, self._law, max_steps, self.steps_run,
+                fresh_stop, observe_every, check_stop_every,
+                _ProjectingSink(sink, self._project))
         elif not stopped:
             while done < max_steps:
                 executed, converged = self._advance(
@@ -661,13 +653,11 @@ class CountBackend(SimulationEngine):
         """Construction invariants a snapshot records and restore checks."""
         return {"n": int(self.n), "n_states": int(self.model.n_states)}
 
-    def _proxy_ok(self) -> bool:
-        """Whether the proxy kernel accepts the model: every pairwise one."""
-        return self._spp == 2
-
     def _proxy_kernel(self) -> ConflictFreeKernel:
-        """The kernel over a per-agent array that :meth:`_expand` fills."""
+        """The kernel over a per-agent array that :meth:`_expand` fills,
+        and the uniform pair law :attr:`_law` that drives it."""
         model = self.model
+        self._law = RandomScheduler(self.n, self._rng)
         return ConflictFreeKernel(
             model, np.empty(self.n, dtype=model.state_dtype), self._chain)
 
@@ -689,10 +679,6 @@ class CountBackend(SimulationEngine):
         if self._inert is not None:
             self._kernel.inert_index_bound = int(
                 self._chain[~self._inert].sum())
-
-    def _pair_block(self, size: int):
-        """One proxy block of uniform ordered agent pairs."""
-        return ordered_pair_block(self._rng, self.n, size)
 
     def _init_birthday(self) -> None:
         """Construction constants of the birthday path.

@@ -500,56 +500,6 @@ def use_snapshot_channel(channel: SnapshotChannel | None):
         _CHANNEL.reset(token)
 
 
-class ScopedSnapshotChannel(SnapshotChannel):
-    """One named sub-run's view of a task-level channel.
-
-    A task (one cache-key's worth of work) may drive *several*
-    simulations in sequence — e.g. a relaxation-time experiment
-    sweeping population sizes.  Each sub-run wraps the task channel
-    with its own scope name: saves tag the payload, and a load only
-    answers when the stored tag matches, so sub-run A can never resume
-    from sub-run B's checkpoint (the engines would refuse anyway when
-    shapes differ, but equal-shape sub-runs must be kept apart too).
-    """
-
-    def __init__(self, inner: SnapshotChannel, scope: str):
-        self.inner = inner
-        self.scope = str(scope)
-
-    def load(self) -> SnapshotState | None:
-        found = self.inner.load()
-        if found is None or found.payload.get("scope") != self.scope:
-            return None
-        return found
-
-    def save(self, snapshot: SnapshotState) -> None:
-        self.inner.save(SnapshotState(
-            kind=snapshot.kind,
-            payload={**snapshot.payload, "scope": self.scope},
-            version=snapshot.version))
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def __str__(self) -> str:
-        return str(self.inner)
-
-
-def scoped_channel(scope: str,
-                   channel: SnapshotChannel | None = None
-                   ) -> SnapshotChannel | None:
-    """Scope the given (or ambient) channel to a named sub-run.
-
-    Returns ``None`` when no channel is in scope — callers pass the
-    result straight to :func:`run_resumable`.
-    """
-    if channel is None:
-        channel = current_channel()
-    if channel is None:
-        return None
-    return ScopedSnapshotChannel(channel, scope)
-
-
 # ----------------------------------------------------------------------
 # The segmented (resumable) execution law
 # ----------------------------------------------------------------------

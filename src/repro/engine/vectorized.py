@@ -75,15 +75,14 @@ count vector expands to a canonical per-agent state assignment, uniform
 pair sampling over that array *is* the count-level chain
 (exchangeability), and only the count vector is exposed.
 
-The sampler is pluggable: the kernel never draws pairs itself, so
-weighted (heterogeneous-activity) pair blocks flow through the exact
-same conflict resolution — this is what makes
-:class:`~repro.engine.sampling.WeightedScheduler` a first-class
-engine citizen.  Models that read two extra sampled agents per
-interaction (``slots_per_step == 4``, e.g.
+The sampler is pluggable: the kernel never draws pairs itself, and
+:func:`run_kernel` takes any pair law, so weighted
+(heterogeneous-activity) and graph-restricted pair blocks flow through
+the exact same conflict resolution.  Models that read two extra sampled
+agents per interaction (``slots_per_step == 4``, e.g.
 :class:`~repro.engine.model.ImitationModel`) must be one-way stochastic
 models: the observed agents join the conflict analysis as read cells,
-and :func:`run_kernel` draws them per block through the caller's
+and :func:`run_kernel` draws them per block through the law's
 ``others_block`` (uniform shift trick or weighted rejection).
 """
 
@@ -399,21 +398,24 @@ class ConflictFreeKernel:
             self._apply_round(pi, pj, pw, po_i, po_j)
 
 
-def run_kernel(kernel: ConflictFreeKernel, pair_block, rng, max_steps: int,
+def run_kernel(kernel: ConflictFreeKernel, law, max_steps: int,
                steps_done: int, stop_when, observe_every, check_stop_every,
-               sink, others_block=None, states=None):
+               sink, states=None):
     """Drive a kernel through up to ``max_steps`` interactions.
 
-    The one engine loop of the kernel paths: pair randomness is drawn
-    in :data:`~repro.engine.base.BLOCK_SIZE` blocks (the seed
-    simulator's consumption), followed by the block's observed agents,
-    and a kernel that :attr:`~ConflictFreeKernel.draws` gets
-    ``rng.random(m)`` for each chunk of ``m`` pairs just before applying
-    it.  Chunks are capped at observation / stop-cadence boundaries so
-    counts are exact whenever the Python layer looks at them, and an
-    early stop discards the remainder of the drawn block; the generator
-    then stands right after the executed interactions' uniforms, as a
-    per-interaction loop's would.
+    The one engine loop of the kernel paths.  ``law`` is a pair law of
+    :mod:`repro.engine.sampling` / :mod:`repro.engine.topology`: its
+    ``pair_block`` draws the pairs in :data:`~repro.engine.base.BLOCK_SIZE`
+    blocks (the seed simulator's consumption), a 4-slot model's
+    observed agents follow per block through its ``others_block`` (one
+    partner relative to each initiator, then each responder), and a
+    kernel that :attr:`~ConflictFreeKernel.draws` gets
+    ``law.rng.random(m)`` for each chunk of ``m`` pairs just before
+    applying it.  Chunks are capped at observation / stop-cadence
+    boundaries so counts are exact whenever the Python layer looks at
+    them, and an early stop discards the remainder of the drawn block;
+    the generator then stands right after the executed interactions'
+    uniforms, as a per-interaction loop's would.
     Returns ``(executed, converged)``.
 
     ``steps_done`` is the engine's cumulative pre-call step count (used
@@ -421,22 +423,17 @@ def run_kernel(kernel: ConflictFreeKernel, pair_block, rng, max_steps: int,
     ``states``, when given, is the live per-agent state array forwarded
     alongside each observation (agent backend only — the count-level
     kernels run on proxy states that mean nothing per agent).
-    ``others_block`` draws, per block, one extra observed agent relative
-    to each given agent — required for 4-slot models and ignored
-    otherwise.
     """
     counts = kernel.counts
-    if kernel.four and others_block is None:
-        raise InvalidParameterError(
-            "4-slot models need an others_block to draw observed agents")
+    rng = law.rng
     done = 0
     while done < max_steps:
         batch = min(BLOCK_SIZE, max_steps - done)
-        initiators, responders = pair_block(batch)
+        initiators, responders = law.pair_block(batch)
         obs_i = obs_j = None
         if kernel.four:
-            obs_i = others_block(initiators)
-            obs_j = others_block(responders)
+            obs_i = law.others_block(initiators)
+            obs_j = law.others_block(responders)
         off = 0
         while off < batch:
             limit = batch - off

@@ -26,10 +26,9 @@ view.  What the lift changes is its law:
   from a :class:`~repro.engine.sampling.WeightedScheduler` whose
   per-agent weights repeat each class weight — by within-class
   exchangeability the projection onto ``(class, state)`` counts is
-  *exactly* the lifted chain.  It is the default up to
-  :data:`WEIGHTED_PROXY_MAX_N` agents, a *measured* crossover higher
-  than the uniform path's, and unlike the uniform proxy it also runs
-  4-slot one-way models;
+  *exactly* the lifted chain.  Like the uniform proxy it runs every
+  model the kernel runs, up to :data:`WEIGHTED_PROXY_MAX_N` agents, a
+  *measured* crossover higher than the uniform path's;
 * **birthday-run batching** becomes the *heterogeneous* birthday
   problem: the first-collision law depends on which weight classes the
   draws land in, so no count-only CDF can be precomputed — instead each
@@ -304,8 +303,9 @@ class WeightedCountBackend(CountBackend):
     model:
         The (inner) interaction law; 4-slot observed-agent models are
         supported on both paths.  The proxy kernel takes every pairwise
-        model and one-way stochastic 4-slot ones; the birthday path
-        accepts any model.
+        model and one-way stochastic 4-slot ones up to
+        :data:`WEIGHTED_PROXY_MAX_N` agents; the birthday path accepts
+        any model.
     initial_counts:
         ``(C, S)`` non-negative integers: agents per weight class and
         state, summing to the population size ``n >= 2``.
@@ -315,11 +315,6 @@ class WeightedCountBackend(CountBackend):
         :class:`~repro.engine.count.CountBackend`'s law.
     seed:
         Seed or generator.
-    vectorized:
-        Proxy-path selection as in
-        :class:`~repro.engine.count.CountBackend`, with the default
-        ceiling :data:`WEIGHTED_PROXY_MAX_N` (the measured weighted
-        crossover).
     """
 
     _KIND = "weighted"
@@ -330,8 +325,7 @@ class WeightedCountBackend(CountBackend):
     _INERT_LAST = False
 
     def __init__(self, model: InteractionModel, initial_counts,
-                 class_weights, seed=None,
-                 vectorized: bool | None = None):
+                 class_weights, seed=None):
         weights = np.asarray(class_weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
             raise InvalidParameterError(
@@ -349,7 +343,7 @@ class WeightedCountBackend(CountBackend):
         self._class_weights = weights
         self._classes = weights.size
         self._members = counts.sum(axis=1)
-        self._setup(model, counts.ravel(), seed, vectorized)
+        self._setup(model, counts.ravel(), seed)
 
     @classmethod
     def from_agent_states(cls, model: InteractionModel, states, weights,
@@ -400,28 +394,18 @@ class WeightedCountBackend(CountBackend):
     def _structure(self) -> dict:
         return {**super()._structure(), "n_classes": int(self._classes)}
 
-    def _proxy_ok(self) -> bool:
-        model = self.model
-        return self._spp == 2 or (model.one_way
-                                  and model.component_tables is None)
-
     def _proxy_kernel(self) -> ConflictFreeKernel:
-        """The product-space kernel and the weighted sampler driving it."""
+        """The product-space kernel and the weighted pair law
+        :attr:`_law` that drives it."""
         # Within-class exchangeability makes weighted pair sampling over
         # any class-major arrangement project to exactly the
         # (class × state) chain.
         product = ProductStateModel(self.model, self._classes)
-        self._sampler = WeightedScheduler(
+        self._law = WeightedScheduler(
             np.repeat(self._class_weights, self._members), self._rng)
         return ConflictFreeKernel(
             product, np.empty(self.n, dtype=product.state_dtype),
             self._chain)
-
-    def _pair_block(self, size: int):
-        return self._sampler.pair_block(size)
-
-    def _others_block(self, first):
-        return self._sampler.others_block(first)
 
     def _init_birthday(self) -> None:
         """Precompute the fixed per-run structures of the birthday path.

@@ -33,7 +33,6 @@ from repro.analysis.stats import fit_power_law
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.engine import resolve_backend, run_resumable
-from repro.engine.snapshot import scoped_channel
 from repro.experiments.base import ExperimentReport, register
 from repro.markov.ehrenfest import EhrenfestProcess
 from repro.markov.mixing import exact_mixing_time
@@ -137,14 +136,13 @@ def _simulated_relaxation(n: int, eps: float, seed, backend: str,
     # fixed segment boundaries make a crashed run resumable from its
     # latest checkpoint byte-for-byte (the chunk of slack past the
     # bound makes a non-crossing run overshoot `upper` and fail the
-    # window check, as it should).
+    # window check, as it should).  It is the task's one resumable run,
+    # so it checkpoints through the task's own channel, which is keyed
+    # by every parameter that shapes it.
     converged = run_resumable(
         sim, int(upper) + chunk,
         lambda z: float(index_vector @ z) >= target_total,
-        check_stop_every=chunk,
-        channel=scoped_channel(
-            f"e4-relax:n={n}:eps={eps}:seed={seed}:backend={backend}:"
-            f"topology={topology}"))
+        check_stop_every=chunk)
     crossing = sim.steps_run
     return n, grid.k, process, crossing, lower, upper, converged
 

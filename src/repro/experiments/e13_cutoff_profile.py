@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.analysis.tables import sparkline
 from repro.engine import resolve_backend, run_resumable, series_sink
-from repro.engine.snapshot import SnapshotState, scoped_channel
+from repro.engine.snapshot import SnapshotState
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import IGTSimulation, PopulationShares
 from repro.experiments.base import ExperimentReport, register
@@ -164,8 +164,7 @@ def _mean_coalescence(n: int, seed, backend: str, delta: float):
     # them and a killed run picks up mid-coalescence.
     stream = series_sink("coalescence")
     pair = _CoalescencePair(top, bottom, chunk, m, delta, stream=stream)
-    met = run_resumable(pair, horizon, None, check_stop_every=chunk,
-                        channel=scoped_channel("e13-coalescence"))
+    met = run_resumable(pair, horizon, None, check_stop_every=chunk)
     if stream is not None:
         stream.close()
     meeting = pair.meeting if met else horizon

@@ -36,6 +36,7 @@ All public methods are thread-safe (the HTTP server is threaded).
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -95,7 +96,9 @@ class Coordinator:
         Optional path of the queue-state checkpoint file; ``None``
         disables persistence (in-memory coordinator).
     lease_ttl:
-        Seconds a lease stays valid without a heartbeat.
+        Seconds a lease stays valid without a heartbeat; positive and
+        finite (a NaN would expire every lease at once, an infinite one
+        would never free a dead worker's task).
     clock:
         Injectable time source (tests drive expiry deterministically).
     """
@@ -107,8 +110,10 @@ class Coordinator:
         lease_ttl: float = 30.0,
         clock=time.time,
     ):
-        if lease_ttl <= 0:
-            raise InvalidParameterError("lease_ttl must be > 0")
+        if not 0 < lease_ttl < math.inf:
+            raise InvalidParameterError(
+                f"lease_ttl must be positive and finite, got {lease_ttl!r}"
+            )
         self.cache = ResultCache(cache_dir)
         # Mid-task progress outlives workers *and* this coordinator: a
         # replacement worker picking up a re-leased task receives the

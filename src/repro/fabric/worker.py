@@ -21,6 +21,7 @@ Exit discipline (the part the fault-injection tests pin down):
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import threading
@@ -43,6 +44,7 @@ from repro.fabric.protocol import (
 )
 from repro.runner.executor import run_task
 from repro.testing import crash_point
+from repro.utils.errors import InvalidParameterError
 
 #: Exit codes, by name (see module docstring).
 EXIT_DRAINED = 0
@@ -156,17 +158,19 @@ class Worker:
         Identity reported with every lease/result (defaults to
         ``host-pid``); lands in the report's ``worker`` provenance.
     poll:
-        Idle sleep between empty lease polls (seconds).
+        Idle sleep between empty lease polls (seconds, non-negative and
+        finite).
     max_idle:
         Exit cleanly after this many consecutive idle seconds
         (``None`` = poll forever, until shutdown).
     max_tasks:
-        Exit cleanly after completing this many tasks (``None`` =
-        unlimited; the fault-injection harness uses it to stop a
-        worker mid-sweep deterministically).
+        Exit cleanly after completing this many tasks, at least 1
+        (``None`` = unlimited; the fault-injection harness uses it to
+        stop a worker mid-sweep deterministically).
     retries, backoff, timeout:
         Transport retry policy (see
-        :func:`repro.fabric.protocol.call_with_retries`).
+        :func:`repro.fabric.protocol.call_with_retries`): ``retries``
+        non-negative, ``backoff`` non-negative and finite.
     token:
         Shared fabric token when the coordinator requires one
         (``repro serve --token``); sent with every request.
@@ -197,6 +201,19 @@ class Worker:
         self.max_tasks = max_tasks
         self.retries = int(retries)
         self.backoff = float(backoff)
+        for name, seconds in (("poll", self.poll), ("backoff", self.backoff)):
+            if not 0 <= seconds < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be non-negative and finite, got {seconds!r}"
+                )
+        if self.retries < 0:
+            raise InvalidParameterError(
+                f"retries must be non-negative, got {retries!r}"
+            )
+        if max_tasks is not None and max_tasks < 1:
+            raise InvalidParameterError(
+                f"max_tasks must be at least 1, got {max_tasks!r}"
+            )
         self.timeout = float(timeout)
         self.token = token
         self.run = run

@@ -50,7 +50,10 @@ _CODE_VERSION: str | None = None
 #: (it drew only when the model agent earned more), for stochastic
 #: models on the count proxies, and for table mixtures after an early
 #: stop.
-CODE_EPOCH = 6
+#: Epoch 7: the uniform count proxy runs one-way stochastic 4-slot
+#: models (imitation) up to ``PROXY_MAX_N`` agents instead of birthday
+#: batches — same law, new bitstreams for those uniform-count runs.
+CODE_EPOCH = 7
 
 
 def code_version() -> str:

@@ -1,4 +1,4 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,18 @@ from repro.core.equilibrium import RDSetting
 from repro.core.igt import GenerosityGrid
 from repro.core.population_igt import PopulationShares
 from repro.core.regimes import default_theorem_2_9_setting
+
+
+def birthday(engine):
+    """The count engine class ``engine`` with its proxy ceiling at 0.
+
+    A count engine picks its path from the model and ``n`` alone; this
+    subclass takes the birthday path at every ``n``, so tests can check
+    that path below the ceiling, against the proxy and the exact chains.
+    Import it with ``from conftest import birthday``.
+    """
+    return type(f"Birthday{engine.__name__}", (engine,),
+                {"_PROXY_MAX_N": 0})
 
 
 @pytest.fixture

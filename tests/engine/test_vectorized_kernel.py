@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import birthday
 
 from repro.core.equilibrium import RDSetting
 from repro.core.igt import GenerosityGrid
@@ -346,9 +347,8 @@ class TestCountsFollowStates:
 class TestCountProxyPath:
     def test_proxy_and_birthday_conserve_population(self, epidemic):
         counts = np.array([400, 500, 100])
-        for vectorized in (True, False, None):
-            backend = CountBackend(epidemic, counts, seed=4,
-                                   vectorized=vectorized)
+        for engine in (CountBackend, birthday(CountBackend)):
+            backend = engine(epidemic, counts, seed=4)
             result = backend.run(25_000)
             assert result.counts.sum() == 1000
             assert (result.counts >= 0).all()
@@ -364,14 +364,19 @@ class TestCountProxyPath:
         assert backend._kernel is not None
         assert backend.run(20_000).counts.sum() == counts.sum()
 
-    def test_proxy_forced_needs_supported_model(self):
+    def test_imitation_runs_on_the_proxy(self):
+        # A one-way stochastic 4-slot model: the uniform proxy draws its
+        # observed agents through the pair law, as the agent kernel does.
         imitation = matrix_game_model(np.array([[0.0, 2.0], [1.0, 0.0]]),
                                       "imitation")
-        with pytest.raises(InvalidParameterError):
-            CountBackend(imitation, np.array([5, 5]), seed=0,
-                         vectorized=True)
-        # slots_per_step == 4 falls back to the birthday path silently.
         backend = CountBackend(imitation, np.array([5, 5]), seed=0)
+        assert backend._kernel is not None
+        result = backend.run(500, observe_every=50)
+        assert result.counts.sum() == 10
+        assert all(c.sum() == 10 for _, c in result.observations)
+        # A 4-slot model the kernel refuses takes the birthday path.
+        backend = CountBackend(TwoWayImitation(PAYOFFS), np.array([5, 5]),
+                               seed=0)
         assert backend._kernel is None
         assert backend.run(500).counts.sum() == 10
 
@@ -390,9 +395,8 @@ class TestCountProxyPath:
         # stops at the firing check with the counts the predicate saw,
         # and checked every interaction, the epidemic (one infection at
         # most per interaction) stops on exactly 600 inert agents.
-        for vectorized in (True, False):
-            backend = CountBackend(epidemic, np.array([900, 0, 100]),
-                                   seed=6, vectorized=vectorized)
+        for engine in (CountBackend, birthday(CountBackend)):
+            backend = engine(epidemic, np.array([900, 0, 100]), seed=6)
             result = backend.run(200_000,
                                  stop_when=lambda c: c[2] >= 600,
                                  check_stop_every=1)
@@ -432,22 +436,21 @@ class TestComponentProbsRequired:
             ConflictFreeKernel(no_probs_model(), states,
                                np.bincount(states, minlength=8))
 
-    @pytest.mark.parametrize("vectorized", [True, False],
-                             ids=["proxy", "birthday"])
-    def test_count_refuses(self, vectorized):
+    @pytest.mark.parametrize("engine", [
+        CountBackend, birthday(CountBackend)], ids=["proxy", "birthday"])
+    def test_count_refuses(self, engine):
         counts = np.bincount(igt_states(5000), minlength=8)
         with pytest.raises(InvalidParameterError, match="component_probs"):
-            CountBackend(no_probs_model(), counts, seed=1,
-                         vectorized=vectorized)
+            engine(no_probs_model(), counts, seed=1)
 
-    @pytest.mark.parametrize("vectorized", [True, False],
-                             ids=["proxy", "birthday"])
-    def test_weighted_refuses(self, vectorized):
+    @pytest.mark.parametrize("engine", [
+        WeightedCountBackend, birthday(WeightedCountBackend)],
+        ids=["proxy", "birthday"])
+    def test_weighted_refuses(self, engine):
         counts = np.bincount(igt_states(5000), minlength=8)
         initial = np.stack([counts // 2, counts - counts // 2])
         with pytest.raises(InvalidParameterError, match="component_probs"):
-            WeightedCountBackend(no_probs_model(), initial, [1.0, 4.0],
-                                 seed=1, vectorized=vectorized)
+            engine(no_probs_model(), initial, [1.0, 4.0], seed=1)
 
 
 class GenericTable(TableModel):

@@ -17,6 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import birthday
 
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.core.igt import GenerosityGrid
@@ -184,22 +185,21 @@ class TestEqualWeightsIdentity:
 
     @pytest.mark.parametrize("weighted", [False, True],
                              ids=["uniform", "weighted"])
-    @pytest.mark.parametrize("vectorized", [True, False],
+    @pytest.mark.parametrize("path", [lambda engine: engine, birthday],
                              ids=["proxy", "birthday"])
-    def test_counts_live_equals_predicate_argument(self, weighted,
-                                                   vectorized):
+    def test_counts_live_equals_predicate_argument(self, weighted, path):
         """On every count path, each predicate call's argument equals
         ``counts_live`` at the moment of the call — also at checkpoints
         inside a birthday batch, whose end state is already computed."""
         model = TableModel(epidemic_table())
         for seed in range(5):
             if weighted:
-                backend = WeightedCountBackend(
+                backend = path(WeightedCountBackend)(
                     model, np.array([[30, 1], [29, 0]]),
-                    np.array([1.0, 2.0]), seed=seed, vectorized=vectorized)
+                    np.array([1.0, 2.0]), seed=seed)
             else:
-                backend = CountBackend(model, np.array([59, 1]), seed=seed,
-                                       vectorized=vectorized)
+                backend = path(CountBackend)(model, np.array([59, 1]),
+                                             seed=seed)
             calls = []
 
             def record(counts):

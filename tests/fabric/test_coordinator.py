@@ -1,6 +1,7 @@
 """Coordinator lease lifecycle, dedup, idempotence, and checkpointing."""
 
 import json
+import math
 
 import pytest
 
@@ -348,9 +349,12 @@ class TestCheckpoint:
 
 
 class TestValidation:
-    def test_lease_ttl_must_be_positive(self, tmp_path):
+    @pytest.mark.parametrize("ttl", [0.0, math.nan, math.inf])
+    def test_lease_ttl_must_be_positive(self, tmp_path, ttl):
+        # A NaN deadline expires every lease at its next request; an
+        # infinite one never frees a dead worker's task.
         with pytest.raises(InvalidParameterError, match="lease_ttl"):
-            Coordinator(tmp_path / "cache", lease_ttl=0.0)
+            Coordinator(tmp_path / "cache", lease_ttl=ttl)
 
     def test_shutdown_flag_propagates(self, coordinator):
         assert coordinator.lease("w")["shutting_down"] is False

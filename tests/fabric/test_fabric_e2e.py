@@ -9,6 +9,7 @@ resubmission, and the worker exit-code discipline under fault injection.
 ``scripts/run_fabric_smoke.py``.)
 """
 
+import math
 import socket
 import threading
 import time
@@ -39,6 +40,7 @@ from repro.runner import (
     task_record,
 )
 from repro.runner.plan import replicate_plan
+from repro.utils.errors import InvalidParameterError
 
 QUIET = {"log": lambda message: None}
 
@@ -204,6 +206,26 @@ class TestFaultInjection:
         assert worker.run_forever() == EXIT_DRAINED
         assert len(attempts) == 2  # failed once, requeued, succeeded
         assert fabric_counters(server.url)["done"] == 1
+
+
+class TestWorkerValidation:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("poll", -1.0),
+            ("poll", math.nan),
+            ("poll", math.inf),
+            ("backoff", -1.0),
+            ("backoff", math.nan),
+            ("retries", -1),
+            ("max_tasks", 0),
+        ],
+    )
+    def test_invalid_option_refused_before_any_request(self, option, value):
+        # A negative sleep raises a raw ValueError mid-loop, an infinite
+        # one hangs, and max_tasks=0 would still run one task.
+        with pytest.raises(InvalidParameterError, match=option):
+            Worker("http://127.0.0.1:1", **{option: value}, **QUIET)
 
 
 class TestWorkerExitCodes:

@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import birthday
 from scipy import stats
 
 from repro.engine import (
@@ -80,7 +81,7 @@ MODELS = {
 
 def cell_law(name):
     model, chain = MODELS[name]
-    engine = CountBackend(model, chain, seed=0, vectorized=False)
+    engine = birthday(CountBackend)(model, chain, seed=0)
     law = engine._cells
     assert law is not None
     class_of = law.members.argmax(axis=1)
@@ -250,7 +251,7 @@ def test_collision_outcomes_match_token_resolver(spp, slots, updated):
     pool = before - np.bincount(slots, minlength=s)
     touched = np.bincount(updated, minlength=s)
     model = Recorder(s, spp)
-    engine = CountBackend(model, pool + touched, seed=0, vectorized=False)
+    engine = birthday(CountBackend)(model, pool + touched, seed=0)
     rng = np.random.default_rng(13)
     reference = [token_collision(rng, n, spp, t, rng.random(1 + spp),
                                  updated, pool) for _ in range(DRAWS)]

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import birthday
 
 from repro.core.general_games import (
     PopulationGameSimulation,
@@ -37,6 +38,7 @@ from repro.engine import (
     build_engine,
     igt_model,
     make_law,
+    matrix_game_model,
 )
 from repro.markov.ehrenfest import EhrenfestProcess
 
@@ -370,16 +372,16 @@ class TestGenericModelsInPairOrder:
 
 
 class TestCountBackendExactLaw:
-    @pytest.mark.parametrize("vectorized, calls", [
-        (True, (12,)), (False, (12,)), (True, (5, 4, 3)),
-        (True, (3, 3, 3, 3))], ids=["True", "False", "proxy-5+4+3",
-                                    "proxy-4x3"])
-    def test_matches_exact_ehrenfest_chain(self, vectorized, calls):
+    @pytest.mark.parametrize("engine, calls", [
+        (CountBackend, (12,)), (birthday(CountBackend), (12,)),
+        (CountBackend, (5, 4, 3)), (CountBackend, (3, 3, 3, 3))],
+        ids=["proxy", "birthday", "proxy-5+4+3", "proxy-4x3"])
+    def test_matches_exact_ehrenfest_chain(self, engine, calls):
         """Empirical T-step distribution vs the exact chain from markov/.
 
-        Parametrized over both count paths: the array-proxy kernel
-        (``vectorized=True``, the small-n default) and the birthday
-        batching (``vectorized=False``) must both realize the exact law.
+        Parametrized over both count paths: the array-proxy kernel (the
+        small-n path) and the birthday batching (reached here through
+        a zero proxy ceiling) must both realize the exact law.
         A proxy run split across ``run()`` calls must too: every call
         starts from the canonical expansion of the counts it inherits
         (inert AC/AD agents last, behind the index bound).
@@ -397,8 +399,7 @@ class TestCountBackendExactLaw:
         rng = np.random.default_rng(2024)
         histogram = np.zeros(len(space))
         for _ in range(runs):
-            backend = CountBackend(model, start, seed=rng,
-                                   vectorized=vectorized)
+            backend = engine(model, start, seed=rng)
             for call in calls:
                 final = backend.run(call).counts
             histogram[space.index(tuple(final[:k]))] += 1
@@ -430,8 +431,7 @@ class TestCountBackendExactLaw:
         histogram = np.zeros(n + 1)
         for _ in range(runs):
             backend = CountBackend(TableModel(cure),
-                                   np.array([n - ones, ones]), seed=rng,
-                                   vectorized=True)
+                                   np.array([n - ones, ones]), seed=rng)
             for steps in calls:
                 final = backend.run(steps).counts
             histogram[final[1]] += 1
@@ -475,8 +475,9 @@ class TestCountBackendCheckpointLaw:
     compared against the exact chains from :mod:`repro.markov`.
     """
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_interior_snapshot_matches_exact_chain(self, vectorized):
+    @pytest.mark.parametrize("engine", [
+        CountBackend, birthday(CountBackend)], ids=["proxy", "birthday"])
+    def test_interior_snapshot_matches_exact_chain(self, engine):
         n, n_ac, n_ad, k = 8, 1, 2, 2
         m = n - n_ac - n_ad
         beta_hat = n_ad / (n - 1)
@@ -492,8 +493,7 @@ class TestCountBackendCheckpointLaw:
         rng = np.random.default_rng(20240726)
         histogram = np.zeros(len(space))
         for _ in range(runs):
-            backend = CountBackend(model, start, seed=rng,
-                                   vectorized=vectorized)
+            backend = engine(model, start, seed=rng)
             result = backend.run(steps, observe_every=snapshot_at)
             interior = dict(result.observations)[snapshot_at]
             histogram[space.index(tuple(interior[:k]))] += 1
@@ -504,9 +504,10 @@ class TestCountBackendCheckpointLaw:
         tv = 0.5 * np.abs(histogram - exact).sum()
         assert tv < 0.05, f"TV of interior snapshot to exact chain {tv:.4f}"
 
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("engine", [
+        CountBackend, birthday(CountBackend)], ids=["proxy", "birthday"])
     def test_per_step_stop_probability_matches_absorbing_chain(
-            self, vectorized):
+            self, engine):
         n, n_ac, n_ad, k = 8, 1, 2, 2
         m = n - n_ac - n_ad
         beta_hat = n_ad / (n - 1)
@@ -521,8 +522,7 @@ class TestCountBackendCheckpointLaw:
         rng = np.random.default_rng(77)
         stopped = 0
         for _ in range(runs):
-            backend = CountBackend(model, start, seed=rng,
-                                   vectorized=vectorized)
+            backend = engine(model, start, seed=rng)
             result = backend.run(horizon, stop_when=lambda c: c[0] == 0,
                                  check_stop_every=1)
             stopped += result.converged
@@ -538,14 +538,18 @@ class TestCountBackendCheckpointLaw:
 
 
 class TestGameBackendsAgree:
+    @pytest.mark.parametrize("engine", [
+        CountBackend, birthday(CountBackend)], ids=["proxy", "birthday"])
     @pytest.mark.parametrize("rule,kwargs", [
         ("imitation", {}),
         ("best_response", {"p_update": 0.4}),
         ("logit", {"eta": 1.3}),
     ])
-    def test_count_matches_agent_law(self, rule, kwargs):
-        """Final-count distributions of the two backends coincide."""
+    def test_count_matches_agent_law(self, rule, kwargs, engine):
+        """Final-count distributions of the agent backend and of each
+        count path coincide (the count engine runs the facade's model)."""
         game = hawk_dove_game(2.0, 4.0)
+        model = matrix_game_model(game.row_payoffs, rule, **kwargs)
         n, steps, runs = 10, 25, 2500
         initial = np.array([0] * 5 + [1] * 5, dtype=np.int64)
         rng = np.random.default_rng(7)
@@ -557,11 +561,8 @@ class TestGameBackendsAgree:
                 **kwargs)
             agent_sim.run(steps)
             agent_hist[agent_sim.counts[0]] += 1
-            count_sim = PopulationGameSimulation(
-                game, n, rule=rule, seed=rng, initial_strategies=initial,
-                backend="count", **kwargs)
-            count_sim.run(steps)
-            count_hist[count_sim.counts[0]] += 1
+            count = engine(model, np.bincount(initial), seed=rng)
+            count_hist[count.run(steps).counts[0]] += 1
         tv = 0.5 * np.abs(agent_hist - count_hist).sum() / runs
         assert tv < 0.09, f"{rule}: TV between backends {tv:.4f}"
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import birthday
 
 import repro
 from repro.core.igt import GenerosityGrid
@@ -55,6 +56,10 @@ def det_model():
 
 def logit_model():
     return matrix_game_model(PAYOFFS, "logit", eta=0.7)  # stochastic one-way
+
+
+def imitation_model():
+    return matrix_game_model(PAYOFFS, "imitation")  # one-way, 4-slot
 
 
 def averaging_model():
@@ -139,8 +144,8 @@ class TestBackendEquivalence:
                              seed=15),
         lambda: CountBackend(averaging_model(), initial_counts(5000, 5),
                              seed=24),
-        lambda: CountBackend(averaging_model(), initial_counts(5000, 5),
-                             seed=25, vectorized=False),
+        lambda: birthday(CountBackend)(averaging_model(),
+                                       initial_counts(5000, 5), seed=25),
     ], ids=["agent-kernel", "count-proxy", "count-birthday"])
     def test_two_way_table_protocol(self, build):
         assert_resumes_identically(build)
@@ -164,13 +169,19 @@ class TestBackendEquivalence:
 
     def test_count_backend_proxy_stochastic(self):
         assert_resumes_identically(lambda: CountBackend(
-            logit_model(), initial_counts(4000, 2), seed=22,
-            vectorized=True))
+            logit_model(), initial_counts(4000, 2), seed=22))
+
+    def test_count_backend_proxy_imitation(self):
+        # The uniform proxy draws a 4-slot model's observed agents
+        # through its pair law, from the generator the snapshot holds.
+        assert CountBackend(imitation_model(), initial_counts(3000, 2),
+                            seed=23)._kernel is not None
+        assert_resumes_identically(lambda: CountBackend(
+            imitation_model(), initial_counts(3000, 2), seed=23))
 
     def test_count_backend_birthday(self):
-        assert_resumes_identically(lambda: CountBackend(
-            det_model(), initial_counts(5000, 5), seed=24,
-            vectorized=False))
+        assert_resumes_identically(lambda: birthday(CountBackend)(
+            det_model(), initial_counts(5000, 5), seed=24))
 
     def weighted_counts(self, n_states=5):
         counts = np.array([initial_counts(900, n_states, seed=3),
@@ -184,13 +195,13 @@ class TestBackendEquivalence:
 
     def test_weighted_backend_birthday(self):
         counts, weights = self.weighted_counts()
-        assert_resumes_identically(lambda: WeightedCountBackend(
-            det_model(), counts, weights, seed=32, vectorized=False))
+        assert_resumes_identically(lambda: birthday(WeightedCountBackend)(
+            det_model(), counts, weights, seed=32))
 
     def test_weighted_backend_birthday_stochastic(self):
         counts, weights = self.weighted_counts(n_states=2)
-        assert_resumes_identically(lambda: WeightedCountBackend(
-            logit_model(), counts, weights, seed=33, vectorized=False))
+        assert_resumes_identically(lambda: birthday(WeightedCountBackend)(
+            logit_model(), counts, weights, seed=33))
 
 
 # ----------------------------------------------------------------------
@@ -200,17 +211,15 @@ def pinned_engine(kind):
     if kind == "agent":
         return AgentBackend(logit_model(), initial_states(1500, 2), seed=14)
     if kind == "count":
-        return CountBackend(logit_model(), initial_counts(4000, 2), seed=22,
-                            vectorized=True)
+        return CountBackend(logit_model(), initial_counts(4000, 2), seed=22)
     if kind == "count-birthday":
-        return CountBackend(det_model(), initial_counts(2500, 5), seed=25,
-                            vectorized=False)
+        return birthday(CountBackend)(det_model(), initial_counts(2500, 5),
+                                      seed=25)
     if kind == "weighted-birthday":
         counts = np.array([initial_counts(900, 5, seed=3),
                            initial_counts(2100, 5, seed=4)])
-        return WeightedCountBackend(det_model(), counts,
-                                    np.array([1.0, 3.5]), seed=32,
-                                    vectorized=False)
+        return birthday(WeightedCountBackend)(det_model(), counts,
+                                              np.array([1.0, 3.5]), seed=32)
     counts = np.array([initial_counts(900, 2, seed=3),
                        initial_counts(2100, 2, seed=4)])
     return WeightedCountBackend(logit_model(), counts, np.array([1.0, 3.5]),
@@ -459,10 +468,10 @@ class TestValidation:
 
     def test_proxy_flag_mismatch_refused(self):
         proxy = CountBackend(det_model(), initial_counts(500, 5), seed=1)
-        birthday = CountBackend(det_model(), initial_counts(500, 5),
-                                seed=1, vectorized=False)
+        batched = birthday(CountBackend)(det_model(), initial_counts(500, 5),
+                                         seed=1)
         with pytest.raises(SnapshotError, match="proxy"):
-            birthday.restore(proxy.snapshot())
+            batched.restore(proxy.snapshot())
 
     def test_torn_bytes_detected(self):
         data = SnapshotState(kind="count",
@@ -616,16 +625,16 @@ CHECKED_ENGINES = {
                                   seed=3),
     "count-proxy": lambda: CountBackend(det_model(),
                                         initial_counts(400, 5), seed=3),
-    "count-birthday": lambda: CountBackend(
-        det_model(), initial_counts(400, 5), seed=3, vectorized=False),
+    "count-birthday": lambda: birthday(CountBackend)(
+        det_model(), initial_counts(400, 5), seed=3),
     "weighted": lambda: WeightedCountBackend(
         det_model(), np.array([initial_counts(150, 5, seed=3),
                                initial_counts(250, 5, seed=4)]),
         np.array([1.0, 3.5]), seed=3),
-    "weighted-birthday": lambda: WeightedCountBackend(
+    "weighted-birthday": lambda: birthday(WeightedCountBackend)(
         det_model(), np.array([initial_counts(150, 5, seed=3),
                                initial_counts(250, 5, seed=4)]),
-        np.array([1.0, 3.5]), seed=3, vectorized=False),
+        np.array([1.0, 3.5]), seed=3),
 }
 
 
@@ -730,8 +739,9 @@ class TestRestoreChecks:
             target.restore(snapshot)
         assert target.snapshot().to_bytes() == before
 
-    @pytest.mark.parametrize("vectorized", [True, False],
-                             ids=["proxy", "birthday"])
+    @pytest.mark.parametrize("engine", [
+        WeightedCountBackend, birthday(WeightedCountBackend)],
+        ids=["proxy", "birthday"])
     @pytest.mark.parametrize("written, restoring", [
         ([[10, 10, 5, 5, 0], [10, 10, 5, 5, 0]],
          [[20, 10, 5, 5, 0], [0, 10, 5, 5, 0]]),
@@ -739,13 +749,12 @@ class TestRestoreChecks:
          [[10, 10, 5, 5, 0], [10, 10, 5, 5, 0]]),
     ], ids=["30/30-into-40/20", "40/20-into-30/30"])
     def test_other_class_sizes_are_refused(self, written, restoring,
-                                           vectorized):
+                                           engine):
         # Same n, states, classes and state counts: only the class sizes
         # differ, which the engine's pair and class draws are built on.
         def build(counts):
-            return WeightedCountBackend(det_model(), np.array(counts),
-                                        np.array([1.0, 4.0]), seed=5,
-                                        vectorized=vectorized)
+            return engine(det_model(), np.array(counts),
+                          np.array([1.0, 4.0]), seed=5)
 
         snapshot = build(written).snapshot()
         target = build(restoring)

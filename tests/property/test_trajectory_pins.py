@@ -23,7 +23,10 @@ every interaction one uniform, drawn per chunk in pair order: the five
 ``game-*`` (imitation) digests and ``imitation-agent-kernel`` were
 re-captured, as imitation used to draw only when the model agent
 earned more, and ``logit-agent-kernel`` now pins the pair-order
-trajectory, as the batched path that drew per round is gone.
+trajectory, as the batched path that drew per round is gone.  Epoch 7
+moved imitation on the uniform count engine (n = 40) from birthday
+batches onto the proxy kernel, so ``game-uniform-count`` was
+re-captured.
 """
 
 import hashlib
@@ -164,7 +167,7 @@ PINNED = {
     "game-powerlaw-count": "cd34167414374c52",
     "game-ring-agent": "6fffdaaf9b7bbb09",
     "game-uniform-agent": "fe6b119a34500f19",
-    "game-uniform-count": "ab2e519baf01f99b",
+    "game-uniform-count": "54b3e47cd5bf19ae",
     "igt-powerlaw-action-agent": "76dbf5c3f0c7a979",
     "igt-powerlaw-agent": "cf1272bd440b85bc",
     "igt-powerlaw-count": "de45c04de3d375ac",

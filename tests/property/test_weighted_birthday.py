@@ -10,7 +10,7 @@ here:
   path's empirical T-step distribution matches an exactly enumerated
   transition matrix of the weighted pair law (the same bar the proxy
   kernel passed in the PR that introduced the lift);
-* **birthday vs proxy** — forcing each strategy on identical workloads
+* **birthday vs proxy** — running each strategy on identical workloads
   (including the 4-slot imitation rule) yields statistically
   indistinguishable final-count laws;
 * **uniform degeneracy** — with one weight class the heterogeneous
@@ -22,6 +22,7 @@ here:
 import itertools
 
 import numpy as np
+from conftest import birthday
 
 from repro.core.general_games import PopulationGameSimulation, hawk_dove_game
 from repro.engine import (
@@ -29,6 +30,11 @@ from repro.engine import (
     TableModel,
     WeightedCountBackend,
 )
+
+#: The lift on each path: the proxy kernel (the default at these sizes)
+#: and birthday batching.
+PATHS = {"proxy": WeightedCountBackend,
+         "birthday": birthday(WeightedCountBackend)}
 
 
 def epidemic_table() -> np.ndarray:
@@ -92,9 +98,8 @@ class TestBirthdayMatchesEnumeratedChain:
         rng = np.random.default_rng(424)
         histogram = np.zeros(len(states))
         for _ in range(runs):
-            backend = WeightedCountBackend(model, initial,
-                                           np.array(class_weights),
-                                           seed=rng, vectorized=False)
+            backend = PATHS["birthday"](model, initial,
+                                        np.array(class_weights), seed=rng)
             backend.run(steps)
             final = backend.class_state_counts
             histogram[index[(int(final[0, 1]), int(final[1, 1]))]] += 1
@@ -115,17 +120,16 @@ class TestBirthdayMatchesProxy:
         class_weights = np.array([1.0, 6.0])
         runs, steps = 1200, 200
         means = {}
-        for forced in (True, False):
+        for path, engine in PATHS.items():
             rng = np.random.default_rng(1234)
             total = 0.0
             for _ in range(runs):
-                backend = WeightedCountBackend(model, initial, class_weights,
-                                               seed=rng, vectorized=forced)
+                backend = engine(model, initial, class_weights, seed=rng)
                 total += backend.run(steps).counts[1]
-            means[forced] = total / runs
+            means[path] = total / runs
         # Final infected count is in [4, 100]; the replicate standard
         # error is well under 1, so a gap of 2.5 flags a law mismatch.
-        assert abs(means[True] - means[False]) < 2.5, means
+        assert abs(means["proxy"] - means["birthday"]) < 2.5, means
 
     def test_imitation_four_slot_law(self):
         """The 4-slot lift (observed agents in product space) agrees
@@ -133,7 +137,7 @@ class TestBirthdayMatchesProxy:
         game = hawk_dove_game(2.0, 4.0)
         runs, steps, n = 250, 250, 24
         means = {}
-        for forced in (True, False):
+        for path, build in PATHS.items():
             total = 0.0
             for r in range(runs):
                 sim = PopulationGameSimulation(
@@ -141,15 +145,14 @@ class TestBirthdayMatchesProxy:
                     backend="count", weights="twoclass:4")
                 engine = sim._engine
                 assert isinstance(engine, WeightedCountBackend)
-                # Rebuild on the forced strategy from the same start.
-                backend = WeightedCountBackend(
+                # Rebuild on each path from the same start.
+                backend = build(
                     engine.model, engine.class_state_counts,
-                    engine.class_weights, seed=np.random.default_rng(r),
-                    vectorized=forced)
+                    engine.class_weights, seed=np.random.default_rng(r))
                 backend.run(steps)
                 total += backend.counts[0]
-            means[forced] = total / runs
-        assert abs(means[True] - means[False]) < 1.5, means
+            means[path] = total / runs
+        assert abs(means["proxy"] - means["birthday"]) < 1.5, means
 
     def test_observation_trajectories_align(self):
         """Observation cadences and totals are identical in structure
@@ -157,9 +160,8 @@ class TestBirthdayMatchesProxy:
         model = TableModel(epidemic_table())
         initial = np.array([[90, 5], [100, 5]], dtype=np.int64)
         class_weights = np.array([1.0, 3.0])
-        for forced in (True, False):
-            backend = WeightedCountBackend(model, initial, class_weights,
-                                           seed=8, vectorized=forced)
+        for engine in PATHS.values():
+            backend = engine(model, initial, class_weights, seed=8)
             result = backend.run(1000, observe_every=37)
             steps_axis = [step for step, _ in result.observations]
             assert steps_axis == [0] + list(range(37, 1001, 37))
@@ -177,9 +179,8 @@ class TestUniformDegeneracy:
         rng = np.random.default_rng(77)
         total = 0.0
         for _ in range(runs):
-            backend = WeightedCountBackend(
-                model, np.array([[n - 3, 3]]), np.array([2.5]),
-                seed=rng, vectorized=False)
+            backend = PATHS["birthday"](
+                model, np.array([[n - 3, 3]]), np.array([2.5]), seed=rng)
             total += backend.run(steps).counts[1]
         totals["weighted"] = total / runs
         rng = np.random.default_rng(78)

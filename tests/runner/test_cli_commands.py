@@ -456,6 +456,21 @@ class TestFabricCli:
         arguments = ["worker", "--remote", "http://127.0.0.1:1", "--retries", "0"]
         assert main(arguments) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--poll", "-1"),
+            ("--backoff", "-1"),
+            ("--retries", "-1"),
+            ("--max-tasks", "0"),
+        ],
+    )
+    def test_worker_invalid_option_exits_2(self, capsys, flag, value):
+        # Refused before the first request, not at a dead coordinator.
+        arguments = ["worker", "--remote", "http://127.0.0.1:1", "--retries", "0"]
+        assert main([*arguments, flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_serve_worker_sweep_round_trip(self, tmp_path):
         # The whole fabric driven purely through CLI entry points:
         # coordinator and worker on background threads, a remote sweep

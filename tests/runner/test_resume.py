@@ -1,11 +1,11 @@
-"""Resumable-sweep plumbing: env channel binding, scoping, E4 wiring.
+"""Resumable-sweep plumbing: env channel binding and E4 wiring.
 
 The engine-level byte-identity contract lives in
 ``tests/property/test_snapshot_equivalence.py``; these tests pin the
 *runner* half — how :func:`repro.runner.executor.run_task` binds a
 snapshot channel from :data:`SNAPSHOT_DIR_ENV`, when checkpoints are
 cleared versus kept, and that E4's relaxation actually checkpoints
-through a scoped channel (so ``repro sweep --resume`` has something to
+through the task's channel (so ``repro sweep --resume`` has something to
 resume).  The full kill-and-resume byte-compare runs as a subprocess
 scenario in ``scripts/run_chaos_smoke.py``.
 """
@@ -123,22 +123,22 @@ class TestExecuteResume:
 
 
 class TestE4Checkpointing:
-    """E4's relaxation must checkpoint scoped, resumable snapshots."""
+    """E4's relaxation must checkpoint resumable snapshots."""
 
     PARAMS = {"n": 60_000, "m": 4, "k_max": 3, "m_urn": 8}
 
-    def test_relaxation_checkpoints_through_scoped_channel(self):
+    def test_relaxation_checkpoints_through_task_channel(self):
         from repro.experiments.base import run_experiment
 
         channel = RecordingChannel()
         with use_snapshot_channel(channel):
             report = run_experiment("E4", params=self.PARAMS, seed=2)
         # The relaxation outruns one segment at this n, so snapshots
-        # flowed — each tagged with the sub-run scope that keeps one
-        # task's multiple simulations from resuming each other.
+        # flowed into the task's channel: the relaxation engine's own
+        # checkpoints, the task's one resumable run.
         assert len(channel.snapshots) > 0
-        scopes = {s.payload["scope"] for s in channel.snapshots}
-        assert all(scope.startswith("e4-relax:n=") for scope in scopes)
+        assert {s.kind for s in channel.snapshots} == {"count"}
+        assert all(s.payload["n"] == self.PARAMS["n"] for s in channel.snapshots)
 
         # Channel presence is invisible in the result (segmented
         # execution is unconditional).
